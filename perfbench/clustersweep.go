@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"slices"
 	"time"
 
 	"samielsq/internal/experiments"
@@ -21,220 +20,106 @@ const (
 	goldenInsts = 25_000
 	// sweepReplicas replicas with one simulation worker each.
 	sweepReplicas = 2
-	// bootReps extra replica boots before the sweeps, so setup_s is
-	// taken over enough boots to be steady.
-	bootReps = 60
 )
 
-// sweepPorts are the loopback ports the replicas listen on. Shards are
-// assigned by hashing replica URLs, so stable URLs keep the shard split,
-// and with it the sweep's critical path, the same in every run. They
-// sit below Linux's ephemeral range; if one is taken a free port is
-// used instead.
-var sweepPorts = []string{"127.0.0.1:21781", "127.0.0.1:21782"}
-
-// runClusterSweep regenerates the golden suite through
-// cluster.ShardedClient.Suite over two fresh, cold replicas per sweep,
-// and checks the rendering byte for byte against the golden file.
-//
-// Its timings are raw wall-clock, not reference-normalized: a sweep
-// keeps both cores busy for seconds, and kernel runs at its ends do not
-// track its speed (normalizing widened the run-to-run spread). Per-layer
-// figures are medians over the run's sweeps.
+// runClusterSweep is the segment every traced run adds for the cluster
+// and engine layers: one golden-suite sweep through
+// cluster.ShardedClient.Suite over two fresh, cold replicas, checked
+// byte for byte against the golden file. It is not a declared workload
+// and reports per-layer metrics only; its timings are raw wall-clock.
 func runClusterSweep(cfg segCfg) (segResult, error) {
 	var res segResult
 	golden, err := os.ReadFile(filepath.Join(cfg.root, "internal", "experiments", "testdata", "golden_suite.txt"))
 	if err != nil {
 		return res, err
 	}
-	specs := map[string]uint64{} // key -> stepped instructions
-	for _, s := range experiments.SuiteSpecs(goldenBenchmarks, goldenInsts) {
-		n := experiments.Normalize(s)
-		specs[experiments.Key(n)] = n.Warmup + n.Insts
-	}
-	var steppedPerSweep uint64
-	for _, n := range specs {
-		steppedPerSweep += n
-	}
+	distinct := len(experiments.SuiteSpecs(goldenBenchmarks, goldenInsts))
 
-	eps := make([]*endpoint, sweepReplicas)
+	ssp := cfg.tr.begin("sweep", 0)
+	defer ssp.end()
+	bsp := cfg.tr.begin("setup", ssp.id)
+	rs := make([]*replica, sweepReplicas)
 	urls := make([]string, sweepReplicas)
-	for i := range eps {
-		ep, err := listen(sweepPorts[i])
-		if err != nil {
-			ep, err = listen("127.0.0.1:0")
-		}
-		if err != nil {
-			return res, err
-		}
-		defer ep.close()
-		eps[i], urls[i] = ep, ep.url
-	}
-	nboot := 0
-	boot := func(parent int64) ([]*replica, float64, error) {
-		sp := cfg.tr.begin("setup", parent)
-		defer sp.end()
-		t0 := time.Now()
-		rs := make([]*replica, len(eps))
-		for i, ep := range eps {
-			r, err := bootReplica(ep, filepath.Join(cfg.work, fmt.Sprintf("sweep-%d-%d", nboot, i)),
-				replicaOpts{workers: 1, peerAdopt: true})
-			if err != nil {
-				return nil, 0, err
-			}
-			rs[i] = r
-		}
-		nboot++
-		return rs, time.Since(t0).Seconds(), nil
-	}
-	retire := func(rs []*replica) error {
+	defer func() {
 		for _, r := range rs {
-			if err := r.retire(); err != nil {
-				return err
+			if r != nil {
+				r.retire()
+				r.ep.close()
 			}
 		}
-		return nil
-	}
-
-	var setups []float64
-	for i := 0; i < bootReps; i++ {
-		rs, d, err := boot(0)
+	}()
+	for i := range rs {
+		ep, err := listen("127.0.0.1:0")
 		if err != nil {
 			return res, err
 		}
-		setups = append(setups, d)
-		if err := retire(rs); err != nil {
-			return res, err
-		}
-	}
-
-	var sweeps, tails, skews, utils, renders, warmS, measS []float64
-	var lats [][]float64 // per sweep: ms from the Suite call to each delivery
-	var simS []float64   // per sweep: replica simulation seconds
-	var gaps map[string]float64
-	var last cluster.SweepStats
-	var engineSum engine.Stats // summed over the replicas, last sweep
-	start := time.Now()
-	for res.attempted == 0 || time.Since(start) < cfg.dur {
-		ssp := cfg.tr.begin("sweep", 0)
-		rs, d, err := boot(ssp.id)
+		r, err := bootReplica(ep, filepath.Join(cfg.work, fmt.Sprintf("sweep-%d", i)),
+			replicaOpts{workers: 1, peerAdopt: true})
 		if err != nil {
+			ep.close()
 			return res, err
 		}
-		setups = append(setups, d)
-		sc, err := cluster.New(urls, cluster.WithLogger(quietLog))
-		if err != nil {
-			return res, err
-		}
-		lastBy := map[string]float64{}
-		var lastAny float64
-		var lat []float64
-		sp := cfg.tr.begin("cluster.ShardedClient.Suite", ssp.id)
-		t0 := time.Now()
-		suite, err := sc.Suite(context.Background(), goldenBenchmarks, goldenInsts, func(p cluster.Progress) {
-			at := time.Since(t0).Seconds()
-			lat = append(lat, at*1e3)
-			lastBy[p.Replica] = at
-			lastAny = at
-		})
-		sp.end()
-		rsp := cfg.tr.begin("experiments.SuiteResult.String", ssp.id)
-		ok := err == nil && suite.String() == string(golden)
-		rsp.end()
-		end := time.Since(t0).Seconds()
-		ssp.end()
+		rs[i], urls[i] = r, ep.url
+	}
+	bsp.end()
+	sc, err := cluster.New(urls, cluster.WithLogger(quietLog))
+	if err != nil {
+		return res, err
+	}
 
-		res.attempted++
-		var executed []int64
-		var sweepSim, sweepWarm, sweepMeas float64
-		engineSum = engine.Stats{}
-		for _, r := range rs {
-			st := r.batch.Stats()
-			executed = append(executed, st.Executed)
-			engineSum.Requests += st.Requests
-			engineSum.Executed += st.Executed
-			engineSum.Hits += st.Hits
-			engineSum.Evictions += st.Evictions
-			ph := r.batch.PhaseStats()
-			sweepWarm += ph["warmup"].Sum
-			sweepMeas += ph["measured"].Sum
-		}
-		sweepSim = sweepWarm + sweepMeas
-		if err := retire(rs); err != nil {
-			return res, err
-		}
-		if !ok || engineSum.Executed != int64(len(specs)) {
-			res.failed++
-			continue // a wrong sweep's timings mean nothing
-		}
-		if gaps == nil {
-			gaps = gapMetrics(suite.Energy, suite.Figure56)
-		}
+	lastBy := map[string]float64{}
+	var lastAny float64
+	sp := cfg.tr.begin("cluster.ShardedClient.Suite", ssp.id)
+	t0 := time.Now()
+	suite, err := sc.Suite(context.Background(), goldenBenchmarks, goldenInsts, func(p cluster.Progress) {
+		at := time.Since(t0).Seconds()
+		lastBy[p.Replica] = at
+		lastAny = at
+	})
+	sp.end()
+	rsp := cfg.tr.begin("experiments.SuiteResult.String", ssp.id)
+	ok := err == nil && suite.String() == string(golden)
+	rsp.end()
+	end := time.Since(t0).Seconds()
 
-		first := lastAny
-		for _, t := range lastBy {
-			first = min(first, t)
-		}
-		var most int64
-		for _, e := range executed {
-			most = max(most, e)
-		}
-		sweeps = append(sweeps, end)
-		tails = append(tails, end-first)
-		skews = append(skews, float64(most)*float64(len(executed))/float64(len(specs)))
-		utils = append(utils, sweepSim/(float64(sweepReplicas)*end))
-		renders = append(renders, end-lastAny)
-		warmS = append(warmS, sweepWarm)
-		measS = append(measS, sweepMeas)
-		simS = append(simS, sweepSim)
-		lats = append(lats, lat)
-		last = sc.SweepStats()
+	var sum engine.Stats // summed over the replicas
+	var most int64
+	var warmS, measS float64
+	for _, r := range rs {
+		st := r.batch.Stats()
+		sum.Requests += st.Requests
+		sum.Executed += st.Executed
+		sum.Hits += st.Hits
+		sum.Evictions += st.Evictions
+		most = max(most, st.Executed)
+		ph := r.batch.PhaseStats()
+		warmS += ph["warmup"].Sum
+		measS += ph["measured"].Sum
 	}
-	if gaps == nil {
-		return res, fmt.Errorf("cluster-sweep: no sweep reproduced the golden suite")
+	res.attempted = 1
+	if !ok || sum.Executed != int64(distinct) {
+		res.failed = 1
 	}
-	// Co-tenant load on the machine only ever adds time, and a sweep is
-	// too long to normalize against the reference kernel (see above), so
-	// the end-to-end figures come from the run's fastest sweep: the best
-	// estimate of what the code itself costs. Likewise setup_s is the
-	// fastest boot: a boot takes about a millisecond, and its times
-	// scatter over several milliseconds with scheduling and GC.
-	best := 0
-	for i, s := range sweeps {
-		if s < sweeps[best] {
-			best = i
-		}
+	first := lastAny
+	for _, t := range lastBy {
+		first = min(first, t)
 	}
-	res.samples = len(lats[best])
-	res.unitCost = sweeps[best]
-	res.e2e = map[string]float64{
-		"sim_ips":    float64(steppedPerSweep) / simS[best],
-		"sweep_s":    sweeps[best],
-		"run_p50_ms": quantile(lats[best], 0.50),
-		"run_p99_ms": quantile(lats[best], 0.99),
-		"runs_per_s": float64(len(lats[best])) / sweeps[best],
-		"setup_s":    slices.Min(setups),
-	}
-	for k, v := range gaps {
-		res.e2e[k] = v
-	}
-	if cfg.tr == nil {
-		return res, nil
-	}
+	stats := sc.SweepStats()
+	res.unitCost = end
 	res.layer = map[string]float64{
-		"cluster.sweep_s":      sweeps[best],
-		"cluster.tail_s":       median(tails),
-		"cluster.replica_skew": median(skews),
-		"cluster.sim_util":     median(utils),
-		"cluster.rounds":       float64(last.Rounds),
-		"cluster.retries_used": float64(last.RetriesUsed),
-		"phase.warmup_s":       median(warmS),
-		"phase.measured_s":     median(measS),
-		"experiments.render_s": median(renders),
-		"engine.requests":      float64(engineSum.Requests),
-		"engine.executed":      float64(engineSum.Executed),
-		"engine.hits":          float64(engineSum.Hits),
-		"engine.evictions":     float64(engineSum.Evictions),
+		"cluster.sweep_s":      end,
+		"cluster.tail_s":       end - first,
+		"cluster.replica_skew": float64(most) * sweepReplicas / float64(distinct),
+		"cluster.sim_util":     (warmS + measS) / (sweepReplicas * end),
+		"cluster.rounds":       float64(stats.Rounds),
+		"cluster.retries_used": float64(stats.RetriesUsed),
+		"phase.warmup_s":       warmS,
+		"phase.measured_s":     measS,
+		"experiments.render_s": end - lastAny,
+		"engine.requests":      float64(sum.Requests),
+		"engine.executed":      float64(sum.Executed),
+		"engine.hits":          float64(sum.Hits),
+		"engine.evictions":     float64(sum.Evictions),
 	}
 	return res, nil
 }

@@ -1,17 +1,19 @@
-// Command perfbench is the repository benchmark. It drives one of three
+// Command perfbench is the repository benchmark. It drives one of two
 // seeded workloads in-process against the simulator's public layers and
 // prints the metrics BENCHMARK.json declares:
 //
-//	core-matrix    every LSQ model × five programs through experiments.Run
-//	serve-zipf     two closed-loop HTTP clients against an in-process
-//	               samie-serve replica backed by a warm sibling
-//	cluster-sweep  the golden suite sharded over two cold replicas
+//	core-matrix  every LSQ model × five programs through experiments.Run
+//	serve-zipf   two closed-loop HTTP clients replaying the repository's
+//	             sweep drivers against an in-process samie-serve replica
+//	             backed by a warm sibling
 //
 // With --trace 0 it reports the end-to-end metrics of the named
 // workload; with --trace 1 it reports the per-layer metrics, recording
 // spans around every layer call it makes (written to
-// .bench_build/spans/) and a CPU profile of the cycle core. See
-// README.md in this directory for the metric definitions.
+// .bench_build/spans/) and a CPU profile of the cycle core. A traced
+// run also sweeps the golden suite over two cold replicas for the
+// cluster layer. See README.md in this directory for the metric
+// definitions.
 //
 // Usage (from the repository root, normally through run.sh):
 //
@@ -55,33 +57,45 @@ type segResult struct {
 	unitCost float64
 	// samples is the number of latencies behind run_p50_ms/run_p99_ms.
 	samples int
+	// summary is extra text for the untraced run's summary line.
+	summary string
 }
 
 type segment func(segCfg) (segResult, error)
 
-// workloads lists the segments in the order a traced run executes the
-// ones it was not asked for.
-var workloads = []struct {
+type namedSegment struct {
 	name string
 	run  segment
-}{
+}
+
+// workloads are the declared workloads, in the order a traced run
+// executes the ones it was not asked for.
+var workloads = []namedSegment{
 	{"core-matrix", runCoreMatrix},
 	{"serve-zipf", runServeZipf},
+}
+
+// tracedOnly are segments only a traced run executes, after the other
+// workloads.
+var tracedOnly = []namedSegment{
 	{"cluster-sweep", runClusterSweep},
 }
 
+// specFile is the benchmark definition, relative to the repository root
+// the benchmark runs from.
+const specFile = "BENCHMARK.json"
+
 func main() {
-	workload := flag.String("workload", "", "core-matrix, serve-zipf or cluster-sweep")
-	seed := flag.Int64("seed", 1, "workload seed: the Zipf stream, the op order and the sibling's warm half derive from it")
+	workload := flag.String("workload", "", "core-matrix or serve-zipf")
+	seed := flag.Int64("seed", 1, "workload seed: the driver draws, the op order and the sibling's warm half derive from it")
 	seconds := flag.Float64("seconds", 20, "measurement window in seconds")
 	traceFlag := flag.Int("trace", 0, "1 reports per-layer metrics from a traced run, 0 end-to-end metrics")
-	spec := flag.String("spec", "BENCHMARK.json", "benchmark definition naming the metrics to report")
 	flag.Parse()
 	if flag.NArg() > 0 || (*traceFlag != 0 && *traceFlag != 1) {
 		fmt.Fprintln(os.Stderr, "usage: perfbench --workload <name> --seed <n> --seconds <s> --trace <0|1>")
 		os.Exit(2)
 	}
-	res, err := run(*spec, *workload, *seed, time.Duration(*seconds*float64(time.Second)), *traceFlag == 1)
+	res, err := run(specFile, *workload, *seed, time.Duration(*seconds*float64(time.Second)), *traceFlag == 1)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "perfbench:", err)
 		os.Exit(1)
@@ -143,7 +157,7 @@ func run(specPath, workload string, seed int64, dur time.Duration, traced bool) 
 		}
 	}
 	if idx < 0 {
-		return result{}, fmt.Errorf("unknown workload %q (want core-matrix, serve-zipf or cluster-sweep)", workload)
+		return result{}, fmt.Errorf("unknown workload %q (want core-matrix or serve-zipf)", workload)
 	}
 	work := filepath.Join(root, ".bench_build", "work", strconv.Itoa(os.Getpid()))
 	if err := os.MkdirAll(work, 0o755); err != nil {
@@ -164,8 +178,8 @@ func run(specPath, workload string, seed int64, dur time.Duration, traced bool) 
 		values = r.e2e
 		values["peak_rss_mb"] = peakRSSMB()
 		defs = spec.EndToEnd
-		fmt.Printf("%s seed=%d: attempted=%d failed=%d failed_ratio=%g latency_samples=%d\n",
-			workload, seed, attempted, failed, ratio(failed, attempted), r.samples)
+		fmt.Printf("%s seed=%d: attempted=%d failed=%d failed_ratio=%g latency_samples=%d%s\n",
+			workload, seed, attempted, failed, ratio(failed, attempted), r.samples, r.summary)
 	} else {
 		values, attempted, failed, err = runTraced(cfg, idx)
 		if err != nil {
@@ -196,18 +210,18 @@ func run(specPath, workload string, seed int64, dur time.Duration, traced bool) 
 	return out, nil
 }
 
-// runTraced produces the per-layer metrics. Each other workload runs
-// first, once, traced and at its minimum size, so every layer is
-// measured on a workload that exercises it; this also warms the process
-// before the comparison that follows. The named workload then runs
-// twice for half the window each, untraced then traced, which gives
-// bench.trace_overhead. A layer metric comes from the named workload
-// when that workload produces it, else from the first other workload
-// that does.
+// runTraced produces the per-layer metrics. Each other workload and
+// each traced-only segment runs first, once, traced and at its minimum
+// size, so every layer is measured on a segment that exercises it; this
+// also warms the process before the comparison that follows. The named
+// workload then runs twice for half the window each, untraced then
+// traced, which gives bench.trace_overhead. A layer metric comes from
+// the named workload when that workload produces it, else from the
+// first other segment that does.
 func runTraced(cfg segCfg, idx int) (map[string]float64, int, int, error) {
 	tr := newTracer()
 	var others []segResult
-	for i, w := range workloads {
+	for i, w := range append(append([]namedSegment(nil), workloads...), tracedOnly...) {
 		if i == idx {
 			continue
 		}

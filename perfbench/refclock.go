@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"compress/flate"
 	"math/rand"
+	"runtime"
 	"time"
 )
 
@@ -71,6 +72,10 @@ func (c *refClock) sample() float64 {
 // since the previous call, from the medians at both ends. One kernel
 // run is enough where many short intervals average out; a few long
 // intervals take k > 1, so one disturbed kernel run cannot skew them.
+// Callers sample only while the code under test is idle, and each
+// sample first collects the garbage the interval left, so the kernel
+// times the machine alone and no leftover work of the interval is
+// scaled away.
 type normalizer struct {
 	c    *refClock
 	k    int
@@ -84,6 +89,7 @@ func (c *refClock) normalizer(k int) *normalizer {
 }
 
 func (n *normalizer) measure() float64 {
+	runtime.GC()
 	mark := len(n.c.ms)
 	n.c.sampleN(n.k)
 	return median(append([]float64(nil), n.c.ms[mark:]...)) / 1e3
