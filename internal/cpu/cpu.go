@@ -579,15 +579,18 @@ func (c *CPU) commit(dports *int) {
 			}
 			break
 		}
-		if d.isMem() && d.in.Cls == isa.ClassStore {
-			// Stores write the Dcache at commit and need a port.
-			if *dports <= 0 {
-				break
+		if d.isMem() {
+			if d.in.Cls == isa.ClassStore {
+				// Stores write the Dcache at commit and need a port.
+				if *dports <= 0 {
+					break
+				}
+				*dports--
+				c.performStoreCommit(d)
 			}
-			*dports--
-			c.performStoreCommit(d)
+			// Only memory instructions were dispatched to the model.
+			c.model.Commit(d.in.Seq)
 		}
-		c.model.Commit(d.in.Seq)
 		d.state = stCommitted
 		c.rob.popFront()
 		c.recycleInst(d)

@@ -9,9 +9,12 @@ package lsq
 // P = 64).
 //
 // An instruction whose bank has no free address entry waits and
-// retries every cycle; dispatch stalls when P instructions are in
-// flight. As with the SAMIE-LSQ, a blocked oldest instruction is
-// resolved by the CPU's deadlock-avoidance flush.
+// retries; dispatch stalls when P instructions are in flight. A waiting
+// instruction can only place after some bank address entry is released
+// (its own word cannot appear in a full bank before that), so Tick
+// retries only on its first call after a release — the same placements
+// as retrying every cycle. As with the SAMIE-LSQ, a blocked oldest
+// instruction is resolved by the CPU's deadlock-avoidance flush.
 type ARB struct {
 	banks     int
 	addrs     int // addresses per bank
@@ -20,6 +23,7 @@ type ARB struct {
 	bankAddrs []arbBank // per bank: address -> #instructions using it
 	pending   []uint64  // seqs waiting for a bank slot, oldest first
 	placedBuf []uint64  // reused by Tick (see Model.Tick contract)
+	released  bool      // an address entry was freed since the last retry pass
 
 	placeFails uint64
 	stalls     uint64
@@ -76,16 +80,18 @@ func (b *arbBank) insert(w uint64) {
 	b.words = append(b.words, arbWord{w: w, n: 1})
 }
 
-func (b *arbBank) release(w uint64) {
+// release drops one reference to w, reporting whether that freed its
+// address entry.
+func (b *arbBank) release(w uint64) bool {
 	if b.m != nil {
 		if n, ok := b.m[w]; ok {
 			if n <= 1 {
 				delete(b.m, w)
-			} else {
-				b.m[w] = n - 1
+				return true
 			}
+			b.m[w] = n - 1
 		}
-		return
+		return false
 	}
 	for i := range b.words {
 		if b.words[i].w == w {
@@ -94,10 +100,12 @@ func (b *arbBank) release(w uint64) {
 				last := len(b.words) - 1
 				b.words[i] = b.words[last]
 				b.words = b.words[:last]
+				return true
 			}
-			return
+			return false
 		}
 	}
+	return false
 }
 
 func (b *arbBank) clear() {
@@ -191,13 +199,14 @@ func (a *ARB) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) Pla
 // Tick implements Model: retry pending placements, oldest first.
 // Unlike the SAMIE AddrBuffer, the ARB's waiting instructions sit in
 // reservation stations, so any of them may proceed when its own bank
-// has room.
+// has room. Retries run only after an address entry was released.
 //
 //samie:hotpath
 func (a *ARB) Tick() []uint64 {
-	if len(a.pending) == 0 {
+	if len(a.pending) == 0 || !a.released {
 		return nil
 	}
+	a.released = false
 	placed := a.placedBuf[:0]
 	remaining := a.pending[:0]
 	for _, seq := range a.pending {
@@ -252,7 +261,9 @@ func (a *ARB) release(op *Op) {
 	if op == nil || !op.Placed || op.Loc[0] < 0 {
 		return
 	}
-	a.bankAddrs[op.Loc[0]].release(word(op.Addr))
+	if a.bankAddrs[op.Loc[0]].release(word(op.Addr)) {
+		a.released = true
+	}
 }
 
 // Commit implements Model.

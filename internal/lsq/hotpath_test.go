@@ -43,54 +43,6 @@ func TestTrackerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-// TestForwardingMemoInvalidation exercises the delta-repair path: a
-// memoized "no source" answer must pick up stores that become
-// candidates later, and a memoized source must expire when it retires.
-func TestForwardingMemoInvalidation(t *testing.T) {
-	tr := NewTracker()
-	st := tr.Add(1, false)
-	ld := tr.Add(2, true)
-	tr.SetAddress(ld, 0x100, 8)
-	tr.SetPlaced(ld)
-	if _, ok := tr.ForwardingSource(2); ok {
-		t.Fatal("no-store window forwarded")
-	}
-	// The older store's address arrives later and overlaps: the load's
-	// memo must be repaired.
-	tr.SetAddress(st, 0x100, 8)
-	tr.SetPlaced(st)
-	if src, ok := tr.ForwardingSource(2); !ok || src != 1 {
-		t.Fatalf("memo missed late candidate: %d %v", src, ok)
-	}
-	// Retiring the store invalidates the memoized source.
-	tr.Remove(1)
-	if _, ok := tr.ForwardingSource(2); ok {
-		t.Fatal("retired store still forwarded")
-	}
-}
-
-// TestForwardingMemoAfterWindowOverflow forces the delta log to
-// overflow so the full-rescan fallback runs.
-func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
-	tr := NewTracker()
-	ld := tr.Add(0, true)
-	tr.SetAddress(ld, 0x10, 8)
-	tr.SetPlaced(ld)
-	tr.ForwardingSource(0) // memo: no source
-	// Push far more candidates through than the window holds; the last
-	// one is younger than the load so none may forward — but one older
-	// overlapping store added via out-of-order address arrival must be
-	// found after the overflow.
-	for i := 1; i <= 3*candWindow; i++ {
-		op := tr.Add(uint64(i), false)
-		tr.SetPlaced(op)
-		tr.SetAddress(op, 0x10, 8)
-	}
-	if _, ok := tr.ForwardingSource(0); ok {
-		t.Fatal("younger stores forwarded to an older load")
-	}
-}
-
 func BenchmarkHotPathTrackerChurn(b *testing.B) {
 	tr := NewTracker()
 	seq := uint64(0)
@@ -104,16 +56,60 @@ func BenchmarkHotPathTrackerChurn(b *testing.B) {
 	}
 }
 
+// BenchmarkHotPathForwardingSource times the first probe of a fresh
+// load behind a 64-op window of alternating stores and loads, all
+// placed with known addresses. No store overlaps the probed load, so
+// every probe examines every older store. Each iteration retires the
+// oldest store/load pair and dispatches a new one to keep the window
+// size fixed.
 func BenchmarkHotPathForwardingSource(b *testing.B) {
 	tr := NewTracker()
-	for i := 0; i < 64; i++ {
-		op := tr.Add(uint64(i), i%2 == 0)
-		tr.SetPlaced(op)
-		tr.SetAddress(op, 0x1000+uint64(i)*8, 8)
+	seq := uint64(0)
+	addPair := func() uint64 {
+		st := tr.Add(seq, false)
+		tr.SetAddress(st, 0x1000+(seq%64)*8, 8)
+		tr.SetPlaced(st)
+		ld := tr.Add(seq+1, true)
+		tr.SetAddress(ld, 0x8000, 8)
+		tr.SetPlaced(ld)
+		seq += 2
+		return seq - 1
+	}
+	for i := 0; i < 32; i++ {
+		addPair()
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.ForwardingSource(63)
+		front := seq - 64
+		tr.Remove(front)
+		tr.Remove(front + 1)
+		if _, ok := tr.ForwardingSource(addPair()); ok {
+			b.Fatal("non-overlapping load forwarded")
+		}
+	}
+}
+
+// BenchmarkHotPathARBTick times the per-cycle retry of an ARB whose
+// banks are full while instructions wait for a free address entry and
+// none is released.
+func BenchmarkHotPathARBTick(b *testing.B) {
+	a := NewARB(8, 2, 128)
+	seq := uint64(0)
+	for i := 0; i < 64; i++ {
+		a.Dispatch(seq, i%2 == 0)
+		a.AddressReady(seq, i%2 == 0, uint64(i)*8, 8) // 8 distinct words per bank
+		seq++
+	}
+	if a.PlaceFails() == 0 {
+		b.Fatal("no instruction is waiting for a bank")
+	}
+	a.Tick()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if placed := a.Tick(); len(placed) != 0 {
+			b.Fatalf("placed %v without a release", placed)
+		}
 	}
 }

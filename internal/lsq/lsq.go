@@ -16,6 +16,10 @@
 //	Flush()                      on a pipeline flush
 //	AccountCycle()               once per cycle (occupancy/area stats)
 //
+// Commit is only called for sequence numbers that were given to
+// Dispatch: the CPU retires non-memory instructions without consulting
+// the model.
+//
 // The conservative readyBit disambiguation scheme (§3.1) is enforced
 // by the CPU model: a load only performs once every older store's
 // address is known, which is what makes ForwardingSource exact.
@@ -71,7 +75,8 @@ type Model interface {
 	// ClearCachedLocations invalidates all cached line locations
 	// (presentBit flush, §3.4).
 	ClearCachedLocations()
-	// Commit retires the instruction, in order.
+	// Commit retires the instruction, in order. It is only called for
+	// seqs that were given to Dispatch.
 	Commit(seq uint64)
 	// Flush drops every non-committed instruction.
 	Flush()
@@ -111,11 +116,20 @@ type Op struct {
 	slot    int  // physical ring slot (tracker internal)
 	counted bool // contributes to the known+placed summary trees
 
-	// Memoized forwarding-source answer (tracker internal): valid
-	// while fwdEpoch == tracker.storeEpoch+1.
-	fwdEpoch uint64
-	fwdSrc   uint64
-	fwdOK    bool
+	// ord is the op's store ordinal (tracker internal): a store's own
+	// position in the store ring, and for a load the ordinal the next
+	// store will get, so the load's older stores are [storeHead, ord).
+	ord uint64
+}
+
+// storeRec is the compact forwarding record of one in-flight store.
+// The tracker keeps them in an age-ordered ring so a forwarding search
+// walks contiguous memory instead of chasing *Op pointers across the
+// whole window.
+type storeRec struct {
+	seq    uint64
+	lo, hi uint64 // accessed bytes [lo, hi)
+	live   bool   // placed with a known address: a forwarding candidate
 }
 
 // Overlaps reports whether the two accesses touch a common byte (both
@@ -165,8 +179,10 @@ func (f *fenwick) prefix(i int) int {
 // Tracker keeps the in-flight memory instructions in program order.
 // It is shared by all LSQ models (including the SAMIE-LSQ in package
 // core). Storage is an age-ordered ring with a free list of Op
-// records, so steady-state tracking allocates nothing; lookups are
-// O(log n) binary searches over the seq-sorted ring.
+// records, so steady-state tracking allocates nothing; lookups are one
+// probe of a seq-indexed hint table, falling back to an O(log n)
+// binary search over the seq-sorted ring. Stores additionally get a
+// record in a store ring, which is all a forwarding search reads.
 type Tracker struct {
 	ops  []*Op // ring storage; an op's physical slot is stable for its lifetime
 	head int
@@ -179,13 +195,12 @@ type Tracker struct {
 	nStores int
 	nLoads  int
 
-	// storeEpoch advances whenever a store becomes a forwarding
-	// candidate (placed with a known address); it validates the per-op
-	// forwarding memos. candLog keeps the last candWindow candidate
-	// seqs so a slightly-stale memo is repaired by applying just the
-	// delta instead of rescanning the whole window.
-	storeEpoch uint64
-	candLog    [candWindow]uint64
+	// Store ring: ordinals [storeHead, storeNext) are the in-flight
+	// stores, oldest first; ordinal o lives at storeRecs[o&storeMask].
+	storeRecs []storeRec
+	storeMask uint64
+	storeHead uint64
+	storeNext uint64
 
 	// seqHint is a direct-mapped pointer table indexed by seq&seqHintMask.
 	// In-flight sequence numbers span at most the ROB window, so for the
@@ -194,10 +209,6 @@ type Tracker struct {
 	seqHint [seqHintSize]*Op
 }
 
-// candWindow bounds how many new-candidate events a forwarding memo
-// may lag behind and still be repaired incrementally.
-const candWindow = 64
-
 const (
 	seqHintSize = 1024
 	seqHintMask = seqHintSize - 1
@@ -205,7 +216,7 @@ const (
 
 // NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	t := &Tracker{ops: make([]*Op, 16)}
+	t := &Tracker{ops: make([]*Op, 16), storeRecs: make([]storeRec, 16), storeMask: 15}
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
 	return t
@@ -244,6 +255,17 @@ func (t *Tracker) grow() {
 	}
 }
 
+// growStores doubles the store ring, keeping every record at its
+// ordinal's new position.
+func (t *Tracker) growStores() {
+	nb := make([]storeRec, 2*len(t.storeRecs))
+	mask := uint64(len(nb) - 1)
+	for o := t.storeHead; o < t.storeNext; o++ {
+		nb[o&mask] = t.storeRecs[o&t.storeMask]
+	}
+	t.storeRecs, t.storeMask = nb, mask
+}
+
 // Add registers a new in-flight memory instruction. Sequence numbers
 // must be strictly increasing across Adds.
 //
@@ -259,7 +281,14 @@ func (t *Tracker) Add(seq uint64, isLoad bool) *Op {
 	} else {
 		op = &Op{}
 	}
-	*op = Op{Seq: seq, IsLoad: isLoad, Loc: [4]int{-1, -1, -1, -1}}
+	*op = Op{Seq: seq, IsLoad: isLoad, Loc: [4]int{-1, -1, -1, -1}, ord: t.storeNext}
+	if !isLoad {
+		if t.storeNext-t.storeHead == uint64(len(t.storeRecs)) {
+			t.growStores()
+		}
+		t.storeRecs[t.storeNext&t.storeMask] = storeRec{seq: seq}
+		t.storeNext++
+	}
 	slot := t.physical(t.n)
 	op.slot = slot
 	t.ops[slot] = op
@@ -301,12 +330,19 @@ func (t *Tracker) search(seq uint64) int {
 
 // IndexOf returns the position of seq in the ordered list, or -1.
 func (t *Tracker) IndexOf(seq uint64) int {
-	i := t.search(seq)
-	if i < t.n && t.opAt(i).Seq == seq {
-		return i
+	op := t.Get(seq)
+	if op == nil {
+		return -1
 	}
-	return -1
+	i := op.slot - t.head
+	if i < 0 {
+		i += len(t.ops)
+	}
+	return i
 }
+
+// storeRec returns the store ring record of a tracked store.
+func (t *Tracker) storeRec(op *Op) *storeRec { return &t.storeRecs[op.ord&t.storeMask] }
 
 // recount moves op in or out of the known+placed summaries after a
 // state transition.
@@ -328,12 +364,7 @@ func (t *Tracker) recount(op *Op) {
 	} else {
 		t.stores.add(op.slot, delta)
 		t.nStores += int(delta)
-		if want {
-			// A new forwarding candidate exists: log it so memoized
-			// forwarding answers can catch up incrementally.
-			t.candLog[t.storeEpoch%candWindow] = op.Seq
-			t.storeEpoch++
-		}
+		t.storeRec(op).live = want
 	}
 }
 
@@ -342,8 +373,9 @@ func (t *Tracker) recount(op *Op) {
 //samie:hotpath
 func (t *Tracker) SetAddress(op *Op, addr uint64, size uint8) {
 	op.Addr, op.Size, op.AddrKnown = addr, size, true
-	if op.IsLoad {
-		op.fwdEpoch = 0 // the op's own memo (if any) predates its address
+	if !op.IsLoad {
+		r := t.storeRec(op)
+		r.lo, r.hi = addr, addr+uint64(size)
 	}
 	t.recount(op)
 }
@@ -371,8 +403,6 @@ func (t *Tracker) uncount(op *Op) {
 	} else {
 		t.stores.add(op.slot, -1)
 		t.nStores--
-		// No epoch bump: in-order removal can only retire the youngest
-		// match itself, which the memo hit path detects by presence.
 	}
 }
 
@@ -396,18 +426,28 @@ func (t *Tracker) Remove(seq uint64) *Op {
 			t.head = 0
 		}
 		t.n--
+		if !front.IsLoad {
+			t.storeHead++ // the oldest op is the oldest store
+		}
 		//lint:ignore hotalloc free list is bounded by tracker capacity, preallocated at construction
 		t.free = append(t.free, front)
 		return front
 	}
 	// Out-of-order removal (not exercised by the CPU, which commits in
-	// order): compact the ring, repositioning every younger op.
+	// order): compact the ring, repositioning every younger op, and
+	// close the gap a removed store leaves in the store ring.
 	i := t.IndexOf(seq)
 	if i < 0 {
 		return nil
 	}
 	op := t.opAt(i)
 	t.uncount(op)
+	if !op.IsLoad {
+		for o := op.ord + 1; o < t.storeNext; o++ {
+			t.storeRecs[(o-1)&t.storeMask] = t.storeRecs[o&t.storeMask]
+		}
+		t.storeNext--
+	}
 	if t.seqHint[op.Seq&seqHintMask] == op {
 		t.seqHint[op.Seq&seqHintMask] = nil
 	}
@@ -422,6 +462,9 @@ func (t *Tracker) Remove(seq uint64) *Op {
 		}
 		moved.slot = t.physical(j)
 		t.ops[moved.slot] = moved
+		if !op.IsLoad {
+			moved.ord--
+		}
 		if moved.counted {
 			if moved.IsLoad {
 				t.loads.add(moved.slot, 1)
@@ -452,7 +495,7 @@ func (t *Tracker) Clear() {
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
 	t.nStores, t.nLoads = 0, 0
-	t.storeEpoch++
+	t.storeHead = t.storeNext
 }
 
 // Len returns the number of tracked ops.
@@ -470,57 +513,23 @@ func (t *Tracker) olderCounted(f *fenwick, i int) int {
 	return f.prefix(len(t.ops)) - f.prefix(t.head) + f.prefix(end-len(t.ops))
 }
 
-// ForwardingSource scans older placed stores, youngest first, for a
-// byte overlap with the load identified by seq. Answers are memoized
-// per load and invalidated when a new forwarding candidate appears
-// (storeEpoch) or the memoized source retires, so the per-cycle retry
-// a waiting load performs is O(log n) instead of a rescan.
+// ForwardingSource scans the store ring for the youngest older store
+// that is placed with a known address and overlaps the bytes of the
+// load identified by seq. Only store records are read, youngest first,
+// so the cost is bounded by the older stores still in flight, not by
+// the whole window.
 //
 //samie:hotpath
 func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 	op := t.Get(seq)
-	if op == nil || !op.IsLoad {
+	if op == nil || !op.IsLoad || !op.AddrKnown || t.nStores == 0 {
 		return 0, false
 	}
-	// A memo records the answer as of candidate-epoch fwdEpoch-1
-	// (fwdEpoch 0 = no memo). If the memo lags by no more than the
-	// candidate log window, repair it by considering only the
-	// candidates that appeared since; otherwise rescan.
-	if op.fwdEpoch > 0 && t.storeEpoch+1-op.fwdEpoch <= candWindow {
-		for e := op.fwdEpoch - 1; e < t.storeEpoch; e++ {
-			cand := t.candLog[e%candWindow]
-			if cand >= seq || (op.fwdOK && cand <= op.fwdSrc) {
-				continue // not older than the load, or not younger than the best
-			}
-			o := t.Get(cand)
-			if o != nil && !o.IsLoad && o.Placed && o.Overlaps(op) {
-				op.fwdSrc, op.fwdOK = cand, true
-			}
-		}
-		op.fwdEpoch = t.storeEpoch + 1
-		if !op.fwdOK {
-			return 0, false
-		}
-		if t.Get(op.fwdSrc) != nil {
-			return op.fwdSrc, true
-		}
-		// The memoized source retired. In-order removal means every
-		// older candidate retired before it, and the delta above holds
-		// every newer one: there is no source now.
-		op.fwdOK = false
-		return 0, false
-	}
-	op.fwdEpoch = t.storeEpoch + 1
-	op.fwdOK = false
-	if t.nStores == 0 {
-		return 0, false
-	}
-	i := t.search(seq) // == IndexOf(seq): op was found by Get above
-	for j := i - 1; j >= 0; j-- {
-		o := t.opAt(j)
-		if !o.IsLoad && o.Placed && o.Overlaps(op) {
-			op.fwdSrc, op.fwdOK = o.Seq, true
-			return o.Seq, true
+	lo, hi := op.Addr, op.Addr+uint64(op.Size)
+	for o := op.ord; o > t.storeHead; {
+		o--
+		if r := &t.storeRecs[o&t.storeMask]; r.live && r.lo < hi && lo < r.hi {
+			return r.seq, true
 		}
 	}
 	return 0, false

@@ -43,26 +43,24 @@ func (c *Config) Validate() error {
 }
 
 type entry struct {
-	vpn   uint64
-	valid bool
+	vpn uint64
 	// Intrusive LRU list links (slot indices; -1 terminates).
 	prev, next int
 }
 
 // TLB is a fully-associative LRU TLB over 4KB pages. Lookups are O(1):
-// a vpn-indexed map finds the slot and an intrusive doubly-linked list
-// maintains recency, replacing the original timestamp scan over every
-// entry per access. Evicted slots are not deleted from the map — a
-// stale index is detected by re-checking the slot's current vpn — so
-// steady-state lookups allocate nothing; the map is bounded by the
-// distinct pages the workload touches.
+// a fixed open-addressed vpn index finds the slot and an intrusive
+// doubly-linked list maintains recency, replacing the original
+// timestamp scan over every entry per access. The index holds exactly
+// the resident pages (an eviction deletes its page), so its memory is
+// fixed by Entries and steady-state lookups allocate nothing.
 type TLB struct {
 	cfg     Config
 	entries []entry
-	slotOf  map[uint64]int // vpn -> slot hint (validated on use)
-	mru     int            // most recently used slot, -1 when empty
-	lru     int            // least recently used slot, -1 when empty
-	filled  int            // slots ever used (they fill in index order)
+	index   vpnIndex
+	mru     int // most recently used slot, -1 when empty
+	lru     int // least recently used slot, -1 when empty
+	filled  int // slots ever used (they fill in index order)
 
 	hits, misses uint64
 }
@@ -75,10 +73,71 @@ func New(cfg Config) *TLB {
 	return &TLB{
 		cfg:     cfg,
 		entries: make([]entry, cfg.Entries),
-		slotOf:  make(map[uint64]int),
+		index:   newVPNIndex(cfg.Entries),
 		mru:     -1,
 		lru:     -1,
 	}
+}
+
+// vpnIndex maps the resident vpns to their slots: a linear-probing
+// hash table with at least twice as many buckets as entries, so it is
+// at most half full and probes stay short. Deletion shifts the rest of
+// the probe run back, so no tombstones accumulate.
+type vpnIndex struct {
+	buckets []vpnBucket
+	mask    uint64
+	shift   uint // 64 - log2(len(buckets)): Fibonacci hashing keeps the top bits
+}
+
+type vpnBucket struct {
+	vpn  uint64
+	slot int32 // slot + 1; 0 marks an empty bucket
+}
+
+func newVPNIndex(entries int) vpnIndex {
+	size, shift := 2, uint(63)
+	for size < 2*entries {
+		size <<= 1
+		shift--
+	}
+	return vpnIndex{buckets: make([]vpnBucket, size), mask: uint64(size - 1), shift: shift}
+}
+
+func (x *vpnIndex) home(vpn uint64) uint64 { return (vpn * 0x9E3779B97F4A7C15) >> x.shift }
+
+// find returns the bucket holding vpn, or the empty bucket that ends
+// its probe run.
+func (x *vpnIndex) find(vpn uint64) uint64 {
+	i := x.home(vpn)
+	for x.buckets[i].slot != 0 && x.buckets[i].vpn != vpn {
+		i = (i + 1) & x.mask
+	}
+	return i
+}
+
+// slot returns the slot holding vpn, or -1.
+func (x *vpnIndex) slot(vpn uint64) int {
+	return int(x.buckets[x.find(vpn)].slot) - 1
+}
+
+// insert maps a vpn that is not resident to slot.
+func (x *vpnIndex) insert(vpn uint64, slot int) {
+	x.buckets[x.find(vpn)] = vpnBucket{vpn: vpn, slot: int32(slot + 1)}
+}
+
+// remove deletes a resident vpn, moving later members of its probe run
+// back so every remaining vpn stays reachable from its home bucket.
+func (x *vpnIndex) remove(vpn uint64) {
+	hole := x.find(vpn)
+	for j := (hole + 1) & x.mask; x.buckets[j].slot != 0; j = (j + 1) & x.mask {
+		// The bucket at j may fill the hole unless its home lies
+		// cyclically after the hole (within (hole, j]).
+		if (j-x.home(x.buckets[j].vpn))&x.mask >= (j-hole)&x.mask {
+			x.buckets[hole] = x.buckets[j]
+			hole = j
+		}
+	}
+	x.buckets[hole] = vpnBucket{}
 }
 
 // detach unlinks slot i from the recency list.
@@ -126,7 +185,7 @@ type Translation struct {
 // hit together with the latency in cycles.
 func (t *TLB) Lookup(addr uint64) (hit bool, latency int) {
 	vpn := VPN(addr)
-	if i, ok := t.slotOf[vpn]; ok && t.entries[i].valid && t.entries[i].vpn == vpn {
+	if i := t.index.slot(vpn); i >= 0 {
 		t.hits++
 		if t.mru != i {
 			t.detach(i)
@@ -142,20 +201,18 @@ func (t *TLB) Lookup(addr uint64) (hit bool, latency int) {
 	} else {
 		victim = t.lru
 		t.detach(victim)
+		t.index.remove(t.entries[victim].vpn)
 	}
 	t.entries[victim].vpn = vpn
-	t.entries[victim].valid = true
 	t.toFront(victim)
-	t.slotOf[vpn] = victim
+	t.index.insert(vpn, victim)
 	return false, t.cfg.HitLatency + t.cfg.MissPenalty
 }
 
 // Probe reports whether addr's page is resident without updating
 // state.
 func (t *TLB) Probe(addr uint64) bool {
-	vpn := VPN(addr)
-	i, ok := t.slotOf[vpn]
-	return ok && t.entries[i].valid && t.entries[i].vpn == vpn
+	return t.index.slot(VPN(addr)) >= 0
 }
 
 // ResetStats zeroes the hit/miss counters (entries are kept). Used at
