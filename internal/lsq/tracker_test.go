@@ -186,49 +186,59 @@ func (d *trackerDiff) check() {
 	}
 }
 
+// TestForwardingMemoInvalidation checks that a load which probed with
+// no forwarding source picks up an older store whose address and
+// placement arrive later, and stops forwarding from it once it retires.
+// Every step is also compared against the naive reference.
+func TestForwardingMemoInvalidation(t *testing.T) {
+	d := newTrackerDiff(t)
+	d.add(1, false)
+	d.add(2, true)
+	d.setAddress(2, 0x100, 8)
+	d.setPlaced(2)
+	if _, ok := d.fwd(2); ok {
+		t.Fatal("no-store window forwarded")
+	}
+	// The older store's address arrives after the load probed.
+	d.setAddress(1, 0x100, 8)
+	if _, ok := d.fwd(2); ok {
+		t.Fatal("unplaced store forwarded")
+	}
+	d.setPlaced(1)
+	if src, ok := d.fwd(2); !ok || src != 1 {
+		t.Fatalf("missed late candidate: %d %v", src, ok)
+	}
+	d.remove(1)
+	if _, ok := d.fwd(2); ok {
+		t.Fatal("retired store still forwarded")
+	}
+}
+
+// TestForwardingMemoAfterWindowOverflow probes a load, then pushes far
+// more overlapping stores through than the initial store ring holds, so
+// the ring grows while the load waits. All of them are younger than the
+// load, so none may forward to it.
+func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
+	d := newTrackerDiff(t)
+	d.add(0, true)
+	d.setAddress(0, 0x10, 8)
+	d.setPlaced(0)
+	d.fwd(0)
+	for i := uint64(1); i <= 192; i++ {
+		d.add(i, false)
+		d.setPlaced(i)
+		d.setAddress(i, 0x10, 8)
+	}
+	if _, ok := d.fwd(0); ok {
+		t.Fatal("younger stores forwarded to an older load")
+	}
+}
+
 // TestTrackerDifferential drives the tracker and a naive O(window)
 // reference through the same operation streams — scripted forwarding
 // cases, then seeded random streams — and compares every query after
 // every operation.
 func TestTrackerDifferential(t *testing.T) {
-	t.Run("late older candidate and retired source", func(t *testing.T) {
-		d := newTrackerDiff(t)
-		d.add(1, false)
-		d.add(2, true)
-		d.setAddress(2, 0x100, 8)
-		d.setPlaced(2)
-		if _, ok := d.fwd(2); ok {
-			t.Fatal("no-store window forwarded")
-		}
-		// The older store's address arrives after the load probed.
-		d.setAddress(1, 0x100, 8)
-		if _, ok := d.fwd(2); ok {
-			t.Fatal("unplaced store forwarded")
-		}
-		d.setPlaced(1)
-		if src, ok := d.fwd(2); !ok || src != 1 {
-			t.Fatalf("missed late candidate: %d %v", src, ok)
-		}
-		d.remove(1)
-		if _, ok := d.fwd(2); ok {
-			t.Fatal("retired store still forwarded")
-		}
-	})
-	t.Run("younger stores ignored", func(t *testing.T) {
-		d := newTrackerDiff(t)
-		d.add(0, true)
-		d.setAddress(0, 0x10, 8)
-		d.setPlaced(0)
-		d.fwd(0)
-		for i := uint64(1); i <= 192; i++ {
-			d.add(i, false)
-			d.setPlaced(i)
-			d.setAddress(i, 0x10, 8)
-		}
-		if _, ok := d.fwd(0); ok {
-			t.Fatal("younger stores forwarded to an older load")
-		}
-	})
 	t.Run("out-of-order store removal", func(t *testing.T) {
 		d := newTrackerDiff(t)
 		for i := uint64(1); i <= 5; i++ {
