@@ -1,9 +1,10 @@
 package samielsq_test
 
-// One benchmark per paper artefact (DESIGN.md §3): each regenerates
+// One benchmark per paper artefact (the figure table in
+// internal/experiments/figtable.go lists the figures): each regenerates
 // the corresponding table or figure on a reduced instruction budget
 // and reports the headline metric via b.ReportMetric, plus ablation
-// benches for the design choices DESIGN.md calls out.
+// benches for the SAMIE-LSQ design choices.
 //
 // Run all of them with:
 //
@@ -30,7 +31,7 @@ var fastSuite = []string{"ammp", "facerec", "swim", "mcf", "gzip"}
 
 func BenchmarkFigure1_ARB(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Figure1(fastSuite, benchInsts)
+		f := experiments.NewBatch(0).Figure1(fastSuite, benchInsts)
 		// Headline: IPC retained by the 64x2 ARB (the paper quotes a
 		// 28% loss).
 		b.ReportMetric(f.Rows[6].RelIPC*100, "%IPC@64x2")
@@ -39,7 +40,7 @@ func BenchmarkFigure1_ARB(b *testing.B) {
 
 func BenchmarkFigure3_SharedOccupancy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Figure3(fastSuite, benchInsts)
+		f := experiments.NewBatch(0).Figure3(fastSuite, benchInsts)
 		b.ReportMetric(f.Rows[0].Occ64x2, "ammp-occ@64x2")
 	}
 }
@@ -47,21 +48,21 @@ func BenchmarkFigure3_SharedOccupancy(b *testing.B) {
 func BenchmarkFigure4_SharedSizing(b *testing.B) {
 	sizes := []int{0, 4, 8, 12}
 	for i := 0; i < b.N; i++ {
-		f := experiments.Figure4(fastSuite, benchInsts, sizes)
+		f := experiments.NewBatch(0).Figure4(fastSuite, benchInsts, sizes)
 		b.ReportMetric(float64(f.Programs[2]), "programs@8")
 	}
 }
 
 func BenchmarkFigure56_IPCAndDeadlocks(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		f := experiments.Figure56(fastSuite, benchInsts)
+		f := experiments.NewBatch(0).Figure56(fastSuite, benchInsts)
 		b.ReportMetric(f.MeanIPCLossPct(), "%IPCloss")
 	}
 }
 
 func BenchmarkFigures7to12_Energy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		e := experiments.Energy(fastSuite, benchInsts)
+		e := experiments.NewBatch(0).Energy(fastSuite, benchInsts)
 		b.ReportMetric(e.LSQSavings()*100, "%LSQsaved")
 		b.ReportMetric(e.DcacheSavings()*100, "%Dcachesaved")
 		b.ReportMetric(e.DTLBSavings()*100, "%DTLBsaved")
@@ -90,7 +91,7 @@ func BenchmarkCompareQuickstart(b *testing.B) {
 	}
 }
 
-// ---- Ablation benches (DESIGN.md §4) ----------------------------------------
+// ---- Ablation benches --------------------------------------------------------
 
 // ablate runs one SAMIE variant on the pressure benchmark and reports
 // IPC and LSQ energy.

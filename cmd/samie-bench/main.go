@@ -126,21 +126,15 @@ func main() {
 	}
 
 	specific := len(figs) > 0 || len(scenarios) > 0 || *table1 || *delays || *tables456
-	want := func(f string) bool {
-		if !specific {
-			return true
-		}
-		for _, g := range figs {
-			if g == f {
-				return true
-			}
-		}
-		return false
-	}
-	energyWanted := false
-	for _, f := range []string{"7", "8", "9", "10", "11", "12"} {
-		if want(f) {
-			energyWanted = true
+	// Every figure by default; with any selection flag, only the rows
+	// the -fig numbers name. An unknown number is rejected before any
+	// simulation runs.
+	selected := experiments.Figures()
+	if specific {
+		var err error
+		if selected, err = experiments.SelectFigures(figs); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
 		}
 	}
 
@@ -148,7 +142,7 @@ func main() {
 	// instance whose long-lived batch dedups work across all clients;
 	// the static tables never simulate, so they render locally.
 	if *serverURL != "" {
-		code := runRemote(*serverURL, benchmarks, *insts, figs, scenarios, *listScenarios, *stats, want, energyWanted)
+		code := runRemote(*serverURL, benchmarks, *insts, selected, scenarios, *listScenarios, *stats)
 		if code == 0 && !*listScenarios {
 			if !specific || *table1 {
 				fmt.Println(experiments.Table1())
@@ -206,25 +200,21 @@ func main() {
 		defer sp.End()
 		fn()
 	}
-	if want("1") {
-		traced("figure1", func() { fmt.Println(batch.Figure1(benchmarks, *insts)) })
-	}
-	if want("3") {
-		traced("figure3", func() { fmt.Println(batch.Figure3(benchmarks, *insts)) })
-	}
-	if want("4") {
-		traced("figure4", func() { fmt.Println(batch.Figure4(benchmarks, *insts, nil)) })
-	}
-	if want("5") || want("6") {
-		traced("figure56", func() { fmt.Println(batch.Figure56(benchmarks, *insts)) })
-	}
-	if energyWanted {
-		traced("energy", func() { fmt.Println(batch.Energy(benchmarks, *insts)) })
+	for _, fig := range selected {
+		traced("figure "+fig.Name, func() {
+			out, err := fig.Run(context.Background(), batch, benchmarks, *insts)
+			if err != nil {
+				// A background context never cancels: this is a
+				// contained simulation panic.
+				panic(err)
+			}
+			fmt.Println(out)
+		})
 	}
 	for _, name := range scenarios {
 		var res experiments.ScenarioResult
 		var err error
-		traced("scenario "+name, func() { res, err = batch.Scenario(name, scenarioBench, *insts) })
+		traced("scenario "+name, func() { res, err = batch.Scenario(context.Background(), name, scenarioBench, *insts, nil) })
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

@@ -118,7 +118,7 @@ func runFigure1Sweep(reps int) float64 {
 	best := 0.0
 	for r := 0; r < reps; r++ {
 		start := time.Now()
-		experiments.Figure1(figure1FastSuite, insts)
+		experiments.NewBatch(0).Figure1(figure1FastSuite, insts)
 		if ips := simulated / time.Since(start).Seconds(); ips > best {
 			best = ips
 		}

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"samielsq"
+	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
 	"samielsq/pkg/client"
 	"samielsq/pkg/cluster"
@@ -27,7 +28,7 @@ func remoteClient(serverURL string) (client.API, error) {
 // samie-serve instance (or a replica set behind the cluster fabric)
 // instead of simulating locally; the server-side batches dedup the
 // work across every client. Returns a process exit code.
-func runRemote(serverURL string, benchmarks []string, insts uint64, figs, scenarios []string, listScenarios, stats bool, want func(string) bool, energyWanted bool) int {
+func runRemote(serverURL string, benchmarks []string, insts uint64, figures []experiments.Figure, scenarios []string, listScenarios, stats bool) int {
 	c, err := remoteClient(serverURL)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -57,20 +58,8 @@ func runRemote(serverURL string, benchmarks []string, insts uint64, figs, scenar
 
 	// Figures render the same text the local harnesses produce; the
 	// bytes come from the server's shared batch.
-	for _, name := range client.FigureNames() {
-		wanted := false
-		switch name {
-		case "56":
-			wanted = want("5") || want("6")
-		case "energy":
-			wanted = energyWanted
-		default:
-			wanted = want(name)
-		}
-		if !wanted {
-			continue
-		}
-		fig, err := c.Figure(ctx, name, benchmarks, insts)
+	for _, f := range figures {
+		fig, err := c.Figure(ctx, f.Name, benchmarks, insts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1

@@ -163,7 +163,7 @@ func caseCompareSharesRuns(t *testing.T) {
 }
 
 func caseFigure56(t *testing.T) {
-	f := samielsq.Figure56(e2eBench, e2eInsts())
+	f := samielsq.NewBatch(0).Figure56(e2eBench, e2eInsts())
 	if len(f.Rows) != len(e2eBench) {
 		t.Fatalf("%d rows, want %d", len(f.Rows), len(e2eBench))
 	}
@@ -179,7 +179,7 @@ func caseFigure56(t *testing.T) {
 }
 
 func caseEnergy(t *testing.T) {
-	e := samielsq.Energy(e2eBench, e2eInsts())
+	e := samielsq.NewBatch(0).Energy(e2eBench, e2eInsts())
 	if len(e.Rows) != len(e2eBench) {
 		t.Fatalf("%d rows, want %d", len(e.Rows), len(e2eBench))
 	}
@@ -224,10 +224,10 @@ func caseSuiteMatchesStandalone(t *testing.T) {
 	b := samielsq.NewBatch(0)
 	suiteFig := b.Figure56(e2eBench, e2eInsts())
 	suiteEnergy := b.Energy(e2eBench, e2eInsts())
-	if got, want := suiteFig.String(), samielsq.Figure56(e2eBench, e2eInsts()).String(); got != want {
+	if got, want := suiteFig.String(), samielsq.NewBatch(0).Figure56(e2eBench, e2eInsts()).String(); got != want {
 		t.Errorf("Figure56 through shared batch differs from standalone\nshared:\n%s\nstandalone:\n%s", got, want)
 	}
-	if got, want := suiteEnergy.String(), samielsq.Energy(e2eBench, e2eInsts()).String(); got != want {
+	if got, want := suiteEnergy.String(), samielsq.NewBatch(0).Energy(e2eBench, e2eInsts()).String(); got != want {
 		t.Errorf("Energy through shared batch differs from standalone\nshared:\n%s\nstandalone:\n%s", got, want)
 	}
 }
@@ -389,7 +389,7 @@ func caseServerFiguresGolden(t *testing.T) {
 	const goldenInsts = 25_000
 
 	c, _ := bootServer(t)
-	for _, fig := range []string{"1", "3", "4", "56", "energy"} {
+	for _, fig := range client.FigureNames() {
 		resp, err := c.Figure(context.Background(), fig, goldenBenchmarks, goldenInsts)
 		if err != nil {
 			t.Fatalf("figure %s: %v", fig, err)

@@ -120,7 +120,7 @@ func TestModelNearPaperAnchors(t *testing.T) {
 		}
 	}
 	// §3.6 anchors within 35% (the model is trend-calibrated, not
-	// point-fitted; EXPERIMENTS.md records the exact deltas).
+	// point-fitted; a failure reports the model and paper values).
 	within("conv 128-entry LSQ", tech.LSQDelay(128, 32, 4), DelayConv128, 0.35)
 	within("DistribLSQ bank", tech.LSQDelay(2, 27, 2), DelayDistribCompare, 0.35)
 	within("SharedLSQ", tech.LSQDelay(8, 27, 2), DelayShared, 0.35)

@@ -36,21 +36,16 @@ type EnergyResult struct {
 	Insts uint64
 }
 
-// Energy reproduces Figures 7-12 through a fresh single-use batch.
-func Energy(benchmarks []string, insts uint64) EnergyResult {
-	return NewBatch(0).Energy(benchmarks, insts)
-}
-
 // Energy runs the conventional/SAMIE pair per benchmark and extracts
 // every energy and active-area series of §4.4-§4.5. The pair is the
 // same one Figure56 uses, so a shared batch simulates it once for
 // both harnesses.
 func (bt *Batch) Energy(benchmarks []string, insts uint64) EnergyResult {
-	return mustFigure(bt.EnergyCtx(context.Background(), benchmarks, insts))
+	return mustFigure(bt.energy(context.Background(), benchmarks, insts))
 }
 
-// EnergyCtx is Energy with cancellation (see Figure1Ctx).
-func (bt *Batch) EnergyCtx(ctx context.Context, benchmarks []string, insts uint64) (EnergyResult, error) {
+// energy is Energy with cancellation (see figure1).
+func (bt *Batch) energy(ctx context.Context, benchmarks []string, insts uint64) (EnergyResult, error) {
 	conv, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
 		return RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional}
 	})

@@ -9,8 +9,8 @@ import (
 	"samielsq/internal/stats"
 )
 
-// mustFigure unwraps a Figure*Ctx result for the context-less
-// wrappers: with a background context the only possible error is a
+// mustFigure unwraps a harness result for the context-less typed
+// methods: with a background context the only possible error is a
 // contained simulation panic, which is re-raised.
 func mustFigure[T any](v T, err error) T {
 	if err != nil {
@@ -45,22 +45,18 @@ type Figure1Result struct {
 	Insts uint64
 }
 
-// Figure1 reproduces Figure 1 through a fresh single-use batch.
-func Figure1(benchmarks []string, insts uint64) Figure1Result {
-	return NewBatch(0).Figure1(benchmarks, insts)
-}
-
 // Figure1 reproduces Figure 1: ARB IPC relative to an ideal unbounded
 // LSQ for the eight geometries, with the normal (128) and halved (64)
 // in-flight caps.
 func (bt *Batch) Figure1(benchmarks []string, insts uint64) Figure1Result {
-	return mustFigure(bt.Figure1Ctx(context.Background(), benchmarks, insts))
+	return mustFigure(bt.figure1(context.Background(), benchmarks, insts))
 }
 
-// Figure1Ctx is Figure1 with cancellation: when ctx fires, the
-// figure's queued simulations are withdrawn and the context error is
-// returned (started or shared simulations finish into the cache).
-func (bt *Batch) Figure1Ctx(ctx context.Context, benchmarks []string, insts uint64) (Figure1Result, error) {
+// figure1 is Figure1 with cancellation: when ctx fires, the figure's
+// queued simulations are withdrawn and the context error is returned
+// (started or shared simulations finish into the cache). Every figure
+// harness behaves the same way; the figure table calls them.
+func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64) (Figure1Result, error) {
 	base, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
 		return RunSpec{Benchmark: b, Insts: insts, Model: ModelUnbounded}
 	})
@@ -129,20 +125,15 @@ type Figure3Result struct {
 	Insts uint64
 }
 
-// Figure3 reproduces Figure 3 through a fresh single-use batch.
-func Figure3(benchmarks []string, insts uint64) Figure3Result {
-	return NewBatch(0).Figure3(benchmarks, insts)
-}
-
 // Figure3 reproduces Figure 3: average occupancy of an unbounded
 // SharedLSQ for DistribLSQ geometries 128x1, 64x2 and 32x4 (8 slots
 // per entry).
 func (bt *Batch) Figure3(benchmarks []string, insts uint64) Figure3Result {
-	return mustFigure(bt.Figure3Ctx(context.Background(), benchmarks, insts))
+	return mustFigure(bt.figure3(context.Background(), benchmarks, insts))
 }
 
-// Figure3Ctx is Figure3 with cancellation (see Figure1Ctx).
-func (bt *Batch) Figure3Ctx(ctx context.Context, benchmarks []string, insts uint64) (Figure3Result, error) {
+// figure3 is Figure3 with cancellation (see figure1).
+func (bt *Batch) figure3(ctx context.Context, benchmarks []string, insts uint64) (Figure3Result, error) {
 	geoms := figure3Geoms
 	res := Figure3Result{Insts: insts}
 	rows := make(map[string]*Figure3Row, len(benchmarks))
@@ -203,18 +194,13 @@ type Figure4Result struct {
 	Insts    uint64
 }
 
-// Figure4 reproduces Figure 4 through a fresh single-use batch.
-func Figure4(benchmarks []string, insts uint64, sizes []int) Figure4Result {
-	return NewBatch(0).Figure4(benchmarks, insts, sizes)
-}
-
 // Figure4 reproduces Figure 4, sweeping the SharedLSQ size.
 func (bt *Batch) Figure4(benchmarks []string, insts uint64, sizes []int) Figure4Result {
-	return mustFigure(bt.Figure4Ctx(context.Background(), benchmarks, insts, sizes))
+	return mustFigure(bt.figure4(context.Background(), benchmarks, insts, sizes))
 }
 
-// Figure4Ctx is Figure4 with cancellation (see Figure1Ctx).
-func (bt *Batch) Figure4Ctx(ctx context.Context, benchmarks []string, insts uint64, sizes []int) (Figure4Result, error) {
+// figure4 is Figure4 with cancellation (see figure1).
+func (bt *Batch) figure4(ctx context.Context, benchmarks []string, insts uint64, sizes []int) (Figure4Result, error) {
 	if len(sizes) == 0 {
 		sizes = figure4DefaultSizes
 	}
@@ -289,21 +275,15 @@ type Figure56Result struct {
 	Insts uint64
 }
 
-// Figure56 reproduces Figures 5 and 6 through a fresh single-use
-// batch.
-func Figure56(benchmarks []string, insts uint64) Figure56Result {
-	return NewBatch(0).Figure56(benchmarks, insts)
-}
-
 // Figure56 reproduces Figure 5 (% IPC loss of SAMIE-LSQ vs the
 // 128-entry conventional LSQ) and Figure 6 (deadlock-avoidance flushes
 // per million cycles).
 func (bt *Batch) Figure56(benchmarks []string, insts uint64) Figure56Result {
-	return mustFigure(bt.Figure56Ctx(context.Background(), benchmarks, insts))
+	return mustFigure(bt.figure56(context.Background(), benchmarks, insts))
 }
 
-// Figure56Ctx is Figure56 with cancellation (see Figure1Ctx).
-func (bt *Batch) Figure56Ctx(ctx context.Context, benchmarks []string, insts uint64) (Figure56Result, error) {
+// figure56 is Figure56 with cancellation (see figure1).
+func (bt *Batch) figure56(ctx context.Context, benchmarks []string, insts uint64) (Figure56Result, error) {
 	conv, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
 		return RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional}
 	})

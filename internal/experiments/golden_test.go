@@ -22,7 +22,7 @@ func TestSuiteGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden suite needs the full budget")
 	}
-	got := RunSuite(goldenBenchmarks, goldenInsts).String()
+	got := NewBatch(0).Suite(goldenBenchmarks, goldenInsts).String()
 	path := filepath.Join("testdata", "golden_suite.txt")
 	if os.Getenv("UPDATE_GOLDEN") != "" {
 		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {

@@ -1,7 +1,8 @@
 // Package experiments contains one harness per table and figure of
-// the paper's evaluation (see DESIGN.md §3 for the index). Each
-// harness runs the necessary simulations and returns a result struct
-// that renders to the same rows/series the paper reports.
+// the paper's evaluation (the figure table in figtable.go indexes the
+// figures; tables.go holds the static tables). Each harness runs the
+// necessary simulations and returns a result struct that renders to
+// the same rows/series the paper reports.
 //
 // Harnesses execute through a shared Batch: a memoizing scheduler
 // (internal/experiments/engine) that keys every RunSpec canonically
@@ -451,28 +452,15 @@ func (b *Batch) DiskStats() DiskCacheStats {
 // Intended for long-lived batches such as services.
 func (b *Batch) SetCacheLimit(n int) { b.sched.SetLimit(n) }
 
-// RunAll executes one simulation per benchmark through the batch
+// RunAllCtx executes one simulation per benchmark through the batch
 // (results are deterministic per benchmark; parallelism only reorders
-// wall time). build constructs the spec for each benchmark name. A
-// simulation panic re-raises in this caller (as an error value
-// carrying the original panic and stack) instead of crashing the
-// process from a fan-out goroutine.
-func (b *Batch) RunAll(benchmarks []string, build func(bench string) RunSpec) []RunResult {
-	rs, err := b.RunAllCtx(context.Background(), benchmarks, build)
-	if err != nil {
-		// A background context never cancels, so the only error here is
-		// a contained simulation panic.
-		panic(err)
-	}
-	return rs
-}
-
-// RunAllCtx is RunAll with cancellation and panic containment: when
+// wall time). build constructs the spec for each benchmark name. When
 // ctx fires, the sweep's queued simulations are withdrawn and the
 // first context error is returned; a panicking simulation surfaces as
-// an error instead of crashing its fan-out goroutine's process. On
-// error the partial results are discarded, but every cell that did
-// complete stays memoized in the batch.
+// an error (carrying the original panic and stack) instead of crashing
+// its fan-out goroutine's process. On error the partial results are
+// discarded, but every cell that did complete stays memoized in the
+// batch.
 func (b *Batch) RunAllCtx(ctx context.Context, benchmarks []string, build func(bench string) RunSpec) ([]RunResult, error) {
 	out := make([]RunResult, len(benchmarks))
 	errs := make(chan error, len(benchmarks))
@@ -514,13 +502,6 @@ func (b *Batch) DistinctRuns() int { return b.sched.Len() }
 
 // Workers returns the batch's concurrency bound.
 func (b *Batch) Workers() int { return b.sched.Workers() }
-
-// RunAll executes one simulation per benchmark in parallel through a
-// fresh single-use batch. Kept for callers that do not share runs
-// across harnesses; prefer NewBatch + the Batch methods.
-func RunAll(benchmarks []string, build func(bench string) RunSpec) []RunResult {
-	return NewBatch(0).RunAll(benchmarks, build)
-}
 
 // Benchmarks returns the benchmark list (re-exported for cmd tools).
 func Benchmarks() []string { return trace.Benchmarks() }

@@ -38,7 +38,7 @@ type Scenario struct {
 
 // ResolveBenchmarks applies the scenario's default rows: an explicit
 // list wins, then the scenario's own default, then the full suite.
-// Every consumer of the rule — ScenarioCtx, ScenarioSpecs, the HTTP
+// Every consumer of the rule — Scenario, ScenarioSpecs, the HTTP
 // handler — resolves through here, so the precedence lives in exactly
 // one place.
 func (sc Scenario) ResolveBenchmarks(benchmarks []string) []string {
@@ -103,20 +103,7 @@ type ScenarioResult struct {
 	EnergyNJ [][]float64 // LSQ dynamic energy, nJ; 0 for models without an energy account
 }
 
-// RunScenario evaluates a registered scenario through a fresh
-// single-use batch.
-func RunScenario(name string, benchmarks []string, insts uint64) (ScenarioResult, error) {
-	return NewBatch(0).Scenario(name, benchmarks, insts)
-}
-
-// Scenario evaluates a registered scenario through the batch: every
-// (benchmark, variant) cell is one spec, deduplicated against
-// everything else the batch has run.
-func (bt *Batch) Scenario(name string, benchmarks []string, insts uint64) (ScenarioResult, error) {
-	return bt.ScenarioCtx(context.Background(), name, benchmarks, insts, nil)
-}
-
-// ScenarioProgress reports one completed sweep cell to a ScenarioCtx
+// ScenarioProgress reports one completed sweep cell to a Scenario
 // observer.
 type ScenarioProgress struct {
 	Benchmark   string
@@ -126,13 +113,14 @@ type ScenarioProgress struct {
 	Done, Total int
 }
 
-// ScenarioCtx is Scenario with cancellation and progress reporting:
-// onCell (when non-nil) observes every (benchmark, variant) cell as
-// its simulation completes, from a single goroutine, in completion
-// order. Cancellation withdraws the sweep's queued simulations; a cell
-// whose simulation panics surfaces as an error instead of tearing the
-// process down.
-func (bt *Batch) ScenarioCtx(ctx context.Context, name string, benchmarks []string, insts uint64, onCell func(ScenarioProgress)) (ScenarioResult, error) {
+// Scenario evaluates a registered scenario through the batch: every
+// (benchmark, variant) cell is one spec, deduplicated against
+// everything else the batch has run. onCell (when non-nil) observes
+// every cell as its simulation completes, from a single goroutine, in
+// completion order. Cancellation withdraws the sweep's queued
+// simulations; a cell whose simulation panics surfaces as an error
+// instead of tearing the process down.
+func (bt *Batch) Scenario(ctx context.Context, name string, benchmarks []string, insts uint64, onCell func(ScenarioProgress)) (ScenarioResult, error) {
 	sc, ok := LookupScenario(name)
 	if !ok {
 		return ScenarioResult{}, fmt.Errorf("experiments: unknown scenario %q (have %s)",

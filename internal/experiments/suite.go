@@ -30,12 +30,6 @@ type SuiteResult struct {
 	Runs engine.Stats
 }
 
-// RunSuite regenerates the full evaluation through one fresh shared
-// batch sized to GOMAXPROCS.
-func RunSuite(benchmarks []string, insts uint64) SuiteResult {
-	return NewBatch(0).Suite(benchmarks, insts)
-}
-
 // Suite regenerates the full evaluation through the batch. The five
 // simulation harnesses run concurrently and share the batch's run
 // cache, so every distinct simulation (notably the conventional/SAMIE

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"sync"
 	"testing"
@@ -93,11 +94,11 @@ func TestSuiteMatchesStandaloneHarnesses(t *testing.T) {
 		name       string
 		suite, own string
 	}{
-		{"Figure1", res.Figure1.String(), Figure1(benchmarks, insts).String()},
-		{"Figure3", res.Figure3.String(), Figure3(benchmarks, insts).String()},
-		{"Figure4", res.Figure4.String(), Figure4(benchmarks, insts, nil).String()},
-		{"Figure56", res.Figure56.String(), Figure56(benchmarks, insts).String()},
-		{"Energy", res.Energy.String(), Energy(benchmarks, insts).String()},
+		{"Figure1", res.Figure1.String(), NewBatch(0).Figure1(benchmarks, insts).String()},
+		{"Figure3", res.Figure3.String(), NewBatch(0).Figure3(benchmarks, insts).String()},
+		{"Figure4", res.Figure4.String(), NewBatch(0).Figure4(benchmarks, insts, nil).String()},
+		{"Figure56", res.Figure56.String(), NewBatch(0).Figure56(benchmarks, insts).String()},
+		{"Energy", res.Energy.String(), NewBatch(0).Energy(benchmarks, insts).String()},
 	} {
 		if cmp.suite != cmp.own {
 			t.Errorf("%s: suite output differs from standalone harness\nsuite:\n%s\nstandalone:\n%s",
@@ -178,13 +179,13 @@ func TestScenarioRegistry(t *testing.T) {
 			t.Errorf("built-in scenario %q missing", want)
 		}
 	}
-	if _, err := RunScenario("no-such-sweep", suiteBench(), 1000); err == nil {
+	if _, err := NewBatch(0).Scenario(context.Background(), "no-such-sweep", suiteBench(), 1000, nil); err == nil {
 		t.Error("unknown scenario did not error")
 	}
 
 	benchmarks, insts := suiteBench()[:2], suiteInsts()
 	b := NewBatch(0)
-	res, err := b.Scenario("distrib-banking", benchmarks, insts)
+	res, err := b.Scenario(context.Background(), "distrib-banking", benchmarks, insts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,11 +9,11 @@ import (
 )
 
 // figure3Geoms are the DistribLSQ geometries Figure 3 sweeps with an
-// unbounded SharedLSQ; Figure3Ctx and SuiteSpecs must agree on them.
+// unbounded SharedLSQ; Figure3 and SuiteSpecs must agree on them.
 var figure3Geoms = []struct{ banks, entries int }{{128, 1}, {64, 2}, {32, 4}}
 
 // figure4DefaultSizes is the SharedLSQ capacity axis Figure 4 sweeps
-// when the caller passes none; Figure4Ctx and SuiteSpecs must agree.
+// when the caller passes none; Figure4 and SuiteSpecs must agree.
 var figure4DefaultSizes = []int{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60}
 
 // SuiteSpecs enumerates the distinct simulations the full suite

@@ -57,7 +57,7 @@ func TestScenarioSpecsCoverScenario(t *testing.T) {
 			b.Run(s)
 		}
 		planned := b.Stats().Executed
-		if _, err := b.ScenarioCtx(context.Background(), name, rows, specTestInsts, nil); err != nil {
+		if _, err := b.Scenario(context.Background(), name, rows, specTestInsts, nil); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		if ex := b.Stats().Executed; ex != planned {

@@ -2,28 +2,27 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
+	"go/constant"
+	"go/types"
 	"regexp"
-	"sort"
-	"strconv"
 	"strings"
 )
 
 // PromNames enforces metrics hygiene over the Prometheus exposition
-// in internal/server (files named metrics*.go):
+// in internal/server. /metrics renders from one table of family rows —
+// composite literals of the package's `family` struct type in files
+// named metrics*.go — and every row's name, kind and label names must
+// be keyed constants this analyzer checks:
 //
 //   - every family matches ^samie_[a-z0-9_]+$
 //   - counters end in _total; gauges do not
 //   - histograms end in _seconds or _bytes
+//   - the kind is counter, gauge or histogram
 //   - label names come from the allowed set (PromAllowedLabels)
-//   - the package-level metricFamilies registry (consumed by the
-//     exposition test) lists exactly the families the code renders
-//
-// Families are recognized from the []metric slice literal that drives
-// the scalar loop and from every "# TYPE <name> <kind>" literal.
+//   - a family declared twice does not change kind
 var PromNames = &Analyzer{
 	Name: "promnames",
-	Doc:  "checks Prometheus family naming, suffix, label and registry-sync rules in the metrics exposition",
+	Doc:  "checks Prometheus family naming, suffix, kind and label rules over the metrics family table",
 	AppliesTo: func(pkgPath string) bool {
 		return pkgPath == "samielsq/internal/server"
 	},
@@ -38,24 +37,14 @@ var PromAllowedLabels = []string{
 	"route", "stat", "structure", "tier",
 }
 
-var (
-	promFamilyRE = regexp.MustCompile(`^samie_[a-z0-9_]+$`)
-	promTypeRE   = regexp.MustCompile(`# TYPE ([A-Za-z_:][A-Za-z0-9_:]*) ([a-z]+)`)
-	promLabelRE  = regexp.MustCompile(`([A-Za-z_][A-Za-z0-9_]*)=(?:%q|")`)
-)
+// promFamilyType names the struct type whose literals are the family
+// table's rows.
+const promFamilyType = "family"
 
-type promFamily struct {
-	name string
-	kind string
-	pos  token.Pos
-}
+var promFamilyRE = regexp.MustCompile(`^samie_[a-z0-9_]+$`)
 
 func runPromNames(p *Pass) error {
-	var families []promFamily
-	var familiesVar *ast.CompositeLit
-	var familiesVarPos token.Pos
-	labelsAt := map[string]token.Pos{}
-
+	kinds := map[string]string{}
 	for _, f := range p.Files {
 		base := p.Fset.Position(f.Pos()).Filename
 		if i := strings.LastIndexByte(base, '/'); i >= 0 {
@@ -65,149 +54,108 @@ func runPromNames(p *Pass) error {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if name.Name == "metricFamilies" && i < len(n.Values) {
-						if cl, ok := n.Values[i].(*ast.CompositeLit); ok {
-							familiesVar = cl
-							familiesVarPos = name.Pos()
-						}
-					}
-				}
-			case *ast.CompositeLit:
-				families = append(families, metricSliceFamilies(p, n)...)
-			case *ast.BasicLit:
-				if n.Kind != token.STRING {
-					return true
-				}
-				text, err := strconv.Unquote(n.Value)
-				if err != nil {
-					return true
-				}
-				for _, m := range promTypeRE.FindAllStringSubmatch(text, -1) {
-					families = append(families, promFamily{name: m[1], kind: m[2], pos: n.Pos()})
-				}
-				for _, m := range promLabelRE.FindAllStringSubmatch(text, -1) {
-					if _, seen := labelsAt[m[1]]; !seen {
-						labelsAt[m[1]] = n.Pos()
-					}
+			if cl, ok := n.(*ast.CompositeLit); ok {
+				if fields := familyFields(p, cl); fields != nil {
+					checkFamilyRow(p, cl, fields, kinds)
 				}
 			}
 			return true
 		})
 	}
-	if len(families) == 0 && familiesVar == nil {
-		return nil
-	}
-
-	// Per-family rules, deduplicated by name (first declaration wins
-	// the position; conflicting kinds are their own finding).
-	kinds := map[string]promFamily{}
-	for _, fam := range families {
-		if prev, ok := kinds[fam.name]; ok {
-			if prev.kind != fam.kind {
-				p.Reportf(fam.pos, "metric %s declared as %s here but %s elsewhere", fam.name, fam.kind, prev.kind)
-			}
-			continue
-		}
-		kinds[fam.name] = fam
-		if !promFamilyRE.MatchString(fam.name) {
-			p.Reportf(fam.pos, "metric %s does not match ^samie_[a-z0-9_]+$", fam.name)
-		}
-		switch fam.kind {
-		case "counter":
-			if !strings.HasSuffix(fam.name, "_total") {
-				p.Reportf(fam.pos, "counter %s must end in _total", fam.name)
-			}
-		case "gauge":
-			if strings.HasSuffix(fam.name, "_total") {
-				p.Reportf(fam.pos, "gauge %s must not end in _total", fam.name)
-			}
-		case "histogram":
-			if !strings.HasSuffix(fam.name, "_seconds") && !strings.HasSuffix(fam.name, "_bytes") {
-				p.Reportf(fam.pos, "histogram %s must end in _seconds or _bytes", fam.name)
-			}
-		default:
-			p.Reportf(fam.pos, "metric %s has unknown type %q", fam.name, fam.kind)
-		}
-	}
-
-	labels := make([]string, 0, len(labelsAt))
-	for l := range labelsAt {
-		labels = append(labels, l)
-	}
-	sort.Strings(labels)
-	for _, l := range labels {
-		if !pathIn(l, PromAllowedLabels) {
-			p.Reportf(labelsAt[l], "label %q is not in the allowed set %v", l, PromAllowedLabels)
-		}
-	}
-
-	checkFamilyRegistry(p, kinds, familiesVar, familiesVarPos, families)
 	return nil
 }
 
-// metricSliceFamilies extracts (name, kind) pairs from elements of a
-// composite literal whose element type is the server's metric struct
-// ({name, help, kind, value}).
-func metricSliceFamilies(p *Pass, cl *ast.CompositeLit) []promFamily {
-	var out []promFamily
+// familyFields returns a row's keyed field values by field name when
+// the literal builds one row of the package's family table, nil
+// otherwise.
+func familyFields(p *Pass, cl *ast.CompositeLit) map[string]ast.Expr {
+	named, ok := p.Info.TypeOf(cl).(*types.Named)
+	if !ok || named.Obj().Name() != promFamilyType || named.Obj().Pkg() != p.Pkg {
+		return nil
+	}
+	fields := map[string]ast.Expr{}
 	for _, el := range cl.Elts {
-		row, ok := el.(*ast.CompositeLit)
-		if !ok || len(row.Elts) != 4 {
-			continue
-		}
-		name, ok1 := stringLit(row.Elts[0])
-		kind, ok2 := stringLit(row.Elts[2])
-		if ok1 && ok2 && strings.HasPrefix(name, "samie_") {
-			out = append(out, promFamily{name: name, kind: kind, pos: row.Elts[0].Pos()})
+		if kv, ok := el.(*ast.KeyValueExpr); ok {
+			if key, ok := kv.Key.(*ast.Ident); ok {
+				fields[key.Name] = kv.Value
+			}
 		}
 	}
-	return out
+	return fields
 }
 
-// checkFamilyRegistry enforces that the metricFamilies var — the list
-// the exposition test walks — names exactly the families the code
-// renders.
-func checkFamilyRegistry(p *Pass, kinds map[string]promFamily, reg *ast.CompositeLit, regPos token.Pos, families []promFamily) {
-	if reg == nil {
-		if len(families) > 0 {
-			p.Reportf(families[0].pos, "no package-level metricFamilies registry found; the exposition test cannot stay in sync")
+// checkFamilyRow applies every per-family rule to one row; kinds
+// carries the kind of each family name seen so far.
+func checkFamilyRow(p *Pass, cl *ast.CompositeLit, fields map[string]ast.Expr, kinds map[string]string) {
+	if labels, ok := fields["labels"]; ok {
+		checkFamilyLabels(p, labels)
+	}
+	name, kind := constString(p, fields["name"]), constString(p, fields["kind"])
+	if name == "" {
+		p.Reportf(cl.Pos(), "metric family row needs a keyed, constant name")
+		return
+	}
+	pos := fields["name"].Pos()
+	if kind == "" {
+		p.Reportf(pos, "metric %s needs a constant kind", name)
+		return
+	}
+	if prev, ok := kinds[name]; ok {
+		if prev != kind {
+			p.Reportf(pos, "metric %s declared as %s here but %s elsewhere", name, kind, prev)
 		}
 		return
 	}
-	listed := map[string]bool{}
-	for _, el := range reg.Elts {
-		name, ok := stringLit(el)
-		if !ok {
-			continue
-		}
-		listed[name] = true
-		if _, rendered := kinds[name]; !rendered {
-			p.Reportf(el.Pos(), "metricFamilies lists %s but the exposition never renders it", name)
-		}
+	kinds[name] = kind
+	if !promFamilyRE.MatchString(name) {
+		p.Reportf(pos, "metric %s does not match ^samie_[a-z0-9_]+$", name)
 	}
-	names := make([]string, 0, len(kinds))
-	for n := range kinds {
-		names = append(names, n)
+	switch kind {
+	case "counter":
+		if !strings.HasSuffix(name, "_total") {
+			p.Reportf(pos, "counter %s must end in _total", name)
+		}
+	case "gauge":
+		if strings.HasSuffix(name, "_total") {
+			p.Reportf(pos, "gauge %s must not end in _total", name)
+		}
+	case "histogram":
+		if !strings.HasSuffix(name, "_seconds") && !strings.HasSuffix(name, "_bytes") {
+			p.Reportf(pos, "histogram %s must end in _seconds or _bytes", name)
+		}
+	default:
+		p.Reportf(pos, "metric %s has unknown type %q", name, kind)
 	}
-	sort.Strings(names)
-	for _, n := range names {
-		if !listed[n] {
-			p.Reportf(regPos, "family %s is rendered but missing from the metricFamilies registry", n)
+}
+
+// checkFamilyLabels requires a row's label names to be a literal list
+// of constants drawn from PromAllowedLabels.
+func checkFamilyLabels(p *Pass, e ast.Expr) {
+	cl, ok := ast.Unparen(e).(*ast.CompositeLit)
+	if !ok {
+		p.Reportf(e.Pos(), "metric family labels must be a literal list")
+		return
+	}
+	for _, el := range cl.Elts {
+		l := constString(p, el)
+		switch {
+		case l == "":
+			p.Reportf(el.Pos(), "metric family label names must be constant strings")
+		case !pathIn(l, PromAllowedLabels):
+			p.Reportf(el.Pos(), "label %q is not in the allowed set %v", l, PromAllowedLabels)
 		}
 	}
 }
 
-func stringLit(e ast.Expr) (string, bool) {
-	bl, ok := ast.Unparen(e).(*ast.BasicLit)
-	if !ok || bl.Kind != token.STRING {
-		return "", false
+// constString returns e's value when it is a string constant, ""
+// otherwise (e may be nil).
+func constString(p *Pass, e ast.Expr) string {
+	if e == nil {
+		return ""
 	}
-	s, err := strconv.Unquote(bl.Value)
-	if err != nil {
-		return "", false
+	tv, ok := p.Info.Types[e]
+	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
+		return ""
 	}
-	return s, true
+	return constant.StringVal(tv.Value)
 }

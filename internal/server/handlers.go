@@ -257,25 +257,6 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// figureOut is one rendered figure: the harness text plus the
-// structured result to serialize.
-type figureOut struct {
-	text   string
-	result any
-}
-
-// figureRun adapts one Figure*Ctx harness call to the shape
-// handleFigure renders.
-func figureRun[T interface{ String() string }](f func(ctx context.Context) (T, error)) func(context.Context) (figureOut, error) {
-	return func(ctx context.Context) (figureOut, error) {
-		v, err := f(ctx)
-		if err != nil {
-			return figureOut{}, err
-		}
-		return figureOut{v.String(), v}, nil
-	}
-}
-
 // handleFigure regenerates one paper figure through the shared batch;
 // the rendered text is byte-identical to the library harness output.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
@@ -286,29 +267,8 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	var run func(ctx context.Context) (figureOut, error)
-	switch name {
-	case "1":
-		run = figureRun(func(ctx context.Context) (experiments.Figure1Result, error) {
-			return s.batch.Figure1Ctx(ctx, benchmarks, insts)
-		})
-	case "3":
-		run = figureRun(func(ctx context.Context) (experiments.Figure3Result, error) {
-			return s.batch.Figure3Ctx(ctx, benchmarks, insts)
-		})
-	case "4":
-		run = figureRun(func(ctx context.Context) (experiments.Figure4Result, error) {
-			return s.batch.Figure4Ctx(ctx, benchmarks, insts, nil)
-		})
-	case "56":
-		run = figureRun(func(ctx context.Context) (experiments.Figure56Result, error) {
-			return s.batch.Figure56Ctx(ctx, benchmarks, insts)
-		})
-	case "energy":
-		run = figureRun(func(ctx context.Context) (experiments.EnergyResult, error) {
-			return s.batch.EnergyCtx(ctx, benchmarks, insts)
-		})
-	default:
+	fig, ok := experiments.LookupFigure(name)
+	if !ok {
 		writeError(w, http.StatusNotFound,
 			fmt.Sprintf("unknown figure %q (have %s)", name, strings.Join(client.FigureNames(), ", ")))
 		return
@@ -319,7 +279,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	// started or shared ones finish into the cache — so abandoned
 	// figure work never outlives the admission slot that paid for it.
 	// A panicking simulation surfaces as an error, not a crash.
-	out, err := run(r.Context())
+	out, err := fig.Run(r.Context(), s.batch, benchmarks, insts)
 	if err != nil {
 		code := statusForError(err)
 		if code == http.StatusInternalServerError {
@@ -331,7 +291,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, fmt.Sprintf("figure %s: %v", name, err))
 		return
 	}
-	raw, err := json.Marshal(out.result)
+	raw, err := json.Marshal(out)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Sprintf("encoding figure: %v", err))
 		return
@@ -340,7 +300,7 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 		Figure:     name,
 		Benchmarks: benchmarks,
 		Insts:      insts,
-		Text:       out.text,
+		Text:       out.String(),
 		Result:     raw,
 	})
 }
@@ -419,7 +379,7 @@ func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
 			})
 		}
 	}
-	res, err := s.batch.ScenarioCtx(ctx, name, benchmarks, insts, onCell)
+	res, err := s.batch.Scenario(ctx, name, benchmarks, insts, onCell)
 	if err != nil {
 		if errors.Is(context.Cause(ctx), errDraining) {
 			err = errDraining

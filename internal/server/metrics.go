@@ -45,147 +45,245 @@ func (s *Server) statsSnapshot() client.StatsResponse {
 	}
 }
 
-// handleMetrics is the Prometheus text exposition (format version
-// 0.0.4): engine hit/miss/inflight counters, disk-cache traffic,
-// labeled HTTP request accounting, tiered-store counters, the
-// peer-fetch and per-phase run latency histograms, chaos counters and
-// process gauges.
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	st := s.statsSnapshot()
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+// metricsSnapshot is everything one /metrics scrape renders: the
+// /v1/stats body plus the labeled HTTP accounting and chaos counters.
+type metricsSnapshot struct {
+	client.StatsResponse
+	requests map[routeCode]int64
+	latency  map[string]obs.HistSnapshot
+	chaos    faultinject.Counts
+}
 
-	type metric struct {
-		name, help, kind string
-		value            float64
+// family is one /metrics family: its metadata, the label names its
+// series carry, and a function yielding those series from one
+// snapshot. The families table is the only list of what /metrics
+// renders; the promnames analyzer in internal/lint checks each row's
+// name, kind and labels.
+type family struct {
+	name, kind, help string
+	labels           []string
+	series           func(*metricsSnapshot) []sample
+}
+
+// sample is one series of a family: label values in the family's
+// label order, and a scalar value or, for a histogram, its snapshot.
+type sample struct {
+	labels []string
+	value  float64
+	hist   obs.HistSnapshot
+}
+
+// scalar yields the single series of an unlabeled counter or gauge.
+func scalar(v func(*metricsSnapshot) float64) func(*metricsSnapshot) []sample {
+	return func(m *metricsSnapshot) []sample { return []sample{{value: v(m)}} }
+}
+
+// tierSeries yields one series per run-store tier.
+func tierSeries(v func(experiments.TierStats) int64) func(*metricsSnapshot) []sample {
+	return func(m *metricsSnapshot) []sample {
+		return []sample{
+			{labels: []string{"mem"}, value: float64(v(m.Store.Mem))},
+			{labels: []string{"disk"}, value: float64(v(m.Store.Disk))},
+			{labels: []string{"peer"}, value: float64(v(m.Store.Peer))},
+		}
 	}
-	metrics := []metric{
-		{"samie_engine_requests_total", "Run requests seen by the shared scheduler.", "counter", float64(st.Engine.Requests)},
-		{"samie_engine_executed_total", "Distinct simulations actually executed.", "counter", float64(st.Engine.Executed)},
-		{"samie_engine_hits_total", "Requests served from cache or coalesced onto an in-flight run.", "counter", float64(st.Engine.Hits)},
-		{"samie_engine_canceled_total", "Requests abandoned via context before completing.", "counter", float64(st.Engine.Canceled)},
-		{"samie_engine_evictions_total", "Memoized results dropped by the LRU bound.", "counter", float64(st.Engine.Evictions)},
-		{"samie_engine_inflight", "Simulations holding a worker slot right now.", "gauge", float64(st.Engine.Inflight)},
-		{"samie_engine_queue_depth", "Run requests waiting for a worker slot right now.", "gauge", float64(st.Engine.QueueDepth)},
-		{"samie_trace_spans_dropped_total", "Spans overwritten in the trace ring before being read.", "counter", float64(st.TraceDropped)},
-		{"samie_engine_distinct_runs", "Distinct run specs in the in-memory cache.", "gauge", float64(st.DistinctRuns)},
-		{"samie_engine_workers", "Worker-pool concurrency bound.", "gauge", float64(st.Workers)},
-		{"samie_disk_cache_hits_total", "Results served from the on-disk cache.", "counter", float64(st.Disk.Hits)},
-		{"samie_disk_cache_misses_total", "On-disk lookups that missed.", "counter", float64(st.Disk.Misses)},
-		{"samie_disk_cache_writes_total", "Artifacts persisted to the on-disk cache.", "counter", float64(st.Disk.Writes)},
-		{"samie_http_throttled_total", "Requests shed with 429 at the admission semaphore.", "counter", float64(st.Throttled)},
-		{"samie_http_probe_hits_total", "Cache probes (GET /v1/runs/{key}) that found a result.", "counter", float64(st.ProbeHits)},
-		{"samie_http_probe_misses_total", "Cache probes that found nothing.", "counter", float64(st.ProbeMisses)},
-		{"samie_http_suite_specs_total", "Simulations requested through POST /v1/suite.", "counter", float64(st.SuiteSpecs)},
-		{"samie_http_inflight", "Admitted simulation requests in flight.", "gauge", float64(st.InflightHTTP)},
-		{"samie_http_max_concurrent", "Admission semaphore capacity.", "gauge", float64(st.MaxConcurrent)},
-		{"samie_preloaded_runs", "Results preloaded from disk at startup.", "gauge", float64(st.Preloaded)},
-		{"samie_uptime_seconds", "Seconds since the server started.", "gauge", st.UptimeSeconds},
-		{"samie_process_goroutines", "Live goroutines.", "gauge", float64(st.Goroutines)},
-		{"samie_process_heap_bytes", "Heap bytes in use (sampled at most once per second).", "gauge", float64(st.HeapBytes)},
-	}
-	for _, m := range metrics {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %g\n", m.name, m.help, m.name, m.kind, m.name, m.value)
-	}
+}
+
+// families is the /metrics exposition (format version 0.0.4), in
+// rendering order: engine hit/miss/inflight counters, disk-cache
+// traffic, process gauges, build identity, labeled HTTP request
+// accounting, tiered-store counters, chaos counters, telemetry
+// rollups, and the peer-fetch and per-phase run latency histograms.
+// A family with no series renders nothing.
+var families = []family{
+	{name: "samie_engine_requests_total", kind: "counter", help: "Run requests seen by the shared scheduler.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Requests) })},
+	{name: "samie_engine_executed_total", kind: "counter", help: "Distinct simulations actually executed.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Executed) })},
+	{name: "samie_engine_hits_total", kind: "counter", help: "Requests served from cache or coalesced onto an in-flight run.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Hits) })},
+	{name: "samie_engine_canceled_total", kind: "counter", help: "Requests abandoned via context before completing.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Canceled) })},
+	{name: "samie_engine_evictions_total", kind: "counter", help: "Memoized results dropped by the LRU bound.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Evictions) })},
+	{name: "samie_engine_inflight", kind: "gauge", help: "Simulations holding a worker slot right now.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.Inflight) })},
+	{name: "samie_engine_queue_depth", kind: "gauge", help: "Run requests waiting for a worker slot right now.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Engine.QueueDepth) })},
+	{name: "samie_trace_spans_dropped_total", kind: "counter", help: "Spans overwritten in the trace ring before being read.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.TraceDropped) })},
+	{name: "samie_engine_distinct_runs", kind: "gauge", help: "Distinct run specs in the in-memory cache.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.DistinctRuns) })},
+	{name: "samie_engine_workers", kind: "gauge", help: "Worker-pool concurrency bound.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Workers) })},
+	{name: "samie_disk_cache_hits_total", kind: "counter", help: "Results served from the on-disk cache.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Disk.Hits) })},
+	{name: "samie_disk_cache_misses_total", kind: "counter", help: "On-disk lookups that missed.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Disk.Misses) })},
+	{name: "samie_disk_cache_writes_total", kind: "counter", help: "Artifacts persisted to the on-disk cache.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Disk.Writes) })},
+	{name: "samie_http_throttled_total", kind: "counter", help: "Requests shed with 429 at the admission semaphore.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Throttled) })},
+	{name: "samie_http_probe_hits_total", kind: "counter", help: "Cache probes (GET /v1/runs/{key}) that found a result.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.ProbeHits) })},
+	{name: "samie_http_probe_misses_total", kind: "counter", help: "Cache probes that found nothing.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.ProbeMisses) })},
+	{name: "samie_http_suite_specs_total", kind: "counter", help: "Simulations requested through POST /v1/suite.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.SuiteSpecs) })},
+	{name: "samie_http_inflight", kind: "gauge", help: "Admitted simulation requests in flight.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.InflightHTTP) })},
+	{name: "samie_http_max_concurrent", kind: "gauge", help: "Admission semaphore capacity.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.MaxConcurrent) })},
+	{name: "samie_preloaded_runs", kind: "gauge", help: "Results preloaded from disk at startup.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Preloaded) })},
+	{name: "samie_uptime_seconds", kind: "gauge", help: "Seconds since the server started.",
+		series: scalar(func(m *metricsSnapshot) float64 { return m.UptimeSeconds })},
+	{name: "samie_process_goroutines", kind: "gauge", help: "Live goroutines.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Goroutines) })},
+	{name: "samie_process_heap_bytes", kind: "gauge", help: "Heap bytes in use (sampled at most once per second).",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.HeapBytes) })},
 
 	// Build identity, so a fleet dashboard can spot mixed simulator
 	// builds at a glance (the same stamp the store tiers verify).
-	fmt.Fprintf(w, "# HELP samie_build_info Simulator build identity; the value is always 1.\n# TYPE samie_build_info gauge\n")
-	fmt.Fprintf(w, "samie_build_info{revision=\"%s\"} 1\n", promLabel(experiments.SimStamp()))
+	{name: "samie_build_info", kind: "gauge", help: "Simulator build identity; the value is always 1.",
+		labels: []string{"revision"},
+		series: func(*metricsSnapshot) []sample {
+			return []sample{{labels: []string{experiments.SimStamp()}, value: 1}}
+		}},
 
 	// HTTP requests, split by normalized route and status code, plus
 	// the per-route latency histogram.
-	counts, durs := s.httpm.snapshot()
-	keys := make([]routeCode, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].route != keys[j].route {
-			return keys[i].route < keys[j].route
-		}
-		return keys[i].code < keys[j].code
-	})
-	fmt.Fprintf(w, "# HELP samie_http_requests_total HTTP requests served, by route and status code.\n# TYPE samie_http_requests_total counter\n")
-	for _, k := range keys {
-		fmt.Fprintf(w, "samie_http_requests_total{route=\"%s\",code=\"%d\"} %d\n", promLabel(k.route), k.code, counts[k])
-	}
-	routes := make([]string, 0, len(durs))
-	for route := range durs {
-		routes = append(routes, route)
-	}
-	sort.Strings(routes)
-	fmt.Fprintf(w, "# HELP samie_http_request_seconds Request latency, by normalized route.\n# TYPE samie_http_request_seconds histogram\n")
-	for _, route := range routes {
-		writeHistSeries(w, "samie_http_request_seconds", fmt.Sprintf("route=\"%s\"", promLabel(route)), durs[route])
-	}
+	{name: "samie_http_requests_total", kind: "counter", help: "HTTP requests served, by route and status code.",
+		labels: []string{"route", "code"},
+		series: func(m *metricsSnapshot) []sample {
+			keys := make([]routeCode, 0, len(m.requests))
+			for k := range m.requests {
+				keys = append(keys, k)
+			}
+			sort.Slice(keys, func(i, j int) bool {
+				if keys[i].route != keys[j].route {
+					return keys[i].route < keys[j].route
+				}
+				return keys[i].code < keys[j].code
+			})
+			out := make([]sample, len(keys))
+			for i, k := range keys {
+				out[i] = sample{labels: []string{k.route, strconv.Itoa(k.code)}, value: float64(m.requests[k])}
+			}
+			return out
+		}},
+	{name: "samie_http_request_seconds", kind: "histogram", help: "Request latency, by normalized route.",
+		labels: []string{"route"},
+		series: func(m *metricsSnapshot) []sample {
+			out := make([]sample, 0, len(m.latency))
+			for _, route := range sortedKeys(m.latency) {
+				out = append(out, sample{labels: []string{route}, hist: m.latency[route]})
+			}
+			return out
+		}},
 
-	// Tiered run store: per-tier hit/miss counters (labeled) plus the
-	// peer-fetch latency histogram.
-	tiers := []struct {
-		name string
-		t    experiments.TierStats
-	}{
-		{"mem", st.Store.Mem},
-		{"disk", st.Store.Disk},
-		{"peer", st.Store.Peer},
-	}
-	fmt.Fprintf(w, "# HELP samie_store_hits_total Run-store lookups served, per tier.\n# TYPE samie_store_hits_total counter\n")
-	for _, tier := range tiers {
-		fmt.Fprintf(w, "samie_store_hits_total{tier=%q} %d\n", tier.name, tier.t.Hits)
-	}
-	fmt.Fprintf(w, "# HELP samie_store_misses_total Run-store lookups that fell through, per tier.\n# TYPE samie_store_misses_total counter\n")
-	for _, tier := range tiers {
-		fmt.Fprintf(w, "samie_store_misses_total{tier=%q} %d\n", tier.name, tier.t.Misses)
-	}
-	fmt.Fprintf(w, "# HELP samie_store_peer_installs_total Peer-fetched results installed into the local disk cache.\n# TYPE samie_store_peer_installs_total counter\n")
-	fmt.Fprintf(w, "samie_store_peer_installs_total %d\n", st.Store.PeerInstalls)
+	// Tiered run store: per-tier hit/miss counters plus peer installs.
+	{name: "samie_store_hits_total", kind: "counter", help: "Run-store lookups served, per tier.",
+		labels: []string{"tier"},
+		series: tierSeries(func(t experiments.TierStats) int64 { return t.Hits })},
+	{name: "samie_store_misses_total", kind: "counter", help: "Run-store lookups that fell through, per tier.",
+		labels: []string{"tier"},
+		series: tierSeries(func(t experiments.TierStats) int64 { return t.Misses })},
+	{name: "samie_store_peer_installs_total", kind: "counter", help: "Peer-fetched results installed into the local disk cache.",
+		series: scalar(func(m *metricsSnapshot) float64 { return float64(m.Store.PeerInstalls) })},
 
 	// Chaos layer: always emitted (zeros when disabled) so monitoring
 	// and CI can assert on the family's presence unconditionally.
-	cc := s.chaosCounts()
-	fmt.Fprintf(w, "# HELP samie_chaos_injected_total Faults injected by the chaos layer, per kind.\n# TYPE samie_chaos_injected_total counter\n")
-	for _, k := range faultinject.Kinds() {
-		fmt.Fprintf(w, "samie_chaos_injected_total{kind=%q} %d\n", k, cc.Get(k))
-	}
+	{name: "samie_chaos_injected_total", kind: "counter", help: "Faults injected by the chaos layer, per kind.",
+		labels: []string{"kind"},
+		series: func(m *metricsSnapshot) []sample {
+			var out []sample
+			for _, k := range faultinject.Kinds() {
+				out = append(out, sample{labels: []string{k.String()}, value: float64(m.chaos.Get(k))})
+			}
+			return out
+		}},
 
-	fmt.Fprintf(w, "# HELP samie_store_peer_fetch_seconds Peer probe latency (hits and misses).\n# TYPE samie_store_peer_fetch_seconds histogram\n")
-	writeHistSeries(w, "samie_store_peer_fetch_seconds", "", st.Store.PeerFetch)
+	{name: "samie_store_peer_fetch_seconds", kind: "histogram", help: "Peer probe latency (hits and misses).",
+		series: func(m *metricsSnapshot) []sample { return []sample{{hist: m.Store.PeerFetch}} }},
 
 	// Interval-telemetry rollups: per-benchmark occupancy gauges and
 	// per-structure energy counters, aggregated over every locally
 	// simulated run (tier-served results carry no timeline, so the
 	// fleet-wide sum counts each simulation exactly once).
-	if len(st.TimelineStats) > 0 {
-		benches := make([]string, 0, len(st.TimelineStats))
-		for b := range st.TimelineStats {
-			benches = append(benches, b)
-		}
-		sort.Strings(benches)
-		fmt.Fprintf(w, "# HELP samie_lsq_occupancy LSQ occupancy over sampled intervals, per benchmark.\n# TYPE samie_lsq_occupancy gauge\n")
-		for _, b := range benches {
-			agg := st.TimelineStats[b]
-			fmt.Fprintf(w, "samie_lsq_occupancy{benchmark=%q,stat=\"mean\"} %g\n", promLabel(b), agg.MeanLSQ())
-			fmt.Fprintf(w, "samie_lsq_occupancy{benchmark=%q,stat=\"peak\"} %d\n", promLabel(b), agg.PeakLSQ)
-		}
-	}
-	if len(st.EnergyPJ) > 0 {
-		structs := make([]string, 0, len(st.EnergyPJ))
-		for k := range st.EnergyPJ {
-			structs = append(structs, k)
-		}
-		sort.Strings(structs)
-		fmt.Fprintf(w, "# HELP samie_energy_joules_total Modeled energy over sampled intervals, per structure.\n# TYPE samie_energy_joules_total counter\n")
-		for _, k := range structs {
-			fmt.Fprintf(w, "samie_energy_joules_total{structure=%q} %g\n", promLabel(k), st.EnergyPJ[k]*1e-12)
-		}
-	}
+	{name: "samie_lsq_occupancy", kind: "gauge", help: "LSQ occupancy over sampled intervals, per benchmark.",
+		labels: []string{"benchmark", "stat"},
+		series: func(m *metricsSnapshot) []sample {
+			var out []sample
+			for _, b := range sortedKeys(m.TimelineStats) {
+				agg := m.TimelineStats[b]
+				out = append(out,
+					sample{labels: []string{b, "mean"}, value: agg.MeanLSQ()},
+					sample{labels: []string{b, "peak"}, value: float64(agg.PeakLSQ)})
+			}
+			return out
+		}},
+	{name: "samie_energy_joules_total", kind: "counter", help: "Modeled energy over sampled intervals, per structure.",
+		labels: []string{"structure"},
+		series: func(m *metricsSnapshot) []sample {
+			var out []sample
+			for _, k := range sortedKeys(m.EnergyPJ) {
+				out = append(out, sample{labels: []string{k}, value: m.EnergyPJ[k] * 1e-12})
+			}
+			return out
+		}},
 
 	// Per-phase run latency: every defined phase is always emitted
 	// (zeros before the first observation) so dashboards and CI can
 	// select the full set unconditionally.
-	fmt.Fprintf(w, "# HELP samie_run_phase_seconds Where run wall-clock went, per engine-job phase.\n# TYPE samie_run_phase_seconds histogram\n")
-	for _, p := range obs.AllPhases() {
-		writeHistSeries(w, "samie_run_phase_seconds", fmt.Sprintf("phase=%q", p), st.RunPhases[p.String()])
+	{name: "samie_run_phase_seconds", kind: "histogram", help: "Where run wall-clock went, per engine-job phase.",
+		labels: []string{"phase"},
+		series: func(m *metricsSnapshot) []sample {
+			var out []sample
+			for _, p := range obs.AllPhases() {
+				out = append(out, sample{labels: []string{p.String()}, hist: m.RunPhases[p.String()]})
+			}
+			return out
+		}},
+}
+
+// sortedKeys returns a map's keys in ascending order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// handleMetrics renders the families table in Prometheus text format
+// from one snapshot; /v1/stats serves the same numbers as JSON.
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	m := metricsSnapshot{StatsResponse: s.statsSnapshot(), chaos: s.chaosCounts()}
+	m.requests, m.latency = s.httpm.snapshot()
+	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
+	for _, f := range families {
+		series := f.series(&m)
+		if len(series) == 0 {
+			continue
+		}
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind)
+		for _, sm := range series {
+			pairs := make([]string, len(f.labels))
+			for i, l := range f.labels {
+				pairs[i] = fmt.Sprintf("%s=\"%s\"", l, promLabel(sm.labels[i]))
+			}
+			labels := strings.Join(pairs, ",")
+			if f.kind == "histogram" {
+				writeHistSeries(w, f.name, labels, sm.hist)
+				continue
+			}
+			if labels != "" {
+				labels = "{" + labels + "}"
+			}
+			fmt.Fprintf(w, "%s%s %g\n", f.name, labels, sm.value)
+		}
 	}
 }
 

@@ -254,21 +254,20 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 		}
 	}
 
-	// The rendered family set must equal the metricFamilies registry
-	// exactly — the same list the promnames analyzer statically diffs
-	// against the registration sites, so a new or renamed metric
-	// cannot ship without updating both.
+	// The rendered family set must equal the families table exactly:
+	// on a fully populated server every row renders, so no family is
+	// silently empty and nothing renders outside the table.
 	unlisted := make(map[string]bool, len(kinds))
 	for name := range kinds {
 		unlisted[name] = true
 	}
-	for _, fam := range metricFamilies {
-		if !unlisted[fam] {
-			t.Errorf("metricFamilies lists %s but the populated exposition never rendered it", fam)
+	for _, fam := range families {
+		if !unlisted[fam.name] {
+			t.Errorf("families lists %s but the populated exposition never rendered it", fam.name)
 		}
-		delete(unlisted, fam)
+		delete(unlisted, fam.name)
 	}
 	for name := range unlisted {
-		t.Errorf("family %s rendered but missing from metricFamilies", name)
+		t.Errorf("family %s rendered but missing from families", name)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"net/http"
@@ -114,23 +115,52 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 }
 
+// decodeFigure decodes a figure endpoint's structured result as the
+// typed harness result T.
+func decodeFigure[T fmt.Stringer](raw []byte) (fmt.Stringer, error) {
+	var v T
+	err := json.Unmarshal(raw, &v)
+	return v, err
+}
+
+// TestFigureEndpointMatchesLibrary walks every row of the figure
+// table: the endpoint's text must be byte-identical to the typed Batch
+// method, and its structured result must decode as that method's
+// result type and re-render the same text.
 func TestFigureEndpointMatchesLibrary(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
-	resp, err := http.Get(ts.URL + "/v1/figures/56?bench=gzip&insts=" + strconv.Itoa(testInsts))
-	if err != nil {
-		t.Fatal(err)
+	bench := []string{"gzip"}
+	library := map[string]struct {
+		text   string
+		decode func([]byte) (fmt.Stringer, error)
+	}{
+		"1":      {batch.Figure1(bench, testInsts).String(), decodeFigure[experiments.Figure1Result]},
+		"3":      {batch.Figure3(bench, testInsts).String(), decodeFigure[experiments.Figure3Result]},
+		"4":      {batch.Figure4(bench, testInsts, nil).String(), decodeFigure[experiments.Figure4Result]},
+		"56":     {batch.Figure56(bench, testInsts).String(), decodeFigure[experiments.Figure56Result]},
+		"energy": {batch.Energy(bench, testInsts).String(), decodeFigure[experiments.EnergyResult]},
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", resp.StatusCode)
-	}
-	out := decodeBody[client.FigureResponse](t, resp)
-	want := batch.Figure56([]string{"gzip"}, testInsts).String()
-	if out.Text != want {
-		t.Errorf("figure text differs from library harness\nserver:\n%s\nlibrary:\n%s", out.Text, want)
-	}
-	var parsed experiments.Figure56Result
-	if err := json.Unmarshal(out.Result, &parsed); err != nil || len(parsed.Rows) != 1 {
-		t.Errorf("structured result unusable: %v %+v", err, parsed)
+	for _, fig := range experiments.Figures() {
+		lib, ok := library[fig.Name]
+		if !ok {
+			t.Errorf("figure %s has no typed Batch method to compare against", fig.Name)
+			continue
+		}
+		resp, err := http.Get(ts.URL + "/v1/figures/" + fig.Name + "?bench=gzip&insts=" + strconv.Itoa(testInsts))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("figure %s: status %d", fig.Name, resp.StatusCode)
+		}
+		out := decodeBody[client.FigureResponse](t, resp)
+		if out.Text != lib.text {
+			t.Errorf("figure %s text differs from library harness\nserver:\n%s\nlibrary:\n%s", fig.Name, out.Text, lib.text)
+		}
+		parsed, err := lib.decode(out.Result)
+		if err != nil || parsed.String() != lib.text {
+			t.Errorf("figure %s: structured result unusable: %v %+v", fig.Name, err, parsed)
+		}
 	}
 
 	if resp, _ := http.Get(ts.URL + "/v1/figures/99"); resp.StatusCode != http.StatusNotFound {
@@ -232,7 +262,7 @@ func TestScenarioStreaming(t *testing.T) {
 		t.Fatalf("missing or malformed final result: %+v", final)
 	}
 	// The streamed sweep must agree with the library harness.
-	direct, err := experiments.RunScenario("distrib-banking", []string{"gzip"}, testInsts)
+	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "distrib-banking", []string{"gzip"}, testInsts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,8 @@ package trace
 // This file defines the calibrated personalities for the 26 SPEC
 // CPU2000 programs used in the paper's evaluation. The parameters are
 // chosen to reproduce the qualitative per-benchmark facts the paper
-// reports (DESIGN.md §1 lists them); absolute values are synthetic.
+// reports (the comment on each personality names them); absolute
+// values are synthetic.
 //
 // Notation used in the comments:
 //   concentrated = streams pinned to few DistribLSQ banks (BankSpread)

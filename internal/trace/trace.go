@@ -10,7 +10,7 @@
 //
 // Each of the 26 SPEC2000 programs is given a Personality: a parameter
 // set calibrated to the qualitative facts the paper reports per
-// benchmark (see DESIGN.md §1). Streams are seeded from the benchmark
+// benchmark (see personalities.go). Streams are seeded from the benchmark
 // name, so every simulation in this repository is bit-reproducible.
 package trace
 

@@ -193,8 +193,9 @@ func (r RunResponse) Result() experiments.RunResult {
 	}
 }
 
-// FigureNames lists the valid GET /v1/figures/{name} names.
-func FigureNames() []string { return []string{"1", "3", "4", "56", "energy"} }
+// FigureNames lists the valid GET /v1/figures/{name} names, in paper
+// order, from the library's figure table.
+func FigureNames() []string { return experiments.FigureNames() }
 
 // FigureResponse is one figure regeneration: the rendered text
 // (byte-identical to the library harness output) plus the structured

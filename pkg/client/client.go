@@ -250,9 +250,9 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 	return out, nil
 }
 
-// Figure regenerates one paper figure ("1", "3", "4", "56" or
-// "energy") over the benchmark subset (nil means all 26) at the given
-// instruction budget (0 means the server default).
+// Figure regenerates one paper figure (a name from FigureNames) over
+// the benchmark subset (nil means all 26) at the given instruction
+// budget (0 means the server default).
 func (c *Client) Figure(ctx context.Context, figure string, benchmarks []string, insts uint64) (FigureResponse, error) {
 	q := url.Values{}
 	if len(benchmarks) > 0 {

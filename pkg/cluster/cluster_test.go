@@ -337,7 +337,7 @@ func TestRunSpecsExactlyOnceAndAggregatedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := experiments.RunScenario("distrib-banking", rows, 5_000)
+	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "distrib-banking", rows, 5_000, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -457,7 +457,7 @@ func (c *ShardedClient) Scenario(ctx context.Context, name string, benchmarks []
 	if err != nil {
 		return experiments.ScenarioResult{}, err
 	}
-	res, err := local.Scenario(name, rows, insts)
+	res, err := local.Scenario(ctx, name, rows, insts, nil)
 	if err != nil {
 		return experiments.ScenarioResult{}, err
 	}

@@ -14,15 +14,17 @@
 //	fmt.Printf("IPC %.3f -> %.3f, LSQ energy saving %.0f%%\n",
 //		res.Conventional.IPC, res.SAMIE.IPC, res.LSQSavingPct)
 //
-// The experiment harnesses regenerate the paper's evaluation:
+// The experiment harnesses regenerate the paper's evaluation through a
+// shared batch:
 //
-//	fmt.Println(samielsq.Figure56(samielsq.Benchmarks(), 200_000))
+//	fmt.Println(samielsq.NewBatch(0).Figure56(samielsq.Benchmarks(), 200_000))
 //
-// See DESIGN.md for the system inventory and EXPERIMENTS.md for the
-// paper-vs-measured record.
+// See README.md for the system inventory and docs/ for the service,
+// performance and static-analysis notes.
 package samielsq
 
 import (
+	"context"
 	"time"
 
 	"samielsq/internal/core"
@@ -137,7 +139,7 @@ func PruneCache(dir string, maxBytes int64, maxAge time.Duration) (CachePruneSta
 // 5/6 and 7-12 plus the static tables — through one shared batch, so
 // every distinct simulation executes exactly once across all figures.
 func RunSuite(benchmarks []string, insts uint64) SuiteResult {
-	return experiments.RunSuite(benchmarks, insts)
+	return NewBatch(0).Suite(benchmarks, insts)
 }
 
 // SuiteSpecs enumerates the distinct simulations the full suite needs,
@@ -169,7 +171,7 @@ func RegisterScenario(s Scenario) { experiments.RegisterScenario(s) }
 // RunScenario evaluates a registered scenario sweep over the
 // benchmarks through a fresh shared batch.
 func RunScenario(name string, benchmarks []string, insts uint64) (ScenarioResult, error) {
-	return experiments.RunScenario(name, benchmarks, insts)
+	return NewBatch(0).Scenario(context.Background(), name, benchmarks, insts, nil)
 }
 
 // PaperSAMIEConfig returns the Table 3 SAMIE-LSQ configuration
@@ -249,34 +251,8 @@ func CompareIn(b *Batch, benchmark string, insts uint64) ComparisonResult {
 	return res
 }
 
-// Experiment harness re-exports: each regenerates one paper artefact
-// (see DESIGN.md §3 for the index). The returned results implement
-// fmt.Stringer and render the same rows/series the paper reports.
-
-// Figure1 reproduces Figure 1 (ARB IPC vs an unbounded LSQ).
-func Figure1(benchmarks []string, insts uint64) experiments.Figure1Result {
-	return experiments.Figure1(benchmarks, insts)
-}
-
-// Figure3 reproduces Figure 3 (unbounded SharedLSQ occupancy).
-func Figure3(benchmarks []string, insts uint64) experiments.Figure3Result {
-	return experiments.Figure3(benchmarks, insts)
-}
-
-// Figure4 reproduces Figure 4 (programs vs SharedLSQ size).
-func Figure4(benchmarks []string, insts uint64) experiments.Figure4Result {
-	return experiments.Figure4(benchmarks, insts, nil)
-}
-
-// Figure56 reproduces Figures 5 and 6 (IPC loss and deadlock flushes).
-func Figure56(benchmarks []string, insts uint64) experiments.Figure56Result {
-	return experiments.Figure56(benchmarks, insts)
-}
-
-// Energy reproduces Figures 7-12 (dynamic energy and active area).
-func Energy(benchmarks []string, insts uint64) experiments.EnergyResult {
-	return experiments.Energy(benchmarks, insts)
-}
+// The figure harnesses are Batch methods; the static tables below need
+// no simulation.
 
 // Table1 reproduces Table 1 (cache access times) with the analytical
 // CACTI-style model.
