@@ -17,7 +17,8 @@
 //	samie-bench -cachedir ""         # disable the on-disk run cache
 //	samie-bench -prune -prune-max-bytes 1000000000      # bound the disk cache
 //	samie-bench -server http://host:8344 -fig 5 -fig 6  # remote mode via samie-serve
-//	samie-bench -server http://a:8344,http://b:8344     # remote mode over a replica set (pkg/cluster)
+//	samie-bench -server http://a:8344,http://b:8344     # remote mode over a replica set
+//	samie-bench -server ... -stats -trace-out sweep.json # + fleet accounting and trace
 //	samie-bench -profile             # measure hot-path throughput
 //	samie-bench -profile -baseline BENCH_hotpath.json   # CI regression gate
 //
@@ -25,6 +26,16 @@
 // canonical RunSpec key, default <user cache dir>/samielsq, override
 // with -cachedir, disable with -cachedir "") so repeated invocations
 // reuse finished simulations across processes.
+//
+// With -server the simulations run on samie-serve replicas instead:
+// the specs each figure and scenario needs are sharded across the
+// replica list by rendezvous hashing of their canonical keys (one URL
+// is a ring of one), one sweep for the selected figures plus one per
+// scenario, and the artefacts render locally from the results —
+// byte-identical to local mode however the keys spread. Without a
+// selection flag stdout is the whole suite with its accounting line in
+// both modes (internal/experiments/testdata/golden_suite.txt at
+// -bench ammp,gzip,mcf,swim -insts 25000). See docs/cluster.md.
 package main
 
 import (
@@ -34,9 +45,12 @@ import (
 	"fmt"
 	"os"
 	"strings"
+	"time"
 
+	"samielsq"
 	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
+	"samielsq/pkg/cluster"
 )
 
 type stringList []string
@@ -52,12 +66,13 @@ func main() {
 	flag.Var(&scenarios, "scenario", "registered scenario sweep to run; repeatable")
 	listScenarios := flag.Bool("list-scenarios", false, "list registered scenario sweeps and exit")
 	workers := flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
-	stats := flag.Bool("stats", false, "print the shared batch's run-cache accounting")
+	stats := flag.Bool("stats", false, "print the shared batch's run-cache accounting (with -server: per-replica, sweep and occupancy accounting on stderr)")
 	table1 := flag.Bool("table1", false, "regenerate Table 1 only")
 	delays := flag.Bool("delays", false, "regenerate the §3.6 delay analysis only")
 	tables456 := flag.Bool("tables456", false, "print Tables 4/5/6 and model cross-checks only")
 	cachedir := flag.String("cachedir", "auto", `on-disk run cache directory ("auto" = <user cache dir>/samielsq, "" disables)`)
-	serverURL := flag.String("server", "", "run remotely against this samie-serve base URL (or a comma-separated replica list, sharded by rendezvous hashing) instead of simulating locally")
+	serverURL := flag.String("server", "", "run remotely on these comma-separated samie-serve base URLs, sharding the simulations by rendezvous hashing, instead of simulating locally")
+	retryBudget := flag.Int("max-retry-budget", 32, "with -server: total stream resumes + re-shard rounds one sweep may spend before giving up")
 	prune := flag.Bool("prune", false, "prune the on-disk run cache per -prune-max-* and exit")
 	pruneMaxBytes := flag.Int64("prune-max-bytes", 0, "with -prune: keep at most this many artifact bytes (0 = unbounded)")
 	pruneMaxAge := flag.Duration("prune-max-age", 0, "with -prune: drop artifacts older than this (0 = keep forever)")
@@ -65,11 +80,10 @@ func main() {
 	profileInsts := flag.Uint64("profile-insts", 50_000, "measured instructions per profile case")
 	profileReps := flag.Int("profile-reps", 3, "repetitions per profile case (best wins)")
 	profileLabel := flag.String("profile-label", "local", "label for the recorded profile session")
-	profileLegacy := flag.Bool("profile-legacy-walk", false, "profile on the pre-wakeup LegacyIssueWalk issue engine (before/after trajectory entries; skips the figure1 sweep)")
 	benchOut := flag.String("bench-out", "", "append the profile session to this BENCH_*.json file")
 	baseline := flag.String("baseline", "", "compare the profile session against this BENCH_*.json (exit 1 on regression)")
 	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional throughput regression vs -baseline")
-	traceOut := flag.String("trace-out", "", "write this invocation's span trace as Chrome trace-event JSON here (open in Perfetto); for the fleet-wide sweep view use samie-cluster -trace-out")
+	traceOut := flag.String("trace-out", "", "write this invocation's span trace as Chrome trace-event JSON here (open in Perfetto); with -server it includes every replica's spans and counter tracks for the sweeps")
 	timelineOut := flag.String("timeline-out", "", "write every locally simulated run's interval timeline as NDJSON here (one meta line + one sample line per interval, per run)")
 	flag.Parse()
 
@@ -81,7 +95,7 @@ func main() {
 		obs.Default().SetEnabled(true)
 	}
 	if *profile {
-		entry := runProfile(*profileInsts, *profileReps, *profileLabel, *profileLegacy)
+		entry := runProfile(*profileInsts, *profileReps, *profileLabel)
 		if *benchOut != "" {
 			if err := writeBenchOut(*benchOut, entry); err != nil {
 				fmt.Fprintln(os.Stderr, err)
@@ -125,54 +139,55 @@ func main() {
 		benchmarks = strings.Split(*benchCSV, ",")
 	}
 
-	specific := len(figs) > 0 || len(scenarios) > 0 || *table1 || *delays || *tables456
-	// Every figure by default; with any selection flag, only the rows
-	// the -fig numbers name. An unknown number is rejected before any
-	// simulation runs.
-	selected := experiments.Figures()
-	if specific {
-		var err error
-		if selected, err = experiments.SelectFigures(figs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
+	// Without a selection flag the whole suite renders; otherwise only
+	// the figure-table rows the -fig numbers name, the scenarios and the
+	// tables asked for. An unknown figure or scenario is rejected before
+	// any simulation runs or any server is contacted.
+	suite := len(figs) == 0 && len(scenarios) == 0 && !*table1 && !*delays && !*tables456
+	selected, err := experiments.SelectFigures(figs)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
 	}
-
-	// Remote mode: the figures and scenarios run on a samie-serve
-	// instance whose long-lived batch dedups work across all clients;
-	// the static tables never simulate, so they render locally.
-	if *serverURL != "" {
-		code := runRemote(*serverURL, benchmarks, *insts, selected, scenarios, *listScenarios, *stats)
-		if code == 0 && !*listScenarios {
-			if !specific || *table1 {
-				fmt.Println(experiments.Table1())
-			}
-			if !specific || *delays {
-				fmt.Println(experiments.Delays())
-			}
-			if !specific || *tables456 {
-				fmt.Println(experiments.Tables456String())
-			}
-		}
-		writeTrace(*traceOut)
-		os.Exit(code)
-	}
-
-	if *listScenarios {
-		for _, name := range experiments.ScenarioNames() {
-			sc, _ := experiments.LookupScenario(name)
-			fmt.Printf("%-20s %s (%d variants)\n", name, sc.Description, len(sc.Variants))
-		}
-		return
-	}
-
-	// Validate scenario names before any simulation runs: a typo must
-	// not cost a full figure sweep first.
 	for _, name := range scenarios {
 		if _, ok := experiments.LookupScenario(name); !ok {
 			fmt.Fprintf(os.Stderr, "unknown scenario %q (see -list-scenarios)\n", name)
 			os.Exit(2)
 		}
+	}
+
+	// Remote mode: the simulations run on the replicas; a bad URL list
+	// is a usage error, an unreachable fleet a runtime one.
+	ctx := context.Background()
+	var fleet *cluster.ShardedClient
+	if *serverURL != "" {
+		if fleet, err = openFleet(*serverURL, *retryBudget); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
+		if err := fleet.Health(ctx); err != nil {
+			fmt.Fprintf(os.Stderr, "server %s unreachable: %v\n", *serverURL, err)
+			os.Exit(1)
+		}
+	}
+
+	if *listScenarios {
+		if fleet == nil {
+			for _, name := range experiments.ScenarioNames() {
+				sc, _ := experiments.LookupScenario(name)
+				fmt.Printf("%-20s %s (%d variants)\n", name, sc.Description, len(sc.Variants))
+			}
+			return
+		}
+		infos, err := fleet.Scenarios(ctx)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		for _, info := range infos {
+			fmt.Printf("%-20s %s (%d variants)\n", info.Name, info.Description, len(info.Variants))
+		}
+		return
 	}
 
 	// Scenarios resolve their own default rows (Scenario.Benchmarks,
@@ -184,51 +199,111 @@ func main() {
 		benchmarks = experiments.Benchmarks()
 	}
 
-	// One batch shared by every figure and scenario this invocation
-	// renders, spilling results to disk unless -cachedir "" asked not
-	// to (a cache failure degrades to the uncached batch).
+	// Locally, one batch serves every figure and scenario this
+	// invocation renders, spilling results to disk unless -cachedir ""
+	// asked not to (a cache failure degrades to the uncached batch).
 	var batch *experiments.Batch
-	batch, dir = experiments.OpenBatch(*workers, dir, func(err error) {
-		fmt.Fprintf(os.Stderr, "disk cache disabled: %v\n", err)
-	})
-
-	// One span per harness so -trace-out shows where a local
-	// invocation's wall-clock went (recorder disabled otherwise:
-	// StartSpan returns nil and this is free).
-	traced := func(name string, fn func()) {
-		_, sp := obs.StartSpan(context.Background(), name)
-		defer sp.End()
-		fn()
-	}
-	for _, fig := range selected {
-		traced("figure "+fig.Name, func() {
-			out, err := fig.Run(context.Background(), batch, benchmarks, *insts)
-			if err != nil {
-				// A background context never cancels: this is a
-				// contained simulation panic.
-				panic(err)
-			}
-			fmt.Println(out)
+	if fleet == nil {
+		batch, dir = experiments.OpenBatch(*workers, dir, func(err error) {
+			fmt.Fprintf(os.Stderr, "disk cache disabled: %v\n", err)
 		})
 	}
-	for _, name := range scenarios {
-		var res experiments.ScenarioResult
-		var err error
-		traced("scenario "+name, func() { res, err = batch.Scenario(context.Background(), name, scenarioBench, *insts, nil) })
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		fmt.Println(res)
+	// One span per artefact so -trace-out shows where the invocation's
+	// wall-clock went (recorder disabled otherwise: StartSpan returns
+	// nil and this is free); sweeps collects the trace IDs of the fleet
+	// sweeps for the fleet-wide export.
+	die := func(err error) {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if !specific || *table1 {
+	traced := func(name string, fn func(ctx context.Context) error) {
+		ctx, sp := obs.StartSpan(ctx, name)
+		err := fn(ctx)
+		sp.End()
+		if err != nil {
+			die(err)
+		}
+	}
+	var sweeps []string
+	swept := func() { sweeps = append(sweeps, fleet.SweepTraceID()) }
+
+	if suite {
+		traced("suite", func(ctx context.Context) (err error) {
+			var res experiments.SuiteResult
+			if fleet == nil {
+				res = batch.Suite(benchmarks, *insts)
+			} else {
+				res, err = fleet.Suite(ctx, benchmarks, *insts, progress("suite"))
+				swept()
+				if err != nil {
+					return err
+				}
+			}
+			// Exact bytes: the suite ends with its accounting line.
+			fmt.Print(res.String())
+			return nil
+		})
+	}
+	if len(selected) > 0 {
+		// Remotely, one sweep runs every spec the selected rows need,
+		// the rows render from its results, and nothing may have run
+		// locally.
+		figBatch := batch
+		if fleet != nil {
+			traced("figures", func(ctx context.Context) (err error) {
+				figBatch, err = fleet.Assemble(ctx, experiments.FigureSpecs(selected, benchmarks, *insts), progress("figures"))
+				swept()
+				return err
+			})
+		}
+		for _, fig := range selected {
+			traced("figure "+fig.Name, func(ctx context.Context) error {
+				out, err := fig.Run(ctx, figBatch, benchmarks, *insts)
+				if err == nil {
+					fmt.Println(out)
+				}
+				return err
+			})
+		}
+		if fleet != nil {
+			if err := cluster.PlanCovered(figBatch); err != nil {
+				die(err)
+			}
+		}
+	}
+	for _, name := range scenarios {
+		traced("scenario "+name, func(ctx context.Context) (err error) {
+			var res experiments.ScenarioResult
+			if fleet == nil {
+				res, err = batch.Scenario(ctx, name, scenarioBench, *insts, nil)
+			} else {
+				res, err = fleet.Scenario(ctx, name, scenarioBench, *insts, progress(name))
+				swept()
+			}
+			if err == nil {
+				fmt.Println(res)
+			}
+			return err
+		})
+	}
+	if *table1 {
 		fmt.Println(experiments.Table1())
 	}
-	if !specific || *delays {
+	if *delays {
 		fmt.Println(experiments.Delays())
 	}
-	if !specific || *tables456 {
+	if *tables456 {
 		fmt.Println(experiments.Tables456String())
+	}
+
+	if fleet != nil {
+		if *stats {
+			if err := printFleetStats(ctx, os.Stderr, fleet); err != nil {
+				die(err)
+			}
+		}
+		writeTrace(ctx, *traceOut, fleet, sweeps)
+		return
 	}
 	if *stats {
 		st := batch.Stats()
@@ -248,7 +323,7 @@ func main() {
 	if err := batch.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "cache close: %v\n", err)
 	}
-	writeTrace(*traceOut)
+	writeTrace(ctx, *traceOut, nil, nil)
 }
 
 // writeTimelines dumps the batch's retained run timelines as NDJSON:
@@ -289,21 +364,15 @@ func writeTimelines(path string, tls []experiments.RunTimeline) error {
 	return nil
 }
 
-// writeTrace exports every span and counter track this process
-// recorded as Chrome trace-event JSON. No-op without -trace-out.
-func writeTrace(path string) {
-	if path == "" {
-		return
-	}
-	spans := obs.Default().Spans()
-	tracks := obs.Default().Counters()
-	data, err := obs.ChromeTraceWithCounters(spans, tracks)
-	if err == nil {
-		err = os.WriteFile(path, data, 0o644)
-	}
+// runPrune applies the disk-cache bounds and reports what it did.
+// Returns a process exit code.
+func runPrune(dir string, maxBytes int64, maxAge time.Duration) int {
+	ps, err := samielsq.PruneCache(dir, maxBytes, maxAge)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace-out: %v\n", err)
-		return
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "trace: %d spans, %d counter tracks written to %s\n", len(spans), len(tracks), path)
+	fmt.Printf("pruned %s: removed %d artifacts (%d bytes), %d remain (%d bytes)\n",
+		dir, ps.Removed, ps.FreedBytes, ps.Remaining, ps.RemainingBytes)
+	return 0
 }

@@ -8,7 +8,6 @@ import (
 	"sort"
 	"time"
 
-	"samielsq/internal/cpu"
 	"samielsq/internal/experiments"
 )
 
@@ -76,15 +75,6 @@ var (
 	adversarialModelNames = []string{"samie", "conventional"}
 )
 
-// withLegacyWalk pins a spec to the pre-wakeup issue engine, for
-// before/after trajectory entries (-profile-legacy-walk).
-func withLegacyWalk(spec experiments.RunSpec) experiments.RunSpec {
-	cfg := cpu.PaperConfig()
-	cfg.LegacyIssueWalk = true
-	spec.CPU = &cfg
-	return spec
-}
-
 // runProfileCase measures one spec: reps repetitions, best throughput
 // wins (the first repetition also pays trace materialization; later
 // ones measure the simulator itself, which is what the trajectory
@@ -126,11 +116,8 @@ func runFigure1Sweep(reps int) float64 {
 	return best
 }
 
-// runProfile executes the matrix and returns the session entry. With
-// legacyWalk the per-model cases run on the pre-wakeup issue engine
-// (for before/after trajectory entries); the figure1 aggregate sweep
-// always exercises the default engine and is skipped in that mode.
-func runProfile(insts uint64, reps int, label string, legacyWalk bool) benchEntry {
+// runProfile executes the matrix and returns the session entry.
+func runProfile(insts uint64, reps int, label string) benchEntry {
 	e := benchEntry{
 		Label: label,
 		Date:  time.Now().UTC().Format("2006-01-02"),
@@ -138,9 +125,6 @@ func runProfile(insts uint64, reps int, label string, legacyWalk bool) benchEntr
 		Insts: insts,
 	}
 	measure := func(name string, spec experiments.RunSpec) {
-		if legacyWalk {
-			spec = withLegacyWalk(spec)
-		}
 		ips := runProfileCase(spec, reps)
 		e.Cases = append(e.Cases, benchCase{Name: name, InstsPerSec: ips})
 		fmt.Printf("%-26s %12.0f insts/sec\n", name, ips)
@@ -160,15 +144,9 @@ func runProfile(insts uint64, reps int, label string, legacyWalk bool) benchEntr
 			}
 		}
 	}
-	if !legacyWalk {
-		sweepReps := 2
-		if reps < sweepReps {
-			sweepReps = reps
-		}
-		ips := runFigure1Sweep(sweepReps)
-		e.Cases = append(e.Cases, benchCase{Name: "figure1-sweep/fastsuite", InstsPerSec: ips})
-		fmt.Printf("%-26s %12.0f insts/sec\n", "figure1-sweep/fastsuite", ips)
-	}
+	ips := runFigure1Sweep(min(reps, 2))
+	e.Cases = append(e.Cases, benchCase{Name: "figure1-sweep/fastsuite", InstsPerSec: ips})
+	fmt.Printf("%-26s %12.0f insts/sec\n", "figure1-sweep/fastsuite", ips)
 	sort.Slice(e.Cases, func(i, j int) bool { return e.Cases[i].Name < e.Cases[j].Name })
 	return e
 }

@@ -737,7 +737,7 @@ func caseClusterSweepTrace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A private enabled recorder stands in for samie-cluster's
+	// A private enabled recorder stands in for samie-bench -server's
 	// -trace-out: rooting the context in it routes the sweep and chunk
 	// spans here without touching the process-wide default recorder.
 	rec := obs.NewRecorder(0)

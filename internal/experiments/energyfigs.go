@@ -46,15 +46,7 @@ func (bt *Batch) Energy(benchmarks []string, insts uint64) EnergyResult {
 
 // energy is Energy with cancellation (see figure1).
 func (bt *Batch) energy(ctx context.Context, benchmarks []string, insts uint64) (EnergyResult, error) {
-	conv, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-		return RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional}
-	})
-	if err != nil {
-		return EnergyResult{}, err
-	}
-	samie, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-		return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE}
-	})
+	conv, samie, err := bt.runPair(ctx, benchmarks, insts)
 	if err != nil {
 		return EnergyResult{}, err
 	}

@@ -16,6 +16,10 @@ type Figure struct {
 	// row answers to: one simulation pair renders Figures 5 and 6, and
 	// one more renders Figures 7-12.
 	Selects []string
+	// Specs enumerates every simulation Run requests, column by
+	// column, so a driver can run them elsewhere first (pkg/cluster
+	// shards them across replicas) and Run then renders from cache.
+	Specs func(benchmarks []string, insts uint64) []RunSpec
 	// Run regenerates the figure through the batch. The value's String
 	// is the figure's text; the value itself is the typed result the
 	// matching Batch method returns (Figure1Result ... EnergyResult).
@@ -26,13 +30,54 @@ type Figure struct {
 
 // figures is the figure table, in paper order.
 var figures = []Figure{
-	{"1", []string{"1"}, erase((*Batch).figure1)},
-	{"3", []string{"3"}, erase((*Batch).figure3)},
-	{"4", []string{"4"}, erase(func(bt *Batch, ctx context.Context, benchmarks []string, insts uint64) (Figure4Result, error) {
-		return bt.figure4(ctx, benchmarks, insts, nil)
-	})},
-	{"56", []string{"5", "6"}, erase((*Batch).figure56)},
-	{"energy", []string{"7", "8", "9", "10", "11", "12"}, erase((*Batch).energy)},
+	{"1", []string{"1"}, specsOf(figure1Columns), erase((*Batch).figure1)},
+	{"3", []string{"3"}, specsOf(figure3Columns), erase((*Batch).figure3)},
+	{"4", []string{"4"}, specsOf(func(insts uint64) []column { return figure4Columns(insts, figure4DefaultSizes) }),
+		erase(func(bt *Batch, ctx context.Context, benchmarks []string, insts uint64) (Figure4Result, error) {
+			return bt.figure4(ctx, benchmarks, insts, nil)
+		})},
+	{"56", []string{"5", "6"}, specsOf(pairColumns), erase((*Batch).figure56)},
+	{"energy", []string{"7", "8", "9", "10", "11", "12"}, specsOf(pairColumns), erase((*Batch).energy)},
+}
+
+// specsOf adapts a harness's column list to the table's Specs
+// signature: every column across every benchmark, in request order.
+func specsOf(columns func(insts uint64) []column) func([]string, uint64) []RunSpec {
+	return func(benchmarks []string, insts uint64) []RunSpec {
+		cols := columns(insts)
+		specs := make([]RunSpec, 0, len(cols)*len(benchmarks))
+		for _, col := range cols {
+			for _, b := range benchmarks {
+				specs = append(specs, col(b))
+			}
+		}
+		return specs
+	}
+}
+
+// FigureSpecs is the union of the rows' spec sets in table order,
+// normalized and deduplicated by canonical key: every simulation the
+// rows' harnesses request, each once. Nil benchmarks means the full
+// 26-program suite; insts 0 means DefaultInsts.
+func FigureSpecs(rows []Figure, benchmarks []string, insts uint64) []RunSpec {
+	if len(benchmarks) == 0 {
+		benchmarks = Benchmarks()
+	}
+	if insts == 0 {
+		insts = DefaultInsts
+	}
+	var specs []RunSpec
+	seen := map[string]bool{}
+	for _, f := range rows {
+		for _, s := range f.Specs(benchmarks, insts) {
+			n := Normalize(s)
+			if key := keyOf(n); !seen[key] {
+				seen[key] = true
+				specs = append(specs, n)
+			}
+		}
+	}
+	return specs
 }
 
 // erase adapts one typed harness to the table's Run signature.

@@ -52,14 +52,38 @@ func (bt *Batch) Figure1(benchmarks []string, insts uint64) Figure1Result {
 	return mustFigure(bt.figure1(context.Background(), benchmarks, insts))
 }
 
+// column is one series of a figure: the spec it simulates for each
+// benchmark. A harness requests each of its columns across the
+// benchmark list in order, and its figure-table row enumerates the
+// same columns as its spec set (see Figure.Specs).
+type column func(benchmark string) RunSpec
+
+// figure1Columns lists Figure 1's series: the unbounded baseline, then
+// each ARB geometry at the full (128) and halved (64) in-flight caps.
+func figure1Columns(insts uint64) []column {
+	cols := []column{func(b string) RunSpec {
+		return RunSpec{Benchmark: b, Insts: insts, Model: ModelUnbounded}
+	}}
+	for _, cfg := range Figure1Configs() {
+		for _, inflight := range [...]int{128, 64} {
+			cols = append(cols, func(b string) RunSpec {
+				return RunSpec{
+					Benchmark: b, Insts: insts, Model: ModelARB,
+					ARBBanks: cfg.Banks, ARBAddrs: cfg.Addrs, ARBInflight: inflight,
+				}
+			})
+		}
+	}
+	return cols
+}
+
 // figure1 is Figure1 with cancellation: when ctx fires, the figure's
 // queued simulations are withdrawn and the context error is returned
 // (started or shared simulations finish into the cache). Every figure
 // harness behaves the same way; the figure table calls them.
 func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64) (Figure1Result, error) {
-	base, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-		return RunSpec{Benchmark: b, Insts: insts, Model: ModelUnbounded}
-	})
+	cols := figure1Columns(insts)
+	base, err := bt.RunAllCtx(ctx, benchmarks, cols[0])
 	if err != nil {
 		return Figure1Result{}, err
 	}
@@ -68,15 +92,10 @@ func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64)
 		baseIPC[r.Spec.Benchmark] = r.CPU.IPC
 	}
 	res := Figure1Result{Insts: insts}
-	for _, cfg := range Figure1Configs() {
+	for i, cfg := range Figure1Configs() {
 		row := Figure1Row{Config: cfg}
-		for i, inflight := range [...]int{128, 64} {
-			runs, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-				return RunSpec{
-					Benchmark: b, Insts: insts, Model: ModelARB,
-					ARBBanks: cfg.Banks, ARBAddrs: cfg.Addrs, ARBInflight: inflight,
-				}
-			})
+		for h, rel := range [...]*float64{&row.RelIPC, &row.RelIPCHalf} {
+			runs, err := bt.RunAllCtx(ctx, benchmarks, cols[1+2*i+h])
 			if err != nil {
 				return Figure1Result{}, err
 			}
@@ -86,12 +105,7 @@ func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64)
 					ratios = append(ratios, r.CPU.IPC/b)
 				}
 			}
-			g := stats.GeoMean(ratios)
-			if i == 0 {
-				row.RelIPC = g
-			} else {
-				row.RelIPCHalf = g
-			}
+			*rel = stats.GeoMean(ratios)
 		}
 		res.Rows = append(res.Rows, row)
 	}
@@ -132,22 +146,40 @@ func (bt *Batch) Figure3(benchmarks []string, insts uint64) Figure3Result {
 	return mustFigure(bt.figure3(context.Background(), benchmarks, insts))
 }
 
+// samieColumn is the SAMIE-LSQ series under one configuration.
+func samieColumn(cfg core.Config, insts uint64) column {
+	return func(b string) RunSpec {
+		c := cfg
+		return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE, SAMIE: &c}
+	}
+}
+
+// figure3Geoms are the DistribLSQ geometries Figure 3 sweeps with an
+// unbounded SharedLSQ.
+var figure3Geoms = []struct{ banks, entries int }{{128, 1}, {64, 2}, {32, 4}}
+
+// figure3Columns lists Figure 3's series: an unbounded SharedLSQ under
+// each DistribLSQ geometry of figure3Geoms.
+func figure3Columns(insts uint64) []column {
+	cols := make([]column, 0, len(figure3Geoms))
+	for _, g := range figure3Geoms {
+		cfg := core.PaperConfig()
+		cfg.Banks, cfg.EntriesPerBank = g.banks, g.entries
+		cfg.SharedUnbounded = true
+		cols = append(cols, samieColumn(cfg, insts))
+	}
+	return cols
+}
+
 // figure3 is Figure3 with cancellation (see figure1).
 func (bt *Batch) figure3(ctx context.Context, benchmarks []string, insts uint64) (Figure3Result, error) {
-	geoms := figure3Geoms
 	res := Figure3Result{Insts: insts}
 	rows := make(map[string]*Figure3Row, len(benchmarks))
 	for _, b := range benchmarks {
 		rows[b] = &Figure3Row{Benchmark: b}
 	}
-	for gi, g := range geoms {
-		cfg := core.PaperConfig()
-		cfg.Banks, cfg.EntriesPerBank = g.banks, g.entries
-		cfg.SharedUnbounded = true
-		cfgCopy := cfg
-		runs, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-			return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE, SAMIE: &cfgCopy}
-		})
+	for gi, col := range figure3Columns(insts) {
+		runs, err := bt.RunAllCtx(ctx, benchmarks, col)
 		if err != nil {
 			return Figure3Result{}, err
 		}
@@ -199,6 +231,22 @@ func (bt *Batch) Figure4(benchmarks []string, insts uint64, sizes []int) Figure4
 	return mustFigure(bt.figure4(context.Background(), benchmarks, insts, sizes))
 }
 
+// figure4DefaultSizes is the SharedLSQ capacity axis Figure 4 sweeps
+// when the caller passes none.
+var figure4DefaultSizes = []int{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60}
+
+// figure4Columns lists Figure 4's series: the paper configuration at
+// each SharedLSQ size (size 0 leaves only the DistribLSQ).
+func figure4Columns(insts uint64, sizes []int) []column {
+	cols := make([]column, 0, len(sizes))
+	for _, size := range sizes {
+		cfg := core.PaperConfig()
+		cfg.SharedEntries = size
+		cols = append(cols, samieColumn(cfg, insts))
+	}
+	return cols
+}
+
 // figure4 is Figure4 with cancellation (see figure1).
 func (bt *Batch) figure4(ctx context.Context, benchmarks []string, insts uint64, sizes []int) (Figure4Result, error) {
 	if len(sizes) == 0 {
@@ -209,18 +257,9 @@ func (bt *Batch) figure4(ctx context.Context, benchmarks []string, insts uint64,
 	for _, b := range benchmarks {
 		need[b] = -1
 	}
-	for _, size := range sizes {
-		cfg := core.PaperConfig()
-		cfg.SharedEntries = size
-		if size == 0 {
-			// A zero-entry SharedLSQ is modeled as one entry that is
-			// never free... instead use the DistribLSQ only.
-			cfg.SharedEntries = 0
-		}
-		cfgCopy := cfg
-		runs, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-			return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE, SAMIE: &cfgCopy}
-		})
+	for i, col := range figure4Columns(insts, sizes) {
+		size := sizes[i]
+		runs, err := bt.RunAllCtx(ctx, benchmarks, col)
 		if err != nil {
 			return Figure4Result{}, err
 		}
@@ -282,17 +321,30 @@ func (bt *Batch) Figure56(benchmarks []string, insts uint64) Figure56Result {
 	return mustFigure(bt.figure56(context.Background(), benchmarks, insts))
 }
 
+// pairColumns lists the series Figures 5/6 and the energy figures
+// share: the 128-entry conventional LSQ, then the paper's SAMIE-LSQ.
+func pairColumns(insts uint64) []column {
+	return []column{
+		func(b string) RunSpec { return RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional} },
+		func(b string) RunSpec { return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE} },
+	}
+}
+
+// runPair requests the conventional/SAMIE pair across the benchmarks.
+func (bt *Batch) runPair(ctx context.Context, benchmarks []string, insts uint64) (conv, samie []RunResult, err error) {
+	cols := pairColumns(insts)
+	if conv, err = bt.RunAllCtx(ctx, benchmarks, cols[0]); err != nil {
+		return nil, nil, err
+	}
+	if samie, err = bt.RunAllCtx(ctx, benchmarks, cols[1]); err != nil {
+		return nil, nil, err
+	}
+	return conv, samie, nil
+}
+
 // figure56 is Figure56 with cancellation (see figure1).
 func (bt *Batch) figure56(ctx context.Context, benchmarks []string, insts uint64) (Figure56Result, error) {
-	conv, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-		return RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional}
-	})
-	if err != nil {
-		return Figure56Result{}, err
-	}
-	samie, err := bt.RunAllCtx(ctx, benchmarks, func(b string) RunSpec {
-		return RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE}
-	})
+	conv, samie, err := bt.runPair(ctx, benchmarks, insts)
 	if err != nil {
 		return Figure56Result{}, err
 	}

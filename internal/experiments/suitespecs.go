@@ -4,84 +4,17 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-
-	"samielsq/internal/core"
 )
 
-// figure3Geoms are the DistribLSQ geometries Figure 3 sweeps with an
-// unbounded SharedLSQ; Figure3 and SuiteSpecs must agree on them.
-var figure3Geoms = []struct{ banks, entries int }{{128, 1}, {64, 2}, {32, 4}}
-
-// figure4DefaultSizes is the SharedLSQ capacity axis Figure 4 sweeps
-// when the caller passes none; Figure4 and SuiteSpecs must agree.
-var figure4DefaultSizes = []int{0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 40, 44, 48, 52, 56, 60}
-
 // SuiteSpecs enumerates the distinct simulations the full suite
-// (Figures 1, 3, 4, 5/6 and the energy figures) needs, deduplicated by
-// canonical key, in a deterministic order. A coordinator can partition
-// this list across replicas, execute every spec exactly once
-// cluster-wide, and reassemble the byte-identical suite from the
-// results (see pkg/cluster). Nil benchmarks means the full 26-program
-// suite; insts 0 means DefaultInsts.
+// (every row of the figure table) needs: FigureSpecs over Figures().
+// A coordinator can partition this list across replicas, execute
+// every spec exactly once cluster-wide, and reassemble the
+// byte-identical suite from the results (see pkg/cluster). Nil
+// benchmarks means the full 26-program suite; insts 0 means
+// DefaultInsts.
 func SuiteSpecs(benchmarks []string, insts uint64) []RunSpec {
-	if len(benchmarks) == 0 {
-		benchmarks = Benchmarks()
-	}
-	if insts == 0 {
-		insts = DefaultInsts
-	}
-	var specs []RunSpec
-	seen := map[string]bool{}
-	add := func(s RunSpec) {
-		n := Normalize(s)
-		key := keyOf(n)
-		if !seen[key] {
-			seen[key] = true
-			specs = append(specs, n)
-		}
-	}
-
-	// Figure 1: the unbounded baseline plus the eight ARB geometries at
-	// the full and halved in-flight caps.
-	for _, b := range benchmarks {
-		add(RunSpec{Benchmark: b, Insts: insts, Model: ModelUnbounded})
-	}
-	for _, cfg := range Figure1Configs() {
-		for _, inflight := range [...]int{128, 64} {
-			for _, b := range benchmarks {
-				add(RunSpec{
-					Benchmark: b, Insts: insts, Model: ModelARB,
-					ARBBanks: cfg.Banks, ARBAddrs: cfg.Addrs, ARBInflight: inflight,
-				})
-			}
-		}
-	}
-	// Figure 3: unbounded-SharedLSQ occupancy per DistribLSQ geometry.
-	for _, g := range figure3Geoms {
-		cfg := core.PaperConfig()
-		cfg.Banks, cfg.EntriesPerBank = g.banks, g.entries
-		cfg.SharedUnbounded = true
-		for _, b := range benchmarks {
-			c := cfg
-			add(RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE, SAMIE: &c})
-		}
-	}
-	// Figure 4: the SharedLSQ size sweep (one size is the paper config,
-	// shared with Figures 5/6 and the energy figures).
-	for _, size := range figure4DefaultSizes {
-		cfg := core.PaperConfig()
-		cfg.SharedEntries = size
-		for _, b := range benchmarks {
-			c := cfg
-			add(RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE, SAMIE: &c})
-		}
-	}
-	// Figures 5/6 and 7-12: the conventional/SAMIE pair.
-	for _, b := range benchmarks {
-		add(RunSpec{Benchmark: b, Insts: insts, Model: ModelConventional})
-		add(RunSpec{Benchmark: b, Insts: insts, Model: ModelSAMIE})
-	}
-	return specs
+	return FigureSpecs(figures, benchmarks, insts)
 }
 
 // ScenarioSpecs enumerates the distinct simulations a registered

@@ -184,8 +184,8 @@ func (s *IntervalSampler) Snapshot() *Timeline {
 }
 
 // OccupancyAgg accumulates occupancy/IPC statistics over many
-// timelines — the per-personality rows of samie-cluster -stats and
-// the samie_lsq_occupancy metric family. Add merges two aggregates,
+// timelines — the per-personality rows of samie-bench -server -stats
+// and the samie_lsq_occupancy metric family. Add merges two aggregates,
 // so per-replica stats fold into a cluster view.
 type OccupancyAgg struct {
 	Runs    int64 `json:"runs"`

@@ -396,7 +396,8 @@ func (r *Recorder) Roots(limit int) []TraceSummary {
 }
 
 // defaultRecorder serves process-wide tracing for the driver cmds
-// (samie-cluster, samie-bench); servers own their own recorder.
+// (samie-bench, locally and with -server); servers own their own
+// recorder.
 var defaultRecorder = NewRecorder(DefaultRingSize)
 
 // Default returns the process-wide recorder, disabled until a driver

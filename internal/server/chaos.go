@@ -187,11 +187,13 @@ func abortConn(w http.ResponseWriter, rst bool) {
 // simulations and memoizes them, which is exactly the scenario the
 // coordinator's stream resume exists for (the re-request is served
 // from memo as Hits, preserving exactly-once Executed accounting).
+// onSever, set by the admission middleware, runs once at the cut.
 type truncWriter struct {
 	http.ResponseWriter
 	in        *faultinject.Injector
 	remaining int
 	truncated bool
+	onSever   func()
 }
 
 func (w *truncWriter) Write(p []byte) (int, error) {
@@ -210,6 +212,9 @@ func (w *truncWriter) Write(p []byte) (int, error) {
 	w.remaining = 0
 	w.in.Fired(faultinject.KindTruncate)
 	abortConn(w.ResponseWriter, false)
+	if w.onSever != nil {
+		w.onSever()
+	}
 	return len(p), nil
 }
 

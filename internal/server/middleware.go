@@ -233,10 +233,19 @@ func (s *Server) heavy(h http.HandlerFunc) http.Handler {
 			return
 		}
 		s.inflight.Add(1)
-		defer func() {
+		release := func() {
 			s.inflight.Add(-1)
 			<-s.sem
-		}()
+		}
+		if tw, ok := w.(*truncWriter); ok {
+			// A stream the chaos layer severs keeps simulating into the
+			// memo, but no client waits on it any more: it returns its
+			// slot at the cut, as a handler whose client hung up would,
+			// so resumed requests are not shed by their own orphans.
+			release = sync.OnceFunc(release)
+			tw.onSever = release
+		}
+		defer release()
 		if s.cfg.RequestTimeout > 0 {
 			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
 			defer cancel()

@@ -10,7 +10,6 @@
 package client
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 
@@ -22,20 +21,6 @@ import (
 	"samielsq/internal/lsq"
 	"samielsq/internal/obs"
 )
-
-// API is the samie-serve surface a driver consumes. *Client implements
-// it against one replica; cluster.ShardedClient implements it over a
-// rendezvous-sharded replica set, so tools like `samie-bench -server`
-// accept either transparently.
-type API interface {
-	Run(ctx context.Context, req RunRequest) (RunResponse, error)
-	ProbeRun(ctx context.Context, key string) (RunResponse, bool, error)
-	Figure(ctx context.Context, figure string, benchmarks []string, insts uint64) (FigureResponse, error)
-	Scenarios(ctx context.Context) ([]ScenarioInfo, error)
-	RunScenario(ctx context.Context, name string, req ScenarioRunRequest, onEvent func(ScenarioEvent)) (ScenarioRunResponse, error)
-	Stats(ctx context.Context) (StatsResponse, error)
-	Health(ctx context.Context) error
-}
 
 // Model name strings accepted by RunRequest.Model.
 const (
@@ -283,7 +268,7 @@ type SuiteEvent struct {
 	Total int          `json:"total,omitempty"`
 
 	// Trace is the serving request's span context as a W3C traceparent
-	// value, so a stream consumer (e.g. samie-cluster resuming a
+	// value, so a stream consumer (e.g. samie-bench -server resuming a
 	// truncated stream) can attribute every delivered — and, by
 	// elimination, every undelivered — spec to its trace.
 	Trace string `json:"trace,omitempty"`
@@ -325,13 +310,13 @@ type StatsResponse struct {
 
 	// RunPhases are the replica's per-phase run-latency histograms
 	// (internal/obs.Phase definitions); phases never entered are
-	// omitted. samie-cluster -stats renders these as per-replica
+	// omitted. samie-bench -server -stats renders these as per-replica
 	// p50/p95/p99 summaries.
 	RunPhases obs.PhaseStats `json:"run_phases,omitempty"`
 
 	// TimelineStats are the per-benchmark occupancy aggregates of every
 	// run this replica simulated itself (keyed by benchmark name);
-	// samie-cluster -stats merges replicas' maps into the fleet-wide
+	// samie-bench -server -stats merges replicas' maps into the fleet-wide
 	// per-personality occupancy table.
 	TimelineStats map[string]obs.OccupancyAgg `json:"timeline_stats,omitempty"`
 

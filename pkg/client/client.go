@@ -173,9 +173,6 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 	return nil, ae
 }
 
-// Verify *Client keeps satisfying the shared driver surface.
-var _ API = (*Client)(nil)
-
 // Run executes (or dedups, server-side) one simulation.
 func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
 	var out RunResponse

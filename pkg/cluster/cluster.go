@@ -18,12 +18,11 @@ import (
 )
 
 // ShardedClient drives a set of samie-serve replicas as if they were
-// one server: it satisfies the same client.API surface as a
-// single-replica pkg/client.Client, so `samie-bench -server` accepts a
-// comma-separated replica list unchanged. Each request routes to the
-// rendezvous owner of its canonical key — repeated requests for the
-// same work always land on the same warm replica — with a per-replica
-// circuit breaker (consecutive failures trip, half-open health probe
+// one server; `samie-bench -server` builds one over its replica list
+// (one URL is a ring of one). Each request routes to the rendezvous
+// owner of its canonical key — repeated requests for the same work
+// always land on the same warm replica — with a per-replica circuit
+// breaker (consecutive failures trip, half-open health probe
 // readmits), 429/Retry-After-aware jittered retry, and failover down
 // the key's weight ranking. Safe for concurrent use.
 type ShardedClient struct {
@@ -145,9 +144,6 @@ func New(replicas []string, opts ...Option) (*ShardedClient, error) {
 func processSeed() uint64 {
 	return uint64(os.Getpid())<<32 ^ uint64(time.Now().UnixNano())
 }
-
-// Verify the fabric keeps satisfying the shared driver surface.
-var _ client.API = (*ShardedClient)(nil)
 
 // Replicas returns the configured replica URLs, sorted.
 func (c *ShardedClient) Replicas() []string { return c.ring.Replicas() }
@@ -342,20 +338,6 @@ func (c *ShardedClient) ProbeRun(ctx context.Context, key string) (client.RunRes
 	return client.RunResponse{}, false, nil
 }
 
-// Figure regenerates one paper figure on a single replica chosen by
-// rendezvous over the figure request's identity, so repeated
-// regenerations reuse the same warm run cache.
-func (c *ShardedClient) Figure(ctx context.Context, figure string, benchmarks []string, insts uint64) (client.FigureResponse, error) {
-	key := fmt.Sprintf("figure|%s|%s|%d", figure, strings.Join(benchmarks, ","), insts)
-	var out client.FigureResponse
-	err := c.do(ctx, key, func(cl *client.Client) error {
-		var e error
-		out, e = cl.Figure(ctx, figure, benchmarks, insts)
-		return e
-	})
-	return out, err
-}
-
 // Scenarios lists the registered sweeps from any healthy replica (the
 // registry is identical across a homogeneous deployment).
 func (c *ShardedClient) Scenarios(ctx context.Context) ([]client.ScenarioInfo, error) {
@@ -363,46 +345,6 @@ func (c *ShardedClient) Scenarios(ctx context.Context) ([]client.ScenarioInfo, e
 	err := c.do(ctx, "scenarios", func(cl *client.Client) error {
 		var e error
 		out, e = cl.Scenarios(ctx)
-		return e
-	})
-	return out, err
-}
-
-// RunScenario evaluates a registered sweep on a single replica chosen
-// by rendezvous over the sweep's identity. For a sweep sharded across
-// every replica, use Scenario instead.
-//
-// Failover replays the whole stream on the next replica, so the
-// observer is shielded from the retry: each (benchmark, variant) cell
-// is forwarded at most once with a monotonically rewritten Done
-// counter, and mid-failover "error" events are swallowed (a terminal
-// failure still surfaces as the returned error).
-func (c *ShardedClient) RunScenario(ctx context.Context, name string, req client.ScenarioRunRequest, onEvent func(client.ScenarioEvent)) (client.ScenarioRunResponse, error) {
-	key := fmt.Sprintf("scenario|%s|%s|%d", name, strings.Join(req.Benchmarks, ","), req.Insts)
-	wrapped := onEvent
-	if onEvent != nil {
-		seen := map[string]bool{}
-		forwarded := 0
-		wrapped = func(ev client.ScenarioEvent) {
-			switch ev.Type {
-			case "cell":
-				cellKey := ev.Benchmark + "\x00" + ev.Variant
-				if seen[cellKey] {
-					return
-				}
-				seen[cellKey] = true
-				forwarded++
-				ev.Done = forwarded
-				onEvent(ev)
-			case "result":
-				onEvent(ev)
-			}
-		}
-	}
-	var out client.ScenarioRunResponse
-	err := c.do(ctx, key, func(cl *client.Client) error {
-		var e error
-		out, e = cl.RunScenario(ctx, name, req, wrapped)
 		return e
 	})
 	return out, err

@@ -279,6 +279,48 @@ func TestShardedRetryAfterHonored(t *testing.T) {
 	}
 }
 
+// TestRunSpecsWaitsOutSaturation: a fleet that sheds every shard with
+// 429 + Retry-After for a while is waited out for as long as its hints
+// ask, however short WithMaxRetryWait cuts each individual wait.
+func TestRunSpecsWaitsOutSaturation(t *testing.T) {
+	batch := experiments.NewBatch(1)
+	s, err := server.New(server.Config{Batch: batch, Logger: slog.New(slog.DiscardHandler)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	const saturated = 1500 * time.Millisecond
+	start := time.Now()
+	var shed atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/suite" && time.Since(start) < saturated {
+			shed.Add(1)
+			w.Header().Set("Retry-After", "1")
+			http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
+			return
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+
+	// 20 capped 20ms waits end long before the fleet recovers: a
+	// round-counting give-up would fail the sweep after ~0.5s.
+	c, err := New([]string{ts.URL}, WithMaxRetryWait(20*time.Millisecond), WithRetryBudget(1000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs := []experiments.RunSpec{{Benchmark: "gzip", Insts: 5_000, Model: experiments.ModelSAMIE}}
+	if _, err := c.RunSpecs(context.Background(), specs, nil); err != nil {
+		t.Fatalf("sweep gave up on a fleet saturated for %s: %v", saturated, err)
+	}
+	if st := c.SweepStats(); st.ThrottleWaits <= 20 || shed.Load() <= 20 {
+		t.Errorf("recovered without outlasting 20 throttled rounds (%+v, %d shed); the test no longer covers the patience", st, shed.Load())
+	}
+	if ex := batch.Stats().Executed; ex != 1 {
+		t.Errorf("replica executed %d, want 1", ex)
+	}
+}
+
 func TestRunSpecsExactlyOnceAndAggregatedStats(t *testing.T) {
 	urlA, batchA, _ := bootReplica(t, 2)
 	urlB, batchB, _ := bootReplica(t, 2)

@@ -9,15 +9,16 @@
 //   - Rendezvous ranks replicas per key with highest-random-weight
 //     hashing: adding or removing a replica moves only the keys it
 //     owns (~1/N of the space), everything else stays put.
-//   - ShardedClient implements the same client.API surface as a
-//     single-replica pkg/client.Client, routing each request to its
-//     key's owner with health quarantine, 429/Retry-After-aware retry
-//     and failover to the next-highest-weight replica.
+//   - ShardedClient routes each single-run request to its key's
+//     owner with health quarantine, 429/Retry-After-aware retry and
+//     failover to the next-highest-weight replica.
 //   - RunSpecs fans an explicit spec set out as per-replica shards
 //     through POST /v1/suite, re-sharding a failed replica's remaining
 //     work onto the survivors mid-sweep.
-//   - Suite and Scenario rebuild the paper artefacts locally from the
-//     collected results, byte-identical to the single-node harnesses.
+//   - Assemble offers the collected results into a local batch, so
+//     any harness (Suite, Scenario, a figure-table row) renders from
+//     it byte-identical to the single-node output; PlanCovered checks
+//     the rendering executed nothing locally.
 package cluster
 
 import (

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -135,10 +136,14 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 
 	// Stall accounting: rounds that fail for cause (dead replicas) get
 	// a short budget; rounds shed with 429 + Retry-After are the
-	// server keeping its promise, so they get a longer one and wait
-	// out the hint instead of a fixed pause.
-	const maxStalledRounds, maxThrottledRounds = 3, 20
+	// server keeping its promise, so they wait out the hint instead of
+	// a fixed pause, and the sweep gives up only after the fleet has
+	// stayed saturated for maxThrottledRounds hints of wall clock
+	// (throttlePatience) — a capped wait polls more often, it does not
+	// shorten the patience.
+	const maxStalledRounds = 3
 	stalled, throttledRounds := 0, 0
+	var throttledSince time.Time
 	for len(pending) > 0 {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -337,9 +342,11 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 			sweep.mu.Lock()
 			sweep.stats.ThrottleWaits++
 			sweep.mu.Unlock()
-			if throttledRounds >= maxThrottledRounds {
-				return nil, fmt.Errorf("cluster: sweep throttled for %d rounds with %d of %d specs undone (%s): %w",
-					throttledRounds, remaining, total, sweepDebug(sweep), throttleErr)
+			if throttledRounds == 1 {
+				throttledSince = time.Now()
+			} else if waited := time.Since(throttledSince); waited >= throttlePatience(throttleErr) {
+				return nil, fmt.Errorf("cluster: sweep throttled for %d rounds (%s) with %d of %d specs undone (%s): %w",
+					throttledRounds, waited.Round(time.Millisecond), remaining, total, sweepDebug(sweep), throttleErr)
 			}
 			// Wait out the server's own backoff hint (capped, jittered),
 			// exactly like the single-request path.
@@ -370,6 +377,22 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 		}
 	}
 	return results, nil
+}
+
+// maxThrottledRounds is how many of a saturated fleet's Retry-After
+// hints a sweep waits out before giving up.
+const maxThrottledRounds = 20
+
+// throttlePatience is how long a sweep tolerates a saturated fleet:
+// maxThrottledRounds of the server's own Retry-After hint (1s when the
+// 429 carried none), measured in wall clock.
+func throttlePatience(err error) time.Duration {
+	hint := time.Second
+	var ae *client.APIError
+	if errors.As(err, &ae) && ae.RetryAfter > 0 {
+		hint = ae.RetryAfter
+	}
+	return maxThrottledRounds * hint
 }
 
 // sweepDebug renders a sweep's accounting for error messages, so a
@@ -414,12 +437,12 @@ func (c *ShardedClient) Suite(ctx context.Context, benchmarks []string, insts ui
 		benchmarks = experiments.Benchmarks()
 	}
 	specs := experiments.SuiteSpecs(benchmarks, insts)
-	local, err := c.assemble(ctx, specs, onProgress)
+	local, err := c.Assemble(ctx, specs, onProgress)
 	if err != nil {
 		return experiments.SuiteResult{}, err
 	}
 	res := local.Suite(benchmarks, insts)
-	if err := planCovered(local); err != nil {
+	if err := PlanCovered(local); err != nil {
 		return experiments.SuiteResult{}, err
 	}
 	st := res.Runs
@@ -431,16 +454,16 @@ func (c *ShardedClient) Suite(ctx context.Context, benchmarks []string, insts ui
 	return res, nil
 }
 
-// planCovered asserts the shard plan covered every simulation the
+// PlanCovered asserts the shard plan covered every simulation the
 // local rendering pass requested. The local batch exists to serve the
 // harnesses from offered remote results; if it executed anything
 // itself, the spec enumeration drifted from a harness and the cluster
 // was silently bypassed for those runs — a programming bug that must
 // surface loudly (the rendered output would still be correct, which is
 // exactly why nothing else would ever notice).
-func planCovered(local *experiments.Batch) error {
+func PlanCovered(local *experiments.Batch) error {
 	if ex := local.Stats().Executed; ex > 0 {
-		return fmt.Errorf("cluster: %d simulations ran locally during reassembly: the shard plan (SuiteSpecs/ScenarioSpecs) no longer covers the harnesses", ex)
+		return fmt.Errorf("cluster: %d simulations ran locally during reassembly: the shard plan (FigureSpecs/ScenarioSpecs) no longer covers the harnesses", ex)
 	}
 	return nil
 }
@@ -453,7 +476,7 @@ func (c *ShardedClient) Scenario(ctx context.Context, name string, benchmarks []
 	if err != nil {
 		return experiments.ScenarioResult{}, err
 	}
-	local, err := c.assemble(ctx, specs, onProgress)
+	local, err := c.Assemble(ctx, specs, onProgress)
 	if err != nil {
 		return experiments.ScenarioResult{}, err
 	}
@@ -461,16 +484,16 @@ func (c *ShardedClient) Scenario(ctx context.Context, name string, benchmarks []
 	if err != nil {
 		return experiments.ScenarioResult{}, err
 	}
-	if err := planCovered(local); err != nil {
+	if err := PlanCovered(local); err != nil {
 		return experiments.ScenarioResult{}, err
 	}
 	return res, nil
 }
 
-// assemble fans the specs out and returns a local batch warmed with
-// every collected result, ready to render any harness over them as
-// pure cache hits.
-func (c *ShardedClient) assemble(ctx context.Context, specs []experiments.RunSpec, onProgress func(Progress)) (*experiments.Batch, error) {
+// Assemble fans the specs out in one RunSpecs sweep and returns a
+// local batch warmed with every collected result, ready to render any
+// harness over them as pure cache hits (check with PlanCovered).
+func (c *ShardedClient) Assemble(ctx context.Context, specs []experiments.RunSpec, onProgress func(Progress)) (*experiments.Batch, error) {
 	byKey := make(map[string]experiments.RunSpec, len(specs))
 	for _, s := range specs {
 		byKey[experiments.Key(s)] = s
