@@ -13,7 +13,7 @@
 //	samie-bench -bench ammp,swim     # subset of the suite
 //	samie-bench -list-scenarios      # named sweeps from the registry
 //	samie-bench -scenario models     # run a registered sweep
-//	samie-bench -workers 4 -stats    # bound the pool, print cache stats
+//	samie-bench -workers 4 -stats    # bound the pool, cache stats on stderr
 //	samie-bench -cachedir ""         # disable the on-disk run cache
 //	samie-bench -prune -prune-max-bytes 1000000000      # bound the disk cache
 //	samie-bench -server http://host:8344 -fig 5 -fig 6  # remote mode via samie-serve
@@ -66,7 +66,7 @@ func main() {
 	flag.Var(&scenarios, "scenario", "registered scenario sweep to run; repeatable")
 	listScenarios := flag.Bool("list-scenarios", false, "list registered scenario sweeps and exit")
 	workers := flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
-	stats := flag.Bool("stats", false, "print the shared batch's run-cache accounting (with -server: per-replica, sweep and occupancy accounting on stderr)")
+	stats := flag.Bool("stats", false, "print the shared batch's run-cache accounting (with -server: per-replica, sweep and occupancy accounting) on stderr")
 	table1 := flag.Bool("table1", false, "regenerate Table 1 only")
 	delays := flag.Bool("delays", false, "regenerate the §3.6 delay analysis only")
 	tables456 := flag.Bool("tables456", false, "print Tables 4/5/6 and model cross-checks only")
@@ -307,11 +307,11 @@ func main() {
 	}
 	if *stats {
 		st := batch.Stats()
-		fmt.Printf("shared batch: %d simulations executed, %d of %d requests served from cache (%.0f%% reuse), %d workers\n",
+		fmt.Fprintf(os.Stderr, "shared batch: %d simulations executed, %d of %d requests served from cache (%.0f%% reuse), %d workers\n",
 			st.Executed, st.Hits, st.Requests, 100*st.HitRate(), batch.Workers())
 		if dir != "" {
 			ds := batch.DiskStats()
-			fmt.Printf("disk cache %s: %d hits, %d misses, %d writes\n", dir, ds.Hits, ds.Misses, ds.Writes)
+			fmt.Fprintf(os.Stderr, "disk cache %s: %d hits, %d misses, %d writes\n", dir, ds.Hits, ds.Misses, ds.Writes)
 		}
 	}
 	if *timelineOut != "" {

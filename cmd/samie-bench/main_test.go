@@ -68,6 +68,20 @@ func benchMain(t *testing.T, args ...string) (stdout, stderr string) {
 	return out.String(), errOut.String()
 }
 
+// TestLocalStatsOnStderr pins local -stats to stderr: the artefacts on
+// stdout are the same bytes with or without it, as in -server mode.
+func TestLocalStatsOnStderr(t *testing.T) {
+	args := []string{"-bench", "gzip", "-insts", "2000", "-fig", "5", "-cachedir", ""}
+	plain, _ := benchMain(t, args...)
+	withStats, stderr := benchMain(t, append(args, "-stats")...)
+	if withStats != plain {
+		t.Errorf("-stats changed stdout:\nwith -stats:\n%s\nwithout:\n%s", withStats, plain)
+	}
+	if !strings.Contains(stderr, "shared batch:") {
+		t.Errorf("-stats wrote no batch accounting to stderr:\n%s", stderr)
+	}
+}
+
 // TestRemoteMatchesLocal pins -server as a pure placement choice: the
 // suite, a figure selection and a scenario print the same bytes as
 // local mode whether the specs spread over two replicas or land on

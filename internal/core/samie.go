@@ -238,6 +238,13 @@ type SAMIE struct {
 	scratchSlots []int
 	tickBuf      []uint64
 
+	// released records a Commit since the last AddrBuffer drain pass.
+	// Placements only ever consume room, so an AddrBuffer head that did
+	// not fit cannot fit before a retirement frees some (a Flush empties
+	// the AddrBuffer): Tick retries only when released is set (the
+	// lsq.Model.Tick contract).
+	released bool
+
 	// Occupancy summaries maintained incrementally at fill/free so the
 	// per-cycle accounting is O(1) instead of a walk over every bank.
 	bankUsed        []int // valid entries per DistribLSQ bank
@@ -501,10 +508,16 @@ func (s *SAMIE) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) l
 
 // Tick implements lsq.Model: drain the AddrBuffer head-first. The
 // AddrBuffer is a strict FIFO (§3.3), so draining stops at the first
-// element that still does not fit.
+// element that still does not fit. A drain pass runs only after a
+// Commit: until then the head that stopped the last pass still does
+// not fit, so the skipped passes would place nothing.
 //
 //samie:hotpath
 func (s *SAMIE) Tick() []uint64 {
+	if s.addrBuf.len() == 0 || !s.released {
+		return nil
+	}
+	s.released = false
 	placed := s.tickBuf[:0]
 	for s.addrBuf.len() > 0 {
 		head := s.addrBuf.front()
@@ -684,6 +697,7 @@ func (s *SAMIE) entryAt(loc location) *entry {
 // Commit implements lsq.Model: free the slot; the entry frees when its
 // last slot goes.
 func (s *SAMIE) Commit(seq uint64) {
+	s.released = true
 	op := s.t.Remove(seq)
 	loc, ok := locOf(op)
 	if ok {

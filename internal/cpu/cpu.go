@@ -66,8 +66,9 @@ type Config struct {
 	// O(in-flight) per cycle. The default (false) is the event-driven
 	// wakeup scheduler (see sched.go), which produces bit-identical
 	// results while touching only O(issue width + newly woken)
-	// instructions per cycle; the walk is kept for differential
-	// testing (TestSchedulerDifferential).
+	// instructions per cycle and fast-forwarding quiescent spans; the
+	// walk, which steps every cycle, is kept as the reference for
+	// differential testing (TestSchedulerDifferential).
 	LegacyIssueWalk bool
 }
 
@@ -361,6 +362,10 @@ type CPU struct {
 
 	headBlocked int // consecutive cycles the ROB head sat unplaced
 
+	// tickIdle records that the last Model.Tick placed nothing, so by
+	// the Tick contract none will until the next Commit or Flush.
+	tickIdle bool
+
 	streamDone bool
 
 	// dynInst arena: committed instructions return here and are handed
@@ -529,7 +534,7 @@ func (c *CPU) Run(maxInsts uint64) Result {
 		if c.streamDone && c.rob.len() == 0 && c.fetchQ.len() == 0 && c.replayQ.len() == 0 {
 			break
 		}
-		c.step()
+		c.advance(maxCycles)
 	}
 	c.res.Cycles = c.cycle - startCycle
 	if c.res.Cycles > 0 {
@@ -538,6 +543,18 @@ func (c *CPU) Run(maxInsts uint64) Result {
 	c.res.L1DMissRate = c.hier.L1D.MissRate()
 	c.res.DTLBMissRate = c.dtlb.MissRate()
 	return c.res
+}
+
+// advance is Run's loop body: under the wakeup scheduler it first
+// fast-forwards across the quiescent span ahead (never reaching
+// limit), then steps the cycle that ends it.
+//
+//samie:hotpath
+func (c *CPU) advance(limit uint64) {
+	if c.ev != nil {
+		c.skipQuiescent(limit)
+	}
+	c.step()
 }
 
 // step advances one cycle, running the stages in reverse order so that
@@ -670,14 +687,7 @@ func (c *CPU) checkDeadlock() bool {
 		c.headBlocked = 0
 		return false
 	}
-	head := c.rob.front()
-	// The head is deadlocked if its address is computed but no LSQ
-	// structure can hold it, or if the address-computation gate itself
-	// is closed (AddrBuffer full) so its address can never be computed.
-	blocked := head.isMem() && !head.placed &&
-		(head.state == stAGENDone ||
-			(head.state == stDispatched && c.model.FreeCapacity() <= 0))
-	if blocked {
+	if c.headStuck(c.rob.front()) {
 		c.headBlocked++
 		if c.headBlocked >= c.cfg.DeadlockPatience {
 			c.res.DeadlockFlushes++
@@ -688,6 +698,16 @@ func (c *CPU) checkDeadlock() bool {
 	}
 	c.headBlocked = 0
 	return false
+}
+
+// headStuck reports whether the ROB head is deadlock-blocked: its
+// address is computed but no LSQ structure can hold it, or the
+// address-computation gate itself is closed (AddrBuffer full) so its
+// address can never be computed.
+func (c *CPU) headStuck(head *dynInst) bool {
+	return head.isMem() && !head.placed &&
+		(head.state == stAGENDone ||
+			(head.state == stDispatched && c.model.FreeCapacity() <= 0))
 }
 
 // flushPipeline resets every non-committed instruction and queues it
@@ -750,7 +770,9 @@ func (c *CPU) flushPipeline() {
 
 //samie:hotpath
 func (c *CPU) drainAddrBuffer() {
-	for _, seq := range c.model.Tick() {
+	placed := c.model.Tick()
+	c.tickIdle = len(placed) == 0
+	for _, seq := range placed {
 		if d := c.findROB(seq); d != nil {
 			d.placed = true
 			d.buffered = false
@@ -1113,16 +1135,7 @@ func (c *CPU) dispatch() {
 	stalled := false
 	for n < c.cfg.DecodeWidth && c.fetchQ.len() > 0 {
 		d := c.fetchQ.front()
-		if c.rob.len() >= c.cfg.ROBSize {
-			stalled = true
-			break
-		}
-		if d.fp {
-			if c.iqFP >= c.cfg.IQFP {
-				stalled = true
-				break
-			}
-		} else if c.iqInt >= c.cfg.IQInt {
+		if c.dispatchFull(d) {
 			stalled = true
 			break
 		}
@@ -1182,17 +1195,38 @@ func (c *CPU) dispatch() {
 	}
 }
 
+// dispatchFull reports whether d cannot dispatch for want of a ROB or
+// issue-queue slot.
+func (c *CPU) dispatchFull(d *dynInst) bool {
+	if c.rob.len() >= c.cfg.ROBSize {
+		return true
+	}
+	if d.fp {
+		return c.iqFP >= c.cfg.IQFP
+	}
+	return c.iqInt >= c.cfg.IQInt
+}
+
 // ---- Fetch --------------------------------------------------------------------
+
+// fetchStalled counts and reports a cycle in which fetch is blocked by
+// an unresolved mispredict or a redirect/miss delay.
+func (c *CPU) fetchStalled() bool {
+	if c.cycle >= c.fetchBlockedUntil && c.blockingBranch == nil {
+		return false
+	}
+	c.res.FetchStallCycles++
+	if c.blockingBranch != nil {
+		c.res.FetchStallBranch++
+	} else {
+		c.res.FetchStallOther++
+	}
+	return true
+}
 
 //samie:hotpath
 func (c *CPU) fetch() {
-	if c.cycle < c.fetchBlockedUntil || c.blockingBranch != nil {
-		c.res.FetchStallCycles++
-		if c.blockingBranch != nil {
-			c.res.FetchStallBranch++
-		} else {
-			c.res.FetchStallOther++
-		}
+	if c.fetchStalled() {
 		return
 	}
 	n := 0

@@ -9,15 +9,19 @@ import (
 )
 
 // steadyAllocs reports the allocations of 2000 simulated cycles after
-// the pipeline and the model have reached steady state.
+// the pipeline and the model have reached steady state. The cycles go
+// through Run's loop body, so quiescent-span skips are covered too.
 func steadyAllocs(t *testing.T, model lsq.Model, bench string) float64 {
 	t.Helper()
 	p := trace.MustPersonality(bench)
 	c := New(PaperConfig(), trace.NewGenerator(p), model, nil, nil, nil, nil)
-	c.Run(20000) // fill the arena, grow every scratch buffer
+	// Fill the arena and grow every scratch buffer: mcf under the ARB
+	// reaches its flush and in-flight high-water marks only after some
+	// 20k instructions.
+	c.Run(100_000)
 	return testing.AllocsPerRun(5, func() {
-		for i := 0; i < 2000; i++ {
-			c.step()
+		for end := c.cycle + 2000; c.cycle < end; {
+			c.advance(end)
 		}
 	})
 }
@@ -28,7 +32,8 @@ func steadyAllocs(t *testing.T, model lsq.Model, bench string) float64 {
 // per-instruction path — see docs/performance.md. The pointer-chaser
 // personality additionally pins the wakeup scheduler's structures
 // (waiter lists, timing wheel, wait bitmaps) under the long
-// dependence chains they exist for.
+// dependence chains they exist for, and mcf the quiescent-span skip
+// under its long idle spans.
 func TestStepZeroAllocSteadyState(t *testing.T) {
 	models := map[string]func() lsq.Model{
 		"conventional": func() lsq.Model { return lsq.NewConventional(128, nil) },
@@ -36,7 +41,7 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 		"arb":          func() lsq.Model { return lsq.NewARB(8, 16, 128) },
 		"samie":        func() lsq.Model { return core.NewPaper(nil) },
 	}
-	for _, bench := range []string{"gzip", "pointer-chaser"} {
+	for _, bench := range []string{"gzip", "pointer-chaser", "mcf"} {
 		for name, mk := range models {
 			t.Run(bench+"/"+name, func(t *testing.T) {
 				if n := steadyAllocs(t, mk(), bench); n > 0 {

@@ -68,6 +68,33 @@ import (
 // A pipeline flush discards every wait structure wholesale; flushed
 // instructions re-enter through dispatch, which re-parks them from the
 // rebuilt ROB ring.
+//
+// Quiescent spans. Most cycles of a low-IPC run change no pipeline
+// state: the ROB head waits out a load's readyAt while everything
+// behind it is parked. Run therefore fast-forwards (skipQuiescent) over
+// a span when, after a step, all of these hold:
+//
+//   - the attention set is empty, so the walk would visit nothing;
+//   - the last Model.Tick placed nothing, so by the Tick contract none
+//     will until a Commit or Flush, and neither can happen in the span;
+//   - the ROB head can neither commit nor deadlock-block (headBlocked
+//     counts toward DeadlockPatience, so a blocked head is stepped);
+//   - dispatch is a provable no-op: the fetch queue is empty, or its
+//     front waits on a full ROB or issue queue (a full LSQ model is not
+//     provable: Dispatch itself counts the failure);
+//   - fetch is a provable no-op: blocked, its queue full, or the
+//     stream drained.
+//
+// The span ends at the earliest of the head's readyAt, the next
+// non-empty timing-wheel bucket (found through a 16-word occupancy
+// bitmap over the 1024 buckets), fetchBlockedUntil and Run's
+// safety-valve cycle limit; that cycle is stepped normally. Each
+// skipped cycle replays exactly what step would have done to state
+// and statistics: classifyHeadStall, the dispatch and fetch stall
+// counters, one Model.AccountCycle (never k*area in one step: the
+// area sums are non-integer floats and must accumulate bit-identically)
+// and endOfCycleTelemetry. LegacyIssueWalk never skips; it is the
+// oracle TestSchedulerDifferential holds the skip to.
 
 // wheelSize bounds the timing wheel. Deltas are execution latencies
 // (bounded by a memory-hierarchy miss, well under wheelSize); an entry
@@ -141,8 +168,10 @@ type eventSched struct {
 	// store's address is unknown).
 	rbWait seqBitmap
 	// wheel buckets future wakeups by cycle & wheelMask (intrusive
-	// lists through dynInst.wheelNext).
+	// lists through dynInst.wheelNext); bit i of occ is set exactly when
+	// bucket i is non-empty.
 	wheel [wheelSize]*dynInst
+	occ   [wheelSize / 64]uint64
 }
 
 func newEventSched(robSize int) *eventSched {
@@ -161,6 +190,7 @@ func (ev *eventSched) reset() {
 	for i := range ev.wheel {
 		ev.wheel[i] = nil
 	}
+	ev.occ = [wheelSize / 64]uint64{}
 }
 
 // park schedules d's next visit at cycle `at`.
@@ -171,6 +201,28 @@ func (ev *eventSched) park(d *dynInst, at uint64) {
 	i := at & wheelMask
 	d.wheelNext = ev.wheel[i]
 	ev.wheel[i] = d
+	ev.occ[i>>6] |= 1 << (i & 63)
+}
+
+// nextEvent returns the first cycle at or after from whose wheel
+// bucket is non-empty.
+//
+//samie:hotpath
+func (ev *eventSched) nextEvent(from uint64) (uint64, bool) {
+	i := from & wheelMask
+	if w := ev.occ[i>>6] >> (i & 63); w != 0 {
+		return from + uint64(bits.TrailingZeros64(w)), true
+	}
+	// Whole words after i's, wrapping round to i's own word, whose low
+	// bits are the buckets a full lap ahead.
+	dist := 64 - (i & 63)
+	for k := uint64(1); k <= uint64(len(ev.occ)); k++ {
+		if w := ev.occ[((i>>6)+k)%uint64(len(ev.occ))]; w != 0 {
+			return from + dist + uint64(bits.TrailingZeros64(w)), true
+		}
+		dist += 64
+	}
+	return 0, false
 }
 
 // parkOnProducer parks d until producer p's value is available. A
@@ -199,6 +251,7 @@ func (ev *eventSched) drainWheel(cycle uint64) {
 	i := cycle & wheelMask
 	d := ev.wheel[i]
 	ev.wheel[i] = nil
+	ev.occ[i>>6] &^= 1 << (i & 63)
 	for d != nil {
 		next := d.wheelNext
 		d.wheelNext = nil
@@ -337,11 +390,7 @@ func (c *CPU) wakeupIssue(dports *int) {
 			break
 		}
 		seq = s + 1
-		d := c.findROB(s)
-		if d == nil {
-			ev.attn.clear(s)
-			continue
-		}
+		d := c.rob.at(int(s - head))
 		switch d.state {
 		case stIssued:
 			if d.readyAt > c.cycle {
@@ -439,4 +488,76 @@ func (c *CPU) stepStore(d *dynInst, s uint64) {
 	c.model.NotePerformed(d.in.Seq)
 	ev.attn.clear(s)
 	c.wakeWaiters(d)
+}
+
+// quiescentEnd returns the first cycle that must be stepped: the cycle
+// after the current one unless the pipeline is quiescent (see the file
+// comment), else the earliest event ending the span, capped at limit.
+//
+//samie:hotpath
+func (c *CPU) quiescentEnd(limit uint64) uint64 {
+	next := c.cycle + 1
+	if !c.tickIdle {
+		return next
+	}
+	end := limit
+	if n := c.rob.len(); n > 0 {
+		head := c.rob.front()
+		first := head.in.Seq
+		if _, ok := c.ev.attn.nextSet(first, first+uint64(n)); ok {
+			return next
+		}
+		if head.state >= stDone {
+			if head.readyAt <= next {
+				return next // commits next cycle
+			}
+			end = min(end, head.readyAt)
+		}
+		if c.headStuck(head) {
+			return next
+		}
+	}
+	if c.fetchQ.len() > 0 && !c.dispatchFull(c.fetchQ.front()) {
+		return next
+	}
+	if c.blockingBranch == nil {
+		if next < c.fetchBlockedUntil {
+			end = min(end, c.fetchBlockedUntil)
+		} else if c.fetchQ.len() < c.cfg.FetchQueue && (c.replayQ.len() > 0 || !c.streamDone) {
+			return next
+		}
+	}
+	if at, ok := c.ev.nextEvent(next); ok {
+		end = min(end, at)
+	}
+	return end
+}
+
+// skipQuiescent fast-forwards over the quiescent span ahead, replaying
+// per cycle exactly the statistics a step would have changed.
+//
+//samie:hotpath
+func (c *CPU) skipQuiescent(limit uint64) {
+	end := c.quiescentEnd(limit)
+	if c.cycle+1 >= end {
+		return
+	}
+	var head *dynInst
+	if c.rob.len() > 0 {
+		head = c.rob.front()
+	}
+	dispatchStall := c.fetchQ.len() > 0
+	c.headBlocked = 0
+	for c.cycle+1 < end {
+		c.cycle++
+		if head != nil {
+			c.classifyHeadStall(head)
+		}
+		if dispatchStall {
+			c.res.DispatchStalls++
+		}
+		c.fetchStalled()
+		c.model.AccountCycle()
+		c.endOfCycleTelemetry()
+	}
 }

@@ -1,12 +1,14 @@
 package cpu
 
 import (
+	"slices"
 	"testing"
 
 	"samielsq/internal/core"
 	"samielsq/internal/energy"
 	"samielsq/internal/isa"
 	"samielsq/internal/lsq"
+	"samielsq/internal/obs"
 	"samielsq/internal/trace"
 )
 
@@ -25,6 +27,12 @@ var shortDifferentialSet = []string{
 // the adversarial pair; Result equality covers cycles, IPC, every
 // stall classification (HeadWaitIssue & co.), flush and forwarding
 // counts, so any issue-order or wakeup-timing drift fails loudly.
+//
+// The legacy walk never skips a cycle, so this is also the oracle for
+// the wakeup engine's quiescent-span skip: both engines carry an
+// interval sampler whose small odd stride puts sample boundaries
+// inside skipped spans, and the timelines, the energy meter and each
+// model's own per-cycle statistics must match too.
 func TestSchedulerDifferential(t *testing.T) {
 	benchmarks := append(append([]string{}, trace.Benchmarks()...), "pointer-chaser", "store-burst")
 	insts := uint64(30_000)
@@ -35,47 +43,103 @@ func TestSchedulerDifferential(t *testing.T) {
 	models := map[string]func(m *energy.Meter) lsq.Model{
 		"samie":        func(m *energy.Meter) lsq.Model { return core.NewPaper(m) },
 		"conventional": func(m *energy.Meter) lsq.Model { return lsq.NewConventional(128, m) },
+		"arb64x2":      func(m *energy.Meter) lsq.Model { return lsq.NewARB(64, 2, 128) },
+		"unbounded":    func(m *energy.Meter) lsq.Model { return lsq.NewUnbounded() },
 	}
 	for _, bench := range benchmarks {
 		for mname, mk := range models {
-			if mname == "conventional" && testing.Short() && bench != "mcf" && bench != "store-burst" {
+			if mname != "samie" && testing.Short() && bench != "mcf" && bench != "store-burst" {
 				continue // one model is enough for most of the short matrix
 			}
 			bench, mname, mk := bench, mname, mk
 			t.Run(bench+"/"+mname, func(t *testing.T) {
 				t.Parallel()
 				p := trace.MustPersonality(bench)
-				run := func(legacy bool) (Result, energy.Meter, *FlightRecorder) {
+				type run struct {
+					res     Result
+					meter   energy.Meter
+					stats   any
+					samples []obs.TimelineSample
+					fr      *FlightRecorder
+				}
+				simulate := func(legacy bool) run {
 					cfg := PaperConfig()
 					cfg.LegacyIssueWalk = legacy
 					m := energy.NewMeter()
-					c := New(cfg, trace.NewGenerator(p), mk(m), nil, nil, nil, m)
+					model := mk(m)
+					c := New(cfg, trace.NewGenerator(p), model, nil, nil, nil, m)
 					fr := NewFlightRecorder(16)
 					c.SetFlightRecorder(fr)
-					return c.Run(insts), *m, fr
+					sampler := obs.NewIntervalSampler(37, 1<<14)
+					sampler.SetEnabled(true)
+					c.SetSampler(sampler)
+					r := run{res: c.Run(insts), meter: *m, stats: modelStats(model), fr: fr}
+					if tl := sampler.Snapshot(); tl != nil {
+						r.samples = tl.Samples
+					}
+					for i := range r.samples {
+						// Scheduler introspection exists only under the
+						// wakeup engine; the legacy walk reports zeros.
+						s := &r.samples[i]
+						s.Waiters, s.Wheel, s.Attn = 0, 0, 0
+					}
+					return r
 				}
-				wakeup, wakeupE, wakeupFR := run(false)
-				legacy, legacyE, legacyFR := run(true)
-				if wakeup != legacy {
+				wakeup, legacy := simulate(false), simulate(true)
+				if wakeup.res != legacy.res {
 					// The flight recorders turn "results differ" into a
 					// cycle-level diagnosis: first divergent issue set,
 					// plus each engine's last recorded frames.
-					if cyc, ok := FirstDivergence(wakeupFR, legacyFR); ok {
+					if cyc, ok := FirstDivergence(wakeup.fr, legacy.fr); ok {
 						t.Errorf("first divergent issue set at cycle %d", cyc)
 					}
 					t.Fatalf("wakeup scheduler diverged from the legacy walk:\nwakeup: %+v\nlegacy: %+v\nwakeup tail:\n%slegacy tail:\n%s",
-						wakeup, legacy, wakeupFR.Dump(), legacyFR.Dump())
+						wakeup.res, legacy.res, wakeup.fr.Dump(), legacy.fr.Dump())
 				}
 				// Energy is part of the contract: LSQ models charge
 				// CAM/entry energy per model call, so the wakeup path
 				// must preserve the exact call pattern, not just the
 				// architectural outcome.
-				if wakeupE != legacyE {
-					t.Fatalf("energy accounting diverged:\nwakeup: %+v\nlegacy: %+v", wakeupE, legacyE)
+				if wakeup.meter != legacy.meter {
+					t.Fatalf("energy accounting diverged:\nwakeup: %+v\nlegacy: %+v", wakeup.meter, legacy.meter)
+				}
+				if wakeup.stats != legacy.stats {
+					t.Fatalf("model statistics diverged:\nwakeup: %+v\nlegacy: %+v", wakeup.stats, legacy.stats)
+				}
+				if len(wakeup.samples) == 0 || !slices.Equal(wakeup.samples, legacy.samples) {
+					t.Fatalf("timelines diverged (%d vs %d samples):\nwakeup: %+v\nlegacy: %+v",
+						len(wakeup.samples), len(legacy.samples), firstDiff(wakeup.samples, legacy.samples), firstDiff(legacy.samples, wakeup.samples))
 				}
 			})
 		}
 	}
+}
+
+// modelStats returns the model's own per-cycle and per-event
+// statistics in a comparable form.
+func modelStats(m lsq.Model) any {
+	switch m := m.(type) {
+	case *core.SAMIE:
+		return m.Stats()
+	case *lsq.Conventional:
+		return struct {
+			Occupancy     lsq.OccupancyStats
+			DispatchFails uint64
+		}{m.Occupancy(), m.DispatchFails()}
+	case *lsq.ARB:
+		return [2]uint64{m.PlaceFails(), m.DispatchStalls()}
+	}
+	return nil
+}
+
+// firstDiff returns the first sample of a that b does not match.
+func firstDiff(a, b []obs.TimelineSample) any {
+	for i := range a {
+		if i >= len(b) || a[i] != b[i] {
+			return a[i]
+		}
+	}
+	return nil
 }
 
 // TestWakeupObservesRecycledProducer pins the generation-tag protocol
@@ -159,6 +223,44 @@ func TestWheelLapRequeue(t *testing.T) {
 	c.ev.drainWheel(far)
 	if _, ok := c.ev.attn.nextSet(0, c.ev.attn.mask+1); !ok {
 		t.Fatal("wheel entry never fired at its wake cycle")
+	}
+}
+
+// TestWheelNextEvent pins the occupancy-bitmap search that ends a
+// quiescent span: the first non-empty bucket at or after a cycle,
+// wrapping round the wheel, including an entry a full lap ahead that
+// shares the starting bucket's word.
+func TestWheelNextEvent(t *testing.T) {
+	ev := newEventSched(256)
+	const base = 10 * wheelSize
+	if at, ok := ev.nextEvent(base); ok {
+		t.Fatalf("empty wheel reports an event at %d", at)
+	}
+	for _, tc := range []struct {
+		park []uint64 // wake cycles, relative to base
+		from uint64
+		want uint64
+	}{
+		{[]uint64{5}, 0, 5},
+		{[]uint64{5}, 5, 5},
+		{[]uint64{5, 900}, 6, 900},
+		{[]uint64{3}, 70, wheelSize + 3},       // wraps past the last word
+		{[]uint64{66}, 70, wheelSize + 66},     // the starting word, a lap ahead
+		{[]uint64{200, 64 + 1000}, 1000, 1064}, // nearest of two
+	} {
+		ev.reset()
+		for _, at := range tc.park {
+			ev.park(&dynInst{}, base+at)
+		}
+		if at, ok := ev.nextEvent(base + tc.from); !ok || at != base+tc.want {
+			t.Errorf("parked %v, from %d: nextEvent = %d,%v want %d", tc.park, tc.from, at-base, ok, tc.want)
+		}
+	}
+	ev.reset()
+	ev.park(&dynInst{}, base+7)
+	ev.drainWheel(base + 7)
+	if at, ok := ev.nextEvent(base); ok {
+		t.Fatalf("drained bucket still reports an event at %d", at-base)
 	}
 }
 

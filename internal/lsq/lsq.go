@@ -9,6 +9,8 @@
 //	Dispatch(seq, isLoad)        at rename; false stalls dispatch
 //	AddressReady(seq, ...)       when the effective address is computed
 //	Tick()                       once per cycle; drains placement buffers
+//	                             (a Tick that placed nothing places
+//	                             nothing until the next Commit or Flush)
 //	ForwardingSource(seq)        when a load is ready to perform
 //	Plan(seq) / RecordAccess     around the Dcache access (way caching)
 //	NotePerformed(seq)           when the access/forward completes
@@ -24,6 +26,8 @@
 // by the CPU model: a load only performs once every older store's
 // address is known, which is what makes ForwardingSource exact.
 package lsq
+
+import "math/bits"
 
 // AccessPlan tells the CPU how a Dcache access may be performed.
 type AccessPlan struct {
@@ -58,6 +62,15 @@ type Model interface {
 	// returned slice is only valid until the next Tick call:
 	// implementations reuse it to keep the per-cycle path
 	// allocation-free.
+	//
+	// Contract: after a Tick that placed nothing, Tick places nothing
+	// and changes nothing a caller can observe (energy, statistics,
+	// occupancy) until the next Commit or Flush, whatever Dispatch,
+	// AddressReady, ForwardingSource, NotePerformed, Plan, RecordAccess
+	// or ClearCachedLocations calls come in between. Only
+	// a retirement or a flush frees room, so a buffered instruction
+	// that did not fit cannot fit before one. The CPU relies on this to
+	// skip Tick across quiescent cycles (cpu/sched.go).
 	Tick() []uint64
 	// Placed reports whether the instruction is searchable (used by
 	// the deadlock check at the ROB head).
@@ -182,7 +195,8 @@ func (f *fenwick) prefix(i int) int {
 // records, so steady-state tracking allocates nothing; lookups are one
 // probe of a seq-indexed hint table, falling back to an O(log n)
 // binary search over the seq-sorted ring. Stores additionally get a
-// record in a store ring, which is all a forwarding search reads.
+// record in a store ring, and the live records are indexed by the
+// 8-byte words they touch, which is all a forwarding search reads.
 type Tracker struct {
 	ops  []*Op // ring storage; an op's physical slot is stable for its lifetime
 	head int
@@ -202,6 +216,14 @@ type Tracker struct {
 	storeHead uint64
 	storeNext uint64
 
+	// fwdIdx is the forwarding index: fwdBuckets bitsets over store-ring
+	// slots, fwdWords words each (bucket b's word i is
+	// fwdIdx[b*fwdWords+i]). Bit s of bucket b is set exactly when the
+	// record at slot s is inside the store window, live, and touches an
+	// 8-byte word that hashes to b.
+	fwdIdx   []uint64
+	fwdWords int
+
 	// seqHint is a direct-mapped pointer table indexed by seq&seqHintMask.
 	// In-flight sequence numbers span at most the ROB window, so for the
 	// simulator this turns Get into one array probe; arbitrary seq
@@ -212,6 +234,9 @@ type Tracker struct {
 const (
 	seqHintSize = 1024
 	seqHintMask = seqHintSize - 1
+
+	fwdBucketBits = 6
+	fwdBuckets    = 1 << fwdBucketBits
 )
 
 // NewTracker returns an empty tracker.
@@ -219,7 +244,70 @@ func NewTracker() *Tracker {
 	t := &Tracker{ops: make([]*Op, 16), storeRecs: make([]storeRec, 16), storeMask: 15}
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
+	t.reindex()
 	return t
+}
+
+// fwdBucket hashes an 8-byte word number to its forwarding-index
+// bucket (Fibonacci hashing, so strided addresses spread out).
+func fwdBucket(w uint64) int { return int((w * 0x9E3779B97F4A7C15) >> (64 - fwdBucketBits)) }
+
+// wordSpan returns the first and last 8-byte words of the access
+// [lo, hi). An empty access counts as touching lo's word, so any pair
+// the exact overlap test accepts shares a word.
+func wordSpan(lo, hi uint64) (first, last uint64) {
+	if hi <= lo {
+		return lo >> 3, lo >> 3
+	}
+	return lo >> 3, (hi - 1) >> 3
+}
+
+// index sets (on) or clears the forwarding-index bit of the store
+// record at slot in the bucket of every word the record touches.
+//
+//samie:hotpath
+func (t *Tracker) index(slot uint64, r *storeRec, on bool) {
+	wi, bit := int(slot>>6), uint64(1)<<(slot&63)
+	first, last := wordSpan(r.lo, r.hi)
+	for w := first; ; w++ {
+		p := &t.fwdIdx[fwdBucket(w)*t.fwdWords+wi]
+		if on {
+			*p |= bit
+		} else {
+			*p &^= bit
+		}
+		if w == last {
+			return
+		}
+	}
+}
+
+// setLive moves a store record in or out of the forwarding candidates.
+//
+//samie:hotpath
+func (t *Tracker) setLive(ord uint64, live bool) {
+	r := &t.storeRecs[ord&t.storeMask]
+	if r.live != live {
+		r.live = live
+		t.index(ord&t.storeMask, r, live)
+	}
+}
+
+// reindex rebuilds the forwarding index from the store window, sized
+// for the current store ring.
+func (t *Tracker) reindex() {
+	t.fwdWords = (len(t.storeRecs) + 63) / 64
+	if n := fwdBuckets * t.fwdWords; cap(t.fwdIdx) >= n {
+		t.fwdIdx = t.fwdIdx[:n]
+		clear(t.fwdIdx)
+	} else {
+		t.fwdIdx = make([]uint64, n)
+	}
+	for o := t.storeHead; o < t.storeNext; o++ {
+		if r := &t.storeRecs[o&t.storeMask]; r.live {
+			t.index(o&t.storeMask, r, true)
+		}
+	}
 }
 
 func (t *Tracker) physical(logical int) int {
@@ -264,6 +352,7 @@ func (t *Tracker) growStores() {
 		nb[o&mask] = t.storeRecs[o&t.storeMask]
 	}
 	t.storeRecs, t.storeMask = nb, mask
+	t.reindex()
 }
 
 // Add registers a new in-flight memory instruction. Sequence numbers
@@ -364,7 +453,7 @@ func (t *Tracker) recount(op *Op) {
 	} else {
 		t.stores.add(op.slot, delta)
 		t.nStores += int(delta)
-		t.storeRec(op).live = want
+		t.setLive(op.ord, want)
 	}
 }
 
@@ -374,8 +463,15 @@ func (t *Tracker) recount(op *Op) {
 func (t *Tracker) SetAddress(op *Op, addr uint64, size uint8) {
 	op.Addr, op.Size, op.AddrKnown = addr, size, true
 	if !op.IsLoad {
-		r := t.storeRec(op)
+		// A live store whose address changes moves its index bits.
+		r, slot := t.storeRec(op), op.ord&t.storeMask
+		if r.live {
+			t.index(slot, r, false)
+		}
 		r.lo, r.hi = addr, addr+uint64(size)
+		if r.live {
+			t.index(slot, r, true)
+		}
 	}
 	t.recount(op)
 }
@@ -403,6 +499,7 @@ func (t *Tracker) uncount(op *Op) {
 	} else {
 		t.stores.add(op.slot, -1)
 		t.nStores--
+		t.setLive(op.ord, false)
 	}
 }
 
@@ -447,6 +544,7 @@ func (t *Tracker) Remove(seq uint64) *Op {
 			t.storeRecs[(o-1)&t.storeMask] = t.storeRecs[o&t.storeMask]
 		}
 		t.storeNext--
+		t.reindex() // the younger records moved slots
 	}
 	if t.seqHint[op.Seq&seqHintMask] == op {
 		t.seqHint[op.Seq&seqHintMask] = nil
@@ -496,6 +594,7 @@ func (t *Tracker) Clear() {
 	t.loads.init(len(t.ops))
 	t.nStores, t.nLoads = 0, 0
 	t.storeHead = t.storeNext
+	clear(t.fwdIdx)
 }
 
 // Len returns the number of tracked ops.
@@ -513,11 +612,12 @@ func (t *Tracker) olderCounted(f *fenwick, i int) int {
 	return f.prefix(len(t.ops)) - f.prefix(t.head) + f.prefix(end-len(t.ops))
 }
 
-// ForwardingSource scans the store ring for the youngest older store
-// that is placed with a known address and overlaps the bytes of the
-// load identified by seq. Only store records are read, youngest first,
-// so the cost is bounded by the older stores still in flight, not by
-// the whole window.
+// ForwardingSource returns the youngest older store that is placed
+// with a known address and overlaps the bytes of the load identified
+// by seq. The forwarding index narrows the older store window to the
+// records sharing a word bucket with the load; those come out youngest
+// first, one 64-slot bitset word at a time, and each is confirmed with
+// the exact byte-overlap test.
 //
 //samie:hotpath
 func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
@@ -526,11 +626,34 @@ func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 		return 0, false
 	}
 	lo, hi := op.Addr, op.Addr+uint64(op.Size)
+	first, last := wordSpan(lo, hi)
+	// The load's older stores are ordinals [storeHead, op.ord). Each
+	// pass takes the bitset word holding ordinal o-1, restricted to the
+	// ordinals [max(base, storeHead), o) it covers.
 	for o := op.ord; o > t.storeHead; {
-		o--
-		if r := &t.storeRecs[o&t.storeMask]; r.live && r.lo < hi && lo < r.hi {
-			return r.seq, true
+		slot := (o - 1) & t.storeMask
+		bit := slot & 63
+		base := o - 1 - bit // ordinal of bit 0
+		m := uint64(2)<<bit - 1
+		if base < t.storeHead {
+			m &^= uint64(1)<<(t.storeHead-base) - 1
 		}
+		wi := int(slot >> 6)
+		cand := uint64(0)
+		for w := first; ; w++ {
+			cand |= t.fwdIdx[fwdBucket(w)*t.fwdWords+wi]
+			if w == last {
+				break
+			}
+		}
+		for cand &= m; cand != 0; {
+			b := uint64(63 - bits.LeadingZeros64(cand))
+			cand &^= 1 << b
+			if r := &t.storeRecs[slot-bit+b]; r.live && r.lo < hi && lo < r.hi {
+				return r.seq, true
+			}
+		}
+		o = base
 	}
 	return 0, false
 }

@@ -3,6 +3,7 @@ package lsq
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -183,6 +184,29 @@ func (d *trackerDiff) check() {
 	for _, op := range d.ref.ops {
 		d.checkSeq(op.seq)
 		d.checkSeq(op.seq + 1) // usually untracked: a gap or the next seq
+	}
+	d.checkIndex()
+}
+
+// checkIndex requires the forwarding index to hold exactly the bits
+// the reference implies: one per live store in the store window, in
+// the bucket of every word the store touches. Stale bits would not
+// change an answer (candidates are confirmed), only the probe cost.
+func (d *trackerDiff) checkIndex() {
+	tr := d.tr
+	want := make([]uint64, len(tr.fwdIdx))
+	for _, op := range d.ref.ops {
+		if op.isLoad || !op.live() {
+			continue
+		}
+		slot := tr.Get(op.seq).ord & tr.storeMask
+		first, last := wordSpan(op.addr, op.addr+uint64(op.size))
+		for w := first; w <= last; w++ {
+			want[fwdBucket(w)*tr.fwdWords+int(slot>>6)] |= 1 << (slot & 63)
+		}
+	}
+	if !slices.Equal(tr.fwdIdx, want) {
+		d.t.Fatalf("after %s: forwarding index\n%x\nwant\n%x", d.step, tr.fwdIdx, want)
 	}
 }
 
