@@ -19,11 +19,13 @@ import (
 	"samielsq/internal/lsq"
 )
 
-// diskCacheVersion tags the on-disk artifact format; bump it whenever
-// RunResult's persisted shape changes so stale artifacts are treated
-// as misses instead of being misread. Version 2 added the normalized
-// Spec so whole-suite preloading can reconstruct complete results.
-const diskCacheVersion = 2
+// diskCacheVersion tags the on-disk artifact format; bump it when the
+// encoding changes in a way the layout fingerprint (artifact.go) does
+// not see, so stale artifacts are treated as misses instead of being
+// misread. Version 2 added the normalized Spec so whole-suite
+// preloading can reconstruct complete results; version 3 replaced the
+// JSON artifacts (run-*.json) with the binary layout (run-*.bin).
+const diskCacheVersion = 3
 
 // simStamp identifies the simulator build that produced an artifact.
 // A spec key alone is not enough: a later commit may change simulation
@@ -51,11 +53,11 @@ var simStamp = sync.OnceValue(func() string {
 	return "dev"
 })
 
-// diskArtifact is the persisted form of one RunResult. Everything the
-// figure and table harnesses read from a result round-trips exactly:
-// encoding/json renders float64 with the shortest representation that
-// parses back to the identical bits, so figures regenerated from disk
-// are byte-identical to fresh simulations. The memory-hierarchy state
+// diskArtifact is the persisted form of one RunResult, written by the
+// binary codec in artifact.go. Everything the figure and table
+// harnesses read from a result round-trips exactly: floats are stored
+// as their IEEE-754 bits, so figures regenerated from disk are
+// byte-identical to fresh simulations. The memory-hierarchy state
 // (RunResult.Hier) is deliberately not persisted — its aggregate rates
 // already live in the CPU result — so disk-served results carry a nil
 // Hier.
@@ -221,7 +223,7 @@ func (d *DiskCache) Stats() DiskCacheStats {
 // path maps a canonical spec key to its content-addressed file.
 func (d *DiskCache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.dir, "run-"+hex.EncodeToString(sum[:])+".json")
+	return filepath.Join(d.dir, "run-"+hex.EncodeToString(sum[:])+".bin")
 }
 
 // load returns the cached result for key, if a valid artifact exists,
@@ -243,14 +245,28 @@ func (d *DiskCache) read(key string) (RunResult, bool) {
 	if err != nil {
 		return RunResult{}, false
 	}
-	var art diskArtifact
-	if err := json.Unmarshal(data, &art); err != nil || !validArtifact(&art, key) {
+	art, err := decodeArtifact(data)
+	if err != nil || !validArtifact(&art, key) {
 		// Corrupt, truncated, produced by a different simulator build,
 		// version-skewed or hash-collided: treat as a miss; the
 		// post-simulation store rewrites it.
 		return RunResult{}, false
 	}
 	return RunResult{Spec: art.Spec, CPU: art.CPU, Meter: art.Meter, SAMIE: art.SAMIE, Conv: art.Conv}, true
+}
+
+// newArtifact wraps a result in the persisted form this build writes.
+func newArtifact(key string, res RunResult) diskArtifact {
+	return diskArtifact{
+		Version: diskCacheVersion,
+		Sim:     simStamp(),
+		Key:     key,
+		Spec:    res.Spec,
+		CPU:     res.CPU,
+		Meter:   res.Meter,
+		SAMIE:   res.SAMIE,
+		Conv:    res.Conv,
+	}
 }
 
 // validArtifact is the single acceptance predicate for run payloads
@@ -268,20 +284,8 @@ func validArtifact(art *diskArtifact, key string) bool {
 //
 //samie:deterministic
 func (d *DiskCache) store(key string, res RunResult) {
-	art := diskArtifact{
-		Version: diskCacheVersion,
-		Sim:     simStamp(),
-		Key:     key,
-		Spec:    res.Spec,
-		CPU:     res.CPU,
-		Meter:   res.Meter,
-		SAMIE:   res.SAMIE,
-		Conv:    res.Conv,
-	}
-	data, err := json.Marshal(art)
-	if err != nil {
-		return
-	}
+	art := newArtifact(key, res)
+	data := encodeArtifact(&art)
 	tmp, err := os.CreateTemp(d.dir, "tmp-run-*")
 	if err != nil {
 		return
@@ -432,7 +436,7 @@ func (d *DiskCache) Keys() []string {
 // artifacts written by other processes or to repair a lost index.
 // Returns the number of valid artifacts indexed.
 func (d *DiskCache) RebuildIndex() (int, error) {
-	files, err := filepath.Glob(filepath.Join(d.dir, "run-*.json"))
+	files, err := filepath.Glob(filepath.Join(d.dir, "run-*.bin"))
 	if err != nil {
 		return 0, fmt.Errorf("experiments: disk cache scan: %w", err)
 	}
@@ -442,9 +446,8 @@ func (d *DiskCache) RebuildIndex() (int, error) {
 		if err != nil {
 			continue
 		}
-		var art diskArtifact
-		if json.Unmarshal(data, &art) != nil ||
-			!validArtifact(&art, art.Key) || d.path(art.Key) != f {
+		art, err := decodeArtifact(data)
+		if err != nil || !validArtifact(&art, art.Key) || d.path(art.Key) != f {
 			continue
 		}
 		st, err := os.Stat(f)
@@ -471,15 +474,17 @@ type PruneStats struct {
 // Prune bounds the cache: artifacts older than maxAge are removed, and
 // if the survivors still exceed maxBytes the oldest are removed until
 // they fit. A zero maxAge or maxBytes disables that bound (Prune(0, 0)
-// only sweeps leftover temp files). Stale temp files from killed
-// writers are always collected. The index is rewritten to match.
+// only sweeps leftovers). Stale temp files from killed writers are
+// always collected, and so are legacy JSON artifacts (run-*.json,
+// format version 2 and older), which can never validate again; those
+// count as removed. The index is rewritten to match.
 func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, error) {
 	type artifact struct {
 		path  string
 		bytes int64
 		mod   time.Time
 	}
-	files, err := filepath.Glob(filepath.Join(d.dir, "run-*.json"))
+	files, err := filepath.Glob(filepath.Join(d.dir, "run-*.bin"))
 	if err != nil {
 		return PruneStats{}, fmt.Errorf("experiments: disk cache prune: %w", err)
 	}
@@ -526,6 +531,13 @@ func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, err
 	for _, f := range tmps {
 		if st, err := os.Stat(f); err == nil && now.Sub(st.ModTime()) > time.Hour {
 			os.Remove(f)
+		}
+	}
+	legacy, _ := filepath.Glob(filepath.Join(d.dir, "run-*.json"))
+	for _, f := range legacy {
+		if st, err := os.Stat(f); err == nil && os.Remove(f) == nil {
+			ps.Removed++
+			ps.FreedBytes += st.Size()
 		}
 	}
 

@@ -1,9 +1,11 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -15,40 +17,51 @@ func cacheTestSpec() RunSpec {
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	b1, err := NewBatchWithCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh := b1.Run(cacheTestSpec())
-	if st := b1.DiskStats(); st.Writes != 1 || st.Hits != 0 {
-		t.Fatalf("first run stats = %+v, want 1 write", st)
-	}
+	for _, m := range artifactModels {
+		dir := t.TempDir()
+		b1, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fresh := b1.Run(m.spec)
+		if st := b1.DiskStats(); st.Writes != 1 || st.Hits != 0 {
+			t.Fatalf("%s: first run stats = %+v, want 1 write", m.name, st)
+		}
 
-	// A second batch over the same directory must serve from disk and
-	// reproduce the result exactly (everything figures consume).
-	b2, err := NewBatchWithCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cached := b2.Run(cacheTestSpec())
-	if st := b2.DiskStats(); st.Hits != 1 || st.Writes != 0 {
-		t.Fatalf("second run stats = %+v, want 1 hit", st)
-	}
-	if cached.CPU != fresh.CPU {
-		t.Errorf("CPU result differs: disk %+v vs fresh %+v", cached.CPU, fresh.CPU)
-	}
-	if *cached.Meter != *fresh.Meter {
-		t.Errorf("meter differs after round trip")
-	}
-	if cached.SAMIE != fresh.SAMIE {
-		t.Errorf("SAMIE stats differ after round trip")
-	}
-	if cached.Hier != nil {
-		t.Errorf("disk-served result must carry a nil Hier")
-	}
-	if cached.Spec.Insts != 5_000 || cached.Spec.SAMIE == nil {
-		t.Errorf("restored spec not normalized: %+v", cached.Spec)
+		// A second batch over the same directory must serve from disk
+		// and reproduce the result exactly (everything figures consume).
+		b2, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached := b2.Run(m.spec)
+		if st := b2.DiskStats(); st.Hits != 1 || st.Writes != 0 {
+			t.Fatalf("%s: second run stats = %+v, want 1 hit", m.name, st)
+		}
+		if cached.CPU != fresh.CPU {
+			t.Errorf("%s: CPU result differs: disk %+v vs fresh %+v", m.name, cached.CPU, fresh.CPU)
+		}
+		if *cached.Meter != *fresh.Meter {
+			t.Errorf("%s: meter differs after round trip", m.name)
+		}
+		if cached.SAMIE != fresh.SAMIE || cached.Conv != fresh.Conv {
+			t.Errorf("%s: model stats differ after round trip", m.name)
+		}
+		if cached.Hier != nil {
+			t.Errorf("%s: disk-served result must carry a nil Hier", m.name)
+		}
+		// The artifact's own spec (what preloading serves) must be the
+		// normalized one, and equal encodings mean equal bits in every
+		// persisted field, float signs and NaN payloads included.
+		key := Key(m.spec)
+		stored, ok := b2.Disk().read(key)
+		if !ok || !reflect.DeepEqual(stored.Spec, Normalize(m.spec)) {
+			t.Errorf("%s: restored spec not normalized: %+v", m.name, stored.Spec)
+		}
+		sa, fa := newArtifact(key, stored), newArtifact(key, fresh)
+		if !bytes.Equal(encodeArtifact(&sa), encodeArtifact(&fa)) {
+			t.Errorf("%s: disk-served result is not bit-identical to the fresh one", m.name)
+		}
 	}
 }
 
@@ -60,7 +73,7 @@ func TestDiskCacheCorruptAndPartialFiles(t *testing.T) {
 	}
 	b.Run(cacheTestSpec())
 
-	files, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "run-*.bin"))
 	if err != nil || len(files) != 1 {
 		t.Fatalf("expected one artifact, got %v (%v)", files, err)
 	}
@@ -224,7 +237,7 @@ func TestDiskCacheRebuildIndex(t *testing.T) {
 		t.Fatalf("lost index still enumerates %d keys", len(keys))
 	}
 	// ...and RebuildIndex recovers every valid artifact, skipping junk.
-	if err := os.WriteFile(filepath.Join(dir, "run-zz.json"), []byte("{bad"), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, "run-zz.bin"), []byte("{bad"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	n, err := d.RebuildIndex()
@@ -393,7 +406,7 @@ func TestDiskCacheDebouncedIndexFlush(t *testing.T) {
 // artifactFiles lists the run artifacts sorted by name.
 func artifactFiles(t *testing.T, dir string) []string {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "run-*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "run-*.bin"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,6 +21,7 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -160,16 +161,74 @@ func Normalize(spec RunSpec) RunSpec {
 //samie:deterministic
 func Key(spec RunSpec) string { return keyOf(Normalize(spec)) }
 
-// keyOf renders the key of an already-normalized spec.
+// keyOf renders the key of an already-normalized spec. The bytes are
+// those of the original fmt rendering,
+//
+//	"b=%s|m=%d|i=%d|w=%d|conv=%d|arb=%d.%d.%d|samie=%+v|cpu=%+v"
+//
+// over the spec fields and the two configurations, and must stay so:
+// keys name artifacts on disk and place keys on the cluster's
+// rendezvous ring. Every core.Config and cpu.Config field is spelled
+// out; TestKeyMatchesFmtRendering fails when one is missed.
 func keyOf(n RunSpec) string {
-	var scfg core.Config
+	var s core.Config
 	if n.SAMIE != nil {
-		scfg = *n.SAMIE
+		s = *n.SAMIE
 	}
-	return fmt.Sprintf("b=%s|m=%d|i=%d|w=%d|conv=%d|arb=%d.%d.%d|samie=%+v|cpu=%+v",
-		n.Benchmark, n.Model, n.Insts, n.Warmup,
-		n.ConvEntries, n.ARBBanks, n.ARBAddrs, n.ARBInflight,
-		scfg, *n.CPU)
+	c := n.CPU
+	b := make([]byte, 0, 512)
+	b = append(b, "b="...)
+	b = append(b, n.Benchmark...)
+	b = appendKeyInt(b, "|m=", int(n.Model))
+	b = append(b, "|i="...)
+	b = strconv.AppendUint(b, n.Insts, 10)
+	b = append(b, "|w="...)
+	b = strconv.AppendUint(b, n.Warmup, 10)
+	b = appendKeyInt(b, "|conv=", n.ConvEntries)
+	b = appendKeyInt(b, "|arb=", n.ARBBanks)
+	b = appendKeyInt(b, ".", n.ARBAddrs)
+	b = appendKeyInt(b, ".", n.ARBInflight)
+
+	b = appendKeyInt(b, "|samie={Banks:", s.Banks)
+	b = appendKeyInt(b, " EntriesPerBank:", s.EntriesPerBank)
+	b = appendKeyInt(b, " SlotsPerEntry:", s.SlotsPerEntry)
+	b = appendKeyInt(b, " SharedEntries:", s.SharedEntries)
+	b = appendKeyInt(b, " AddrBufferSlots:", s.AddrBufferSlots)
+	b = appendKeyInt(b, " LineBytes:", s.LineBytes)
+	b = appendKeyBool(b, " SharedUnbounded:", s.SharedUnbounded)
+	b = appendKeyBool(b, " DisableWayCaching:", s.DisableWayCaching)
+	b = appendKeyBool(b, " DisableTLBCaching:", s.DisableTLBCaching)
+	b = appendKeyBool(b, " FastWayKnown:", s.FastWayKnown)
+
+	b = appendKeyInt(b, "}|cpu={FetchWidth:", c.FetchWidth)
+	b = appendKeyInt(b, " DecodeWidth:", c.DecodeWidth)
+	b = appendKeyInt(b, " IssueInt:", c.IssueInt)
+	b = appendKeyInt(b, " IssueFP:", c.IssueFP)
+	b = appendKeyInt(b, " CommitWidth:", c.CommitWidth)
+	b = appendKeyInt(b, " FetchQueue:", c.FetchQueue)
+	b = appendKeyInt(b, " ROBSize:", c.ROBSize)
+	b = appendKeyInt(b, " IQInt:", c.IQInt)
+	b = appendKeyInt(b, " IQFP:", c.IQFP)
+	b = appendKeyInt(b, " IntALU:", c.IntALU)
+	b = appendKeyInt(b, " IntMulDiv:", c.IntMulDiv)
+	b = appendKeyInt(b, " FPALU:", c.FPALU)
+	b = appendKeyInt(b, " FPMulDiv:", c.FPMulDiv)
+	b = appendKeyInt(b, " DcachePorts:", c.DcachePorts)
+	b = appendKeyInt(b, " MispredictPenalty:", c.MispredictPenalty)
+	b = appendKeyInt(b, " DeadlockPatience:", c.DeadlockPatience)
+	b = appendKeyBool(b, " LegacyIssueWalk:", c.LegacyIssueWalk)
+	b = append(b, '}')
+	return string(b)
+}
+
+// appendKeyInt appends label and v in decimal, as %d and %+v render it.
+func appendKeyInt(b []byte, label string, v int) []byte {
+	return strconv.AppendInt(append(b, label...), int64(v), 10)
+}
+
+// appendKeyBool appends label and v as %+v renders it.
+func appendKeyBool(b []byte, label string, v bool) []byte {
+	return strconv.AppendBool(append(b, label...), v)
 }
 
 // Run executes one simulation per the spec, bypassing any cache. Use a
