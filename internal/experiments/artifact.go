@@ -1,6 +1,9 @@
 package experiments
 
-// The binary run-artifact codec. A diskArtifact is written as
+// The binary run-record codec. One walker and one fingerprint serve
+// every record type: the disk artifact (diskArtifact) and the wire
+// record the typed client receives (wireRecord). A record is written
+// as
 //
 //	magic "SAMIERUN" | layout fingerprint (u64) | fields in declaration order
 //
@@ -14,11 +17,13 @@ package experiments
 //	                                     the pointee when present
 //
 // The layout fingerprint hashes every persisted field's name and kind,
-// so an artifact written before a field was added, removed, renamed or
-// retyped reads as a miss instead of decoding into the wrong slots or
-// leaving the new field silently zero. The decoder rejects anything
-// the encoder could not have produced: a decoded artifact re-encodes
-// to exactly the bytes it came from.
+// so a record written before a field was added, removed, renamed or
+// retyped is rejected instead of decoding into the wrong slots or
+// leaving the new field silently zero. Each record type has its own
+// fingerprint, so a disk artifact offered as a wire record (or the
+// reverse) is rejected the same way. The decoder rejects anything the
+// encoder could not have produced: a decoded record re-encodes to
+// exactly the bytes it came from.
 
 import (
 	"encoding/binary"
@@ -28,29 +33,82 @@ import (
 	"io"
 	"math"
 	"reflect"
+	"strconv"
+
+	"samielsq/internal/obs"
 )
 
-// artifactMagic opens every binary run artifact.
-const artifactMagic = "SAMIERUN"
+// recordMagic opens every binary run record.
+const recordMagic = "SAMIERUN"
 
-// artifactHeader is the magic plus the layout fingerprint.
-const artifactHeader = len(artifactMagic) + 8
+// recordHeader is the magic plus the layout fingerprint.
+const recordHeader = len(recordMagic) + 8
 
-// artifactLayout fingerprints diskArtifact's persisted shape. Building
-// it also vets the shape: a field of a kind the codec cannot carry
-// panics at package initialization, long before any artifact is read.
-var artifactLayout = layoutFingerprint(reflect.TypeFor[diskArtifact]())
-
-// Reasons a byte string is not a run artifact. Every one of them is a
-// disk-cache miss.
+// Reasons a byte string is not a run record of the expected type.
+// For the disk tier every one of them is a cache miss.
 var (
-	errArtifactMagic     = errors.New("experiments: not a binary run artifact")
-	errArtifactLayout    = errors.New("experiments: run artifact layout fingerprint mismatch")
-	errArtifactTruncated = errors.New("experiments: run artifact truncated")
-	errArtifactByte      = errors.New("experiments: run artifact bool or presence byte above 1")
-	errArtifactRange     = errors.New("experiments: run artifact integer out of range")
-	errArtifactTrailing  = errors.New("experiments: trailing bytes after run artifact")
+	errRecordMagic     = errors.New("experiments: not a binary run record")
+	errRecordLayout    = errors.New("experiments: run record layout fingerprint mismatch")
+	errRecordTruncated = errors.New("experiments: run record truncated")
+	errRecordByte      = errors.New("experiments: run record bool or presence byte above 1")
+	errRecordRange     = errors.New("experiments: run record integer out of range")
+	errRecordTrailing  = errors.New("experiments: trailing bytes after run record")
 )
+
+// recordCodec encodes and decodes one record type T. Building it vets
+// T's shape: a field of a kind the codec cannot carry panics at
+// package initialization, long before any record is read.
+type recordCodec[T any] struct {
+	layout uint64 // T's layout fingerprint
+}
+
+func newRecordCodec[T any]() recordCodec[T] {
+	return recordCodec[T]{layout: layoutFingerprint(reflect.TypeFor[T]())}
+}
+
+// artifactCodec reads and writes disk artifacts.
+var artifactCodec = newRecordCodec[diskArtifact]()
+
+// wireRecord is one run result as POST /v1/runs and GET /v1/runs/{key}
+// send it to a client that negotiated the binary record: the disk
+// artifact plus where the serving process spent the request's
+// wall-clock.
+type wireRecord struct {
+	Artifact diskArtifact
+	Phases   obs.PhaseTimes
+}
+
+// wireCodec reads and writes wire records.
+var wireCodec = newRecordCodec[wireRecord]()
+
+// RunRecordLayout is the wire record's layout fingerprint in hex. A
+// client and a server exchange binary records only when their layouts
+// are equal; any other pairing falls back to JSON.
+var RunRecordLayout = strconv.FormatUint(wireCodec.layout, 16)
+
+// EncodeRunRecord renders a result delivered by a Batch, which carries
+// its canonical key and normalized spec, as a binary wire record
+// stamped with this build's simulator stamp.
+func EncodeRunRecord(res RunResult) []byte {
+	rec := wireRecord{Artifact: newArtifact(res.Key, res), Phases: res.Phases}
+	return wireCodec.encode(&rec)
+}
+
+// DecodeRunRecord parses a wire record read from the network. It
+// returns the result, whose Key, Spec and Phases come from the record
+// and whose Hier and Timeline are nil, and the simulator stamp of the
+// build that encoded it. It checks the encoding only: whether the
+// result may be trusted as a peer's answer is ValidatePeerResult's
+// decision.
+func DecodeRunRecord(data []byte) (RunResult, string, error) {
+	rec, err := wireCodec.decode(data)
+	if err != nil {
+		return RunResult{}, "", err
+	}
+	res := rec.Artifact.result()
+	res.Phases = rec.Phases
+	return res, rec.Artifact.Sim, nil
+}
 
 // layoutFingerprint hashes the field names and kinds of t, recursively.
 func layoutFingerprint(t reflect.Type) uint64 {
@@ -69,7 +127,7 @@ func describeLayout(w io.Writer, t reflect.Type) {
 		for i := range t.NumField() {
 			f := t.Field(i)
 			if !f.IsExported() {
-				panic(fmt.Sprintf("experiments: unexported field %s.%s cannot persist in a run artifact", t, f.Name))
+				panic(fmt.Sprintf("experiments: unexported field %s.%s cannot persist in a run record", t, f.Name))
 			}
 			io.WriteString(w, f.Name+":")
 			describeLayout(w, f.Type)
@@ -78,7 +136,7 @@ func describeLayout(w io.Writer, t reflect.Type) {
 		io.WriteString(w, "}")
 	case reflect.Pointer:
 		if t.Elem().Kind() != reflect.Struct {
-			panic(fmt.Sprintf("experiments: %s cannot persist in a run artifact", t))
+			panic(fmt.Sprintf("experiments: %s cannot persist in a run record", t))
 		}
 		io.WriteString(w, "*")
 		describeLayout(w, t.Elem())
@@ -87,16 +145,16 @@ func describeLayout(w io.Writer, t reflect.Type) {
 		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 		io.WriteString(w, t.Kind().String())
 	default:
-		panic(fmt.Sprintf("experiments: %s cannot persist in a run artifact", t))
+		panic(fmt.Sprintf("experiments: %s cannot persist in a run record", t))
 	}
 }
 
-// encodeArtifact renders art in the binary artifact layout.
-func encodeArtifact(art *diskArtifact) []byte {
+// encode renders v in T's record layout.
+func (c recordCodec[T]) encode(v *T) []byte {
 	b := make([]byte, 0, 2048)
-	b = append(b, artifactMagic...)
-	b = binary.LittleEndian.AppendUint64(b, artifactLayout)
-	return appendValue(b, reflect.ValueOf(art).Elem())
+	b = append(b, recordMagic...)
+	b = binary.LittleEndian.AppendUint64(b, c.layout)
+	return appendValue(b, reflect.ValueOf(v).Elem())
 }
 
 // appendValue appends v's encoding; describeLayout has already vetted
@@ -130,28 +188,29 @@ func appendValue(b []byte, v reflect.Value) []byte {
 	}
 }
 
-// decodeArtifact parses a binary artifact. It checks the encoding
-// only; validArtifact decides whether a well-formed artifact answers a
-// given key on this build.
-func decodeArtifact(data []byte) (diskArtifact, error) {
-	var art diskArtifact
-	if len(data) < len(artifactMagic) || string(data[:len(artifactMagic)]) != artifactMagic {
-		return art, errArtifactMagic
+// decode parses one record of type T. It checks the encoding only;
+// what a well-formed record may answer (validArtifact,
+// ValidatePeerResult) is the caller's decision.
+func (c recordCodec[T]) decode(data []byte) (T, error) {
+	var v T
+	if len(data) < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
+		return v, errRecordMagic
 	}
-	if len(data) < artifactHeader {
-		return art, errArtifactTruncated
+	if len(data) < recordHeader {
+		return v, errRecordTruncated
 	}
-	if binary.LittleEndian.Uint64(data[len(artifactMagic):]) != artifactLayout {
-		return art, errArtifactLayout
+	if binary.LittleEndian.Uint64(data[len(recordMagic):]) != c.layout {
+		return v, errRecordLayout
 	}
-	rest, err := readValue(data[artifactHeader:], reflect.ValueOf(&art).Elem())
+	rest, err := readValue(data[recordHeader:], reflect.ValueOf(&v).Elem())
+	if err == nil && len(rest) != 0 {
+		err = errRecordTrailing
+	}
 	if err != nil {
-		return diskArtifact{}, err
+		var zero T
+		return zero, err
 	}
-	if len(rest) != 0 {
-		return diskArtifact{}, errArtifactTrailing
-	}
-	return art, nil
+	return v, nil
 }
 
 // readValue decodes one value of v's type from the front of b into v
@@ -168,10 +227,10 @@ func readValue(b []byte, v reflect.Value) ([]byte, error) {
 		return b, nil
 	case reflect.Pointer, reflect.Bool:
 		if len(b) < 1 {
-			return nil, errArtifactTruncated
+			return nil, errRecordTruncated
 		}
 		if b[0] > 1 {
-			return nil, errArtifactByte
+			return nil, errRecordByte
 		}
 		if v.Kind() == reflect.Bool {
 			v.SetBool(b[0] == 1)
@@ -184,18 +243,18 @@ func readValue(b []byte, v reflect.Value) ([]byte, error) {
 		return readValue(b[1:], v.Elem())
 	case reflect.String:
 		if len(b) < 4 {
-			return nil, errArtifactTruncated
+			return nil, errRecordTruncated
 		}
 		n := binary.LittleEndian.Uint32(b)
 		b = b[4:]
 		if uint64(n) > uint64(len(b)) {
-			return nil, errArtifactTruncated
+			return nil, errRecordTruncated
 		}
 		v.SetString(string(b[:n]))
 		return b[n:], nil
 	}
 	if len(b) < 8 {
-		return nil, errArtifactTruncated
+		return nil, errRecordTruncated
 	}
 	x := binary.LittleEndian.Uint64(b)
 	switch v.Kind() {
@@ -203,12 +262,12 @@ func readValue(b []byte, v reflect.Value) ([]byte, error) {
 		v.SetFloat(math.Float64frombits(x))
 	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
 		if v.OverflowInt(int64(x)) {
-			return nil, errArtifactRange
+			return nil, errRecordRange
 		}
 		v.SetInt(int64(x))
 	default: // unsigned
 		if v.OverflowUint(x) {
-			return nil, errArtifactRange
+			return nil, errRecordRange
 		}
 		v.SetUint(x)
 	}

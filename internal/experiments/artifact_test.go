@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"samielsq/internal/energy"
+	"samielsq/internal/obs"
 )
 
 // artifactModels is one small spec per LSQ model, for seeds and
@@ -30,22 +31,35 @@ var artifactModels = []struct {
 	{"samie", RunSpec{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE}},
 }
 
-// checkArtifactRoundTrip is the decoder's invariant: an input is
+// checkRoundTrip is every record decoder's invariant: an input is
 // either rejected or re-encodes to exactly its own bytes.
-func checkArtifactRoundTrip(t *testing.T, data []byte) {
+func checkRoundTrip[T any](t *testing.T, c recordCodec[T], data []byte) {
 	t.Helper()
-	art, err := decodeArtifact(data)
+	v, err := c.decode(data)
 	if err != nil {
 		return
 	}
-	if got := encodeArtifact(&art); !bytes.Equal(got, data) {
-		t.Fatalf("decoded artifact re-encodes to different bytes:\n got %x\nwant %x", got, data)
+	if got := c.encode(&v); !bytes.Equal(got, data) {
+		t.Fatalf("decoded record re-encodes to different bytes:\n got %x\nwant %x", got, data)
 	}
 }
 
 func FuzzDecodeArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkArtifactRoundTrip(t, data)
+		checkRoundTrip(t, artifactCodec, data)
+	})
+}
+
+// FuzzDecodeRunRecord holds the wire-record decoder, which reads
+// whatever a server sends the typed client, to the same invariant;
+// DecodeRunRecord must accept exactly what the codec accepts.
+func FuzzDecodeRunRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRoundTrip(t, wireCodec, data)
+		_, _, err := DecodeRunRecord(data)
+		if _, cerr := wireCodec.decode(data); (err == nil) != (cerr == nil) {
+			t.Fatalf("DecodeRunRecord error %v, codec error %v", err, cerr)
+		}
 	})
 }
 
@@ -62,29 +76,60 @@ func legacyJSONArtifact(t *testing.T, key string, res RunResult) []byte {
 	return data
 }
 
-// fuzzSeeds builds the FuzzDecodeArtifact seed corpus: one valid
-// artifact per LSQ model, truncations of each, a flipped layout
-// fingerprint and a legacy JSON artifact.
-func fuzzSeeds(t *testing.T) map[string][]byte {
-	t.Helper()
-	seeds := map[string][]byte{}
-	var samie RunResult
+// modelResults simulates artifactModels, one result per LSQ model.
+func modelResults() map[string]RunResult {
+	out := map[string]RunResult{}
 	for _, m := range artifactModels {
 		n := Normalize(m.spec)
-		res := runNormalized(n)
-		art := newArtifact(keyOf(n), res)
-		valid := encodeArtifact(&art)
-		seeds["valid-"+m.name] = valid
-		seeds["truncated-half-"+m.name] = valid[:len(valid)/2]
-		seeds["truncated-last-"+m.name] = valid[:len(valid)-1]
-		if m.spec.Model == ModelSAMIE {
-			samie = res
-		}
+		out[m.name] = runNormalized(n, keyOf(n))
 	}
-	flipped := bytes.Clone(seeds["valid-samie"])
-	flipped[len(artifactMagic)] ^= 0xff
-	seeds["flipped-fingerprint"] = flipped
-	seeds["legacy-v2-json"] = legacyJSONArtifact(t, keyOf(samie.Spec), samie)
+	return out
+}
+
+// addTruncations adds a valid seed and its half-length and last-byte
+// truncations.
+func addTruncations(seeds map[string][]byte, model string, valid []byte) {
+	seeds["valid-"+model] = valid
+	seeds["truncated-half-"+model] = valid[:len(valid)/2]
+	seeds["truncated-last-"+model] = valid[:len(valid)-1]
+}
+
+// flipFingerprint returns rec with its layout fingerprint corrupted.
+func flipFingerprint(rec []byte) []byte {
+	flipped := bytes.Clone(rec)
+	flipped[len(recordMagic)] ^= 0xff
+	return flipped
+}
+
+// artifactSeeds builds the FuzzDecodeArtifact seed corpus: one valid
+// artifact per LSQ model, truncations of each, a flipped layout
+// fingerprint and a legacy JSON artifact.
+func artifactSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	seeds := map[string][]byte{}
+	results := modelResults()
+	for _, m := range artifactModels {
+		art := newArtifact(results[m.name].Key, results[m.name])
+		addTruncations(seeds, m.name, artifactCodec.encode(&art))
+	}
+	seeds["flipped-fingerprint"] = flipFingerprint(seeds["valid-samie"])
+	seeds["legacy-v2-json"] = legacyJSONArtifact(t, results["samie"].Key, results["samie"])
+	return seeds
+}
+
+// runRecordSeeds builds the FuzzDecodeRunRecord seed corpus: one valid
+// wire record per LSQ model, truncations of each, a flipped layout
+// fingerprint and a disk artifact offered as a wire record.
+func runRecordSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	seeds := map[string][]byte{}
+	results := modelResults()
+	for _, m := range artifactModels {
+		addTruncations(seeds, m.name, EncodeRunRecord(results[m.name]))
+	}
+	seeds["flipped-fingerprint"] = flipFingerprint(seeds["valid-samie"])
+	art := newArtifact(results["samie"].Key, results["samie"])
+	seeds["disk-artifact"] = artifactCodec.encode(&art)
 	return seeds
 }
 
@@ -107,14 +152,13 @@ func readCorpusFile(t *testing.T, path string) []byte {
 	return []byte(s)
 }
 
-// TestFuzzDecodeArtifactCorpus keeps the committed seed corpus
-// meaningful: every seed exists, and the valid ones still decode under
-// the current layout fingerprint while the rest are rejected. A layout
-// change makes the valid seeds stale; regenerate them with
-// UPDATE_GOLDEN=1 go test -run TestFuzzDecodeArtifactCorpus.
-func TestFuzzDecodeArtifactCorpus(t *testing.T) {
-	dir := filepath.Join("testdata", "fuzz", "FuzzDecodeArtifact")
-	seeds := fuzzSeeds(t)
+// checkCorpus keeps a committed seed corpus meaningful: every seed
+// exists, and the valid ones still decode under the current layout
+// fingerprint while the rest are rejected. A layout change makes the
+// valid seeds stale; UPDATE_GOLDEN=1 regenerates them.
+func checkCorpus(t *testing.T, target string, seeds map[string][]byte, decode func([]byte) error) {
+	t.Helper()
+	dir := filepath.Join("testdata", "fuzz", target)
 	names := make([]string, 0, len(seeds))
 	for name := range seeds {
 		names = append(names, name)
@@ -130,16 +174,35 @@ func TestFuzzDecodeArtifactCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		t.Logf("fuzz corpus updated: %d seeds", len(names))
+		t.Logf("%s corpus updated: %d seeds", target, len(names))
 		return
 	}
 	for _, name := range names {
-		data := readCorpusFile(t, filepath.Join(dir, name))
-		_, err := decodeArtifact(data)
+		err := decode(readCorpusFile(t, filepath.Join(dir, name)))
 		if valid := strings.HasPrefix(name, "valid-"); valid != (err == nil) {
-			t.Errorf("seed %s: decode error %v; regenerate the corpus with UPDATE_GOLDEN=1", name, err)
+			t.Errorf("%s seed %s: decode error %v; regenerate the corpus with UPDATE_GOLDEN=1", target, name, err)
 		}
 	}
+}
+
+// TestFuzzDecodeArtifactCorpus checks the FuzzDecodeArtifact corpus;
+// regenerate it with
+// UPDATE_GOLDEN=1 go test -run TestFuzzDecodeArtifactCorpus.
+func TestFuzzDecodeArtifactCorpus(t *testing.T) {
+	checkCorpus(t, "FuzzDecodeArtifact", artifactSeeds(t), func(b []byte) error {
+		_, err := artifactCodec.decode(b)
+		return err
+	})
+}
+
+// TestFuzzDecodeRunRecordCorpus checks the FuzzDecodeRunRecord corpus;
+// regenerate it with
+// UPDATE_GOLDEN=1 go test -run TestFuzzDecodeRunRecordCorpus.
+func TestFuzzDecodeRunRecordCorpus(t *testing.T) {
+	checkCorpus(t, "FuzzDecodeRunRecord", runRecordSeeds(t), func(b []byte) error {
+		_, _, err := DecodeRunRecord(b)
+		return err
+	})
 }
 
 // testArtifact is a small well-formed artifact that needs no
@@ -165,8 +228,8 @@ func firstDiff(t *testing.T, a, b []byte) int {
 
 func TestDecodeArtifactRejects(t *testing.T) {
 	art := testArtifact()
-	good := encodeArtifact(&art)
-	got, err := decodeArtifact(good)
+	good := artifactCodec.encode(&art)
+	got, err := artifactCodec.decode(good)
 	if err != nil {
 		t.Fatalf("well-formed artifact rejected: %v", err)
 	}
@@ -176,44 +239,77 @@ func TestDecodeArtifactRejects(t *testing.T) {
 
 	reject := func(what string, data []byte, want error) {
 		t.Helper()
-		if _, err := decodeArtifact(data); !errors.Is(err, want) {
+		if _, err := artifactCodec.decode(data); !errors.Is(err, want) {
 			t.Errorf("%s: decode error %v, want %v", what, err, want)
 		}
 	}
 	for i := range len(good) {
-		want := errArtifactTruncated
-		if i < len(artifactMagic) {
-			want = errArtifactMagic
+		want := errRecordTruncated
+		if i < len(recordMagic) {
+			want = errRecordMagic
 		}
 		reject(fmt.Sprintf("truncated to %d bytes", i), good[:i], want)
 	}
-	reject("trailing byte", append(bytes.Clone(good), 0), errArtifactTrailing)
+	reject("trailing byte", append(bytes.Clone(good), 0), errRecordTrailing)
 	badMagic := bytes.Clone(good)
 	badMagic[0] ^= 1
-	reject("bad magic", badMagic, errArtifactMagic)
+	reject("bad magic", badMagic, errRecordMagic)
 	badLayout := bytes.Clone(good)
-	badLayout[len(artifactMagic)+3] ^= 1
-	reject("flipped fingerprint", badLayout, errArtifactLayout)
+	badLayout[len(recordMagic)+3] ^= 1
+	reject("flipped fingerprint", badLayout, errRecordLayout)
 
 	// A bool byte above 1: locate FastWayKnown by encoding both values.
 	on := art
 	scfg := *art.Spec.SAMIE
 	scfg.FastWayKnown = true
 	on.Spec.SAMIE = &scfg
-	i := firstDiff(t, good, encodeArtifact(&on))
+	i := firstDiff(t, good, artifactCodec.encode(&on))
 	badBool := bytes.Clone(good)
 	badBool[i] = 2
-	reject("bool byte 2", badBool, errArtifactByte)
+	reject("bool byte 2", badBool, errRecordByte)
 
 	// A presence byte above 1: locate the Meter's by dropping it.
 	noMeter := art
 	noMeter.Meter = nil
-	absent := encodeArtifact(&noMeter)
+	absent := artifactCodec.encode(&noMeter)
 	i = firstDiff(t, good, absent)
 	absent[i] = 2
-	reject("presence byte 2", absent, errArtifactByte)
+	reject("presence byte 2", absent, errRecordByte)
 
-	reject("legacy JSON", legacyJSONArtifact(t, art.Key, RunResult{Spec: art.Spec, Meter: art.Meter}), errArtifactMagic)
+	reject("legacy JSON", legacyJSONArtifact(t, art.Key, RunResult{Spec: art.Spec, Meter: art.Meter}), errRecordMagic)
+}
+
+// TestRunRecordRoundTrip checks the wire record against the disk
+// artifact it extends: it carries the same fields plus Phases, and
+// neither codec accepts the other's records.
+func TestRunRecordRoundTrip(t *testing.T) {
+	art := testArtifact()
+	res := art.result()
+	res.Phases = obs.PhaseTimes{QueueWait: 1e-6, DiskTier: 2.5e-5}
+	rec := EncodeRunRecord(res)
+	got, sim, err := DecodeRunRecord(rec)
+	if err != nil {
+		t.Fatalf("wire record rejected: %v", err)
+	}
+	if sim != simStamp() {
+		t.Errorf("sim stamp %q, want %q", sim, simStamp())
+	}
+	if !reflect.DeepEqual(got, res) {
+		t.Fatalf("decoded result differs:\n got %+v\nwant %+v", got, res)
+	}
+
+	if wireCodec.layout == artifactCodec.layout {
+		t.Fatal("wire record and disk artifact share a layout fingerprint")
+	}
+	if _, _, err := DecodeRunRecord(artifactCodec.encode(&art)); !errors.Is(err, errRecordLayout) {
+		t.Errorf("disk artifact as a wire record: error %v, want %v", err, errRecordLayout)
+	}
+	if _, err := artifactCodec.decode(rec); !errors.Is(err, errRecordLayout) {
+		t.Errorf("wire record as a disk artifact: error %v, want %v", err, errRecordLayout)
+	}
+	if RunRecordLayout != strconv.FormatUint(wireCodec.layout, 16) {
+		t.Errorf("RunRecordLayout %q does not name the wire layout", RunRecordLayout)
+	}
 }
 
 func TestLayoutFingerprint(t *testing.T) {
@@ -317,7 +413,7 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 	spec := Normalize(RunSpec{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE})
 	key := keyOf(spec)
-	d.store(key, runNormalized(spec))
+	d.store(key, runNormalized(spec, key))
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, ok := d.load(key); !ok {

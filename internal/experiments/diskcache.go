@@ -54,7 +54,7 @@ var simStamp = sync.OnceValue(func() string {
 })
 
 // diskArtifact is the persisted form of one RunResult, written by the
-// binary codec in artifact.go. Everything the figure and table
+// binary record codec in artifact.go. Everything the figure and table
 // harnesses read from a result round-trips exactly: floats are stored
 // as their IEEE-754 bits, so figures regenerated from disk are
 // byte-identical to fresh simulations. The memory-hierarchy state
@@ -245,14 +245,19 @@ func (d *DiskCache) read(key string) (RunResult, bool) {
 	if err != nil {
 		return RunResult{}, false
 	}
-	art, err := decodeArtifact(data)
+	art, err := artifactCodec.decode(data)
 	if err != nil || !validArtifact(&art, key) {
 		// Corrupt, truncated, produced by a different simulator build,
 		// version-skewed or hash-collided: treat as a miss; the
 		// post-simulation store rewrites it.
 		return RunResult{}, false
 	}
-	return RunResult{Spec: art.Spec, CPU: art.CPU, Meter: art.Meter, SAMIE: art.SAMIE, Conv: art.Conv}, true
+	return art.result(), true
+}
+
+// result unwraps a decoded artifact into the result it persisted.
+func (a *diskArtifact) result() RunResult {
+	return RunResult{Key: a.Key, Spec: a.Spec, CPU: a.CPU, Meter: a.Meter, SAMIE: a.SAMIE, Conv: a.Conv}
 }
 
 // newArtifact wraps a result in the persisted form this build writes.
@@ -285,7 +290,7 @@ func validArtifact(art *diskArtifact, key string) bool {
 //samie:deterministic
 func (d *DiskCache) store(key string, res RunResult) {
 	art := newArtifact(key, res)
-	data := encodeArtifact(&art)
+	data := artifactCodec.encode(&art)
 	tmp, err := os.CreateTemp(d.dir, "tmp-run-*")
 	if err != nil {
 		return
@@ -446,7 +451,7 @@ func (d *DiskCache) RebuildIndex() (int, error) {
 		if err != nil {
 			continue
 		}
-		art, err := decodeArtifact(data)
+		art, err := artifactCodec.decode(data)
 		if err != nil || !validArtifact(&art, art.Key) || d.path(art.Key) != f {
 			continue
 		}

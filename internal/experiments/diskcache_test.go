@@ -59,7 +59,7 @@ func TestDiskCacheRoundTrip(t *testing.T) {
 			t.Errorf("%s: restored spec not normalized: %+v", m.name, stored.Spec)
 		}
 		sa, fa := newArtifact(key, stored), newArtifact(key, fresh)
-		if !bytes.Equal(encodeArtifact(&sa), encodeArtifact(&fa)) {
+		if !bytes.Equal(artifactCodec.encode(&sa), artifactCodec.encode(&fa)) {
 			t.Errorf("%s: disk-served result is not bit-identical to the fresh one", m.name)
 		}
 	}

@@ -76,6 +76,10 @@ type RunSpec struct {
 // Results delivered through a Batch are shared between consumers:
 // treat the Meter, Hier and stats as read-only.
 type RunResult struct {
+	// Key is the canonical cache key of Spec (see Key). It is rendered
+	// once, where the result is produced, so consumers such as the
+	// server's responses never render it again.
+	Key   string
 	Spec  RunSpec
 	CPU   cpu.Result
 	Meter *energy.Meter
@@ -233,11 +237,15 @@ func appendKeyBool(b []byte, label string, v bool) []byte {
 
 // Run executes one simulation per the spec, bypassing any cache. Use a
 // Batch to share and memoize runs across harnesses.
-func Run(spec RunSpec) RunResult { return runNormalized(Normalize(spec)) }
+func Run(spec RunSpec) RunResult {
+	n := Normalize(spec)
+	return runNormalized(n, keyOf(n))
+}
 
-// runNormalized executes an already-normalized spec, recording the
-// warmup/measured wall-clock split into the result's Phases.
-func runNormalized(spec RunSpec) RunResult {
+// runNormalized executes an already-normalized spec whose key is key,
+// recording the warmup/measured wall-clock split into the result's
+// Phases.
+func runNormalized(spec RunSpec, key string) RunResult {
 	p := trace.MustPersonality(spec.Benchmark)
 	meter := energy.NewMeter()
 
@@ -266,7 +274,7 @@ func runNormalized(spec RunSpec) RunResult {
 	sampler := obs.NewIntervalSampler(0, 0)
 	sampler.SetEnabled(true)
 	c.SetSampler(sampler)
-	res := RunResult{Spec: spec, Meter: meter}
+	res := RunResult{Key: key, Spec: spec, Meter: meter}
 	var warmDur, measDur time.Duration
 	res.CPU, warmDur, measDur = c.RunWarmTimed(spec.Warmup, spec.Insts)
 	res.Phases.Set(obs.PhaseWarmup, warmDur)
@@ -427,7 +435,7 @@ func (b *Batch) jobFor(ctx context.Context, n RunSpec, key string) func() RunRes
 				// The wire carries no spec or hierarchy; restore the
 				// identity the caller asked for, exactly like a
 				// disk-served result.
-				r.Spec = n
+				r.Key, r.Spec = key, n
 				r.Hier = nil
 				if b.disk != nil {
 					start := time.Now()
@@ -444,7 +452,7 @@ func (b *Batch) jobFor(ctx context.Context, n RunSpec, key string) func() RunRes
 		span.SetAttr("tier", "simulate")
 		simStart := time.Now()
 		_, sspan := obs.StartSpan(runCtx, "simulate")
-		r := runNormalized(n)
+		r := runNormalized(n, key)
 		sspan.End()
 		b.noteSimulated(runCtx, n, r, simStart, time.Since(simStart))
 		b.phase[obs.PhaseWarmup].Observe(time.Duration(r.Phases.Warmup * float64(time.Second)))

@@ -54,9 +54,9 @@ func ScenarioSpecs(name string, benchmarks []string, insts uint64) ([]RunSpec, [
 // like disk-served ones.
 func (b *Batch) Offer(spec RunSpec, res RunResult) bool {
 	n := Normalize(spec)
-	res.Spec = n
+	res.Key, res.Spec = keyOf(n), n
 	res.Hier = nil
-	return b.sched.Offer(keyOf(n), res)
+	return b.sched.Offer(res.Key, res)
 }
 
 // Cached returns the completed result for a canonical spec key if the

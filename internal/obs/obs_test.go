@@ -254,3 +254,24 @@ func TestChromeTraceExport(t *testing.T) {
 		t.Fatalf("sources should land in distinct pid lanes, got %v", pids)
 	}
 }
+
+// FuzzParseTraceParent: every request's traceparent header passes
+// through ParseTraceParent. It must never panic, a rejection must
+// return the zero span context, and an accepted value must re-render
+// to a header that parses back to the same span context.
+func FuzzParseTraceParent(f *testing.F) {
+	f.Fuzz(func(t *testing.T, v string) {
+		sc, ok := ParseTraceParent(v)
+		if !ok {
+			if sc != (SpanContext{}) {
+				t.Fatalf("ParseTraceParent(%q) rejected but returned %+v", v, sc)
+			}
+			return
+		}
+		again, ok := ParseTraceParent(sc.TraceParent())
+		if !ok || again != sc {
+			t.Fatalf("ParseTraceParent(%q) = %+v re-renders to %q, which parses to %+v ok=%v",
+				v, sc, sc.TraceParent(), again, ok)
+		}
+	})
+}

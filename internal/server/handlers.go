@@ -53,23 +53,34 @@ func (s *Server) vetRun(req client.RunRequest) (experiments.RunSpec, error) {
 	return n, nil
 }
 
-// runResponseFor renders a normalized spec and its result as the wire
-// response.
-func runResponseFor(n experiments.RunSpec, res experiments.RunResult) client.RunResponse {
-	return client.RunResponse{
-		Key:         experiments.Key(n),
-		Benchmark:   n.Benchmark,
-		Model:       client.ModelName(n.Model),
-		Insts:       n.Insts,
-		Warmup:      n.Warmup,
-		Sim:         experiments.SimStamp(),
-		CPU:         res.CPU,
-		SAMIE:       res.SAMIE,
-		Conv:        res.Conv,
-		Meter:       res.Meter,
-		LSQEnergyNJ: res.LSQEnergyNJ(),
-		Phases:      res.Phases,
+// runResponseFor renders a batch result as the JSON wire response.
+func runResponseFor(res experiments.RunResult) client.RunResponse {
+	return client.ResponseFor(res, experiments.SimStamp())
+}
+
+// writeRun answers a run or probe request. A request whose Accept
+// names this build's run-record layout (client.AcceptsRunRecord) gets
+// the binary record; every other request — curl, non-Go clients, a
+// client of another layout, and timeline requests, whose telemetry the
+// record does not carry — gets the JSON response.
+func writeRun(w http.ResponseWriter, r *http.Request, res experiments.RunResult, timeline bool) {
+	w.Header().Add("Vary", "Accept")
+	if !timeline && client.AcceptsRunRecord(r.Header.Get("Accept")) {
+		body := experiments.EncodeRunRecord(res)
+		w.Header().Set("Content-Type", client.RunRecordContentType)
+		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(body)
+		return
 	}
+	resp := runResponseFor(res)
+	if timeline {
+		// Interval telemetry is opt-in per request: the payload is an
+		// order of magnitude larger than the result itself, and only
+		// runs this replica simulated carry one.
+		resp.Timeline = res.Timeline
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // handleRun executes (or serves from the shared cache) one simulation.
@@ -91,14 +102,7 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForError(err), fmt.Sprintf("run abandoned: %v", err))
 		return
 	}
-	resp := runResponseFor(n, res)
-	if req.Timeline {
-		// Interval telemetry is opt-in per request: the payload is an
-		// order of magnitude larger than the result itself, and only
-		// runs this replica simulated carry one.
-		resp.Timeline = res.Timeline
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeRun(w, r, res, req.Timeline)
 }
 
 // handleRunProbe answers whether the batch already holds the result
@@ -114,7 +118,7 @@ func (s *Server) handleRunProbe(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.probeHits.Add(1)
-	writeJSON(w, http.StatusOK, runResponseFor(res.Spec, res))
+	writeRun(w, r, res, false)
 }
 
 // handleRunTimeline streams a cached run's interval telemetry as
@@ -223,7 +227,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 			tp = r.Header.Get("traceparent")
 		}
 		onDone = func(res experiments.RunResult, done, total int) {
-			rr := runResponseFor(res.Spec, res)
+			rr := runResponseFor(res)
 			emit(client.SuiteEvent{Type: "run", Run: &rr, Done: done, Total: total, Trace: tp})
 		}
 	}
@@ -252,7 +256,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	out := client.SuiteResponse{Total: len(specs), Runs: make([]client.RunResponse, 0, len(results))}
 	for _, res := range results {
-		out.Runs = append(out.Runs, runResponseFor(res.Spec, res))
+		out.Runs = append(out.Runs, runResponseFor(res))
 	}
 	writeJSON(w, http.StatusOK, out)
 }

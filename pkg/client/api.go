@@ -161,6 +161,29 @@ type RunResponse struct {
 	Timeline *obs.Timeline `json:"timeline,omitempty"`
 }
 
+// ResponseFor renders a result delivered by a Batch — which carries its
+// canonical key and normalized spec — as the wire response; sim is the
+// simulator stamp of the build that produced it. The server builds its
+// JSON answers here and the client builds RunResponse from a binary
+// run record here, so the two encodings decode to the same value.
+func ResponseFor(res experiments.RunResult, sim string) RunResponse {
+	n := res.Spec
+	return RunResponse{
+		Key:         res.Key,
+		Benchmark:   n.Benchmark,
+		Model:       ModelName(n.Model),
+		Insts:       n.Insts,
+		Warmup:      n.Warmup,
+		Sim:         sim,
+		CPU:         res.CPU,
+		SAMIE:       res.SAMIE,
+		Conv:        res.Conv,
+		Meter:       res.Meter,
+		LSQEnergyNJ: res.LSQEnergyNJ(),
+		Phases:      res.Phases,
+	}
+}
+
 // Result converts the wire response back into a library RunResult.
 // The normalized Spec is NOT reconstructed (the wire identity carries
 // only benchmark/model/insts/warmup); callers that need the full spec
@@ -169,6 +192,7 @@ type RunResponse struct {
 // the result carries a nil Hier, exactly like a disk-served one.
 func (r RunResponse) Result() experiments.RunResult {
 	return experiments.RunResult{
+		Key:      r.Key,
 		CPU:      r.CPU,
 		SAMIE:    r.SAMIE,
 		Conv:     r.Conv,

@@ -87,7 +87,7 @@ func IsThrottled(err error) bool {
 // roundTrip issues one JSON request; out may be nil to discard the
 // body.
 func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any) error {
-	resp, err := c.send(ctx, method, path, in)
+	resp, err := c.send(ctx, method, path, in, "")
 	if err != nil {
 		return err
 	}
@@ -102,8 +102,25 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 	return nil
 }
 
+// roundTripRun issues a run or probe request that accepts this
+// build's binary run record and decodes whichever encoding the server
+// answered with.
+func (c *Client) roundTripRun(ctx context.Context, method, path string, in any) (RunResponse, error) {
+	resp, err := c.send(ctx, method, path, in, RunRecordContentType)
+	if err != nil {
+		return RunResponse{}, err
+	}
+	defer resp.Body.Close()
+	out, err := decodeRun(resp)
+	if err != nil {
+		return RunResponse{}, fmt.Errorf("client: decoding %s %s: %w", method, path, err)
+	}
+	return out, nil
+}
+
 // send issues the request and converts non-2xx statuses into
-// *APIError; the caller owns the returned body.
+// *APIError; the caller owns the returned body. A non-empty accept
+// is sent as the Accept header.
 //
 // Failures below HTTP — connection refused, a reset before any
 // response — are retried up to c.retries times under the shared
@@ -111,7 +128,7 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 // 5xx: *APIError classification (and the cluster's failover logic) own
 // that layer, and streaming bodies that die mid-read are the stream
 // consumer's problem (see cluster.RunSpecs resume).
-func (c *Client) send(ctx context.Context, method, path string, in any) (*http.Response, error) {
+func (c *Client) send(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
 	var data []byte
 	if in != nil {
 		var err error
@@ -139,6 +156,9 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 		}
 		if in != nil {
 			req.Header.Set("Content-Type", "application/json")
+		}
+		if accept != "" {
+			req.Header.Set("Accept", accept)
 		}
 		req.Header.Set("traceparent", traceParent)
 		resp, err = c.hc.Do(req)
@@ -173,20 +193,21 @@ func (c *Client) send(ctx context.Context, method, path string, in any) (*http.R
 	return nil, ae
 }
 
-// Run executes (or dedups, server-side) one simulation.
+// Run executes (or dedups, server-side) one simulation. The result
+// travels as a binary run record when the server shares this build's
+// record layout and the request did not set Timeline, and as JSON
+// otherwise; either way it decodes to the same RunResponse.
 func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
-	var out RunResponse
-	err := c.roundTrip(ctx, http.MethodPost, "/v1/runs", req, &out)
-	return out, err
+	return c.roundTripRun(ctx, http.MethodPost, "/v1/runs", req)
 }
 
 // ProbeRun asks whether the server already holds the result for a
 // canonical spec key — in memory or on disk — without executing
 // anything. The second return is false (with a nil error) when the
 // key is simply not cached; errors are transport or server failures.
+// The result is negotiated as a binary run record, exactly as for Run.
 func (c *Client) ProbeRun(ctx context.Context, key string) (RunResponse, bool, error) {
-	var out RunResponse
-	err := c.roundTrip(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(key), nil, &out)
+	out, err := c.roundTripRun(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(key), nil)
 	if err != nil {
 		if ae, ok := err.(*APIError); ok && ae.Status == http.StatusNotFound {
 			return RunResponse{}, false, nil
@@ -207,7 +228,7 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 		err := c.roundTrip(ctx, http.MethodPost, "/v1/suite", req, &out)
 		return out, err
 	}
-	resp, err := c.send(ctx, http.MethodPost, "/v1/suite?stream=1", req)
+	resp, err := c.send(ctx, http.MethodPost, "/v1/suite?stream=1", req, "")
 	if err != nil {
 		return SuiteResponse{}, err
 	}
@@ -285,7 +306,7 @@ func (c *Client) RunScenario(ctx context.Context, name string, req ScenarioRunRe
 		err := c.roundTrip(ctx, http.MethodPost, path, req, &out)
 		return out, err
 	}
-	resp, err := c.send(ctx, http.MethodPost, path+"?stream=1", req)
+	resp, err := c.send(ctx, http.MethodPost, path+"?stream=1", req, "")
 	if err != nil {
 		return ScenarioRunResponse{}, err
 	}
@@ -353,7 +374,7 @@ func (c *Client) SetChaos(ctx context.Context, spec string) (ChaosState, error) 
 
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, "")
 	if err != nil {
 		return "", err
 	}
@@ -396,7 +417,7 @@ func (c *Client) Traces(ctx context.Context, limit int) (TracesResponse, error) 
 // not cached, or the result arrived via the disk/peer tier, which
 // strips telemetry.
 func (c *Client) Timeline(ctx context.Context, key string) (obs.Timeline, bool, error) {
-	resp, err := c.send(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(key)+"/timeline", nil)
+	resp, err := c.send(ctx, http.MethodGet, "/v1/runs/"+url.PathEscape(key)+"/timeline", nil, "")
 	if err != nil {
 		if ae, ok := err.(*APIError); ok && ae.Status == http.StatusNotFound {
 			return obs.Timeline{}, false, nil

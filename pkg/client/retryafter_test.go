@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -69,4 +70,30 @@ func TestRetryAfterHTTPDateOnWire(t *testing.T) {
 	if ae := err.(*APIError); ae.RetryAfter != 0 {
 		t.Fatalf("negative Retry-After = %v, want clamped to 0", ae.RetryAfter)
 	}
+}
+
+// FuzzParseRetryAfter: every 429's Retry-After value passes through
+// ParseRetryAfter. It must never panic, a rejection must return zero,
+// an accepted value must be a non-negative wait, and that wait
+// re-rendered as delta-seconds must be accepted as the same whole
+// seconds.
+func FuzzParseRetryAfter(f *testing.F) {
+	now := time.Date(2026, 7, 28, 12, 0, 0, 0, time.UTC)
+	f.Fuzz(func(t *testing.T, v string) {
+		d, ok := parseRetryAfter(v, now)
+		if !ok {
+			if d != 0 {
+				t.Fatalf("parseRetryAfter(%q) rejected but returned %v", v, d)
+			}
+			return
+		}
+		if d < 0 {
+			t.Fatalf("parseRetryAfter(%q) = %v, a negative wait", v, d)
+		}
+		secs := strconv.FormatInt(int64(d/time.Second), 10)
+		again, ok := parseRetryAfter(secs, now)
+		if !ok || again != d.Truncate(time.Second) {
+			t.Fatalf("parseRetryAfter(%q) = %v re-renders to %q, which parses to %v ok=%v", v, d, secs, again, ok)
+		}
+	})
 }
