@@ -155,6 +155,12 @@ func main() {
 			os.Exit(2)
 		}
 	}
+	// So is a run the simulator cannot take, such as an unknown -bench
+	// name.
+	if err := vetRunSet(suite, selected, scenarios, benchmarks, *insts); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	// Remote mode: the simulations run on the replicas; a bad URL list
 	// is a usage error, an unreachable fleet a runtime one.
@@ -324,6 +330,29 @@ func main() {
 		fmt.Fprintf(os.Stderr, "cache close: %v\n", err)
 	}
 	writeTrace(ctx, *traceOut, nil, nil)
+}
+
+// vetRunSet checks every simulation the invocation will request — the
+// suite's or the selected figures' specs and each scenario's — with
+// experiments.ValidateSpec.
+func vetRunSet(suite bool, selected []experiments.Figure, scenarios, benchmarks []string, insts uint64) error {
+	if suite {
+		selected = experiments.Figures()
+	}
+	specs := experiments.FigureSpecs(selected, benchmarks, insts)
+	for _, name := range scenarios {
+		ss, _, err := experiments.ScenarioSpecs(name, benchmarks, insts)
+		if err != nil {
+			return err
+		}
+		specs = append(specs, ss...)
+	}
+	for _, s := range specs {
+		if err := experiments.ValidateSpec(s); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // writeTimelines dumps the batch's retained run timelines as NDJSON:

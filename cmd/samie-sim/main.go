@@ -65,6 +65,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	if err := experiments.ValidateSpec(spec); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+
 	if *showKey {
 		fmt.Println(experiments.Key(spec))
 	}

@@ -1,9 +1,9 @@
 package experiments
 
 // The binary run-record codec. One walker and one fingerprint serve
-// every record type: the disk artifact (diskArtifact) and the wire
-// record the typed client receives (wireRecord). A record is written
-// as
+// every record type: the disk artifact (diskArtifact), the wire record
+// the typed client receives (wireRecord) and the spec record it sends
+// (specRecord). A record is written as
 //
 //	magic "SAMIERUN" | layout fingerprint (u64) | fields in declaration order
 //
@@ -20,8 +20,9 @@ package experiments
 // so a record written before a field was added, removed, renamed or
 // retyped is rejected instead of decoding into the wrong slots or
 // leaving the new field silently zero. Each record type has its own
-// fingerprint, so a disk artifact offered as a wire record (or the
-// reverse) is rejected the same way. The decoder rejects anything the
+// fingerprint, so a record of one type offered as another (a disk
+// artifact as a wire record, a wire record as a spec record) is
+// rejected the same way. The decoder rejects anything the
 // encoder could not have produced: a decoded record re-encodes to
 // exactly the bytes it came from.
 
@@ -81,10 +82,32 @@ type wireRecord struct {
 // wireCodec reads and writes wire records.
 var wireCodec = newRecordCodec[wireRecord]()
 
-// RunRecordLayout is the wire record's layout fingerprint in hex. A
-// client and a server exchange binary records only when their layouts
-// are equal; any other pairing falls back to JSON.
-var RunRecordLayout = strconv.FormatUint(wireCodec.layout, 16)
+// specRecord is one POST /v1/runs request as the typed client sends it
+// to a server that speaks its layout: the spec exactly as the caller
+// built it (not normalized) and the request's timeline option.
+type specRecord struct {
+	Spec     RunSpec
+	Timeline bool
+}
+
+// specCodec reads and writes spec records.
+var specCodec = newRecordCodec[specRecord]()
+
+// RunRecordLayout names, in hex, the layouts of both wire record types:
+// the run record a server answers with and the spec record a client
+// sends. A client and a server exchange binary records only when this
+// string is equal on both sides, so a run record answered in the
+// client's layout also proves the server decodes the client's spec
+// records; any other pairing falls back to JSON.
+var RunRecordLayout = strconv.FormatUint(wireLayout(wireCodec.layout, specCodec.layout), 16)
+
+// wireLayout folds the run-record and spec-record fingerprints into
+// one.
+func wireLayout(run, spec uint64) uint64 {
+	h := fnv.New64a()
+	h.Write(binary.LittleEndian.AppendUint64(binary.LittleEndian.AppendUint64(nil, run), spec))
+	return h.Sum64()
+}
 
 // EncodeRunRecord renders a result delivered by a Batch, which carries
 // its canonical key and normalized spec, as a binary wire record
@@ -108,6 +131,25 @@ func DecodeRunRecord(data []byte) (RunResult, string, error) {
 	res := rec.Artifact.result()
 	res.Phases = rec.Phases
 	return res, rec.Artifact.Sim, nil
+}
+
+// EncodeSpecRecord renders a run request as a binary spec record: the
+// spec as the caller built it, and whether the response should carry
+// the run's timeline.
+func EncodeSpecRecord(spec RunSpec, timeline bool) []byte {
+	rec := specRecord{Spec: spec, Timeline: timeline}
+	return specCodec.encode(&rec)
+}
+
+// DecodeSpecRecord parses a spec record read from the network. It
+// checks the encoding only: the spec may name any model kind or
+// configuration, and ValidateSpec decides whether it can run.
+func DecodeSpecRecord(data []byte) (RunSpec, bool, error) {
+	rec, err := specCodec.decode(data)
+	if err != nil {
+		return RunSpec{}, false, err
+	}
+	return rec.Spec, rec.Timeline, nil
 }
 
 // layoutFingerprint hashes the field names and kinds of t, recursively.

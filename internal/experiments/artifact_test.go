@@ -63,6 +63,23 @@ func FuzzDecodeRunRecord(f *testing.F) {
 	})
 }
 
+// FuzzDecodeSpecRecord holds the spec-record decoder, which reads
+// whatever a client posts to /v1/runs, to the codec invariant, and
+// feeds every accepted spec to ValidateSpec, which must answer without
+// a panic: a spec record carries a raw model kind and configuration.
+func FuzzDecodeSpecRecord(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkRoundTrip(t, specCodec, data)
+		spec, _, err := DecodeSpecRecord(data)
+		if _, cerr := specCodec.decode(data); (err == nil) != (cerr == nil) {
+			t.Fatalf("DecodeSpecRecord error %v, codec error %v", err, cerr)
+		}
+		if err == nil {
+			_ = ValidateSpec(spec)
+		}
+	})
+}
+
 // legacyJSONArtifact is what format version 2 wrote for a result: the
 // same fields, JSON-encoded.
 func legacyJSONArtifact(t *testing.T, key string, res RunResult) []byte {
@@ -130,6 +147,24 @@ func runRecordSeeds(t *testing.T) map[string][]byte {
 	seeds["flipped-fingerprint"] = flipFingerprint(seeds["valid-samie"])
 	art := newArtifact(results["samie"].Key, results["samie"])
 	seeds["disk-artifact"] = artifactCodec.encode(&art)
+	return seeds
+}
+
+// specRecordSeeds builds the FuzzDecodeSpecRecord seed corpus: one
+// valid spec record per LSQ model and one normalized SAMIE spec with
+// the timeline option, truncations of each, a flipped layout
+// fingerprint, a wire run record offered as a spec record, and a
+// well-formed record whose model kind is out of range.
+func specRecordSeeds(t *testing.T) map[string][]byte {
+	t.Helper()
+	seeds := map[string][]byte{}
+	for _, m := range artifactModels {
+		addTruncations(seeds, m.name, EncodeSpecRecord(m.spec, false))
+	}
+	addTruncations(seeds, "timeline", EncodeSpecRecord(Normalize(artifactModels[3].spec), true))
+	seeds["flipped-fingerprint"] = flipFingerprint(seeds["valid-samie"])
+	seeds["run-record"] = EncodeRunRecord(modelResults()["samie"])
+	seeds["model-out-of-range"] = EncodeSpecRecord(RunSpec{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE + 1}, false)
 	return seeds
 }
 
@@ -202,6 +237,20 @@ func TestFuzzDecodeRunRecordCorpus(t *testing.T) {
 	checkCorpus(t, "FuzzDecodeRunRecord", runRecordSeeds(t), func(b []byte) error {
 		_, _, err := DecodeRunRecord(b)
 		return err
+	})
+}
+
+// TestFuzzDecodeSpecRecordCorpus checks the FuzzDecodeSpecRecord
+// corpus, where a seed counts as accepted only when its spec also
+// passes ValidateSpec; regenerate it with
+// UPDATE_GOLDEN=1 go test -run TestFuzzDecodeSpecRecordCorpus.
+func TestFuzzDecodeSpecRecordCorpus(t *testing.T) {
+	checkCorpus(t, "FuzzDecodeSpecRecord", specRecordSeeds(t), func(b []byte) error {
+		spec, _, err := DecodeSpecRecord(b)
+		if err != nil {
+			return err
+		}
+		return ValidateSpec(spec)
 	})
 }
 
@@ -307,8 +356,33 @@ func TestRunRecordRoundTrip(t *testing.T) {
 	if _, err := artifactCodec.decode(rec); !errors.Is(err, errRecordLayout) {
 		t.Errorf("wire record as a disk artifact: error %v, want %v", err, errRecordLayout)
 	}
-	if RunRecordLayout != strconv.FormatUint(wireCodec.layout, 16) {
-		t.Errorf("RunRecordLayout %q does not name the wire layout", RunRecordLayout)
+	if RunRecordLayout != strconv.FormatUint(wireLayout(wireCodec.layout, specCodec.layout), 16) {
+		t.Errorf("RunRecordLayout %q does not name the wire layouts", RunRecordLayout)
+	}
+}
+
+// TestSpecRecordRoundTrip checks that a spec record carries a spec
+// exactly as the caller built it, raw or normalized, with its timeline
+// option, and that no other record type is accepted as one.
+func TestSpecRecordRoundTrip(t *testing.T) {
+	for _, m := range artifactModels {
+		for _, spec := range []RunSpec{m.spec, Normalize(m.spec)} {
+			for _, timeline := range []bool{false, true} {
+				got, gotTimeline, err := DecodeSpecRecord(EncodeSpecRecord(spec, timeline))
+				if err != nil {
+					t.Fatalf("%s: spec record rejected: %v", m.name, err)
+				}
+				if !reflect.DeepEqual(got, spec) || gotTimeline != timeline {
+					t.Fatalf("%s: decoded (%+v, %v), want (%+v, %v)", m.name, got, gotTimeline, spec, timeline)
+				}
+			}
+		}
+	}
+	if specCodec.layout == wireCodec.layout || specCodec.layout == artifactCodec.layout {
+		t.Fatal("spec record shares a layout fingerprint with another record type")
+	}
+	if _, _, err := DecodeSpecRecord(EncodeRunRecord(modelResults()["samie"])); !errors.Is(err, errRecordLayout) {
+		t.Errorf("wire record as a spec record: error %v, want %v", err, errRecordLayout)
 	}
 }
 

@@ -236,9 +236,13 @@ func appendKeyBool(b []byte, label string, v bool) []byte {
 }
 
 // Run executes one simulation per the spec, bypassing any cache. Use a
-// Batch to share and memoize runs across harnesses.
+// Batch to share and memoize runs across harnesses. A spec ValidateSpec
+// rejects panics with the validation error.
 func Run(spec RunSpec) RunResult {
-	n := Normalize(spec)
+	n, err := normalizeValid(spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: invalid run spec: %v", err))
+	}
 	return runNormalized(n, keyOf(n))
 }
 
@@ -348,9 +352,13 @@ func NewBatchWithCache(workers int, cacheDir string) (*Batch, error) {
 
 // Run returns the memoized result for spec, simulating it only if this
 // batch has not seen an equivalent spec before — consulting the disk
-// cache first when one is attached.
+// cache first when one is attached. A spec ValidateSpec rejects panics
+// with the validation error; RunCtx returns it instead.
 func (b *Batch) Run(spec RunSpec) RunResult {
-	n := Normalize(spec)
+	n, err := normalizeValid(spec)
+	if err != nil {
+		panic(fmt.Sprintf("experiments: invalid run spec: %v", err))
+	}
 	key := keyOf(n)
 	return b.sched.Do(key, b.jobFor(context.Background(), n, key))
 }
@@ -360,10 +368,15 @@ func (b *Batch) Run(spec RunSpec) RunResult {
 // caller) withdraws it instead of occupying a worker slot. A started
 // or shared simulation runs to completion — its result is memoized for
 // everyone — and only this caller's wait is abandoned. An error is
-// always this caller's own context error: coalescing onto a job whose
-// owner canceled is retried transparently while ctx stays live.
+// either ValidateSpec's verdict on spec, returned before anything is
+// queued or memoized, or this caller's own context error: coalescing
+// onto a job whose owner canceled is retried transparently while ctx
+// stays live.
 func (b *Batch) RunCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
-	n := Normalize(spec)
+	n, err := normalizeValid(spec)
+	if err != nil {
+		return RunResult{}, err
+	}
 	key := keyOf(n)
 	for {
 		r, err := b.sched.DoCtx(ctx, key, b.jobFor(ctx, n, key))

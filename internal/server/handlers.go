@@ -25,17 +25,26 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// vetRun validates one wire run request end to end — benchmark,
-// instruction and warm-up caps, model geometry — and returns the
-// normalized spec it describes.
+// vetRun converts one JSON wire run request into a spec and vets it.
 func (s *Server) vetRun(req client.RunRequest) (experiments.RunSpec, error) {
 	spec, err := req.Spec()
 	if err != nil {
 		return experiments.RunSpec{}, err
 	}
-	if _, err := validBenchmarks([]string{spec.Benchmark}); err != nil {
+	return s.vet(spec)
+}
+
+// vet validates one run spec end to end, in whichever encoding it
+// arrived — the simulator's ValidateSpec, then this server's
+// instruction, warm-up and geometry caps — and returns the normalized
+// spec it describes.
+func (s *Server) vet(spec experiments.RunSpec) (experiments.RunSpec, error) {
+	// ValidateSpec rejects an out-of-range model kind before anything
+	// normalizes the spec: Normalize panics on one.
+	if err := experiments.ValidateSpec(spec); err != nil {
 		return experiments.RunSpec{}, err
 	}
+	var err error
 	spec.Insts, err = s.capInsts(spec.Insts)
 	if err != nil {
 		return experiments.RunSpec{}, err
@@ -47,7 +56,7 @@ func (s *Server) vetRun(req client.RunRequest) (experiments.RunSpec, error) {
 	if s.cfg.MaxInsts > 0 && n.Warmup > s.cfg.MaxInsts {
 		return experiments.RunSpec{}, fmt.Errorf("warmup %d exceeds the server cap %d", n.Warmup, s.cfg.MaxInsts)
 	}
-	if err := validSpec(n); err != nil {
+	if err := withinCaps(n, maxConfigDim); err != nil {
 		return experiments.RunSpec{}, err
 	}
 	return n, nil
@@ -86,12 +95,12 @@ func writeRun(w http.ResponseWriter, r *http.Request, res experiments.RunResult,
 // handleRun executes (or serves from the shared cache) one simulation.
 // Two concurrent identical requests coalesce into a single run.
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req client.RunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	spec, timeline, status, err := decodeRunRequest(w, r)
+	if err != nil {
+		writeError(w, status, err.Error())
 		return
 	}
-	n, err := s.vetRun(req)
+	n, err := s.vet(spec)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -102,7 +111,42 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		writeError(w, statusForError(err), fmt.Sprintf("run abandoned: %v", err))
 		return
 	}
-	writeRun(w, r, res, req.Timeline)
+	writeRun(w, r, res, timeline)
+}
+
+// decodeRunRequest reads a POST /v1/runs body as the spec it names and
+// the request's timeline option. The request's media type picks the
+// decoder: a spec record in this build's layout is decoded as a
+// record, a spec record of any other layout is refused with 415 (the
+// typed client then resends JSON), and every other body is JSON. On
+// failure it returns the status to answer with.
+func decodeRunRequest(w http.ResponseWriter, r *http.Request) (experiments.RunSpec, bool, int, error) {
+	body := http.MaxBytesReader(w, r.Body, 1<<20)
+	mt, layout := client.RecordMediaType(r.Header.Get("Content-Type"))
+	if mt == client.SpecRecordType {
+		if layout != experiments.RunRecordLayout {
+			return experiments.RunSpec{}, false, http.StatusUnsupportedMediaType,
+				fmt.Errorf("spec record layout %q is not this server's layout %s; send JSON", layout, experiments.RunRecordLayout)
+		}
+		data, err := client.ReadRecordBody(body, r.ContentLength)
+		if err != nil {
+			return experiments.RunSpec{}, false, http.StatusBadRequest, fmt.Errorf("bad spec record: %v", err)
+		}
+		spec, timeline, err := experiments.DecodeSpecRecord(data)
+		if err != nil {
+			return experiments.RunSpec{}, false, http.StatusBadRequest, fmt.Errorf("bad spec record: %v", err)
+		}
+		return spec, timeline, 0, nil
+	}
+	var req client.RunRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return experiments.RunSpec{}, false, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
+	}
+	spec, err := req.Spec()
+	if err != nil {
+		return experiments.RunSpec{}, false, http.StatusBadRequest, err
+	}
+	return spec, req.Timeline, 0, nil
 }
 
 // handleRunProbe answers whether the batch already holds the result

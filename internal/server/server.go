@@ -271,19 +271,16 @@ func (s *Server) capInsts(insts uint64) (uint64, error) {
 // configuration while still bounding one run's footprint.
 const maxConfigDim = 1 << 20
 
-// validSpec vets a normalized spec at the API boundary. The simulator
-// constructors panic on malformed configurations — which would
-// surface as a 500 from a worker and stay memoized under the spec's
-// key — and an oversized geometry would allocate its structures
-// inside the shared process, so both are a clean 400 instead.
-func validSpec(n experiments.RunSpec) error {
-	if err := n.CPU.Validate(); err != nil {
-		return err
-	}
+// withinCaps bounds a normalized spec's structure sizes, and the
+// products that size one structure, by limit (maxConfigDim for
+// requests). ValidateSpec has already rejected what the simulator
+// cannot run; these caps keep an oversized but valid geometry from
+// allocating its structures inside the shared process.
+func withinCaps(n experiments.RunSpec, limit int) error {
 	var err error
 	dim := func(name string, v int) {
-		if err == nil && v > maxConfigDim {
-			err = fmt.Errorf("%s %d exceeds the server cap %d", name, v, maxConfigDim)
+		if err == nil && v > limit {
+			err = fmt.Errorf("%s %d exceeds the server cap %d", name, v, limit)
 		}
 	}
 	dim("cpu.FetchWidth", n.CPU.FetchWidth)
@@ -304,35 +301,25 @@ func validSpec(n experiments.RunSpec) error {
 	dim("cpu.DeadlockPatience", n.CPU.DeadlockPatience)
 	switch n.Model {
 	case experiments.ModelConventional:
-		if n.ConvEntries <= 0 {
-			return fmt.Errorf("conv_entries must be positive")
-		}
 		dim("conv_entries", n.ConvEntries)
 	case experiments.ModelARB:
-		if n.ARBBanks <= 0 || n.ARBAddrs <= 0 || n.ARBInflight <= 0 {
-			return fmt.Errorf("arb_banks, arb_addrs and arb_inflight must be positive")
-		}
 		dim("arb_banks", n.ARBBanks)
 		dim("arb_addrs", n.ARBAddrs)
 		dim("arb_inflight", n.ARBInflight)
-		if tot := int64(n.ARBBanks) * int64(n.ARBAddrs); err == nil && tot > maxConfigDim {
-			err = fmt.Errorf("arb_banks*arb_addrs %d exceeds the server cap %d", tot, maxConfigDim)
+		if tot := int64(n.ARBBanks) * int64(n.ARBAddrs); err == nil && tot > int64(limit) {
+			err = fmt.Errorf("arb_banks*arb_addrs %d exceeds the server cap %d", tot, limit)
 		}
 	case experiments.ModelSAMIE:
-		if verr := n.SAMIE.Validate(); verr != nil {
-			return verr
-		}
 		dim("samie.Banks", n.SAMIE.Banks)
 		dim("samie.EntriesPerBank", n.SAMIE.EntriesPerBank)
 		dim("samie.SlotsPerEntry", n.SAMIE.SlotsPerEntry)
 		dim("samie.SharedEntries", n.SAMIE.SharedEntries)
 		dim("samie.AddrBufferSlots", n.SAMIE.AddrBufferSlots)
-		dim("samie.LineBytes", n.SAMIE.LineBytes)
 		// int64 keeps the product exact even on 32-bit int: the
 		// per-dimension caps bound it below 2^60.
-		if tot := int64(n.SAMIE.Banks) * int64(n.SAMIE.EntriesPerBank) * int64(n.SAMIE.SlotsPerEntry); err == nil && tot > maxConfigDim {
+		if tot := int64(n.SAMIE.Banks) * int64(n.SAMIE.EntriesPerBank) * int64(n.SAMIE.SlotsPerEntry); err == nil && tot > int64(limit) {
 			err = fmt.Errorf("samie DistribLSQ slots %d (Banks*EntriesPerBank*SlotsPerEntry) exceeds the server cap %d",
-				tot, maxConfigDim)
+				tot, limit)
 		}
 	}
 	return err

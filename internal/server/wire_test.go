@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"samielsq/internal/core"
 	"samielsq/internal/experiments"
 	"samielsq/internal/faultinject"
 	"samielsq/pkg/client"
@@ -25,13 +26,32 @@ var wireModels = []client.RunRequest{
 	{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts},
 }
 
-// fetchRun issues one run (body non-nil) or probe request with the
-// given Accept header and returns the response's content type and
-// body.
-func fetchRun(t *testing.T, method, url string, body any, accept string) (string, []byte) {
+// specBody is a POST /v1/runs body sent as a binary spec record with
+// this build's layout.
+type specBody []byte
+
+// specBodyFor encodes a run request as the typed client's spec record.
+func specBodyFor(t *testing.T, req client.RunRequest) specBody {
+	t.Helper()
+	spec, err := req.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return specBody(experiments.EncodeSpecRecord(spec, req.Timeline))
+}
+
+// doRun issues one run (body non-nil: a specBody as a spec record,
+// anything else as JSON) or probe request with the given Accept header
+// and returns the response's status, header and body.
+func doRun(t *testing.T, method, url string, body any, accept string) (int, http.Header, []byte) {
 	t.Helper()
 	var rd io.Reader
-	if body != nil {
+	contentType := "application/json"
+	switch b := body.(type) {
+	case nil:
+	case specBody:
+		rd, contentType = bytes.NewReader(b), client.SpecRecordContentType
+	default:
 		data, err := json.Marshal(body)
 		if err != nil {
 			t.Fatal(err)
@@ -41,6 +61,9 @@ func fetchRun(t *testing.T, method, url string, body any, accept string) (string
 	req, err := http.NewRequest(method, url, rd)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", contentType)
 	}
 	if accept != "" {
 		req.Header.Set("Accept", accept)
@@ -54,13 +77,21 @@ func fetchRun(t *testing.T, method, url string, body any, accept string) (string
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("%s %s: status %d: %s", method, url, resp.StatusCode, raw)
+	return resp.StatusCode, resp.Header, raw
+}
+
+// fetchRun is doRun for a request that must succeed; it returns the
+// response's content type and body.
+func fetchRun(t *testing.T, method, url string, body any, accept string) (string, []byte) {
+	t.Helper()
+	status, header, raw := doRun(t, method, url, body, accept)
+	if status != http.StatusOK {
+		t.Fatalf("%s %s: status %d: %s", method, url, status, raw)
 	}
-	if !strings.Contains(resp.Header.Get("Vary"), "Accept") {
+	if !strings.Contains(header.Get("Vary"), "Accept") {
 		t.Errorf("%s %s: negotiated response without Vary: Accept", method, url)
 	}
-	return resp.Header.Get("Content-Type"), raw
+	return header.Get("Content-Type"), raw
 }
 
 // decodeWire decodes a run response body by its content type.
@@ -195,4 +226,137 @@ func TestChaosTruncatedRunRecordIsAnError(t *testing.T) {
 		return
 	}
 	t.Fatal("no truncation fell inside a run record")
+}
+
+// TestSpecRecordMatchesJSON: for every LSQ model, and for a timeline
+// request, a spec record and a JSON body naming the same spec reach
+// the same key and get byte-identical answers, in JSON and in the run
+// record alike.
+func TestSpecRecordMatchesJSON(t *testing.T) {
+	_, ts, batch := newTestServer(t, Config{})
+	timeline := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2 * testInsts, Timeline: true}
+	for _, req := range append(wireModels, timeline) {
+		name := req.Model
+		if req.Timeline {
+			name += "-timeline"
+		}
+		t.Run(name, func(t *testing.T) {
+			executed := batch.Stats().Executed
+			for _, accept := range []string{"", client.RunRecordContentType} {
+				jsonType, jsonBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", req, accept)
+				specType, specBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", specBodyFor(t, req), accept)
+				if specType != jsonType || !bytes.Equal(specBody, jsonBody) {
+					t.Fatalf("Accept %q: spec record answered %q %q, JSON body answered %q %q",
+						accept, specType, specBody, jsonType, jsonBody)
+				}
+				out := decodeWire(t, jsonType, jsonBody)
+				spec, _ := req.Spec()
+				if out.Key != experiments.Key(spec) {
+					t.Errorf("answer key %q, want %q", out.Key, experiments.Key(spec))
+				}
+				if req.Timeline && (out.Timeline == nil || len(out.Timeline.Samples) == 0) {
+					t.Error("timeline request answered without its timeline")
+				}
+			}
+			if got := batch.Stats().Executed - executed; got != 1 {
+				t.Errorf("%d simulations for one spec in two encodings, want 1", got)
+			}
+		})
+	}
+}
+
+// TestSpecRecordRejects: a spec record of another layout, or with no
+// layout, is refused with 415 and a JSON error body; a malformed
+// record, and a well-formed one naming an unknown model kind, get 400.
+// Nothing reaches the engine.
+func TestSpecRecordRejects(t *testing.T) {
+	_, ts, batch := newTestServer(t, Config{})
+	valid := experiments.EncodeSpecRecord(experiments.RunSpec{Benchmark: "gzip", Insts: testInsts, Model: experiments.ModelSAMIE}, false)
+	for _, contentType := range []string{
+		client.SpecRecordType + "; layout=0",
+		client.SpecRecordType,
+		client.SpecRecordType + "; layout=" + experiments.RunRecordLayout + "0",
+	} {
+		resp, err := http.Post(ts.URL+"/v1/runs", contentType, bytes.NewReader(valid))
+		if err != nil {
+			t.Fatal(err)
+		}
+		er := decodeBody[client.ErrorResponse](t, resp)
+		if resp.StatusCode != http.StatusUnsupportedMediaType || er.Error == "" ||
+			resp.Header.Get("Content-Type") != "application/json" {
+			t.Errorf("Content-Type %q: status %d (%s), error %q; want 415 with a JSON error",
+				contentType, resp.StatusCode, resp.Header.Get("Content-Type"), er.Error)
+		}
+	}
+	for name, body := range map[string]specBody{
+		"truncated":          specBody(valid[:len(valid)-1]),
+		"run record":         specBody(experiments.EncodeRunRecord(batch.Run(experiments.RunSpec{Benchmark: "gzip", Insts: testInsts, Model: experiments.ModelUnbounded}))),
+		"model out of range": specBody(experiments.EncodeSpecRecord(experiments.RunSpec{Benchmark: "gzip", Model: experiments.ModelSAMIE + 1}, false)),
+		"empty":              specBody{},
+	} {
+		status, _, raw := doRun(t, http.MethodPost, ts.URL+"/v1/runs", body, "")
+		if status != http.StatusBadRequest {
+			t.Errorf("%s: status %d (%s), want 400", name, status, raw)
+		}
+	}
+	if st := batch.Stats(); st.Requests != 1 {
+		t.Errorf("rejected spec records reached the engine: %+v", st)
+	}
+}
+
+// TestLongSAMIELineIs400 is the regression test for a SAMIE line
+// longer than the L1D line: the simulator used to panic on it, and the
+// server memoized the panic as a 500. Now it is a 400 in both
+// encodings, every time, and nothing simulates or is memoized.
+func TestLongSAMIELineIs400(t *testing.T) {
+	_, ts, batch := newTestServer(t, Config{})
+	cfg := core.PaperConfig()
+	cfg.LineBytes = 64
+	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2000, SAMIE: &cfg}
+	for _, body := range []any{req, req, specBodyFor(t, req), specBodyFor(t, req)} {
+		status, _, raw := doRun(t, http.MethodPost, ts.URL+"/v1/runs", body, "")
+		var er client.ErrorResponse
+		if err := json.Unmarshal(raw, &er); err != nil || status != http.StatusBadRequest ||
+			!strings.Contains(er.Error, "L1D line") {
+			t.Errorf("%T body: status %d, body %s; want 400 naming the L1D line", body, status, raw)
+		}
+	}
+	spec, _ := req.Spec()
+	if _, ok := batch.Cached(experiments.Key(spec)); ok {
+		t.Error("the rejected spec is memoized under its key")
+	}
+	if st := batch.Stats(); st.Executed != 0 || st.Requests != 0 || batch.DistinctRuns() != 0 {
+		t.Errorf("the rejected spec reached the engine: %+v", st)
+	}
+}
+
+// BenchmarkDecodeRunRequest compares the server's two request decoders
+// on one POST /v1/runs body naming a normalized SAMIE spec: the JSON
+// every client may send and the spec record the typed client sends.
+func BenchmarkDecodeRunRequest(b *testing.B) {
+	spec := experiments.Normalize(experiments.RunSpec{Benchmark: "gzip", Insts: 2000, Model: experiments.ModelSAMIE})
+	jsonBody, err := json.Marshal(client.RequestFor(spec))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, enc := range []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"json", "application/json", jsonBody},
+		{"record", client.SpecRecordContentType, experiments.EncodeSpecRecord(spec, false)},
+	} {
+		b.Run(enc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(enc.body)))
+			w := httptest.NewRecorder()
+			for b.Loop() {
+				r := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(enc.body))
+				r.Header.Set("Content-Type", enc.contentType)
+				if _, _, _, err := decodeRunRequest(w, r); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -5,14 +5,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/url"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"time"
 
+	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
 )
 
@@ -23,6 +26,11 @@ type Client struct {
 	hc      *http.Client
 	bo      Backoff
 	retries int
+
+	// speaksLayout is set once a run or probe answer arrives as a run
+	// record in this build's layout, and cleared by a 415: while it is
+	// set, Run sends spec records instead of JSON.
+	speaksLayout atomic.Bool
 }
 
 // Option customizes a Client.
@@ -102,6 +110,10 @@ func (c *Client) roundTrip(ctx context.Context, method, path string, in, out any
 	return nil
 }
 
+// specRecordBody is a POST /v1/runs body already encoded as a binary
+// spec record; send posts it as SpecRecordContentType.
+type specRecordBody []byte
+
 // roundTripRun issues a run or probe request that accepts this
 // build's binary run record and decodes whichever encoding the server
 // answered with.
@@ -111,7 +123,10 @@ func (c *Client) roundTripRun(ctx context.Context, method, path string, in any) 
 		return RunResponse{}, err
 	}
 	defer resp.Body.Close()
-	out, err := decodeRun(resp)
+	out, ours, err := decodeRun(resp)
+	if ours {
+		c.speaksLayout.Store(true)
+	}
 	if err != nil {
 		return RunResponse{}, fmt.Errorf("client: decoding %s %s: %w", method, path, err)
 	}
@@ -119,8 +134,9 @@ func (c *Client) roundTripRun(ctx context.Context, method, path string, in any) 
 }
 
 // send issues the request and converts non-2xx statuses into
-// *APIError; the caller owns the returned body. A non-empty accept
-// is sent as the Accept header.
+// *APIError; the caller owns the returned body. A non-nil in is the
+// request body: a specRecordBody as is, anything else as JSON. A
+// non-empty accept is sent as the Accept header.
 //
 // Failures below HTTP — connection refused, a reset before any
 // response — are retried up to c.retries times under the shared
@@ -130,7 +146,12 @@ func (c *Client) roundTripRun(ctx context.Context, method, path string, in any) 
 // consumer's problem (see cluster.RunSpecs resume).
 func (c *Client) send(ctx context.Context, method, path string, in any, accept string) (*http.Response, error) {
 	var data []byte
-	if in != nil {
+	contentType := "application/json"
+	switch in := in.(type) {
+	case nil:
+	case specRecordBody:
+		data, contentType = in, SpecRecordContentType
+	default:
 		var err error
 		data, err = json.Marshal(in)
 		if err != nil {
@@ -155,7 +176,7 @@ func (c *Client) send(ctx context.Context, method, path string, in any, accept s
 			return nil, err
 		}
 		if in != nil {
-			req.Header.Set("Content-Type", "application/json")
+			req.Header.Set("Content-Type", contentType)
 		}
 		if accept != "" {
 			req.Header.Set("Accept", accept)
@@ -197,7 +218,25 @@ func (c *Client) send(ctx context.Context, method, path string, in any, accept s
 // travels as a binary run record when the server shares this build's
 // record layout and the request did not set Timeline, and as JSON
 // otherwise; either way it decodes to the same RunResponse.
+//
+// The request travels as JSON until the server has answered in this
+// build's layout, and as a binary spec record from then on. A request
+// Spec cannot convert, such as one naming an unknown model, still goes
+// as JSON, so the server's 400 stays the authority on it. A 415 means
+// the server behind the URL no longer speaks this layout: the client
+// goes back to JSON and resends the request.
 func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
+	if c.speaksLayout.Load() {
+		if spec, err := req.Spec(); err == nil {
+			body := specRecordBody(experiments.EncodeSpecRecord(spec, req.Timeline))
+			out, err := c.roundTripRun(ctx, http.MethodPost, "/v1/runs", body)
+			var ae *APIError
+			if !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
+				return out, err
+			}
+			c.speaksLayout.Store(false)
+		}
+	}
 	return c.roundTripRun(ctx, http.MethodPost, "/v1/runs", req)
 }
 

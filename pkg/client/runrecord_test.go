@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"slices"
 	"strconv"
+	"sync"
 	"testing"
 
 	"samielsq/internal/energy"
@@ -153,10 +155,184 @@ func BenchmarkDecodeRun(b *testing.B) {
 					Body:          io.NopCloser(bytes.NewReader(enc.body)),
 					ContentLength: int64(len(enc.body)),
 				}
-				if _, err := decodeRun(resp); err != nil {
+				if _, _, err := decodeRun(resp); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
+	}
+}
+
+// layoutServer is a fake /v1/runs server that logs the media type of
+// every request body. While speaksLayout is set it behaves like a
+// server of this build's layout: spec records are decoded and answered
+// with run records. Otherwise it behaves like a server of another
+// layout: spec records get 415 and every answer is JSON.
+type layoutServer struct {
+	mu           sync.Mutex
+	speaksLayout bool
+	bodies       []string // request media types, in arrival order
+}
+
+func (f *layoutServer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	mt, _ := RecordMediaType(r.Header.Get("Content-Type"))
+	f.mu.Lock()
+	f.bodies = append(f.bodies, mt)
+	speaks := f.speaksLayout
+	f.mu.Unlock()
+	if mt == SpecRecordType && !speaks {
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusUnsupportedMediaType)
+		_ = json.NewEncoder(w).Encode(ErrorResponse{Error: "spec record layout is not this server's layout"})
+		return
+	}
+	if mt == SpecRecordType {
+		data, _ := io.ReadAll(r.Body)
+		if _, _, err := experiments.DecodeSpecRecord(data); err != nil {
+			http.Error(w, err.Error(), http.StatusBadRequest)
+			return
+		}
+	}
+	res := recordResult()
+	if speaks {
+		writeRecord(w, experiments.EncodeRunRecord(res))
+		return
+	}
+	w.Header().Set("Content-Type", "application/json")
+	_ = json.NewEncoder(w).Encode(ResponseFor(res, "other-build"))
+}
+
+// setLayout switches the fake between this build's layout and another.
+func (f *layoutServer) setLayout(ours bool) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	f.speaksLayout = ours
+}
+
+// sent returns the request media types logged so far.
+func (f *layoutServer) sent() []string {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return append([]string(nil), f.bodies...)
+}
+
+// newLayoutServer starts a layoutServer and a client for it.
+func newLayoutServer(t *testing.T, ours bool) (*layoutServer, *Client) {
+	t.Helper()
+	f := &layoutServer{speaksLayout: ours}
+	ts := httptest.NewServer(f)
+	t.Cleanup(ts.Close)
+	return f, New(ts.URL, WithTransportRetries(-1))
+}
+
+// TestRunSendsSpecRecordsOnceNegotiated: a fresh client's first run
+// goes as JSON; once the answer proves the server speaks this build's
+// layout, runs go as spec records, and concurrent runs agree.
+func TestRunSendsSpecRecordsOnceNegotiated(t *testing.T) {
+	f, c := newLayoutServer(t, true)
+	req := RunRequest{Benchmark: "gzip", Model: ModelSAMIE}
+	for range 2 {
+		if _, err := c.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, want := f.sent(), []string{"application/json", SpecRecordType}; !slices.Equal(got, want) {
+		t.Fatalf("request bodies %q, want %q", got, want)
+	}
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := c.Run(context.Background(), req); err != nil {
+				t.Error(err)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, mt := range f.sent()[2:] {
+		if mt != SpecRecordType {
+			t.Errorf("concurrent run %d went as %q", i, mt)
+		}
+	}
+}
+
+// TestProbeRecordNegotiatesSpecRecords: a probe answered in this
+// build's layout is proof enough for the next run.
+func TestProbeRecordNegotiatesSpecRecords(t *testing.T) {
+	f, c := newLayoutServer(t, true)
+	if _, ok, err := c.ProbeRun(context.Background(), "k"); err != nil || !ok {
+		t.Fatalf("probe: ok=%v err=%v", ok, err)
+	}
+	if _, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE}); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.sent(); len(got) != 2 || got[1] != SpecRecordType {
+		t.Fatalf("request bodies %q, want the run after a record probe as a spec record", got)
+	}
+}
+
+// TestRunFallsBackToJSONOn415 covers a server rebuilt with another
+// layout behind the same URL: its 415 sends the client back to JSON
+// for that request and every later one.
+func TestRunFallsBackToJSONOn415(t *testing.T) {
+	f, c := newLayoutServer(t, true)
+	req := RunRequest{Benchmark: "gzip", Model: ModelSAMIE}
+	if _, err := c.Run(context.Background(), req); err != nil {
+		t.Fatal(err)
+	}
+	f.setLayout(false)
+	for range 3 {
+		out, err := c.Run(context.Background(), req)
+		if err != nil {
+			t.Fatalf("run after the rebuild: %v", err)
+		}
+		if out.Sim != "other-build" {
+			t.Fatalf("answer from %q, want the rebuilt server's JSON", out.Sim)
+		}
+	}
+	want := []string{"application/json", SpecRecordType, "application/json", "application/json", "application/json"}
+	if got := f.sent(); !slices.Equal(got, want) {
+		t.Fatalf("request bodies %q, want %q", got, want)
+	}
+}
+
+// TestJSONOnlyServerNeverGetsSpecRecords: a server that has never
+// answered in this build's layout only ever receives JSON.
+func TestJSONOnlyServerNeverGetsSpecRecords(t *testing.T) {
+	f, c := newLayoutServer(t, false)
+	for range 3 {
+		if _, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE}); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := c.ProbeRun(context.Background(), "k"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, mt := range f.sent() {
+		if mt != "application/json" && mt != "" {
+			t.Errorf("request %d went as %q", i, mt)
+		}
+	}
+}
+
+// TestReadRecordBody: the body is read to its declared length, and a
+// declared or actual length above maxRunRecord is refused.
+func TestReadRecordBody(t *testing.T) {
+	body := bytes.Repeat([]byte{7}, 100)
+	for _, length := range []int64{100, -1} {
+		got, err := ReadRecordBody(bytes.NewReader(body), length)
+		if err != nil || !bytes.Equal(got, body) {
+			t.Errorf("length %d: read %d bytes, err %v", length, len(got), err)
+		}
+	}
+	if _, err := ReadRecordBody(bytes.NewReader(body), 101); err == nil {
+		t.Error("a body shorter than its declared length was accepted")
+	}
+	if _, err := ReadRecordBody(bytes.NewReader(body), maxRunRecord+1); err == nil {
+		t.Error("a declared length above the cap was accepted")
+	}
+	if _, err := ReadRecordBody(bytes.NewReader(make([]byte, maxRunRecord+1)), -1); err == nil {
+		t.Error("an undeclared body above the cap was accepted")
 	}
 }
