@@ -325,10 +325,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "timeline-out: %v\n", err)
 		}
 	}
-	// Flush the disk cache's debounced index before exiting.
-	if err := batch.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "cache close: %v\n", err)
-	}
 	writeTrace(ctx, *traceOut, nil, nil)
 }
 

@@ -10,7 +10,7 @@
 //	samie-serve -addr :9000 -workers 8   # bind + simulation parallelism
 //	samie-serve -cache-limit 4096        # bound the in-memory run cache (LRU)
 //	samie-serve -cache-max-bytes 1000000000 -cache-max-age 720h
-//	samie-serve -preload                 # warm the run cache from the disk index
+//	samie-serve -preload                 # warm the run cache from every disk artifact
 //	samie-serve -max-concurrent 64 -request-timeout 5m
 //	samie-serve -peers http://b:8344,http://c:8344   # tier-2 peer fetch from siblings
 //	samie-serve -pprof-addr 127.0.0.1:6060           # net/http/pprof on a private listener
@@ -55,7 +55,7 @@ func main() {
 	cacheMaxBytes := flag.Int64("cache-max-bytes", 0, "prune the disk cache to this many bytes (0 = unbounded)")
 	cacheMaxAge := flag.Duration("cache-max-age", 0, "prune disk artifacts older than this (0 = keep forever)")
 	pruneInterval := flag.Duration("cache-prune-interval", 15*time.Minute, "how often to re-apply the disk cache bounds")
-	preload := flag.Bool("preload", false, "preload the in-memory run cache from the disk cache index at startup")
+	preload := flag.Bool("preload", false, "preload the in-memory run cache from every valid artifact in the disk cache directory at startup")
 	peers := flag.String("peers", "", "comma-separated sibling replica base URLs for the tier-2 peer-fetch store (this replica excluded)")
 	peerTimeout := flag.Duration("peer-timeout", 3*time.Second, "per-peer probe deadline for tier-2 fetches")
 	peerAdopt := flag.Bool("peer-adopt", true, "adopt the sibling replica set a cluster coordinator supplies with each shard")
@@ -234,11 +234,6 @@ func main() {
 	if err := hs.Shutdown(shCtx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		log.Error("shutdown", "err", err)
 		os.Exit(1)
-	}
-	// Flush the disk cache's debounced index so the next process over
-	// this directory enumerates everything this one wrote.
-	if err := batch.Close(); err != nil {
-		log.Warn("cache close", "err", err)
 	}
 	st := batch.Stats()
 	log.Info("stopped", "executed", st.Executed, "hits", st.Hits, "requests", st.Requests)

@@ -82,9 +82,6 @@ func main() {
 	batch, _ := experiments.OpenBatch(1, *cachedir, func(err error) {
 		fmt.Fprintf(os.Stderr, "disk cache disabled: %v\n", err)
 	})
-	// Close flushes the debounced index so sibling processes adopting
-	// the cache directory can enumerate this run's artifact.
-	defer batch.Close()
 	r := batch.Run(spec)
 	c := r.CPU
 	fmt.Printf("benchmark          %s (%s model)\n", *bench, *model)

@@ -433,7 +433,8 @@ func TestLayoutFingerprint(t *testing.T) {
 
 // TestDiskCacheLegacyJSONArtifact covers an upgrade: a format-2 JSON
 // artifact left in the directory reads as a miss, the re-simulated
-// result lands as a binary artifact, and Prune deletes the JSON.
+// result lands as a binary artifact, and Prune deletes the JSON and an
+// older build's index.json, counting only the former as an artifact.
 func TestDiskCacheLegacyJSONArtifact(t *testing.T) {
 	dir := t.TempDir()
 	spec := cacheTestSpec()
@@ -461,6 +462,10 @@ func TestDiskCacheLegacyJSONArtifact(t *testing.T) {
 		t.Fatalf("binary artifacts after re-simulation: %v", files)
 	}
 
+	index := filepath.Join(dir, "index.json")
+	if err := os.WriteFile(index, []byte(`{"Version":3,"Sim":"dev","Keys":{}}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
 	ps, err := b.Disk().Prune(0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -468,8 +473,10 @@ func TestDiskCacheLegacyJSONArtifact(t *testing.T) {
 	if ps.Removed != 1 || ps.Remaining != 1 {
 		t.Fatalf("prune stats %+v, want the legacy artifact removed and 1 remaining", ps)
 	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy JSON artifact survived Prune (err=%v)", err)
+	for _, f := range []string{legacy, index} {
+		if _, err := os.Stat(f); !os.IsNotExist(err) {
+			t.Fatalf("%s survived Prune (err=%v)", filepath.Base(f), err)
+		}
 	}
 	nb, _ := NewBatchWithCache(1, dir)
 	nb.Run(spec)

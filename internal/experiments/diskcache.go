@@ -3,7 +3,6 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -88,64 +87,16 @@ type DiskCacheStats struct {
 // Concurrent writers are safe: artifacts are written to a unique temp
 // file and atomically renamed into place.
 //
-// Alongside the artifacts the cache maintains index.json, a key ->
-// file map that lets a fresh process enumerate (and preload) the whole
-// cache without reading every artifact body. The index is an
-// accelerator, never an authority: per-key loads go straight to the
-// content-addressed file, and a stale or missing index is rebuilt by
-// RebuildIndex. Concurrent processes rewrite it atomically
-// (last-writer-wins); keys a racing process added are still served by
-// load, merely absent from this process's enumeration.
+// The directory itself is the index: a fresh process enumerates the
+// cache (Batch.PreloadDisk) by scanning its run-*.bin files, so
+// artifacts every writer sharing the directory persisted are covered.
 type DiskCache struct {
 	dir string
 
 	hits, misses, writes atomic.Int64
-
-	mu  sync.Mutex
-	idx map[string]indexEntry
-
-	// Index flushes are debounced: a store marks the index dirty and
-	// arms a timer; the whole O(N) marshal+write happens once per
-	// flushDelay however many artifacts land in the window, instead of
-	// once per store (O(N²) aggregate for a long-lived server). The
-	// index stays an accelerator, never an authority — per-key loads go
-	// to the content-addressed file — so a crash before the timer fires
-	// loses only enumeration hints, which RebuildIndex recovers.
-	// Prune, RebuildIndex and Close flush synchronously.
-	flushDelay time.Duration
-	dirty      bool
-	flushTimer *time.Timer
-	closed     bool
-
-	// idxWriteMu serializes index.json rewrites so a newer snapshot is
-	// never clobbered by an older one racing its rename.
-	idxWriteMu sync.Mutex
 }
 
-// indexFile is the cache-directory index name.
-const indexFile = "index.json"
-
-// indexEntry locates one artifact from the index.
-type indexEntry struct {
-	File  string `json:"file"`
-	Bytes int64  `json:"bytes"`
-	Mod   int64  `json:"mod"` // unix seconds
-}
-
-// diskIndex is the persisted index shape.
-type diskIndex struct {
-	Version int
-	Sim     string
-	Keys    map[string]indexEntry
-}
-
-// defaultFlushDelay is how long a dirty index may wait before its
-// debounced rewrite; long enough to batch a burst of stores, short
-// enough that a sibling process adopting the index sees fresh keys.
-const defaultFlushDelay = time.Second
-
-// NewDiskCache opens (creating if needed) a cache rooted at dir,
-// adopting a compatible existing index.
+// NewDiskCache opens (creating if needed) a cache rooted at dir.
 func NewDiskCache(dir string) (*DiskCache, error) {
 	if dir == "" {
 		return nil, fmt.Errorf("experiments: empty disk cache directory")
@@ -153,15 +104,7 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: disk cache: %w", err)
 	}
-	d := &DiskCache{dir: dir, idx: map[string]indexEntry{}, flushDelay: defaultFlushDelay}
-	if data, err := os.ReadFile(filepath.Join(dir, indexFile)); err == nil {
-		var ix diskIndex
-		if json.Unmarshal(data, &ix) == nil &&
-			ix.Version == diskCacheVersion && ix.Sim == simStamp() && ix.Keys != nil {
-			d.idx = ix.Keys
-		}
-	}
-	return d, nil
+	return &DiskCache{dir: dir}, nil
 }
 
 // DefaultCacheDir returns the conventional per-user cache location
@@ -275,8 +218,8 @@ func newArtifact(key string, res RunResult) diskArtifact {
 }
 
 // validArtifact is the single acceptance predicate for run payloads
-// from outside this process — disk artifacts (read, RebuildIndex) and
-// peer-delivered bodies (ValidatePeerResult) alike: the format
+// from outside this process — disk artifacts (read, Batch.PreloadDisk)
+// and peer-delivered bodies (ValidatePeerResult) alike: the format
 // version, simulator build stamp and canonical key must all match,
 // and the energy meter must be present.
 func validArtifact(art *diskArtifact, key string) bool {
@@ -312,160 +255,11 @@ func (d *DiskCache) store(key string, res RunResult) {
 		os.Remove(name)
 		return
 	}
-	path := d.path(key)
-	if err := os.Rename(name, path); err != nil {
+	if err := os.Rename(name, d.path(key)); err != nil {
 		os.Remove(name)
 		return
 	}
 	d.writes.Add(1)
-	d.mu.Lock()
-	//lint:ignore detpure Mod is operational index metadata; the keyed artifact body above is byte-deterministic
-	d.idx[key] = indexEntry{File: filepath.Base(path), Bytes: int64(len(data)), Mod: time.Now().Unix()}
-	d.markDirtyLocked()
-	d.mu.Unlock()
-}
-
-// markDirtyLocked notes an index change and arms the debounce timer if
-// none is pending. Caller holds d.mu. A closed cache flushed on Close;
-// a straggling store after that is still served per-key from its
-// artifact, so losing its index entry is harmless.
-func (d *DiskCache) markDirtyLocked() {
-	d.dirty = true
-	if d.flushTimer == nil && !d.closed {
-		d.flushTimer = time.AfterFunc(d.flushDelay, d.debouncedFlush)
-	}
-}
-
-// debouncedFlush is the timer callback: rewrite the index if it is
-// still dirty.
-func (d *DiskCache) debouncedFlush() {
-	d.mu.Lock()
-	d.flushTimer = nil
-	dirty := d.dirty
-	d.dirty = false
-	d.mu.Unlock()
-	if dirty {
-		d.flushIndex()
-	}
-}
-
-// FlushIndex rewrites index.json immediately, cancelling any pending
-// debounced flush. Call it before handing the directory to another
-// process that will enumerate the index (tests, CI assertions);
-// Prune, RebuildIndex and Close already do.
-func (d *DiskCache) FlushIndex() {
-	d.mu.Lock()
-	d.dirty = false
-	if d.flushTimer != nil {
-		d.flushTimer.Stop()
-		d.flushTimer = nil
-	}
-	d.mu.Unlock()
-	d.flushIndex()
-}
-
-// Close flushes a dirty index and stops the debounce timer. The cache
-// remains usable for per-key loads and stores (it holds no other
-// resources), but further index changes are no longer flushed
-// automatically. Safe to call more than once.
-func (d *DiskCache) Close() error {
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		return nil
-	}
-	d.closed = true
-	dirty := d.dirty
-	d.dirty = false
-	if d.flushTimer != nil {
-		d.flushTimer.Stop()
-		d.flushTimer = nil
-	}
-	d.mu.Unlock()
-	if dirty {
-		d.flushIndex()
-	}
-	return nil
-}
-
-// flushIndex atomically rewrites index.json from a snapshot of the
-// in-memory index. The marshal and file I/O happen outside d.mu, so
-// workers persisting results only contend on the map update, never on
-// disk writes; idxWriteMu orders the snapshots. Failures are silent
-// (accelerator, not authority; RebuildIndex repairs).
-func (d *DiskCache) flushIndex() {
-	d.idxWriteMu.Lock()
-	defer d.idxWriteMu.Unlock()
-	d.mu.Lock()
-	snap := make(map[string]indexEntry, len(d.idx))
-	for k, e := range d.idx {
-		snap[k] = e
-	}
-	d.mu.Unlock()
-	data, err := json.Marshal(diskIndex{Version: diskCacheVersion, Sim: simStamp(), Keys: snap})
-	if err != nil {
-		return
-	}
-	tmp, err := os.CreateTemp(d.dir, "tmp-index-*")
-	if err != nil {
-		return
-	}
-	name := tmp.Name()
-	// Same 0600 -> 0644 widening as store: sibling processes under
-	// other uids must be able to enumerate the index.
-	if _, err := tmp.Write(data); err == nil && tmp.Close() == nil && os.Chmod(name, 0o644) == nil {
-		if os.Rename(name, filepath.Join(d.dir, indexFile)) == nil {
-			return
-		}
-	} else {
-		tmp.Close()
-	}
-	os.Remove(name)
-}
-
-// Keys returns the indexed artifact keys, sorted, without touching any
-// artifact body.
-func (d *DiskCache) Keys() []string {
-	d.mu.Lock()
-	keys := make([]string, 0, len(d.idx))
-	for k := range d.idx {
-		keys = append(keys, k)
-	}
-	d.mu.Unlock()
-	sort.Strings(keys)
-	return keys
-}
-
-// RebuildIndex rescans the cache directory, validating every artifact
-// body, and rewrites index.json from what it finds. Use it to adopt
-// artifacts written by other processes or to repair a lost index.
-// Returns the number of valid artifacts indexed.
-func (d *DiskCache) RebuildIndex() (int, error) {
-	files, err := filepath.Glob(filepath.Join(d.dir, "run-*.bin"))
-	if err != nil {
-		return 0, fmt.Errorf("experiments: disk cache scan: %w", err)
-	}
-	fresh := map[string]indexEntry{}
-	for _, f := range files {
-		data, err := os.ReadFile(f)
-		if err != nil {
-			continue
-		}
-		art, err := artifactCodec.decode(data)
-		if err != nil || !validArtifact(&art, art.Key) || d.path(art.Key) != f {
-			continue
-		}
-		st, err := os.Stat(f)
-		if err != nil {
-			continue
-		}
-		fresh[art.Key] = indexEntry{File: filepath.Base(f), Bytes: st.Size(), Mod: st.ModTime().Unix()}
-	}
-	d.mu.Lock()
-	d.idx = fresh
-	d.mu.Unlock()
-	d.FlushIndex()
-	return len(fresh), nil
 }
 
 // PruneStats reports what a Prune pass did and what it left behind.
@@ -482,7 +276,8 @@ type PruneStats struct {
 // only sweeps leftovers). Stale temp files from killed writers are
 // always collected, and so are legacy JSON artifacts (run-*.json,
 // format version 2 and older), which can never validate again; those
-// count as removed. The index is rewritten to match.
+// count as removed. The index.json older builds kept beside the
+// artifacts is removed too; it is not an artifact and does not count.
 func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, error) {
 	type artifact struct {
 		path  string
@@ -509,7 +304,6 @@ func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, err
 	for _, a := range arts {
 		total += a.bytes
 	}
-	doomed := map[string]bool{}
 	for _, a := range arts {
 		expired := maxAge > 0 && now.Sub(a.mod) > maxAge
 		over := maxBytes > 0 && total > maxBytes
@@ -524,7 +318,6 @@ func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, err
 			ps.RemainingBytes += a.bytes
 			continue
 		}
-		doomed[filepath.Base(a.path)] = true
 		ps.Removed++
 		ps.FreedBytes += a.bytes
 		total -= a.bytes
@@ -545,15 +338,6 @@ func (d *DiskCache) Prune(maxBytes int64, maxAge time.Duration) (PruneStats, err
 			ps.FreedBytes += st.Size()
 		}
 	}
-
-	d.mu.Lock()
-	//lint:ordered per-key deletes of doomed entries; no cross-key state
-	for k, e := range d.idx {
-		if doomed[e.File] {
-			delete(d.idx, k)
-		}
-	}
-	d.mu.Unlock()
-	d.FlushIndex()
+	os.Remove(filepath.Join(d.dir, "index.json"))
 	return ps, nil
 }

@@ -169,17 +169,12 @@ func TestDiskCacheIndexAndPreload(t *testing.T) {
 	for _, bench := range []string{"gzip", "swim"} {
 		want[bench] = b1.Run(specFor(bench))
 	}
-	if keys := b1.Disk().Keys(); len(keys) != 2 {
-		t.Fatalf("index holds %d keys after 2 stores, want 2", len(keys))
-	}
-	// Index rewrites are debounced; Close forces the flush so a fresh
-	// process adopting the directory sees both keys.
-	if err := b1.Close(); err != nil {
-		t.Fatal(err)
+	if files := artifactFiles(t, dir); len(files) != 2 {
+		t.Fatalf("directory holds %d artifacts after 2 stores, want 2", len(files))
 	}
 
-	// A fresh batch over the same directory preloads the whole suite
-	// from the index: both specs then serve from memory with zero
+	// A fresh batch over the same directory preloads the whole suite by
+	// scanning it: both specs then serve from memory with zero
 	// simulations and zero disk traffic.
 	b2, err := NewBatchWithCache(2, dir)
 	if err != nil {
@@ -215,37 +210,107 @@ func TestDiskCacheIndexAndPreload(t *testing.T) {
 	}
 }
 
-func TestDiskCacheRebuildIndex(t *testing.T) {
+// TestPreloadDiskSeesEverySibling checks that preloading enumerates
+// artifacts every process sharing the directory wrote, whether or not
+// the writers closed their batches.
+func TestPreloadDiskSeesEverySibling(t *testing.T) {
+	preloaded := func(t *testing.T, dir string) int {
+		t.Helper()
+		b, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n, err := b.PreloadDisk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+
+	t.Run("two closed writers", func(t *testing.T) {
+		dir := t.TempDir()
+		// Both writers open the directory before either persists.
+		w1, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w2, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w1.Run(specFor("gzip"))
+		w2.Run(specFor("swim"))
+		if err := w1.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := w2.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if n := preloaded(t, dir); n != 2 {
+			t.Fatalf("PreloadDisk installed %d of 2 sibling artifacts", n)
+		}
+	})
+
+	t.Run("writer never closed", func(t *testing.T) {
+		dir := t.TempDir()
+		w, err := NewBatchWithCache(1, dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Run(specFor("gzip"))
+		if n := preloaded(t, dir); n != 1 {
+			t.Fatalf("PreloadDisk installed %d of 1 artifact from an open writer", n)
+		}
+	})
+}
+
+func TestPreloadDiskSkipsInvalidFiles(t *testing.T) {
 	dir := t.TempDir()
+	w, err := NewBatchWithCache(1, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bench := range []string{"gzip", "mcf", "swim"} {
+		w.Run(specFor(bench))
+	}
+	d := w.Disk()
+	write := func(name string, data []byte) {
+		t.Helper()
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	gzipArt, err := os.ReadFile(d.path(Key(specFor("gzip"))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write("run-zz.bin", []byte("{bad"))
+	// A valid artifact under a name that is not its key's address.
+	write(filepath.Base(d.path("not-a-spec-key")), gzipArt)
+	// A truncated artifact at its own address.
+	if err := os.Truncate(d.path(Key(specFor("swim"))), 40); err != nil {
+		t.Fatal(err)
+	}
+	write("run-x.json", []byte(`{"Version":2}`))
+	write("index.json", []byte(`{"Version":3,"Sim":"dev","Keys":{}}`))
+
 	b, err := NewBatchWithCache(1, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b.Run(specFor("gzip"))
-	b.Run(specFor("mcf"))
-	b.Disk().FlushIndex()
-	if err := os.Remove(filepath.Join(dir, indexFile)); err != nil {
-		t.Fatal(err)
-	}
-
-	// Without an index a fresh cache enumerates nothing...
-	d, err := NewDiskCache(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if keys := d.Keys(); len(keys) != 0 {
-		t.Fatalf("lost index still enumerates %d keys", len(keys))
-	}
-	// ...and RebuildIndex recovers every valid artifact, skipping junk.
-	if err := os.WriteFile(filepath.Join(dir, "run-zz.bin"), []byte("{bad"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	n, err := d.RebuildIndex()
+	n, err := b.PreloadDisk()
 	if err != nil || n != 2 {
-		t.Fatalf("RebuildIndex = %d, %v; want 2, nil", n, err)
+		t.Fatalf("PreloadDisk = %d, %v; want 2, nil", n, err)
 	}
-	if keys := d.Keys(); len(keys) != 2 {
-		t.Fatalf("rebuilt index holds %d keys, want 2", len(keys))
+	for _, bench := range []string{"gzip", "mcf"} {
+		b.Run(specFor(bench))
+	}
+	if st := b.Stats(); st.Executed != 0 || st.Hits != 2 {
+		t.Fatalf("valid artifacts not preloaded: %+v", st)
+	}
+	b.Run(specFor("swim"))
+	if st := b.Stats(); st.Executed != 1 {
+		t.Fatalf("truncated artifact was preloaded: %+v", st)
 	}
 }
 
@@ -286,9 +351,6 @@ func TestDiskCachePruneBySize(t *testing.T) {
 	if got := artifactFiles(t, dir); len(got) != 1 {
 		t.Fatalf("%d artifacts survive, want 1", len(got))
 	}
-	if keys := b.Disk().Keys(); len(keys) != 1 {
-		t.Fatalf("index holds %d keys after prune, want 1", len(keys))
-	}
 }
 
 func TestDiskCachePruneByAge(t *testing.T) {
@@ -328,78 +390,6 @@ func TestDiskCachePruneByAge(t *testing.T) {
 	nb.Run(specFor("swim"))
 	if st := nb.DiskStats(); st.Hits != 1 {
 		t.Fatalf("surviving artifact no longer serves: %+v", st)
-	}
-}
-
-func TestDiskCacheDebouncedIndexFlush(t *testing.T) {
-	dir := t.TempDir()
-	b, err := NewBatchWithCache(1, dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d := b.Disk()
-	// Lengthen the debounce so the window is observable: the store must
-	// NOT rewrite index.json synchronously.
-	d.flushDelay = time.Hour
-	b.Run(specFor("gzip"))
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); !os.IsNotExist(err) {
-		t.Fatalf("index.json written synchronously by store (err=%v); flush should be debounced", err)
-	}
-	// The in-memory index already enumerates the key regardless.
-	if keys := d.Keys(); len(keys) != 1 {
-		t.Fatalf("in-memory index holds %d keys, want 1", len(keys))
-	}
-	// A second store inside the pending window does not re-arm the
-	// timer: one flush covers the burst.
-	b.Run(specFor("swim"))
-	if _, err := os.Stat(filepath.Join(dir, indexFile)); !os.IsNotExist(err) {
-		t.Fatalf("burst store flushed early (err=%v)", err)
-	}
-
-	// With a short debounce the flush arrives without any forced call,
-	// carrying every store of the burst.
-	dirShort := t.TempDir()
-	bs, err := NewBatchWithCache(1, dirShort)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bs.Disk().flushDelay = 10 * time.Millisecond
-	bs.Run(specFor("gzip"))
-	bs.Run(specFor("swim"))
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		nd, err := NewDiskCache(dirShort)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if keys := nd.Keys(); len(keys) == 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("debounced flush never wrote a complete index.json")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-
-	// Close on a dirty cache flushes immediately, and is idempotent.
-	dir2 := t.TempDir()
-	b2, err := NewBatchWithCache(1, dir2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b2.Disk().flushDelay = time.Hour
-	b2.Run(specFor("gzip"))
-	if _, err := os.Stat(filepath.Join(dir2, indexFile)); !os.IsNotExist(err) {
-		t.Fatal("index.json present before Close despite hour-long debounce")
-	}
-	if err := b2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := b2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(filepath.Join(dir2, indexFile)); err != nil {
-		t.Fatalf("Close did not flush the index: %v", err)
 	}
 }
 
@@ -451,7 +441,6 @@ func TestDiskCacheArtifactsWorldReadable(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Run(cacheTestSpec())
-	b.Disk().FlushIndex()
 
 	// CreateTemp makes 0600 temp files; the rename must publish 0644 —
 	// a sibling process under another uid sharing the cache directory
@@ -460,13 +449,11 @@ func TestDiskCacheArtifactsWorldReadable(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("expected one artifact, got %v", files)
 	}
-	for _, f := range append(files, filepath.Join(dir, indexFile)) {
-		st, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mode := st.Mode().Perm(); mode != 0o644 {
-			t.Errorf("%s published with mode %o, want 644", filepath.Base(f), mode)
-		}
+	st, err := os.Stat(files[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mode := st.Mode().Perm(); mode != 0o644 {
+		t.Errorf("%s published with mode %o, want 644", filepath.Base(files[0]), mode)
 	}
 }

@@ -20,6 +20,8 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime/debug"
 	"strconv"
 	"sync"
@@ -484,33 +486,39 @@ func (b *Batch) jobFor(ctx context.Context, n RunSpec, key string) func() RunRes
 // Disk returns the attached disk cache, or nil.
 func (b *Batch) Disk() *DiskCache { return b.disk }
 
-// Close flushes the attached disk cache's debounced index (if any).
-// Call it when a batch that persisted results is done — CLI exit,
-// server drain — so sibling processes adopting the cache directory
-// enumerate every artifact this batch wrote.
-func (b *Batch) Close() error {
-	if b.disk != nil {
-		return b.disk.Close()
-	}
-	return nil
-}
+// Close releases nothing and returns nil: the disk cache holds no
+// state beyond its directory. It is kept for callers that still close
+// their batch.
+func (b *Batch) Close() error { return nil }
 
-// PreloadDisk installs every indexed on-disk artifact into the batch's
-// in-memory run cache, so a long-lived batch (a service) starts warm
-// without re-reading artifacts on first request. Returns how many
-// results were installed. Preloading counts toward neither the engine
-// request stats nor the disk traffic counters.
+// PreloadDisk installs every valid artifact in the disk cache directory
+// into the batch's in-memory run cache, so a long-lived batch (a
+// service) starts warm without re-reading artifacts on first request.
+// It scans the run-*.bin files in file-name order (deterministic),
+// skipping any that fail to decode or validate or that sit under a name
+// other than their key's content address; artifacts every process
+// sharing the directory wrote are covered. Returns how many results
+// were installed. Preloading counts toward neither the engine request
+// stats nor the disk traffic counters.
 func (b *Batch) PreloadDisk() (int, error) {
 	if b.disk == nil {
 		return 0, fmt.Errorf("experiments: batch has no disk cache to preload from")
 	}
+	files, err := filepath.Glob(filepath.Join(b.disk.dir, "run-*.bin"))
+	if err != nil {
+		return 0, fmt.Errorf("experiments: disk cache scan: %w", err)
+	}
 	n := 0
-	for _, key := range b.disk.Keys() {
-		r, ok := b.disk.read(key)
-		if !ok {
+	for _, f := range files {
+		data, err := os.ReadFile(f)
+		if err != nil {
 			continue
 		}
-		if b.sched.Offer(key, r) {
+		art, err := artifactCodec.decode(data)
+		if err != nil || !validArtifact(&art, art.Key) || b.disk.path(art.Key) != f {
+			continue
+		}
+		if b.sched.Offer(art.Key, art.result()) {
 			n++
 		}
 	}

@@ -80,9 +80,6 @@ func TestPeerTierFetchInstallThenLocalHit(t *testing.T) {
 
 	// The install is durable: a fresh batch over the same directory
 	// serves from disk with the peer gone dark.
-	if err := b.Close(); err != nil {
-		t.Fatal(err)
-	}
 	b2, err := NewBatchWithCache(1, dir)
 	if err != nil {
 		t.Fatal(err)

@@ -147,7 +147,8 @@ func ParseSpec(s string) (Spec, error) {
 		key, val = strings.TrimSpace(key), strings.TrimSpace(val)
 		prob := func(dst *float64) error {
 			p, err := strconv.ParseFloat(val, 64)
-			if err != nil || p < 0 || p > 1 {
+			// Written so NaN fails it too: every comparison with NaN is false.
+			if err != nil || !(p >= 0 && p <= 1) {
 				return fmt.Errorf("faultinject: %s=%q is not a probability in [0,1]", key, val)
 			}
 			*dst = p

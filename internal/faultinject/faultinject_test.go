@@ -61,6 +61,11 @@ func TestParseSpecErrors(t *testing.T) {
 		"err",               // not key=value
 		"err=0.6,reset=0.6", // terminal kinds sum > 1
 		"err=0.5,throttle=0.6",
+		"err=NaN", // NaN is no probability, whatever its spelling
+		"throttle=nan",
+		"reset=NaN",
+		"trunc=NaN",
+		"err=0.5,reset=NaN", // a NaN sum must not slip past the sum check
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) succeeded, want error", bad)
@@ -189,4 +194,30 @@ func TestKindStrings(t *testing.T) {
 		}
 		labels[s] = true
 	}
+}
+
+// FuzzParseSpec: the -chaos flag and POST /v1/chaos pass operator text
+// to ParseSpec. It must never panic, and an accepted spec must render
+// (String) to text that parses back to the same Spec.
+func FuzzParseSpec(f *testing.F) {
+	for _, seed := range []string{
+		"err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42",
+		"throttle=1,lat=10ms",
+		"err=NaN",
+		"err=0.5,reset=NaN",
+		"trunc=0x1p-4,seed=-7",
+		"",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, v string) {
+		spec, err := ParseSpec(v)
+		if err != nil {
+			return
+		}
+		again, err := ParseSpec(spec.String())
+		if err != nil || again != spec {
+			t.Fatalf("ParseSpec(%q) = %+v renders to %q, which parses to %+v, %v", v, spec, spec.String(), again, err)
+		}
+	})
 }

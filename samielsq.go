@@ -119,17 +119,14 @@ func DefaultCacheDir() (string, error) { return experiments.DefaultCacheDir() }
 
 // PruneCache bounds the on-disk run cache at dir: artifacts older than
 // maxAge are removed, then the oldest until at most maxBytes remain
-// (zero disables either bound). The cache index is rebuilt first so
-// artifacts written by other processes are covered, and rewritten to
-// match afterwards. Long-lived servers apply the same bounds
-// periodically (samie-serve -cache-max-bytes / -cache-max-age); this
-// helper serves one-shot tools (samie-bench -prune) and library users.
+// (zero disables either bound). Prune scans the directory itself, so
+// artifacts written by other processes are covered. Long-lived servers
+// apply the same bounds periodically (samie-serve -cache-max-bytes /
+// -cache-max-age); this helper serves one-shot tools (samie-bench
+// -prune) and library users.
 func PruneCache(dir string, maxBytes int64, maxAge time.Duration) (CachePruneStats, error) {
 	d, err := experiments.NewDiskCache(dir)
 	if err != nil {
-		return CachePruneStats{}, err
-	}
-	if _, err := d.RebuildIndex(); err != nil {
 		return CachePruneStats{}, err
 	}
 	return d.Prune(maxBytes, maxAge)
