@@ -67,7 +67,7 @@ var profileBenchmarks = []string{"gzip", "swim"}
 
 // adversarialProfile extends the matrix with the stress personalities
 // the event-driven wakeup scheduler targets: the serial random load
-// chain (worst case for the legacy O(in-flight) issue walk) and the
+// chain (worst case for an O(in-flight) per-cycle issue walk) and the
 // store-dominated burst mix. Profiled under the two models whose
 // per-cycle cost the scheduler changes most.
 var (

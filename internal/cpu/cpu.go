@@ -60,16 +60,6 @@ type Config struct {
 	// sit unplaced in the LSQ before the §3.3 deadlock-avoidance flush
 	// fires.
 	DeadlockPatience int
-
-	// LegacyIssueWalk selects the pre-wakeup issue engine: the
-	// per-cycle compacting walk over the age-ordered active list,
-	// O(in-flight) per cycle. The default (false) is the event-driven
-	// wakeup scheduler (see sched.go), which produces bit-identical
-	// results while touching only O(issue width + newly woken)
-	// instructions per cycle and fast-forwarding quiescent spans; the
-	// walk, which steps every cycle, is kept as the reference for
-	// differential testing (TestSchedulerDifferential).
-	LegacyIssueWalk bool
 }
 
 // PaperConfig returns the Table 2 configuration.
@@ -149,8 +139,8 @@ type dynInst struct {
 	state instState
 	gen   uint32 // bumped every time the slot is recycled
 
-	// Class lanes, precomputed at allocation: the issue walk consults
-	// them every cycle per in-flight instruction.
+	// Class lanes, precomputed at allocation: the issue stage consults
+	// them on every visit to the instruction.
 	mem bool
 	fp  bool
 
@@ -173,13 +163,12 @@ type dynInst struct {
 	performed   bool
 	addrUnknown bool // store dispatched, address not yet computed
 
-	// Wakeup-scheduler links (nil/0 under LegacyIssueWalk). waiterHead
-	// anchors the intrusive list of consumers parked on this
-	// instruction as a producer (chained through their waitNext);
-	// wheelNext/wakeCycle place this instruction in a timing-wheel
-	// bucket. A recycled instruction never carries live links: its
-	// waiter list drains at the stDone transition, which precedes any
-	// commit.
+	// Wakeup-scheduler links (sched.go). waiterHead anchors the
+	// intrusive list of consumers parked on this instruction as a
+	// producer (chained through their waitNext); wheelNext/wakeCycle
+	// place this instruction in a timing-wheel bucket. A recycled
+	// instruction never carries live links: its waiter list drains at
+	// the stDone transition, which precedes any commit.
 	waiterHead *dynInst
 	waitNext   *dynInst
 	wheelNext  *dynInst
@@ -190,45 +179,6 @@ func (d *dynInst) isMem() bool { return d.mem }
 
 func producerDone(p *dynInst, gen uint32, cycle uint64) bool {
 	return p == nil || p.gen != gen || (p.state >= stDone && p.readyAt <= cycle)
-}
-
-// srcsReady reports whether both producers have completed by cycle.
-// A producer observed done is severed (the verdict is permanent until
-// a flush, which rebinds producers at re-dispatch), so the repeated
-// per-cycle rechecks of a waiting instruction degrade to nil tests
-// instead of pointer chases.
-func (d *dynInst) srcsReady(cycle uint64) bool {
-	if d.srcA != nil {
-		if !producerDone(d.srcA, d.genA, cycle) {
-			return false
-		}
-		d.srcA = nil
-	}
-	if d.srcB != nil {
-		if !producerDone(d.srcB, d.genB, cycle) {
-			return false
-		}
-		d.srcB = nil
-	}
-	return true
-}
-
-// agenReady reports whether the address operands are ready. For
-// stores only SrcA (the address register) gates address generation:
-// the data operand (SrcB) is needed only to complete, matching real
-// pipelines where the store address is computed independently of the
-// data. This is what lets the readyBit scheme make progress.
-func (d *dynInst) agenReady(cycle uint64) bool {
-	if d.in.Cls == isa.ClassStore {
-		if d.srcA != nil {
-			if !producerDone(d.srcA, d.genA, cycle) {
-				return false
-			}
-			d.srcA = nil
-		}
-		return true
-	}
-	return d.srcsReady(cycle)
 }
 
 // dataReady reports whether a store's data operand is available.
@@ -381,17 +331,9 @@ type CPU struct {
 	// fetched instruction; a field costs nothing.
 	nextScratch isa.Inst
 
-	// active is the age-ordered subset of the ROB that still needs
-	// per-cycle attention (dispatched, executing, or waiting on the
-	// memory system). Instructions leave it when they reach stDone, so
-	// the writeback/issue walk skips completed instructions piling up
-	// behind a blocked head. Compaction preserves age order, keeping
-	// issue priority identical to a full ROB walk. Only maintained
-	// under LegacyIssueWalk.
-	active []*dynInst
-
-	// ev is the event-driven wakeup scheduler (sched.go); nil under
-	// LegacyIssueWalk.
+	// ev is the event-driven wakeup scheduler (sched.go), the issue
+	// stage. Only the test-only ROB-walk oracle clears it; step then
+	// runs testHookIssue instead.
 	ev *eventSched
 
 	// sampler is the optional interval telemetry collector
@@ -399,15 +341,16 @@ type CPU struct {
 	sampler  *obs.IntervalSampler
 	sampBase sampleBase
 
-	// flight is the optional per-cycle issue recorder (flight.go),
-	// attached only by diagnostic tests.
-	flight *FlightRecorder
-
 	res Result
 }
 
-// SetFlightRecorder attaches (or with nil detaches) a flight recorder.
-func (c *CPU) SetFlightRecorder(f *FlightRecorder) { c.flight = f }
+// testHookIssue is the issue stage step runs for a CPU without a
+// wakeup scheduler. Only a test assigns it: the ROB-walk oracle that
+// TestSchedulerDifferential holds the scheduler to. It takes the free
+// Dcache ports by value (nothing after the issue stage reads them): a
+// pointer passed through a function value escapes, which would cost
+// step a heap allocation per cycle.
+var testHookIssue func(c *CPU, dports int)
 
 // New wires a CPU together. Nil subsystems get paper defaults; meter
 // may be nil (a fresh meter is created).
@@ -433,7 +376,7 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
-	c := &CPU{
+	return &CPU{
 		cfg:       cfg,
 		strm:      strm,
 		model:     model,
@@ -448,19 +391,12 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 		fetchQ:    newInstRing(cfg.FetchQueue + cfg.FetchWidth),
 		replayQ:   newInstRing(4),
 		freeInsts: make([]*dynInst, 0, cfg.ROBSize+cfg.FetchQueue),
-		active:    make([]*dynInst, 0, cfg.ROBSize),
+		ev:        newEventSched(cfg.ROBSize),
 	}
-	if !cfg.LegacyIssueWalk {
-		c.ev = newEventSched(cfg.ROBSize)
-	}
-	return c
 }
 
 // Meter returns the energy meter.
 func (c *CPU) Meter() *energy.Meter { return c.meter }
-
-// Cycle returns the current cycle (for tests).
-func (c *CPU) Cycle() uint64 { return c.cycle }
 
 // allocInst hands out a dynInst for in, recycling a committed one when
 // available.
@@ -575,7 +511,7 @@ func (c *CPU) step() {
 	if c.ev != nil {
 		c.wakeupIssue(&dports)
 	} else {
-		c.writebackAndIssue(&dports)
+		testHookIssue(c, dports)
 	}
 	c.dispatch()
 	c.fetch()
@@ -741,7 +677,6 @@ func (c *CPU) flushPipeline() {
 	c.rob.clear()
 	c.fetchQ.clear()
 	c.replayQ.clear()
-	c.active = c.active[:0]
 	if c.ev != nil {
 		c.ev.reset()
 	}
@@ -778,8 +713,7 @@ func (c *CPU) drainAddrBuffer() {
 			d.buffered = false
 			if c.ev != nil {
 				// The instruction was parked on placement: perform (or
-				// complete) attempts resume this cycle, like the legacy
-				// walk's per-cycle recheck.
+				// complete) attempts resume this cycle.
 				c.ev.attn.set(seq)
 			}
 		}
@@ -831,83 +765,6 @@ func (c *CPU) minUnknownStore() uint64 {
 	}
 	c.minUnknownSeq = ^uint64(0)
 	return c.minUnknownSeq
-}
-
-//samie:hotpath
-func (c *CPU) writebackAndIssue(dports *int) {
-	intIssued, fpIssued := 0, 0
-	aluUsed := 0
-	epoch := c.flushEpoch
-
-	// Walk the active instructions oldest-first, compacting in place:
-	// an instruction that reaches stDone drops out and is never
-	// revisited, so completed work piling up behind a blocked head
-	// costs nothing per cycle.
-	act := c.active
-	w := 0
-	for i := 0; i < len(act); i++ {
-		d := act[i]
-		switch d.state {
-		case stIssued:
-			if d.readyAt <= c.cycle {
-				c.completeExec(d)
-				if c.flushEpoch != epoch {
-					// completeExec flushed the pipeline (§3.3 scenario
-					// 2): flushPipeline rebuilt the active list; do not
-					// touch it here.
-					return
-				}
-			}
-		case stDispatched:
-			// Once a lane's issue width is spent, younger instructions
-			// of that lane skip their (costlier) dependence checks —
-			// they could not issue either way.
-			if d.fp {
-				if fpIssued >= c.cfg.IssueFP {
-					break
-				}
-				if !d.srcsReady(c.cycle) {
-					break
-				}
-				if c.issueFP(d) {
-					fpIssued++
-					c.iqFP--
-				}
-			} else {
-				if intIssued >= c.cfg.IssueInt {
-					break
-				}
-				if d.mem {
-					if !d.agenReady(c.cycle) {
-						break
-					}
-				} else if !d.srcsReady(c.cycle) {
-					break
-				}
-				if c.issueInt(d, &aluUsed) {
-					intIssued++
-					c.iqInt--
-				}
-			}
-		case stAGENDone:
-			// Memory instructions waiting to perform their access.
-			if d.in.Cls == isa.ClassLoad {
-				c.tryPerformLoad(d, dports)
-			} else if d.placed && !d.performed && d.dataReady(c.cycle) {
-				// A placed store with its data available is complete:
-				// it will write the cache at commit.
-				d.performed = true
-				d.state = stDone
-				d.readyAt = c.cycle
-				c.model.NotePerformed(d.in.Seq)
-			}
-		}
-		if d.state < stDone {
-			act[w] = d
-			w++
-		}
-	}
-	c.active = act[:w]
 }
 
 // completeExec handles writeback for a finished instruction.
@@ -1005,9 +862,6 @@ func (c *CPU) issueInt(d *dynInst, aluUsed *int) bool {
 		d.state = stIssued
 		d.readyAt = c.cycle + 1
 	}
-	if c.flight != nil {
-		c.flight.noteIssue(d.in.Seq)
-	}
 	return true
 }
 
@@ -1035,15 +889,12 @@ func (c *CPU) issueFP(d *dynInst) bool {
 		d.state = stIssued
 		d.readyAt = c.cycle + 1
 	}
-	if c.flight != nil {
-		c.flight.noteIssue(d.in.Seq)
-	}
 	return true
 }
 
 // loadBlock classifies why tryPerformLoad could not perform a load
 // this cycle. The wakeup scheduler parks the load on the matching
-// event; the legacy walk ignores the value and rechecks every cycle.
+// event.
 type loadBlock uint8
 
 const (
@@ -1183,9 +1034,6 @@ func (c *CPU) dispatch() {
 		c.rob.pushBack(d)
 		if c.ev != nil {
 			c.schedAdmit(d)
-		} else {
-			//lint:ignore hotalloc active is preallocated to ROBSize, the max in flight
-			c.active = append(c.active, d)
 		}
 		c.fetchQ.popFront()
 		n++

@@ -52,11 +52,9 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
-func benchSteps(b *testing.B, bench string, legacy bool) {
+func benchSteps(b *testing.B, bench string) {
 	p := trace.MustPersonality(bench)
-	cfg := PaperConfig()
-	cfg.LegacyIssueWalk = legacy
-	c := New(cfg, trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
+	c := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
 	c.Run(20000)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -68,17 +66,12 @@ func benchSteps(b *testing.B, bench string, legacy bool) {
 // BenchmarkHotPathStep measures raw simulator cycles per second on the
 // paper configuration with the SAMIE-LSQ (the dominant workload of
 // every figure harness).
-func BenchmarkHotPathStep(b *testing.B) { benchSteps(b, "gzip", false) }
+func BenchmarkHotPathStep(b *testing.B) { benchSteps(b, "gzip") }
 
 // BenchmarkHotPathStepPointerChaser measures the wakeup scheduler on
-// its worst-case-for-the-legacy-walk workload: a serial random load
-// chain keeping the ROB full of parked instructions. Compare against
-// the LegacyWalk variant for the scheduler's cycles/sec win.
-func BenchmarkHotPathStepPointerChaser(b *testing.B) { benchSteps(b, "pointer-chaser", false) }
-
-// BenchmarkHotPathStepPointerChaserLegacyWalk is the same workload on
-// the pre-wakeup O(in-flight) issue walk.
-func BenchmarkHotPathStepPointerChaserLegacyWalk(b *testing.B) { benchSteps(b, "pointer-chaser", true) }
+// its target workload: a serial random load chain keeping the ROB full
+// of parked instructions.
+func BenchmarkHotPathStepPointerChaser(b *testing.B) { benchSteps(b, "pointer-chaser") }
 
 // BenchmarkHotPathStepMcf is the paper's real low-IPC pointer chaser.
-func BenchmarkHotPathStepMcf(b *testing.B) { benchSteps(b, "mcf", false) }
+func BenchmarkHotPathStepMcf(b *testing.B) { benchSteps(b, "mcf") }

@@ -6,24 +6,25 @@ import (
 	"samielsq/internal/isa"
 )
 
-// Event-driven wakeup scheduler (the default issue engine; the legacy
-// per-cycle active-list walk remains behind Config.LegacyIssueWalk for
-// differential testing).
+// Event-driven wakeup scheduler: the issue/writeback stage.
 //
-// The legacy walk visits every in-flight instruction every cycle —
-// O(in-flight) switch dispatches, operand checks and LSQ re-probes per
-// cycle, which is exactly the regime low-IPC pointer chasers (mcf, the
-// pointer-chaser stress personality) spend hundreds of cycles in. The
-// wakeup scheduler instead keeps a blocked instruction parked on the
-// one event that can unblock it and visits only the instructions that
-// might act this cycle, so the issue stage touches O(issue width +
-// newly woken) instructions.
+// Its specification is the ROB walk: every cycle, visit every ROB
+// entry oldest-first and re-run its issue, completion or memory-access
+// check. That walk is O(in-flight) switch dispatches, operand checks
+// and LSQ re-probes per cycle, which is exactly the regime low-IPC
+// pointer chasers (mcf, the pointer-chaser stress personality) spend
+// hundreds of cycles in. It survives only as a test: the oracle in
+// oracle_test.go, which TestSchedulerDifferential runs beside this
+// scheduler. The wakeup scheduler instead keeps a blocked instruction
+// parked on the one event that can unblock it and visits only the
+// instructions that might act this cycle, so the issue stage touches
+// O(issue width + newly woken) instructions.
 //
 // Correctness bar: byte-identical simulation results (the golden suite
 // and TestSchedulerDifferential are the arbiters). Two properties make
 // that achievable:
 //
-//  1. Age-ordered visiting. The legacy walk's per-cycle order is ROB
+//  1. Age-ordered visiting. The ROB walk's per-cycle order is ROB
 //     age order; every same-cycle interaction (a producer completing
 //     before its consumer issues, an AGEN consuming LSQ capacity before
 //     a younger AGEN's gate check, lane-width cutoffs) follows from it.
@@ -35,10 +36,10 @@ import (
 //     position.
 //
 //  2. Conservative, never-late wakeups. A woken instruction re-runs the
-//     exact per-cycle check the legacy walk ran, so waking too often
+//     exact per-cycle check the ROB walk ran, so waking too often
 //     costs only time. What must never happen is waking late: for every
 //     blocking condition there is a hook that fires the first cycle the
-//     legacy walk's check could newly pass:
+//     ROB walk's check could newly pass:
 //
 //     operand not ready      -> parked on the producer's waiter list;
 //                               drained into the wheel/attention at the
@@ -57,7 +58,7 @@ import (
 //
 // A load whose forwarding source store has not yet delivered its data
 // deliberately stays in the attention set rather than parking on the
-// store: the legacy walk re-probes Model.ForwardingSource every cycle,
+// store: the ROB walk re-probes Model.ForwardingSource every cycle,
 // and LSQ models charge CAM/entry energy per probe (the paper's
 // conventional LSQ burns search energy on every retry). Retrying keeps
 // the per-cycle model call sequence — and therefore the metered energy
@@ -93,8 +94,8 @@ import (
 // and statistics: classifyHeadStall, the dispatch and fetch stall
 // counters, one Model.AccountCycle (never k*area in one step: the
 // area sums are non-integer floats and must accumulate bit-identically)
-// and endOfCycleTelemetry. LegacyIssueWalk never skips; it is the
-// oracle TestSchedulerDifferential holds the skip to.
+// and endOfCycleTelemetry. The ROB-walk oracle never skips, so
+// TestSchedulerDifferential holds the skip to it too.
 
 // wheelSize bounds the timing wheel. Deltas are execution latencies
 // (bounded by a memory-hierarchy miss, well under wheelSize); an entry
@@ -267,7 +268,7 @@ func (ev *eventSched) drainWheel(cycle uint64) {
 // wakeWaiters drains d's waiter list at its stDone transition. Waiters
 // whose check (producerDone) passes this cycle go straight to the
 // attention set — they are younger than d, so the in-progress walk
-// still visits them in age order this cycle, exactly as the legacy
+// still visits them in age order this cycle, exactly as the ROB
 // walk would. A result arriving later (a load's readyAt) goes to the
 // wheel. The list empties here, before d can ever commit and be
 // recycled: a waiter that drains after the recycle re-checks
@@ -293,11 +294,15 @@ func (c *CPU) wakeWaiters(d *dynInst) {
 	}
 }
 
-// parkIssueOperands mirrors the issue gate of the legacy walk
-// (srcsReady, or agenReady's address-operand-only rule for stores),
-// parking d on the first producer whose value is still outstanding.
-// Severing observed-done producers matches the legacy helpers, so the
-// per-visit recheck degrades to nil tests either way.
+// parkIssueOperands applies the issue gate, parking d on the first
+// producer whose value is still outstanding. For a store only SrcA
+// (the address register) gates address generation: the data operand
+// is needed only to complete, matching real pipelines where the store
+// address is computed independently of the data. This is what lets
+// the readyBit scheme make progress. A producer observed done is
+// severed (the verdict is permanent until a flush, which rebinds
+// producers at re-dispatch), so the per-visit recheck degrades to nil
+// tests.
 //
 //samie:hotpath
 func (c *CPU) parkIssueOperands(d *dynInst) bool {
@@ -325,7 +330,7 @@ func (c *CPU) parkIssueOperands(d *dynInst) bool {
 
 // schedAdmit registers a freshly dispatched instruction: parked on its
 // first outstanding producer, or put up for attention next cycle (the
-// legacy walk likewise first considers a new dispatch the following
+// ROB walk likewise first considers a new dispatch the following
 // cycle, dispatch running after the issue stage).
 //
 //samie:hotpath
@@ -340,7 +345,7 @@ func (c *CPU) schedAdmit(d *dynInst) {
 // ^0 when no store address is outstanding). Called from the
 // store-address-delivery path whenever the frontier may have moved;
 // woken loads re-run tryPerformLoad in their age position this cycle,
-// matching the legacy walk's per-cycle recheck.
+// matching the ROB walk's per-cycle recheck.
 //
 //samie:hotpath
 func (c *CPU) wakeReadyBitWaiters(newFrontier uint64) {
@@ -367,7 +372,7 @@ func (c *CPU) wakeReadyBitWaiters(newFrontier uint64) {
 
 // wakeupIssue is the event-driven issue/writeback stage: drain this
 // cycle's wheel bucket, then visit the attention set in age order with
-// the same per-instruction actions as the legacy walk. Lane-width and
+// the same per-instruction actions as the ROB walk. Lane-width and
 // structural losers keep their attention bit (contention re-arbitrates
 // by age next cycle); everything else leaves the set by parking on its
 // blocking event or by completing.
@@ -406,7 +411,7 @@ func (c *CPU) wakeupIssue(dports *int) {
 				ev.attn.clear(s)
 			}
 			// stAGENDone keeps its bit: the first perform attempt is
-			// next cycle, as in the legacy walk.
+			// next cycle, as in the ROB walk.
 		case stDispatched:
 			if d.fp {
 				if fpIssued >= c.cfg.IssueFP {
@@ -453,7 +458,7 @@ func (c *CPU) wakeupIssue(dports *int) {
 					// Port contention re-arbitrates by age every cycle,
 					// and a forwarding wait must re-probe the model per
 					// cycle to keep its metered search energy identical
-					// to the legacy walk: bit stays set.
+					// to the ROB walk: bit stays set.
 				}
 			} else {
 				c.stepStore(d, s)
@@ -465,7 +470,7 @@ func (c *CPU) wakeupIssue(dports *int) {
 	}
 }
 
-// stepStore is the wakeup-scheduler counterpart of the legacy walk's
+// stepStore is the wakeup-scheduler counterpart of the ROB walk's
 // placed-store completion: a placed store whose data is available
 // completes (it writes the cache at commit). An unplaced store waits
 // for the AddrBuffer drain; missing data parks on the data producer.

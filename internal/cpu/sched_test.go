@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"slices"
 	"testing"
 
@@ -20,21 +22,28 @@ var shortDifferentialSet = []string{
 	"mcf", "gzip", "swim", "art", "pointer-chaser", "store-burst",
 }
 
-// TestSchedulerDifferential runs every personality under both issue
-// engines — the legacy O(in-flight) active-list walk and the
-// event-driven wakeup scheduler — and requires identical per-run
-// statistics. The full mode covers all 26 CPU2000 personalities plus
-// the adversarial pair; Result equality covers cycles, IPC, every
-// stall classification (HeadWaitIssue & co.), flush and forwarding
-// counts, so any issue-order or wakeup-timing drift fails loudly.
+// differentialTraces are the 28 traces: all 26 CPU2000 personalities
+// plus the adversarial pair.
+var differentialTraces = slices.Concat(trace.Benchmarks(), []string{"pointer-chaser", "store-burst"})
+
+// TestSchedulerDifferential runs the wakeup scheduler beside the
+// ROB-walk oracle (oracle_test.go) and requires identical per-run
+// statistics. The fixed matrix covers all 26 CPU2000 personalities
+// plus the adversarial pair on the paper configuration and the four
+// default LSQ geometries; the random half draws seeded configurations
+// from the whole space the validators accept. Result equality covers
+// cycles, IPC, every stall classification (HeadWaitIssue & co.), flush
+// and forwarding counts, so any issue-order or wakeup-timing drift
+// fails loudly.
 //
-// The legacy walk never skips a cycle, so this is also the oracle for
-// the wakeup engine's quiescent-span skip: both engines carry an
-// interval sampler whose small odd stride puts sample boundaries
-// inside skipped spans, and the timelines, the energy meter and each
-// model's own per-cycle statistics must match too.
+// The oracle never skips a cycle, so this is also the check on the
+// wakeup engine's quiescent-span skip: both engines carry an interval
+// sampler whose small odd stride puts sample boundaries inside skipped
+// spans, and the timelines, the energy meter and each model's own
+// per-cycle statistics must match too. On any mismatch the pair is
+// re-run in lockstep to name the first divergent span.
 func TestSchedulerDifferential(t *testing.T) {
-	benchmarks := append(append([]string{}, trace.Benchmarks()...), "pointer-chaser", "store-burst")
+	benchmarks := differentialTraces
 	insts := uint64(30_000)
 	if testing.Short() {
 		benchmarks = shortDifferentialSet
@@ -51,68 +60,174 @@ func TestSchedulerDifferential(t *testing.T) {
 			if mname != "samie" && testing.Short() && bench != "mcf" && bench != "store-burst" {
 				continue // one model is enough for most of the short matrix
 			}
-			bench, mname, mk := bench, mname, mk
 			t.Run(bench+"/"+mname, func(t *testing.T) {
 				t.Parallel()
-				p := trace.MustPersonality(bench)
-				type run struct {
-					res     Result
-					meter   energy.Meter
-					stats   any
-					samples []obs.TimelineSample
-					fr      *FlightRecorder
-				}
-				simulate := func(legacy bool) run {
-					cfg := PaperConfig()
-					cfg.LegacyIssueWalk = legacy
-					m := energy.NewMeter()
-					model := mk(m)
-					c := New(cfg, trace.NewGenerator(p), model, nil, nil, nil, m)
-					fr := NewFlightRecorder(16)
-					c.SetFlightRecorder(fr)
-					sampler := obs.NewIntervalSampler(37, 1<<14)
-					sampler.SetEnabled(true)
-					c.SetSampler(sampler)
-					r := run{res: c.Run(insts), meter: *m, stats: modelStats(model), fr: fr}
-					if tl := sampler.Snapshot(); tl != nil {
-						r.samples = tl.Samples
-					}
-					for i := range r.samples {
-						// Scheduler introspection exists only under the
-						// wakeup engine; the legacy walk reports zeros.
-						s := &r.samples[i]
-						s.Waiters, s.Wheel, s.Attn = 0, 0, 0
-					}
-					return r
-				}
-				wakeup, legacy := simulate(false), simulate(true)
-				if wakeup.res != legacy.res {
-					// The flight recorders turn "results differ" into a
-					// cycle-level diagnosis: first divergent issue set,
-					// plus each engine's last recorded frames.
-					if cyc, ok := FirstDivergence(wakeup.fr, legacy.fr); ok {
-						t.Errorf("first divergent issue set at cycle %d", cyc)
-					}
-					t.Fatalf("wakeup scheduler diverged from the legacy walk:\nwakeup: %+v\nlegacy: %+v\nwakeup tail:\n%slegacy tail:\n%s",
-						wakeup.res, legacy.res, wakeup.fr.Dump(), legacy.fr.Dump())
-				}
-				// Energy is part of the contract: LSQ models charge
-				// CAM/entry energy per model call, so the wakeup path
-				// must preserve the exact call pattern, not just the
-				// architectural outcome.
-				if wakeup.meter != legacy.meter {
-					t.Fatalf("energy accounting diverged:\nwakeup: %+v\nlegacy: %+v", wakeup.meter, legacy.meter)
-				}
-				if wakeup.stats != legacy.stats {
-					t.Fatalf("model statistics diverged:\nwakeup: %+v\nlegacy: %+v", wakeup.stats, legacy.stats)
-				}
-				if len(wakeup.samples) == 0 || !slices.Equal(wakeup.samples, legacy.samples) {
-					t.Fatalf("timelines diverged (%d vs %d samples):\nwakeup: %+v\nlegacy: %+v",
-						len(wakeup.samples), len(legacy.samples), firstDiff(wakeup.samples, legacy.samples), firstDiff(legacy.samples, wakeup.samples))
-				}
+				checkDifferential(t, diffCase{cfg: PaperConfig(), bench: bench, modelDesc: mname, model: mk}, insts)
 			})
 		}
 	}
+	testRandomDifferential(t)
+}
+
+// Random differential sizes: full mode, and -short (the race CI lane).
+const (
+	randomDiffSeed         = 0x5a41_1e15
+	randomDiffConfigs      = 600
+	randomDiffInsts        = 6_000
+	randomDiffShortConfigs = 40
+	randomDiffShortInsts   = 3_000
+)
+
+// testRandomDifferential draws seeded configurations: widths 1-8, ROB
+// 8-256, issue queues 2-128, 1-4 Dcache ports, mispredict penalty 0-20
+// and deadlock patience 0-32, with a random SAMIE (all four flags,
+// LineBytes up to the 32-byte L1D line), conventional or ARB geometry,
+// on one of the 28 traces. Config i uses its own PCG stream, so a
+// failure reproduces alone: go test -run 'SchedulerDifferential/random/NNN'.
+// The generator cannot be shared with FuzzValidSpec: that fuzz target
+// samples experiments.RunSpec, and package experiments imports cpu.
+func testRandomDifferential(t *testing.T) {
+	n, insts := randomDiffConfigs, uint64(randomDiffInsts)
+	if testing.Short() {
+		n, insts = randomDiffShortConfigs, randomDiffShortInsts
+	}
+	for i := 0; i < n; i++ {
+		dc := randomDiffCase(rand.New(rand.NewPCG(randomDiffSeed, uint64(i))))
+		t.Run(fmt.Sprintf("random/%03d", i), func(t *testing.T) {
+			t.Parallel()
+			checkDifferential(t, dc, insts)
+		})
+	}
+}
+
+// diffCase is one configuration both engines run.
+type diffCase struct {
+	cfg       Config
+	bench     string
+	modelDesc string // the model's geometry, for failure messages
+	model     func(m *energy.Meter) lsq.Model
+}
+
+func (dc diffCase) String() string {
+	return fmt.Sprintf("bench=%s model=%s cpu=%+v", dc.bench, dc.modelDesc, dc.cfg)
+}
+
+// randomDiffCase draws one valid diffCase. Fields the validators
+// bound are drawn from ranges that include invalid values, and a draw
+// is repeated until cpu.Config.Validate and core.Config.Validate
+// accept it.
+func randomDiffCase(rng *rand.Rand) diffCase {
+	in := func(lo, hi int) int { return lo + rng.IntN(hi-lo+1) }
+	dc := diffCase{bench: differentialTraces[rng.IntN(len(differentialTraces))]}
+	for {
+		dc.cfg = Config{
+			FetchWidth: in(1, 8), DecodeWidth: in(1, 8),
+			IssueInt: in(1, 8), IssueFP: in(1, 8), CommitWidth: in(1, 8),
+			FetchQueue: in(0, 64), ROBSize: in(8, 256),
+			IQInt: in(2, 128), IQFP: in(2, 128),
+			IntALU: in(0, 8), IntMulDiv: in(0, 4), FPALU: in(0, 4), FPMulDiv: in(0, 4),
+			DcachePorts:       in(1, 4),
+			MispredictPenalty: in(0, 20),
+			DeadlockPatience:  in(0, 32),
+		}
+		if dc.cfg.Validate() == nil {
+			break
+		}
+	}
+	switch rng.IntN(3) {
+	case 0:
+		var sc core.Config
+		for {
+			sc = core.Config{
+				Banks: in(0, 128), EntriesPerBank: in(0, 4), SlotsPerEntry: in(0, 16),
+				SharedEntries: in(-1, 16), AddrBufferSlots: in(0, 128), LineBytes: in(0, 32),
+				SharedUnbounded: rng.IntN(2) == 0, DisableWayCaching: rng.IntN(2) == 0,
+				DisableTLBCaching: rng.IntN(2) == 0, FastWayKnown: rng.IntN(2) == 0,
+			}
+			if sc.Validate() == nil {
+				break
+			}
+		}
+		dc.modelDesc = fmt.Sprintf("samie%+v", sc)
+		dc.model = func(m *energy.Meter) lsq.Model { return core.New(sc, m) }
+	case 1:
+		entries := in(1, 256)
+		dc.modelDesc = fmt.Sprintf("conventional(%d)", entries)
+		dc.model = func(m *energy.Meter) lsq.Model { return lsq.NewConventional(entries, m) }
+	default:
+		banks, addrs, inflight := in(1, 128), in(1, 8), in(1, 256)
+		dc.modelDesc = fmt.Sprintf("arb(%d,%d,%d)", banks, addrs, inflight)
+		dc.model = func(*energy.Meter) lsq.Model { return lsq.NewARB(banks, addrs, inflight) }
+	}
+	return dc
+}
+
+// engineRun is what one engine's run must reproduce.
+type engineRun struct {
+	res     Result
+	meter   energy.Meter
+	stats   any
+	samples []obs.TimelineSample
+}
+
+// build constructs the CPU of one side of the differential.
+func (dc diffCase) build(oracle bool) (*CPU, lsq.Model, *energy.Meter) {
+	m := energy.NewMeter()
+	model := dc.model(m)
+	strm := trace.NewGenerator(trace.MustPersonality(dc.bench))
+	if oracle {
+		return newOracle(dc.cfg, strm, model, m), model, m
+	}
+	return New(dc.cfg, strm, model, nil, nil, nil, m), model, m
+}
+
+func (dc diffCase) simulate(oracle bool, insts uint64) engineRun {
+	c, model, m := dc.build(oracle)
+	sampler := obs.NewIntervalSampler(37, 1<<14)
+	sampler.SetEnabled(true)
+	c.SetSampler(sampler)
+	r := engineRun{res: c.Run(insts), meter: *m, stats: modelStats(model)}
+	if tl := sampler.Snapshot(); tl != nil {
+		r.samples = tl.Samples
+	}
+	for i := range r.samples {
+		// Scheduler introspection exists only under the wakeup
+		// engine; the oracle reports zeros.
+		s := &r.samples[i]
+		s.Waiters, s.Wheel, s.Attn = 0, 0, 0
+	}
+	return r
+}
+
+// checkDifferential runs dc under both engines and fails t on any
+// difference, with the lockstep re-run's diagnosis.
+func checkDifferential(t *testing.T, dc diffCase, insts uint64) {
+	t.Helper()
+	wakeup, oracle := dc.simulate(false, insts), dc.simulate(true, insts)
+	var what string
+	switch {
+	case wakeup.res != oracle.res:
+		what = fmt.Sprintf("results diverged:\nwakeup: %+v\noracle: %+v", wakeup.res, oracle.res)
+	case wakeup.meter != oracle.meter:
+		// Energy is part of the contract: LSQ models charge CAM/entry
+		// energy per model call, so the wakeup path must preserve the
+		// exact call pattern, not just the architectural outcome.
+		what = fmt.Sprintf("energy accounting diverged:\nwakeup: %+v\noracle: %+v", wakeup.meter, oracle.meter)
+	case wakeup.stats != oracle.stats:
+		what = fmt.Sprintf("model statistics diverged:\nwakeup: %+v\noracle: %+v", wakeup.stats, oracle.stats)
+	case len(wakeup.samples) == 0 || !slices.Equal(wakeup.samples, oracle.samples):
+		what = fmt.Sprintf("timelines diverged (%d vs %d samples):\nwakeup: %+v\noracle: %+v",
+			len(wakeup.samples), len(oracle.samples), firstDiff(wakeup.samples, oracle.samples), firstDiff(oracle.samples, wakeup.samples))
+	default:
+		return
+	}
+	a, _, _ := dc.build(false)
+	o, _, _ := dc.build(true)
+	diag := "lockstep re-run: no divergence in results, energy or ROB window"
+	if d := lockstep(a, o, insts); d != nil {
+		diag = "lockstep re-run: " + d.String()
+	}
+	t.Fatalf("wakeup scheduler diverged from the ROB-walk oracle on %v\n%s\n%s", dc, what, diag)
 }
 
 // modelStats returns the model's own per-cycle and per-event
@@ -193,15 +308,11 @@ func TestWakeupObservesRecycledProducer(t *testing.T) {
 		t.Fatal("consumer still holds a reference to the recycled producer")
 	}
 
-	// The end-to-end run must match the legacy walk exactly.
-	run := func(legacy bool) Result {
-		cfg := PaperConfig()
-		cfg.LegacyIssueWalk = legacy
-		cc := New(cfg, isa.NewSliceStream(insts), lsq.NewUnbounded(), nil, nil, nil, nil)
-		return cc.Run(uint64(len(insts)))
-	}
-	if a, b := run(false), run(true); a != b {
-		t.Fatalf("recycle scenario diverged:\nwakeup: %+v\nlegacy: %+v", a, b)
+	// The end-to-end run must match the ROB-walk oracle exactly.
+	a := New(PaperConfig(), isa.NewSliceStream(insts), lsq.NewUnbounded(), nil, nil, nil, nil).Run(uint64(len(insts)))
+	b := newOracle(PaperConfig(), isa.NewSliceStream(insts), lsq.NewUnbounded(), nil).Run(uint64(len(insts)))
+	if a != b {
+		t.Fatalf("recycle scenario diverged:\nwakeup: %+v\noracle: %+v", a, b)
 	}
 }
 

@@ -29,9 +29,6 @@ func (c *CPU) SetSampler(s *obs.IntervalSampler) {
 	c.resetSampleBase()
 }
 
-// Sampler returns the attached sampler, or nil.
-func (c *CPU) Sampler() *obs.IntervalSampler { return c.sampler }
-
 func (c *CPU) resetSampleBase() {
 	m := c.meter
 	c.sampBase = sampleBase{
@@ -55,10 +52,6 @@ func (c *CPU) resetSampleBase() {
 func (c *CPU) endOfCycleTelemetry() {
 	if c.sampler.Due(c.cycle) {
 		c.recordSample()
-	}
-	if c.flight != nil {
-		waiters, wheel, attn := c.schedStats()
-		c.flight.endCycle(c.cycle, c.rob.len(), waiters, wheel, attn)
 	}
 }
 
@@ -99,8 +92,8 @@ func (c *CPU) recordSample() {
 
 // schedStats introspects the event-driven issue scheduler: total
 // waiter-list depth (instructions parked on a producer), timing-wheel
-// load, and attention-bitmap population. All zero under
-// LegacyIssueWalk, which keeps no scheduler state.
+// load, and attention-bitmap population. All zero for the test-only
+// ROB-walk oracle, which keeps no scheduler state.
 func (c *CPU) schedStats() (waiters, wheel, attn int) {
 	if c.ev == nil {
 		return 0, 0, 0

@@ -81,8 +81,8 @@ func TestRunWarmTimedResetsSampler(t *testing.T) {
 }
 
 // TestStepZeroAllocWithTelemetryDisabled extends the hot-path guard to
-// the telemetry hook: with a sampler attached but disabled (and no
-// flight recorder), the per-cycle path must still not allocate.
+// the telemetry hook: with a sampler attached but disabled, the
+// per-cycle path must still not allocate.
 func TestStepZeroAllocWithTelemetryDisabled(t *testing.T) {
 	p := trace.MustPersonality("gzip")
 	c := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
@@ -99,104 +99,27 @@ func TestStepZeroAllocWithTelemetryDisabled(t *testing.T) {
 	}
 }
 
-func TestFlightRecorderFingerprintAndRing(t *testing.T) {
-	feed := func(f *FlightRecorder, mutate bool) {
-		for cyc := uint64(1); cyc <= 10; cyc++ {
-			f.noteIssue(cyc * 3)
-			if cyc == 7 && mutate {
-				f.noteIssue(999) // the seeded mutation
-			}
-			f.noteIssue(cyc*3 + 1)
-			f.endCycle(cyc, int(cyc), 0, 0, 0)
-		}
-	}
-	a, b := NewFlightRecorder(4), NewFlightRecorder(4)
-	feed(a, false)
-	feed(b, false)
-	if cyc, ok := FirstDivergence(a, b); ok {
-		t.Fatalf("identical recordings reported divergence at %d", cyc)
-	}
-	if a.Cycles() != 10 {
-		t.Fatalf("fingerprinted %d cycles, want 10", a.Cycles())
-	}
-	// The ring keeps only the last 4 full frames, oldest first.
-	frames := a.Frames()
-	if len(frames) != 4 || frames[0].Cycle != 7 || frames[3].Cycle != 10 {
-		t.Fatalf("frames = %+v, want cycles 7..10", frames)
-	}
-	if got := frames[3].Issued; len(got) != 2 || got[0] != 30 {
-		t.Fatalf("frame issue set = %v", got)
-	}
-
-	c := NewFlightRecorder(4)
-	feed(c, true)
-	cyc, ok := FirstDivergence(a, c)
-	if !ok || cyc != 7 {
-		t.Fatalf("FirstDivergence = %d,%v want cycle 7", cyc, ok)
-	}
-	// A shorter recording diverges at its end.
-	d := NewFlightRecorder(4)
-	d.noteIssue(3)
-	d.noteIssue(4)
-	d.endCycle(1, 1, 0, 0, 0)
-	if cyc, ok := FirstDivergence(a, d); !ok || cyc != 2 {
-		t.Fatalf("length-mismatch divergence = %d,%v want cycle 2", cyc, ok)
-	}
-
-	dump := a.Dump()
-	if !strings.Contains(dump, "cycle") || !strings.Contains(dump, "issued=[30 31]") {
-		t.Fatalf("dump unreadable:\n%s", dump)
-	}
-	if NewFlightRecorder(4).Dump() != "(no frames recorded)" {
-		t.Fatal("empty dump placeholder missing")
-	}
-}
-
-func TestFlightRecorderLimitCycles(t *testing.T) {
-	f := NewFlightRecorder(8)
-	f.LimitCycles(3)
-	for cyc := uint64(1); cyc <= 10; cyc++ {
-		f.noteIssue(cyc)
-		f.endCycle(cyc, 0, 0, 0, 0)
-	}
-	if f.Cycles() != 3 {
-		t.Fatalf("recorded %d cycles past the limit, want 3", f.Cycles())
-	}
-	frames := f.Frames()
-	if len(frames) != 3 || frames[2].Cycle != 3 {
-		t.Fatalf("frames past the limit: %+v", frames)
-	}
-}
-
-// TestForcedDivergenceNamesFirstCycle attaches flight recorders to two
-// genuinely different runs — the SAMIE LSQ versus the conventional
-// LSQ, which issue memory operations on different cycles — and
-// requires the recorder pair to name a first divergent cycle and
-// produce a usable dump. This is the failure-path drill for the
-// scheduler-differential and golden suites: when those ever diverge,
-// this is the diagnosis they print.
+// TestForcedDivergenceNamesFirstCycle drills the lockstep diagnosis
+// TestSchedulerDifferential prints on a mismatch. The two sides run
+// genuinely different machines — the wakeup engine on the SAMIE LSQ,
+// the ROB-walk oracle on an 8-entry conventional LSQ, which stalls
+// memory operations on different cycles — so the lockstep must name a
+// first divergent span, the state that differed, and dump both ROB
+// windows.
 func TestForcedDivergenceNamesFirstCycle(t *testing.T) {
 	p := trace.MustPersonality("mcf")
-	run := func(model lsq.Model, legacy bool) *FlightRecorder {
-		cfg := PaperConfig()
-		cfg.LegacyIssueWalk = legacy
-		c := New(cfg, trace.NewGenerator(p), model, nil, nil, nil, nil)
-		fr := NewFlightRecorder(8)
-		c.SetFlightRecorder(fr)
-		c.Run(5_000)
-		return fr
+	wake := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
+	oracle := newOracle(PaperConfig(), trace.NewGenerator(p), lsq.NewConventional(8, nil), nil)
+	d := lockstep(wake, oracle, 5_000)
+	if d == nil {
+		t.Fatal("different LSQ models never diverged in lockstep")
 	}
-	a := run(core.NewPaper(nil), false)
-	b := run(lsq.NewConventional(8, nil), true) // tiny LSQ: stalls differently, and on the legacy walk
-	cyc, ok := FirstDivergence(a, b)
-	if !ok {
-		t.Fatal("different LSQ models never diverged in issue order")
+	if d.to <= d.from || d.to != wake.cycle || oracle.cycle != wake.cycle {
+		t.Fatalf("span (%d, %d] does not end at the lockstep cycle (wakeup %d, oracle %d)",
+			d.from, d.to, wake.cycle, oracle.cycle)
 	}
-	if cyc == 0 || cyc > uint64(a.Cycles())+1 {
-		t.Fatalf("divergence cycle %d out of recorded range (%d cycles)", cyc, a.Cycles())
+	if d.what == "" || !strings.Contains(d.dump, "seq=") {
+		t.Fatalf("divergence names no differing state or dumps no window:\n%v", d)
 	}
-	if dump := b.Dump(); dump == "(no frames recorded)" {
-		t.Fatal("divergent run retained no frames to dump")
-	}
-	t.Logf("first divergent issue set at cycle %d", cyc)
+	t.Logf("%v", d)
 }

@@ -41,7 +41,7 @@ func TestSuiteGolden(t *testing.T) {
 			"regenerate with UPDATE_GOLDEN=1 only if the change is intended\n"+
 			"for a cycle-level diagnosis of a simulation divergence, run the\n"+
 			"scheduler differential (go test ./internal/cpu -run SchedulerDifferential):\n"+
-			"its flight recorders name the first divergent issue cycle\n"+
+			"on a mismatch it re-runs the pair in lockstep and names the first divergent cycles\n"+
 			"got:\n%s", line, col, got)
 	}
 }

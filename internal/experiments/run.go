@@ -167,15 +167,15 @@ func Normalize(spec RunSpec) RunSpec {
 //samie:deterministic
 func Key(spec RunSpec) string { return keyOf(Normalize(spec)) }
 
-// keyOf renders the key of an already-normalized spec. The bytes are
-// those of the original fmt rendering,
+// keyOf renders the key of an already-normalized spec. The bytes equal
+// the fmt rendering
 //
 //	"b=%s|m=%d|i=%d|w=%d|conv=%d|arb=%d.%d.%d|samie=%+v|cpu=%+v"
 //
-// over the spec fields and the two configurations, and must stay so:
-// keys name artifacts on disk and place keys on the cluster's
-// rendezvous ring. Every core.Config and cpu.Config field is spelled
-// out; TestKeyMatchesFmtRendering fails when one is missed.
+// over the spec fields and the two configurations, so a key spells out
+// every core.Config and cpu.Config field by name; keys name artifacts
+// on disk and place keys on the cluster's rendezvous ring.
+// TestKeyMatchesFmtRendering fails when a field is missed.
 func keyOf(n RunSpec) string {
 	var s core.Config
 	if n.SAMIE != nil {
@@ -222,7 +222,6 @@ func keyOf(n RunSpec) string {
 	b = appendKeyInt(b, " DcachePorts:", c.DcachePorts)
 	b = appendKeyInt(b, " MispredictPenalty:", c.MispredictPenalty)
 	b = appendKeyInt(b, " DeadlockPatience:", c.DeadlockPatience)
-	b = appendKeyBool(b, " LegacyIssueWalk:", c.LegacyIssueWalk)
 	b = append(b, '}')
 	return string(b)
 }

@@ -30,8 +30,8 @@ type TimelineSample struct {
 	LSQ     int     `json:"lsq"`
 	AddrBuf int     `json:"addr_buf,omitempty"`
 
-	// Issue-scheduler load (zero under the legacy walk, which has no
-	// scheduler state to introspect).
+	// Issue-scheduler load: the wakeup scheduler's waiter lists, timing
+	// wheel and attention set.
 	Waiters int `json:"waiters,omitempty"`
 	Wheel   int `json:"wheel,omitempty"`
 	Attn    int `json:"attn,omitempty"`

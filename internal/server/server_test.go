@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"samielsq/internal/core"
+	"samielsq/internal/cpu"
 	"samielsq/internal/experiments"
 	"samielsq/pkg/client"
 )
@@ -91,6 +92,29 @@ func TestRunEndpointExecutesAndDedups(t *testing.T) {
 	}
 	if st := batch.Stats(); st.Executed != 1 || st.Hits != 1 {
 		t.Fatalf("dedup failed: %+v", st)
+	}
+
+	// A cpu object from an older build may still carry the removed
+	// LegacyIssueWalk field. Unknown fields are ignored, so the body
+	// names the same simulation as the default spec: same key, same
+	// result, served from the cache.
+	paper, err := json.Marshal(cpu.PaperConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	withLegacy := strings.Replace(string(paper), "}", `,"LegacyIssueWalk":true}`, 1)
+	resp3, err := http.Post(ts.URL+"/v1/runs", "application/json",
+		strings.NewReader(`{"benchmark":"gzip","model":"samie","cpu":`+withLegacy+`}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	out3 := decodeBody[client.RunResponse](t, resp3)
+	if resp3.StatusCode != http.StatusOK || out3.Key != out.Key || out3.CPU != out.CPU {
+		t.Fatalf("cpu object with LegacyIssueWalk: status %d, key %q, result %+v; want the default spec's key %q and result",
+			resp3.StatusCode, out3.Key, out3.CPU, out.Key)
+	}
+	if st := batch.Stats(); st.Executed != 1 || st.Hits != 2 {
+		t.Fatalf("LegacyIssueWalk body was not a cache hit: %+v", st)
 	}
 }
 
