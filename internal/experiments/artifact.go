@@ -1,9 +1,10 @@
 package experiments
 
-// The binary run-record codec. One walker and one fingerprint serve
-// every record type: the disk artifact (diskArtifact), the wire record
-// the typed client receives (wireRecord) and the spec record it sends
-// (specRecord). A record is written as
+// The binary run-record codec. One plan compiler (record_plan.go) and
+// one fingerprint serve every record type: the disk artifact
+// (diskArtifact), the wire record the typed client receives
+// (wireRecord) and the spec record it sends (specRecord). A record is
+// written as
 //
 //	magic "SAMIERUN" | layout fingerprint (u64) | fields in declaration order
 //
@@ -29,11 +30,7 @@ package experiments
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"hash/fnv"
-	"io"
-	"math"
-	"reflect"
 	"strconv"
 
 	"samielsq/internal/obs"
@@ -56,19 +53,8 @@ var (
 	errRecordTrailing  = errors.New("experiments: trailing bytes after run record")
 )
 
-// recordCodec encodes and decodes one record type T. Building it vets
-// T's shape: a field of a kind the codec cannot carry panics at
-// package initialization, long before any record is read.
-type recordCodec[T any] struct {
-	layout uint64 // T's layout fingerprint
-}
-
-func newRecordCodec[T any]() recordCodec[T] {
-	return recordCodec[T]{layout: layoutFingerprint(reflect.TypeFor[T]())}
-}
-
 // artifactCodec reads and writes disk artifacts.
-var artifactCodec = newRecordCodec[diskArtifact]()
+var artifactCodec = newRecordCodec[diskArtifact](true)
 
 // wireRecord is one run result as POST /v1/runs and GET /v1/runs/{key}
 // send it to a client that negotiated the binary record: the disk
@@ -80,7 +66,7 @@ type wireRecord struct {
 }
 
 // wireCodec reads and writes wire records.
-var wireCodec = newRecordCodec[wireRecord]()
+var wireCodec = newRecordCodec[wireRecord](true)
 
 // specRecord is one POST /v1/runs request as the typed client sends it
 // to a server that speaks its layout: the spec exactly as the caller
@@ -91,7 +77,7 @@ type specRecord struct {
 }
 
 // specCodec reads and writes spec records.
-var specCodec = newRecordCodec[specRecord]()
+var specCodec = newRecordCodec[specRecord](true)
 
 // RunRecordLayout names, in hex, the layouts of both wire record types:
 // the run record a server answers with and the spec record a client
@@ -152,166 +138,17 @@ func DecodeSpecRecord(data []byte) (RunSpec, bool, error) {
 	return rec.Spec, rec.Timeline, nil
 }
 
-// layoutFingerprint hashes the field names and kinds of t, recursively.
-func layoutFingerprint(t reflect.Type) uint64 {
-	h := fnv.New64a()
-	describeLayout(h, t)
-	return h.Sum64()
-}
-
-// describeLayout writes t's persisted shape to w, panicking on a kind
-// the codec does not carry (maps, slices, interfaces, float32,
-// unexported fields, pointers to non-structs).
-func describeLayout(w io.Writer, t reflect.Type) {
-	switch t.Kind() {
-	case reflect.Struct:
-		io.WriteString(w, "{")
-		for i := range t.NumField() {
-			f := t.Field(i)
-			if !f.IsExported() {
-				panic(fmt.Sprintf("experiments: unexported field %s.%s cannot persist in a run record", t, f.Name))
-			}
-			io.WriteString(w, f.Name+":")
-			describeLayout(w, f.Type)
-			io.WriteString(w, ";")
-		}
-		io.WriteString(w, "}")
-	case reflect.Pointer:
-		if t.Elem().Kind() != reflect.Struct {
-			panic(fmt.Sprintf("experiments: %s cannot persist in a run record", t))
-		}
-		io.WriteString(w, "*")
-		describeLayout(w, t.Elem())
-	case reflect.Bool, reflect.String, reflect.Float64,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
-		io.WriteString(w, t.Kind().String())
-	default:
-		panic(fmt.Sprintf("experiments: %s cannot persist in a run record", t))
-	}
-}
-
-// encode renders v in T's record layout.
-func (c recordCodec[T]) encode(v *T) []byte {
-	b := make([]byte, 0, 2048)
-	b = append(b, recordMagic...)
-	b = binary.LittleEndian.AppendUint64(b, c.layout)
-	return appendValue(b, reflect.ValueOf(v).Elem())
-}
-
-// appendValue appends v's encoding; describeLayout has already vetted
-// every kind it can meet.
-func appendValue(b []byte, v reflect.Value) []byte {
-	switch v.Kind() {
-	case reflect.Struct:
-		for i := range v.NumField() {
-			b = appendValue(b, v.Field(i))
-		}
-		return b
-	case reflect.Pointer:
-		if v.IsNil() {
-			return append(b, 0)
-		}
-		return appendValue(append(b, 1), v.Elem())
-	case reflect.Bool:
-		if v.Bool() {
-			return append(b, 1)
-		}
-		return append(b, 0)
-	case reflect.String:
-		b = binary.LittleEndian.AppendUint32(b, uint32(v.Len()))
-		return append(b, v.String()...)
-	case reflect.Float64:
-		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v.Float()))
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		return binary.LittleEndian.AppendUint64(b, uint64(v.Int()))
-	default: // unsigned
-		return binary.LittleEndian.AppendUint64(b, v.Uint())
-	}
-}
-
-// decode parses one record of type T. It checks the encoding only;
-// what a well-formed record may answer (validArtifact,
-// ValidatePeerResult) is the caller's decision.
-func (c recordCodec[T]) decode(data []byte) (T, error) {
-	var v T
+// body checks data's magic and layout fingerprint against T's and
+// returns the encoded fields that follow them.
+func (c recordCodec[T]) body(data []byte) ([]byte, error) {
 	if len(data) < len(recordMagic) || string(data[:len(recordMagic)]) != recordMagic {
-		return v, errRecordMagic
+		return nil, errRecordMagic
 	}
 	if len(data) < recordHeader {
-		return v, errRecordTruncated
-	}
-	if binary.LittleEndian.Uint64(data[len(recordMagic):]) != c.layout {
-		return v, errRecordLayout
-	}
-	rest, err := readValue(data[recordHeader:], reflect.ValueOf(&v).Elem())
-	if err == nil && len(rest) != 0 {
-		err = errRecordTrailing
-	}
-	if err != nil {
-		var zero T
-		return zero, err
-	}
-	return v, nil
-}
-
-// readValue decodes one value of v's type from the front of b into v
-// and returns the remaining bytes.
-func readValue(b []byte, v reflect.Value) ([]byte, error) {
-	switch v.Kind() {
-	case reflect.Struct:
-		var err error
-		for i := range v.NumField() {
-			if b, err = readValue(b, v.Field(i)); err != nil {
-				return nil, err
-			}
-		}
-		return b, nil
-	case reflect.Pointer, reflect.Bool:
-		if len(b) < 1 {
-			return nil, errRecordTruncated
-		}
-		if b[0] > 1 {
-			return nil, errRecordByte
-		}
-		if v.Kind() == reflect.Bool {
-			v.SetBool(b[0] == 1)
-			return b[1:], nil
-		}
-		if b[0] == 0 {
-			return b[1:], nil // v is already nil
-		}
-		v.Set(reflect.New(v.Type().Elem()))
-		return readValue(b[1:], v.Elem())
-	case reflect.String:
-		if len(b) < 4 {
-			return nil, errRecordTruncated
-		}
-		n := binary.LittleEndian.Uint32(b)
-		b = b[4:]
-		if uint64(n) > uint64(len(b)) {
-			return nil, errRecordTruncated
-		}
-		v.SetString(string(b[:n]))
-		return b[n:], nil
-	}
-	if len(b) < 8 {
 		return nil, errRecordTruncated
 	}
-	x := binary.LittleEndian.Uint64(b)
-	switch v.Kind() {
-	case reflect.Float64:
-		v.SetFloat(math.Float64frombits(x))
-	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
-		if v.OverflowInt(int64(x)) {
-			return nil, errRecordRange
-		}
-		v.SetInt(int64(x))
-	default: // unsigned
-		if v.OverflowUint(x) {
-			return nil, errRecordRange
-		}
-		v.SetUint(x)
+	if binary.LittleEndian.Uint64(data[len(recordMagic):]) != c.layout {
+		return nil, errRecordLayout
 	}
-	return b[8:], nil
+	return data[recordHeader:], nil
 }

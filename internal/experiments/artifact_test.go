@@ -44,18 +44,23 @@ func checkRoundTrip[T any](t *testing.T, c recordCodec[T], data []byte) {
 	}
 }
 
+// FuzzDecodeArtifact holds the disk-artifact decoder, which reads
+// whatever a shared cache directory holds, to the round-trip invariant
+// and its compiled plan to the reflection walker (record_oracle_test.go).
 func FuzzDecodeArtifact(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRoundTrip(t, artifactCodec, data)
+		checkAgreesWithOracle(t, artifactCodec, data)
 	})
 }
 
 // FuzzDecodeRunRecord holds the wire-record decoder, which reads
-// whatever a server sends the typed client, to the same invariant;
+// whatever a server sends the typed client, to the same invariants;
 // DecodeRunRecord must accept exactly what the codec accepts.
 func FuzzDecodeRunRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRoundTrip(t, wireCodec, data)
+		checkAgreesWithOracle(t, wireCodec, data)
 		_, _, err := DecodeRunRecord(data)
 		if _, cerr := wireCodec.decode(data); (err == nil) != (cerr == nil) {
 			t.Fatalf("DecodeRunRecord error %v, codec error %v", err, cerr)
@@ -64,12 +69,13 @@ func FuzzDecodeRunRecord(f *testing.F) {
 }
 
 // FuzzDecodeSpecRecord holds the spec-record decoder, which reads
-// whatever a client posts to /v1/runs, to the codec invariant, and
+// whatever a client posts to /v1/runs, to the codec invariants, and
 // feeds every accepted spec to ValidateSpec, which must answer without
 // a panic: a spec record carries a raw model kind and configuration.
 func FuzzDecodeSpecRecord(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkRoundTrip(t, specCodec, data)
+		checkAgreesWithOracle(t, specCodec, data)
 		spec, _, err := DecodeSpecRecord(data)
 		if _, cerr := specCodec.decode(data); (err == nil) != (cerr == nil) {
 			t.Fatalf("DecodeSpecRecord error %v, codec error %v", err, cerr)
@@ -404,6 +410,10 @@ func TestLayoutFingerprint(t *testing.T) {
 		A uint
 		B bool
 	}
+	layoutFingerprint := func(t reflect.Type) uint64 {
+		_, fp := buildPlan(t, true)
+		return fp
+	}
 	fp := layoutFingerprint(reflect.TypeFor[base]())
 	for name, typ := range map[string]reflect.Type{
 		"added":   reflect.TypeFor[added](),
@@ -499,6 +509,38 @@ func BenchmarkDiskHit(b *testing.B) {
 	for b.Loop() {
 		if _, ok := d.load(key); !ok {
 			b.Fatal("disk miss")
+		}
+	}
+}
+
+// benchRunResult is the result the record benchmarks encode: a
+// simulated SAMIE gzip run at 2000 instructions, as BenchmarkDiskHit
+// reads it.
+func benchRunResult() RunResult {
+	spec := Normalize(RunSpec{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE})
+	res := runNormalized(spec, keyOf(spec))
+	res.Phases = obs.PhaseTimes{QueueWait: 1e-6, DiskTier: 2.5e-5}
+	return res
+}
+
+// BenchmarkEncodeRunRecord measures rendering one wire record, which
+// every binary POST /v1/runs answer and peer probe pays.
+func BenchmarkEncodeRunRecord(b *testing.B) {
+	res := benchRunResult()
+	b.ReportAllocs()
+	for b.Loop() {
+		_ = EncodeRunRecord(res)
+	}
+}
+
+// BenchmarkDecodeRunRecord measures parsing one wire record, which the
+// typed client pays for every binary answer.
+func BenchmarkDecodeRunRecord(b *testing.B) {
+	rec := EncodeRunRecord(benchRunResult())
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, _, err := DecodeRunRecord(rec); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,6 +93,9 @@ type DiskCacheStats struct {
 // artifacts every writer sharing the directory persisted are covered.
 type DiskCache struct {
 	dir string
+	// prefix is dir as filepath.Join renders it, with a trailing
+	// separator: every artifact path starts with it.
+	prefix string
 
 	hits, misses, writes atomic.Int64
 }
@@ -104,7 +108,8 @@ func NewDiskCache(dir string) (*DiskCache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("experiments: disk cache: %w", err)
 	}
-	return &DiskCache{dir: dir}, nil
+	prefix := filepath.Join(dir, "x")
+	return &DiskCache{dir: dir, prefix: prefix[:len(prefix)-1]}, nil
 }
 
 // DefaultCacheDir returns the conventional per-user cache location
@@ -163,10 +168,19 @@ func (d *DiskCache) Stats() DiskCacheStats {
 	}
 }
 
-// path maps a canonical spec key to its content-addressed file.
+// path maps a canonical spec key to its content-addressed file,
+// <dir>/run-<hex sha256 of key>.bin, rendered in one allocation.
 func (d *DiskCache) path(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return filepath.Join(d.dir, "run-"+hex.EncodeToString(sum[:])+".bin")
+	var name [len("run-") + 2*sha256.Size + len(".bin")]byte
+	copy(name[:], "run-")
+	hex.Encode(name[len("run-"):], sum[:])
+	copy(name[len(name)-len(".bin"):], ".bin")
+	var sb strings.Builder
+	sb.Grow(len(d.prefix) + len(name))
+	sb.WriteString(d.prefix)
+	sb.Write(name[:])
+	return sb.String()
 }
 
 // load returns the cached result for key, if a valid artifact exists,

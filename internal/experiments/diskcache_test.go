@@ -3,6 +3,8 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -14,6 +16,30 @@ import (
 // cacheTestSpec is a tiny simulation so the cache tests stay fast.
 func cacheTestSpec() RunSpec {
 	return RunSpec{Benchmark: "gzip", Insts: 5_000, Model: ModelSAMIE}
+}
+
+// TestDiskCachePathRendering pins artifact file names to the rendering
+// existing cache directories were written with,
+// filepath.Join(dir, "run-"+hex(sha256(key))+".bin"), for directories
+// that Join cleans, and checks that a path costs one allocation.
+func TestDiskCachePathRendering(t *testing.T) {
+	const key = "b=gzip|m=3|i=2000|w=1000"
+	const name = "run-c4a0941fce155e29373fef974cd5329bca049582820a0f8ec4d48b901f65a33d.bin"
+	tmp := t.TempDir()
+	for _, dir := range []string{tmp, tmp + "/", tmp + "//x/./../", ".", "/"} {
+		d, err := NewDiskCache(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256([]byte(key))
+		old := filepath.Join(dir, "run-"+hex.EncodeToString(sum[:])+".bin")
+		if got := d.path(key); got != old || filepath.Base(got) != name {
+			t.Errorf("dir %q: path %q, want %q named %s", dir, got, old, name)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = d.path(key) }); n != 1 {
+			t.Errorf("dir %q: path allocates %v times, want 1", dir, n)
+		}
+	}
 }
 
 func TestDiskCacheRoundTrip(t *testing.T) {

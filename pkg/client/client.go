@@ -272,23 +272,26 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 		return SuiteResponse{}, err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return decodeSuiteStream(resp.Body, maxStreamLine, onEvent)
+}
+
+// decodeSuiteStream reads a suite's NDJSON event stream, handing every
+// event to onEvent, and collects its runs, in stream order, and the
+// final result event's total. An error event, a line that is not an
+// event, a line longer than maxLine and a stream without a result
+// event are errors.
+func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) (SuiteResponse, error) {
 	var out SuiteResponse
 	sawResult := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := eachLine(r, maxLine, func(line []byte) error {
 		var ev SuiteEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return SuiteResponse{}, fmt.Errorf("client: bad stream line %q: %w", line, err)
+			return fmt.Errorf("client: bad stream line %q: %w", line, err)
 		}
 		onEvent(ev)
 		switch ev.Type {
 		case "error":
-			return SuiteResponse{}, fmt.Errorf("server: %s", ev.Error)
+			return fmt.Errorf("server: %s", ev.Error)
 		case "run":
 			if ev.Run != nil {
 				out.Runs = append(out.Runs, *ev.Run)
@@ -297,12 +300,13 @@ func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(Suite
 			out.Total = ev.Total
 			sawResult = true
 		}
+		return nil
+	})
+	if err == nil && !sawResult {
+		err = errNoResult
 	}
-	if err := sc.Err(); err != nil {
-		return SuiteResponse{}, fmt.Errorf("client: reading stream: %w", err)
-	}
-	if !sawResult {
-		return SuiteResponse{}, fmt.Errorf("client: stream ended without a result event")
+	if err != nil {
+		return SuiteResponse{}, err
 	}
 	return out, nil
 }
@@ -350,35 +354,37 @@ func (c *Client) RunScenario(ctx context.Context, name string, req ScenarioRunRe
 		return ScenarioRunResponse{}, err
 	}
 	defer resp.Body.Close()
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
+	return decodeScenarioStream(resp.Body, maxStreamLine, onEvent)
+}
+
+// decodeScenarioStream reads a scenario's NDJSON event stream, handing
+// every event to onEvent, and returns its final result, under the same
+// rules as decodeSuiteStream.
+func decodeScenarioStream(r io.Reader, maxLine int, onEvent func(ScenarioEvent)) (ScenarioRunResponse, error) {
 	var final ScenarioRunResponse
 	sawResult := false
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := eachLine(r, maxLine, func(line []byte) error {
 		var ev ScenarioEvent
 		if err := json.Unmarshal(line, &ev); err != nil {
-			return ScenarioRunResponse{}, fmt.Errorf("client: bad stream line %q: %w", line, err)
+			return fmt.Errorf("client: bad stream line %q: %w", line, err)
 		}
 		onEvent(ev)
 		switch ev.Type {
 		case "error":
-			return ScenarioRunResponse{}, fmt.Errorf("server: %s", ev.Error)
+			return fmt.Errorf("server: %s", ev.Error)
 		case "result":
 			if ev.Result != nil {
 				final = ScenarioRunResponse{Result: *ev.Result, Text: ev.Text}
 				sawResult = true
 			}
 		}
+		return nil
+	})
+	if err == nil && !sawResult {
+		err = errNoResult
 	}
-	if err := sc.Err(); err != nil {
-		return ScenarioRunResponse{}, fmt.Errorf("client: reading stream: %w", err)
-	}
-	if !sawResult {
-		return ScenarioRunResponse{}, fmt.Errorf("client: stream ended without a result event")
+	if err != nil {
+		return ScenarioRunResponse{}, err
 	}
 	return final, nil
 }
@@ -464,37 +470,70 @@ func (c *Client) Timeline(ctx context.Context, key string) (obs.Timeline, bool, 
 		return obs.Timeline{}, false, err
 	}
 	defer resp.Body.Close()
+	t, err := decodeTimeline(resp.Body, maxStreamLine)
+	if err != nil {
+		return obs.Timeline{}, false, err
+	}
+	return t, true, nil
+}
+
+// decodeTimeline reassembles a timeline from its NDJSON stream: a
+// leading meta line, {"key":..., "stride":..., "samples":...}, then
+// one sample per line.
+func decodeTimeline(r io.Reader, maxLine int) (obs.Timeline, error) {
 	var t obs.Timeline
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
 	first := true
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
+	err := eachLine(r, maxLine, func(line []byte) error {
 		if first {
-			// Leading meta line: {"key":..., "stride":..., "samples":...}.
 			first = false
 			var meta struct {
 				Stride uint64 `json:"stride"`
 			}
 			if err := json.Unmarshal(line, &meta); err != nil {
-				return obs.Timeline{}, false, fmt.Errorf("client: bad timeline meta %q: %w", line, err)
+				return fmt.Errorf("client: bad timeline meta %q: %w", line, err)
 			}
 			t.Stride = meta.Stride
-			continue
+			return nil
 		}
 		var ts obs.TimelineSample
 		if err := json.Unmarshal(line, &ts); err != nil {
-			return obs.Timeline{}, false, fmt.Errorf("client: bad timeline line %q: %w", line, err)
+			return fmt.Errorf("client: bad timeline line %q: %w", line, err)
 		}
 		t.Samples = append(t.Samples, ts)
+		return nil
+	})
+	if err != nil {
+		return obs.Timeline{}, err
+	}
+	return t, nil
+}
+
+// maxStreamLine bounds one line of an NDJSON stream the client reads.
+const maxStreamLine = 16 << 20
+
+// errNoResult is a suite or scenario stream that ended without its
+// result event: the server went away mid-stream.
+var errNoResult = errors.New("client: stream ended without a result event")
+
+// eachLine calls fn with every non-blank line of the NDJSON stream r,
+// spaces trimmed, stopping at fn's first error. A line longer than
+// maxLine bytes is an error.
+func eachLine(r io.Reader, maxLine int, fn func(line []byte) error) error {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, min(64*1024, maxLine)), maxLine)
+	for sc.Scan() {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
+			continue
+		}
+		if err := fn(line); err != nil {
+			return err
+		}
 	}
 	if err := sc.Err(); err != nil {
-		return obs.Timeline{}, false, fmt.Errorf("client: reading timeline: %w", err)
+		return fmt.Errorf("client: reading stream: %w", err)
 	}
-	return t, true, nil
+	return nil
 }
 
 // traceParentFor renders the traceparent header for a request: the
