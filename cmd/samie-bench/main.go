@@ -11,7 +11,7 @@
 //	samie-bench -insts 1000000       # higher-fidelity run
 //	samie-bench -fig 5 -fig 6        # specific figures
 //	samie-bench -bench ammp,swim     # subset of the suite
-//	samie-bench -list-scenarios      # named sweeps from the registry
+//	samie-bench -list-scenarios      # the figure table's scenario sweeps
 //	samie-bench -scenario models     # run a registered sweep
 //	samie-bench -workers 4 -stats    # bound the pool, cache stats on stderr
 //	samie-bench -cachedir ""         # disable the on-disk run cache
@@ -28,10 +28,11 @@
 // reuse finished simulations across processes.
 //
 // With -server the simulations run on samie-serve replicas instead:
-// the specs each figure and scenario needs are sharded across the
-// replica list by rendezvous hashing of their canonical keys (one URL
-// is a ring of one), one sweep for the selected figures plus one per
-// scenario, and the artefacts render locally from the results —
+// the specs the suite or the selected figure-table rows (figures and
+// scenarios alike) need are sharded across the replica list by
+// rendezvous hashing of their canonical keys (one URL is a ring of
+// one), in one sweep per invocation, and the artefacts render locally
+// from the results —
 // byte-identical to local mode however the keys spread. Without a
 // selection flag stdout is the whole suite with its accounting line in
 // both modes (internal/experiments/testdata/golden_suite.txt at
@@ -134,13 +135,14 @@ func main() {
 		os.Exit(runPrune(dir, *pruneMaxBytes, *pruneMaxAge))
 	}
 
-	var benchmarks []string // nil = the full suite
+	var benchmarks []string // nil = each row's default rows
 	if *benchCSV != "" {
 		benchmarks = strings.Split(*benchCSV, ",")
 	}
 
 	// Without a selection flag the whole suite renders; otherwise only
-	// the figure-table rows the -fig numbers name, the scenarios and the
+	// the figure-table rows the -fig numbers and -scenario names select
+	// (figures in table order, then scenarios in flag order) and the
 	// tables asked for. An unknown figure or scenario is rejected before
 	// any simulation runs or any server is contacted.
 	suite := len(figs) == 0 && len(scenarios) == 0 && !*table1 && !*delays && !*tables456
@@ -150,16 +152,26 @@ func main() {
 		os.Exit(2)
 	}
 	for _, name := range scenarios {
-		if _, ok := experiments.LookupScenario(name); !ok {
+		row, ok := experiments.LookupFigure(name)
+		if !ok || row.Scenario == nil {
 			fmt.Fprintf(os.Stderr, "unknown scenario %q (see -list-scenarios)\n", name)
 			os.Exit(2)
 		}
+		selected = append(selected, row)
 	}
 	// So is a run the simulator cannot take, such as an unknown -bench
 	// name.
-	if err := vetRunSet(suite, selected, scenarios, benchmarks, *insts); err != nil {
+	if err := vetRunSet(suite, selected, benchmarks, *insts); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+
+	if *listScenarios {
+		for _, name := range experiments.ScenarioNames() {
+			row, _ := experiments.LookupFigure(name)
+			fmt.Printf("%-20s %s (%d variants)\n", name, row.Scenario.Description, len(row.Scenario.Variants))
+		}
+		return
 	}
 
 	// Remote mode: the simulations run on the replicas; a bad URL list
@@ -177,37 +189,9 @@ func main() {
 		}
 	}
 
-	if *listScenarios {
-		if fleet == nil {
-			for _, name := range experiments.ScenarioNames() {
-				sc, _ := experiments.LookupScenario(name)
-				fmt.Printf("%-20s %s (%d variants)\n", name, sc.Description, len(sc.Variants))
-			}
-			return
-		}
-		infos, err := fleet.Scenarios(ctx)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		for _, info := range infos {
-			fmt.Printf("%-20s %s (%d variants)\n", info.Name, info.Description, len(info.Variants))
-		}
-		return
-	}
-
-	// Scenarios resolve their own default rows (Scenario.Benchmarks,
-	// e.g. the adversarial workloads) when -bench is absent, so they
-	// must see the unfilled list; the figure harnesses default to the
-	// full suite here.
-	scenarioBench := benchmarks
-	if benchmarks == nil {
-		benchmarks = experiments.Benchmarks()
-	}
-
-	// Locally, one batch serves every figure and scenario this
-	// invocation renders, spilling results to disk unless -cachedir ""
-	// asked not to (a cache failure degrades to the uncached batch).
+	// Locally, one batch serves every row this invocation renders,
+	// spilling results to disk unless -cachedir "" asked not to (a
+	// cache failure degrades to the uncached batch).
 	var batch *experiments.Batch
 	if fleet == nil {
 		batch, dir = experiments.OpenBatch(*workers, dir, func(err error) {
@@ -234,6 +218,9 @@ func main() {
 	swept := func() { sweeps = append(sweeps, fleet.SweepTraceID()) }
 
 	if suite {
+		if benchmarks == nil {
+			benchmarks = experiments.Benchmarks()
+		}
 		traced("suite", func(ctx context.Context) (err error) {
 			var res experiments.SuiteResult
 			if fleet == nil {
@@ -254,17 +241,17 @@ func main() {
 		// Remotely, one sweep runs every spec the selected rows need,
 		// the rows render from its results, and nothing may have run
 		// locally.
-		figBatch := batch
+		rowBatch := batch
 		if fleet != nil {
 			traced("figures", func(ctx context.Context) (err error) {
-				figBatch, err = fleet.Assemble(ctx, experiments.FigureSpecs(selected, benchmarks, *insts), progress("figures"))
+				rowBatch, err = fleet.Assemble(ctx, experiments.FigureSpecs(selected, benchmarks, *insts), progress("figures"))
 				swept()
 				return err
 			})
 		}
-		for _, fig := range selected {
-			traced("figure "+fig.Name, func(ctx context.Context) error {
-				out, err := fig.Run(ctx, figBatch, benchmarks, *insts)
+		for _, row := range selected {
+			traced("figure "+row.Name, func(ctx context.Context) error {
+				out, err := row.Run(ctx, rowBatch, row.ResolveBenchmarks(benchmarks), *insts)
 				if err == nil {
 					fmt.Println(out)
 				}
@@ -272,25 +259,10 @@ func main() {
 			})
 		}
 		if fleet != nil {
-			if err := cluster.PlanCovered(figBatch); err != nil {
+			if err := cluster.PlanCovered(rowBatch); err != nil {
 				die(err)
 			}
 		}
-	}
-	for _, name := range scenarios {
-		traced("scenario "+name, func(ctx context.Context) (err error) {
-			var res experiments.ScenarioResult
-			if fleet == nil {
-				res, err = batch.Scenario(ctx, name, scenarioBench, *insts, nil)
-			} else {
-				res, err = fleet.Scenario(ctx, name, scenarioBench, *insts, progress(name))
-				swept()
-			}
-			if err == nil {
-				fmt.Println(res)
-			}
-			return err
-		})
 	}
 	if *table1 {
 		fmt.Println(experiments.Table1())
@@ -329,22 +301,13 @@ func main() {
 }
 
 // vetRunSet checks every simulation the invocation will request — the
-// suite's or the selected figures' specs and each scenario's — with
-// experiments.ValidateSpec.
-func vetRunSet(suite bool, selected []experiments.Figure, scenarios, benchmarks []string, insts uint64) error {
+// suite's or the selected rows' specs — with experiments.ValidateSpec.
+func vetRunSet(suite bool, selected []experiments.Figure, benchmarks []string, insts uint64) error {
 	if suite {
 		selected = experiments.Figures()
 	}
-	specs := experiments.FigureSpecs(selected, benchmarks, insts)
-	for _, name := range scenarios {
-		ss, _, err := experiments.ScenarioSpecs(name, benchmarks, insts)
-		if err != nil {
-			return err
-		}
-		specs = append(specs, ss...)
-	}
-	for _, s := range specs {
-		if err := experiments.ValidateSpec(s); err != nil {
+	for _, s := range experiments.FigureSpecs(selected, benchmarks, insts) {
+		if _, err := experiments.ValidateSpec(s); err != nil {
 			return err
 		}
 	}

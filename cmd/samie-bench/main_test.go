@@ -83,8 +83,9 @@ func TestLocalStatsOnStderr(t *testing.T) {
 }
 
 // TestRemoteMatchesLocal pins -server as a pure placement choice: the
-// suite, a figure selection and a scenario print the same bytes as
-// local mode whether the specs spread over two replicas or land on
+// suite, a figure selection, a scenario and a mixed selection (figures
+// in table order, then scenarios in flag order, from one sweep) print
+// the same bytes as local mode whether the specs spread over two replicas or land on
 // one, every distinct spec executes exactly once across the fleet, and
 // -stats keeps stdout to the artefacts.
 func TestRemoteMatchesLocal(t *testing.T) {
@@ -115,6 +116,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		nil,
 		{"-fig", "1", "-fig", "5"},
 		{"-scenario", "distrib-banking"},
+		{"-scenario", "adversarial", "-fig", "3", "-scenario", "distrib-banking"},
 	} {
 		args := append(append([]string(nil), common...), sel...)
 		local, _ := benchMain(t, append(args, "-cachedir", "")...)
@@ -133,12 +135,14 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	for _, s := range experiments.SuiteSpecs(bench, insts) {
 		distinct[experiments.Key(s)] = true
 	}
-	specs, _, err := experiments.ScenarioSpecs("distrib-banking", bench, insts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range specs {
-		distinct[experiments.Key(s)] = true
+	for _, name := range []string{"distrib-banking", "adversarial"} {
+		specs, _, err := experiments.ScenarioSpecs(name, bench, insts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, s := range specs {
+			distinct[experiments.Key(s)] = true
+		}
 	}
 	var total int64
 	for i, b := range batches {

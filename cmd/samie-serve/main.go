@@ -244,9 +244,9 @@ func main() {
 // client that trickles its request head (slowloris — the admission
 // semaphore only guards requests that finish arriving), IdleTimeout
 // reclaims parked keep-alive connections. WriteTimeout deliberately
-// stays 0: suite and scenario NDJSON streams legitimately run for as
-// long as the sweep simulates, and a non-zero value would sever them
-// mid-stream (per-request deadlines already come from -request-timeout
+// stays 0: suite NDJSON streams and figure-table renders legitimately
+// run for as long as the sweep simulates, and a non-zero value would
+// sever them mid-response (per-request deadlines already come from -request-timeout
 // via the handler's context).
 func newHTTPServer(h http.Handler) *http.Server {
 	return &http.Server{

@@ -22,13 +22,13 @@ func TestHTTPServerTimeouts(t *testing.T) {
 		t.Error("IdleTimeout unset: parked keep-alive connections are never reclaimed")
 	}
 	if hs.WriteTimeout != 0 {
-		t.Errorf("WriteTimeout = %s, must stay 0 so long NDJSON suite/scenario streams are never severed", hs.WriteTimeout)
+		t.Errorf("WriteTimeout = %s, must stay 0 so long NDJSON suite streams are never severed", hs.WriteTimeout)
 	}
 }
 
-// TestConfiguredServerStreamsScenario runs a real scenario stream
-// through the exact http.Server main builds, proving the header/idle
-// timeouts do not sever a long-lived NDJSON response.
+// TestConfiguredServerStreamsScenario streams a scenario sweep's specs
+// as a suite shard through the exact http.Server main builds, proving
+// the header/idle timeouts do not sever a long-lived NDJSON response.
 func TestConfiguredServerStreamsScenario(t *testing.T) {
 	s, err := server.New(server.Config{
 		Batch:        experiments.NewBatch(1),
@@ -46,15 +46,21 @@ func TestConfiguredServerStreamsScenario(t *testing.T) {
 	go hs.Serve(ln)
 	t.Cleanup(func() { hs.Close() })
 
-	events := 0
-	c := client.New("http://" + ln.Addr().String())
-	res, err := c.RunScenario(context.Background(), "distrib-banking",
-		client.ScenarioRunRequest{Benchmarks: []string{"gzip"}, Insts: 10_000},
-		func(ev client.ScenarioEvent) { events++ })
+	specs, _, err := experiments.ScenarioSpecs("distrib-banking", []string{"gzip"}, 10_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events == 0 || res.Text == "" {
-		t.Errorf("stream through the configured server yielded %d events and %d bytes", events, len(res.Text))
+	var req client.SuiteRequest
+	for _, spec := range specs {
+		req.Specs = append(req.Specs, client.RequestFor(spec))
+	}
+	events := 0
+	c := client.New("http://" + ln.Addr().String())
+	res, err := c.Suite(context.Background(), req, func(client.SuiteEvent) { events++ })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if events != len(specs)+1 || len(res.Runs) != len(specs) {
+		t.Errorf("stream through the configured server yielded %d events and %d runs for %d specs", events, len(res.Runs), len(specs))
 	}
 }

@@ -65,7 +65,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := experiments.ValidateSpec(spec); err != nil {
+	if _, err := experiments.ValidateSpec(spec); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}

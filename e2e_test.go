@@ -20,6 +20,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -72,7 +73,7 @@ func TestE2E(t *testing.T) {
 		{"E00015", "server_concurrent_runs_coalesce", caseServerRunsCoalesce},
 		{"E00016", "server_figures_match_golden_suite", caseServerFiguresGolden},
 		{"E00017", "server_metrics_exposition_parses", caseServerMetrics},
-		{"E00018", "server_scenario_stream_matches_library", caseServerScenarioStream},
+		{"E00018", "server_scenario_figure_matches_library", caseServerScenarioFigure},
 		{"E00019", "cluster_two_replica_suite_exactly_once", caseClusterSuiteExactlyOnce},
 		{"E00020", "cluster_failover_replica_stopped_mid_sweep", caseClusterFailoverMidSweep},
 		{"E00021", "server_run_cache_probe", caseRunCacheProbe},
@@ -451,38 +452,34 @@ func caseServerMetrics(t *testing.T) {
 	}
 }
 
-func caseServerScenarioStream(t *testing.T) {
+func caseServerScenarioFigure(t *testing.T) {
 	c, _ := bootServer(t)
-	var cells, finals int
-	streamed, err := c.RunScenario(context.Background(), "distrib-banking",
-		client.ScenarioRunRequest{Benchmarks: e2eBench[:1], Insts: e2eInsts()},
-		func(ev client.ScenarioEvent) {
-			switch ev.Type {
-			case "cell":
-				cells++
-			case "result":
-				finals++
-			}
-		})
+	ctx := context.Background()
+	served, err := c.Figure(ctx, "distrib-banking", e2eBench[:1], e2eInsts())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if cells != 3 || finals != 1 {
-		t.Errorf("saw %d cell and %d result events, want 3 and 1", cells, finals)
 	}
 	direct, err := samielsq.RunScenario("distrib-banking", e2eBench[:1], e2eInsts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if streamed.Text != direct.String() {
-		t.Errorf("streamed sweep differs from library harness\nserver:\n%s\nlibrary:\n%s",
-			streamed.Text, direct.String())
+	if served.Text != direct.String() {
+		t.Errorf("served sweep differs from library harness\nserver:\n%s\nlibrary:\n%s",
+			served.Text, direct.String())
 	}
-	// Unknown scenarios surface as typed 404s through the client.
-	if _, err := c.RunScenario(context.Background(), "no-such-sweep", client.ScenarioRunRequest{}, nil); err == nil {
-		t.Fatal("unknown scenario did not error")
-	} else if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusNotFound {
-		t.Fatalf("want *APIError 404, got %v", err)
+	// Without bench a scenario row answers with its own default rows.
+	adv, err := c.Figure(ctx, "adversarial", nil, 2_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"pointer-chaser", "store-burst"}; !slices.Equal(adv.Benchmarks, want) {
+		t.Errorf("adversarial rows %v, want %v", adv.Benchmarks, want)
+	}
+	// Unknown names surface as typed 404s naming the valid rows.
+	_, err = c.Figure(ctx, "no-such-sweep", nil, 0)
+	if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusNotFound ||
+		!strings.Contains(ae.Error(), "distrib-banking") || !strings.Contains(ae.Error(), "energy") {
+		t.Fatalf("want *APIError 404 naming the valid rows, got %v", err)
 	}
 }
 

@@ -24,7 +24,7 @@ func main() {
 	fmt.Printf("swim via CompareIn: IPC %.3f -> %.3f, LSQ saving %.0f%%\n",
 		r.Conventional.IPC, r.SAMIE.IPC, r.LSQSavingPct)
 
-	sweep, err := b.Scenario(context.Background(), "shared-lsq-sizes", benchmarks, insts, nil)
+	sweep, err := b.Scenario(context.Background(), "shared-lsq-sizes", benchmarks, insts)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)

@@ -81,7 +81,7 @@ func FuzzDecodeSpecRecord(f *testing.F) {
 			t.Fatalf("DecodeSpecRecord error %v, codec error %v", err, cerr)
 		}
 		if err == nil {
-			_ = ValidateSpec(spec)
+			_, _ = ValidateSpec(spec)
 		}
 	})
 }
@@ -256,7 +256,8 @@ func TestFuzzDecodeSpecRecordCorpus(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		return ValidateSpec(spec)
+		_, err = ValidateSpec(spec)
+		return err
 	})
 }
 

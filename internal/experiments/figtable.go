@@ -6,38 +6,63 @@ import (
 	"strings"
 )
 
-// Figure is one row of the figure table: a paper artefact that every
+// Figure is one row of the figure table: a named artefact that every
 // driver — the HTTP figure endpoint, the client's name list, and
-// samie-bench in local and remote mode — regenerates by name.
+// samie-bench in local and remote mode — regenerates by name. The
+// table holds the paper's figures, then one row per registered
+// scenario sweep.
 type Figure struct {
-	// Name addresses the figure (GET /v1/figures/{Name}).
+	// Name addresses the row (GET /v1/figures/{Name}).
 	Name string
 	// Selects lists the paper figure numbers (samie-bench -fig) the
 	// row answers to: one simulation pair renders Figures 5 and 6, and
-	// one more renders Figures 7-12.
+	// one more renders Figures 7-12. Scenario rows answer to none.
 	Selects []string
-	// Specs enumerates every simulation Run requests, column by
-	// column, so a driver can run them elsewhere first (pkg/cluster
-	// shards them across replicas) and Run then renders from cache.
+	// Specs enumerates every simulation Run requests, so a driver can
+	// run them elsewhere first (pkg/cluster shards them across
+	// replicas) and Run then renders from cache. Paper rows enumerate
+	// column by column, scenario rows benchmark by benchmark.
 	Specs func(benchmarks []string, insts uint64) []RunSpec
-	// Run regenerates the figure through the batch. The value's String
-	// is the figure's text; the value itself is the typed result the
-	// matching Batch method returns (Figure1Result ... EnergyResult).
-	// When ctx fires, the figure's queued simulations are withdrawn and
-	// the context error is returned.
+	// Run regenerates the row's artefact through the batch over the
+	// resolved benchmarks (ResolveBenchmarks). The value's String is
+	// the artefact's text; the value itself is the typed result the
+	// matching Batch method returns (Figure1Result ... EnergyResult,
+	// ScenarioResult). When ctx fires, the row's queued simulations
+	// are withdrawn and the context error is returned.
 	Run func(ctx context.Context, bt *Batch, benchmarks []string, insts uint64) (fmt.Stringer, error)
+	// Scenario is the registered sweep a scenario row renders; nil for
+	// the paper's rows.
+	Scenario *Scenario
 }
 
-// figures is the figure table, in paper order.
+// figures is the figure table: the paper's rows in paper order, then
+// the registered scenarios in registration order (RegisterScenario).
 var figures = []Figure{
-	{"1", []string{"1"}, specsOf(figure1Columns), erase((*Batch).figure1)},
-	{"3", []string{"3"}, specsOf(figure3Columns), erase((*Batch).figure3)},
+	{"1", []string{"1"}, specsOf(figure1Columns), erase((*Batch).figure1), nil},
+	{"3", []string{"3"}, specsOf(figure3Columns), erase((*Batch).figure3), nil},
 	{"4", []string{"4"}, specsOf(func(insts uint64) []column { return figure4Columns(insts, figure4DefaultSizes) }),
 		erase(func(bt *Batch, ctx context.Context, benchmarks []string, insts uint64) (Figure4Result, error) {
 			return bt.figure4(ctx, benchmarks, insts, nil)
-		})},
-	{"56", []string{"5", "6"}, specsOf(pairColumns), erase((*Batch).figure56)},
-	{"energy", []string{"7", "8", "9", "10", "11", "12"}, specsOf(pairColumns), erase((*Batch).energy)},
+		}), nil},
+	{"56", []string{"5", "6"}, specsOf(pairColumns), erase((*Batch).figure56), nil},
+	{"energy", []string{"7", "8", "9", "10", "11", "12"}, specsOf(pairColumns), erase((*Batch).energy), nil},
+}
+
+// paperRows counts the paper's rows at the head of the table.
+var paperRows = len(figures)
+
+// ResolveBenchmarks is the row's benchmark rule: an explicit list
+// wins, then a scenario's own default rows, then the full 26-program
+// suite. FigureSpecs, the HTTP figure endpoint and samie-bench all
+// resolve through here.
+func (f Figure) ResolveBenchmarks(benchmarks []string) []string {
+	if len(benchmarks) > 0 {
+		return benchmarks
+	}
+	if f.Scenario != nil && len(f.Scenario.Benchmarks) > 0 {
+		return f.Scenario.Benchmarks
+	}
+	return Benchmarks()
 }
 
 // specsOf adapts a harness's column list to the table's Specs
@@ -55,21 +80,18 @@ func specsOf(columns func(insts uint64) []column) func([]string, uint64) []RunSp
 	}
 }
 
-// FigureSpecs is the union of the rows' spec sets in table order,
+// FigureSpecs is the union of the rows' spec sets in the given order,
 // normalized and deduplicated by canonical key: every simulation the
-// rows' harnesses request, each once. Nil benchmarks means the full
-// 26-program suite; insts 0 means DefaultInsts.
+// rows' harnesses request, each once. Nil benchmarks means each row's
+// own default (ResolveBenchmarks); insts 0 means DefaultInsts.
 func FigureSpecs(rows []Figure, benchmarks []string, insts uint64) []RunSpec {
-	if len(benchmarks) == 0 {
-		benchmarks = Benchmarks()
-	}
 	if insts == 0 {
 		insts = DefaultInsts
 	}
 	var specs []RunSpec
 	seen := map[string]bool{}
 	for _, f := range rows {
-		for _, s := range f.Specs(benchmarks, insts) {
+		for _, s := range f.Specs(f.ResolveBenchmarks(benchmarks), insts) {
 			n := Normalize(s)
 			if key := keyOf(n); !seen[key] {
 				seen[key] = true
@@ -91,19 +113,20 @@ func erase[T fmt.Stringer](run func(*Batch, context.Context, []string, uint64) (
 	}
 }
 
-// Figures returns the figure table in paper order.
-func Figures() []Figure { return append([]Figure(nil), figures...) }
+// Figures returns the paper's rows of the figure table in paper order.
+func Figures() []Figure { return append([]Figure(nil), figures[:paperRows]...) }
 
-// FigureNames lists the table's names in paper order.
+// FigureNames lists the paper rows' names in paper order.
 func FigureNames() []string {
-	names := make([]string, len(figures))
-	for i, f := range figures {
+	names := make([]string, paperRows)
+	for i, f := range figures[:paperRows] {
 		names[i] = f.Name
 	}
 	return names
 }
 
-// LookupFigure returns the row with the given name.
+// LookupFigure returns the row with the given name: a paper figure or
+// a registered scenario.
 func LookupFigure(name string) (Figure, bool) {
 	for _, f := range figures {
 		if f.Name == name {
@@ -123,7 +146,7 @@ func SelectFigures(nums []string) ([]Figure, error) {
 	}
 	var valid []string
 	var out []Figure
-	for _, f := range figures {
+	for _, f := range figures[:paperRows] {
 		picked := false
 		for _, sel := range f.Selects {
 			valid = append(valid, sel)

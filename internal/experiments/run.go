@@ -240,7 +240,7 @@ func appendKeyBool(b []byte, label string, v bool) []byte {
 // Batch to share and memoize runs across harnesses. A spec ValidateSpec
 // rejects panics with the validation error.
 func Run(spec RunSpec) RunResult {
-	n, err := normalizeValid(spec)
+	n, err := ValidateSpec(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: invalid run spec: %v", err))
 	}
@@ -356,7 +356,7 @@ func NewBatchWithCache(workers int, cacheDir string) (*Batch, error) {
 // cache first when one is attached. A spec ValidateSpec rejects panics
 // with the validation error; RunCtx returns it instead.
 func (b *Batch) Run(spec RunSpec) RunResult {
-	n, err := normalizeValid(spec)
+	n, err := ValidateSpec(spec)
 	if err != nil {
 		panic(fmt.Sprintf("experiments: invalid run spec: %v", err))
 	}
@@ -374,7 +374,7 @@ func (b *Batch) Run(spec RunSpec) RunResult {
 // onto a job whose owner canceled is retried transparently while ctx
 // stays live.
 func (b *Batch) RunCtx(ctx context.Context, spec RunSpec) (RunResult, error) {
-	n, err := normalizeValid(spec)
+	n, err := ValidateSpec(spec)
 	if err != nil {
 		return RunResult{}, err
 	}

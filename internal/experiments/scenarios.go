@@ -3,10 +3,8 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"runtime/debug"
 	"sort"
 	"strings"
-	"sync"
 
 	"samielsq/internal/core"
 	"samielsq/internal/cpu"
@@ -22,8 +20,9 @@ type Variant struct {
 }
 
 // Scenario is a named, registered sweep: a set of variants evaluated
-// over a benchmark list through a shared batch. New workloads are one
-// registry entry, not a new harness.
+// over a benchmark list through a shared batch. Registering one adds a
+// row to the figure table, so a new workload is one table row, not a
+// new harness.
 type Scenario struct {
 	Name        string
 	Description string
@@ -36,59 +35,58 @@ type Scenario struct {
 	Benchmarks []string
 }
 
-// ResolveBenchmarks applies the scenario's default rows: an explicit
-// list wins, then the scenario's own default, then the full suite.
-// Every consumer of the rule — Scenario, ScenarioSpecs, the HTTP
-// handler — resolves through here, so the precedence lives in exactly
-// one place.
-func (sc Scenario) ResolveBenchmarks(benchmarks []string) []string {
-	if len(benchmarks) > 0 {
-		return benchmarks
+// specs enumerates the sweep's cells benchmark by benchmark, one spec
+// per (benchmark, variant); Batch.scenario reads its results back in
+// this order.
+func (sc Scenario) specs(benchmarks []string, insts uint64) []RunSpec {
+	specs := make([]RunSpec, 0, len(benchmarks)*len(sc.Variants))
+	for _, b := range benchmarks {
+		for _, v := range sc.Variants {
+			specs = append(specs, v.Spec(b, insts))
+		}
 	}
-	if len(sc.Benchmarks) > 0 {
-		return sc.Benchmarks
-	}
-	return Benchmarks()
+	return specs
 }
 
-var (
-	scenarioMu  sync.RWMutex
-	scenarioReg = map[string]Scenario{}
-)
-
-// RegisterScenario adds a scenario to the registry. It panics on an
-// empty name, no variants, or a duplicate name: registration is a
-// programming act, typically from init or test setup.
+// RegisterScenario appends the scenario to the figure table as a row.
+// It panics on an empty name, no variants, or a name any row already
+// has (the paper's "1" ... "energy" included): registration is a
+// programming act, typically from init or test setup, and the table
+// is not guarded against concurrent readers.
 func RegisterScenario(s Scenario) {
 	if s.Name == "" || len(s.Variants) == 0 {
 		panic("experiments: scenario needs a name and at least one variant")
 	}
-	scenarioMu.Lock()
-	defer scenarioMu.Unlock()
-	if _, dup := scenarioReg[s.Name]; dup {
-		panic(fmt.Sprintf("experiments: scenario %q registered twice", s.Name))
+	if _, dup := LookupFigure(s.Name); dup {
+		panic(fmt.Sprintf("experiments: scenario %q names an existing figure-table row", s.Name))
 	}
-	scenarioReg[s.Name] = s
+	figures = append(figures, Figure{
+		Name:  s.Name,
+		Specs: s.specs,
+		Run: erase(func(bt *Batch, ctx context.Context, benchmarks []string, insts uint64) (ScenarioResult, error) {
+			return bt.scenario(ctx, s, benchmarks, insts)
+		}),
+		Scenario: &s,
+	})
 }
 
 // ScenarioNames returns the registered scenario names, sorted.
 func ScenarioNames() []string {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	names := make([]string, 0, len(scenarioReg))
-	for n := range scenarioReg {
-		names = append(names, n)
+	names := make([]string, 0, len(figures)-paperRows)
+	for _, f := range figures[paperRows:] {
+		names = append(names, f.Name)
 	}
 	sort.Strings(names)
 	return names
 }
 
-// LookupScenario returns a registered scenario by name.
-func LookupScenario(name string) (Scenario, bool) {
-	scenarioMu.RLock()
-	defer scenarioMu.RUnlock()
-	s, ok := scenarioReg[name]
-	return s, ok
+// scenarioRow returns the figure-table row of a registered scenario.
+func scenarioRow(name string) (Figure, error) {
+	if f, ok := LookupFigure(name); ok && f.Scenario != nil {
+		return f, nil
+	}
+	return Figure{}, fmt.Errorf("experiments: unknown scenario %q (have %s)",
+		name, strings.Join(ScenarioNames(), ", "))
 }
 
 // ScenarioResult is the outcome of one scenario sweep: IPC and LSQ
@@ -103,98 +101,43 @@ type ScenarioResult struct {
 	EnergyNJ [][]float64 // LSQ dynamic energy, nJ; 0 for models without an energy account
 }
 
-// ScenarioProgress reports one completed sweep cell to a Scenario
-// observer.
-type ScenarioProgress struct {
-	Benchmark   string
-	Variant     string
-	IPC         float64
-	EnergyNJ    float64
-	Done, Total int
+// Scenario evaluates a registered scenario through the batch over the
+// benchmarks its row resolves (Figure.ResolveBenchmarks): every
+// (benchmark, variant) cell is one spec, deduplicated against
+// everything else the batch has run. Cancellation withdraws the
+// sweep's queued simulations; a cell whose simulation panics surfaces
+// as an error instead of tearing the process down.
+func (bt *Batch) Scenario(ctx context.Context, name string, benchmarks []string, insts uint64) (ScenarioResult, error) {
+	f, err := scenarioRow(name)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	return bt.scenario(ctx, *f.Scenario, f.ResolveBenchmarks(benchmarks), insts)
 }
 
-// Scenario evaluates a registered scenario through the batch: every
-// (benchmark, variant) cell is one spec, deduplicated against
-// everything else the batch has run. onCell (when non-nil) observes
-// every cell as its simulation completes, from a single goroutine, in
-// completion order. Cancellation withdraws the sweep's queued
-// simulations; a cell whose simulation panics surfaces as an error
-// instead of tearing the process down.
-func (bt *Batch) Scenario(ctx context.Context, name string, benchmarks []string, insts uint64, onCell func(ScenarioProgress)) (ScenarioResult, error) {
-	sc, ok := LookupScenario(name)
-	if !ok {
-		return ScenarioResult{}, fmt.Errorf("experiments: unknown scenario %q (have %s)",
-			name, strings.Join(ScenarioNames(), ", "))
-	}
-	benchmarks = sc.ResolveBenchmarks(benchmarks)
+// scenario renders one sweep over resolved benchmarks, one RunCtx per
+// cell.
+func (bt *Batch) scenario(ctx context.Context, sc Scenario, benchmarks []string, insts uint64) (ScenarioResult, error) {
 	if insts == 0 {
 		insts = DefaultInsts
 	}
-	res := ScenarioResult{Name: name, Benchmarks: benchmarks, Insts: insts}
+	runs, err := bt.RunEachCtx(ctx, sc.specs(benchmarks, insts), nil)
+	if err != nil {
+		return ScenarioResult{}, err
+	}
+	res := ScenarioResult{Name: sc.Name, Benchmarks: benchmarks, Insts: insts}
 	for _, v := range sc.Variants {
 		res.Variants = append(res.Variants, v.Name)
 	}
 	res.IPC = make([][]float64, len(benchmarks))
 	res.EnergyNJ = make([][]float64, len(benchmarks))
 	for bi := range benchmarks {
-		res.IPC[bi] = make([]float64, len(sc.Variants))
-		res.EnergyNJ[bi] = make([]float64, len(sc.Variants))
-	}
-
-	type cell struct {
-		bi, vi      int
-		ipc, energy float64
-		err         error
-	}
-	total := len(benchmarks) * len(sc.Variants)
-	results := make(chan cell, total)
-	for bi, bench := range benchmarks {
-		for vi, v := range sc.Variants {
-			go func(bi, vi int, bench string, v Variant) {
-				c := cell{bi: bi, vi: vi}
-				defer func() {
-					if p := recover(); p != nil {
-						// The panic site's stack is only reachable here;
-						// carry it so the failure stays diagnosable once
-						// flattened to an error.
-						c.err = fmt.Errorf("experiments: scenario cell %s/%s panicked: %v\n%s",
-							bench, v.Name, p, debug.Stack())
-					}
-					results <- c
-				}()
-				r, err := bt.RunCtx(ctx, v.Spec(bench, insts))
-				if err != nil {
-					c.err = err
-					return
-				}
-				c.ipc, c.energy = r.CPU.IPC, r.LSQEnergyNJ()
-			}(bi, vi, bench, v)
+		cells := runs[bi*len(sc.Variants) : (bi+1)*len(sc.Variants)]
+		res.IPC[bi] = make([]float64, len(cells))
+		res.EnergyNJ[bi] = make([]float64, len(cells))
+		for vi, r := range cells {
+			res.IPC[bi][vi], res.EnergyNJ[bi][vi] = r.CPU.IPC, r.LSQEnergyNJ()
 		}
-	}
-	var firstErr error
-	for done := 1; done <= total; done++ {
-		c := <-results
-		if c.err != nil {
-			if firstErr == nil {
-				firstErr = c.err
-			}
-			continue
-		}
-		res.IPC[c.bi][c.vi] = c.ipc
-		res.EnergyNJ[c.bi][c.vi] = c.energy
-		if onCell != nil && firstErr == nil {
-			onCell(ScenarioProgress{
-				Benchmark: benchmarks[c.bi],
-				Variant:   res.Variants[c.vi],
-				IPC:       c.ipc,
-				EnergyNJ:  c.energy,
-				Done:      done,
-				Total:     total,
-			})
-		}
-	}
-	if firstErr != nil {
-		return ScenarioResult{}, firstErr
 	}
 	return res, nil
 }

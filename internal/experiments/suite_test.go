@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -175,17 +176,35 @@ func TestScenarioRegistry(t *testing.T) {
 		t.Fatalf("only %d built-in scenarios: %v", len(names), names)
 	}
 	for _, want := range []string{"models", "shared-lsq-sizes", "distrib-banking", "ablations"} {
-		if _, ok := LookupScenario(want); !ok {
-			t.Errorf("built-in scenario %q missing", want)
+		if f, ok := LookupFigure(want); !ok || f.Scenario == nil || f.Scenario.Name != want {
+			t.Errorf("built-in scenario %q missing from the figure table", want)
+		}
+		if slices.Contains(FigureNames(), want) {
+			t.Errorf("scenario %q counted among the paper's figures", want)
 		}
 	}
-	if _, err := NewBatch(0).Scenario(context.Background(), "no-such-sweep", suiteBench(), 1000, nil); err == nil {
-		t.Error("unknown scenario did not error")
+	for _, name := range []string{"no-such-sweep", "energy"} {
+		if _, err := NewBatch(0).Scenario(context.Background(), name, suiteBench(), 1000); err == nil {
+			t.Errorf("non-scenario %q did not error", name)
+		}
+	}
+	// Scenario names share the table's namespace with the paper rows.
+	for _, name := range []string{"1", "energy", "models"} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("registering a scenario named %q did not panic", name)
+				}
+			}()
+			RegisterScenario(Scenario{Name: name, Variants: []Variant{{Name: "v", Spec: func(b string, i uint64) RunSpec {
+				return RunSpec{Benchmark: b, Insts: i}
+			}}}})
+		}()
 	}
 
 	benchmarks, insts := suiteBench()[:2], suiteInsts()
 	b := NewBatch(0)
-	res, err := b.Scenario(context.Background(), "distrib-banking", benchmarks, insts, nil)
+	res, err := b.Scenario(context.Background(), "distrib-banking", benchmarks, insts)
 	if err != nil {
 		t.Fatal(err)
 	}

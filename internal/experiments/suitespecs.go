@@ -7,43 +7,28 @@ import (
 )
 
 // SuiteSpecs enumerates the distinct simulations the full suite
-// (every row of the figure table) needs: FigureSpecs over Figures().
-// A coordinator can partition this list across replicas, execute
-// every spec exactly once cluster-wide, and reassemble the
+// (every paper row of the figure table) needs: FigureSpecs over
+// Figures(). A coordinator can partition this list across replicas,
+// execute every spec exactly once cluster-wide, and reassemble the
 // byte-identical suite from the results (see pkg/cluster). Nil
 // benchmarks means the full 26-program suite; insts 0 means
 // DefaultInsts.
 func SuiteSpecs(benchmarks []string, insts uint64) []RunSpec {
-	return FigureSpecs(figures, benchmarks, insts)
+	return FigureSpecs(figures[:paperRows], benchmarks, insts)
 }
 
 // ScenarioSpecs enumerates the distinct simulations a registered
-// scenario sweep needs over the benchmark rows, deduplicated by
-// canonical key, together with the resolved benchmark list (the
-// scenario's default rows when benchmarks is nil). The same partition
-// contract as SuiteSpecs applies.
+// scenario sweep needs over the benchmark rows — its row's
+// FigureSpecs, benchmark by benchmark — together with the resolved
+// benchmark list (the scenario's default rows when benchmarks is
+// nil). The same partition contract as SuiteSpecs applies.
 func ScenarioSpecs(name string, benchmarks []string, insts uint64) ([]RunSpec, []string, error) {
-	sc, ok := LookupScenario(name)
-	if !ok {
-		return nil, nil, fmt.Errorf("experiments: unknown scenario %q", name)
+	f, err := scenarioRow(name)
+	if err != nil {
+		return nil, nil, err
 	}
-	benchmarks = sc.ResolveBenchmarks(benchmarks)
-	if insts == 0 {
-		insts = DefaultInsts
-	}
-	var specs []RunSpec
-	seen := map[string]bool{}
-	for _, b := range benchmarks {
-		for _, v := range sc.Variants {
-			n := Normalize(v.Spec(b, insts))
-			key := keyOf(n)
-			if !seen[key] {
-				seen[key] = true
-				specs = append(specs, n)
-			}
-		}
-	}
-	return specs, benchmarks, nil
+	rows := f.ResolveBenchmarks(benchmarks)
+	return FigureSpecs([]Figure{f}, rows, insts), rows, nil
 }
 
 // Offer installs a precomputed result for spec — typically fetched

@@ -2,43 +2,40 @@ package experiments
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 )
 
 const specTestInsts = 4_000
 
-// TestSuiteSpecsCoverSuite pins the shard-planning contract: a batch
-// that has already run every planned spec must render without
-// executing anything new — the whole suite from SuiteSpecs, and each
-// figure-table row from its own spec set. If a figure harness grows a
-// sweep point its row does not enumerate, this fails — before the
-// drift silently bypasses the cluster fabric (pkg/cluster asserts the
-// same invariant at reassembly time).
-func TestSuiteSpecsCoverSuite(t *testing.T) {
-	benchmarks := []string{"gzip"}
-	type input struct {
-		name   string
-		specs  []RunSpec
-		render func(*Batch) error
+// planInput is one shardable plan and the render that must run
+// entirely from it.
+type planInput struct {
+	name   string
+	specs  []RunSpec
+	render func(*Batch) error
+}
+
+// rowInput plans one figure-table row, paper figure or scenario, with
+// FigureSpecs over that row alone and renders it through the table.
+func rowInput(t *testing.T, name string, benchmarks []string) planInput {
+	t.Helper()
+	f, ok := LookupFigure(name)
+	if !ok {
+		t.Fatalf("row %q missing from the table", name)
 	}
-	inputs := []input{{"suite", SuiteSpecs(benchmarks, specTestInsts), func(b *Batch) error {
-		b.Suite(benchmarks, specTestInsts)
-		return nil
-	}}}
-	for _, f := range Figures() {
-		inputs = append(inputs, input{"figure " + f.Name, FigureSpecs([]Figure{f}, benchmarks, specTestInsts), func(b *Batch) error {
-			_, err := f.Run(context.Background(), b, benchmarks, specTestInsts)
+	return planInput{fmt.Sprintf("row %s over %v", f.Name, benchmarks),
+		FigureSpecs([]Figure{f}, benchmarks, specTestInsts), func(b *Batch) error {
+			_, err := f.Run(context.Background(), b, f.ResolveBenchmarks(benchmarks), specTestInsts)
 			return err
-		}})
-	}
-	// 37 distinct specs per benchmark: 16 ARB + 1 unbounded + 3
-	// shared-unbounded + 16 Figure-4 sizes (one of them the paper
-	// config shared with Figures 5/6) + the conventional model.
-	if got, want := len(inputs[0].specs), 37*len(benchmarks); got != want {
-		t.Fatalf("SuiteSpecs enumerates %d specs, want %d", got, want)
-	}
-	// Each input renders from a fresh batch holding exactly its own
-	// plan, so a spec the plan missed would execute.
+		}}
+}
+
+// assertPlansCover renders each input from a fresh batch holding
+// exactly its own plan, so a spec the plan missed would execute.
+func assertPlansCover(t *testing.T, inputs []planInput) {
+	t.Helper()
 	for _, in := range inputs {
 		b := NewBatch(0)
 		seen := map[string]bool{}
@@ -63,39 +60,62 @@ func TestSuiteSpecsCoverSuite(t *testing.T) {
 	}
 }
 
-// TestScenarioSpecsCoverScenario is the same contract for registered
-// sweeps, including the scenario's own default benchmark rows.
-func TestScenarioSpecsCoverScenario(t *testing.T) {
-	for _, name := range ScenarioNames() {
-		specs, rows, err := ScenarioSpecs(name, []string{"gzip"}, specTestInsts)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if len(rows) != 1 || rows[0] != "gzip" {
-			t.Fatalf("%s: explicit benchmarks not honored: %v", name, rows)
-		}
-		b := NewBatch(0)
-		for _, s := range specs {
-			b.Run(s)
-		}
-		planned := b.Stats().Executed
-		if _, err := b.Scenario(context.Background(), name, rows, specTestInsts, nil); err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		if ex := b.Stats().Executed; ex != planned {
-			t.Errorf("%s: sweep needed %d simulations the plan missed", name, ex-planned)
-		}
+// TestSuiteSpecsCoverSuite pins the shard-planning contract: a batch
+// that has already run every planned spec must render without
+// executing anything new — the whole suite from SuiteSpecs, and each
+// paper figure's row from FigureSpecs over that row alone. If a figure
+// harness grows a sweep point its row does not enumerate, this fails —
+// before the drift silently bypasses the cluster fabric (pkg/cluster
+// asserts the same invariant at reassembly time).
+func TestSuiteSpecsCoverSuite(t *testing.T) {
+	benchmarks := []string{"gzip"}
+	inputs := []planInput{{"suite", SuiteSpecs(benchmarks, specTestInsts), func(b *Batch) error {
+		b.Suite(benchmarks, specTestInsts)
+		return nil
+	}}}
+	for _, name := range FigureNames() {
+		inputs = append(inputs, rowInput(t, name, benchmarks))
 	}
+	// 37 distinct specs per benchmark: 16 ARB + 1 unbounded + 3
+	// shared-unbounded + 16 Figure-4 sizes (one of them the paper
+	// config shared with Figures 5/6) + the conventional model.
+	if got, want := len(inputs[0].specs), 37*len(benchmarks); got != want {
+		t.Fatalf("SuiteSpecs enumerates %d specs, want %d", got, want)
+	}
+	assertPlansCover(t, inputs)
+}
 
-	// Default rows resolve from the scenario registration.
-	_, rows, err := ScenarioSpecs("adversarial", nil, specTestInsts)
+// TestScenarioSpecsCoverScenario is the same contract for registered
+// sweeps, which are figure-table rows too: each over an explicit
+// benchmark, then the adversarial row over nil so its own default rows
+// resolve.
+func TestScenarioSpecsCoverScenario(t *testing.T) {
+	var inputs []planInput
+	for _, name := range ScenarioNames() {
+		inputs = append(inputs, rowInput(t, name, []string{"gzip"}))
+	}
+	inputs = append(inputs, rowInput(t, "adversarial", nil))
+	assertPlansCover(t, inputs)
+
+	// ScenarioSpecs is the scenario row's plan, benchmark-major: the
+	// serve-zipf workload replays scenario sweeps in this order.
+	specs, resolved, err := ScenarioSpecs("distrib-banking", []string{"gzip", "swim"}, specTestInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 2 || rows[0] != "pointer-chaser" || rows[1] != "store-burst" {
-		t.Errorf("adversarial default rows = %v", rows)
+	var order []string
+	for _, s := range specs {
+		order = append(order, s.Benchmark)
 	}
-	if _, _, err := ScenarioSpecs("no-such-sweep", nil, specTestInsts); err == nil {
-		t.Error("unknown scenario accepted")
+	if want := []string{"gzip", "gzip", "gzip", "swim", "swim", "swim"}; !slices.Equal(order, want) || !slices.Equal(resolved, []string{"gzip", "swim"}) {
+		t.Errorf("ScenarioSpecs order %v over %v, want benchmark-major %v", order, resolved, want)
+	}
+	if _, resolved, _ := ScenarioSpecs("adversarial", nil, specTestInsts); !slices.Equal(resolved, []string{"pointer-chaser", "store-burst"}) {
+		t.Errorf("adversarial default rows = %v", resolved)
+	}
+	for _, name := range []string{"no-such-sweep", "56"} {
+		if _, _, err := ScenarioSpecs(name, nil, specTestInsts); err == nil {
+			t.Errorf("ScenarioSpecs accepted the non-scenario %q", name)
+		}
 	}
 }

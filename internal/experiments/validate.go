@@ -11,21 +11,15 @@ import (
 // simulates (mem.NewPaper builds it from cache.PaperL1D).
 var l1dLineBytes = cache.PaperL1D().LineBytes
 
-// ValidateSpec reports why spec cannot be simulated, or nil when Run
-// would accept it. The simulator's constructors panic on a malformed
+// ValidateSpec reports why spec cannot be simulated, or returns the
+// normalized spec when Run would accept it, so a caller normalizes
+// once. The simulator's constructors panic on a malformed
 // configuration, so every boundary that takes a spec from outside the
 // program — the HTTP service in either request encoding, the CLIs,
 // Batch.RunCtx — asks here first. The spec may be raw or normalized:
 // the model kind is checked before anything normalizes it, and the
 // rest is checked over the spec Normalize completes.
-func ValidateSpec(spec RunSpec) error {
-	_, err := normalizeValid(spec)
-	return err
-}
-
-// normalizeValid is ValidateSpec returning the normalized spec, so the
-// run paths normalize once.
-func normalizeValid(spec RunSpec) (RunSpec, error) {
+func ValidateSpec(spec RunSpec) (RunSpec, error) {
 	if spec.Model < ModelConventional || spec.Model > ModelSAMIE {
 		return RunSpec{}, fmt.Errorf("unknown model kind %d", int(spec.Model))
 	}

@@ -41,7 +41,7 @@ func TestValidateSpec(t *testing.T) {
 		{"bad cpu", RunSpec{Benchmark: "gzip", Model: ModelUnbounded, CPU: &badCPU}, "ROBSize"},
 		{"adversarial", RunSpec{Benchmark: "store-burst", Model: ModelUnbounded}, ""},
 	} {
-		err := ValidateSpec(tc.spec)
+		_, err := ValidateSpec(tc.spec)
 		if tc.want == "" {
 			if err != nil {
 				t.Errorf("%s: rejected: %v", tc.name, err)
@@ -67,7 +67,7 @@ func TestValidateSpecAcceptsEverySweep(t *testing.T) {
 		specs = append(specs, ss...)
 	}
 	for _, s := range specs {
-		if err := ValidateSpec(s); err != nil {
+		if _, err := ValidateSpec(s); err != nil {
 			t.Errorf("%s: %v", keyOf(Normalize(s)), err)
 		}
 	}
@@ -82,9 +82,10 @@ func TestRunCtxRejectsInvalidSpec(t *testing.T) {
 		{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE, SAMIE: samieLine(64)},
 		{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE + 1},
 	} {
+		_, want := ValidateSpec(spec)
 		for range 2 {
-			if _, err := b.RunCtx(context.Background(), spec); err == nil || err.Error() != ValidateSpec(spec).Error() {
-				t.Fatalf("RunCtx error %v, want %v", err, ValidateSpec(spec))
+			if _, err := b.RunCtx(context.Background(), spec); err == nil || err.Error() != want.Error() {
+				t.Fatalf("RunCtx error %v, want %v", err, want)
 			}
 		}
 	}

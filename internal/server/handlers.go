@@ -35,21 +35,21 @@ func (s *Server) vetRun(req client.RunRequest) (experiments.RunSpec, error) {
 }
 
 // vet validates one run spec end to end, in whichever encoding it
-// arrived — the simulator's ValidateSpec, then this server's
-// instruction, warm-up and geometry caps — and returns the normalized
-// spec it describes.
+// arrived — this server's instruction cap, the simulator's
+// ValidateSpec, then this server's warm-up and geometry caps — and
+// returns the normalized spec it describes.
 func (s *Server) vet(spec experiments.RunSpec) (experiments.RunSpec, error) {
-	// ValidateSpec rejects an out-of-range model kind before anything
-	// normalizes the spec: Normalize panics on one.
-	if err := experiments.ValidateSpec(spec); err != nil {
-		return experiments.RunSpec{}, err
-	}
+	// The cap applies to the raw spec first: Normalize derives the
+	// default warm-up from Insts.
 	var err error
 	spec.Insts, err = s.capInsts(spec.Insts)
 	if err != nil {
 		return experiments.RunSpec{}, err
 	}
-	n := experiments.Normalize(spec)
+	n, err := experiments.ValidateSpec(spec)
+	if err != nil {
+		return experiments.RunSpec{}, err
+	}
 	// Warm-up instructions are fully simulated before the measured
 	// ones, so the cap must bound them too or a tiny-insts request
 	// smuggles in an arbitrarily long simulation.
@@ -305,8 +305,10 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleFigure regenerates one paper figure through the shared batch;
-// the rendered text is byte-identical to the library harness output.
+// handleFigure regenerates one figure-table row — a paper figure or a
+// registered scenario sweep — through the shared batch; the rendered
+// text is byte-identical to the library harness output. Without
+// ?bench the row's own default benchmarks apply.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	benchmarks, insts, err := s.sweepParams(r.URL.Query().Get("bench"), r.URL.Query().Get("insts"))
@@ -317,13 +319,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 
 	fig, ok := experiments.LookupFigure(name)
 	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown figure %q (have %s)", name, strings.Join(client.FigureNames(), ", ")))
+		writeError(w, http.StatusNotFound, fmt.Sprintf("unknown figure %q (have %s)", name,
+			strings.Join(append(client.FigureNames(), experiments.ScenarioNames()...), ", ")))
 		return
 	}
+	benchmarks = fig.ResolveBenchmarks(benchmarks)
 
 	// The harnesses honor the request context: a timed-out or
-	// disconnected client withdraws the figure's queued simulations —
+	// disconnected client withdraws the row's queued simulations —
 	// started or shared ones finish into the cache — so abandoned
 	// figure work never outlives the admission slot that paid for it.
 	// A panicking simulation surfaces as an error, not a crash.
@@ -353,15 +356,13 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleScenarios lists the registered sweeps.
+// handleScenarios lists the scenario rows of the figure table.
 func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	names := experiments.ScenarioNames()
 	out := make([]client.ScenarioInfo, 0, len(names))
 	for _, name := range names {
-		sc, ok := experiments.LookupScenario(name)
-		if !ok {
-			continue
-		}
+		f, _ := experiments.LookupFigure(name)
+		sc := f.Scenario
 		info := client.ScenarioInfo{Name: sc.Name, Description: sc.Description, Benchmarks: sc.Benchmarks}
 		for _, v := range sc.Variants {
 			info.Variants = append(info.Variants, v.Name)
@@ -371,103 +372,20 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleScenarioRun evaluates one registered sweep through the shared
-// batch. With ?stream=1 the response is NDJSON: one "cell" event per
-// completed (benchmark, variant) simulation, then a final "result".
-func (s *Server) handleScenarioRun(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("name")
-	// Resolve existence before any streaming headers go out, so an
-	// unknown name is a clean 404.
-	sc, ok := experiments.LookupScenario(name)
-	if !ok {
-		writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown scenario %q (have %s)", name, strings.Join(experiments.ScenarioNames(), ", ")))
-		return
-	}
-	var req client.ScenarioRunRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
-		return
-	}
-	// One resolution rule everywhere: explicit request, then the
-	// scenario's default rows, then the full suite.
-	benchmarks, err := validBenchmarks(sc.ResolveBenchmarks(req.Benchmarks))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	insts, err := s.capInsts(req.Insts)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-
-	emit := s.ndjsonEmitter(w, r)
-	streaming := emit != nil
-	ctx := r.Context()
-
-	// The library sweep does the fan-out, cancellation and panic
-	// containment; the server only translates progress into NDJSON.
-	var onCell func(experiments.ScenarioProgress)
-	if emit != nil {
-		// As with suite streams: drain cancels the sweep so the error
-		// event below reaches the client before the listener closes.
-		var cancel context.CancelFunc
-		ctx, cancel = s.drainAware(ctx)
-		defer cancel()
-		onCell = func(p experiments.ScenarioProgress) {
-			emit(client.ScenarioEvent{
-				Type:      "cell",
-				Benchmark: p.Benchmark,
-				Variant:   p.Variant,
-				IPC:       p.IPC,
-				EnergyNJ:  p.EnergyNJ,
-				Done:      p.Done,
-				Total:     p.Total,
-			})
-		}
-	}
-	res, err := s.batch.Scenario(ctx, name, benchmarks, insts, onCell)
-	if err != nil {
-		if errors.Is(context.Cause(ctx), errDraining) {
-			err = errDraining
-		}
-		code := statusForError(err)
-		if code == http.StatusInternalServerError {
-			// A contained simulation failure, not a client that went
-			// away: the error carries the panic stack, keep it in the
-			// server log (in streaming mode the client only ever sees a
-			// 200 plus an error event).
-			s.log.Error("scenario failed", "scenario", name, "err", err.Error())
-		}
-		if streaming {
-			emit(client.ScenarioEvent{Type: "error", Error: err.Error()})
-		} else {
-			writeError(w, code, fmt.Sprintf("scenario abandoned: %v", err))
-		}
-		return
-	}
-	if streaming {
-		emit(client.ScenarioEvent{Type: "result", Result: &res, Text: res.String()})
-		return
-	}
-	writeJSON(w, http.StatusOK, client.ScenarioRunResponse{Result: res, Text: res.String()})
-}
-
 // handleStats reports the engine/disk/process accounting.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.statsSnapshot())
 }
 
-// sweepParams parses the shared bench/insts query parameters.
+// sweepParams parses the shared bench/insts query parameters. The
+// benchmarks are nil when bench is absent, for the row to resolve.
 func (s *Server) sweepParams(benchCSV, instsStr string) ([]string, uint64, error) {
-	var names []string
+	var benchmarks []string
 	if benchCSV != "" {
-		names = strings.Split(benchCSV, ",")
-	}
-	benchmarks, err := validBenchmarks(names)
-	if err != nil {
-		return nil, 0, err
+		benchmarks = strings.Split(benchCSV, ",")
+		if _, err := validBenchmarks(benchmarks); err != nil {
+			return nil, 0, err
+		}
 	}
 	var insts uint64
 	if instsStr != "" {
@@ -477,7 +395,7 @@ func (s *Server) sweepParams(benchCSV, instsStr string) ([]string, uint64, error
 		}
 		insts = v
 	}
-	insts, err = s.capInsts(insts)
+	insts, err := s.capInsts(insts)
 	if err != nil {
 		return nil, 0, err
 	}

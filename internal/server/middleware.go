@@ -126,8 +126,6 @@ func routeLabel(path string) string {
 		return "/v1/figures/{name}"
 	case strings.HasPrefix(path, "/v1/trace/"):
 		return "/v1/trace/{id}"
-	case strings.HasPrefix(path, "/v1/scenarios/") && strings.HasSuffix(path, "/run"):
-		return "/v1/scenarios/{name}/run"
 	default:
 		return "other"
 	}

@@ -10,9 +10,8 @@
 //	POST /v1/runs                   one RunSpec -> stats + energy
 //	GET  /v1/runs/{key}             cache probe: 200 if memoized/on-disk, 404 otherwise
 //	POST /v1/suite                  suite spec set (or an explicit shard); ?stream=1 for NDJSON per-run progress
-//	GET  /v1/figures/{1,3,4,56,energy}
-//	GET  /v1/scenarios              registry listing
-//	POST /v1/scenarios/{name}/run   sweep; ?stream=1 for NDJSON progress
+//	GET  /v1/figures/{name}         a figure-table row: 1, 3, 4, 56, energy or a scenario sweep
+//	GET  /v1/scenarios              the table's scenario rows
 //	GET  /v1/stats                  engine/disk/process accounting
 //	GET  /healthz                   liveness
 //	GET  /metrics                   Prometheus text exposition
@@ -51,7 +50,7 @@ type Config struct {
 	Logger *slog.Logger
 
 	// MaxConcurrent bounds simultaneously-admitted simulation requests
-	// (runs, figures, scenario sweeps). Saturation answers 429 with
+	// (runs, suites, figure-table rows). Saturation answers 429 with
 	// Retry-After. Default: 4x the batch's worker count, so short
 	// coalescing requests queue while the pool is busy instead of
 	// bouncing.
@@ -208,7 +207,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.Handle("POST /v1/runs", s.heavy(s.handleRun))
 	s.mux.Handle("POST /v1/suite", s.heavy(s.handleSuite))
 	s.mux.Handle("GET /v1/figures/{name}", s.heavy(s.handleFigure))
-	s.mux.Handle("POST /v1/scenarios/{name}/run", s.heavy(s.handleScenarioRun))
 	return s, nil
 }
 

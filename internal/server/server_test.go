@@ -1,7 +1,6 @@
 package server
 
 import (
-	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
@@ -137,6 +136,12 @@ func TestRunEndpointValidation(t *testing.T) {
 			t.Errorf("%s: status %d, error %q; want 400 with message", name, resp.StatusCode, er.Error)
 		}
 	}
+	// The instruction cap applies before the spec is validated, so a
+	// request both over the cap and invalid reports the cap.
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "nope", Model: client.ModelSAMIE, Insts: 1_000_000})
+	if er := decodeBody[client.ErrorResponse](t, resp); !strings.Contains(er.Error, "exceeds the server cap") {
+		t.Errorf("over-cap invalid spec reported %q, want the instruction cap", er.Error)
+	}
 }
 
 // decodeFigure decodes a figure endpoint's structured result as the
@@ -195,6 +200,10 @@ func TestFigureEndpointMatchesLibrary(t *testing.T) {
 	}
 }
 
+// TestScenarioEndpoints checks the scenario listing and a scenario
+// row served through the figure endpoint: the same text as the library
+// sweep, the ScenarioResult as the structured result, and a 404 that
+// names the valid rows for an unknown name.
 func TestScenarioEndpoints(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	resp, err := http.Get(ts.URL + "/v1/scenarios")
@@ -202,8 +211,8 @@ func TestScenarioEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	infos := decodeBody[[]client.ScenarioInfo](t, resp)
-	if len(infos) < 8 {
-		t.Fatalf("only %d scenarios listed", len(infos))
+	if len(infos) != len(experiments.ScenarioNames()) {
+		t.Fatalf("%d scenarios listed, want the table's %d", len(infos), len(experiments.ScenarioNames()))
 	}
 	for _, info := range infos {
 		if info.Name == "" || len(info.Variants) == 0 {
@@ -211,89 +220,33 @@ func TestScenarioEndpoints(t *testing.T) {
 		}
 	}
 
-	run := postJSON(t, ts.URL+"/v1/scenarios/shared-lsq-sizes/run",
-		client.ScenarioRunRequest{Benchmarks: []string{"gzip"}, Insts: testInsts})
-	if run.StatusCode != http.StatusOK {
-		t.Fatalf("status %d", run.StatusCode)
-	}
-	out := decodeBody[client.ScenarioRunResponse](t, run)
-	if len(out.Result.IPC) != 1 || len(out.Result.IPC[0]) != 5 {
-		t.Fatalf("sweep shape %dx%d, want 1x5", len(out.Result.IPC), len(out.Result.Variants))
-	}
-	if !strings.Contains(out.Text, "geomean") {
-		t.Error("rendered sweep lost the geomean row")
-	}
-
-	if resp := postJSON(t, ts.URL+"/v1/scenarios/no-such/run", client.ScenarioRunRequest{}); resp.StatusCode != http.StatusNotFound {
-		t.Errorf("unknown scenario gave %d, want 404", resp.StatusCode)
-	}
-
-	// Falsy stream values mean "don't stream", per the documented
-	// ?stream=1 contract (the cells above are already memoized, so this
-	// re-request is cheap).
-	run0 := postJSON(t, ts.URL+"/v1/scenarios/shared-lsq-sizes/run?stream=0",
-		client.ScenarioRunRequest{Benchmarks: []string{"gzip"}, Insts: testInsts})
-	if ct := run0.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("stream=0 answered %q, want plain application/json", ct)
-	}
-	if out0 := decodeBody[client.ScenarioRunResponse](t, run0); len(out0.Result.IPC) != 1 {
-		t.Errorf("stream=0 lost the single-JSON response shape: %+v", out0)
-	}
-}
-
-func TestScenarioStreaming(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	body, _ := json.Marshal(client.ScenarioRunRequest{Benchmarks: []string{"gzip"}, Insts: testInsts})
-	resp, err := http.Post(ts.URL+"/v1/scenarios/distrib-banking/run?stream=1", "application/json", bytes.NewReader(body))
+	resp, err = http.Get(ts.URL + "/v1/figures/shared-lsq-sizes?bench=gzip&insts=" + strconv.Itoa(testInsts))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d", resp.StatusCode)
 	}
-	var cells int
-	var final *client.ScenarioEvent
-	sc := bufio.NewScanner(resp.Body)
-	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
-	for sc.Scan() {
-		var ev client.ScenarioEvent
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("bad NDJSON line %q: %v", sc.Text(), err)
-		}
-		switch ev.Type {
-		case "cell":
-			cells++
-			if ev.Benchmark != "gzip" || ev.Variant == "" || ev.IPC <= 0 || ev.Total != 3 {
-				t.Fatalf("malformed cell event: %+v", ev)
-			}
-			if final != nil {
-				t.Fatal("cell event after the result event")
-			}
-		case "result":
-			final = &ev
-		default:
-			t.Fatalf("unexpected event type %q", ev.Type)
-		}
+	out := decodeBody[client.FigureResponse](t, resp)
+	var res experiments.ScenarioResult
+	if err := json.Unmarshal(out.Result, &res); err != nil || len(res.IPC) != 1 || len(res.IPC[0]) != 5 {
+		t.Fatalf("sweep result %+v (%v), want 1x5", res, err)
 	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if cells != 3 {
-		t.Fatalf("saw %d cell events, want 3 (distrib-banking variants)", cells)
-	}
-	if final == nil || final.Result == nil || len(final.Result.IPC) != 1 {
-		t.Fatalf("missing or malformed final result: %+v", final)
-	}
-	// The streamed sweep must agree with the library harness.
-	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "distrib-banking", []string{"gzip"}, testInsts, nil)
+	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "shared-lsq-sizes", []string{"gzip"}, testInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for vi := range direct.IPC[0] {
-		if final.Result.IPC[0][vi] != direct.IPC[0][vi] {
-			t.Fatalf("streamed IPC[0][%d]=%v differs from library %v", vi, final.Result.IPC[0][vi], direct.IPC[0][vi])
-		}
+	if out.Text != direct.String() || res.String() != out.Text {
+		t.Errorf("served sweep differs from the library\nserver:\n%s\nlibrary:\n%s", out.Text, direct.String())
+	}
+
+	resp, err = http.Get(ts.URL + "/v1/figures/no-such")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if msg := decodeBody[client.ErrorResponse](t, resp).Error; resp.StatusCode != http.StatusNotFound ||
+		!strings.Contains(msg, "energy") || !strings.Contains(msg, "shared-lsq-sizes") {
+		t.Errorf("unknown row gave %d %q, want a 404 naming the valid rows", resp.StatusCode, msg)
 	}
 }
 
@@ -545,15 +498,9 @@ func TestClientAgainstServer(t *testing.T) {
 	if err != nil || len(infos) < 8 {
 		t.Fatalf("scenarios: %d, %v", len(infos), err)
 	}
-	var events int
-	sw, err := c.RunScenario(ctx, "distrib-banking",
-		client.ScenarioRunRequest{Benchmarks: []string{"gzip"}, Insts: testInsts},
-		func(ev client.ScenarioEvent) { events++ })
-	if err != nil || len(sw.Result.IPC) != 1 {
-		t.Fatalf("scenario stream: %v", err)
-	}
-	if events != 4 { // 3 cells + 1 result
-		t.Errorf("observed %d events, want 4", events)
+	sw, err := c.Figure(ctx, "distrib-banking", []string{"gzip"}, testInsts)
+	if err != nil || !strings.Contains(sw.Text, "Scenario distrib-banking") {
+		t.Fatalf("scenario: %v, %q", err, sw.Text)
 	}
 	stats, err := c.Stats(ctx)
 	if err != nil || stats.Engine.Requests == 0 {
@@ -730,6 +677,17 @@ func TestSuiteEndpointEnumerates(t *testing.T) {
 	if st := batch.Stats(); st.Executed != int64(want) {
 		t.Errorf("engine executed %d, want %d", st.Executed, want)
 	}
+
+	// Falsy stream values mean "don't stream", per the documented
+	// ?stream=1 contract (the specs above are memoized, so this
+	// re-request is cheap).
+	plain := postJSON(t, ts.URL+"/v1/suite?stream=0", client.SuiteRequest{Benchmarks: []string{"gzip"}, Insts: testInsts})
+	if ct := plain.Header.Get("Content-Type"); ct != "application/json" {
+		t.Errorf("stream=0 answered %q, want plain application/json", ct)
+	}
+	if out := decodeBody[client.SuiteResponse](t, plain); out.Total != want {
+		t.Errorf("stream=0 lost the single-JSON response shape: total %d, want %d", out.Total, want)
+	}
 }
 
 func TestSuiteEndpointValidation(t *testing.T) {
@@ -775,12 +733,11 @@ func TestScenarioDefaultBenchmarks(t *testing.T) {
 	if !found {
 		t.Fatal("adversarial scenario not registered")
 	}
-	res, err := c.RunScenario(ctx, "adversarial", client.ScenarioRunRequest{Insts: testInsts}, nil)
+	res, err := c.Figure(ctx, "adversarial", nil, testInsts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Result.Benchmarks) != 2 ||
-		res.Result.Benchmarks[0] != "pointer-chaser" || res.Result.Benchmarks[1] != "store-burst" {
-		t.Fatalf("default rows = %v, want [pointer-chaser store-burst]", res.Result.Benchmarks)
+	if len(res.Benchmarks) != 2 || res.Benchmarks[0] != "pointer-chaser" || res.Benchmarks[1] != "store-burst" {
+		t.Fatalf("default rows = %v, want [pointer-chaser store-burst]", res.Benchmarks)
 	}
 }

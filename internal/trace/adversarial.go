@@ -6,7 +6,7 @@ package trace
 // SPEC set — but resolve through Personality like any other workload,
 // so every harness, the HTTP service and the cluster CLI accept them
 // by name (e.g. `-bench pointer-chaser,store-burst`, or the
-// "adversarial" scenario-registry entry).
+// "adversarial" scenario row of the figure table).
 var adversarialPersonalities = map[string]Params{
 	// pointer-chaser: a worst case for memory-level parallelism. One
 	// stream of almost entirely random, dependence-chained loads over a

@@ -202,8 +202,9 @@ func (r RunResponse) Result() experiments.RunResult {
 	}
 }
 
-// FigureNames lists the valid GET /v1/figures/{name} names, in paper
-// order, from the library's figure table.
+// FigureNames lists the paper figures' GET /v1/figures/{name} names,
+// in paper order, from the library's figure table; the scenario rows
+// (Scenarios) are served under their own names.
 func FigureNames() []string { return experiments.FigureNames() }
 
 // FigureResponse is one figure regeneration: the rendered text
@@ -223,43 +224,9 @@ type ScenarioInfo struct {
 	Description string   `json:"description"`
 	Variants    []string `json:"variants"`
 
-	// Benchmarks are the sweep's default rows when a run request names
-	// none; empty means the full 26-program suite.
+	// Benchmarks are the sweep's default rows when a figure request
+	// names none; empty means the full 26-program suite.
 	Benchmarks []string `json:"benchmarks,omitempty"`
-}
-
-// ScenarioRunRequest is the POST /v1/scenarios/{name}/run body.
-type ScenarioRunRequest struct {
-	Benchmarks []string `json:"benchmarks,omitempty"` // default: all 26
-	Insts      uint64   `json:"insts,omitempty"`
-}
-
-// ScenarioRunResponse is the non-streaming sweep result.
-type ScenarioRunResponse struct {
-	Result experiments.ScenarioResult `json:"result"`
-	Text   string                     `json:"text"`
-}
-
-// ScenarioEvent is one NDJSON line of a streamed sweep: "cell" events
-// as each (benchmark, variant) simulation completes, then one final
-// "result" event. An "error" event terminates the stream.
-type ScenarioEvent struct {
-	Type string `json:"type"` // "cell", "result" or "error"
-
-	// cell fields
-	Benchmark string  `json:"benchmark,omitempty"`
-	Variant   string  `json:"variant,omitempty"`
-	IPC       float64 `json:"ipc,omitempty"`
-	EnergyNJ  float64 `json:"energy_nj,omitempty"`
-	Done      int     `json:"done,omitempty"`
-	Total     int     `json:"total,omitempty"`
-
-	// result fields
-	Result *experiments.ScenarioResult `json:"result,omitempty"`
-	Text   string                      `json:"text,omitempty"`
-
-	// error field
-	Error string `json:"error,omitempty"`
 }
 
 // SuiteRequest is the POST /v1/suite body. With Specs empty the

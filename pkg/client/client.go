@@ -311,9 +311,11 @@ func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) (Suit
 	return out, nil
 }
 
-// Figure regenerates one paper figure (a name from FigureNames) over
-// the benchmark subset (nil means all 26) at the given instruction
-// budget (0 means the server default).
+// Figure regenerates one figure-table row — a paper figure (a name
+// from FigureNames) or a scenario sweep (a name from Scenarios) — over
+// the benchmark subset (nil means the row's default: a scenario's own
+// rows, else all 26) at the given instruction budget (0 means the
+// server default).
 func (c *Client) Figure(ctx context.Context, figure string, benchmarks []string, insts uint64) (FigureResponse, error) {
 	q := url.Values{}
 	if len(benchmarks) > 0 {
@@ -336,57 +338,6 @@ func (c *Client) Scenarios(ctx context.Context) ([]ScenarioInfo, error) {
 	var out []ScenarioInfo
 	err := c.roundTrip(ctx, http.MethodGet, "/v1/scenarios", nil, &out)
 	return out, err
-}
-
-// RunScenario evaluates a registered sweep. With a nil onEvent the
-// call blocks for the final result; with onEvent set the server
-// streams NDJSON progress and onEvent observes every cell as its
-// simulation completes, before the final result is returned.
-func (c *Client) RunScenario(ctx context.Context, name string, req ScenarioRunRequest, onEvent func(ScenarioEvent)) (ScenarioRunResponse, error) {
-	path := "/v1/scenarios/" + url.PathEscape(name) + "/run"
-	if onEvent == nil {
-		var out ScenarioRunResponse
-		err := c.roundTrip(ctx, http.MethodPost, path, req, &out)
-		return out, err
-	}
-	resp, err := c.send(ctx, http.MethodPost, path+"?stream=1", req, "")
-	if err != nil {
-		return ScenarioRunResponse{}, err
-	}
-	defer resp.Body.Close()
-	return decodeScenarioStream(resp.Body, maxStreamLine, onEvent)
-}
-
-// decodeScenarioStream reads a scenario's NDJSON event stream, handing
-// every event to onEvent, and returns its final result, under the same
-// rules as decodeSuiteStream.
-func decodeScenarioStream(r io.Reader, maxLine int, onEvent func(ScenarioEvent)) (ScenarioRunResponse, error) {
-	var final ScenarioRunResponse
-	sawResult := false
-	err := eachLine(r, maxLine, func(line []byte) error {
-		var ev ScenarioEvent
-		if err := json.Unmarshal(line, &ev); err != nil {
-			return fmt.Errorf("client: bad stream line %q: %w", line, err)
-		}
-		onEvent(ev)
-		switch ev.Type {
-		case "error":
-			return fmt.Errorf("server: %s", ev.Error)
-		case "result":
-			if ev.Result != nil {
-				final = ScenarioRunResponse{Result: *ev.Result, Text: ev.Text}
-				sawResult = true
-			}
-		}
-		return nil
-	})
-	if err == nil && !sawResult {
-		err = errNoResult
-	}
-	if err != nil {
-		return ScenarioRunResponse{}, err
-	}
-	return final, nil
 }
 
 // Stats fetches the server's engine/disk/process accounting.

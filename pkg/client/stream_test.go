@@ -24,7 +24,6 @@ func FuzzDecodeStream(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		events := 0
 		out, err := decodeSuiteStream(bytes.NewReader(data), fuzzStreamLine, func(SuiteEvent) { events++ })
-		decodeScenarioStream(bytes.NewReader(data), fuzzStreamLine, func(ScenarioEvent) {})
 		decodeTimeline(bytes.NewReader(data), fuzzStreamLine)
 		if err != nil {
 			if len(out.Runs) != 0 || out.Total != 0 {

@@ -338,18 +338,6 @@ func (c *ShardedClient) ProbeRun(ctx context.Context, key string) (client.RunRes
 	return client.RunResponse{}, false, nil
 }
 
-// Scenarios lists the registered sweeps from any healthy replica (the
-// registry is identical across a homogeneous deployment).
-func (c *ShardedClient) Scenarios(ctx context.Context) ([]client.ScenarioInfo, error) {
-	var out []client.ScenarioInfo
-	err := c.do(ctx, "scenarios", func(cl *client.Client) error {
-		var e error
-		out, e = cl.Scenarios(ctx)
-		return e
-	})
-	return out, err
-}
-
 // Stats aggregates /v1/stats across every reachable replica: counters
 // and capacity gauges sum, uptime reports the longest-lived replica.
 // An error is returned only when no replica answers.
@@ -484,7 +472,7 @@ func (c *ShardedClient) Health(ctx context.Context) error {
 }
 
 // SweepTraceID returns the trace ID of the most recent RunSpecs sweep
-// (also the one behind Suite/Scenario), or "" when tracing was
+// (also the one behind Suite and Assemble), or "" when tracing was
 // disabled during the sweep. Feed it to TraceSpans to reassemble the
 // fleet-wide trace tree.
 func (c *ShardedClient) SweepTraceID() string {

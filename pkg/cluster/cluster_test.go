@@ -373,13 +373,22 @@ func TestRunSpecsExactlyOnceAndAggregatedStats(t *testing.T) {
 		t.Errorf("aggregated workers %d", st.Workers)
 	}
 
-	// Scenario assembly over the same cluster renders byte-identically
-	// to the library harness (and re-executes nothing).
-	res, err := c.Scenario(ctx, "distrib-banking", []string{"gzip", "swim"}, 5_000, nil)
+	// The scenario row assembled over the same cluster renders
+	// byte-identically to the library harness (and re-executes
+	// nothing).
+	row, _ := experiments.LookupFigure("distrib-banking")
+	local, err := c.Assemble(ctx, experiments.FigureSpecs([]experiments.Figure{row}, rows, 5_000), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "distrib-banking", rows, 5_000, nil)
+	res, err := row.Run(ctx, local, rows, 5_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := PlanCovered(local); err != nil {
+		t.Error(err)
+	}
+	direct, err := experiments.NewBatch(0).Scenario(context.Background(), "distrib-banking", rows, 5_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,7 +16,7 @@
 //     through POST /v1/suite, re-sharding a failed replica's remaining
 //     work onto the survivors mid-sweep.
 //   - Assemble offers the collected results into a local batch, so
-//     any harness (Suite, Scenario, a figure-table row) renders from
+//     any harness (Suite, a figure-table row) renders from
 //     it byte-identical to the single-node output; PlanCovered checks
 //     the rendering executed nothing locally.
 package cluster

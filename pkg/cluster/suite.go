@@ -68,7 +68,7 @@ func (s *sweepState) spend(n int) bool {
 }
 
 // SweepStats returns the accounting of the most recently completed
-// RunSpecs sweep (also the one behind Suite/Scenario).
+// RunSpecs sweep (also the one behind Suite and Assemble).
 func (c *ShardedClient) SweepStats() SweepStats {
 	c.sweepMu.Lock()
 	defer c.sweepMu.Unlock()
@@ -463,31 +463,9 @@ func (c *ShardedClient) Suite(ctx context.Context, benchmarks []string, insts ui
 // exactly why nothing else would ever notice).
 func PlanCovered(local *experiments.Batch) error {
 	if ex := local.Stats().Executed; ex > 0 {
-		return fmt.Errorf("cluster: %d simulations ran locally during reassembly: the shard plan (FigureSpecs/ScenarioSpecs) no longer covers the harnesses", ex)
+		return fmt.Errorf("cluster: %d simulations ran locally during reassembly: the shard plan (FigureSpecs) no longer covers the harnesses", ex)
 	}
 	return nil
-}
-
-// Scenario evaluates a registered sweep across the cluster, sharding
-// its cells by canonical key and reassembling the result locally,
-// byte-identical to the library harness.
-func (c *ShardedClient) Scenario(ctx context.Context, name string, benchmarks []string, insts uint64, onProgress func(Progress)) (experiments.ScenarioResult, error) {
-	specs, rows, err := experiments.ScenarioSpecs(name, benchmarks, insts)
-	if err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	local, err := c.Assemble(ctx, specs, onProgress)
-	if err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	res, err := local.Scenario(ctx, name, rows, insts, nil)
-	if err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	if err := PlanCovered(local); err != nil {
-		return experiments.ScenarioResult{}, err
-	}
-	return res, nil
 }
 
 // Assemble fans the specs out in one RunSpecs sweep and returns a

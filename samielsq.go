@@ -161,14 +161,14 @@ func RunKey(spec RunSpec) string { return experiments.Key(spec) }
 // ScenarioNames lists the registered scenario sweeps.
 func ScenarioNames() []string { return experiments.ScenarioNames() }
 
-// RegisterScenario adds a named sweep to the registry; new workloads
-// are one registry entry, not a new harness.
+// RegisterScenario adds a named sweep to the figure table as one more
+// row; new workloads are one table row, not a new harness.
 func RegisterScenario(s Scenario) { experiments.RegisterScenario(s) }
 
 // RunScenario evaluates a registered scenario sweep over the
 // benchmarks through a fresh shared batch.
 func RunScenario(name string, benchmarks []string, insts uint64) (ScenarioResult, error) {
-	return NewBatch(0).Scenario(context.Background(), name, benchmarks, insts, nil)
+	return NewBatch(0).Scenario(context.Background(), name, benchmarks, insts)
 }
 
 // PaperSAMIEConfig returns the Table 3 SAMIE-LSQ configuration
