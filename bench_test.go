@@ -168,6 +168,30 @@ func BenchmarkConventionalThroughput(b *testing.B) {
 	}
 }
 
+// BenchmarkRunSetup measures building one simulation: a one-instruction
+// run per LSQ model, so construction (caches, predictor, LSQ model,
+// sampler) dominates and the simulation itself is negligible.
+func BenchmarkRunSetup(b *testing.B) {
+	for _, m := range []struct {
+		name string
+		spec experiments.RunSpec
+	}{
+		{"samie", experiments.RunSpec{Model: experiments.ModelSAMIE}},
+		{"conventional", experiments.RunSpec{Model: experiments.ModelConventional}},
+		{"arb", experiments.RunSpec{Model: experiments.ModelARB, ARBBanks: 64, ARBAddrs: 2, ARBInflight: 128}},
+		{"unbounded", experiments.RunSpec{Model: experiments.ModelUnbounded}},
+	} {
+		spec := m.spec
+		spec.Benchmark, spec.Insts = "gzip", 1
+		b.Run(m.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for b.Loop() {
+				experiments.Run(spec)
+			}
+		})
+	}
+}
+
 func BenchmarkExtensionFastWayKnown(b *testing.B) {
 	// The paper's future-work optimization (§3.6): way-known accesses
 	// complete a cycle earlier. Compare IPC against the baseline SAMIE

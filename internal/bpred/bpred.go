@@ -59,9 +59,11 @@ type Predictor struct {
 	history  uint32
 	histMask uint32
 
-	btbTags    [][]uint64
-	btbTargets [][]uint64
-	btbLRU     [][]uint8
+	// The BTB tables hold every set's ways back to back: way w of set
+	// s is at index s*BTBWays+w (see btbBase).
+	btbTags    []uint64
+	btbTargets []uint64
+	btbLRU     []uint8
 
 	lookups     uint64
 	mispredicts uint64
@@ -95,14 +97,10 @@ func New(cfg Config) *Predictor {
 	for i := range p.selector {
 		p.selector[i] = 2
 	}
-	p.btbTags = make([][]uint64, cfg.BTBSets)
-	p.btbTargets = make([][]uint64, cfg.BTBSets)
-	p.btbLRU = make([][]uint8, cfg.BTBSets)
-	for s := range p.btbTags {
-		p.btbTags[s] = make([]uint64, cfg.BTBWays)
-		p.btbTargets[s] = make([]uint64, cfg.BTBWays)
-		p.btbLRU[s] = make([]uint8, cfg.BTBWays)
-	}
+	n := cfg.BTBSets * cfg.BTBWays
+	p.btbTags = make([]uint64, n)
+	p.btbTargets = make([]uint64, n)
+	p.btbLRU = make([]uint8, n)
 	return p
 }
 
@@ -181,55 +179,57 @@ func (p *Predictor) Resolve(pc uint64, pr Prediction, taken bool, target uint64)
 	return mispredicted
 }
 
-func (p *Predictor) btbSet(pc uint64) int {
-	return int((pc >> 2) & uint64(p.cfg.BTBSets-1))
+// btbBase returns the index of way 0 of pc's BTB set.
+func (p *Predictor) btbBase(pc uint64) int {
+	return int((pc>>2)&uint64(p.cfg.BTBSets-1)) * p.cfg.BTBWays
 }
 
 func (p *Predictor) btbLookup(pc uint64) uint64 {
-	s := p.btbSet(pc)
+	b := p.btbBase(pc)
 	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[s][w] == pc && pc != 0 {
-			p.touchBTB(s, w)
-			return p.btbTargets[s][w]
+		if p.btbTags[b+w] == pc && pc != 0 {
+			p.touchBTB(b, w)
+			return p.btbTargets[b+w]
 		}
 	}
 	return 0
 }
 
 func (p *Predictor) btbInsert(pc, target uint64) {
-	s := p.btbSet(pc)
+	b := p.btbBase(pc)
 	// Hit: update target.
 	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[s][w] == pc {
-			p.btbTargets[s][w] = target
-			p.touchBTB(s, w)
+		if p.btbTags[b+w] == pc {
+			p.btbTargets[b+w] = target
+			p.touchBTB(b, w)
 			return
 		}
 	}
 	// Miss: replace LRU way (highest age).
 	victim, worst := 0, uint8(0)
 	for w := 0; w < p.cfg.BTBWays; w++ {
-		if p.btbTags[s][w] == 0 {
+		if p.btbTags[b+w] == 0 {
 			victim = w
 			break
 		}
-		if p.btbLRU[s][w] >= worst {
-			victim, worst = w, p.btbLRU[s][w]
+		if p.btbLRU[b+w] >= worst {
+			victim, worst = w, p.btbLRU[b+w]
 		}
 	}
-	p.btbTags[s][victim] = pc
-	p.btbTargets[s][victim] = target
-	p.touchBTB(s, victim)
+	p.btbTags[b+victim] = pc
+	p.btbTargets[b+victim] = target
+	p.touchBTB(b, victim)
 }
 
-// touchBTB ages all ways in the set and marks w most recently used.
-func (p *Predictor) touchBTB(s, w int) {
-	for i := 0; i < p.cfg.BTBWays; i++ {
-		if p.btbLRU[s][i] < 255 {
-			p.btbLRU[s][i]++
+// touchBTB ages all ways of the set whose way 0 is at b and marks way w
+// most recently used.
+func (p *Predictor) touchBTB(b, w int) {
+	for i := b; i < b+p.cfg.BTBWays; i++ {
+		if p.btbLRU[i] < 255 {
+			p.btbLRU[i]++
 		}
 	}
-	p.btbLRU[s][w] = 0
+	p.btbLRU[b+w] = 0
 }
 
 // ResetStats zeroes the lookup/mispredict counters (tables are kept).

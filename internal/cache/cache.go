@@ -77,9 +77,15 @@ type Result struct {
 // Cache is a set-associative, write-back, LRU cache model. It tracks
 // tags only (timing/energy model; no data storage).
 type Cache struct {
-	cfg       Config
-	sets      [][]line
+	cfg Config
+	// lines holds every set's ways back to back: way w of set s is
+	// lines[s*ways+w]. One pointer-free array keeps construction to a
+	// single allocation the garbage collector never scans.
+	lines     []line
+	ways      int
+	numSets   int
 	lineShift uint
+	setBits   uint
 	setMask   uint64
 	ageTick   uint32
 
@@ -94,16 +100,21 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	sets := cfg.Sets()
-	c := &Cache{
+	return &Cache{
 		cfg:       cfg,
-		sets:      make([][]line, sets),
+		lines:     make([]line, sets*cfg.Ways),
+		ways:      cfg.Ways,
+		numSets:   sets,
 		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setBits:   uint(bits.TrailingZeros(uint(sets))),
 		setMask:   uint64(sets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s int) []line {
+	base := s * c.ways
+	return c.lines[base : base+c.ways : base+c.ways]
 }
 
 // Config returns the cache configuration.
@@ -112,7 +123,7 @@ func (c *Cache) Config() Config { return c.cfg }
 // IndexOf returns the set index and tag for an address.
 func (c *Cache) IndexOf(addr uint64) (set int, tag uint64) {
 	l := addr >> c.lineShift
-	return int(l & c.setMask), l >> uint(bits.TrailingZeros(uint(len(c.sets))))
+	return int(l & c.setMask), l >> c.setBits
 }
 
 // LineAddr returns the line address (address of byte 0 of the line).
@@ -126,7 +137,7 @@ func (c *Cache) LineAddr(addr uint64) uint64 {
 func (c *Cache) Access(addr uint64, write bool) Result {
 	set, tag := c.IndexOf(addr)
 	c.ageTick++
-	ws := c.sets[set]
+	ws := c.set(set)
 	for w := range ws {
 		if ws[w].valid && ws[w].tag == tag {
 			c.hits++
@@ -169,7 +180,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 
 // reconstruct rebuilds a line address from set and tag.
 func (c *Cache) reconstruct(set int, tag uint64) uint64 {
-	l := tag<<uint(bits.TrailingZeros(uint(len(c.sets)))) | uint64(set)
+	l := tag<<c.setBits | uint64(set)
 	return l << c.lineShift
 }
 
@@ -177,8 +188,8 @@ func (c *Cache) reconstruct(set int, tag uint64) uint64 {
 // tests and by way-known accesses to verify correctness invariants.
 func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 	set, tag := c.IndexOf(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
+	for w, ln := range c.set(set) {
+		if ln.valid && ln.tag == tag {
 			return set, w, true
 		}
 	}
@@ -193,10 +204,10 @@ func (c *Cache) Probe(addr uint64) (set, way int, hit bool) {
 // invariant violation.
 func (c *Cache) DirectAccess(addr uint64, set, way int, write bool) bool {
 	wantSet, tag := c.IndexOf(addr)
-	if set != wantSet || way < 0 || way >= c.cfg.Ways {
+	if set != wantSet || way < 0 || way >= c.ways {
 		return false
 	}
-	ln := &c.sets[set][way]
+	ln := &c.lines[set*c.ways+way]
 	if !ln.valid || ln.tag != tag {
 		return false
 	}
@@ -212,30 +223,32 @@ func (c *Cache) DirectAccess(addr uint64, set, way int, write bool) bool {
 // SetPresentBit marks the line at (set, way) as having its location
 // cached in an LSQ entry.
 func (c *Cache) SetPresentBit(set, way int) {
-	if set >= 0 && set < len(c.sets) && way >= 0 && way < c.cfg.Ways {
-		if !c.sets[set][way].present {
+	if set >= 0 && set < c.numSets && way >= 0 && way < c.ways {
+		ln := &c.lines[set*c.ways+way]
+		if !ln.present {
 			c.pbSet++
 		}
-		c.sets[set][way].present = true
+		ln.present = true
 	}
 }
 
 // ClearPresentBit clears the presentBit at (set, way).
 func (c *Cache) ClearPresentBit(set, way int) {
-	if set >= 0 && set < len(c.sets) && way >= 0 && way < c.cfg.Ways {
-		if c.sets[set][way].present {
+	if set >= 0 && set < c.numSets && way >= 0 && way < c.ways {
+		ln := &c.lines[set*c.ways+way]
+		if ln.present {
 			c.pbCleared++
 		}
-		c.sets[set][way].present = false
+		ln.present = false
 	}
 }
 
 // PresentBit reports the presentBit at (set, way).
 func (c *Cache) PresentBit(set, way int) bool {
-	if set < 0 || set >= len(c.sets) || way < 0 || way >= c.cfg.Ways {
+	if set < 0 || set >= c.numSets || way < 0 || way >= c.ways {
 		return false
 	}
-	return c.sets[set][way].present
+	return c.lines[set*c.ways+way].present
 }
 
 // ClearAllPresentBits clears every presentBit (used by the paper's
@@ -243,12 +256,10 @@ func (c *Cache) PresentBit(set, way int) bool {
 // potentially affected LSQ entries reset their flag and the cache
 // forgets all cached locations).
 func (c *Cache) ClearAllPresentBits() {
-	for s := range c.sets {
-		for w := range c.sets[s] {
-			if c.sets[s][w].present {
-				c.pbCleared++
-				c.sets[s][w].present = false
-			}
+	for i := range c.lines {
+		if c.lines[i].present {
+			c.pbCleared++
+			c.lines[i].present = false
 		}
 	}
 }
@@ -257,9 +268,10 @@ func (c *Cache) ClearAllPresentBits() {
 // inclusion modeling if enabled).
 func (c *Cache) Invalidate(addr uint64) bool {
 	set, tag := c.IndexOf(addr)
-	for w := range c.sets[set] {
-		if c.sets[set][w].valid && c.sets[set][w].tag == tag {
-			c.sets[set][w] = line{}
+	ws := c.set(set)
+	for w := range ws {
+		if ws[w].valid && ws[w].tag == tag {
+			ws[w] = line{}
 			return true
 		}
 	}

@@ -276,20 +276,25 @@ func New(cfg Config, meter *energy.Meter) *SAMIE {
 		bankUsed: make([]int, cfg.Banks),
 	}
 	s.banksWithFree = cfg.Banks
-	for b := range s.banks {
-		s.banks[b] = make([]entry, cfg.EntriesPerBank)
-		for e := range s.banks[b] {
-			s.banks[b][e].slots = make([]slot, cfg.SlotsPerEntry)
-		}
-	}
 	shared := cfg.SharedEntries
 	if cfg.SharedUnbounded {
 		shared = 0 // grows on demand
 	}
-	s.shared = make([]entry, shared)
-	for e := range s.shared {
-		s.shared[e].slots = make([]slot, cfg.SlotsPerEntry)
+	// Every bank's entries come from one array and every entry's slots
+	// from another (pointer-free), each slice capped so no append can
+	// run into its neighbour's.
+	distrib := cfg.Banks * cfg.EntriesPerBank
+	entries := make([]entry, distrib+shared)
+	slots := make([]slot, (distrib+shared)*cfg.SlotsPerEntry)
+	for i := range entries {
+		lo, hi := i*cfg.SlotsPerEntry, (i+1)*cfg.SlotsPerEntry
+		entries[i].slots = slots[lo:hi:hi]
 	}
+	for b := range s.banks {
+		lo, hi := b*cfg.EntriesPerBank, (b+1)*cfg.EntriesPerBank
+		s.banks[b] = entries[lo:hi:hi]
+	}
+	s.shared = entries[distrib:]
 	return s
 }
 

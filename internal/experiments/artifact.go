@@ -105,7 +105,7 @@ func EncodeRunRecord(res RunResult) []byte {
 
 // DecodeRunRecord parses a wire record read from the network. It
 // returns the result, whose Key, Spec and Phases come from the record
-// and whose Hier and Timeline are nil, and the simulator stamp of the
+// and whose Timeline is nil, and the simulator stamp of the
 // build that encoded it. It checks the encoding only: whether the
 // result may be trusted as a peer's answer is ValidatePeerResult's
 // decision.

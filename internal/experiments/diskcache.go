@@ -57,10 +57,7 @@ var simStamp = sync.OnceValue(func() string {
 // binary record codec in artifact.go. Everything the figure and table
 // harnesses read from a result round-trips exactly: floats are stored
 // as their IEEE-754 bits, so figures regenerated from disk are
-// byte-identical to fresh simulations. The memory-hierarchy state
-// (RunResult.Hier) is deliberately not persisted — its aggregate rates
-// already live in the CPU result — so disk-served results carry a nil
-// Hier.
+// byte-identical to fresh simulations.
 type diskArtifact struct {
 	Version int
 	Sim     string // simulator build stamp (see simStamp)

@@ -76,7 +76,8 @@ type RunSpec struct {
 
 // RunResult bundles everything a harness needs from one simulation.
 // Results delivered through a Batch are shared between consumers:
-// treat the Meter, Hier and stats as read-only.
+// treat the Meter and stats as read-only. A result keeps no simulator
+// state: the memory hierarchy, predictor and LSQ model die with the run.
 type RunResult struct {
 	// Key is the canonical cache key of Spec (see Key). It is rendered
 	// once, where the result is produced, so consumers such as the
@@ -85,7 +86,6 @@ type RunResult struct {
 	Spec  RunSpec
 	CPU   cpu.Result
 	Meter *energy.Meter
-	Hier  *mem.Hierarchy
 	SAMIE core.Stats         // populated for ModelSAMIE
 	Conv  lsq.OccupancyStats // populated for ModelConventional
 
@@ -270,8 +270,7 @@ func runNormalized(spec RunSpec, key string) RunResult {
 		model = samie
 	}
 
-	hier := mem.NewPaper()
-	c := cpu.New(*spec.CPU, trace.SharedStream(p), model, hier, tlb.New(tlb.PaperDTLB()), nil, meter)
+	c := cpu.New(*spec.CPU, trace.SharedStream(p), model, mem.NewPaper(), tlb.New(tlb.PaperDTLB()), nil, meter)
 	// Every fresh simulation carries interval telemetry: the sampler
 	// fires once per stride (default every 4096 cycles), so its cost
 	// is unmeasurable against the simulation itself, and the samples
@@ -285,7 +284,6 @@ func runNormalized(spec RunSpec, key string) RunResult {
 	res.Phases.Set(obs.PhaseWarmup, warmDur)
 	res.Phases.Set(obs.PhaseMeasured, measDur)
 	res.Timeline = sampler.Snapshot()
-	res.Hier = hier
 	if samie != nil {
 		res.SAMIE = samie.Stats()
 	}
@@ -340,7 +338,7 @@ func NewBatch(workers int) *Batch {
 // NewBatchWithCache is NewBatch plus a disk spill: results are served
 // from (and persisted to) cacheDir, content-addressed by the canonical
 // spec key, so finished simulations are reused across processes — not
-// just within one batch. Results restored from disk carry a nil Hier.
+// just within one batch.
 func NewBatchWithCache(workers int, cacheDir string) (*Batch, error) {
 	d, err := NewDiskCache(cacheDir)
 	if err != nil {
@@ -446,11 +444,9 @@ func (b *Batch) jobFor(ctx context.Context, n RunSpec, key string) func() RunRes
 			if ok {
 				span.SetAttr("tier", "peer")
 				b.peerHits.Add(1)
-				// The wire carries no spec or hierarchy; restore the
-				// identity the caller asked for, exactly like a
-				// disk-served result.
+				// The wire carries no spec; restore the identity the
+				// caller asked for, exactly like a disk-served result.
 				r.Key, r.Spec = key, n
-				r.Hier = nil
 				if b.disk != nil {
 					start := time.Now()
 					b.disk.store(key, r)

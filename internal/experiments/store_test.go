@@ -48,9 +48,6 @@ func TestPeerTierFetchInstallThenLocalHit(t *testing.T) {
 	if got.Spec.Benchmark != spec.Benchmark || got.Spec.SAMIE == nil {
 		t.Errorf("peer-served result lost its normalized spec: %+v", got.Spec)
 	}
-	if got.Hier != nil {
-		t.Errorf("peer-served result must carry a nil Hier")
-	}
 	if n := peer.fetches.Load(); n != 1 {
 		t.Fatalf("peer fetched %d times, want 1", n)
 	}

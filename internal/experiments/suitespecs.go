@@ -35,12 +35,10 @@ func ScenarioSpecs(name string, benchmarks []string, insts uint64) ([]RunSpec, [
 // from a remote replica — into the batch's in-memory run cache, so a
 // later harness request for the same spec is a cache hit instead of a
 // simulation. No-op (returning false) if the batch already has a job
-// for the spec. Offered results carry a nil memory hierarchy, exactly
-// like disk-served ones.
+// for the spec.
 func (b *Batch) Offer(spec RunSpec, res RunResult) bool {
 	n := Normalize(spec)
 	res.Key, res.Spec = keyOf(n), n
-	res.Hier = nil
 	return b.sched.Offer(res.Key, res)
 }
 

@@ -117,6 +117,61 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 }
 
+// TestTraceJSONRendering pins the JSON that /v1/trace/{id}, /v1/traces
+// and -trace-out serialize from the ring (the handlers encode Trace's
+// and Roots' values verbatim, with HTML escaping off). The ring keeps
+// raw IDs and renders hex on read; the expected bytes are what the
+// ring produced when it stored hex strings at End.
+func TestTraceJSONRendering(t *testing.T) {
+	r := NewRecorder(8)
+	base := time.Date(2026, 1, 2, 3, 4, 5, 6000, time.UTC)
+	tr := TraceID{0x4b, 0xf9, 0x2f, 0x35, 0x77, 0xb3, 0x4d, 0xa6, 0xa3, 0xce, 0x92, 0x9d, 0x0e, 0x0e, 0x47, 0x36}
+	tr2 := TraceID{0x0a, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 0xff}
+	root := &Span{rec: r, sc: SpanContext{tr, SpanID{0x00, 0xf0, 0x67, 0xaa, 0x0b, 0xa9, 0x02, 0xb7}},
+		name: "POST /v1/runs", start: base}
+	root.SetAttr("route", "/v1/runs")
+	child := &Span{rec: r, sc: SpanContext{tr, SpanID{1, 2, 3, 4, 5, 6, 7, 8}}, parent: root.sc.Span,
+		name: "run", start: base.Add(time.Microsecond)}
+	child.SetAttr("tier", "disk")
+	child.SetAttr("key", "b=gzip|m=3")
+	remote := &Span{rec: r, sc: SpanContext{tr2, SpanID{0xde, 0xad, 0xbe, 0xef, 0, 0, 0, 1}},
+		parent: SpanID{9, 9, 9, 9, 9, 9, 9, 9}, remoteRoot: true, name: "POST /v1/suite", start: base.Add(time.Second)}
+	child.endAt(base.Add(2 * time.Millisecond))
+	root.endAt(base.Add(3 * time.Millisecond))
+	remote.endAt(base.Add(time.Second + 7*time.Millisecond))
+
+	enc := func(v any) string {
+		var b strings.Builder
+		e := json.NewEncoder(&b)
+		e.SetEscapeHTML(false)
+		if err := e.Encode(v); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	const (
+		runSpan  = `{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"0102030405060708","parent_id":"00f067aa0ba902b7","name":"run","start":"2026-01-02T03:04:05.000007Z","duration_ns":1999000,"attrs":[{"key":"tier","value":"disk"},{"key":"key","value":"b=gzip|m=3"}]}`
+		rootSpan = `{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","span_id":"00f067aa0ba902b7","name":"POST /v1/runs","root":true,"start":"2026-01-02T03:04:05.000006Z","duration_ns":3000000,"attrs":[{"key":"route","value":"/v1/runs"}]}`
+		remSpan  = `{"trace_id":"0a0102030405060708090a0b0c0d0eff","span_id":"deadbeef00000001","parent_id":"0909090909090909","name":"POST /v1/suite","root":true,"start":"2026-01-02T03:04:06.000006Z","duration_ns":7000000}`
+		roots    = `[{"trace_id":"0a0102030405060708090a0b0c0d0eff","name":"POST /v1/suite","start":"2026-01-02T03:04:06.000006Z","duration_ns":7000000,"spans":1},{"trace_id":"4bf92f3577b34da6a3ce929d0e0e4736","name":"POST /v1/runs","start":"2026-01-02T03:04:05.000006Z","duration_ns":3000000,"spans":2}]`
+	)
+	for _, c := range []struct{ name, got, want string }{
+		{"Trace", enc(r.Trace(tr.String())), "[" + runSpan + "," + rootSpan + "]\n"},
+		{"Roots", enc(r.Roots(0)), roots + "\n"},
+		{"Spans", enc(r.Spans()), "[" + runSpan + "," + rootSpan + "," + remSpan + "]\n"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s JSON changed:\n got %s\nwant %s", c.name, c.got, c.want)
+		}
+	}
+	// A trace ID that is not 32 lowercase hex digits matches nothing.
+	for _, id := range []string{strings.ToUpper(tr.String()), tr.String()[:30], tr.String() + "00", "zz"} {
+		if got := r.Trace(id); len(got) != 0 {
+			t.Errorf("Trace(%q) = %d spans, want none", id, len(got))
+		}
+	}
+}
+
 func TestDisabledPathZeroAllocs(t *testing.T) {
 	r := NewRecorder(8)
 	ctx := context.Background()

@@ -66,13 +66,22 @@ type IntervalSampler struct {
 	baseStride uint64
 	stride     uint64
 	next       uint64 // first cycle at or after which Due fires
-	samples    []TimelineSample
+
+	// samples is allocated by the first Record and grows geometrically
+	// up to capacity; a full buffer compacts instead of growing.
+	capacity int
+	samples  []TimelineSample
 }
+
+// minSampleBuf is the size of the first sample buffer a sampler
+// allocates (or its capacity, if smaller).
+const minSampleBuf = 16
 
 // NewIntervalSampler builds a sampler with the given stride in cycles
 // (<=0 means DefaultSampleStride) and sample capacity (<=0 means
 // DefaultTimelineCap; odd capacities round up so pairwise compaction
-// stays exact). It starts disabled.
+// stays exact). It starts disabled and allocates no sample buffer
+// until the first Record.
 func NewIntervalSampler(stride uint64, capacity int) *IntervalSampler {
 	if stride == 0 {
 		stride = DefaultSampleStride
@@ -87,7 +96,7 @@ func NewIntervalSampler(stride uint64, capacity int) *IntervalSampler {
 		baseStride: stride,
 		stride:     stride,
 		next:       stride,
-		samples:    make([]TimelineSample, 0, capacity),
+		capacity:   capacity,
 	}
 }
 
@@ -121,17 +130,20 @@ func (s *IntervalSampler) Due(cycle uint64) bool {
 	return cycle >= s.next
 }
 
-// Record appends one sample. When the buffer is full, adjacent samples
-// merge pairwise (energy deltas sum, IPC averages, occupancies keep
-// the later point) and the stride doubles — halve-stride compaction —
-// so the buffer never exceeds its capacity and never reallocates.
+// Record appends one sample. When the buffer holds capacity samples,
+// adjacent samples merge pairwise (energy deltas sum, IPC averages,
+// occupancies keep the later point) and the stride doubles —
+// halve-stride compaction — so the buffer never exceeds its capacity.
+// Below capacity a full buffer grows instead: the first Record
+// allocates it and later ones double it, so once a sampler has held
+// capacity samples, Record never allocates again.
 //
 //samie:hotpath
 func (s *IntervalSampler) Record(ts TimelineSample) {
 	if s == nil || !s.enabled.Load() {
 		return
 	}
-	if len(s.samples) == cap(s.samples) {
+	if len(s.samples) == s.capacity {
 		half := len(s.samples) / 2
 		for i := 0; i < half; i++ {
 			s.samples[i] = mergeSamples(s.samples[2*i], s.samples[2*i+1])
@@ -139,9 +151,23 @@ func (s *IntervalSampler) Record(ts TimelineSample) {
 		s.samples = s.samples[:half]
 		s.stride *= 2
 	}
-	//lint:ignore hotalloc halve-stride compaction above guarantees len < cap here; never reallocates
+	if len(s.samples) == cap(s.samples) {
+		s.grow()
+	}
+	//lint:ignore hotalloc grow above guarantees len < cap here; never reallocates
 	s.samples = append(s.samples, ts)
 	s.next = ts.Cycle + s.stride
+}
+
+// grow doubles the sample buffer (allocating the first one), never past
+// capacity. Record calls it at most log2(capacity/minSampleBuf)+1 times
+// per sampler and only on sample cycles (once per stride); Reset keeps
+// the buffer, so the measured phase reuses what warm-up grew.
+func (s *IntervalSampler) grow() {
+	n := min(max(2*cap(s.samples), minSampleBuf), s.capacity)
+	grown := make([]TimelineSample, len(s.samples), n)
+	copy(grown, s.samples)
+	s.samples = grown
 }
 
 // mergeSamples folds two adjacent equal-width intervals into one:

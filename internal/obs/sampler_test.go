@@ -37,8 +37,57 @@ func TestSamplerDueAndStride(t *testing.T) {
 		t.Fatalf("default stride = %d", d.Stride())
 	}
 	odd := NewIntervalSampler(1, 7)
-	if cap(odd.samples) != 8 {
-		t.Fatalf("odd capacity rounded to %d, want 8", cap(odd.samples))
+	if odd.capacity != 8 {
+		t.Fatalf("odd capacity rounded to %d, want 8", odd.capacity)
+	}
+	// The buffer holds exactly that many samples: the eighth record
+	// fits without compaction, the ninth compacts to four and appends,
+	// and the buffer never grows past the capacity.
+	odd.SetEnabled(true)
+	for i := uint64(1); i <= 9; i++ {
+		odd.Record(TimelineSample{Cycle: i})
+		if cap(odd.samples) > 8 {
+			t.Fatalf("buffer capacity %d after %d records, want <= 8", cap(odd.samples), i)
+		}
+		want, stride := int(i), uint64(1)
+		if i == 9 {
+			want, stride = 5, 2
+		}
+		if len(odd.samples) != want || odd.Stride() != stride {
+			t.Fatalf("after %d records: %d samples at stride %d, want %d at stride %d",
+				i, len(odd.samples), odd.Stride(), want, stride)
+		}
+	}
+}
+
+// TestSamplerAllocatesOnDemand: a sampler that records no sample, like
+// that of a run shorter than one stride, allocates no sample buffer,
+// and the first Record allocates a small one, not the full capacity.
+func TestSamplerAllocatesOnDemand(t *testing.T) {
+	allocs := testing.AllocsPerRun(100, func() {
+		s := NewIntervalSampler(0, 0)
+		s.SetEnabled(true)
+		for cycle := uint64(0); cycle < DefaultSampleStride; cycle++ {
+			if s.Due(cycle) {
+				t.Fatal("due before the first stride")
+			}
+		}
+		s.Reset(DefaultSampleStride - 1)
+		if s.Snapshot() != nil {
+			t.Fatal("a sampler with no sample produced a timeline")
+		}
+	})
+	if allocs != 0 { // the sampler itself does not escape
+		t.Fatalf("a run with no sample made %v allocations, want 0", allocs)
+	}
+	s := NewIntervalSampler(0, 0)
+	s.SetEnabled(true)
+	if s.samples != nil {
+		t.Fatal("sample buffer allocated before the first Record")
+	}
+	s.Record(TimelineSample{Cycle: DefaultSampleStride})
+	if c := cap(s.samples); c != minSampleBuf {
+		t.Fatalf("first buffer holds %d samples, want %d", c, minSampleBuf)
 	}
 }
 

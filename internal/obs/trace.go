@@ -145,7 +145,11 @@ func (s *Span) SetAttr(key, value string) {
 
 // End completes the span and hands it to the recorder. Safe to call
 // more than once; only the first call records.
-func (s *Span) End() {
+func (s *Span) End() { s.endAt(time.Now()) }
+
+// endAt is End with the end time given. The ring keeps the raw IDs;
+// they render as hex only when a reader serializes the span.
+func (s *Span) endAt(now time.Time) {
 	if s == nil || s.ended {
 		return
 	}
@@ -153,27 +157,48 @@ func (s *Span) End() {
 	if s.rec == nil {
 		return
 	}
-	s.rec.record(SpanRecord{
-		TraceID:  s.sc.Trace.String(),
-		SpanID:   s.sc.Span.String(),
-		ParentID: parentString(s.parent),
-		Name:     s.name,
-		Root:     s.parent.IsZero() || s.remoteRoot,
-		Start:    s.start,
-		Duration: time.Since(s.start),
-		Attrs:    s.attrs,
+	s.rec.record(endedSpan{
+		trace:    s.sc.Trace,
+		span:     s.sc.Span,
+		parent:   s.parent,
+		name:     s.name,
+		root:     s.parent.IsZero() || s.remoteRoot,
+		start:    s.start,
+		duration: now.Sub(s.start),
+		attrs:    s.attrs,
 	})
 }
 
-func parentString(p SpanID) string {
-	if p.IsZero() {
-		return ""
-	}
-	return p.String()
+// endedSpan is a completed span as stored in the recorder's ring.
+type endedSpan struct {
+	trace        TraceID
+	span, parent SpanID
+	name         string
+	root         bool
+	start        time.Time
+	duration     time.Duration
+	attrs        []SpanAttr
 }
 
-// SpanRecord is a completed span as stored in the ring and served
-// from /v1/trace/{id}.
+// record renders the span's serialized form.
+func (e *endedSpan) record() SpanRecord {
+	sr := SpanRecord{
+		TraceID:  e.trace.String(),
+		SpanID:   e.span.String(),
+		Name:     e.name,
+		Root:     e.root,
+		Start:    e.start,
+		Duration: e.duration,
+		Attrs:    e.attrs,
+	}
+	if !e.parent.IsZero() {
+		sr.ParentID = e.parent.String()
+	}
+	return sr
+}
+
+// SpanRecord is a completed span as served from /v1/trace/{id} and
+// exported by -trace-out.
 type SpanRecord struct {
 	TraceID  string        `json:"trace_id"`
 	SpanID   string        `json:"span_id"`
@@ -226,7 +251,7 @@ type Recorder struct {
 	dropped atomic.Uint64 // records lost to ring overwrite/eviction
 
 	mu       sync.Mutex
-	ring     []SpanRecord
+	ring     []endedSpan
 	next     int
 	full     bool
 	counters []CounterTrack
@@ -243,7 +268,7 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Recorder{ring: make([]SpanRecord, size)}
+	return &Recorder{ring: make([]endedSpan, size)}
 }
 
 // SetEnabled flips recording. Spans started while disabled are nil
@@ -295,7 +320,7 @@ func (r *Recorder) StartRemoteChild(ctx context.Context, name string, parent Spa
 	return ContextWithSpan(ctx, s), s
 }
 
-func (r *Recorder) record(sr SpanRecord) {
+func (r *Recorder) record(sr endedSpan) {
 	r.mu.Lock()
 	if r.full {
 		// The slot being reused still holds the oldest retained span;
@@ -321,19 +346,29 @@ func (r *Recorder) Dropped() uint64 {
 	return r.dropped.Load()
 }
 
-// snapshot copies live records oldest-first.
-func (r *Recorder) snapshot() []SpanRecord {
+// ended copies live ring entries oldest-first.
+func (r *Recorder) ended() []endedSpan {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	n := r.next
 	if r.full {
 		n = len(r.ring)
 	}
-	out := make([]SpanRecord, 0, n)
+	out := make([]endedSpan, 0, n)
 	if r.full {
 		out = append(out, r.ring[r.next:]...)
 	}
 	out = append(out, r.ring[:r.next]...)
+	return out
+}
+
+// snapshot renders live records oldest-first.
+func (r *Recorder) snapshot() []SpanRecord {
+	ended := r.ended()
+	out := make([]SpanRecord, len(ended))
+	for i := range ended {
+		out[i] = ended[i].record()
+	}
 	return out
 }
 
@@ -352,10 +387,17 @@ func (r *Recorder) Trace(traceID string) []SpanRecord {
 	if r == nil {
 		return nil
 	}
+	var id TraceID
+	if len(traceID) != 2*len(id) {
+		return nil
+	}
+	if _, err := hex.Decode(id[:], []byte(traceID)); err != nil || id.String() != traceID {
+		return nil // not the lowercase hex of a trace ID: matches nothing
+	}
 	var out []SpanRecord
-	for _, sr := range r.snapshot() {
-		if sr.TraceID == traceID {
-			out = append(out, sr)
+	for _, e := range r.ended() {
+		if e.trace == id {
+			out = append(out, e.record())
 		}
 	}
 	return out
@@ -370,27 +412,28 @@ func (r *Recorder) Roots(limit int) []TraceSummary {
 	if limit <= 0 {
 		limit = 50
 	}
-	all := r.snapshot()
-	counts := make(map[string]int, len(all))
-	for _, sr := range all {
-		counts[sr.TraceID]++
+	all := r.ended()
+	counts := make(map[TraceID]int, len(all))
+	var rootSpans []*endedSpan
+	for i := range all {
+		counts[all[i].trace]++
+		if all[i].root {
+			rootSpans = append(rootSpans, &all[i])
+		}
+	}
+	sort.Slice(rootSpans, func(i, j int) bool { return rootSpans[i].start.After(rootSpans[j].start) })
+	if len(rootSpans) > limit {
+		rootSpans = rootSpans[:limit]
 	}
 	var roots []TraceSummary
-	for _, sr := range all {
-		if !sr.Root {
-			continue
-		}
+	for _, e := range rootSpans {
 		roots = append(roots, TraceSummary{
-			TraceID:  sr.TraceID,
-			Name:     sr.Name,
-			Start:    sr.Start,
-			Duration: sr.Duration,
-			Spans:    counts[sr.TraceID],
+			TraceID:  e.trace.String(),
+			Name:     e.name,
+			Start:    e.start,
+			Duration: e.duration,
+			Spans:    counts[e.trace],
 		})
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].Start.After(roots[j].Start) })
-	if len(roots) > limit {
-		roots = roots[:limit]
 	}
 	return roots
 }

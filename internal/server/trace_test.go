@@ -1,9 +1,14 @@
 package server
 
 import (
+	"bytes"
+	"io"
+	"log/slog"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 
+	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
 	"samielsq/pkg/client"
 )
@@ -77,5 +82,47 @@ func TestTraceEndpoints(t *testing.T) {
 		if resp.StatusCode != want {
 			t.Errorf("GET %s = %d, want %d", path, resp.StatusCode, want)
 		}
+	}
+}
+
+// BenchmarkDiskHitRequest measures one JSON POST /v1/runs answered
+// from the disk tier with tracing on, as a replica serves it: the
+// request, run and tier.disk spans end on every request. Two specs
+// alternate over a one-entry memo, so every request misses the memo.
+func BenchmarkDiskHitRequest(b *testing.B) {
+	batch, err := experiments.NewBatchWithCache(1, b.TempDir())
+	if err != nil {
+		b.Fatal(err)
+	}
+	batch.SetCacheLimit(1)
+	s, err := New(Config{Batch: batch, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := s.Handler()
+	var bodies [2][]byte
+	for i, bench := range []string{"gzip", "swim"} {
+		bodies[i] = []byte(`{"benchmark":"` + bench + `","model":"samie","insts":2000}`)
+		batch.Run(experiments.RunSpec{Benchmark: bench, Model: experiments.ModelSAMIE, Insts: 2000})
+	}
+	post := func(body []byte) {
+		req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))
+		req.Header.Set("Content-Type", "application/json")
+		w := httptest.NewRecorder()
+		h.ServeHTTP(w, req)
+		if w.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+	}
+	post(bodies[0])
+	diskHits := batch.StoreStats().Disk.Hits
+	b.ReportAllocs()
+	i := 0
+	for b.Loop() {
+		i++
+		post(bodies[i%2])
+	}
+	if got := batch.StoreStats().Disk.Hits - diskHits; got != int64(i) {
+		b.Fatalf("%d of %d requests were disk hits", got, i)
 	}
 }

@@ -1,35 +1,15 @@
-// Package stats provides lightweight statistics primitives used across
-// the simulator: named counters, histograms, running means and table
-// formatting helpers for the experiment harnesses.
+// Package stats provides lightweight statistics primitives: histograms,
+// running means and the table formatting helpers of the experiment
+// harnesses.
 //
-// All types are plain value-oriented structures without locking; a
-// simulation is single-goroutine and experiment fan-out keeps one Set
-// per simulation.
+// All types are plain value-oriented structures without locking.
 package stats
 
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 )
-
-// Counter is a monotonically increasing event counter.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.n++ }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
 
 // Mean tracks a running arithmetic mean without storing samples.
 type Mean struct {
@@ -41,13 +21,6 @@ type Mean struct {
 func (m *Mean) Observe(v float64) {
 	m.sum += v
 	m.n++
-}
-
-// ObserveN adds a sample with weight n (e.g. an occupancy sampled once
-// per cycle for n cycles).
-func (m *Mean) ObserveN(v float64, n uint64) {
-	m.sum += v * float64(n)
-	m.n += n
 }
 
 // Value returns the mean of all samples, or 0 if none were observed.
@@ -140,80 +113,6 @@ func (h *Histogram) Quantile(q float64) int {
 	return len(h.buckets) - 1
 }
 
-// FractionAtMost returns the fraction of observations with value <= v.
-func (h *Histogram) FractionAtMost(v int) float64 {
-	if h.total == 0 {
-		return 1
-	}
-	if v < 0 {
-		return 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	var acc uint64
-	for i := 0; i <= v; i++ {
-		acc += h.buckets[i]
-	}
-	return float64(acc) / float64(h.total)
-}
-
-// Set is a named collection of counters and means, used as the
-// simulator's statistics sink.
-type Set struct {
-	counters map[string]*Counter
-	means    map[string]*Mean
-}
-
-// NewSet returns an empty statistics set.
-func NewSet() *Set {
-	return &Set{
-		counters: make(map[string]*Counter),
-		means:    make(map[string]*Mean),
-	}
-}
-
-// Counter returns (creating if needed) the counter with the given name.
-func (s *Set) Counter(name string) *Counter {
-	c, ok := s.counters[name]
-	if !ok {
-		c = &Counter{}
-		s.counters[name] = c
-	}
-	return c
-}
-
-// Mean returns (creating if needed) the running mean with the given name.
-func (s *Set) Mean(name string) *Mean {
-	m, ok := s.means[name]
-	if !ok {
-		m = &Mean{}
-		s.means[name] = m
-	}
-	return m
-}
-
-// CounterNames returns the sorted names of all counters.
-func (s *Set) CounterNames() []string {
-	names := make([]string, 0, len(s.counters))
-	for n := range s.counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// String renders the set for debugging.
-//
-//samie:deterministic
-func (s *Set) String() string {
-	var b strings.Builder
-	for _, n := range s.CounterNames() {
-		fmt.Fprintf(&b, "%s=%d\n", n, s.counters[n].Value())
-	}
-	return b.String()
-}
-
 // Table is a simple column-aligned text table used by the experiment
 // harnesses to print paper-style rows.
 type Table struct {
@@ -241,9 +140,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// NumRows returns the number of data rows.
-func (t *Table) NumRows() int { return len(t.rows) }
 
 // String renders the table with aligned columns.
 //

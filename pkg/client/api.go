@@ -188,8 +188,7 @@ func ResponseFor(res experiments.RunResult, sim string) RunResponse {
 // The normalized Spec is NOT reconstructed (the wire identity carries
 // only benchmark/model/insts/warmup); callers that need the full spec
 // — e.g. Batch.Offer — pair the response with the RunSpec they sent,
-// matching on Key. The memory-hierarchy internals do not serialize, so
-// the result carries a nil Hier, exactly like a disk-served one.
+// matching on Key.
 func (r RunResponse) Result() experiments.RunResult {
 	return experiments.RunResult{
 		Key:      r.Key,
