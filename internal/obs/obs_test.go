@@ -117,6 +117,32 @@ func TestRecorderRingEviction(t *testing.T) {
 	}
 }
 
+// TestRecorderRingOnFirstUse: a recorder that records nothing (the
+// process-wide default unless a driver enables it, or a server nobody
+// traces) holds no ring; the first recorded span allocates it whole.
+func TestRecorderRingOnFirstUse(t *testing.T) {
+	r := NewRecorder(DefaultRingSize)
+	r.StartSpan(context.Background(), "disabled") // records nothing
+	r.SetEnabled(true)
+	if len(r.Spans()) != 0 || len(r.Roots(0)) != 0 || len(r.Trace(NewTraceID().String())) != 0 {
+		t.Fatal("empty recorder returned spans")
+	}
+	if r.ring != nil {
+		t.Fatalf("recorder that recorded nothing holds a %d-entry ring", len(r.ring))
+	}
+	_, s := r.StartSpan(context.Background(), "first")
+	if r.ring != nil {
+		t.Fatal("ring allocated before any span ended")
+	}
+	s.End()
+	if len(r.ring) != DefaultRingSize {
+		t.Fatalf("ring holds %d entries after the first span, want %d", len(r.ring), DefaultRingSize)
+	}
+	if got := r.Spans(); len(got) != 1 || got[0].Name != "first" {
+		t.Fatalf("spans after first record = %+v", got)
+	}
+}
+
 // TestTraceJSONRendering pins the JSON that /v1/trace/{id}, /v1/traces
 // and -trace-out serialize from the ring (the handlers encode Trace's
 // and Roots' values verbatim, with HTML escaping off). The ring keeps

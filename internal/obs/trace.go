@@ -245,13 +245,15 @@ func SpanContextFromContext(ctx context.Context) SpanContext {
 // Recorder keeps a fixed ring of recently completed spans. The
 // enabled flag is an atomic so the disabled path costs one load and
 // allocates nothing — the same discipline as the chaos layer's
-// atomic-pointer check.
+// atomic-pointer check. The ring is allocated on the first recorded
+// span, so a recorder that never records holds none.
 type Recorder struct {
 	enabled atomic.Bool
 	dropped atomic.Uint64 // records lost to ring overwrite/eviction
 
 	mu       sync.Mutex
-	ring     []endedSpan
+	size     int         // ring capacity
+	ring     []endedSpan // nil until the first record
 	next     int
 	full     bool
 	counters []CounterTrack
@@ -268,7 +270,7 @@ func NewRecorder(size int) *Recorder {
 	if size <= 0 {
 		size = DefaultRingSize
 	}
-	return &Recorder{ring: make([]endedSpan, size)}
+	return &Recorder{size: size}
 }
 
 // SetEnabled flips recording. Spans started while disabled are nil
@@ -322,6 +324,9 @@ func (r *Recorder) StartRemoteChild(ctx context.Context, name string, parent Spa
 
 func (r *Recorder) record(sr endedSpan) {
 	r.mu.Lock()
+	if r.ring == nil {
+		r.ring = make([]endedSpan, r.size)
+	}
 	if r.full {
 		// The slot being reused still holds the oldest retained span;
 		// overwriting it is a silent loss unless counted.

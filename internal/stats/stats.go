@@ -1,6 +1,5 @@
-// Package stats provides lightweight statistics primitives: histograms,
-// running means and the table formatting helpers of the experiment
-// harnesses.
+// Package stats provides the table formatting and aggregation helpers
+// of the experiment harnesses.
 //
 // All types are plain value-oriented structures without locking.
 package stats
@@ -10,108 +9,6 @@ import (
 	"math"
 	"strings"
 )
-
-// Mean tracks a running arithmetic mean without storing samples.
-type Mean struct {
-	sum float64
-	n   uint64
-}
-
-// Observe adds one sample.
-func (m *Mean) Observe(v float64) {
-	m.sum += v
-	m.n++
-}
-
-// Value returns the mean of all samples, or 0 if none were observed.
-func (m *Mean) Value() float64 {
-	if m.n == 0 {
-		return 0
-	}
-	return m.sum / float64(m.n)
-}
-
-// Count returns the number of samples observed.
-func (m *Mean) Count() uint64 { return m.n }
-
-// Sum returns the raw sample sum.
-func (m *Mean) Sum() float64 { return m.sum }
-
-// Histogram is a fixed-bucket integer histogram over [0, len(buckets)).
-// Values beyond the last bucket are clamped into it.
-type Histogram struct {
-	buckets []uint64
-	total   uint64
-}
-
-// NewHistogram returns a histogram with n buckets for values 0..n-1.
-func NewHistogram(n int) *Histogram {
-	if n <= 0 {
-		panic("stats: histogram needs at least one bucket")
-	}
-	return &Histogram{buckets: make([]uint64, n)}
-}
-
-// Observe records one occurrence of value v.
-func (h *Histogram) Observe(v int) {
-	if v < 0 {
-		v = 0
-	}
-	if v >= len(h.buckets) {
-		v = len(h.buckets) - 1
-	}
-	h.buckets[v]++
-	h.total++
-}
-
-// Total returns the number of observations.
-func (h *Histogram) Total() uint64 { return h.total }
-
-// Bucket returns the count in bucket i.
-func (h *Histogram) Bucket(i int) uint64 {
-	if i < 0 || i >= len(h.buckets) {
-		return 0
-	}
-	return h.buckets[i]
-}
-
-// Len returns the number of buckets.
-func (h *Histogram) Len() int { return len(h.buckets) }
-
-// Mean returns the histogram's mean value.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	var s float64
-	for v, c := range h.buckets {
-		s += float64(v) * float64(c)
-	}
-	return s / float64(h.total)
-}
-
-// Quantile returns the smallest value v such that at least q (0..1) of
-// the observations are <= v.
-func (h *Histogram) Quantile(q float64) int {
-	if h.total == 0 {
-		return 0
-	}
-	if q < 0 {
-		q = 0
-	}
-	if q > 1 {
-		q = 1
-	}
-	need := uint64(math.Ceil(q * float64(h.total)))
-	var acc uint64
-	for v, c := range h.buckets {
-		acc += c
-		if acc >= need {
-			return v
-		}
-	}
-	return len(h.buckets) - 1
-}
 
 // Table is a simple column-aligned text table used by the experiment
 // harnesses to print paper-style rows.

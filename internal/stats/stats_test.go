@@ -7,96 +7,6 @@ import (
 	"testing/quick"
 )
 
-func TestMean(t *testing.T) {
-	var m Mean
-	if m.Value() != 0 {
-		t.Fatal("empty mean should be 0")
-	}
-	m.Observe(2)
-	m.Observe(4)
-	if m.Value() != 3 {
-		t.Fatalf("mean = %v, want 3", m.Value())
-	}
-	m.Observe(10)
-	m.Observe(10)
-	// Samples: 2, 4, 10, 10.
-	if m.Value() != 6.5 {
-		t.Fatalf("mean = %v, want 6.5", m.Value())
-	}
-	if m.Count() != 4 {
-		t.Fatalf("count = %d, want 4", m.Count())
-	}
-	if m.Sum() != 26 {
-		t.Fatalf("sum = %v, want 26", m.Sum())
-	}
-}
-
-func TestHistogramBasics(t *testing.T) {
-	h := NewHistogram(8)
-	for v := 0; v < 8; v++ {
-		h.Observe(v)
-	}
-	if h.Total() != 8 {
-		t.Fatalf("total = %d", h.Total())
-	}
-	if h.Mean() != 3.5 {
-		t.Fatalf("mean = %v, want 3.5", h.Mean())
-	}
-	if got := h.Bucket(3); got != 1 {
-		t.Fatalf("bucket(3) = %d, want 1", got)
-	}
-	if got := h.Bucket(100); got != 0 {
-		t.Fatalf("bucket(100) = %d, want 0", got)
-	}
-}
-
-func TestHistogramClamping(t *testing.T) {
-	h := NewHistogram(4)
-	h.Observe(-5)
-	h.Observe(100)
-	if h.Bucket(0) != 1 || h.Bucket(3) != 1 {
-		t.Fatalf("clamping failed: %d %d", h.Bucket(0), h.Bucket(3))
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram(10)
-	for i := 0; i < 100; i++ {
-		h.Observe(i % 10)
-	}
-	if q := h.Quantile(0.5); q != 4 {
-		t.Fatalf("median = %d, want 4", q)
-	}
-	if q := h.Quantile(1.0); q != 9 {
-		t.Fatalf("p100 = %d, want 9", q)
-	}
-	if q := h.Quantile(0); q != 0 {
-		t.Fatalf("p0 = %d, want 0", q)
-	}
-}
-
-func TestHistogramQuantileMonotonic(t *testing.T) {
-	// Property: quantile is monotonically non-decreasing in q.
-	f := func(vals []uint8) bool {
-		h := NewHistogram(32)
-		for _, v := range vals {
-			h.Observe(int(v) % 32)
-		}
-		prev := -1
-		for q := 0.0; q <= 1.0; q += 0.05 {
-			cur := h.Quantile(q)
-			if cur < prev {
-				return false
-			}
-			prev = cur
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("name", "value")
 	tb.AddRow("x", 1.5)

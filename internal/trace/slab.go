@@ -1,6 +1,8 @@
 package trace
 
 import (
+	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -9,42 +11,106 @@ import (
 )
 
 // A Slab lazily materializes the deterministic instruction stream of
-// one Params into a shared, append-only slice. Many simulations of the
-// same workload (the conventional/SAMIE/ARB variants every figure
-// sweeps over) replay the same prefix instead of re-running the
-// generator per simulation; the published prefix is immutable, so
-// readers never take the lock for instructions already materialized.
+// one Params into a shared list of fixed-size chunks. Many simulations
+// of the same workload (the conventional/SAMIE/ARB variants every
+// figure sweeps over) replay the same prefix instead of re-running the
+// generator per simulation. A chunk is filled completely before it is
+// published and never changes or moves afterwards, so growing the slab
+// copies nothing and readers take the lock only to fetch a chunk they
+// have not seen yet.
 type Slab struct {
-	mu    sync.Mutex
-	gen   *Generator
-	insts []isa.Inst
-	bytes atomic.Int64 // materialized footprint, for the cache bound
+	mu     sync.Mutex
+	gen    *Generator
+	chunks []*[slabChunk]slabRec
+	bytes  atomic.Int64 // materialized footprint, for the cache bound
 }
 
-// slabChunk is the minimum extension granularity.
+// slabChunk is the number of instructions per chunk: the unit of
+// materialization.
 const slabChunk = 16 * 1024
+
+// slabRec is one instruction packed into 24 bytes (isa.Inst is 48).
+// Seq is the record's index in the slab; word holds Addr, or Target
+// when recTarget is set, since no generated instruction carries both;
+// register numbers fit int8 (NumLogicalRegs is 64, RegNone is -1).
+type slabRec struct {
+	pc               uint64
+	word             uint64
+	dest, srcA, srcB int8
+	cls              isa.Class
+	size             uint8
+	flags            uint8 // recTaken | recTarget
+}
+
+const (
+	recTaken  = 1 << iota // Inst.Taken
+	recTarget             // word is Inst.Target, not Inst.Addr
+)
+
+// pack encodes in, the instruction at index seq. It panics on an
+// instruction the record cannot reproduce exactly, so a generator
+// change that outgrows the layout fails loudly instead of replaying a
+// different trace.
+func pack(in *isa.Inst, seq uint64) slabRec {
+	if in.Seq != seq {
+		panic(fmt.Sprintf("trace: slab record %d holds instruction Seq %d", seq, in.Seq))
+	}
+	if in.Addr != 0 && in.Target != 0 {
+		panic(fmt.Sprintf("trace: slab record %d sets both Addr and Target", seq))
+	}
+	for _, r := range [...]int16{in.Dest, in.SrcA, in.SrcB} {
+		if r < math.MinInt8 || r > math.MaxInt8 {
+			panic(fmt.Sprintf("trace: slab record %d has register %d outside int8", seq, r))
+		}
+	}
+	r := slabRec{
+		pc: in.PC, word: in.Addr,
+		dest: int8(in.Dest), srcA: int8(in.SrcA), srcB: int8(in.SrcB),
+		cls: in.Cls, size: in.Size,
+	}
+	if in.Taken {
+		r.flags |= recTaken
+	}
+	if in.Target != 0 {
+		r.word, r.flags = in.Target, r.flags|recTarget
+	}
+	return r
+}
+
+// unpack decodes r, the record at index seq, into out. It is
+// branch-free: the target flag becomes a mask selecting which of Addr
+// and Target receives the word. Fields are stored one by one, since a
+// composite literal is built on the stack and copied, and that copy's
+// wide loads stall on the narrow stores just made.
+//
+//samie:hotpath
+func (r *slabRec) unpack(seq uint64, out *isa.Inst) {
+	target := -uint64(r.flags >> 1 & 1) // all ones when recTarget
+	out.Seq, out.PC, out.Cls = seq, r.pc, r.cls
+	out.Dest, out.SrcA, out.SrcB = int16(r.dest), int16(r.srcA), int16(r.srcB)
+	out.Addr, out.Size = r.word&^target, r.size
+	out.Taken, out.Target = r.flags&recTaken != 0, r.word&target
+}
 
 // NewSlab builds an empty slab for p.
 func NewSlab(p Params) *Slab { return &Slab{gen: NewGenerator(p)} }
 
-// view returns the materialized prefix, at least n instructions long.
-func (s *Slab) view(n int) []isa.Inst {
+// chunk returns chunk i, materializing every chunk up to it.
+func (s *Slab) chunk(i int) *[slabChunk]slabRec {
 	s.mu.Lock()
-	if len(s.insts) < n {
-		start := len(s.insts)
-		target := start + slabChunk
-		if target < n {
-			target = n
+	defer s.mu.Unlock()
+	var in isa.Inst
+	for len(s.chunks) <= i {
+		c := new([slabChunk]slabRec)
+		base := uint64(len(s.chunks)) * slabChunk
+		for j := range c {
+			s.gen.Next(&in)
+			c[j] = pack(&in, base+uint64(j))
 		}
-		s.insts = append(s.insts, make([]isa.Inst, target-start)...)
-		for i := start; i < target; i++ {
-			s.gen.Next(&s.insts[i])
-		}
-		s.bytes.Store(int64(len(s.insts)) * int64(unsafe.Sizeof(isa.Inst{})))
+		s.chunks = append(s.chunks, c)
+		s.bytes.Store(int64(len(s.chunks)) * int64(unsafe.Sizeof(*c)))
 	}
-	v := s.insts
-	s.mu.Unlock()
-	return v
+	return s.chunks[i]
 }
 
 // Bytes returns the materialized footprint of the slab.
@@ -52,23 +118,30 @@ func (s *Slab) Bytes() int64 { return s.bytes.Load() }
 
 // Stream returns a fresh cursor over the slab from instruction 0.
 // Streams are independent; a slab may serve any number concurrently.
-func (s *Slab) Stream() *SlabStream { return &SlabStream{slab: s} }
+func (s *Slab) Stream() *SlabStream { return &SlabStream{slab: s, off: slabChunk} }
 
 // SlabStream is an isa.Stream cursor over a Slab. Next is
-// allocation-free and lock-free for instructions already materialized.
+// allocation-free and lock-free within a chunk the cursor holds.
 type SlabStream struct {
 	slab *Slab
-	v    []isa.Inst
-	pos  int
+	cur  *[slabChunk]slabRec
+	next int    // index of the next chunk to fetch
+	off  int    // position in cur; slabChunk when cur is used up
+	seq  uint64 // Seq of the next instruction
 }
 
-// Next implements isa.Stream.
+// Next implements isa.Stream. It runs once per fetched instruction.
+//
+//samie:hotpath
 func (ss *SlabStream) Next(out *isa.Inst) bool {
-	if ss.pos >= len(ss.v) {
-		ss.v = ss.slab.view(ss.pos + 1)
+	if ss.off == slabChunk {
+		ss.cur = ss.slab.chunk(ss.next)
+		ss.next++
+		ss.off = 0
 	}
-	*out = ss.v[ss.pos]
-	ss.pos++
+	ss.cur[ss.off].unpack(ss.seq, out)
+	ss.off++
+	ss.seq++
 	return true
 }
 

@@ -1,48 +1,139 @@
 package trace
 
 import (
+	"runtime"
 	"sync"
 	"testing"
 
 	"samielsq/internal/isa"
 )
 
+// TestSlabMatchesGenerator replays every personality's slab across
+// three chunk boundaries against a fresh generator.
 func TestSlabMatchesGenerator(t *testing.T) {
-	p := MustPersonality("gzip")
-	g := NewGenerator(p)
-	ss := NewSlab(p).Stream()
-	var a, b isa.Inst
-	for i := 0; i < 40_000; i++ {
-		if !g.Next(&a) || !ss.Next(&b) {
-			t.Fatal("stream ended")
-		}
-		if a != b {
-			t.Fatalf("inst %d differs: %+v vs %+v", i, a, b)
+	names := append(Benchmarks(), AdversarialBenchmarks()...)
+	if len(names) != 28 {
+		t.Fatalf("%d personalities, want the 26 SPEC programs plus 2 adversarial", len(names))
+	}
+	const n = 3*slabChunk + slabChunk/2
+	for _, name := range names {
+		p := MustPersonality(name)
+		g := NewGenerator(p)
+		ss := NewSlab(p).Stream()
+		var a, b isa.Inst
+		for i := 0; i < n; i++ {
+			if !g.Next(&a) || !ss.Next(&b) {
+				t.Fatalf("%s: stream ended", name)
+			}
+			if a != b {
+				t.Fatalf("%s: inst %d differs: %+v vs %+v", name, i, a, b)
+			}
 		}
 	}
 }
 
+// TestSlabConcurrentStreams starts each stream a staggered distance
+// behind the one before it, so followers cross into chunks the leader
+// has just published while the leader materializes the next one.
 func TestSlabConcurrentStreams(t *testing.T) {
+	const streams = 8
+	const stagger = slabChunk*3/4 + 101 // not a chunk multiple
 	p := MustPersonality("swim")
 	slab := NewSlab(p)
-	want := Generate(p, 20_000)
+	want := Generate(p, streams*stagger+2*slabChunk)
+	released := make([]func(), streams)
+	gates := make([]chan struct{}, streams)
+	for g := range gates {
+		gates[g] = make(chan struct{})
+		released[g] = sync.OnceFunc(func() { close(gates[g]) })
+	}
 	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
+	for g := 0; g < streams; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer released[g]()
+			if g > 0 {
+				<-gates[g-1] // start once the stream ahead is stagger insts in
+			}
 			ss := slab.Stream()
 			var in isa.Inst
 			for i := range want {
+				if i == stagger {
+					released[g]()
+				}
 				ss.Next(&in)
 				if in != want[i] {
-					t.Errorf("inst %d differs under concurrency", i)
+					t.Errorf("stream %d: inst %d differs under concurrency", g, i)
 					return
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSlabRecordRejectsUnpackable covers every instruction pack must
+// refuse because the 24-byte record cannot reproduce it, and checks
+// the edge values it must keep.
+func TestSlabRecordRejectsUnpackable(t *testing.T) {
+	ok := isa.Inst{Seq: 7, PC: 0x400100, Cls: isa.ClassBranch, Dest: isa.RegNone,
+		SrcA: 63, SrcB: -128, Taken: true, Target: 0x400000}
+	for _, in := range []isa.Inst{
+		ok,
+		{Seq: 7, PC: 0x400104, Cls: isa.ClassStore, Dest: 127, SrcA: 0, SrcB: isa.RegNone,
+			Addr: ^uint64(0), Size: 255},
+		{Seq: 7, Cls: isa.ClassNop, Dest: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone},
+	} {
+		r := pack(&in, 7)
+		var out isa.Inst
+		r.unpack(7, &out)
+		if out != in {
+			t.Fatalf("round trip changed %+v into %+v", in, out)
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		mutate func(*isa.Inst)
+	}{
+		{"Seq is not the index", func(in *isa.Inst) { in.Seq = 8 }},
+		{"Addr and Target both set", func(in *isa.Inst) { in.Addr = 0x1000 }},
+		{"Dest above int8", func(in *isa.Inst) { in.Dest = 128 }},
+		{"SrcA below int8", func(in *isa.Inst) { in.SrcA = -129 }},
+		{"SrcB above int8", func(in *isa.Inst) { in.SrcB = 1 << 14 }},
+	} {
+		in := ok
+		c.mutate(&in)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: pack accepted %+v", c.name, in)
+				}
+			}()
+			pack(&in, 7)
+		}()
+	}
+}
+
+// TestSlabMaterializeAllocs bounds what materializing costs in heap:
+// one 24-byte record per instruction and no regrowth copies (a slab of
+// 48-byte isa.Inst grown by append allocated 264 B per instruction).
+func TestSlabMaterializeAllocs(t *testing.T) {
+	const n = 8 * slabChunk
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	ss := NewSlab(MustPersonality("gzip")).Stream()
+	var in isa.Inst
+	for i := 0; i < n; i++ {
+		ss.Next(&in)
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 26 {
+		t.Errorf("materializing allocates %.1f B per instruction, want <= 26", per)
+	}
+	if got := ss.slab.Bytes(); got != n*24 {
+		t.Errorf("Bytes() = %d for %d instructions, want 24 B each", got, n)
+	}
 }
 
 func TestSharedStreamCacheAndEviction(t *testing.T) {
@@ -92,7 +183,7 @@ func TestSlabStreamNextZeroAlloc(t *testing.T) {
 			fresh.Next(&in)
 			pos++
 		}
-	}); n > 1 { // amortized: an occasional chunk extension is one append
+	}); n > 1 { // amortized: a new chunk is one allocation per slabChunk instructions
 		t.Errorf("SlabStream.Next allocates %.1f per 1000 (amortized budget 1)", n)
 	}
 }
@@ -124,12 +215,40 @@ func BenchmarkHotPathTraceNext(b *testing.B) {
 	}
 }
 
-func BenchmarkHotPathSlabNext(b *testing.B) {
-	ss := NewSlab(MustPersonality("gzip")).Stream()
+// BenchmarkHotPathSlabMaterialize times filling fresh slabs: the
+// generator plus packing, one chunk allocation per slabChunk
+// instructions. A new slab every eight chunks bounds the footprint.
+func BenchmarkHotPathSlabMaterialize(b *testing.B) {
+	p := MustPersonality("gzip")
+	var ss *SlabStream
 	var in isa.Inst
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
+		if i%(8*slabChunk) == 0 {
+			ss = NewSlab(p).Stream()
+		}
+		ss.Next(&in)
+	}
+}
+
+// BenchmarkHotPathSlabReplay times what a simulation's fetch pays per
+// instruction: Next over a pre-materialized slab, crossing a chunk
+// boundary every slabChunk instructions.
+func BenchmarkHotPathSlabReplay(b *testing.B) {
+	const n = 4 * slabChunk
+	slab := NewSlab(MustPersonality("gzip"))
+	ss := slab.Stream()
+	var in isa.Inst
+	for i := 0; i < n; i++ {
+		ss.Next(&in) // materialize
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if i%n == 0 {
+			ss = slab.Stream()
+		}
 		ss.Next(&in)
 	}
 }
