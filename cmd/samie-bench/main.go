@@ -1,15 +1,14 @@
 // Command samie-bench regenerates the paper's evaluation artefacts:
-// every figure (1, 3, 4, 5, 6, 7-12) and table (1, 4, 5, 6) plus the
-// §3.6 delay analysis. All simulations execute through one shared
-// batch, so a spec needed by several figures (e.g. the
-// conventional/SAMIE pair behind Figures 5/6 and 7-12) simulates
-// exactly once.
+// the paper rows of the figure table (internal/experiments/figtable.go),
+// its figures and static tables. All simulations execute through one
+// shared batch, so a spec several rows need simulates exactly once.
 //
 // Usage:
 //
 //	samie-bench                      # everything, default budget
 //	samie-bench -insts 1000000       # higher-fidelity run
 //	samie-bench -fig 5 -fig 6        # specific figures
+//	samie-bench -fig table1          # a static table, by its row name
 //	samie-bench -bench ammp,swim     # subset of the suite
 //	samie-bench -list-scenarios      # the figure table's scenario sweeps
 //	samie-bench -scenario models     # run a registered sweep
@@ -34,9 +33,10 @@
 // one), in one sweep per invocation, and the artefacts render locally
 // from the results —
 // byte-identical to local mode however the keys spread. Without a
-// selection flag stdout is the whole suite with its accounting line in
-// both modes (internal/experiments/testdata/golden_suite.txt at
-// -bench ammp,gzip,mcf,swim -insts 25000). See docs/cluster.md.
+// selection flag stdout is the whole suite — every paper row, then its
+// accounting line — in both modes
+// (internal/experiments/testdata/golden_suite.txt at -bench
+// ammp,gzip,mcf,swim -insts 25000). See docs/cluster.md.
 package main
 
 import (
@@ -63,14 +63,15 @@ func main() {
 	var figs, scenarios stringList
 	insts := flag.Uint64("insts", experiments.DefaultInsts, "measured instructions per benchmark")
 	benchCSV := flag.String("bench", "", "comma-separated benchmark subset (default: all 26)")
-	flag.Var(&figs, "fig", "figure to regenerate (1,3,4,5,6,7..12); repeatable")
+	var selectors []string
+	for _, f := range experiments.Figures() {
+		selectors = append(selectors, f.Selects...)
+	}
+	flag.Var(&figs, "fig", "figure or table to regenerate ("+strings.Join(selectors, ",")+"); repeatable")
 	flag.Var(&scenarios, "scenario", "registered scenario sweep to run; repeatable")
 	listScenarios := flag.Bool("list-scenarios", false, "list registered scenario sweeps and exit")
 	workers := flag.Int("workers", 0, "max concurrent simulations (default GOMAXPROCS)")
 	stats := flag.Bool("stats", false, "print the shared batch's run-cache accounting (with -server: per-replica, sweep and occupancy accounting) on stderr")
-	table1 := flag.Bool("table1", false, "regenerate Table 1 only")
-	delays := flag.Bool("delays", false, "regenerate the §3.6 delay analysis only")
-	tables456 := flag.Bool("tables456", false, "print Tables 4/5/6 and model cross-checks only")
 	cachedir := flag.String("cachedir", "auto", `on-disk run cache directory ("auto" = <user cache dir>/samielsq, "" disables)`)
 	serverURL := flag.String("server", "", "run remotely on these comma-separated samie-serve base URLs, sharding the simulations by rendezvous hashing, instead of simulating locally")
 	retryBudget := flag.Int("max-retry-budget", 32, "with -server: total stream resumes + re-shard rounds one sweep may spend before giving up")
@@ -140,12 +141,13 @@ func main() {
 		benchmarks = strings.Split(*benchCSV, ",")
 	}
 
-	// Without a selection flag the whole suite renders; otherwise only
-	// the figure-table rows the -fig numbers and -scenario names select
-	// (figures in table order, then scenarios in flag order) and the
-	// tables asked for. An unknown figure or scenario is rejected before
-	// any simulation runs or any server is contacted.
-	suite := len(figs) == 0 && len(scenarios) == 0 && !*table1 && !*delays && !*tables456
+	// Without a selection flag the whole suite renders: every paper
+	// row, then the accounting line. Otherwise only the figure-table
+	// rows the -fig names and -scenario names select (paper rows in
+	// table order, then scenarios in flag order). An unknown figure or
+	// scenario is rejected before any simulation runs or any server is
+	// contacted.
+	suite := len(figs) == 0 && len(scenarios) == 0
 	selected, err := experiments.SelectFigures(figs)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -159,11 +161,17 @@ func main() {
 		}
 		selected = append(selected, row)
 	}
+	if suite {
+		selected = experiments.Figures()
+	}
 	// So is a run the simulator cannot take, such as an unknown -bench
 	// name.
-	if err := vetRunSet(suite, selected, benchmarks, *insts); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+	specs := experiments.FigureSpecs(selected, benchmarks, *insts)
+	for _, s := range specs {
+		if _, err := experiments.ValidateSpec(s); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 	}
 
 	if *listScenarios {
@@ -217,61 +225,33 @@ func main() {
 	var sweeps []string
 	swept := func() { sweeps = append(sweeps, fleet.SweepTraceID()) }
 
-	if suite {
-		if benchmarks == nil {
-			benchmarks = experiments.Benchmarks()
-		}
-		traced("suite", func(ctx context.Context) (err error) {
-			var res experiments.SuiteResult
-			if fleet == nil {
-				res = batch.Suite(benchmarks, *insts)
-			} else {
-				res, err = fleet.Suite(ctx, benchmarks, *insts, progress("suite"))
-				swept()
-				if err != nil {
-					return err
-				}
-			}
-			// Exact bytes: the suite ends with its accounting line.
-			fmt.Print(res.String())
-			return nil
+	// Remotely, one sweep runs every spec the rows need and the rows
+	// render from its results, with nothing run locally; the suite's
+	// accounting then charges the swept specs as its executions.
+	rowBatch, offered := batch, 0
+	if fleet != nil {
+		traced("assemble", func(ctx context.Context) (err error) {
+			rowBatch, err = fleet.Assemble(ctx, specs, progress("figures"))
+			swept()
+			return err
 		})
+		offered = len(specs)
 	}
-	if len(selected) > 0 {
-		// Remotely, one sweep runs every spec the selected rows need,
-		// the rows render from its results, and nothing may have run
-		// locally.
-		rowBatch := batch
-		if fleet != nil {
-			traced("figures", func(ctx context.Context) (err error) {
-				rowBatch, err = fleet.Assemble(ctx, experiments.FigureSpecs(selected, benchmarks, *insts), progress("figures"))
-				swept()
-				return err
-			})
+	traced("figures", func(ctx context.Context) error {
+		rows, err := rowBatch.Render(ctx, selected, benchmarks, *insts)
+		for _, row := range rows {
+			fmt.Println(row.Artefact)
 		}
-		for _, row := range selected {
-			traced("figure "+row.Name, func(ctx context.Context) error {
-				out, err := row.Run(ctx, rowBatch, row.ResolveBenchmarks(benchmarks), *insts)
-				if err == nil {
-					fmt.Println(out)
-				}
-				return err
-			})
-		}
-		if fleet != nil {
-			if err := cluster.PlanCovered(rowBatch); err != nil {
-				die(err)
-			}
+		return err
+	})
+	if fleet != nil {
+		if err := cluster.PlanCovered(rowBatch); err != nil {
+			die(err)
 		}
 	}
-	if *table1 {
-		fmt.Println(experiments.Table1())
-	}
-	if *delays {
-		fmt.Println(experiments.Delays())
-	}
-	if *tables456 {
-		fmt.Println(experiments.Tables456String())
+	if suite {
+		// Exact bytes: the suite ends with its accounting line.
+		fmt.Print(experiments.Accounting(experiments.SuiteRuns(rowBatch, offered)))
 	}
 
 	if fleet != nil {
@@ -298,20 +278,6 @@ func main() {
 		}
 	}
 	writeTrace(ctx, *traceOut, nil, nil)
-}
-
-// vetRunSet checks every simulation the invocation will request — the
-// suite's or the selected rows' specs — with experiments.ValidateSpec.
-func vetRunSet(suite bool, selected []experiments.Figure, benchmarks []string, insts uint64) error {
-	if suite {
-		selected = experiments.Figures()
-	}
-	for _, s := range experiments.FigureSpecs(selected, benchmarks, insts) {
-		if _, err := experiments.ValidateSpec(s); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // writeTimelines dumps the batch's retained run timelines as NDJSON:

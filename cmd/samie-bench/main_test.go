@@ -24,32 +24,40 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestUnknownFigureExits2 pins the -fig validation: a number no paper
-// figure answers to exits 2 with a message naming the valid numbers,
-// before any simulation runs or any server is contacted (the -server
-// URL below refuses connections, which would exit 1).
+// TestUnknownFigureExits2 pins the -fig validation: a name no paper
+// row answers to exits 2 with a message naming the valid names, before
+// any simulation runs or any server is contacted (the -server URL
+// below refuses connections, which would exit 1). The static tables
+// are -fig names, not flags of their own: -table1 is a usage error.
 func TestUnknownFigureExits2(t *testing.T) {
-	for _, args := range [][]string{
-		{"-fig", "2"},
-		{"-fig", "5", "-fig", "13"},
-		{"-fig", "56"},
-		{"-fig", "2", "-server", "http://127.0.0.1:1"},
+	const valid = "1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, table1, delays, tables456"
+	for _, c := range []struct {
+		args []string
+		msg  []string
+	}{
+		{[]string{"-fig", "2"}, []string{"unknown figure", valid}},
+		{[]string{"-fig", "5", "-fig", "13"}, []string{"unknown figure", valid}},
+		{[]string{"-fig", "56"}, []string{"unknown figure", valid}},
+		{[]string{"-fig", "2", "-server", "http://127.0.0.1:1"}, []string{"unknown figure", valid}},
+		{[]string{"-table1"}, []string{"flag provided but not defined: -table1"}},
 	} {
-		cmd := exec.Command(os.Args[0], append(args, "-bench", "gzip", "-insts", "1000", "-cachedir", "")...)
+		cmd := exec.Command(os.Args[0], append(c.args, "-bench", "gzip", "-insts", "1000", "-cachedir", "")...)
 		cmd.Env = append(os.Environ(), "SAMIE_BENCH_RUN_MAIN=1")
 		var stdout, stderr strings.Builder
 		cmd.Stdout, cmd.Stderr = &stdout, &stderr
 		err := cmd.Run()
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
-			t.Errorf("%v: got %v, want exit status 2 (stderr %q)", args, err, stderr.String())
+			t.Errorf("%v: got %v, want exit status 2 (stderr %q)", c.args, err, stderr.String())
 			continue
 		}
 		if stdout.Len() != 0 {
-			t.Errorf("%v: printed output before rejecting the figure:\n%s", args, stdout.String())
+			t.Errorf("%v: printed output before rejecting the selection:\n%s", c.args, stdout.String())
 		}
-		if msg := stderr.String(); !strings.Contains(msg, "unknown figure") || !strings.Contains(msg, "1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12") {
-			t.Errorf("%v: message %q does not name the valid figure numbers", args, msg)
+		for _, want := range c.msg {
+			if msg := stderr.String(); !strings.Contains(msg, want) {
+				t.Errorf("%v: message %q does not contain %q", c.args, msg, want)
+			}
 		}
 	}
 }
@@ -83,8 +91,9 @@ func TestLocalStatsOnStderr(t *testing.T) {
 }
 
 // TestRemoteMatchesLocal pins -server as a pure placement choice: the
-// suite, a figure selection, a scenario and a mixed selection (figures
-// in table order, then scenarios in flag order, from one sweep) print
+// suite, a figure selection, a scenario, a mixed selection (figures
+// in table order, then scenarios in flag order, from one sweep) and
+// the static tables (an empty sweep) print
 // the same bytes as local mode whether the specs spread over two replicas or land on
 // one, every distinct spec executes exactly once across the fleet, and
 // -stats keeps stdout to the artefacts.
@@ -117,6 +126,7 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		{"-fig", "1", "-fig", "5"},
 		{"-scenario", "distrib-banking"},
 		{"-scenario", "adversarial", "-fig", "3", "-scenario", "distrib-banking"},
+		{"-fig", "table1", "-fig", "delays", "-fig", "tables456"},
 	} {
 		args := append(append([]string(nil), common...), sel...)
 		local, _ := benchMain(t, append(args, "-cachedir", "")...)

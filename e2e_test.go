@@ -29,6 +29,7 @@ import (
 	"time"
 
 	"samielsq"
+	"samielsq/internal/experiments"
 	"samielsq/internal/faultinject"
 	"samielsq/internal/obs"
 	"samielsq/internal/server"
@@ -222,14 +223,20 @@ func caseSuiteExactlyOnce(t *testing.T) {
 }
 
 func caseSuiteMatchesStandalone(t *testing.T) {
-	b := samielsq.NewBatch(0)
-	suiteFig := b.Figure56(e2eBench, e2eInsts())
-	suiteEnergy := b.Energy(e2eBench, e2eInsts())
-	if got, want := suiteFig.String(), samielsq.NewBatch(0).Figure56(e2eBench, e2eInsts()).String(); got != want {
-		t.Errorf("Figure56 through shared batch differs from standalone\nshared:\n%s\nstandalone:\n%s", got, want)
+	suite := samielsq.RunSuite(e2eBench, e2eInsts())
+	rows := experiments.Figures()
+	if len(suite.Rows) != len(rows) {
+		t.Fatalf("suite renders %d rows, want the table's %d paper rows", len(suite.Rows), len(rows))
 	}
-	if got, want := suiteEnergy.String(), samielsq.NewBatch(0).Energy(e2eBench, e2eInsts()).String(); got != want {
-		t.Errorf("Energy through shared batch differs from standalone\nshared:\n%s\nstandalone:\n%s", got, want)
+	for i, row := range rows {
+		own, err := row.Run(context.Background(), samielsq.NewBatch(0), e2eBench, e2eInsts())
+		if err != nil {
+			t.Fatalf("row %s: %v", row.Name, err)
+		}
+		if got, want := suite.Rows[i], own.String(); got.Name != row.Name || got.Artefact.String() != want {
+			t.Errorf("suite row %d (%s) differs from the table's row %s run alone\nsuite:\n%s\nalone:\n%s",
+				i, got.Name, row.Name, got.Artefact, want)
+		}
 	}
 }
 
@@ -299,6 +306,22 @@ func caseStaticTables(t *testing.T) {
 	}
 	if !strings.Contains(samielsq.Tables456(), "452") {
 		t.Fatal("Tables 4/5/6 rendering broken")
+	}
+	// The same artefacts are the figure table's static rows: served by
+	// name, rendering the same text, simulating nothing.
+	for name, want := range map[string]string{"table1": t1.String(), "delays": d.String(), "tables456": samielsq.Tables456()} {
+		row, ok := experiments.LookupFigure(name)
+		if !ok {
+			t.Fatalf("no %s row in the figure table", name)
+		}
+		b := samielsq.NewBatch(0)
+		out, err := row.Run(context.Background(), b, nil, 0)
+		if err != nil || out.String() != want {
+			t.Errorf("row %s renders %v (err %v), want the library text", name, out, err)
+		}
+		if n := len(experiments.FigureSpecs([]experiments.Figure{row}, e2eBench, e2eInsts())); n != 0 || b.Stats().Requests != 0 {
+			t.Errorf("static row %s enumerates %d specs and requested %d runs, want none", name, n, b.Stats().Requests)
+		}
 	}
 }
 

@@ -7,36 +7,37 @@ import (
 )
 
 // Figure is one row of the figure table: a named artefact that every
-// driver — the HTTP figure endpoint, the client's name list, and
-// samie-bench in local and remote mode — regenerates by name. The
-// table holds the paper's figures, then one row per registered
-// scenario sweep.
+// driver — the suite, the HTTP figure endpoint, the client's name list
+// and samie-bench in both modes — regenerates by name. The table holds
+// the paper's figures and static tables, then the scenario sweeps.
 type Figure struct {
 	// Name addresses the row (GET /v1/figures/{Name}).
 	Name string
-	// Selects lists the paper figure numbers (samie-bench -fig) the
-	// row answers to: one simulation pair renders Figures 5 and 6, and
-	// one more renders Figures 7-12. Scenario rows answer to none.
+	// Selects lists the names samie-bench -fig selects the row by: the
+	// paper figures it renders (one simulation pair renders Figures 5
+	// and 6) or a static table's own name. Scenario rows have none.
 	Selects []string
 	// Specs enumerates every simulation Run requests, so a driver can
 	// run them elsewhere first (pkg/cluster shards them across
 	// replicas) and Run then renders from cache. Paper rows enumerate
-	// column by column, scenario rows benchmark by benchmark.
+	// column by column, scenario rows benchmark by benchmark; static
+	// tables simulate nothing and have none.
 	Specs func(benchmarks []string, insts uint64) []RunSpec
 	// Run regenerates the row's artefact through the batch over the
 	// resolved benchmarks (ResolveBenchmarks). The value's String is
 	// the artefact's text; the value itself is the typed result the
-	// matching Batch method returns (Figure1Result ... EnergyResult,
-	// ScenarioResult). When ctx fires, the row's queued simulations
-	// are withdrawn and the context error is returned.
+	// matching Batch method or table returns (Figure1Result ...
+	// Tables456Result, ScenarioResult). When ctx fires, the row's
+	// queued simulations are withdrawn and the context error is
+	// returned.
 	Run func(ctx context.Context, bt *Batch, benchmarks []string, insts uint64) (fmt.Stringer, error)
 	// Scenario is the registered sweep a scenario row renders; nil for
 	// the paper's rows.
 	Scenario *Scenario
 }
 
-// figures is the figure table: the paper's rows in paper order, then
-// the registered scenarios in registration order (RegisterScenario).
+// figures is the figure table: the suite's paper rows in paper order,
+// then the registered scenarios in registration order (RegisterScenario).
 var figures = []Figure{
 	{"1", []string{"1"}, specsOf(figure1Columns), erase((*Batch).figure1), nil},
 	{"3", []string{"3"}, specsOf(figure3Columns), erase((*Batch).figure3), nil},
@@ -46,6 +47,9 @@ var figures = []Figure{
 		}), nil},
 	{"56", []string{"5", "6"}, specsOf(pairColumns), erase((*Batch).figure56), nil},
 	{"energy", []string{"7", "8", "9", "10", "11", "12"}, specsOf(pairColumns), erase((*Batch).energy), nil},
+	{"table1", []string{"table1"}, nil, static(Table1), nil},
+	{"delays", []string{"delays"}, nil, static(Delays), nil},
+	{"tables456", []string{"tables456"}, nil, static(Tables456), nil},
 }
 
 // paperRows counts the paper's rows at the head of the table.
@@ -91,6 +95,9 @@ func FigureSpecs(rows []Figure, benchmarks []string, insts uint64) []RunSpec {
 	var specs []RunSpec
 	seen := map[string]bool{}
 	for _, f := range rows {
+		if f.Specs == nil {
+			continue
+		}
 		for _, s := range f.Specs(f.ResolveBenchmarks(benchmarks), insts) {
 			n := Normalize(s)
 			if key := keyOf(n); !seen[key] {
@@ -111,6 +118,12 @@ func erase[T fmt.Stringer](run func(*Batch, context.Context, []string, uint64) (
 		}
 		return v, nil
 	}
+}
+
+// static adapts a table that needs no simulation to the table's Run
+// signature.
+func static[T fmt.Stringer](table func() T) func(context.Context, *Batch, []string, uint64) (fmt.Stringer, error) {
+	return func(context.Context, *Batch, []string, uint64) (fmt.Stringer, error) { return table(), nil }
 }
 
 // Figures returns the paper's rows of the figure table in paper order.
@@ -136,9 +149,9 @@ func LookupFigure(name string) (Figure, bool) {
 	return Figure{}, false
 }
 
-// SelectFigures returns, in table order, the rows answering to any of
-// the paper figure numbers. A number no row answers to is an error
-// naming the valid ones.
+// SelectFigures returns, in table order, the paper rows answering to
+// any of the names (figure numbers or static-table names). A name no
+// row answers to is an error naming the valid ones.
 func SelectFigures(nums []string) ([]Figure, error) {
 	want := make(map[string]bool, len(nums))
 	for _, n := range nums {

@@ -190,7 +190,7 @@ func TestTableHarnesses(t *testing.T) {
 			t.Errorf("%s: non-positive delay", r.Structure)
 		}
 	}
-	if !strings.Contains(Tables456String(), "Table 5") {
+	if !strings.Contains(Tables456().String(), "Table 5") {
 		t.Error("Tables456 rendering broken")
 	}
 }

@@ -50,7 +50,7 @@ func (sc Scenario) specs(benchmarks []string, insts uint64) []RunSpec {
 
 // RegisterScenario appends the scenario to the figure table as a row.
 // It panics on an empty name, no variants, or a name any row already
-// has (the paper's "1" ... "energy" included): registration is a
+// has (the paper's "1" ... "tables456" included): registration is a
 // programming act, typically from init or test setup, and the table
 // is not guarded against concurrent readers.
 func RegisterScenario(s Scenario) {

@@ -86,28 +86,54 @@ func TestSuiteRunsEachSpecOnce(t *testing.T) {
 }
 
 // TestSuiteMatchesStandaloneHarnesses asserts the shared batch is
-// invisible in the output: every figure produced by the suite renders
-// byte-identically to the standalone harness at the same budget.
+// invisible in the output: every paper row of the figure table renders
+// in the suite byte-identically to the row run alone on a fresh batch
+// at the same budget.
 func TestSuiteMatchesStandaloneHarnesses(t *testing.T) {
 	_, res := suiteShared()
 	benchmarks, insts := suiteBench(), suiteInsts()
-	for _, cmp := range []struct {
-		name       string
-		suite, own string
-	}{
-		{"Figure1", res.Figure1.String(), NewBatch(0).Figure1(benchmarks, insts).String()},
-		{"Figure3", res.Figure3.String(), NewBatch(0).Figure3(benchmarks, insts).String()},
-		{"Figure4", res.Figure4.String(), NewBatch(0).Figure4(benchmarks, insts, nil).String()},
-		{"Figure56", res.Figure56.String(), NewBatch(0).Figure56(benchmarks, insts).String()},
-		{"Energy", res.Energy.String(), NewBatch(0).Energy(benchmarks, insts).String()},
-	} {
-		if cmp.suite != cmp.own {
-			t.Errorf("%s: suite output differs from standalone harness\nsuite:\n%s\nstandalone:\n%s",
-				cmp.name, cmp.suite, cmp.own)
+	if len(res.Rows) != len(Figures()) {
+		t.Fatalf("suite renders %d rows for the table's %d paper rows", len(res.Rows), len(Figures()))
+	}
+	for i, f := range Figures() {
+		own, err := f.Run(context.Background(), NewBatch(0), f.ResolveBenchmarks(benchmarks), insts)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if suite := res.Rows[i].Artefact.String(); suite != own.String() {
+			t.Errorf("%s: suite output differs from standalone row\nsuite:\n%s\nstandalone:\n%s",
+				f.Name, suite, own)
 		}
 	}
 	if !strings.Contains(res.String(), "Shared batch:") {
 		t.Error("suite rendering lost the run accounting")
+	}
+}
+
+// TestSuiteRowsAreTheTable asserts the suite renders exactly the
+// figure table's paper rows, in table order, and nothing else.
+func TestSuiteRowsAreTheTable(t *testing.T) {
+	_, res := suiteShared()
+	var names []string
+	for _, r := range res.Rows {
+		names = append(names, r.Name)
+	}
+	if want := FigureNames(); !slices.Equal(names, want) {
+		t.Errorf("suite renders rows %v, want the table's paper rows %v", names, want)
+	}
+}
+
+// TestSuiteNilBenchmarksIsFullSuite asserts nil benchmarks resolve to
+// the full 26-program suite for every row, as SuiteSpecs enumerates
+// them: the suite executes exactly that spec set.
+func TestSuiteNilBenchmarksIsFullSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the full 26-program suite needs the full mode")
+	}
+	const insts = 2000
+	res := NewBatch(0).Suite(nil, insts)
+	if want := len(SuiteSpecs(nil, insts)); res.Runs.Executed != int64(want) {
+		t.Errorf("Suite(nil, %d) executed %d simulations, want the %d SuiteSpecs", insts, res.Runs.Executed, want)
 	}
 }
 

@@ -110,12 +110,19 @@ func (d DelayResult) String() string {
 	return "Section 3.6: structure delays\n" + t.String()
 }
 
-// Tables456String renders the published energy and area constants
-// (Tables 4, 5 and 6) that drive the accounting, next to the
-// analytical model's estimates for the same geometries.
+// Tables456Result is the Table 4/5/6 artefact: the published energy
+// and area constants that drive the accounting (internal/cacti), next
+// to the analytical model's estimates for the same geometries. It
+// carries no data of its own; String renders the constants.
+type Tables456Result struct{}
+
+// Tables456 returns the Table 4/5/6 artefact.
+func Tables456() Tables456Result { return Tables456Result{} }
+
+// String renders Tables 4, 5 and 6 and the model cross-check.
 //
 //samie:deterministic
-func Tables456String() string {
+func (Tables456Result) String() string {
 	var b strings.Builder
 	tech := cacti.Tech100nm()
 

@@ -152,10 +152,10 @@ func decodeFigure[T fmt.Stringer](raw []byte) (fmt.Stringer, error) {
 	return v, err
 }
 
-// TestFigureEndpointMatchesLibrary walks every row of the figure
-// table: the endpoint's text must be byte-identical to the typed Batch
-// method, and its structured result must decode as that method's
-// result type and re-render the same text.
+// TestFigureEndpointMatchesLibrary walks every paper row of the
+// figure table: the endpoint's text must be byte-identical to the
+// typed Batch method or table function, and its structured result must
+// decode as that result type and re-render the same text.
 func TestFigureEndpointMatchesLibrary(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
 	bench := []string{"gzip"}
@@ -168,6 +168,10 @@ func TestFigureEndpointMatchesLibrary(t *testing.T) {
 		"4":      {batch.Figure4(bench, testInsts, nil).String(), decodeFigure[experiments.Figure4Result]},
 		"56":     {batch.Figure56(bench, testInsts).String(), decodeFigure[experiments.Figure56Result]},
 		"energy": {batch.Energy(bench, testInsts).String(), decodeFigure[experiments.EnergyResult]},
+
+		"table1":    {experiments.Table1().String(), decodeFigure[experiments.Table1Result]},
+		"delays":    {experiments.Delays().String(), decodeFigure[experiments.DelayResult]},
+		"tables456": {experiments.Tables456().String(), decodeFigure[experiments.Tables456Result]},
 	}
 	for _, fig := range experiments.Figures() {
 		lib, ok := library[fig.Name]

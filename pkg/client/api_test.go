@@ -14,7 +14,7 @@ func TestFigureNamesFollowTable(t *testing.T) {
 	for _, f := range experiments.Figures() {
 		table = append(table, f.Name)
 	}
-	paper := []string{"1", "3", "4", "56", "energy"}
+	paper := []string{"1", "3", "4", "56", "energy", "table1", "delays", "tables456"}
 	if got := FigureNames(); !reflect.DeepEqual(got, table) || !reflect.DeepEqual(got, paper) {
 		t.Errorf("FigureNames() = %v, want the table %v in paper order %v", got, table, paper)
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"samielsq/internal/experiments"
-	"samielsq/internal/experiments/engine"
 	"samielsq/internal/obs"
 	"samielsq/pkg/client"
 )
@@ -425,17 +424,14 @@ func (c *ShardedClient) peersFor(rep string) []string {
 }
 
 // Suite regenerates the paper's full evaluation by fanning the suite
-// spec set across the cluster and reassembling it locally: every
-// remote result is offered into a fresh local batch, and the standard
-// Suite harness then renders entirely from cache hits — byte-identical
-// to the single-node RunSuite output. The run-accounting line reports
-// the cluster-wide work: the distinct simulations the sweep needed
-// (executed remotely, exactly once in the failure-free case) against
+// spec set across the cluster and reassembling it locally (Assemble):
+// the standard Suite harness then renders entirely from the offered
+// results — byte-identical to the single-node RunSuite output, nil
+// benchmarks resolving per row as there. The run-accounting line
+// (experiments.SuiteRuns) charges the sweep's distinct simulations as
+// executed (remotely, exactly once in the failure-free case) against
 // the same request pattern the single-node harness issues.
 func (c *ShardedClient) Suite(ctx context.Context, benchmarks []string, insts uint64, onProgress func(Progress)) (experiments.SuiteResult, error) {
-	if len(benchmarks) == 0 {
-		benchmarks = experiments.Benchmarks()
-	}
 	specs := experiments.SuiteSpecs(benchmarks, insts)
 	local, err := c.Assemble(ctx, specs, onProgress)
 	if err != nil {
@@ -445,12 +441,7 @@ func (c *ShardedClient) Suite(ctx context.Context, benchmarks []string, insts ui
 	if err := PlanCovered(local); err != nil {
 		return experiments.SuiteResult{}, err
 	}
-	st := res.Runs
-	res.Runs = engine.Stats{
-		Requests: st.Requests,
-		Executed: int64(len(specs)),
-		Hits:     st.Requests - int64(len(specs)),
-	}
+	res.Runs = experiments.SuiteRuns(local, len(specs))
 	return res, nil
 }
 

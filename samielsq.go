@@ -63,7 +63,7 @@ type (
 	RunSpec = experiments.RunSpec
 	// RunResult is one memoized simulation outcome.
 	RunResult = experiments.RunResult
-	// SuiteResult bundles every paper artefact from one shared batch.
+	// SuiteResult is every paper row of the figure table, one batch.
 	SuiteResult = experiments.SuiteResult
 	// Scenario is a named registered sweep; see RegisterScenario.
 	Scenario = experiments.Scenario
@@ -132,9 +132,10 @@ func PruneCache(dir string, maxBytes int64, maxAge time.Duration) (CachePruneSta
 	return d.Prune(maxBytes, maxAge)
 }
 
-// RunSuite regenerates the paper's full evaluation — Figures 1, 3, 4,
-// 5/6 and 7-12 plus the static tables — through one shared batch, so
-// every distinct simulation executes exactly once across all figures.
+// RunSuite regenerates the paper's full evaluation — every paper row
+// of the figure table, figures and static tables — through one shared
+// batch, so every distinct simulation executes exactly once. Nil
+// benchmarks means the full 26-program suite.
 func RunSuite(benchmarks []string, insts uint64) SuiteResult {
 	return NewBatch(0).Suite(benchmarks, insts)
 }
@@ -217,39 +218,34 @@ func Compare(benchmark string, insts uint64) ComparisonResult {
 // CompareIn is Compare through a caller-provided batch: the
 // conventional/SAMIE pair is memoized, so a batch that has already
 // produced Figure56 or the energy figures serves both runs from
-// cache.
+// cache. The headline numbers are the one-benchmark Figure56 and
+// Energy results over that pair.
 func CompareIn(b *Batch, benchmark string, insts uint64) ComparisonResult {
+	one := []string{benchmark}
+	fig, en := b.Figure56(one, insts), b.Energy(one, insts)
 	conv := b.Run(experiments.RunSpec{
 		Benchmark: benchmark, Insts: insts, Model: experiments.ModelConventional,
 	})
 	sam := b.Run(experiments.RunSpec{
 		Benchmark: benchmark, Insts: insts, Model: experiments.ModelSAMIE,
 	})
-	res := ComparisonResult{
+	return ComparisonResult{
 		Benchmark:    benchmark,
 		Conventional: conv.CPU,
 		SAMIE:        sam.CPU,
 		SAMIEDetail:  sam.SAMIE,
 		ConvMeter:    conv.Meter,
 		SAMIEMeter:   sam.Meter,
+
+		IPCLossPct:      fig.Rows[0].IPCLossPct,
+		LSQSavingPct:    en.LSQSavings() * 100,
+		DcacheSavingPct: en.DcacheSavings() * 100,
+		DTLBSavingPct:   en.DTLBSavings() * 100,
 	}
-	if conv.CPU.IPC > 0 {
-		res.IPCLossPct = (conv.CPU.IPC - sam.CPU.IPC) / conv.CPU.IPC * 100
-	}
-	if conv.Meter.ConvLSQ > 0 {
-		res.LSQSavingPct = (1 - sam.Meter.SAMIETotal()/conv.Meter.ConvLSQ) * 100
-	}
-	if conv.Meter.Dcache > 0 {
-		res.DcacheSavingPct = (1 - sam.Meter.Dcache/conv.Meter.Dcache) * 100
-	}
-	if conv.Meter.DTLB > 0 {
-		res.DTLBSavingPct = (1 - sam.Meter.DTLB/conv.Meter.DTLB) * 100
-	}
-	return res
 }
 
 // The figure harnesses are Batch methods; the static tables below need
-// no simulation.
+// no simulation. All are figure-table rows (GET /v1/figures/{name}).
 
 // Table1 reproduces Table 1 (cache access times) with the analytical
 // CACTI-style model.
@@ -260,4 +256,4 @@ func Delays() experiments.DelayResult { return experiments.Delays() }
 
 // Tables456 renders the Table 4/5/6 energy and area constants together
 // with analytical-model cross-checks.
-func Tables456() string { return experiments.Tables456String() }
+func Tables456() string { return experiments.Tables456().String() }
