@@ -183,7 +183,9 @@ func main() {
 	}
 
 	// Remote mode: the simulations run on the replicas; a bad URL list
-	// is a usage error, an unreachable fleet a runtime one.
+	// is a usage error, an unreachable fleet a runtime one. A selection
+	// that simulates nothing (static tables only) has nothing to place:
+	// it renders locally, and the fleet is never contacted.
 	ctx := context.Background()
 	var fleet *cluster.ShardedClient
 	if *serverURL != "" {
@@ -191,7 +193,9 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}
-		if err := fleet.Health(ctx); err != nil {
+		if len(specs) == 0 {
+			fleet = nil
+		} else if err := fleet.Health(ctx); err != nil {
 			fmt.Fprintf(os.Stderr, "server %s unreachable: %v\n", *serverURL, err)
 			os.Exit(1)
 		}

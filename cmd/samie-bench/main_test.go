@@ -90,10 +90,29 @@ func TestLocalStatsOnStderr(t *testing.T) {
 	}
 }
 
+// TestStaticTablesNeedNoFleet: a selection of static tables simulates
+// nothing, so -server places nothing and contacts no replica — with
+// the fleet down (the URL below refuses connections) it exits 0 and
+// prints the local bytes.
+func TestStaticTablesNeedNoFleet(t *testing.T) {
+	for _, sel := range [][]string{
+		{"-fig", "table1"},
+		{"-fig", "table1", "-fig", "delays", "-fig", "tables456"},
+	} {
+		local, _ := benchMain(t, append(sel, "-cachedir", "")...)
+		remote, _ := benchMain(t, append(sel, "-cachedir", "", "-server", "http://127.0.0.1:1")...)
+		if remote != local {
+			t.Errorf("%v -server: stdout differs from local mode\nremote:\n%s\nlocal:\n%s", sel, remote, local)
+		}
+		if !strings.Contains(local, "Table 1") {
+			t.Errorf("%v: no Table 1 in the output:\n%s", sel, local)
+		}
+	}
+}
+
 // TestRemoteMatchesLocal pins -server as a pure placement choice: the
-// suite, a figure selection, a scenario, a mixed selection (figures
-// in table order, then scenarios in flag order, from one sweep) and
-// the static tables (an empty sweep) print
+// suite, a figure selection, a scenario and a mixed selection (figures
+// in table order, then scenarios in flag order, from one sweep) print
 // the same bytes as local mode whether the specs spread over two replicas or land on
 // one, every distinct spec executes exactly once across the fleet, and
 // -stats keeps stdout to the artefacts.
@@ -126,7 +145,6 @@ func TestRemoteMatchesLocal(t *testing.T) {
 		{"-fig", "1", "-fig", "5"},
 		{"-scenario", "distrib-banking"},
 		{"-scenario", "adversarial", "-fig", "3", "-scenario", "distrib-banking"},
-		{"-fig", "table1", "-fig", "delays", "-fig", "tables456"},
 	} {
 		args := append(append([]string(nil), common...), sel...)
 		local, _ := benchMain(t, append(args, "-cachedir", "")...)

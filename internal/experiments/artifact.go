@@ -99,8 +99,15 @@ func wireLayout(run, spec uint64) uint64 {
 // its canonical key and normalized spec, as a binary wire record
 // stamped with this build's simulator stamp.
 func EncodeRunRecord(res RunResult) []byte {
+	return AppendRunRecord(nil, res)
+}
+
+// AppendRunRecord appends EncodeRunRecord's bytes to dst and returns
+// the extended buffer, so a caller that reuses dst encodes without
+// allocating.
+func AppendRunRecord(dst []byte, res RunResult) []byte {
 	rec := wireRecord{Artifact: newArtifact(res.Key, res), Phases: res.Phases}
-	return wireCodec.encode(&rec)
+	return wireCodec.appendTo(dst, &rec)
 }
 
 // DecodeRunRecord parses a wire record read from the network. It

@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -496,21 +497,62 @@ func TestDiskCacheLegacyJSONArtifact(t *testing.T) {
 	}
 }
 
-// BenchmarkDiskHit measures one disk-tier hit: read, decode and
-// validate an artifact.
-func BenchmarkDiskHit(b *testing.B) {
-	d, err := NewDiskCache(b.TempDir())
+// diskHitCache returns a disk cache holding one artifact, a simulated
+// SAMIE gzip run at 2000 instructions, and the key it answers.
+func diskHitCache(tb testing.TB) (*DiskCache, string) {
+	d, err := NewDiskCache(tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	spec := Normalize(RunSpec{Benchmark: "gzip", Insts: 2000, Model: ModelSAMIE})
 	key := keyOf(spec)
 	d.store(key, runNormalized(spec, key))
+	return d, key
+}
+
+// BenchmarkDiskHit measures one disk-tier hit: read, decode and
+// validate an artifact.
+func BenchmarkDiskHit(b *testing.B) {
+	d, key := diskHitCache(b)
 	b.ReportAllocs()
 	for b.Loop() {
 		if _, ok := d.load(key); !ok {
 			b.Fatal("disk miss")
 		}
+	}
+}
+
+// Budget of one disk-tier hit (BenchmarkDiskHit): the artifact path,
+// the decoded strings and energy meter. The file is read into a
+// pooled buffer, so its bytes are not part of it.
+const (
+	maxDiskHitAllocs = 9
+	maxDiskHitBytes  = 1600
+)
+
+// TestDiskHitAllocs holds a disk-tier hit to its allocation budget.
+func TestDiskHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	d, key := diskHitCache(t)
+	load := func() {
+		if _, ok := d.load(key); !ok {
+			t.Fatal("disk miss")
+		}
+	}
+	const runs = 1000
+	if n := testing.AllocsPerRun(runs, load); n > maxDiskHitAllocs {
+		t.Errorf("a disk hit allocates %v times, want at most %d", n, maxDiskHitAllocs)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		load()
+	}
+	runtime.ReadMemStats(&after)
+	if b := (after.TotalAlloc - before.TotalAlloc) / runs; b > maxDiskHitBytes {
+		t.Errorf("a disk hit allocates %d bytes, want at most %d", b, maxDiskHitBytes)
 	}
 }
 
@@ -522,6 +564,27 @@ func benchRunResult() RunResult {
 	res := runNormalized(spec, keyOf(spec))
 	res.Phases = obs.PhaseTimes{QueueWait: 1e-6, DiskTier: 2.5e-5}
 	return res
+}
+
+// TestAppendRunRecord: AppendRunRecord writes EncodeRunRecord's bytes
+// after what dst already holds, and into a dst with room it writes
+// without allocating.
+func TestAppendRunRecord(t *testing.T) {
+	res := benchRunResult()
+	want := EncodeRunRecord(res)
+	for _, dst := range [][]byte{nil, []byte("prefix"), make([]byte, 3, 4096)} {
+		got := AppendRunRecord(dst, res)
+		if !bytes.Equal(got[:len(dst)], dst) || !bytes.Equal(got[len(dst):], want) {
+			t.Errorf("appending to %d bytes (cap %d) does not extend them by the encoded record", len(dst), cap(dst))
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	buf := make([]byte, 0, 4096)
+	if n := testing.AllocsPerRun(10, func() { buf = AppendRunRecord(buf[:0], res) }); n != 0 {
+		t.Errorf("appending into a buffer with room allocates %v times, want 0", n)
+	}
 }
 
 // BenchmarkEncodeRunRecord measures rendering one wire record, which

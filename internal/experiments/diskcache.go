@@ -192,10 +192,25 @@ func (d *DiskCache) load(key string) (RunResult, bool) {
 	return r, ok
 }
 
+// readBufSize bounds the artifact a pooled read buffer holds; an
+// artifact is about 1.3 KB, and a larger file is read whole
+// (readArtifact).
+const readBufSize = 8 << 10
+
+// readBufs holds the buffers artifact reads fill. A buffer goes back
+// to the pool as soon as its artifact is decoded: the decoder copies
+// every string out of its input, so nothing decoded aliases it.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, readBufSize)
+	return &b
+}}
+
 // read is load without the traffic accounting; preloading uses it so
 // warming a batch does not masquerade as request traffic.
 func (d *DiskCache) read(key string) (RunResult, bool) {
-	data, err := os.ReadFile(d.path(key))
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	data, err := readArtifact(d.path(key), *buf)
 	if err != nil {
 		return RunResult{}, false
 	}

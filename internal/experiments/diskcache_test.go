@@ -5,9 +5,11 @@ import (
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -126,6 +128,99 @@ func TestDiskCacheCorruptAndPartialFiles(t *testing.T) {
 		if rs := rb.DiskStats(); rs.Hits != 1 {
 			t.Fatalf("artifact not repaired after corruption: %+v", rs)
 		}
+	}
+}
+
+// TestReadArtifact: the pooled read returns a file's bytes whatever
+// its size against the buffer — empty, shorter, exactly as long (which
+// may hide more, so the file is read whole) or longer — and fails on
+// a directory or a missing file.
+func TestReadArtifact(t *testing.T) {
+	dir := t.TempDir()
+	buf := make([]byte, 64)
+	for _, size := range []int{0, 1, 63, 64, 65, 1000} {
+		want := make([]byte, size)
+		for i := range want {
+			want[i] = byte(i*7 + size)
+		}
+		path := filepath.Join(dir, fmt.Sprint("f", size))
+		if err := os.WriteFile(path, want, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		got, err := readArtifact(path, buf)
+		if err != nil || !bytes.Equal(got, want) {
+			t.Errorf("%d-byte file: read %d bytes (err %v), want the file's %d", size, len(got), err, size)
+		}
+	}
+	for _, path := range []string{dir, filepath.Join(dir, "missing")} {
+		if got, err := readArtifact(path, buf); err == nil {
+			t.Errorf("%s: read %d bytes, want an error", path, len(got))
+		}
+	}
+}
+
+// TestDiskCacheReadPath covers the disk tier's pooled artifact read:
+// an artifact longer than the read buffer still loads, a directory or
+// an empty file at an artifact's path is a miss, and a loaded result
+// shares no bytes with the buffer the next load reuses.
+func TestDiskCacheReadPath(t *testing.T) {
+	d, err := NewDiskCache(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := func(key string) RunResult {
+		t.Helper()
+		data, err := os.ReadFile(d.path(key))
+		if err != nil {
+			t.Fatal(err)
+		}
+		art, err := artifactCodec.decode(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return art.result()
+	}
+
+	// The key is stored in the artifact, so a long key makes a valid
+	// artifact longer than the buffer.
+	res := Run(cacheTestSpec())
+	long := strings.Repeat("k", readBufSize)
+	d.store(long, res)
+	if st, err := os.Stat(d.path(long)); err != nil || st.Size() <= readBufSize {
+		t.Fatalf("long artifact: %v, want more than %d bytes", st, readBufSize)
+	}
+	if got, ok := d.load(long); !ok || !reflect.DeepEqual(got, fresh(long)) {
+		t.Errorf("an artifact longer than the read buffer does not load (hit %v)", ok)
+	}
+
+	for name, plant := range map[string]func(path string) error{
+		"directory":  func(path string) error { return os.Mkdir(path, 0o755) },
+		"empty file": func(path string) error { return os.WriteFile(path, nil, 0o644) },
+	} {
+		key := "b=" + name
+		if err := plant(d.path(key)); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := d.load(key); ok {
+			t.Errorf("a %s at the artifact's path is a hit", name)
+		}
+	}
+
+	specA, specB := cacheTestSpec(), cacheTestSpec()
+	specB.Benchmark = "swim"
+	keyA, keyB := Key(specA), Key(specB)
+	d.store(keyA, Run(specA))
+	d.store(keyB, Run(specB))
+	a, okA := d.load(keyA)
+	b, okB := d.load(keyB)
+	if !okA || !okB {
+		t.Fatalf("loads hit %v, %v; want both", okA, okB)
+	}
+	if !reflect.DeepEqual(a, fresh(keyA)) {
+		t.Errorf("after a second load, the first result differs from a fresh decode of its file:\n%+v", a)
+	}
+	if !reflect.DeepEqual(b, fresh(keyB)) {
+		t.Errorf("the second result differs from a fresh decode of its file")
 	}
 }
 

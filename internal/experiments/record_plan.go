@@ -345,8 +345,17 @@ func newRecordCodec[T any](mergeWords bool) recordCodec[T] {
 // encode renders v in T's record layout, into a buffer of exactly the
 // record's size.
 func (c recordCodec[T]) encode(v *T) []byte {
+	return c.appendTo(nil, v)
+}
+
+// appendTo appends v in T's record layout to dst. When dst lacks the
+// room, it is reallocated once, to exactly the room the record needs.
+func (c recordCodec[T]) appendTo(dst []byte, v *T) []byte {
 	base := unsafe.Pointer(v)
-	b := make([]byte, 0, recordHeader+c.plan.size(base))
+	b := dst
+	if n := recordHeader + c.plan.size(base); cap(b)-len(b) < n {
+		b = append(make([]byte, 0, len(b)+n), b...)
+	}
 	b = append(b, recordMagic...)
 	b = binary.LittleEndian.AppendUint64(b, c.layout)
 	return c.plan.append(b, base)

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 
 	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
@@ -67,6 +68,14 @@ func runResponseFor(res experiments.RunResult) client.RunResponse {
 	return client.ResponseFor(res, experiments.SimStamp())
 }
 
+// recordBufs holds the buffers writeRun encodes run records into (a
+// record is about 1.4 KB). A writer must not retain what it is given
+// (io.Writer), so a buffer is free again once its record is written.
+var recordBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 2<<10)
+	return &b
+}}
+
 // writeRun answers a run or probe request. A request whose Accept
 // names this build's run-record layout (client.AcceptsRunRecord) gets
 // the binary record; every other request — curl, non-Go clients, a
@@ -75,11 +84,14 @@ func runResponseFor(res experiments.RunResult) client.RunResponse {
 func writeRun(w http.ResponseWriter, r *http.Request, res experiments.RunResult, timeline bool) {
 	w.Header().Add("Vary", "Accept")
 	if !timeline && client.AcceptsRunRecord(r.Header.Get("Accept")) {
-		body := experiments.EncodeRunRecord(res)
+		buf := recordBufs.Get().(*[]byte)
+		body := experiments.AppendRunRecord((*buf)[:0], res)
 		w.Header().Set("Content-Type", client.RunRecordContentType)
 		w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)
+		*buf = body
+		recordBufs.Put(buf)
 		return
 	}
 	resp := runResponseFor(res)
@@ -305,10 +317,10 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// handleFigure regenerates one figure-table row — a paper figure or a
-// registered scenario sweep — through the shared batch; the rendered
-// text is byte-identical to the library harness output. Without
-// ?bench the row's own default benchmarks apply.
+// handleFigure regenerates one figure-table row — a paper figure, a
+// static table or a registered scenario sweep — through the shared
+// batch; the rendered text is byte-identical to the library harness
+// output. Without ?bench the row's own default benchmarks apply.
 func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	benchmarks, insts, err := s.sweepParams(r.URL.Query().Get("bench"), r.URL.Query().Get("insts"))
@@ -323,7 +335,14 @@ func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
 			strings.Join(append(client.FigureNames(), experiments.ScenarioNames()...), ", ")))
 		return
 	}
-	benchmarks = fig.ResolveBenchmarks(benchmarks)
+	if fig.Specs == nil {
+		// A static table simulates nothing: it renders the same bytes
+		// whatever benchmarks or budget the request names, and its
+		// answer names neither.
+		benchmarks, insts = nil, 0
+	} else {
+		benchmarks = fig.ResolveBenchmarks(benchmarks)
+	}
 
 	// The harnesses honor the request context: a timed-out or
 	// disconnected client withdraws the row's queued simulations —

@@ -206,7 +206,16 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/runs/{key}/timeline", s.handleRunTimeline)
 	s.mux.Handle("POST /v1/runs", s.heavy(s.handleRun))
 	s.mux.Handle("POST /v1/suite", s.heavy(s.handleSuite))
-	s.mux.Handle("GET /v1/figures/{name}", s.heavy(s.handleFigure))
+	// A static table row simulates nothing, so only the rows that do
+	// take an admission slot.
+	heavyFigure := s.heavy(s.handleFigure)
+	s.mux.HandleFunc("GET /v1/figures/{name}", func(w http.ResponseWriter, r *http.Request) {
+		if fig, ok := experiments.LookupFigure(r.PathValue("name")); ok && fig.Specs == nil {
+			s.handleFigure(w, r)
+			return
+		}
+		heavyFigure.ServeHTTP(w, r)
+	})
 	return s, nil
 }
 

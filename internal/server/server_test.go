@@ -254,6 +254,55 @@ func TestScenarioEndpoints(t *testing.T) {
 	}
 }
 
+// TestStaticFigureRows: the static tables simulate nothing, so their
+// answer names no benchmarks or budget whatever the query says, and
+// they bypass the admission semaphore — a saturated server still
+// answers them, while a row that simulates is shed.
+func TestStaticFigureRows(t *testing.T) {
+	s, ts, batch := newTestServer(t, Config{MaxConcurrent: 1})
+	for _, name := range []string{"table1", "delays", "tables456"} {
+		resp, err := http.Get(ts.URL + "/v1/figures/" + name + "?bench=gzip&insts=5")
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw := decodeBody[map[string]json.RawMessage](t, resp)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", name, resp.StatusCode)
+		}
+		for _, key := range []string{"benchmarks", "insts"} {
+			if v, ok := raw[key]; ok {
+				t.Errorf("%s: answer carries %q = %s", name, key, v)
+			}
+		}
+		fig, _ := experiments.LookupFigure(name)
+		want, err := fig.Run(context.Background(), batch, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var text string
+		if err := json.Unmarshal(raw["text"], &text); err != nil || text != want.String() {
+			t.Errorf("%s: text %q (%v), want the row's rendering", name, text, err)
+		}
+	}
+
+	// Hold the only admission slot, as an admitted slow request would.
+	s.sem <- struct{}{}
+	defer func() { <-s.sem }()
+	for path, want := range map[string]int{
+		"/v1/figures/table1": http.StatusOK,
+		"/v1/figures/1":      http.StatusTooManyRequests,
+	} {
+		resp, err := http.Get(ts.URL + path + "?bench=gzip")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("saturated: GET %s = %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}
+
 func TestSaturationSheds429(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{MaxConcurrent: 1})
 	// Hold the admission semaphore's only slot, as an admitted slow

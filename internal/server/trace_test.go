@@ -85,44 +85,103 @@ func TestTraceEndpoints(t *testing.T) {
 	}
 }
 
-// BenchmarkDiskHitRequest measures one JSON POST /v1/runs answered
-// from the disk tier with tracing on, as a replica serves it: the
-// request, run and tier.disk spans end on every request. Two specs
-// alternate over a one-entry memo, so every request misses the memo.
-func BenchmarkDiskHitRequest(b *testing.B) {
-	batch, err := experiments.NewBatchWithCache(1, b.TempDir())
+// diskHitRequests serves POST /v1/runs from the disk tier with tracing
+// on, as a replica serves it: the request, run and tier.disk spans end
+// on every request. Two specs alternate over a one-entry memo, so
+// every request misses the memo. With record set the requests are
+// what the typed client sends after its first: a spec record body
+// that accepts a run record in return; otherwise they are JSON. The
+// returned post answers the next request and fails tb unless it is a
+// 200 (a run record, with record set); hits counts the disk hits so
+// far.
+func diskHitRequests(tb testing.TB, record bool) (post func(), hits func() int64) {
+	batch, err := experiments.NewBatchWithCache(1, tb.TempDir())
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	batch.SetCacheLimit(1)
 	s, err := New(Config{Batch: batch, Logger: slog.New(slog.NewTextHandler(io.Discard, nil))})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	h := s.Handler()
 	var bodies [2][]byte
 	for i, bench := range []string{"gzip", "swim"} {
-		bodies[i] = []byte(`{"benchmark":"` + bench + `","model":"samie","insts":2000}`)
-		batch.Run(experiments.RunSpec{Benchmark: bench, Model: experiments.ModelSAMIE, Insts: 2000})
+		spec := experiments.RunSpec{Benchmark: bench, Model: experiments.ModelSAMIE, Insts: 2000}
+		batch.Run(spec)
+		if record {
+			bodies[i] = experiments.EncodeSpecRecord(spec, false)
+		} else {
+			bodies[i] = []byte(`{"benchmark":"` + bench + `","model":"samie","insts":2000}`)
+		}
 	}
-	post := func(body []byte) {
-		req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(body))
-		req.Header.Set("Content-Type", "application/json")
+	i := 0
+	post = func() {
+		req := httptest.NewRequest(http.MethodPost, "/v1/runs", bytes.NewReader(bodies[i%2]))
+		i++
+		if record {
+			req.Header.Set("Content-Type", client.SpecRecordContentType)
+			req.Header.Set("Accept", client.RunRecordContentType)
+		} else {
+			req.Header.Set("Content-Type", "application/json")
+		}
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, req)
 		if w.Code != http.StatusOK {
-			b.Fatalf("status %d: %s", w.Code, w.Body)
+			tb.Fatalf("status %d: %s", w.Code, w.Body)
+		}
+		if ct := w.Header().Get("Content-Type"); record && ct != client.RunRecordContentType {
+			tb.Fatalf("answered %s, want a run record", ct)
 		}
 	}
-	post(bodies[0])
-	diskHits := batch.StoreStats().Disk.Hits
-	b.ReportAllocs()
-	i := 0
-	for b.Loop() {
-		i++
-		post(bodies[i%2])
+	post()
+	return post, func() int64 { return batch.StoreStats().Disk.Hits }
+}
+
+// BenchmarkDiskHitRequest measures one POST /v1/runs answered from the
+// disk tier (diskHitRequests), as JSON and as the spec and run records
+// the typed client exchanges.
+func BenchmarkDiskHitRequest(b *testing.B) {
+	for _, c := range []struct {
+		name   string
+		record bool
+	}{{"json", false}, {"record", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			post, hits := diskHitRequests(b, c.record)
+			before := hits()
+			b.ReportAllocs()
+			n := 0
+			for b.Loop() {
+				n++
+				post()
+			}
+			if got := hits() - before; got != int64(n) {
+				b.Fatalf("%d of %d requests were disk hits", got, n)
+			}
+		})
 	}
-	if got := batch.StoreStats().Disk.Hits - diskHits; got != int64(i) {
-		b.Fatalf("%d of %d requests were disk hits", got, i)
+}
+
+// maxDiskHitRequestAllocs bounds the allocations of one record POST
+// /v1/runs answered from the disk tier: request parsing, the three
+// spans, the artifact read and decode, the run record and the log
+// line.
+const maxDiskHitRequestAllocs = 74
+
+// TestDiskHitRequestAllocs holds the record disk-hit request, the
+// request serve-zipf's typed clients send most, to its allocation
+// budget.
+func TestDiskHitRequestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	post, hits := diskHitRequests(t, true)
+	before := hits()
+	n := testing.AllocsPerRun(50, post)
+	if got := hits() - before; got != 51 {
+		t.Fatalf("%d of 51 requests were disk hits", got)
+	}
+	if n > maxDiskHitRequestAllocs {
+		t.Errorf("a record disk-hit request allocates %v times, want at most %d", n, maxDiskHitRequestAllocs)
 	}
 }

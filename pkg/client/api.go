@@ -210,9 +210,11 @@ func FigureNames() []string { return experiments.FigureNames() }
 // (byte-identical to the library harness output) plus the structured
 // result for programmatic use.
 type FigureResponse struct {
-	Figure     string          `json:"figure"`
-	Benchmarks []string        `json:"benchmarks"`
-	Insts      uint64          `json:"insts"`
+	Figure string `json:"figure"`
+	// Benchmarks and Insts are the sweep the row ran; a static table
+	// simulates nothing and has neither.
+	Benchmarks []string        `json:"benchmarks,omitempty"`
+	Insts      uint64          `json:"insts,omitempty"`
 	Text       string          `json:"text"`
 	Result     json.RawMessage `json:"result,omitempty"`
 }
