@@ -118,10 +118,10 @@ func (p *Predictor) selectorIdx(pc uint64) int {
 
 // Prediction carries everything needed to later update the predictor.
 type Prediction struct {
-	Taken      bool
 	Target     uint64 // 0 if the BTB missed
-	usedGshare bool
 	history    uint32 // history snapshot for repair
+	Taken      bool
+	usedGshare bool
 }
 
 // Predict returns the hybrid direction prediction and BTB target for a

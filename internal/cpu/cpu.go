@@ -12,11 +12,12 @@
 // the next unknown-address store.
 //
 // The per-instruction path is allocation-free in steady state (see
-// docs/performance.md): dynamic instructions come from a free list
-// recycled at commit, the ROB/fetch/replay queues are ring buffers, and
-// in-flight lookups are direct seq-indexed ring addressing instead of
-// maps. This requires streams to deliver consecutive sequence numbers
-// (isa.Stream's contract), which makes the ROB a contiguous seq window.
+// docs/performance.md): every in-flight instruction lives in one
+// seq-indexed window allocated by New, fetch decodes straight into its
+// slot, and the ROB, fetch queue and re-fetch queue are cursor ranges
+// over it, so queue moves and in-flight lookups are index arithmetic.
+// This requires streams to deliver consecutive sequence numbers from 0
+// (isa.Stream's contract); decode panics on any other.
 package cpu
 
 import (
@@ -128,77 +129,74 @@ const (
 	stAGENDone // memory only: address computed, in LSQ placement flow
 	stIssued   // execution latency counting down
 	stDone     // result ready / access performed
-	stCommitted
 )
 
-// dynInst is one in-flight dynamic instruction. Instances are recycled
-// through the CPU's free list at commit; gen disambiguates a recycled
-// slot from the instruction a stale reference was bound to.
+// noProducer marks a source operand with no in-flight producer.
+const noProducer = ^uint64(0)
+
+// dynInst is one in-flight dynamic instruction: a window slot, reset
+// when fetch decodes the next instruction with the same seq & mask.
+// The byte-sized fields come last, so a slot is 128 bytes: two cache
+// lines, with no slot straddling a third.
 type dynInst struct {
-	in    isa.Inst
-	state instState
-	gen   uint32 // bumped every time the slot is recycled
+	in isa.Inst
 
-	// Class lanes, precomputed at allocation: the issue stage consults
-	// them on every visit to the instruction.
-	mem bool
-	fp  bool
-
-	// Producers still in flight at rename (nil = ready). genA/genB are
-	// the producers' generations at bind time: a mismatch means the
-	// producer has committed and its slot was recycled — i.e. the value
-	// is long since ready.
-	srcA, srcB *dynInst
-	genA, genB uint32
+	// Producer seqs bound at rename (noProducer = ready). A producer
+	// below the window head has committed, so its value is ready; one
+	// observed done is severed to noProducer.
+	srcA, srcB uint64
 
 	readyAt uint64 // cycle the result becomes available (once issued)
 
-	pred       bpred.Prediction
-	mispredict bool
-	predMade   bool
-
-	// Memory state.
-	placed      bool
-	buffered    bool
-	performed   bool
-	addrUnknown bool // store dispatched, address not yet computed
+	pred bpred.Prediction
 
 	// Wakeup-scheduler links (sched.go). waiterHead anchors the
 	// intrusive list of consumers parked on this instruction as a
 	// producer (chained through their waitNext); wheelNext/wakeCycle
-	// place this instruction in a timing-wheel bucket. A recycled
+	// place this instruction in a timing-wheel bucket. A committed
 	// instruction never carries live links: its waiter list drains at
 	// the stDone transition, which precedes any commit.
 	waiterHead *dynInst
 	waitNext   *dynInst
 	wheelNext  *dynInst
 	wakeCycle  uint64
+
+	state instState
+
+	// Class lanes, precomputed at decode: the issue stage consults them
+	// on every visit to the instruction.
+	mem bool
+	fp  bool
+
+	// Memory state.
+	placed      bool
+	performed   bool
+	addrUnknown bool // store dispatched, address not yet computed
 }
 
 func (d *dynInst) isMem() bool { return d.mem }
 
-func producerDone(p *dynInst, gen uint32, cycle uint64) bool {
-	return p == nil || p.gen != gen || (p.state >= stDone && p.readyAt <= cycle)
+// producerDone reports whether producer seq p's value is available.
+// Only a producer in the ROB, [head, disp), can still be outstanding:
+// one below head has committed, and noProducer lies above every seq.
+func (c *CPU) producerDone(p uint64) bool {
+	w := &c.win
+	if p-w.head >= w.disp-w.head {
+		return true
+	}
+	d := w.at(p)
+	return d.state >= stDone && d.readyAt <= c.cycle
 }
 
 // dataReady reports whether a store's data operand is available.
-func (d *dynInst) dataReady(cycle uint64) bool {
-	if d.srcB != nil {
-		if !producerDone(d.srcB, d.genB, cycle) {
+func (c *CPU) dataReady(d *dynInst) bool {
+	if d.srcB != noProducer {
+		if !c.producerDone(d.srcB) {
 			return false
 		}
-		d.srcB = nil
+		d.srcB = noProducer
 	}
 	return true
-}
-
-// writerRef is a generation-tagged reference to the last architectural
-// writer of a register. The writer may have committed (and its slot
-// been recycled) by the time a consumer renames against it; the
-// generation check classifies that case as "value ready".
-type writerRef struct {
-	d   *dynInst
-	gen uint32
 }
 
 // fuPool models a pool of functional units that may be occupied for
@@ -284,15 +282,14 @@ type CPU struct {
 	bp    *bpred.Predictor
 	meter *energy.Meter
 
-	cycle      uint64
-	rob        instRing // contiguous seq window; index = seq - headSeq
-	robNextSeq uint64   // expected seq of the next dispatch (contiguity check)
-	fetchQ     instRing
-	replayQ    instRing // flushed instructions awaiting re-fetch
-	iqInt      int
-	iqFP       int
+	cycle uint64
+	win   window // every in-flight instruction: ROB, fetch and re-fetch queues
+	iqInt int
+	iqFP  int
 
-	lastWriter [isa.NumLogicalRegs]writerRef
+	// lastWriter holds the seq of each register's last renamed writer,
+	// or noProducer.
+	lastWriter [isa.NumLogicalRegs]uint64
 
 	intMulDiv *fuPool
 	fpMulDiv  *fuPool
@@ -300,7 +297,7 @@ type CPU struct {
 	// readyBit frontier: stores dispatched whose address is still
 	// uncomputed, tracked on the instructions themselves plus a count
 	// and a monotone min-seq cursor (recomputed lazily by a forward
-	// ring scan from the previous frontier).
+	// ROB scan from the previous frontier).
 	unknownCount  int
 	minUnknownSeq uint64 // last computed frontier; ^0 when none
 	minUnknownOK  bool
@@ -318,18 +315,7 @@ type CPU struct {
 
 	streamDone bool
 
-	// dynInst arena: committed instructions return here and are handed
-	// back out by nextInst, so the steady-state pipeline allocates
-	// nothing per instruction.
-	freeInsts []*dynInst
-
-	flushScratch []*dynInst // reused by flushPipeline
-	flushEpoch   uint64     // bumped per flush; guards in-progress ROB walks
-
-	// nextScratch receives Stream.Next output. A local would escape to
-	// the heap through the interface call — one boxed isa.Inst per
-	// fetched instruction; a field costs nothing.
-	nextScratch isa.Inst
+	flushEpoch uint64 // bumped per flush; guards in-progress ROB walks
 
 	// ev is the event-driven wakeup scheduler (sched.go), the issue
 	// stage. Only the test-only ROB-walk oracle clears it; step then
@@ -376,7 +362,7 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
-	return &CPU{
+	c := &CPU{
 		cfg:       cfg,
 		strm:      strm,
 		model:     model,
@@ -387,41 +373,20 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 		meter:     meter,
 		intMulDiv: newFUPool(cfg.IntMulDiv),
 		fpMulDiv:  newFUPool(cfg.FPMulDiv),
-		rob:       newInstRing(cfg.ROBSize),
-		fetchQ:    newInstRing(cfg.FetchQueue + cfg.FetchWidth),
-		replayQ:   newInstRing(4),
-		freeInsts: make([]*dynInst, 0, cfg.ROBSize+cfg.FetchQueue),
+		win:       newWindow(cfg.ROBSize + cfg.FetchQueue),
 		ev:        newEventSched(cfg.ROBSize),
 	}
+	c.clearWriters()
+	return c
 }
 
 // Meter returns the energy meter.
 func (c *CPU) Meter() *energy.Meter { return c.meter }
 
-// allocInst hands out a dynInst for in, recycling a committed one when
-// available.
-//
-//samie:hotpath
-func (c *CPU) allocInst(in isa.Inst) *dynInst {
-	if n := len(c.freeInsts); n > 0 {
-		d := c.freeInsts[n-1]
-		c.freeInsts = c.freeInsts[:n-1]
-		gen := d.gen
-		*d = dynInst{in: in, gen: gen, mem: in.Cls.IsMem(), fp: in.Cls.IsFP()}
-		return d
+func (c *CPU) clearWriters() {
+	for i := range c.lastWriter {
+		c.lastWriter[i] = noProducer
 	}
-	return &dynInst{in: in, mem: in.Cls.IsMem(), fp: in.Cls.IsFP()}
-}
-
-// recycleInst returns a committed instruction to the arena. The
-// generation bump retires every outstanding reference (rename bindings,
-// lastWriter entries) to the old occupant.
-//
-//samie:hotpath
-func (c *CPU) recycleInst(d *dynInst) {
-	d.gen++
-	//lint:ignore hotalloc freeInsts is preallocated to ROBSize+FetchQueue, the max ever recycled
-	c.freeInsts = append(c.freeInsts, d)
 }
 
 // RunWarm simulates warmInsts instructions to warm the caches, TLBs
@@ -467,7 +432,7 @@ func (c *CPU) Run(maxInsts uint64) Result {
 	startCycle := c.cycle
 	maxCycles := startCycle + maxInsts*40 + 1_000_000
 	for c.res.Committed < maxInsts && c.cycle < maxCycles {
-		if c.streamDone && c.rob.len() == 0 && c.fetchQ.len() == 0 && c.replayQ.len() == 0 {
+		if c.streamDone && c.win.head == c.win.tail {
 			break
 		}
 		c.advance(maxCycles)
@@ -523,9 +488,10 @@ func (c *CPU) step() {
 
 //samie:hotpath
 func (c *CPU) commit(dports *int) {
+	w := &c.win
 	n := 0
-	for n < c.cfg.CommitWidth && c.rob.len() > 0 {
-		d := c.rob.front()
+	for n < c.cfg.CommitWidth && w.head < w.disp {
+		d := w.at(w.head)
 		if d.state < stDone || d.readyAt > c.cycle {
 			if n == 0 {
 				c.classifyHeadStall(d)
@@ -544,9 +510,7 @@ func (c *CPU) commit(dports *int) {
 			// Only memory instructions were dispatched to the model.
 			c.model.Commit(d.in.Seq)
 		}
-		d.state = stCommitted
-		c.rob.popFront()
-		c.recycleInst(d)
+		w.head++
 		c.res.Committed++
 		n++
 	}
@@ -619,11 +583,11 @@ func (c *CPU) handleEviction(evicted, hadPB bool) {
 // ---- Deadlock avoidance (§3.3) --------------------------------------------
 
 func (c *CPU) checkDeadlock() bool {
-	if c.rob.len() == 0 {
+	if c.win.head == c.win.disp {
 		c.headBlocked = 0
 		return false
 	}
-	if c.headStuck(c.rob.front()) {
+	if c.headStuck(c.win.at(c.win.head)) {
 		c.headBlocked++
 		if c.headBlocked >= c.cfg.DeadlockPatience {
 			c.res.DeadlockFlushes++
@@ -650,23 +614,12 @@ func (c *CPU) headStuck(head *dynInst) bool {
 // for re-fetch in program order (the oldest instruction re-enters
 // first, guaranteeing forward progress).
 func (c *CPU) flushPipeline() {
-	all := c.flushScratch[:0]
-	for i := 0; i < c.rob.len(); i++ {
-		all = append(all, c.rob.at(i))
-	}
-	for i := 0; i < c.fetchQ.len(); i++ {
-		all = append(all, c.fetchQ.at(i))
-	}
-	for i := 0; i < c.replayQ.len(); i++ {
-		all = append(all, c.replayQ.at(i))
-	}
-	for _, d := range all {
+	w := &c.win
+	for seq := w.head; seq < w.tail; seq++ {
+		d := w.at(seq)
 		d.state = stFetched
 		d.placed = false
-		d.buffered = false
 		d.performed = false
-		d.predMade = false
-		d.mispredict = false
 		d.addrUnknown = false
 		d.readyAt = 0
 		d.waiterHead = nil
@@ -674,20 +627,12 @@ func (c *CPU) flushPipeline() {
 		d.wheelNext = nil
 		d.wakeCycle = 0
 	}
-	c.rob.clear()
-	c.fetchQ.clear()
-	c.replayQ.clear()
+	w.disp, w.fetched = w.head, w.head
 	if c.ev != nil {
 		c.ev.reset()
 	}
-	for _, d := range all {
-		c.replayQ.pushBack(d)
-	}
-	c.flushScratch = all[:0]
 	c.iqInt, c.iqFP = 0, 0
-	for i := range c.lastWriter {
-		c.lastWriter[i] = writerRef{}
-	}
+	c.clearWriters()
 	c.intMulDiv.reset()
 	c.fpMulDiv.reset()
 	c.unknownCount = 0
@@ -710,7 +655,6 @@ func (c *CPU) drainAddrBuffer() {
 	for _, seq := range placed {
 		if d := c.findROB(seq); d != nil {
 			d.placed = true
-			d.buffered = false
 			if c.ev != nil {
 				// The instruction was parked on placement: perform (or
 				// complete) attempts resume this cycle.
@@ -720,18 +664,14 @@ func (c *CPU) drainAddrBuffer() {
 	}
 }
 
-// findROB locates an in-flight instruction by sequence number. The ROB
-// is a contiguous window of sequence numbers, so this is direct ring
-// addressing, not a search.
+// findROB locates a dispatched instruction by sequence number: a
+// window slot, if seq is in the ROB range.
 func (c *CPU) findROB(seq uint64) *dynInst {
-	if c.rob.len() == 0 {
+	w := &c.win
+	if seq-w.head >= w.disp-w.head {
 		return nil
 	}
-	head := c.rob.front().in.Seq
-	if seq < head || seq-head >= uint64(c.rob.len()) {
-		return nil
-	}
-	return c.rob.at(int(seq - head))
+	return w.at(seq)
 }
 
 // ---- Issue / execute / writeback -------------------------------------------
@@ -739,28 +679,25 @@ func (c *CPU) findROB(seq uint64) *dynInst {
 // minUnknownStore returns the lowest sequence number among stores with
 // uncomputed addresses (^0 when none): the readyBit frontier. The
 // frontier is monotone between flushes, so the lazy recompute resumes
-// the ring scan from the previous frontier instead of rescanning.
+// the ROB scan from the previous frontier instead of rescanning.
 func (c *CPU) minUnknownStore() uint64 {
 	if c.minUnknownOK {
 		return c.minUnknownSeq
 	}
 	c.minUnknownOK = true
-	if c.unknownCount == 0 || c.rob.len() == 0 {
+	w := &c.win
+	if c.unknownCount == 0 || w.head == w.disp {
 		c.minUnknownSeq = ^uint64(0)
 		return c.minUnknownSeq
 	}
-	head := c.rob.front().in.Seq
-	start := 0
-	if c.minUnknownSeq != ^uint64(0) && c.minUnknownSeq > head {
-		start = int(c.minUnknownSeq - head)
-		if start > c.rob.len() {
-			start = c.rob.len()
-		}
+	start := w.head
+	if c.minUnknownSeq != ^uint64(0) && c.minUnknownSeq > start {
+		start = c.minUnknownSeq
 	}
-	for i := start; i < c.rob.len(); i++ {
-		if d := c.rob.at(i); d.addrUnknown {
-			c.minUnknownSeq = d.in.Seq
-			return c.minUnknownSeq
+	for seq := start; seq < w.disp; seq++ {
+		if w.at(seq).addrUnknown {
+			c.minUnknownSeq = seq
+			return seq
 		}
 	}
 	c.minUnknownSeq = ^uint64(0)
@@ -809,7 +746,7 @@ func (c *CPU) completeExec(d *dynInst) {
 		case pl.Placed:
 			d.placed = true
 		case pl.Buffered:
-			d.buffered = true
+			// Waits in the model; drainAddrBuffer reports its placement.
 		case pl.Failed:
 			// §3.3 scenario 2: nothing had room.
 			c.res.PlacementFailures++
@@ -982,10 +919,11 @@ func (c *CPU) tryPerformLoad(d *dynInst, dports *int) loadBlock {
 
 //samie:hotpath
 func (c *CPU) dispatch() {
+	w := &c.win
 	n := 0
 	stalled := false
-	for n < c.cfg.DecodeWidth && c.fetchQ.len() > 0 {
-		d := c.fetchQ.front()
+	for n < c.cfg.DecodeWidth && w.disp < w.fetched {
+		d := w.at(w.disp)
 		if c.dispatchFull(d) {
 			stalled = true
 			break
@@ -995,17 +933,15 @@ func (c *CPU) dispatch() {
 			break
 		}
 		// Rename: bind producers.
-		d.srcA, d.srcB = nil, nil
+		d.srcA, d.srcB = noProducer, noProducer
 		if d.in.SrcA != isa.RegNone {
-			w := c.lastWriter[d.in.SrcA]
-			d.srcA, d.genA = w.d, w.gen
+			d.srcA = c.lastWriter[d.in.SrcA]
 		}
 		if d.in.SrcB != isa.RegNone {
-			w := c.lastWriter[d.in.SrcB]
-			d.srcB, d.genB = w.d, w.gen
+			d.srcB = c.lastWriter[d.in.SrcB]
 		}
 		if d.in.Dest != isa.RegNone {
-			c.lastWriter[d.in.Dest] = writerRef{d: d, gen: d.gen}
+			c.lastWriter[d.in.Dest] = d.in.Seq
 		}
 		if d.in.Cls == isa.ClassStore {
 			d.addrUnknown = true
@@ -1027,15 +963,10 @@ func (c *CPU) dispatch() {
 		} else {
 			c.iqInt++
 		}
-		if c.robNextSeq != 0 && c.rob.len() > 0 && d.in.Seq != c.robNextSeq {
-			panic("cpu: instruction stream delivered non-consecutive sequence numbers")
-		}
-		c.robNextSeq = d.in.Seq + 1
-		c.rob.pushBack(d)
+		w.disp++
 		if c.ev != nil {
 			c.schedAdmit(d)
 		}
-		c.fetchQ.popFront()
 		n++
 	}
 	if stalled {
@@ -1046,7 +977,7 @@ func (c *CPU) dispatch() {
 // dispatchFull reports whether d cannot dispatch for want of a ROB or
 // issue-queue slot.
 func (c *CPU) dispatchFull(d *dynInst) bool {
-	if c.rob.len() >= c.cfg.ROBSize {
+	if c.win.disp-c.win.head >= uint64(c.cfg.ROBSize) {
 		return true
 	}
 	if d.fp {
@@ -1077,8 +1008,7 @@ func (c *CPU) fetch() {
 	if c.fetchStalled() {
 		return
 	}
-	n := 0
-	for n < c.cfg.FetchWidth && c.fetchQ.len() < c.cfg.FetchQueue {
+	for n := 0; n < c.cfg.FetchWidth && c.win.fetched-c.win.disp < uint64(c.cfg.FetchQueue); n++ {
 		d := c.nextInst()
 		if d == nil {
 			return
@@ -1092,48 +1022,52 @@ func (c *CPU) fetch() {
 			}
 			if lat := c.hier.Inst(d.in.PC); lat > c.hier.L1I.Config().HitLatency {
 				c.fetchBlockedUntil = c.cycle + uint64(lat)
-				c.fetchQ.pushBack(d)
 				return
 			}
 		}
-		if d.in.Cls == isa.ClassBranch {
-			d.pred = c.bp.Predict(d.in.PC)
-			d.predMade = true
-			c.res.BranchLookups++
-			wrongDir := d.pred.Taken != d.in.Taken
-			wrongTgt := d.in.Taken && (d.pred.Target == 0 || d.pred.Target != d.in.Target)
-			d.mispredict = wrongDir || wrongTgt
-			c.fetchQ.pushBack(d)
-			n++
-			if d.mispredict {
-				// Fetch chases the wrong path until the branch resolves.
-				c.blockingBranch = d
-				return
-			}
-			if d.pred.Taken {
-				// A correctly predicted taken branch ends the fetch
-				// group.
-				return
-			}
+		if d.in.Cls != isa.ClassBranch {
 			continue
 		}
-		c.fetchQ.pushBack(d)
-		n++
+		d.pred = c.bp.Predict(d.in.PC)
+		c.res.BranchLookups++
+		wrongDir := d.pred.Taken != d.in.Taken
+		wrongTgt := d.in.Taken && (d.pred.Target == 0 || d.pred.Target != d.in.Target)
+		if wrongDir || wrongTgt {
+			// Fetch chases the wrong path until the branch resolves.
+			c.blockingBranch = d
+			return
+		}
+		if d.pred.Taken {
+			// A correctly predicted taken branch ends the fetch group.
+			return
+		}
 	}
 }
 
-// nextInst pulls the next instruction, preferring flushed instructions
-// awaiting replay.
+// nextInst moves the next instruction into the fetch queue and returns
+// it: a flushed instruction awaiting re-fetch if there is one, else a
+// new one, which the stream decodes straight into its window slot.
+//
+//samie:hotpath
 func (c *CPU) nextInst() *dynInst {
-	if c.replayQ.len() > 0 {
-		return c.replayQ.popFront()
+	w := &c.win
+	if w.fetched == w.tail {
+		if c.streamDone {
+			return nil
+		}
+		d := w.at(w.tail)
+		*d = dynInst{}
+		if !c.strm.Next(&d.in) {
+			c.streamDone = true
+			return nil
+		}
+		if d.in.Seq != w.tail {
+			panic("cpu: instruction stream delivered non-consecutive sequence numbers")
+		}
+		d.mem, d.fp = d.in.Cls.IsMem(), d.in.Cls.IsFP()
+		w.tail++
 	}
-	if c.streamDone {
-		return nil
-	}
-	if !c.strm.Next(&c.nextScratch) {
-		c.streamDone = true
-		return nil
-	}
-	return c.allocInst(c.nextScratch)
+	d := w.at(w.fetched)
+	w.fetched++
+	return d
 }

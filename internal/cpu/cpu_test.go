@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"samielsq/internal/core"
@@ -280,5 +281,48 @@ func TestWayKnownStorePath(t *testing.T) {
 	}
 	if c.Meter().NTLBReuse == 0 {
 		t.Fatal("no TLB reuses for same-line loads")
+	}
+}
+
+// seqStream delivers ALU instructions carrying the given sequence
+// numbers.
+type seqStream struct{ seqs []uint64 }
+
+func (s *seqStream) Next(out *isa.Inst) bool {
+	if len(s.seqs) == 0 {
+		return false
+	}
+	*out = alu(1, isa.RegNone)
+	out.Seq, s.seqs = s.seqs[0], s.seqs[1:]
+	return true
+}
+
+// TestNonConsecutiveSeqsPanic pins isa.Stream's contract: sequence
+// numbers start at 0 and never skip, since they index the instruction
+// window. A stream that breaks it must panic at decode, in the first
+// fetch cycle, before the bad instruction takes a slot.
+func TestNonConsecutiveSeqsPanic(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		seqs    []uint64
+		decoded uint64 // instructions decoded before the bad one
+	}{
+		{"first seq not 0", []uint64{1, 2, 3}, 0},
+		{"skipped seq", []uint64{0, 1, 3, 4}, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := New(PaperConfig(), &seqStream{tc.seqs}, lsq.NewUnbounded(), nil, nil, nil, nil)
+			msg := func() (r any) {
+				defer func() { r = recover() }()
+				c.Run(10)
+				return nil
+			}()
+			if s, _ := msg.(string); !strings.Contains(s, "non-consecutive sequence numbers") {
+				t.Fatalf("panic = %v, want the non-consecutive sequence numbers panic", msg)
+			}
+			if c.cycle != 1 || c.win.tail != tc.decoded {
+				t.Fatalf("panicked in cycle %d after %d decodes, want cycle 1 after %d", c.cycle, c.win.tail, tc.decoded)
+			}
+		})
 	}
 }

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"testing"
+	"unsafe"
 
 	"samielsq/internal/core"
 	"samielsq/internal/lsq"
@@ -15,9 +16,8 @@ func steadyAllocs(t *testing.T, model lsq.Model, bench string) float64 {
 	t.Helper()
 	p := trace.MustPersonality(bench)
 	c := New(PaperConfig(), trace.NewGenerator(p), model, nil, nil, nil, nil)
-	// Fill the arena and grow every scratch buffer: mcf under the ARB
-	// reaches its flush and in-flight high-water marks only after some
-	// 20k instructions.
+	// Grow every scratch buffer: mcf under the ARB reaches its flush
+	// and in-flight high-water marks only after some 20k instructions.
 	c.Run(100_000)
 	return testing.AllocsPerRun(5, func() {
 		for end := c.cycle + 2000; c.cycle < end; {
@@ -49,6 +49,15 @@ func TestStepZeroAllocSteadyState(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestWindowSlotSize pins an instruction-window slot at two cache
+// lines: a field added in the wrong place would grow every one of the
+// window's slots into a third.
+func TestWindowSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(dynInst{}); n > 128 {
+		t.Fatalf("dynInst is %d bytes, want at most 128", n)
 	}
 }
 

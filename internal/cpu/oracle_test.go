@@ -35,8 +35,8 @@ func robWalkIssue(c *CPU, dports int) {
 	aluUsed := 0
 	// A completeExec that flushes the pipeline (§3.3 scenario 2)
 	// empties the ROB, which ends the walk.
-	for i := 0; i < c.rob.len(); i++ {
-		d := c.rob.at(i)
+	for seq := c.win.head; seq < c.win.disp; seq++ {
+		d := c.win.at(seq)
 		switch d.state {
 		case stIssued:
 			if d.readyAt <= c.cycle {
@@ -47,7 +47,7 @@ func robWalkIssue(c *CPU, dports int) {
 			// of that lane skip their dependence checks — they could
 			// not issue either way.
 			if d.fp {
-				if fpIssued >= c.cfg.IssueFP || !d.srcsReady(c.cycle) {
+				if fpIssued >= c.cfg.IssueFP || !c.operandsReady(d) {
 					break
 				}
 				if c.issueFP(d) {
@@ -55,14 +55,7 @@ func robWalkIssue(c *CPU, dports int) {
 					c.iqFP--
 				}
 			} else {
-				if intIssued >= c.cfg.IssueInt {
-					break
-				}
-				if d.mem {
-					if !d.agenReady(c.cycle) {
-						break
-					}
-				} else if !d.srcsReady(c.cycle) {
+				if intIssued >= c.cfg.IssueInt || !c.operandsReady(d) {
 					break
 				}
 				if c.issueInt(d, &aluUsed) {
@@ -74,7 +67,7 @@ func robWalkIssue(c *CPU, dports int) {
 			// Memory instructions waiting to perform their access.
 			if d.in.Cls == isa.ClassLoad {
 				c.tryPerformLoad(d, &dports)
-			} else if d.placed && !d.performed && d.dataReady(c.cycle) {
+			} else if d.placed && !d.performed && c.dataReady(d) {
 				// A placed store with its data available is complete:
 				// it will write the cache at commit.
 				d.performed = true
@@ -86,31 +79,17 @@ func robWalkIssue(c *CPU, dports int) {
 	}
 }
 
-// srcsReady reports whether both producers have completed by cycle,
-// severing each producer observed done.
-func (d *dynInst) srcsReady(cycle uint64) bool {
-	if d.srcA != nil {
-		if !producerDone(d.srcA, d.genA, cycle) {
+// operandsReady is the oracle's issue gate: both producers have
+// completed, or for a store only SrcA, the address register (see
+// parkIssueOperands). Each producer observed done is severed.
+func (c *CPU) operandsReady(d *dynInst) bool {
+	if d.srcA != noProducer {
+		if !c.producerDone(d.srcA) {
 			return false
 		}
-		d.srcA = nil
+		d.srcA = noProducer
 	}
-	return d.dataReady(cycle)
-}
-
-// agenReady reports whether the address operands are ready: only SrcA
-// for a store (see parkIssueOperands), both sources otherwise.
-func (d *dynInst) agenReady(cycle uint64) bool {
-	if d.in.Cls != isa.ClassStore {
-		return d.srcsReady(cycle)
-	}
-	if d.srcA != nil {
-		if !producerDone(d.srcA, d.genA, cycle) {
-			return false
-		}
-		d.srcA = nil
-	}
-	return true
+	return d.in.Cls == isa.ClassStore || c.dataReady(d)
 }
 
 // divergence is the first span in which a lockstep re-run found the
@@ -129,12 +108,13 @@ func (d *divergence) String() string {
 // to insts committed instructions, the way Run would: the wakeup CPU
 // takes one advance at a time (a step, or a quiescent skip plus a
 // step), then the oracle steps until it reaches the same cycle. After
-// every advance it compares the two Results, energy meters and ROB
-// windows, and returns the first span where they differ, or nil.
+// every advance it checks both instruction windows' invariants and
+// compares the two Results, energy meters and ROB windows, and returns
+// the first span where they differ, or nil.
 func lockstep(wake, oracle *CPU, insts uint64) *divergence {
 	limit := wake.cycle + insts*40 + 1_000_000
 	for wake.res.Committed < insts && wake.cycle < limit {
-		if wake.streamDone && wake.rob.len() == 0 && wake.fetchQ.len() == 0 && wake.replayQ.len() == 0 {
+		if wake.streamDone && wake.win.head == wake.win.tail {
 			break
 		}
 		prev := wake.cycle
@@ -142,11 +122,45 @@ func lockstep(wake, oracle *CPU, insts uint64) *divergence {
 		for oracle.cycle < wake.cycle {
 			oracle.step()
 		}
-		if what := stateDiff(wake, oracle); what != "" {
+		what := windowFault(wake)
+		if what == "" {
+			what = windowFault(oracle)
+		}
+		if what == "" {
+			what = stateDiff(wake, oracle)
+		}
+		if what != "" {
 			return &divergence{from: prev, to: wake.cycle, what: what, dump: dumpWindows(wake, oracle)}
 		}
 	}
 	return nil
+}
+
+// windowFault names the first broken invariant of c's instruction
+// window, or returns "": the cursors are ordered, the live range fits
+// ROBSize+FetchQueue, every live slot holds its own seq, ROB entries
+// are dispatched and fetch-side entries are not, and the timeline
+// sample reports the cursor differences.
+func windowFault(c *CPU) string {
+	w := &c.win
+	if !(w.head <= w.disp && w.disp <= w.fetched && w.fetched <= w.tail) {
+		return fmt.Sprintf("window cursors out of order: head %d disp %d fetched %d tail %d", w.head, w.disp, w.fetched, w.tail)
+	}
+	if live := w.tail - w.head; live > uint64(c.cfg.ROBSize+c.cfg.FetchQueue) {
+		return fmt.Sprintf("window holds %d instructions, more than ROBSize+FetchQueue = %d", live, c.cfg.ROBSize+c.cfg.FetchQueue)
+	}
+	for seq := w.head; seq < w.tail; seq++ {
+		d := w.at(seq)
+		if d.in.Seq != seq || (seq < w.disp) != (d.state >= stDispatched) {
+			return fmt.Sprintf("window slot of seq %d holds seq %d in state %d (disp %d)", seq, d.in.Seq, d.state, w.disp)
+		}
+	}
+	ts := c.sample()
+	if uint64(ts.ROB) != w.disp-w.head || uint64(ts.FetchQ) != w.fetched-w.disp || uint64(ts.ReplayQ) != w.tail-w.fetched {
+		return fmt.Sprintf("timeline sample ROB/FetchQ/ReplayQ %d/%d/%d, cursors %d/%d/%d",
+			ts.ROB, ts.FetchQ, ts.ReplayQ, w.disp-w.head, w.fetched-w.disp, w.tail-w.fetched)
+	}
+	return ""
 }
 
 // stateDiff names the first observable difference between the two
@@ -155,15 +169,18 @@ func stateDiff(a, b *CPU) string {
 	if a.res != b.res {
 		return fmt.Sprintf("results differ\nwakeup: %+v\noracle: %+v", a.res, b.res)
 	}
+	// Energy is part of the contract: LSQ models charge CAM/entry
+	// energy per model call, so the wakeup path must preserve the exact
+	// call pattern, not just the architectural outcome.
 	if *a.meter != *b.meter {
 		return fmt.Sprintf("energy differs\nwakeup: %+v\noracle: %+v", *a.meter, *b.meter)
 	}
-	if a.rob.len() != b.rob.len() {
-		return fmt.Sprintf("ROB occupancy differs: wakeup %d, oracle %d", a.rob.len(), b.rob.len())
+	if a.win.head != b.win.head || a.win.disp != b.win.disp {
+		return fmt.Sprintf("ROB range differs: wakeup [%d, %d), oracle [%d, %d)", a.win.head, a.win.disp, b.win.head, b.win.disp)
 	}
-	for i := 0; i < a.rob.len(); i++ {
-		if rowOf(a.rob.at(i)) != rowOf(b.rob.at(i)) {
-			return fmt.Sprintf("ROB entry %d differs", i)
+	for seq := a.win.head; seq < a.win.disp; seq++ {
+		if rowOf(a.win.at(seq)) != rowOf(b.win.at(seq)) {
+			return fmt.Sprintf("ROB entry %d differs", seq-a.win.head)
 		}
 	}
 	return ""
@@ -190,13 +207,14 @@ func (r windowRow) String() string {
 func dumpWindows(a, b *CPU) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "ROB windows at cycle %d (wakeup | oracle):\n", a.cycle)
-	for i := 0; i < max(a.rob.len(), b.rob.len()); i++ {
+	na, nb := a.win.disp-a.win.head, b.win.disp-b.win.head
+	for i := uint64(0); i < max(na, nb); i++ {
 		ra, rb := "-", "-"
-		if i < a.rob.len() {
-			ra = rowOf(a.rob.at(i)).String()
+		if i < na {
+			ra = rowOf(a.win.at(a.win.head + i)).String()
 		}
-		if i < b.rob.len() {
-			rb = rowOf(b.rob.at(i)).String()
+		if i < nb {
+			rb = rowOf(b.win.at(b.win.head + i)).String()
 		}
 		mark := ' '
 		if ra != rb {

@@ -67,8 +67,8 @@ import (
 // scheduler targets.
 //
 // A pipeline flush discards every wait structure wholesale; flushed
-// instructions re-enter through dispatch, which re-parks them from the
-// rebuilt ROB ring.
+// instructions re-enter through dispatch, which re-parks them as the
+// ROB range refills.
 //
 // Quiescent spans. Most cycles of a low-IPC run change no pipeline
 // state: the ROB head waits out a load's readyAt while everything
@@ -231,8 +231,7 @@ func (ev *eventSched) nextEvent(from uint64) (uint64, bool) {
 // only be waiting out its readyAt, which is a known cycle: wheel. An
 // in-flight producer gets d on its waiter list, drained at its stDone
 // transition. Callers only park when producerDone reported false, so p
-// is live (generation matched) and, if stDone, readyAt is in the
-// future.
+// is in the ROB and, if stDone, readyAt is in the future.
 //
 //samie:hotpath
 func (ev *eventSched) parkOnProducer(d, p *dynInst) {
@@ -270,10 +269,10 @@ func (ev *eventSched) drainWheel(cycle uint64) {
 // attention set — they are younger than d, so the in-progress walk
 // still visits them in age order this cycle, exactly as the ROB
 // walk would. A result arriving later (a load's readyAt) goes to the
-// wheel. The list empties here, before d can ever commit and be
-// recycled: a waiter that drains after the recycle re-checks
-// producerDone, whose generation test classifies the recycled slot as
-// long since done without reading its stale state.
+// wheel. The list empties here, before d can ever commit: a waiter
+// that drains after the commit re-checks producerDone, which finds d's
+// seq below the window head and classifies it done without reading
+// the slot, which a later decode may have reused.
 //
 //samie:hotpath
 func (c *CPU) wakeWaiters(d *dynInst) {
@@ -306,24 +305,24 @@ func (c *CPU) wakeWaiters(d *dynInst) {
 //
 //samie:hotpath
 func (c *CPU) parkIssueOperands(d *dynInst) bool {
-	if d.srcA != nil {
-		if !producerDone(d.srcA, d.genA, c.cycle) {
-			c.ev.parkOnProducer(d, d.srcA)
+	if d.srcA != noProducer {
+		if !c.producerDone(d.srcA) {
+			c.ev.parkOnProducer(d, c.win.at(d.srcA))
 			return true
 		}
-		d.srcA = nil
+		d.srcA = noProducer
 	}
 	if d.in.Cls == isa.ClassStore {
 		// Only the address register gates a store's AGEN; the data
 		// operand is waited on after placement (stepStore).
 		return false
 	}
-	if d.srcB != nil {
-		if !producerDone(d.srcB, d.genB, c.cycle) {
-			c.ev.parkOnProducer(d, d.srcB)
+	if d.srcB != noProducer {
+		if !c.producerDone(d.srcB) {
+			c.ev.parkOnProducer(d, c.win.at(d.srcB))
 			return true
 		}
-		d.srcB = nil
+		d.srcB = noProducer
 	}
 	return false
 }
@@ -349,11 +348,7 @@ func (c *CPU) schedAdmit(d *dynInst) {
 //
 //samie:hotpath
 func (c *CPU) wakeReadyBitWaiters(newFrontier uint64) {
-	if c.rob.len() == 0 {
-		return
-	}
-	head := c.rob.front().in.Seq
-	end := head + uint64(c.rob.len())
+	head, end := c.win.head, c.win.disp
 	limit := end
 	if newFrontier != ^uint64(0) && newFrontier+1 < end {
 		limit = newFrontier + 1
@@ -381,21 +376,16 @@ func (c *CPU) wakeReadyBitWaiters(newFrontier uint64) {
 func (c *CPU) wakeupIssue(dports *int) {
 	ev := c.ev
 	ev.drainWheel(c.cycle)
-	if c.rob.len() == 0 {
-		return
-	}
 	intIssued, fpIssued := 0, 0
 	aluUsed := 0
 	epoch := c.flushEpoch
-	head := c.rob.front().in.Seq
-	end := head + uint64(c.rob.len())
-	for seq := head; ; {
+	for seq, end := c.win.head, c.win.disp; ; {
 		s, ok := ev.attn.nextSet(seq, end)
 		if !ok {
 			break
 		}
 		seq = s + 1
-		d := c.rob.at(int(s - head))
+		d := c.win.at(s)
 		switch d.state {
 		case stIssued:
 			if d.readyAt > c.cycle {
@@ -482,9 +472,9 @@ func (c *CPU) stepStore(d *dynInst, s uint64) {
 		ev.attn.clear(s)
 		return
 	}
-	if !d.dataReady(c.cycle) {
+	if !c.dataReady(d) {
 		ev.attn.clear(s)
-		ev.parkOnProducer(d, d.srcB)
+		ev.parkOnProducer(d, c.win.at(d.srcB))
 		return
 	}
 	d.performed = true
@@ -506,12 +496,12 @@ func (c *CPU) quiescentEnd(limit uint64) uint64 {
 		return next
 	}
 	end := limit
-	if n := c.rob.len(); n > 0 {
-		head := c.rob.front()
-		first := head.in.Seq
-		if _, ok := c.ev.attn.nextSet(first, first+uint64(n)); ok {
+	w := &c.win
+	if w.head < w.disp {
+		if _, ok := c.ev.attn.nextSet(w.head, w.disp); ok {
 			return next
 		}
+		head := w.at(w.head)
 		if head.state >= stDone {
 			if head.readyAt <= next {
 				return next // commits next cycle
@@ -522,13 +512,13 @@ func (c *CPU) quiescentEnd(limit uint64) uint64 {
 			return next
 		}
 	}
-	if c.fetchQ.len() > 0 && !c.dispatchFull(c.fetchQ.front()) {
+	if w.disp < w.fetched && !c.dispatchFull(w.at(w.disp)) {
 		return next
 	}
 	if c.blockingBranch == nil {
 		if next < c.fetchBlockedUntil {
 			end = min(end, c.fetchBlockedUntil)
-		} else if c.fetchQ.len() < c.cfg.FetchQueue && (c.replayQ.len() > 0 || !c.streamDone) {
+		} else if w.fetched-w.disp < uint64(c.cfg.FetchQueue) && (w.fetched < w.tail || !c.streamDone) {
 			return next
 		}
 	}
@@ -548,10 +538,10 @@ func (c *CPU) skipQuiescent(limit uint64) {
 		return
 	}
 	var head *dynInst
-	if c.rob.len() > 0 {
-		head = c.rob.front()
+	if c.win.head < c.win.disp {
+		head = c.win.at(c.win.head)
 	}
-	dispatchStall := c.fetchQ.len() > 0
+	dispatchStall := c.win.disp < c.win.fetched
 	c.headBlocked = 0
 	for c.cycle+1 < end {
 		c.cycle++

@@ -36,12 +36,17 @@ var differentialTraces = slices.Concat(trace.Benchmarks(), []string{"pointer-cha
 // and forwarding counts, so any issue-order or wakeup-timing drift
 // fails loudly.
 //
-// The oracle never skips a cycle, so this is also the check on the
-// wakeup engine's quiescent-span skip: both engines carry an interval
-// sampler whose small odd stride puts sample boundaries inside skipped
-// spans, and the timelines, the energy meter and each model's own
-// per-cycle statistics must match too. On any mismatch the pair is
-// re-run in lockstep to name the first divergent span.
+// The two engines run in lockstep: after every advance of the wakeup
+// engine (a step, or a quiescent skip and a step) the oracle steps to
+// the same cycle, both instruction windows must keep their invariants,
+// and results, energy and ROB windows must match, so a failure names
+// the first divergent span. The oracle never skips a cycle, so this is
+// also the check on the quiescent-span skip: both engines carry an
+// interval sampler whose small odd stride puts sample boundaries
+// inside skipped spans, and the timelines and each model's own
+// per-cycle statistics must match at the end too. The random
+// configurations' ROB and fetch-queue sizes are mostly not powers of
+// two, so the window's masking is exercised below its capacity.
 func TestSchedulerDifferential(t *testing.T) {
 	benchmarks := differentialTraces
 	insts := uint64(30_000)
@@ -162,72 +167,73 @@ func randomDiffCase(rng *rand.Rand) diffCase {
 	return dc
 }
 
-// engineRun is what one engine's run must reproduce.
-type engineRun struct {
-	res     Result
-	meter   energy.Meter
-	stats   any
-	samples []obs.TimelineSample
+// engine is one side of the differential: a CPU with its LSQ model
+// and an interval sampler whose small odd stride puts sample
+// boundaries inside quiescent skips.
+type engine struct {
+	cpu     *CPU
+	model   lsq.Model
+	sampler *obs.IntervalSampler
 }
 
-// build constructs the CPU of one side of the differential.
-func (dc diffCase) build(oracle bool) (*CPU, lsq.Model, *energy.Meter) {
+// build constructs one side of the differential.
+func (dc diffCase) build(oracle bool) engine {
 	m := energy.NewMeter()
-	model := dc.model(m)
+	e := engine{model: dc.model(m), sampler: obs.NewIntervalSampler(37, 1<<14)}
 	strm := trace.NewGenerator(trace.MustPersonality(dc.bench))
 	if oracle {
-		return newOracle(dc.cfg, strm, model, m), model, m
+		e.cpu = newOracle(dc.cfg, strm, e.model, m)
+	} else {
+		e.cpu = New(dc.cfg, strm, e.model, nil, nil, nil, m)
 	}
-	return New(dc.cfg, strm, model, nil, nil, nil, m), model, m
+	e.sampler.SetEnabled(true)
+	e.cpu.SetSampler(e.sampler)
+	return e
 }
 
-func (dc diffCase) simulate(oracle bool, insts uint64) engineRun {
-	c, model, m := dc.build(oracle)
-	sampler := obs.NewIntervalSampler(37, 1<<14)
-	sampler.SetEnabled(true)
-	c.SetSampler(sampler)
-	r := engineRun{res: c.Run(insts), meter: *m, stats: modelStats(model)}
-	if tl := sampler.Snapshot(); tl != nil {
-		r.samples = tl.Samples
+// samples returns the engine's timeline less the scheduler
+// introspection, which exists only under the wakeup engine (the oracle
+// reports zeros).
+func (e engine) samples() []obs.TimelineSample {
+	tl := e.sampler.Snapshot()
+	if tl == nil {
+		return nil
 	}
-	for i := range r.samples {
-		// Scheduler introspection exists only under the wakeup
-		// engine; the oracle reports zeros.
-		s := &r.samples[i]
+	for i := range tl.Samples {
+		s := &tl.Samples[i]
 		s.Waiters, s.Wheel, s.Attn = 0, 0, 0
 	}
-	return r
+	return tl.Samples
 }
 
-// checkDifferential runs dc under both engines and fails t on any
-// difference, with the lockstep re-run's diagnosis.
+// checkDifferential runs dc under both engines in lockstep, which
+// checks both instruction windows and compares the Results, energy
+// meters and ROB windows after every advance, then compares what only
+// the end of the run shows: each model's own statistics, the cache and
+// TLB miss rates and the interval timelines. It fails t on any
+// difference.
 func checkDifferential(t *testing.T, dc diffCase, insts uint64) {
 	t.Helper()
-	wakeup, oracle := dc.simulate(false, insts), dc.simulate(true, insts)
+	wake, oracle := dc.build(false), dc.build(true)
+	if d := lockstep(wake.cpu, oracle.cpu, insts); d != nil {
+		t.Fatalf("wakeup scheduler diverged from the ROB-walk oracle on %v\n%v", dc, d)
+	}
+	a, b := wake.cpu, oracle.cpu
+	wt, ot := wake.samples(), oracle.samples()
 	var what string
 	switch {
-	case wakeup.res != oracle.res:
-		what = fmt.Sprintf("results diverged:\nwakeup: %+v\noracle: %+v", wakeup.res, oracle.res)
-	case wakeup.meter != oracle.meter:
-		// Energy is part of the contract: LSQ models charge CAM/entry
-		// energy per model call, so the wakeup path must preserve the
-		// exact call pattern, not just the architectural outcome.
-		what = fmt.Sprintf("energy accounting diverged:\nwakeup: %+v\noracle: %+v", wakeup.meter, oracle.meter)
-	case wakeup.stats != oracle.stats:
-		what = fmt.Sprintf("model statistics diverged:\nwakeup: %+v\noracle: %+v", wakeup.stats, oracle.stats)
-	case len(wakeup.samples) == 0 || !slices.Equal(wakeup.samples, oracle.samples):
+	case modelStats(wake.model) != modelStats(oracle.model):
+		what = fmt.Sprintf("model statistics diverged:\nwakeup: %+v\noracle: %+v", modelStats(wake.model), modelStats(oracle.model))
+	case a.hier.L1D.MissRate() != b.hier.L1D.MissRate() || a.dtlb.MissRate() != b.dtlb.MissRate():
+		what = fmt.Sprintf("miss rates diverged: L1D %v vs %v, DTLB %v vs %v",
+			a.hier.L1D.MissRate(), b.hier.L1D.MissRate(), a.dtlb.MissRate(), b.dtlb.MissRate())
+	case len(wt) == 0 || !slices.Equal(wt, ot):
 		what = fmt.Sprintf("timelines diverged (%d vs %d samples):\nwakeup: %+v\noracle: %+v",
-			len(wakeup.samples), len(oracle.samples), firstDiff(wakeup.samples, oracle.samples), firstDiff(oracle.samples, wakeup.samples))
+			len(wt), len(ot), firstDiff(wt, ot), firstDiff(ot, wt))
 	default:
 		return
 	}
-	a, _, _ := dc.build(false)
-	o, _, _ := dc.build(true)
-	diag := "lockstep re-run: no divergence in results, energy or ROB window"
-	if d := lockstep(a, o, insts); d != nil {
-		diag = "lockstep re-run: " + d.String()
-	}
-	t.Fatalf("wakeup scheduler diverged from the ROB-walk oracle on %v\n%s\n%s", dc, what, diag)
+	t.Fatalf("wakeup scheduler diverged from the ROB-walk oracle on %v\n%s", dc, what)
 }
 
 // modelStats returns the model's own per-cycle and per-event
@@ -257,15 +263,14 @@ func firstDiff(a, b []obs.TimelineSample) any {
 	return nil
 }
 
-// TestWakeupObservesRecycledProducer pins the generation-tag protocol
-// of the wakeup path: a consumer's wakeup is enqueued on the timing
-// wheel when its producer load performs (at the producer's readyAt),
-// but the commit stage runs before the issue stage, so when readyAt
-// arrives the producer — sitting at the ROB head — has already
-// committed and its dynInst slot recycled (generation bumped) before
-// the wakeup drains. producerDone must classify the operand as ready
-// via the generation mismatch without reading the recycled slot's
-// stale state/readyAt.
+// TestWakeupObservesRecycledProducer pins the seq < head rule of the
+// wakeup path: a consumer's wakeup is enqueued on the timing wheel
+// when its producer load performs (at the producer's readyAt), but the
+// commit stage runs before the issue stage, so when readyAt arrives
+// the producer — sitting at the ROB head — has already committed and
+// the window head has moved past its seq before the wakeup drains.
+// producerDone must classify the operand as ready from the seq alone,
+// without reading the committed slot, which a later decode may reuse.
 func TestWakeupObservesRecycledProducer(t *testing.T) {
 	var insts []isa.Inst
 	insts = append(insts, load(1, 0x900000)) // cold miss: long readyAt
@@ -288,31 +293,33 @@ func TestWakeupObservesRecycledProducer(t *testing.T) {
 			t.Fatal("load never committed")
 		}
 	}
-	if c.res.Committed != 1 {
-		t.Fatalf("committed %d this cycle, want exactly the producer load", c.res.Committed)
-	}
-	if len(c.freeInsts) == 0 {
-		t.Fatal("producer was not recycled at commit")
+	if c.res.Committed != 1 || c.win.head != 1 {
+		t.Fatalf("committed %d this cycle (window head %d), want exactly the producer load", c.res.Committed, c.win.head)
 	}
 	// The consumer is now the ROB head. Its wakeup drained this same
-	// cycle, after the recycle: it must have observed the recycled
+	// cycle, after the commit: it must have observed the committed
 	// producer as done and issued.
-	head := c.rob.front()
+	head := c.win.at(c.win.head)
 	if head.in.Cls != isa.ClassIntALU {
 		t.Fatalf("ROB head is %v, want the consumer ALU", head.in.Cls)
 	}
 	if head.state < stIssued {
-		t.Fatalf("consumer state %d after its producer's recycle-cycle wakeup, want issued", head.state)
+		t.Fatalf("consumer state %d after its producer's commit-cycle wakeup, want issued", head.state)
 	}
-	if head.srcA != nil {
-		t.Fatal("consumer still holds a reference to the recycled producer")
+	if head.srcA != noProducer {
+		t.Fatalf("consumer still bound to producer seq %d", head.srcA)
+	}
+	// A committed producer is done whatever its slot now holds.
+	*c.win.at(0) = dynInst{readyAt: ^uint64(0)}
+	if !c.producerDone(0) {
+		t.Fatal("producer below the window head classified as outstanding")
 	}
 
 	// The end-to-end run must match the ROB-walk oracle exactly.
 	a := New(PaperConfig(), isa.NewSliceStream(insts), lsq.NewUnbounded(), nil, nil, nil, nil).Run(uint64(len(insts)))
 	b := newOracle(PaperConfig(), isa.NewSliceStream(insts), lsq.NewUnbounded(), nil).Run(uint64(len(insts)))
 	if a != b {
-		t.Fatalf("recycle scenario diverged:\nwakeup: %+v\noracle: %+v", a, b)
+		t.Fatalf("commit-cycle wakeup scenario diverged:\nwakeup: %+v\noracle: %+v", a, b)
 	}
 }
 

@@ -63,12 +63,21 @@ type addrBuffered interface{ AddrBufferLen() int }
 // the delta baseline. Runs once per stride, so the O(ROB + wheel)
 // scheduler introspection is off the per-cycle path.
 func (c *CPU) recordSample() {
+	ts := c.sample()
+	ts.Waiters, ts.Wheel, ts.Attn = c.schedStats()
+	c.sampler.Record(ts)
+	c.resetSampleBase()
+}
+
+// sample reads the pipeline's timeline sample, less the scheduler
+// introspection, with deltas against the baseline; it changes nothing.
+func (c *CPU) sample() obs.TimelineSample {
 	m := c.meter
 	ts := obs.TimelineSample{
 		Cycle:   c.cycle,
-		ROB:     c.rob.len(),
-		FetchQ:  c.fetchQ.len(),
-		ReplayQ: c.replayQ.len(),
+		ROB:     int(c.win.disp - c.win.head),
+		FetchQ:  int(c.win.fetched - c.win.disp),
+		ReplayQ: int(c.win.tail - c.win.fetched),
 		LSQ:     c.model.InFlight(),
 
 		ConvLSQPJ: m.ConvLSQ - c.sampBase.conv,
@@ -85,9 +94,7 @@ func (c *CPU) recordSample() {
 	if ab, ok := c.model.(addrBuffered); ok {
 		ts.AddrBuf = ab.AddrBufferLen()
 	}
-	ts.Waiters, ts.Wheel, ts.Attn = c.schedStats()
-	c.sampler.Record(ts)
-	c.resetSampleBase()
+	return ts
 }
 
 // schedStats introspects the event-driven issue scheduler: total
@@ -106,8 +113,8 @@ func (c *CPU) schedStats() (waiters, wheel, attn int) {
 			wheel++
 		}
 	}
-	for i := 0; i < c.rob.len(); i++ {
-		for w := c.rob.at(i).waiterHead; w != nil; w = w.waitNext {
+	for seq := c.win.head; seq < c.win.disp; seq++ {
+		for w := c.win.at(seq).waiterHead; w != nil; w = w.waitNext {
 			waiters++
 		}
 	}

@@ -126,9 +126,13 @@ func (in *Inst) Validate() error {
 	return nil
 }
 
-// Stream is a source of dynamic instructions. Next returns false when
-// the stream is exhausted. Implementations must be deterministic for a
-// given construction so that simulations are reproducible.
+// Stream is a source of dynamic instructions. Next stores the next
+// instruction in *out, or returns false when the stream is exhausted.
+// Sequence numbers are consecutive from 0: the
+// CPU decodes each instruction straight into a window slot chosen by
+// its Seq, and panics on a stream that starts elsewhere or skips one.
+// Implementations must be deterministic for a given construction so
+// that simulations are reproducible.
 type Stream interface {
 	Next(out *Inst) bool
 }
