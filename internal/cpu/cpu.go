@@ -177,14 +177,13 @@ type dynInst struct {
 func (d *dynInst) isMem() bool { return d.mem }
 
 // producerDone reports whether producer seq p's value is available.
-// Only a producer in the ROB, [head, disp), can still be outstanding:
-// one below head has committed, and noProducer lies above every seq.
+// Only a producer in the ROB can still be outstanding: one below head
+// has committed, and noProducer is no instruction.
 func (c *CPU) producerDone(p uint64) bool {
-	w := &c.win
-	if p-w.head >= w.disp-w.head {
+	if !c.win.inROB(p) {
 		return true
 	}
-	d := w.at(p)
+	d := c.win.at(p)
 	return d.state >= stDone && d.readyAt <= c.cycle
 }
 
@@ -667,11 +666,10 @@ func (c *CPU) drainAddrBuffer() {
 // findROB locates a dispatched instruction by sequence number: a
 // window slot, if seq is in the ROB range.
 func (c *CPU) findROB(seq uint64) *dynInst {
-	w := &c.win
-	if seq-w.head >= w.disp-w.head {
+	if !c.win.inROB(seq) {
 		return nil
 	}
-	return w.at(seq)
+	return c.win.at(seq)
 }
 
 // ---- Issue / execute / writeback -------------------------------------------

@@ -35,3 +35,8 @@ func newWindow(live int) window {
 //
 //samie:hotpath
 func (w *window) at(seq uint64) *dynInst { return &w.slots[seq&w.mask] }
+
+// inROB reports whether seq is in the ROB, [head, disp). One unsigned
+// comparison covers both sides: a seq below head wraps to a huge
+// offset, as does noProducer.
+func (w *window) inROB(seq uint64) bool { return seq-w.head < w.disp-w.head }
