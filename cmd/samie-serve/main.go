@@ -60,7 +60,7 @@ func main() {
 	peerTimeout := flag.Duration("peer-timeout", 3*time.Second, "per-peer probe deadline for tier-2 fetches")
 	peerAdopt := flag.Bool("peer-adopt", true, "adopt the sibling replica set a cluster coordinator supplies with each shard")
 	shutdownGrace := flag.Duration("shutdown-grace", 30*time.Second, "how long shutdown waits for in-flight requests to drain")
-	chaos := flag.String("chaos", "", `deterministic fault injection spec, e.g. "err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42" (testing only; POST /v1/chaos reconfigures at runtime)`)
+	chaos := flag.String("chaos", "", `deterministic fault injection spec, e.g. "err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42" (testing only; fixed for the process's lifetime)`)
 	pprofAddr := flag.String("pprof-addr", "", `serve net/http/pprof on this separate address ("" disables); bind it privately — the profiles expose internals`)
 	logJSON := flag.Bool("log-json", false, "log as JSON instead of text")
 	flag.Parse()

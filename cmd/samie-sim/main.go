@@ -4,8 +4,8 @@
 //
 // Usage:
 //
-//	samie-sim -bench swim                 # SAMIE-LSQ, paper config
-//	samie-sim -bench ammp -model conv     # 128-entry conventional LSQ
+//	samie-sim -bench swim                      # SAMIE-LSQ, paper config
+//	samie-sim -bench ammp -model conventional  # 128-entry conventional LSQ
 //	samie-sim -bench gcc -model arb -banks 64 -addrs 2
 //	samie-sim -bench swim -banks 32 -entries 4 -slots 8 -shared 16
 package main
@@ -21,7 +21,7 @@ import (
 
 func main() {
 	bench := flag.String("bench", "swim", "benchmark name (see -list)")
-	model := flag.String("model", "samie", "LSQ model: samie, conv, arb, unbounded")
+	model := flag.String("model", "samie", "LSQ model: conventional, unbounded, arb or samie")
 	insts := flag.Uint64("insts", experiments.DefaultInsts, "measured instructions")
 	warmup := flag.Uint64("warmup", 0, "warm-up instructions (default insts/2)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
@@ -44,25 +44,22 @@ func main() {
 		return
 	}
 
-	spec := experiments.RunSpec{Benchmark: *bench, Insts: *insts, Warmup: *warmup}
-	switch *model {
-	case "samie":
+	kind, err := experiments.ParseModel(*model)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	spec := experiments.RunSpec{Benchmark: *bench, Insts: *insts, Warmup: *warmup, Model: kind}
+	switch kind {
+	case experiments.ModelSAMIE:
 		cfg := core.PaperConfig()
 		cfg.Banks, cfg.EntriesPerBank, cfg.SlotsPerEntry = *banks, *entries, *slots
 		cfg.SharedEntries, cfg.AddrBufferSlots = *shared, *addrBuf
-		spec.Model = experiments.ModelSAMIE
 		spec.SAMIE = &cfg
-	case "conv":
-		spec.Model = experiments.ModelConventional
+	case experiments.ModelConventional:
 		spec.ConvEntries = *inflight
-	case "arb":
-		spec.Model = experiments.ModelARB
+	case experiments.ModelARB:
 		spec.ARBBanks, spec.ARBAddrs, spec.ARBInflight = *banks, *addrs, *inflight
-	case "unbounded":
-		spec.Model = experiments.ModelUnbounded
-	default:
-		fmt.Fprintf(os.Stderr, "unknown model %q\n", *model)
-		os.Exit(2)
 	}
 
 	if _, err := experiments.ValidateSpec(spec); err != nil {
@@ -118,11 +115,4 @@ func main() {
 		fmt.Printf("  mean SharedLSQ occupancy %.2f (max %d); AddrBuffer idle %.2f%% of cycles\n",
 			s.MeanSharedOcc(), s.MaxSharedOcc, 100*s.ABEmptyFraction())
 	}
-}
-
-func max(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

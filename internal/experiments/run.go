@@ -23,7 +23,9 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -53,6 +55,33 @@ const (
 	ModelARB
 	ModelSAMIE
 )
+
+// modelNames is the one table of LSQ model names, indexed by kind: the
+// wire "model" field, samie-sim -model and the telemetry labels all
+// read it. Cache keys render the kind as a number, never a name.
+var modelNames = [...]string{
+	ModelConventional: "conventional",
+	ModelUnbounded:    "unbounded",
+	ModelARB:          "arb",
+	ModelSAMIE:        "samie",
+}
+
+// ModelName returns the name of kind m.
+func ModelName(m ModelKind) string {
+	if m < 0 || int(m) >= len(modelNames) {
+		return fmt.Sprintf("model-%d", int(m))
+	}
+	return modelNames[m]
+}
+
+// ParseModel maps a model name to its kind.
+func ParseModel(s string) (ModelKind, error) {
+	if i := slices.Index(modelNames[:], s); i >= 0 {
+		return ModelKind(i), nil
+	}
+	return 0, fmt.Errorf("unknown model %q (want %s or %s)",
+		s, strings.Join(modelNames[:ModelSAMIE], ", "), modelNames[ModelSAMIE])
+}
 
 // RunSpec describes one simulation.
 type RunSpec struct {

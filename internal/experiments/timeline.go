@@ -29,21 +29,6 @@ type RunTimeline struct {
 	Samples   []obs.TimelineSample `json:"samples"`
 }
 
-// modelName renders a ModelKind for telemetry labels.
-func modelName(m ModelKind) string {
-	switch m {
-	case ModelConventional:
-		return "conv"
-	case ModelUnbounded:
-		return "unbounded"
-	case ModelARB:
-		return "arb"
-	case ModelSAMIE:
-		return "samie"
-	}
-	return "unknown"
-}
-
 // noteSimulated folds one freshly simulated run into the batch's
 // telemetry rollups and, when the owning request is traced, records
 // the run's occupancy/IPC curves as a counter track on that trace so
@@ -76,7 +61,7 @@ func (b *Batch) noteSimulated(ctx context.Context, n RunSpec, r RunResult, start
 		b.timelines = append(b.timelines, RunTimeline{
 			Key:       key,
 			Benchmark: n.Benchmark,
-			Model:     modelName(n.Model),
+			Model:     ModelName(n.Model),
 			Stride:    t.Stride,
 			Samples:   t.Samples,
 		})
@@ -93,7 +78,7 @@ func (b *Batch) noteSimulated(ctx context.Context, n RunSpec, r RunResult, start
 // the timeline endpoint (a pJ-per-interval curve has no natural
 // counter scale next to entry counts).
 func counterTrack(n RunSpec, t *obs.Timeline, start time.Time, dur time.Duration) obs.CounterTrack {
-	name := "occ " + n.Benchmark + "/" + modelName(n.Model)
+	name := "occ " + n.Benchmark + "/" + ModelName(n.Model)
 	samples := make([]obs.CounterSample, 0, len(t.Samples))
 	lastCycle := t.Samples[len(t.Samples)-1].Cycle
 	firstCycle := t.Samples[0].Cycle

@@ -52,6 +52,20 @@ func TestValidateSpec(t *testing.T) {
 			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
 		}
 	}
+
+	// The model-name table round-trips every kind, and an unknown name
+	// is refused with all four names listed.
+	for m := ModelConventional; m <= ModelSAMIE; m++ {
+		if got, err := ParseModel(ModelName(m)); err != nil || got != m {
+			t.Errorf("ParseModel(ModelName(%d)) = %d, %v", int(m), int(got), err)
+		}
+	}
+	_, err := ParseModel("conv")
+	for _, name := range []string{"conventional", "unbounded", "arb", "samie"} {
+		if err == nil || !strings.Contains(err.Error(), name) {
+			t.Errorf(`ParseModel("conv") error %v does not list %q`, err, name)
+		}
+	}
 }
 
 // TestValidateSpecAcceptsEverySweep checks that the validator leaves

@@ -196,9 +196,9 @@ func TestKindStrings(t *testing.T) {
 	}
 }
 
-// FuzzParseSpec: the -chaos flag and POST /v1/chaos pass operator text
-// to ParseSpec. It must never panic, and an accepted spec must render
-// (String) to text that parses back to the same Spec.
+// FuzzParseSpec: the -chaos flag passes operator text to ParseSpec.
+// It must never panic, and an accepted spec must render (String) to
+// text that parses back to the same Spec.
 func FuzzParseSpec(f *testing.F) {
 	for _, seed := range []string{
 		"err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42",

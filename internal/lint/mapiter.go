@@ -35,8 +35,8 @@ var MapIter = &Analyzer{
 
 // DeterministicPathPackages are the packages whose map iteration
 // order can leak into simulation results, cache keys, golden output
-// or stats/metrics exposition. cmd/ and examples/ binaries are linted
-// only through the libraries they call.
+// or stats/metrics exposition. cmd/ binaries are linted only through the
+// libraries they call.
 var DeterministicPathPackages = []string{
 	"samielsq",
 	"samielsq/internal/bpred",

@@ -2,125 +2,58 @@ package server
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"samielsq/internal/faultinject"
 	"samielsq/pkg/client"
 )
 
-// chaosState holds the live injector and the counts retired by earlier
-// injectors, so samie_chaos_injected_total stays monotonic across
-// POST /v1/chaos reconfigurations.
-type chaosState struct {
-	inj atomic.Pointer[faultinject.Injector]
-
-	mu      sync.Mutex
-	retired faultinject.Counts
+// ChaosCounts reports the faults injected so far, for callers outside
+// the HTTP surface (tests, embedding harnesses).
+func (s *Server) ChaosCounts() faultinject.Counts {
+	if s.chaos == nil {
+		return faultinject.Counts{}
+	}
+	return s.chaos.Counts()
 }
 
-// setChaos swaps the fault spec at runtime. An empty (disabled) spec
-// removes the injector entirely, restoring the zero-cost disabled
-// path.
-func (s *Server) setChaos(spec faultinject.Spec) {
-	s.chaos.mu.Lock()
-	defer s.chaos.mu.Unlock()
-	var next *faultinject.Injector
-	if spec.Enabled() {
-		next = faultinject.New(spec)
-	}
-	if old := s.chaos.inj.Swap(next); old != nil {
-		s.chaos.retired.Add(old.Counts())
-	}
-}
-
-// ChaosCounts reports total injected faults — retired injectors plus
-// the live one — for callers outside the HTTP surface (tests, embedding
-// harnesses).
-func (s *Server) ChaosCounts() faultinject.Counts { return s.chaosCounts() }
-
-// chaosCounts snapshots total injected faults: retired injectors plus
-// the live one.
-func (s *Server) chaosCounts() faultinject.Counts {
-	s.chaos.mu.Lock()
-	counts := s.chaos.retired
-	s.chaos.mu.Unlock()
-	if in := s.chaos.inj.Load(); in != nil {
-		counts.Add(in.Counts())
-	}
-	return counts
-}
-
-// chaosSnapshot assembles the wire view served by GET /v1/chaos and
-// embedded in /v1/stats.
+// chaosSnapshot assembles the chaos block embedded in /v1/stats.
 func (s *Server) chaosSnapshot() client.ChaosState {
-	st := client.ChaosState{Injected: chaosCountsWire(s.chaosCounts())}
-	if in := s.chaos.inj.Load(); in != nil {
-		st.Enabled = true
-		st.Spec = in.Spec().String()
-	}
-	return st
-}
-
-func chaosCountsWire(c faultinject.Counts) client.ChaosCounts {
-	return client.ChaosCounts{
+	c := s.ChaosCounts()
+	st := client.ChaosState{Injected: client.ChaosCounts{
 		Errors:      c.Errors,
 		Throttles:   c.Throttles,
 		Resets:      c.Resets,
 		Truncations: c.Truncations,
 		Latencies:   c.Latencies,
 		Total:       c.Total(),
+	}}
+	if s.chaos != nil {
+		st.Enabled = true
+		st.Spec = s.chaos.Spec().String()
 	}
+	return st
 }
 
-// handleChaosGet reports the current fault spec and fired-fault
-// counters.
-func (s *Server) handleChaosGet(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.chaosSnapshot())
-}
-
-// handleChaosSet reconfigures fault injection at runtime. The body
-// carries the same spec grammar as the -chaos flag; an empty spec
-// disables injection.
-func (s *Server) handleChaosSet(w http.ResponseWriter, r *http.Request) {
-	var req client.ChaosRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<16)).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad chaos request: %v", err))
-		return
-	}
-	spec, err := faultinject.ParseSpec(req.Spec)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
-	s.setChaos(spec)
-	s.log.Info("chaos reconfigured", "spec", spec.String(), "enabled", spec.Enabled())
-	writeJSON(w, http.StatusOK, s.chaosSnapshot())
-}
-
-// chaosExempt lists the endpoints fault injection skips: liveness,
-// observability, and the chaos control plane itself must stay
-// dependable or tests (and operators) lose the ability to see what the
-// chaos layer is doing.
+// chaosExempt lists the endpoints fault injection skips: liveness and
+// observability must stay dependable or tests (and operators) lose the
+// ability to see what the chaos layer is doing.
 func chaosExempt(path string) bool {
 	return path == "/healthz" || path == "/metrics" ||
-		path == "/v1/stats" || strings.HasPrefix(path, "/v1/chaos") ||
-		strings.HasPrefix(path, "/v1/trace")
+		path == "/v1/stats" || strings.HasPrefix(path, "/v1/trace")
 }
 
 // withChaos applies the drawn fault plan to each request. When no
-// injector is installed the middleware is one atomic load and a nil
-// check — nothing on the simulation hot path changes, and the 0
-// allocs/op guards are unaffected.
+// injector is installed the middleware is one nil check — nothing on
+// the simulation hot path changes, and the 0 allocs/op guards are
+// unaffected.
 func (s *Server) withChaos(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		in := s.chaos.inj.Load()
+		in := s.chaos
 		if in == nil || chaosExempt(r.URL.Path) {
 			next.ServeHTTP(w, r)
 			return

@@ -38,12 +38,11 @@ func TestChaosInjectsErrorsDeterministically(t *testing.T) {
 			resp.Body.Close()
 			statuses = append(statuses, resp.StatusCode)
 		}
-		var cerr error
-		st, cerr = chaosClient(ts.URL).Chaos(context.Background())
-		if cerr != nil {
-			t.Fatal(cerr)
+		stats, serr := chaosClient(ts.URL).Stats(context.Background())
+		if serr != nil {
+			t.Fatal(serr)
 		}
-		return st, statuses
+		return stats.Chaos, statuses
 	}
 	stA, seqA := outcomes()
 	stB, seqB := outcomes()
@@ -112,22 +111,23 @@ func TestChaosTruncatesStreams(t *testing.T) {
 	if err == nil {
 		t.Fatal("truncated suite stream returned no error")
 	}
-	if c := s.chaosCounts(); c.Truncations == 0 {
+	if c := s.ChaosCounts(); c.Truncations == 0 {
 		t.Fatalf("no truncation fired: %+v", c)
 	}
 
 	// The replica kept simulating past the cut: every spec is memoized,
-	// so a clean re-request (chaos off) serves the full set without
-	// executing anything new. The client's error arrives as soon as
-	// the connection is severed, while the handler is still filling
-	// the memo into its swallowed writer — wait for it to finish
-	// before snapshotting Executed, or the re-request races the
-	// original handler's tail.
-	s.setChaos(faultinject.Spec{})
+	// so a clean re-request — through a second server without chaos
+	// over the same batch — serves the full set without executing
+	// anything new. The client's error arrives as soon as the
+	// connection is severed, while the handler is still filling the
+	// memo into its swallowed writer — wait for it to finish before
+	// snapshotting Executed, or the re-request races the original
+	// handler's tail.
+	_, clean, _ := newTestServer(t, Config{Batch: s.batch})
 	var st client.StatsResponse
 	deadline := time.Now().Add(10 * time.Second)
 	for {
-		st, _ = chaosClient(ts.URL).Stats(context.Background())
+		st, _ = chaosClient(clean.URL).Stats(context.Background())
 		if st.Engine.Executed >= int64(len(specs)) {
 			break
 		}
@@ -137,60 +137,67 @@ func TestChaosTruncatesStreams(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 	before := st.Engine.Executed
-	out, err := chaosClient(ts.URL).Suite(context.Background(), client.SuiteRequest{Specs: specs}, nil)
+	out, err := chaosClient(clean.URL).Suite(context.Background(), client.SuiteRequest{Specs: specs}, nil)
 	if err != nil {
 		t.Fatalf("re-request after truncation: %v", err)
 	}
 	if len(out.Runs) != len(specs) {
 		t.Fatalf("re-request returned %d runs, want %d", len(out.Runs), len(specs))
 	}
-	st, _ = chaosClient(ts.URL).Stats(context.Background())
+	st, _ = chaosClient(clean.URL).Stats(context.Background())
 	if st.Engine.Executed != before {
 		t.Fatalf("re-request re-executed: %d -> %d", before, st.Engine.Executed)
 	}
 }
 
-func TestChaosRuntimeReconfigure(t *testing.T) {
-	_, ts, _ := newTestServer(t, Config{})
-	c := chaosClient(ts.URL)
-	ctx := context.Background()
-
-	st, err := c.Chaos(ctx)
-	if err != nil || st.Enabled {
-		t.Fatalf("initial chaos state = %+v, err %v; want disabled", st, err)
+// TestChaosArmedAtBoot: fault injection is fixed by Config.Chaos.
+// Under err=1, liveness and observability still answer and every other
+// request gets an injected 500; no route reconfigures it.
+func TestChaosArmedAtBoot(t *testing.T) {
+	status := func(method, url string) int {
+		t.Helper()
+		req, _ := http.NewRequest(method, url, nil)
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
 	}
 
-	if st, err = c.SetChaos(ctx, "err=1,seed=3"); err != nil || !st.Enabled {
-		t.Fatalf("SetChaos: %+v, %v", st, err)
-	}
-	if err := c.Health(ctx); err != nil {
-		t.Fatalf("healthz must stay exempt under err=1: %v", err)
-	}
-	if _, err := c.Scenarios(ctx); err == nil {
-		t.Fatal("scenarios under err=1 succeeded")
+	_, clean, _ := newTestServer(t, Config{})
+	for _, method := range []string{http.MethodGet, http.MethodPost} {
+		if code := status(method, clean.URL+"/v1/chaos"); code != http.StatusNotFound {
+			t.Errorf("%s /v1/chaos = %d, want 404: the route is gone", method, code)
+		}
 	}
 
-	// Disable; counters must persist (monotonic across swaps).
-	if st, err = c.SetChaos(ctx, ""); err != nil || st.Enabled {
-		t.Fatalf("disable: %+v, %v", st, err)
+	spec, _ := faultinject.ParseSpec("err=1,seed=3")
+	_, ts, _ := newTestServer(t, Config{Chaos: spec})
+	for _, path := range []string{"/healthz", "/metrics", "/v1/stats"} {
+		if code := status(http.MethodGet, ts.URL+path); code != http.StatusOK {
+			t.Errorf("GET %s under err=1 = %d, want 200 (exempt)", path, code)
+		}
 	}
-	if st.Injected.Errors == 0 {
-		t.Fatalf("retired counters lost on swap: %+v", st.Injected)
+	injected := []string{"/v1/scenarios", "/v1/runs/nonexistent-key", "/v1/figures/table1", "/v1/chaos"}
+	for _, path := range injected {
+		if code := status(http.MethodGet, ts.URL+path); code != http.StatusInternalServerError {
+			t.Errorf("GET %s under err=1 = %d, want 500", path, code)
+		}
 	}
-	if _, err := c.Scenarios(ctx); err != nil {
-		t.Fatalf("scenarios after disable: %v", err)
+	st, err := chaosClient(ts.URL).Stats(context.Background())
+	if err != nil {
+		t.Fatal(err)
 	}
-
-	// A malformed spec is a 400.
-	if _, err := c.SetChaos(ctx, "err=2"); err == nil {
-		t.Fatal("SetChaos(err=2) succeeded")
+	if !st.Chaos.Enabled || st.Chaos.Spec != spec.String() || st.Chaos.Injected.Errors != int64(len(injected)) {
+		t.Fatalf("stats chaos block = %+v, want enabled with spec %q and %d errors", st.Chaos, spec.String(), len(injected))
 	}
 }
 
 func TestChaosMetricsAlwaysExported(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
-	c := chaosClient(ts.URL)
-	text, err := c.Metrics(context.Background())
+	text, err := chaosClient(ts.URL).Metrics(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,11 +208,13 @@ func TestChaosMetricsAlwaysExported(t *testing.T) {
 		}
 	}
 
-	if _, err := c.SetChaos(context.Background(), "err=1,seed=9"); err != nil {
-		t.Fatal(err)
-	}
+	spec, _ := faultinject.ParseSpec("err=1,seed=9")
+	_, ts, _ = newTestServer(t, Config{Chaos: spec})
+	c := chaosClient(ts.URL)
 	for i := 0; i < 3; i++ {
-		http.Get(ts.URL + "/v1/scenarios")
+		if resp, err := http.Get(ts.URL + "/v1/scenarios"); err == nil {
+			resp.Body.Close()
+		}
 	}
 	if text, err = c.Metrics(context.Background()); err != nil {
 		t.Fatal(err)
@@ -233,7 +242,7 @@ func TestChaosLatencyDelays(t *testing.T) {
 	if d := time.Since(begin); d < 30*time.Millisecond {
 		t.Fatalf("request took %v, want >= 30ms injected latency", d)
 	}
-	if c := s.chaosCounts(); c.Latencies == 0 {
+	if c := s.ChaosCounts(); c.Latencies == 0 {
 		t.Fatalf("latency did not count: %+v", c)
 	}
 }

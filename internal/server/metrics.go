@@ -260,7 +260,7 @@ func sortedKeys[V any](m map[string]V) []string {
 // handleMetrics renders the families table in Prometheus text format
 // from one snapshot; /v1/stats serves the same numbers as JSON.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	m := metricsSnapshot{StatsResponse: s.statsSnapshot(), chaos: s.chaosCounts()}
+	m := metricsSnapshot{StatsResponse: s.statsSnapshot(), chaos: s.ChaosCounts()}
 	m.requests, m.latency = s.httpm.snapshot()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	for _, f := range families {

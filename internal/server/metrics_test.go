@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"samielsq/internal/experiments"
+	"samielsq/internal/faultinject"
 	"samielsq/pkg/client"
 )
 
@@ -131,18 +132,29 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ts, _ := newTestServer(t, Config{Batch: batch, CacheDir: dir})
-
-	// Populate: one simulated run (engine + disk store + phases + a
-	// 200), one unknown route (404), then a chaos-injected error on a
-	// real route (chaos counter + 500) before switching injection off.
-	postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE}).Body.Close()
-	resp, err := http.Get(ts.URL + "/no-such-route")
+	// err=0.5 under seed 7 lets the first two requests through and
+	// injects a 500 into the third: the draw order is fixed by the seed.
+	spec, err := faultinject.ParseSpec("err=0.5,seed=7")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, ts, _ := newTestServer(t, Config{Batch: batch, CacheDir: dir, Chaos: spec})
+
+	// Populate: one simulated run (engine + disk store + phases + a
+	// 200), one unknown route (404), then a chaos-injected error on a
+	// real route (chaos counter + 500). /metrics itself is exempt.
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
 	resp.Body.Close()
-	postJSON(t, ts.URL+"/v1/chaos", client.ChaosRequest{Spec: "err=1,seed=1"}).Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("first run returned %d, want 200", resp.StatusCode)
+	}
+	if resp, err = http.Get(ts.URL + "/no-such-route"); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unknown route returned %d, want 404", resp.StatusCode)
+	}
 	if resp, err = http.Get(ts.URL + "/v1/scenarios"); err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +162,6 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	if resp.StatusCode != http.StatusInternalServerError {
 		t.Fatalf("chaos-injected request returned %d, want 500", resp.StatusCode)
 	}
-	postJSON(t, ts.URL+"/v1/chaos", client.ChaosRequest{Spec: ""}).Body.Close()
 
 	resp, err = http.Get(ts.URL + "/metrics")
 	if err != nil {

@@ -119,8 +119,7 @@ func (s *Server) withLogging(next http.Handler) http.Handler {
 func routeLabel(path string) string {
 	switch {
 	case path == "/healthz" || path == "/metrics" ||
-		path == "/v1/stats" || path == "/v1/chaos" ||
-		path == "/v1/scenarios" || path == "/v1/runs" ||
+		path == "/v1/stats" || path == "/v1/scenarios" || path == "/v1/runs" ||
 		path == "/v1/suite" || path == "/v1/traces":
 		return path
 	case strings.HasPrefix(path, "/v1/runs/") && strings.HasSuffix(path, "/timeline"):

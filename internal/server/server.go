@@ -78,9 +78,8 @@ type Config struct {
 	CacheDir  string
 	Preloaded int
 
-	// Chaos is the initial fault-injection spec (the -chaos flag).
-	// The zero spec starts with injection disabled; POST /v1/chaos
-	// reconfigures it at runtime either way.
+	// Chaos is the fault-injection spec (the -chaos flag), fixed for
+	// the server's lifetime. The zero spec disables injection.
 	Chaos faultinject.Spec
 
 	// PeerAdopt, when non-nil, receives the sibling replica set a
@@ -107,7 +106,7 @@ type Server struct {
 	sem   chan struct{}
 	start time.Time
 	mux   *http.ServeMux
-	chaos chaosState
+	chaos *faultinject.Injector // nil when injection is disabled
 	rec   *obs.Recorder
 	httpm httpMetrics
 
@@ -190,12 +189,12 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.httpm.init()
 	s.drainCtx, s.drainCancel = context.WithCancel(context.Background())
-	s.setChaos(cfg.Chaos)
+	if cfg.Chaos.Enabled() {
+		s.chaos = faultinject.New(cfg.Chaos)
+	}
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
-	s.mux.HandleFunc("GET /v1/chaos", s.handleChaosGet)
-	s.mux.HandleFunc("POST /v1/chaos", s.handleChaosSet)
 	s.mux.HandleFunc("GET /v1/trace/{id}", s.handleTraceGet)
 	s.mux.HandleFunc("GET /v1/traces", s.handleTraces)
 	s.mux.HandleFunc("GET /v1/scenarios", s.handleScenarios)

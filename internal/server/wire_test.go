@@ -208,9 +208,9 @@ func TestChaosTruncatedRunRecordIsAnError(t *testing.T) {
 	c := chaosClient(ts.URL)
 	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}
 	for range 200 {
-		before := s.chaosCounts().Truncations
+		before := s.ChaosCounts().Truncations
 		out, err := c.Run(context.Background(), req)
-		if s.chaosCounts().Truncations == before {
+		if s.ChaosCounts().Truncations == before {
 			// The cut fell past the end of the record.
 			if err != nil {
 				t.Fatalf("untruncated run failed: %v", err)

@@ -469,10 +469,3 @@ func MustPersonality(name string) Params {
 	}
 	return p
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

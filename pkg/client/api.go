@@ -11,7 +11,6 @@ package client
 
 import (
 	"encoding/json"
-	"fmt"
 
 	"samielsq/internal/core"
 	"samielsq/internal/cpu"
@@ -22,44 +21,14 @@ import (
 	"samielsq/internal/obs"
 )
 
-// Model name strings accepted by RunRequest.Model.
-const (
-	ModelConventional = "conventional"
-	ModelUnbounded    = "unbounded"
-	ModelARB          = "arb"
-	ModelSAMIE        = "samie"
+// Model names accepted by RunRequest.Model, read from the library's
+// model table.
+var (
+	ModelConventional = experiments.ModelName(experiments.ModelConventional)
+	ModelUnbounded    = experiments.ModelName(experiments.ModelUnbounded)
+	ModelARB          = experiments.ModelName(experiments.ModelARB)
+	ModelSAMIE        = experiments.ModelName(experiments.ModelSAMIE)
 )
-
-// ParseModel maps a wire model name to the experiments kind.
-func ParseModel(s string) (experiments.ModelKind, error) {
-	switch s {
-	case ModelConventional:
-		return experiments.ModelConventional, nil
-	case ModelUnbounded:
-		return experiments.ModelUnbounded, nil
-	case ModelARB:
-		return experiments.ModelARB, nil
-	case ModelSAMIE:
-		return experiments.ModelSAMIE, nil
-	}
-	return 0, fmt.Errorf("unknown model %q (want %s, %s, %s or %s)",
-		s, ModelConventional, ModelUnbounded, ModelARB, ModelSAMIE)
-}
-
-// ModelName maps an experiments kind to its wire name.
-func ModelName(m experiments.ModelKind) string {
-	switch m {
-	case experiments.ModelConventional:
-		return ModelConventional
-	case experiments.ModelUnbounded:
-		return ModelUnbounded
-	case experiments.ModelARB:
-		return ModelARB
-	case experiments.ModelSAMIE:
-		return ModelSAMIE
-	}
-	return fmt.Sprintf("model-%d", int(m))
-}
 
 // RunRequest is the POST /v1/runs body: one simulation spec. Zero
 // fields take the library defaults (Normalize), so the minimal request
@@ -90,7 +59,7 @@ type RunRequest struct {
 
 // Spec converts the wire request into a library RunSpec.
 func (r RunRequest) Spec() (experiments.RunSpec, error) {
-	m, err := ParseModel(r.Model)
+	m, err := experiments.ParseModel(r.Model)
 	if err != nil {
 		return experiments.RunSpec{}, err
 	}
@@ -112,7 +81,7 @@ func (r RunRequest) Spec() (experiments.RunSpec, error) {
 func RequestFor(spec experiments.RunSpec) RunRequest {
 	return RunRequest{
 		Benchmark:   spec.Benchmark,
-		Model:       ModelName(spec.Model),
+		Model:       experiments.ModelName(spec.Model),
 		Insts:       spec.Insts,
 		Warmup:      spec.Warmup,
 		ConvEntries: spec.ConvEntries,
@@ -171,7 +140,7 @@ func ResponseFor(res experiments.RunResult, sim string) RunResponse {
 	return RunResponse{
 		Key:         res.Key,
 		Benchmark:   n.Benchmark,
-		Model:       ModelName(n.Model),
+		Model:       experiments.ModelName(n.Model),
 		Insts:       n.Insts,
 		Warmup:      n.Warmup,
 		Sim:         sim,
@@ -341,15 +310,7 @@ type TracesResponse struct {
 	Dropped uint64             `json:"dropped"`
 }
 
-// ChaosRequest is the POST /v1/chaos body: a fault spec in the -chaos
-// flag grammar (err=0.1,lat=5ms:50ms,reset=0.05,trunc=0.02,seed=42).
-// An empty spec disables injection.
-type ChaosRequest struct {
-	Spec string `json:"spec"`
-}
-
-// ChaosCounts are the per-kind injected-fault totals, monotonic across
-// runtime reconfigurations.
+// ChaosCounts are the per-kind injected-fault totals since boot.
 type ChaosCounts struct {
 	Errors      int64 `json:"errors"`
 	Throttles   int64 `json:"throttles"`
@@ -359,8 +320,8 @@ type ChaosCounts struct {
 	Total       int64 `json:"total"`
 }
 
-// ChaosState is the GET /v1/chaos body (also embedded in /v1/stats):
-// whether fault injection is live, under what spec, and what has fired.
+// ChaosState is the /v1/stats chaos block: whether fault injection is
+// live, under what spec (the -chaos flag), and what has fired.
 type ChaosState struct {
 	Enabled  bool        `json:"enabled"`
 	Spec     string      `json:"spec,omitempty"`

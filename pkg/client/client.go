@@ -352,22 +352,6 @@ func (c *Client) Health(ctx context.Context) error {
 	return c.roundTrip(ctx, http.MethodGet, "/healthz", nil, nil)
 }
 
-// Chaos reports the server's fault-injection state and fired-fault
-// counters.
-func (c *Client) Chaos(ctx context.Context) (ChaosState, error) {
-	var out ChaosState
-	err := c.roundTrip(ctx, http.MethodGet, "/v1/chaos", nil, &out)
-	return out, err
-}
-
-// SetChaos reconfigures the server's fault injection at runtime; an
-// empty spec disables it. Returns the resulting state.
-func (c *Client) SetChaos(ctx context.Context, spec string) (ChaosState, error) {
-	var out ChaosState
-	err := c.roundTrip(ctx, http.MethodPost, "/v1/chaos", ChaosRequest{Spec: spec}, &out)
-	return out, err
-}
-
 // Metrics fetches the raw Prometheus exposition text.
 func (c *Client) Metrics(ctx context.Context) (string, error) {
 	resp, err := c.send(ctx, http.MethodGet, "/metrics", nil, "")

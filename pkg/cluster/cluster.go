@@ -42,31 +42,11 @@ type ShardedClient struct {
 // Option customizes a ShardedClient.
 type Option func(*ShardedClient)
 
-// WithHTTPClient substitutes the *http.Client used for every replica.
-func WithHTTPClient(hc *http.Client) Option {
-	return func(c *ShardedClient) {
-		for rep := range c.clients {
-			c.clients[rep] = client.New(rep, client.WithHTTPClient(hc))
-		}
-	}
-}
-
 // WithQuarantine sets how long a tripped breaker stays open before its
 // half-open probe; default 3s. (The name predates the breaker: the
 // open state is what the old quarantine timer became.)
 func WithQuarantine(d time.Duration) Option {
 	return func(c *ShardedClient) { c.breakers.cooldown = d }
-}
-
-// WithBreakerThreshold sets how many consecutive failures trip a
-// replica's breaker; default 2, so one flaky exchange never exiles a
-// healthy replica. 1 restores trip-on-first-failure.
-func WithBreakerThreshold(n int) Option {
-	return func(c *ShardedClient) {
-		if n >= 1 {
-			c.breakers.threshold = n
-		}
-	}
 }
 
 // WithMaxRetryWait caps every backoff sleep, including how long a

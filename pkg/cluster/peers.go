@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"net/http"
 	"slices"
 	"strings"
 	"sync"
@@ -31,7 +30,6 @@ import (
 // concurrent use; SetPeers may retarget it live.
 type PeerFetcher struct {
 	timeout time.Duration
-	hc      *http.Client
 
 	mu       sync.RWMutex
 	ring     *Rendezvous
@@ -65,11 +63,6 @@ func WithPeerBreakerThreshold(n int) PeerOption {
 	}
 }
 
-// WithPeerHTTPClient substitutes the *http.Client used for probes.
-func WithPeerHTTPClient(hc *http.Client) PeerOption {
-	return func(p *PeerFetcher) { p.hc = hc }
-}
-
 // NewPeerFetcher builds the tier-2 backend over the sibling replica
 // base URLs (this replica excluded — probing yourself is a guaranteed
 // miss). An empty set is valid: every fetch misses until SetPeers
@@ -77,7 +70,6 @@ func WithPeerHTTPClient(hc *http.Client) PeerOption {
 func NewPeerFetcher(peers []string, opts ...PeerOption) *PeerFetcher {
 	p := &PeerFetcher{
 		timeout:  3 * time.Second,
-		hc:       &http.Client{},
 		breakers: newBreakerSet(2, 15*time.Second),
 	}
 	for _, o := range opts {
@@ -108,7 +100,7 @@ func (p *PeerFetcher) SetPeers(peers []string) {
 	}
 	clients := make(map[string]*client.Client, len(ring.Replicas()))
 	for _, rep := range ring.Replicas() {
-		clients[rep] = client.New(rep, client.WithHTTPClient(p.hc))
+		clients[rep] = client.New(rep)
 	}
 	p.ring, p.clients = ring, clients
 	p.breakers.reset()
