@@ -3,18 +3,9 @@ package samielsq_test
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"samielsq"
 )
-
-// printTable prints a rendered table without the padding of its last
-// column, which a checked Output comment cannot hold.
-func printTable(t fmt.Stringer) {
-	for _, line := range strings.Split(t.String(), "\n") {
-		fmt.Println(strings.TrimRight(line, " "))
-	}
-}
 
 // Compare the SAMIE-LSQ against the paper's conventional 128-entry LSQ
 // on one workload and print the headline numbers the paper reports
@@ -51,7 +42,7 @@ func ExampleCompareIn() {
 	const insts = 20_000
 
 	b := samielsq.NewBatch(0)
-	printTable(b.Figure56(benchmarks, insts))
+	fmt.Println(b.Figure56(benchmarks, insts))
 
 	// CompareIn reuses the pair of runs Figure56 already simulated.
 	r := samielsq.CompareIn(b, "swim", insts)
@@ -63,7 +54,7 @@ func ExampleCompareIn() {
 		fmt.Println(err)
 		return
 	}
-	printTable(sweep)
+	fmt.Println(sweep)
 
 	st := b.Stats()
 	fmt.Printf("batch: %d executed, %d of %d requests from cache (%.0f%% reuse)\n",

@@ -38,7 +38,8 @@ func (t *Table) AddRow(cells ...any) {
 	t.rows = append(t.rows, row)
 }
 
-// String renders the table with aligned columns.
+// String renders the table with aligned columns. The last cell of a
+// line is not padded, so no line ends in a space.
 //
 //samie:deterministic
 func (t *Table) String() string {
@@ -58,6 +59,10 @@ func (t *Table) String() string {
 		for i, c := range cells {
 			if i > 0 {
 				b.WriteString("  ")
+			}
+			if i == len(cells)-1 {
+				b.WriteString(c)
+				break
 			}
 			fmt.Fprintf(&b, "%-*s", width[i], c)
 		}

@@ -23,6 +23,14 @@ func TestTableRendering(t *testing.T) {
 	if !strings.HasPrefix(lines[3], "longer-name") {
 		t.Fatalf("row = %q", lines[3])
 	}
+	if lines[2] != "x            1.500" {
+		t.Fatalf("row = %q, want col 0 padded and the last cell not", lines[2])
+	}
+	for _, l := range strings.Split(out, "\n") {
+		if strings.HasSuffix(l, " ") {
+			t.Errorf("line %q ends in a space", l)
+		}
+	}
 }
 
 func TestFormatFloat(t *testing.T) {
