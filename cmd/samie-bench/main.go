@@ -9,6 +9,7 @@
 //	samie-bench -insts 1000000       # higher-fidelity run
 //	samie-bench -fig 5 -fig 6        # specific figures
 //	samie-bench -fig table1          # a static table, by its row name
+//	samie-bench -fig claims          # the paper's claims beside the reproduced values
 //	samie-bench -bench ammp,swim     # subset of the suite
 //	samie-bench -list-scenarios      # the figure table's scenario sweeps
 //	samie-bench -scenario models     # run a registered sweep

@@ -30,7 +30,7 @@ func TestMain(m *testing.M) {
 // below refuses connections, which would exit 1). The static tables
 // are -fig names, not flags of their own: -table1 is a usage error.
 func TestUnknownFigureExits2(t *testing.T) {
-	const valid = "1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, table1, delays, tables456"
+	const valid = "1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, table1, delays, tables456, claims"
 	for _, c := range []struct {
 		args []string
 		msg  []string

@@ -88,26 +88,28 @@ func savings(rows []EnergyRow, old, new func(EnergyRow) float64) float64 {
 	return 1 - n/o
 }
 
-// LSQSavings returns the suite-wide LSQ dynamic-energy saving
-// (paper: 82%).
+// LSQSavings returns the suite-wide LSQ dynamic-energy saving: ledger
+// claim C00002 (claims.go) holds the paper's value.
 func (e EnergyResult) LSQSavings() float64 {
 	return savings(e.Rows, func(r EnergyRow) float64 { return r.ConvLSQ },
 		func(r EnergyRow) float64 { return r.SAMIELSQ })
 }
 
-// DcacheSavings returns the suite-wide L1 Dcache saving (paper: 42%).
+// DcacheSavings returns the suite-wide L1 Dcache saving: ledger claim
+// C00003.
 func (e EnergyResult) DcacheSavings() float64 {
 	return savings(e.Rows, func(r EnergyRow) float64 { return r.ConvDcache },
 		func(r EnergyRow) float64 { return r.SAMIEDcache })
 }
 
-// DTLBSavings returns the suite-wide DTLB saving (paper: 73%).
+// DTLBSavings returns the suite-wide DTLB saving: ledger claim C00004.
 func (e EnergyResult) DTLBSavings() float64 {
 	return savings(e.Rows, func(r EnergyRow) float64 { return r.ConvDTLB },
 		func(r EnergyRow) float64 { return r.SAMIEDTLB })
 }
 
-// AreaSavings returns the accumulated-active-area saving (paper: ~5%).
+// AreaSavings returns the accumulated-active-area saving: ledger claim
+// C00005.
 func (e EnergyResult) AreaSavings() float64 {
 	return savings(e.Rows, func(r EnergyRow) float64 { return r.ConvArea },
 		func(r EnergyRow) float64 { return r.SAMIEArea })
@@ -121,8 +123,8 @@ func (e EnergyResult) Figure7String() string {
 	for _, r := range e.Rows {
 		t.AddRow(r.Benchmark, r.ConvLSQ/1e3, r.SAMIELSQ/1e3, stats.Percent(1-r.SAMIELSQ/r.ConvLSQ))
 	}
-	return fmt.Sprintf("Figure 7: LSQ dynamic energy (suite saving %s, paper 82%%)\n%s",
-		stats.Percent(e.LSQSavings()), t.String())
+	return fmt.Sprintf("Figure 7: LSQ dynamic energy (suite saving %s, paper %s)\n%s",
+		stats.Percent(e.LSQSavings()), claimLSQ.paper, t.String())
 }
 
 // Figure8String renders Figure 8 (SAMIE energy breakdown).
@@ -149,8 +151,8 @@ func (e EnergyResult) Figure9String() string {
 	for _, r := range e.Rows {
 		t.AddRow(r.Benchmark, r.ConvDcache/1e3, r.SAMIEDcache/1e3, stats.Percent(1-r.SAMIEDcache/r.ConvDcache))
 	}
-	return fmt.Sprintf("Figure 9: L1 Dcache dynamic energy (suite saving %s, paper 42%%)\n%s",
-		stats.Percent(e.DcacheSavings()), t.String())
+	return fmt.Sprintf("Figure 9: L1 Dcache dynamic energy (suite saving %s, paper %s)\n%s",
+		stats.Percent(e.DcacheSavings()), claimDcache.paper, t.String())
 }
 
 // Figure10String renders Figure 10 (DTLB energy).
@@ -161,8 +163,8 @@ func (e EnergyResult) Figure10String() string {
 	for _, r := range e.Rows {
 		t.AddRow(r.Benchmark, r.ConvDTLB/1e3, r.SAMIEDTLB/1e3, stats.Percent(1-r.SAMIEDTLB/r.ConvDTLB))
 	}
-	return fmt.Sprintf("Figure 10: DTLB dynamic energy (suite saving %s, paper 73%%)\n%s",
-		stats.Percent(e.DTLBSavings()), t.String())
+	return fmt.Sprintf("Figure 10: DTLB dynamic energy (suite saving %s, paper %s)\n%s",
+		stats.Percent(e.DTLBSavings()), claimDTLB.paper, t.String())
 }
 
 // Figure11String renders Figure 11 (accumulated active area).
@@ -177,8 +179,8 @@ func (e EnergyResult) Figure11String() string {
 		}
 		t.AddRow(r.Benchmark, r.ConvArea, r.SAMIEArea, ratio)
 	}
-	return fmt.Sprintf("Figure 11: accumulated active LSQ area, µm²·cycles (suite saving %s, paper ~5%%)\n%s",
-		stats.Percent(e.AreaSavings()), t.String())
+	return fmt.Sprintf("Figure 11: accumulated active LSQ area, µm²·cycles (suite saving %s, paper %s)\n%s",
+		stats.Percent(e.AreaSavings()), claimArea.paper, t.String())
 }
 
 // Figure12String renders Figure 12 (active-area breakdown).

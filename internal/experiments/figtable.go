@@ -15,7 +15,8 @@ type Figure struct {
 	Name string
 	// Selects lists the names samie-bench -fig selects the row by: the
 	// paper figures it renders (one simulation pair renders Figures 5
-	// and 6) or a static table's own name. Scenario rows have none.
+	// and 6) or a table's own name (the static tables, the claims
+	// ledger). Scenario rows have none.
 	Selects []string
 	// Specs enumerates every simulation Run requests, so a driver can
 	// run them elsewhere first (pkg/cluster shards them across
@@ -27,17 +28,18 @@ type Figure struct {
 	// resolved benchmarks (ResolveBenchmarks). The value's String is
 	// the artefact's text; the value itself is the typed result the
 	// matching Batch method or table returns (Figure1Result ...
-	// Tables456Result, ScenarioResult). When ctx fires, the row's
-	// queued simulations are withdrawn and the context error is
-	// returned.
+	// Tables456Result, ClaimsResult, ScenarioResult). When ctx fires,
+	// the row's queued simulations are withdrawn and the context error
+	// is returned.
 	Run func(ctx context.Context, bt *Batch, benchmarks []string, insts uint64) (fmt.Stringer, error)
 	// Scenario is the registered sweep a scenario row renders; nil for
 	// the paper's rows.
 	Scenario *Scenario
 }
 
-// figures is the figure table: the suite's paper rows in paper order,
-// then the registered scenarios in registration order (RegisterScenario).
+// figures is the figure table: the suite's paper rows in paper order
+// with the paper-claims ledger last, then the registered scenarios in
+// registration order (RegisterScenario).
 var figures = []Figure{
 	{"1", []string{"1"}, specsOf(figure1Columns), erase((*Batch).figure1), nil},
 	{"3", []string{"3"}, specsOf(figure3Columns), erase((*Batch).figure3), nil},
@@ -50,6 +52,7 @@ var figures = []Figure{
 	{"table1", []string{"table1"}, nil, static(Table1), nil},
 	{"delays", []string{"delays"}, nil, static(Delays), nil},
 	{"tables456", []string{"tables456"}, nil, static(Tables456), nil},
+	{"claims", []string{"claims"}, specsOf(pairColumns), erase((*Batch).claims), nil},
 }
 
 // paperRows counts the paper's rows at the head of the table.

@@ -7,14 +7,14 @@ import (
 )
 
 // TestFigureSelectors pins the figure table's -fig mapping: every
-// paper figure number and static-table name selects exactly one row, a
+// paper figure number and table name selects exactly one row, a
 // repeated or combined selection keeps table order, and an unknown
 // name is an error that names the valid ones.
 func TestFigureSelectors(t *testing.T) {
 	for num, want := range map[string]string{
 		"1": "1", "3": "3", "4": "4", "5": "56", "6": "56",
 		"7": "energy", "8": "energy", "9": "energy", "10": "energy", "11": "energy", "12": "energy",
-		"table1": "table1", "delays": "delays", "tables456": "tables456",
+		"table1": "table1", "delays": "delays", "tables456": "tables456", "claims": "claims",
 	} {
 		got, err := SelectFigures([]string{num})
 		if err != nil || len(got) != 1 || got[0].Name != want {
@@ -33,7 +33,7 @@ func TestFigureSelectors(t *testing.T) {
 	}
 	for _, bad := range []string{"2", "13", "56", "energy", "table4", "models", ""} {
 		_, err := SelectFigures([]string{"1", bad})
-		if err == nil || !strings.Contains(err.Error(), "valid: 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, table1, delays, tables456)") {
+		if err == nil || !strings.Contains(err.Error(), "valid: 1, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, table1, delays, tables456, claims)") {
 			t.Errorf("-fig %q: error %v does not reject it with the valid numbers", bad, err)
 		}
 	}

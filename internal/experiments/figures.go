@@ -366,8 +366,8 @@ func (bt *Batch) figure56(ctx context.Context, benchmarks []string, insts uint64
 	return res, nil
 }
 
-// MeanIPCLossPct returns the arithmetic-mean IPC loss (the paper
-// reports 0.6%).
+// MeanIPCLossPct returns the arithmetic-mean IPC loss: ledger claim
+// C00001 (claims.go) holds the paper's value.
 func (f Figure56Result) MeanIPCLossPct() float64 {
 	var vs []float64
 	for _, r := range f.Rows {
@@ -388,6 +388,6 @@ func (f Figure56Result) String() string {
 	var b strings.Builder
 	b.WriteString("Figures 5 and 6: SAMIE-LSQ IPC loss and deadlock flushes\n")
 	b.WriteString(t.String())
-	fmt.Fprintf(&b, "SPEC mean IPC loss: %.2f%% (paper: 0.6%%)\n", f.MeanIPCLossPct())
+	fmt.Fprintf(&b, "SPEC mean IPC loss: %.2f%% (paper: %s)\n", f.MeanIPCLossPct(), claimIPCLoss.paper)
 	return b.String()
 }

@@ -13,10 +13,10 @@ var pressure = []string{"ammp", "apsi", "art", "facerec", "fma3d", "mgrid", "mcf
 
 const figInsts = 80_000
 
-// figBatch is shared by every figure-shape test in this file: the
-// Figure 4 sweep's 8-entry point, Figure 5/6 and the energy figures
-// all need the same paper-config runs, so the batch simulates each of
-// them once across the whole test binary.
+// figBatch is shared by the figure-shape tests and TestClaims: the
+// Figure 4 sweep's 8-entry point and the claims ledger need the same
+// paper-config runs, so the batch simulates each of them once across
+// the whole test binary.
 var figBatch = NewBatch(0)
 
 // TestFigure3Shape verifies the paper's Figure 3 claims: concentrated
@@ -67,85 +67,6 @@ func TestFigure4Shape(t *testing.T) {
 	}
 	if f.Programs[len(f.Programs)-1] < len(pressure)-2 {
 		t.Errorf("only %d of %d programs satisfied at 32 entries", f.Programs[len(f.Programs)-1], len(pressure))
-	}
-}
-
-// TestFigure56Shape verifies the Figure 5/6 story: small average IPC
-// loss, gains for the high-pressure programs (facerec/fma3d), losses
-// concentrated in the concentrated programs, and deadlocks essentially
-// confined to them.
-func TestFigure56Shape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	f := figBatch.Figure56(pressure, figInsts)
-	rows := map[string]Figure56Row{}
-	for _, r := range f.Rows {
-		rows[r.Benchmark] = r
-	}
-	if m := f.MeanIPCLossPct(); m > 6 {
-		t.Errorf("mean IPC loss %.2f%% too high (paper: 0.6%%)", m)
-	}
-	if rows["fma3d"].IPCLossPct > 1 {
-		t.Errorf("fma3d should not lose IPC (got %+.2f%%)", rows["fma3d"].IPCLossPct)
-	}
-	if rows["facerec"].IPCLossPct > 2 {
-		t.Errorf("facerec should be ~neutral or gain (got %+.2f%%)", rows["facerec"].IPCLossPct)
-	}
-	if rows["gzip"].IPCLossPct > 1 || rows["swim"].IPCLossPct > 1 {
-		t.Errorf("well-behaved programs lose IPC: gzip %+.2f%% swim %+.2f%%",
-			rows["gzip"].IPCLossPct, rows["swim"].IPCLossPct)
-	}
-	if rows["gzip"].DeadlocksPerM > 50 {
-		t.Errorf("gzip deadlocks %.0f/Mcycle, want ~0", rows["gzip"].DeadlocksPerM)
-	}
-	if rows["ammp"].DeadlocksPerM < rows["gzip"].DeadlocksPerM {
-		t.Error("ammp should deadlock more than gzip")
-	}
-}
-
-// TestEnergyShape verifies the headline energy claims of §4.4-§4.5 on
-// the representative subset: large LSQ savings, substantial Dcache and
-// DTLB savings, active area in the same ballpark as the baseline.
-func TestEnergyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	// A representative mix: the pressure programs alone understate the
-	// savings because they are the paper's worst cases (Figure 8).
-	suite := append([]string{"applu", "equake", "galgel", "wupwise", "crafty", "gcc", "vortex", "parser"}, pressure...)
-	e := figBatch.Energy(suite, figInsts)
-	if s := e.LSQSavings(); s < 0.45 {
-		t.Errorf("LSQ savings %.1f%% too low (paper 82%%)", s*100)
-	}
-	if s := e.DcacheSavings(); s < 0.25 {
-		t.Errorf("Dcache savings %.1f%% too low (paper 42%%)", s*100)
-	}
-	if s := e.DTLBSavings(); s < 0.45 {
-		t.Errorf("DTLB savings %.1f%% too low (paper 73%%)", s*100)
-	}
-	if s := e.AreaSavings(); s < -0.5 || s > 0.6 {
-		t.Errorf("area savings %.1f%% out of plausible band (paper ~5%%)", s*100)
-	}
-	rows := map[string]EnergyRow{}
-	for _, r := range e.Rows {
-		rows[r.Benchmark] = r
-	}
-	// Sharing drives the Dcache savings: mcf (lowest sharing in this
-	// subset) must save less than swim (highest).
-	mcf := 1 - rows["mcf"].SAMIEDcache/rows["mcf"].ConvDcache
-	swim := 1 - rows["swim"].SAMIEDcache/rows["swim"].ConvDcache
-	if mcf >= swim {
-		t.Errorf("Dcache savings ordering wrong: mcf %.1f%% >= swim %.1f%%", mcf*100, swim*100)
-	}
-	// Every figure renders.
-	for _, s := range []string{
-		e.Figure7String(), e.Figure8String(), e.Figure9String(),
-		e.Figure10String(), e.Figure11String(), e.Figure12String(),
-	} {
-		if len(s) == 0 {
-			t.Fatal("empty figure rendering")
-		}
 	}
 }
 

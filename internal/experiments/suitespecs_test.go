@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"slices"
 	"testing"
@@ -83,6 +85,32 @@ func TestSuiteSpecsCoverSuite(t *testing.T) {
 		t.Fatalf("SuiteSpecs enumerates %d specs, want %d", got, want)
 	}
 	assertPlansCover(t, inputs)
+}
+
+// TestSuiteKeySpace pins the suite's key space over the golden
+// benchmarks: the same 148 keys, in the same order, at the serve-zipf
+// budget (2000) and the golden budget. The serve-zipf benchmark
+// workload builds its traffic from exactly this list, so a paper row
+// that adds or reorders a suite spec changes what the benchmark
+// measures. The digest is SHA-256 over the keys, one per line.
+func TestSuiteKeySpace(t *testing.T) {
+	for _, c := range []struct {
+		insts  uint64
+		digest string
+	}{
+		{2_000, "25555769ea2652f02788d1218366ffe32d12ddb3e237af3530832ffcb4432083"},
+		{goldenInsts, "229447f35e387069e1bfa7a2216061dcd3eb2e9eb428f0c80bdd7dbc6953dde5"},
+	} {
+		specs := SuiteSpecs(goldenBenchmarks, c.insts)
+		h := sha256.New()
+		for _, s := range specs {
+			fmt.Fprintln(h, Key(s))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); len(specs) != 148 || got != c.digest {
+			t.Errorf("SuiteSpecs(%v, %d): %d keys with digest %s, want 148 with %s",
+				goldenBenchmarks, c.insts, len(specs), got, c.digest)
+		}
+	}
 }
 
 // TestScenarioSpecsCoverScenario is the same contract for registered

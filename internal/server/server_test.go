@@ -172,6 +172,8 @@ func TestFigureEndpointMatchesLibrary(t *testing.T) {
 		"table1":    {experiments.Table1().String(), decodeFigure[experiments.Table1Result]},
 		"delays":    {experiments.Delays().String(), decodeFigure[experiments.DelayResult]},
 		"tables456": {experiments.Tables456().String(), decodeFigure[experiments.Tables456Result]},
+
+		"claims": {experiments.Claims(batch.Figure56(bench, testInsts), batch.Energy(bench, testInsts)).String(), decodeFigure[experiments.ClaimsResult]},
 	}
 	for _, fig := range experiments.Figures() {
 		lib, ok := library[fig.Name]

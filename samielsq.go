@@ -200,11 +200,12 @@ type ComparisonResult struct {
 	ConvMeter  *EnergyMeter
 	SAMIEMeter *EnergyMeter
 
-	// Headline numbers in the paper's terms.
-	IPCLossPct      float64 // positive = SAMIE slower (paper avg: 0.6%)
-	LSQSavingPct    float64 // paper avg: 82%
-	DcacheSavingPct float64 // paper avg: 42%
-	DTLBSavingPct   float64 // paper avg: 73%
+	// Headline numbers in the paper's terms; `samie-bench -fig claims`
+	// lists the paper's suite averages beside the reproduced ones.
+	IPCLossPct      float64 // positive = SAMIE slower
+	LSQSavingPct    float64
+	DcacheSavingPct float64
+	DTLBSavingPct   float64
 }
 
 // Compare runs benchmark for insts measured instructions (after an

@@ -20,17 +20,6 @@ func TestBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestPaperConfigs(t *testing.T) {
-	sc := samielsq.PaperSAMIEConfig()
-	if sc.Banks != 64 || sc.EntriesPerBank != 2 || sc.SlotsPerEntry != 8 {
-		t.Fatalf("Table 3 config wrong: %+v", sc)
-	}
-	cc := samielsq.PaperCPUConfig()
-	if cc.ROBSize != 256 || cc.FetchWidth != 8 {
-		t.Fatalf("Table 2 config wrong: %+v", cc)
-	}
-}
-
 func TestCompareHeadlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation")
