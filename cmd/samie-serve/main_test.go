@@ -54,13 +54,18 @@ func TestConfiguredServerStreamsScenario(t *testing.T) {
 	for _, spec := range specs {
 		req.Specs = append(req.Specs, client.RequestFor(spec))
 	}
-	events := 0
+	events, runs := 0, 0
 	c := client.New("http://" + ln.Addr().String())
-	res, err := c.Suite(context.Background(), req, func(client.SuiteEvent) { events++ })
+	err = c.Suite(context.Background(), req, func(ev client.SuiteEvent) {
+		events++
+		if ev.Type == "run" {
+			runs++
+		}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if events != len(specs)+1 || len(res.Runs) != len(specs) {
-		t.Errorf("stream through the configured server yielded %d events and %d runs for %d specs", events, len(res.Runs), len(specs))
+	if events != len(specs)+1 || runs != len(specs) {
+		t.Errorf("stream through the configured server yielded %d events and %d runs for %d specs", events, runs, len(specs))
 	}
 }

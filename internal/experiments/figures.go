@@ -58,6 +58,16 @@ func (bt *Batch) Figure1(benchmarks []string, insts uint64) Figure1Result {
 // same columns as its spec set (see Figure.Specs).
 type column func(benchmark string) RunSpec
 
+// request simulates the column across the benchmarks through bt,
+// returning the results in benchmark order (see RunEachCtx).
+func (c column) request(ctx context.Context, bt *Batch, benchmarks []string) ([]RunResult, error) {
+	specs := make([]RunSpec, len(benchmarks))
+	for i, b := range benchmarks {
+		specs[i] = c(b)
+	}
+	return bt.RunEachCtx(ctx, specs, nil)
+}
+
 // figure1Columns lists Figure 1's series: the unbounded baseline, then
 // each ARB geometry at the full (128) and halved (64) in-flight caps.
 func figure1Columns(insts uint64) []column {
@@ -83,7 +93,7 @@ func figure1Columns(insts uint64) []column {
 // harness behaves the same way; the figure table calls them.
 func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64) (Figure1Result, error) {
 	cols := figure1Columns(insts)
-	base, err := bt.RunAllCtx(ctx, benchmarks, cols[0])
+	base, err := cols[0].request(ctx, bt, benchmarks)
 	if err != nil {
 		return Figure1Result{}, err
 	}
@@ -95,7 +105,7 @@ func (bt *Batch) figure1(ctx context.Context, benchmarks []string, insts uint64)
 	for i, cfg := range Figure1Configs() {
 		row := Figure1Row{Config: cfg}
 		for h, rel := range [...]*float64{&row.RelIPC, &row.RelIPCHalf} {
-			runs, err := bt.RunAllCtx(ctx, benchmarks, cols[1+2*i+h])
+			runs, err := cols[1+2*i+h].request(ctx, bt, benchmarks)
 			if err != nil {
 				return Figure1Result{}, err
 			}
@@ -179,7 +189,7 @@ func (bt *Batch) figure3(ctx context.Context, benchmarks []string, insts uint64)
 		rows[b] = &Figure3Row{Benchmark: b}
 	}
 	for gi, col := range figure3Columns(insts) {
-		runs, err := bt.RunAllCtx(ctx, benchmarks, col)
+		runs, err := col.request(ctx, bt, benchmarks)
 		if err != nil {
 			return Figure3Result{}, err
 		}
@@ -259,7 +269,7 @@ func (bt *Batch) figure4(ctx context.Context, benchmarks []string, insts uint64,
 	}
 	for i, col := range figure4Columns(insts, sizes) {
 		size := sizes[i]
-		runs, err := bt.RunAllCtx(ctx, benchmarks, col)
+		runs, err := col.request(ctx, bt, benchmarks)
 		if err != nil {
 			return Figure4Result{}, err
 		}
@@ -333,10 +343,10 @@ func pairColumns(insts uint64) []column {
 // runPair requests the conventional/SAMIE pair across the benchmarks.
 func (bt *Batch) runPair(ctx context.Context, benchmarks []string, insts uint64) (conv, samie []RunResult, err error) {
 	cols := pairColumns(insts)
-	if conv, err = bt.RunAllCtx(ctx, benchmarks, cols[0]); err != nil {
+	if conv, err = cols[0].request(ctx, bt, benchmarks); err != nil {
 		return nil, nil, err
 	}
-	if samie, err = bt.RunAllCtx(ctx, benchmarks, cols[1]); err != nil {
+	if samie, err = cols[1].request(ctx, bt, benchmarks); err != nil {
 		return nil, nil, err
 	}
 	return conv, samie, nil

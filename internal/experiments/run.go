@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"runtime/debug"
 	"slices"
 	"strconv"
 	"strings"
@@ -563,45 +562,6 @@ func (b *Batch) DiskStats() DiskCacheStats {
 // re-simulate (or reload from the disk cache) on the next request.
 // Intended for long-lived batches such as services.
 func (b *Batch) SetCacheLimit(n int) { b.sched.SetLimit(n) }
-
-// RunAllCtx executes one simulation per benchmark through the batch
-// (results are deterministic per benchmark; parallelism only reorders
-// wall time). build constructs the spec for each benchmark name. When
-// ctx fires, the sweep's queued simulations are withdrawn and the
-// first context error is returned; a panicking simulation surfaces as
-// an error (carrying the original panic and stack) instead of crashing
-// its fan-out goroutine's process. On error the partial results are
-// discarded, but every cell that did complete stays memoized in the
-// batch.
-func (b *Batch) RunAllCtx(ctx context.Context, benchmarks []string, build func(bench string) RunSpec) ([]RunResult, error) {
-	out := make([]RunResult, len(benchmarks))
-	errs := make(chan error, len(benchmarks))
-	for i, bench := range benchmarks {
-		go func(i int, bench string) {
-			var err error
-			defer func() {
-				if p := recover(); p != nil {
-					// The panic site's stack is only reachable here;
-					// carry it so the failure stays diagnosable once
-					// flattened to an error.
-					err = fmt.Errorf("experiments: %s simulation panicked: %v\n%s", bench, p, debug.Stack())
-				}
-				errs <- err
-			}()
-			out[i], err = b.RunCtx(ctx, build(bench))
-		}(i, bench)
-	}
-	var firstErr error
-	for range benchmarks {
-		if err := <-errs; err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if firstErr != nil {
-		return nil, firstErr
-	}
-	return out, nil
-}
 
 // Stats returns the batch's scheduler accounting: how many runs were
 // requested, how many actually simulated, and how many were served

@@ -61,10 +61,12 @@ func (b *Batch) Cached(key string) (RunResult, bool) {
 
 // RunEachCtx executes every spec through the batch, invoking onDone —
 // when non-nil, from a single goroutine, in completion order — as each
-// simulation finishes. Results are returned in spec order.
-// Cancellation and panic containment follow RunAllCtx: queued
-// simulations are withdrawn when ctx fires, completed cells stay
-// memoized, and a panicking simulation surfaces as an error.
+// simulation finishes. Results are returned in spec order. When ctx
+// fires, the queued simulations are withdrawn and the first context
+// error is returned; a panicking simulation surfaces as an error
+// (carrying the original panic and stack) instead of crashing its
+// fan-out goroutine's process. On error the partial results are
+// discarded, but every cell that did complete stays memoized.
 func (b *Batch) RunEachCtx(ctx context.Context, specs []RunSpec, onDone func(r RunResult, done, total int)) ([]RunResult, error) {
 	out := make([]RunResult, len(specs))
 	type doneMsg struct {

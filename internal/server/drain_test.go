@@ -97,24 +97,22 @@ func TestDrainAbortsLiveStreamWithTerminalEvent(t *testing.T) {
 }
 
 // TestDrainRejectsNewWork: simulation requests arriving after the
-// drain began — streaming or not — are turned away with a retryable
-// 503 before any work is admitted, while cheap read-only endpoints
-// keep answering so operators can still observe the process.
+// drain began are turned away with a retryable 503 before any work is
+// admitted, while cheap read-only endpoints keep answering so
+// operators can still observe the process.
 func TestDrainRejectsNewWork(t *testing.T) {
 	s, ts, _ := newTestServer(t, Config{Batch: experiments.NewBatch(1)})
 	s.BeginDrain()
 
-	for _, url := range []string{ts.URL + "/v1/suite", ts.URL + "/v1/suite?stream=1"} {
-		resp := postJSON(t, url, client.SuiteRequest{
-			Specs: []client.RunRequest{{Benchmark: "gzip", Insts: testInsts, Model: "samie"}},
-		})
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusServiceUnavailable {
-			t.Fatalf("POST %s under drain = %d, want 503", url, resp.StatusCode)
-		}
-		if e := decodeBody[client.ErrorResponse](t, resp); !strings.Contains(e.Error, "draining") {
-			t.Fatalf("drain rejection body %+v does not name the drain", e)
-		}
+	sweep := postJSON(t, ts.URL+"/v1/suite?stream=1", client.SuiteRequest{
+		Specs: []client.RunRequest{{Benchmark: "gzip", Insts: testInsts, Model: "samie"}},
+	})
+	defer sweep.Body.Close()
+	if sweep.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("POST /v1/suite under drain = %d, want 503", sweep.StatusCode)
+	}
+	if e := decodeBody[client.ErrorResponse](t, sweep); !strings.Contains(e.Error, "draining") {
+		t.Fatalf("drain rejection body %+v does not name the drain", e)
 	}
 
 	// Observability must outlive the drain: stats still answers.

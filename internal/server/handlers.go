@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
 	"strings"
@@ -216,105 +215,71 @@ func (s *Server) handleRunTimeline(w http.ResponseWriter, r *http.Request) {
 // full 26-benchmark suite is 962 distinct specs).
 const maxSuiteSpecs = 4096
 
-// handleSuite executes a suite spec set through the shared batch: the
-// full enumeration for the requested benchmarks, or — the cluster
-// shard path — exactly the specs the request names. With ?stream=1 the
-// response is NDJSON: one "run" event per completed simulation (in
-// completion order) carrying the full run payload, then a final
-// "result" event.
+// handleSuite executes the shard a cluster coordinator assigned to
+// this replica: exactly the specs the request names, 1 to
+// maxSuiteSpecs of them. The response is NDJSON: one "run" event per
+// completed simulation (in completion order) carrying the full run
+// payload, then a final "result" event — or an "error" event that
+// ends the stream.
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	var req client.SuiteRequest
 	// Shards embed whole config objects per spec, so the body cap is
 	// generous relative to /v1/runs.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24)).Decode(&req); err != nil && !errors.Is(err, io.EOF) {
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24)).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
-	var specs []experiments.RunSpec
-	if len(req.Specs) > maxSuiteSpecs {
+	if len(req.Specs) == 0 || len(req.Specs) > maxSuiteSpecs {
 		writeError(w, http.StatusBadRequest,
-			fmt.Sprintf("%d specs exceeds the per-request cap %d", len(req.Specs), maxSuiteSpecs))
+			fmt.Sprintf("a shard names 1 to %d specs, not %d", maxSuiteSpecs, len(req.Specs)))
 		return
+	}
+	specs := make([]experiments.RunSpec, 0, len(req.Specs))
+	for i, rr := range req.Specs {
+		n, err := s.vetRun(rr)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
+			return
+		}
+		specs = append(specs, n)
 	}
 	if len(req.Peers) > 0 && s.cfg.PeerAdopt != nil {
 		// The coordinator names the rest of its fleet; hand the list to
 		// the peer-fetch tier before the shard's lookups begin.
 		s.cfg.PeerAdopt(req.Peers)
 	}
-	if len(req.Specs) > 0 {
-		specs = make([]experiments.RunSpec, 0, len(req.Specs))
-		for i, rr := range req.Specs {
-			n, err := s.vetRun(rr)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
-				return
-			}
-			specs = append(specs, n)
-		}
-	} else {
-		benchmarks, err := validBenchmarks(req.Benchmarks)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		insts, err := s.capInsts(req.Insts)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		specs = experiments.SuiteSpecs(benchmarks, insts)
-	}
 	s.suiteSpecs.Add(int64(len(specs)))
 
-	emit := s.ndjsonEmitter(w, r)
-	ctx := r.Context()
-	var onDone func(res experiments.RunResult, done, total int)
-	if emit != nil {
-		// A draining server cancels the stream so the terminal error
-		// event below goes out while the connection is still writable.
-		var cancel context.CancelFunc
-		ctx, cancel = s.drainAware(ctx)
-		defer cancel()
-		// Every run event carries the serving request's span context:
-		// a coordinator resuming a truncated stream can then name the
-		// trace each undelivered spec belonged to.
-		tp := obs.SpanFromContext(ctx).TraceParent()
-		if tp == "" {
-			tp = r.Header.Get("traceparent")
-		}
-		onDone = func(res experiments.RunResult, done, total int) {
-			rr := runResponseFor(res)
-			emit(client.SuiteEvent{Type: "run", Run: &rr, Done: done, Total: total, Trace: tp})
-		}
+	emit := ndjsonEmitter(w)
+	// A draining server cancels the stream so the terminal error event
+	// below goes out while the connection is still writable.
+	ctx, cancel := s.drainAware(r.Context())
+	defer cancel()
+	// Every run event carries the serving request's span context: a
+	// coordinator resuming a truncated stream can then name the trace
+	// each undelivered spec belonged to.
+	tp := obs.SpanFromContext(ctx).TraceParent()
+	if tp == "" {
+		tp = r.Header.Get("traceparent")
 	}
-	results, err := s.batch.RunEachCtx(ctx, specs, onDone)
+	_, err := s.batch.RunEachCtx(ctx, specs, func(res experiments.RunResult, done, total int) {
+		rr := runResponseFor(res)
+		emit(client.SuiteEvent{Type: "run", Run: &rr, Done: done, Total: total, Trace: tp})
+	})
 	if err != nil {
 		if errors.Is(context.Cause(ctx), errDraining) {
 			err = errDraining
 		}
-		code := statusForError(err)
-		if code == http.StatusInternalServerError {
+		if statusForError(err) == http.StatusInternalServerError {
 			// A contained simulation failure, not a client that went
 			// away: the error carries the panic stack, keep it in the
 			// server log.
 			s.log.Error("suite failed", "err", err.Error())
 		}
-		if emit != nil {
-			emit(client.SuiteEvent{Type: "error", Error: err.Error()})
-		} else {
-			writeError(w, code, fmt.Sprintf("suite abandoned: %v", err))
-		}
+		emit(client.SuiteEvent{Type: "error", Error: err.Error()})
 		return
 	}
-	if emit != nil {
-		emit(client.SuiteEvent{Type: "result", Total: len(specs)})
-		return
-	}
-	out := client.SuiteResponse{Total: len(specs), Runs: make([]client.RunResponse, 0, len(results))}
-	for _, res := range results {
-		out.Runs = append(out.Runs, runResponseFor(res))
-	}
-	writeJSON(w, http.StatusOK, out)
+	emit(client.SuiteEvent{Type: "result", Total: len(specs)})
 }
 
 // handleFigure regenerates one figure-table row — a paper figure, a
@@ -402,7 +367,7 @@ func (s *Server) sweepParams(benchCSV, instsStr string) ([]string, uint64, error
 	var benchmarks []string
 	if benchCSV != "" {
 		benchmarks = strings.Split(benchCSV, ",")
-		if _, err := validBenchmarks(benchmarks); err != nil {
+		if err := validBenchmarks(benchmarks); err != nil {
 			return nil, 0, err
 		}
 	}

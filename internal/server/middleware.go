@@ -257,22 +257,15 @@ func (s *Server) heavy(h http.HandlerFunc) http.Handler {
 	})
 }
 
-// ndjsonEmitter switches the response to NDJSON streaming when the
-// request asked for it and returns the event writer; nil means the
-// caller should respond with plain JSON. Only truthy ?stream values
-// stream ("1", "true", ...): ?stream=0 must get the documented
-// plain-JSON response, not NDJSON.
-func (s *Server) ndjsonEmitter(w http.ResponseWriter, r *http.Request) func(ev any) {
-	streaming, _ := strconv.ParseBool(r.URL.Query().Get("stream"))
-	if !streaming {
-		return nil
-	}
+// ndjsonEmitter switches the response to NDJSON streaming and returns
+// the event writer; every event is flushed as it is written.
+func ndjsonEmitter(w http.ResponseWriter) func(client.SuiteEvent) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	flusher, _ := w.(http.Flusher)
-	return func(ev any) {
+	return func(ev client.SuiteEvent) {
 		_ = enc.Encode(ev) // Encode appends the newline NDJSON needs
 		if flusher != nil {
 			flusher.Flush()

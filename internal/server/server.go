@@ -9,7 +9,7 @@
 //
 //	POST /v1/runs                   one RunSpec -> stats + energy
 //	GET  /v1/runs/{key}             cache probe: 200 if memoized/on-disk, 404 otherwise
-//	POST /v1/suite                  suite spec set (or an explicit shard); ?stream=1 for NDJSON per-run progress
+//	POST /v1/suite                  a coordinator's shard of 1-4096 specs, streamed back as NDJSON per-run events
 //	GET  /v1/figures/{name}         a figure-table row: 1, 3, 4, 56, energy or a scenario sweep
 //	GET  /v1/scenarios              the table's scenario rows
 //	GET  /v1/stats                  engine/disk/process accounting
@@ -332,16 +332,12 @@ func withinCaps(n experiments.RunSpec, limit int) error {
 }
 
 // validBenchmarks checks every requested benchmark resolves to a
-// workload personality, returning the validated list (nil input means
-// the full suite).
-func validBenchmarks(names []string) ([]string, error) {
-	if len(names) == 0 {
-		return experiments.Benchmarks(), nil
-	}
+// workload personality.
+func validBenchmarks(names []string) error {
 	for _, n := range names {
 		if _, err := trace.Personality(n); err != nil {
-			return nil, fmt.Errorf("unknown benchmark %q", n)
+			return fmt.Errorf("unknown benchmark %q", n)
 		}
 	}
-	return names, nil
+	return nil
 }

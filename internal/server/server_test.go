@@ -671,9 +671,9 @@ func TestSuiteEndpointShard(t *testing.T) {
 		{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts},
 	}}
 
-	// Streaming: one run event per spec, then the final result.
+	// One run event per spec, then the final result.
 	var runs, results int
-	resp, err := c.Suite(ctx, shard, func(ev client.SuiteEvent) {
+	err := c.Suite(ctx, shard, func(ev client.SuiteEvent) {
 		switch ev.Type {
 		case "run":
 			runs++
@@ -682,6 +682,9 @@ func TestSuiteEndpointShard(t *testing.T) {
 			}
 		case "result":
 			results++
+			if ev.Total != 2 {
+				t.Errorf("result event total %d, want 2", ev.Total)
+			}
 		}
 	})
 	if err != nil {
@@ -690,21 +693,23 @@ func TestSuiteEndpointShard(t *testing.T) {
 	if runs != 2 || results != 1 {
 		t.Errorf("saw %d run and %d result events, want 2 and 1", runs, results)
 	}
-	if resp.Total != 2 || len(resp.Runs) != 2 {
-		t.Errorf("collected response %+v, want 2 runs", resp)
-	}
 	if st := batch.Stats(); st.Executed != 2 {
 		t.Fatalf("shard executed %d simulations, want 2", st.Executed)
 	}
 
-	// Non-streaming replay of the same shard: everything is a cache
-	// hit, the runs come back in spec order.
-	again, err := c.Suite(ctx, shard, nil)
+	// A coordinator that still asks for ?stream=1 gets the same NDJSON
+	// answer; the replayed shard is all cache hits.
+	again := postJSON(t, ts.URL+"/v1/suite?stream=1", shard)
+	defer again.Body.Close()
+	if ct := again.Header.Get("Content-Type"); ct != "application/x-ndjson" {
+		t.Errorf("?stream=1 shard answered %q, want application/x-ndjson", ct)
+	}
+	body, err := io.ReadAll(again.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(again.Runs) != 2 || again.Runs[0].Model != client.ModelConventional {
-		t.Errorf("non-streaming shard response wrong: %+v", again)
+	if n := strings.Count(string(body), `"type":"run"`); n != 2 || !strings.Contains(string(body), `"type":"result"`) {
+		t.Errorf("?stream=1 replay streamed %d run events, want 2 and a result:\n%s", n, body)
 	}
 	if st := batch.Stats(); st.Executed != 2 {
 		t.Errorf("replayed shard re-executed: %+v", st)
@@ -714,47 +719,29 @@ func TestSuiteEndpointShard(t *testing.T) {
 	}
 }
 
-func TestSuiteEndpointEnumerates(t *testing.T) {
-	_, ts, batch := newTestServer(t, Config{})
-	c := client.New(ts.URL)
-
-	// An empty Specs list means "the whole suite for these benchmarks":
-	// the server enumerates the same spec set the library plans with.
-	resp, err := c.Suite(context.Background(),
-		client.SuiteRequest{Benchmarks: []string{"gzip"}, Insts: testInsts}, nil)
+// TestSuiteEndpointValidation: a shard that is missing, empty, too
+// large or names an invalid spec is a 400 before the engine sees it.
+// Only an explicit shard is work: a body naming benchmarks is no
+// request for the whole suite.
+func TestSuiteEndpointValidation(t *testing.T) {
+	_, ts, batch := newTestServer(t, Config{MaxInsts: 100_000})
+	overCap, err := json.Marshal(client.SuiteRequest{Specs: make([]client.RunRequest, maxSuiteSpecs+1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(experiments.SuiteSpecs([]string{"gzip"}, testInsts))
-	if resp.Total != want || len(resp.Runs) != want {
-		t.Fatalf("suite executed %d/%d specs, want %d", resp.Total, len(resp.Runs), want)
-	}
-	if st := batch.Stats(); st.Executed != int64(want) {
-		t.Errorf("engine executed %d, want %d", st.Executed, want)
-	}
-
-	// Falsy stream values mean "don't stream", per the documented
-	// ?stream=1 contract (the specs above are memoized, so this
-	// re-request is cheap).
-	plain := postJSON(t, ts.URL+"/v1/suite?stream=0", client.SuiteRequest{Benchmarks: []string{"gzip"}, Insts: testInsts})
-	if ct := plain.Header.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("stream=0 answered %q, want plain application/json", ct)
-	}
-	if out := decodeBody[client.SuiteResponse](t, plain); out.Total != want {
-		t.Errorf("stream=0 lost the single-JSON response shape: total %d, want %d", out.Total, want)
-	}
-}
-
-func TestSuiteEndpointValidation(t *testing.T) {
-	_, ts, batch := newTestServer(t, Config{MaxInsts: 100_000})
-	for name, req := range map[string]client.SuiteRequest{
-		"bad_model":      {Specs: []client.RunRequest{{Benchmark: "gzip", Model: "bogus"}}},
-		"bad_benchmark":  {Specs: []client.RunRequest{{Benchmark: "nope", Model: client.ModelSAMIE}}},
-		"insts_over_cap": {Specs: []client.RunRequest{{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1 << 40}}},
-		"bad_suite_name": {Benchmarks: []string{"nope"}},
-		"shard_over_cap": {Specs: make([]client.RunRequest, maxSuiteSpecs+1)},
+	for name, body := range map[string]string{
+		"empty_body":      "",
+		"no_specs":        `{"specs":[]}`,
+		"benchmarks_only": `{"benchmarks":["gzip"],"insts":1000}`,
+		"bad_model":       `{"specs":[{"benchmark":"gzip","model":"bogus"}]}`,
+		"bad_benchmark":   `{"specs":[{"benchmark":"nope","model":"samie"}]}`,
+		"insts_over_cap":  `{"specs":[{"benchmark":"gzip","model":"samie","insts":1099511627776}]}`,
+		"shard_over_cap":  string(overCap),
 	} {
-		resp := postJSON(t, ts.URL+"/v1/suite", req)
+		resp, err := http.Post(ts.URL+"/v1/suite", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("%s: status %d, want 400", name, resp.StatusCode)
 		}

@@ -199,15 +199,11 @@ type ScenarioInfo struct {
 	Benchmarks []string `json:"benchmarks,omitempty"`
 }
 
-// SuiteRequest is the POST /v1/suite body. With Specs empty the
-// replica enumerates and executes the full suite spec set for the
-// benchmarks; with Specs set it executes exactly those simulations —
-// the shard a cluster coordinator assigned to it (see pkg/cluster).
+// SuiteRequest is the POST /v1/suite body: the shard a cluster
+// coordinator assigned to one replica (see pkg/cluster). The replica
+// executes exactly these simulations; a shard names 1 to 4096 specs.
 type SuiteRequest struct {
-	Benchmarks []string `json:"benchmarks,omitempty"` // default: all 26
-	Insts      uint64   `json:"insts,omitempty"`
-
-	Specs []RunRequest `json:"specs,omitempty"`
+	Specs []RunRequest `json:"specs"`
 
 	// Peers are the coordinator's other replicas (base URLs, the
 	// target excluded): the replica may adopt them as its tier-2
@@ -236,14 +232,6 @@ type SuiteEvent struct {
 
 	// error field
 	Error string `json:"error,omitempty"`
-}
-
-// SuiteResponse is the collected POST /v1/suite result. In streaming
-// mode the runs arrive as individual events and the final "result"
-// event carries only Total; Client.Suite reassembles Runs either way.
-type SuiteResponse struct {
-	Total int           `json:"total"`
-	Runs  []RunResponse `json:"runs,omitempty"`
 }
 
 // StatsResponse is the GET /v1/stats body: engine, tiered-store and

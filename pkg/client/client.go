@@ -256,32 +256,26 @@ func (c *Client) ProbeRun(ctx context.Context, key string) (RunResponse, bool, e
 	return out, true, nil
 }
 
-// Suite executes a suite spec set — the full enumeration, or the
-// explicit shard in req.Specs — on the server. With a nil onEvent the
-// call blocks for the collected result; with onEvent set the server
-// streams NDJSON and onEvent observes every run as its simulation
-// completes. Either way the returned response carries every run.
-func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(SuiteEvent)) (SuiteResponse, error) {
-	if onEvent == nil {
-		var out SuiteResponse
-		err := c.roundTrip(ctx, http.MethodPost, "/v1/suite", req, &out)
-		return out, err
-	}
-	resp, err := c.send(ctx, http.MethodPost, "/v1/suite?stream=1", req, "")
+// Suite executes a shard — the explicit spec set in req.Specs, as a
+// cluster coordinator assigns it (see pkg/cluster) — on the server.
+// The server streams NDJSON, and onEvent, which must be non-nil,
+// observes every event: a "run" as each simulation completes, then
+// the final "result". An error event, or a stream that ends without
+// the result, is an error.
+func (c *Client) Suite(ctx context.Context, req SuiteRequest, onEvent func(SuiteEvent)) error {
+	resp, err := c.send(ctx, http.MethodPost, "/v1/suite", req, "")
 	if err != nil {
-		return SuiteResponse{}, err
+		return err
 	}
 	defer resp.Body.Close()
 	return decodeSuiteStream(resp.Body, maxStreamLine, onEvent)
 }
 
 // decodeSuiteStream reads a suite's NDJSON event stream, handing every
-// event to onEvent, and collects its runs, in stream order, and the
-// final result event's total. An error event, a line that is not an
-// event, a line longer than maxLine and a stream without a result
-// event are errors.
-func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) (SuiteResponse, error) {
-	var out SuiteResponse
+// event to onEvent. An error event, a line that is not an event, a
+// line longer than maxLine and a stream without a result event are
+// errors.
+func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) error {
 	sawResult := false
 	err := eachLine(r, maxLine, func(line []byte) error {
 		var ev SuiteEvent
@@ -292,12 +286,7 @@ func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) (Suit
 		switch ev.Type {
 		case "error":
 			return fmt.Errorf("server: %s", ev.Error)
-		case "run":
-			if ev.Run != nil {
-				out.Runs = append(out.Runs, *ev.Run)
-			}
 		case "result":
-			out.Total = ev.Total
 			sawResult = true
 		}
 		return nil
@@ -305,10 +294,7 @@ func decodeSuiteStream(r io.Reader, maxLine int, onEvent func(SuiteEvent)) (Suit
 	if err == nil && !sawResult {
 		err = errNoResult
 	}
-	if err != nil {
-		return SuiteResponse{}, err
-	}
-	return out, nil
+	return err
 }
 
 // Figure regenerates one figure-table row — a paper figure (a name
@@ -377,18 +363,6 @@ func (c *Client) Trace(ctx context.Context, traceID string) (TraceResponse, bool
 		return TraceResponse{}, false, err
 	}
 	return out, true, nil
-}
-
-// Traces lists the server's recent root spans, newest-first, plus the
-// replica's dropped-span count; limit <= 0 takes the server default.
-func (c *Client) Traces(ctx context.Context, limit int) (TracesResponse, error) {
-	path := "/v1/traces"
-	if limit > 0 {
-		path += "?limit=" + strconv.Itoa(limit)
-	}
-	var out TracesResponse
-	err := c.roundTrip(ctx, http.MethodGet, path, nil, &out)
-	return out, err
 }
 
 // Timeline fetches a cached run's interval telemetry as NDJSON from

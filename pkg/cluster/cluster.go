@@ -12,25 +12,24 @@ import (
 	"sync"
 	"time"
 
-	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
 	"samielsq/pkg/client"
 )
 
 // ShardedClient drives a set of samie-serve replicas as if they were
 // one server; `samie-bench -server` builds one over its replica list
-// (one URL is a ring of one). Each request routes to the rendezvous
-// owner of its canonical key — repeated requests for the same work
-// always land on the same warm replica — with a per-replica circuit
-// breaker (consecutive failures trip, half-open health probe
-// readmits), 429/Retry-After-aware jittered retry, and failover down
-// the key's weight ranking. Safe for concurrent use.
+// (one URL is a ring of one). Work reaches the fleet as RunSpecs
+// sweeps: each spec goes to the rendezvous owner of its canonical key —
+// repeated requests for the same work always land on the same warm
+// replica — with a per-replica circuit breaker (consecutive failures
+// trip, a half-open health probe readmits), Retry-After-aware jittered
+// waits on a saturated fleet, and failover down the key's weight
+// ranking. Safe for concurrent use.
 type ShardedClient struct {
 	ring        *Rendezvous
 	clients     map[string]*client.Client
 	breakers    *breakerSet
 	bo          client.Backoff
-	retries429  int
 	retryBudget int
 	log         *slog.Logger
 
@@ -49,9 +48,10 @@ func WithQuarantine(d time.Duration) Option {
 	return func(c *ShardedClient) { c.breakers.cooldown = d }
 }
 
-// WithMaxRetryWait caps every backoff sleep, including how long a
-// 429's Retry-After hint is honored before the request fails over
-// anyway; default 15s.
+// WithMaxRetryWait caps every backoff sleep of a sweep — a resumed
+// shard stream's pause, and each wait on a saturated fleet's
+// Retry-After hint (the sweep keeps waiting for as long as the hints
+// ask; the cap only makes it poll more often); default 15s.
 func WithMaxRetryWait(d time.Duration) Option {
 	return func(c *ShardedClient) { c.bo.Cap = d }
 }
@@ -105,7 +105,6 @@ func New(replicas []string, opts ...Option) (*ShardedClient, error) {
 		clients:     map[string]*client.Client{},
 		breakers:    newBreakerSet(2, 3*time.Second),
 		bo:          client.Backoff{Cap: 15 * time.Second, Seed: processSeed()},
-		retries429:  2,
 		retryBudget: 32,
 		log:         slog.New(slog.DiscardHandler),
 	}
@@ -128,72 +127,25 @@ func processSeed() uint64 {
 // Replicas returns the configured replica URLs, sorted.
 func (c *ShardedClient) Replicas() []string { return c.ring.Replicas() }
 
-// markDown records a failed exchange with a replica; enough
-// consecutive failures trip its breaker.
-func (c *ShardedClient) markDown(rep string) {
-	c.breakers.failure(rep)
-}
-
-// markUp closes a replica's breaker after a successful exchange.
-func (c *ShardedClient) markUp(rep string) {
-	c.breakers.success(rep)
-}
-
-// replicaState reports whether a replica is currently usable and
-// whether it should be health-probed before carrying a real request
-// (its breaker is half-open).
-func (c *ShardedClient) replicaState(rep string) (usable, probeFirst bool) {
-	return c.breakers.state(rep)
-}
-
-// candidates returns the failover order for key restricted to usable
-// replicas; when every breaker is open it returns the full ranking
-// (trying a possibly-dead replica beats failing without trying).
-func (c *ShardedClient) candidates(key string) []string {
-	ranked := c.ring.Ranked(key)
-	usable := ranked[:0:0]
-	for _, rep := range ranked {
-		if ok, _ := c.replicaState(rep); ok {
-			usable = append(usable, rep)
-		}
-	}
-	if len(usable) == 0 {
-		return ranked
-	}
-	return usable
-}
-
-// reprobe applies the half-open policy for one replica: when its
-// breaker's cooldown just lapsed, a /healthz probe decides readmission
-// (markUp, closing the breaker) or re-opening (markDown, returning the
-// probe error). Both routing walks — do and healthyCandidate — share
-// this, so the policy lives in one place. Callers decide separately
-// whether a replica with an open breaker may be tried at all.
-func (c *ShardedClient) reprobe(ctx context.Context, rep string) error {
-	if _, probe := c.replicaState(rep); !probe {
-		return nil
-	}
-	if err := c.clients[rep].Health(ctx); err != nil {
-		c.markDown(rep)
-		return err
-	}
-	c.markUp(rep)
-	return nil
-}
-
-// healthyCandidate returns the highest-ranked replica for key that is
-// usable right now, health-probing any whose quarantine just expired
-// so a still-dead replica is not handed fresh work on faith. When
-// every replica is down it returns the key's owner — trying beats
-// failing without trying.
+// healthyCandidate returns the highest-ranked replica for key whose
+// breaker admits work right now. A replica whose cooldown just lapsed
+// (half-open) is health-probed first, so a still-dead replica is not
+// handed fresh work on faith: the probe's answer closes its breaker or
+// re-opens it for another cooldown. When every replica is down it
+// returns the key's owner — trying beats failing without trying.
 func (c *ShardedClient) healthyCandidate(ctx context.Context, key string) string {
 	ranked := c.ring.Ranked(key)
 	for _, rep := range ranked {
-		if usable, _ := c.replicaState(rep); !usable {
+		usable, probe := c.breakers.state(rep)
+		if !usable {
 			continue
 		}
-		if c.reprobe(ctx, rep) != nil {
-			continue
+		if probe {
+			if err := c.clients[rep].Health(ctx); err != nil {
+				c.breakers.failure(rep)
+				continue
+			}
+			c.breakers.success(rep)
 		}
 		return rep
 	}
@@ -206,116 +158,6 @@ func (c *ShardedClient) healthyCandidate(ctx context.Context, key string) string
 func permanent(err error) bool {
 	var ae *client.APIError
 	return errors.As(err, &ae) && ae.Status/100 == 4 && ae.Status != http.StatusTooManyRequests
-}
-
-// backoff sleeps before retrying rep, under the shared client.Backoff
-// policy: a 429's Retry-After hint is honored (bounded by
-// WithMaxRetryWait) with deterministic jitter layered on top, so N
-// coordinators given the same hint wake staggered instead of
-// re-stampeding the replica in lockstep; other errors get the capped
-// exponential schedule. The hint is APIError.RetryAfter, which
-// pkg/client stamps through its single client.ParseRetryAfter parser
-// (delta-seconds and HTTP-date forms, clamped non-negative) — the
-// fabric never re-reads headers itself.
-func (c *ShardedClient) backoff(ctx context.Context, rep string, attempt int, err error) error {
-	return c.bo.Sleep(ctx, rep, attempt, err)
-}
-
-// do routes one request: try the key's replicas in weight order,
-// health-probing a just-unquarantined replica first, honoring
-// Retry-After on 429 (bounded retries per replica), quarantining and
-// failing over on transport or server errors.
-func (c *ShardedClient) do(ctx context.Context, key string, f func(cl *client.Client) error) error {
-	var lastErr error
-	for _, rep := range c.candidates(key) {
-		cl := c.clients[rep]
-		if err := c.reprobe(ctx, rep); err != nil {
-			lastErr = err
-			continue
-		}
-		for attempt := 0; ; attempt++ {
-			err := f(cl)
-			if err == nil {
-				c.markUp(rep)
-				return nil
-			}
-			if ctx.Err() != nil {
-				return err
-			}
-			if permanent(err) {
-				return err
-			}
-			if client.IsThrottled(err) && attempt < c.retries429 {
-				// Saturated, not dead: the replica asked us to come
-				// back. Honor the hint before failing over.
-				if werr := c.backoff(ctx, rep, attempt, err); werr != nil {
-					return werr
-				}
-				continue
-			}
-			// Transport failure, server error, or an exhausted 429
-			// budget: count it against the breaker and fall through to
-			// the next-ranked replica.
-			if !client.IsThrottled(err) {
-				c.markDown(rep)
-			}
-			lastErr = err
-			break
-		}
-	}
-	return fmt.Errorf("cluster: every replica failed: %w", lastErr)
-}
-
-// Run executes one simulation on the replica owning the spec's
-// canonical key, so identical requests from any coordinator coalesce
-// on the same warm replica.
-func (c *ShardedClient) Run(ctx context.Context, req client.RunRequest) (client.RunResponse, error) {
-	spec, err := req.Spec()
-	if err != nil {
-		return client.RunResponse{}, err
-	}
-	key := experiments.Key(spec)
-	var out client.RunResponse
-	err = c.do(ctx, key, func(cl *client.Client) error {
-		var e error
-		out, e = cl.Run(ctx, req)
-		return e
-	})
-	return out, err
-}
-
-// ProbeRun asks the cluster whether any replica already holds the
-// result for a canonical key, checking the owner first and falling
-// back down the ranking (a rebalance may have left the artifact on a
-// previous owner).
-func (c *ShardedClient) ProbeRun(ctx context.Context, key string) (client.RunResponse, bool, error) {
-	var lastErr error
-	for _, rep := range c.candidates(key) {
-		out, ok, err := c.clients[rep].ProbeRun(ctx, key)
-		if err != nil {
-			if ctx.Err() != nil {
-				return client.RunResponse{}, false, err
-			}
-			if permanent(err) {
-				// The probe itself is malformed (4xx): no replica would
-				// answer differently, and quarantining healthy replicas
-				// over the requester's mistake would blind the fabric —
-				// mirror do()/RunSpecs and fail fast instead.
-				return client.RunResponse{}, false, err
-			}
-			c.markDown(rep)
-			lastErr = err
-			continue
-		}
-		c.markUp(rep)
-		if ok {
-			return out, true, nil
-		}
-	}
-	if lastErr != nil {
-		return client.RunResponse{}, false, fmt.Errorf("cluster: probe failed on every reachable replica: %w", lastErr)
-	}
-	return client.RunResponse{}, false, nil
 }
 
 // Stats aggregates /v1/stats across every reachable replica: counters
@@ -433,10 +275,10 @@ func (c *ShardedClient) Health(ctx context.Context) error {
 		go func(i int, rep string) {
 			defer wg.Done()
 			if err := c.clients[rep].Health(ctx); err != nil {
-				c.markDown(rep)
+				c.breakers.failure(rep)
 				errs[i] = err
 			} else {
-				c.markUp(rep)
+				c.breakers.success(rep)
 			}
 		}(i, rep)
 	}

@@ -14,7 +14,6 @@ import (
 
 	"samielsq/internal/experiments"
 	"samielsq/internal/server"
-	"samielsq/pkg/client"
 )
 
 // refWeight independently reimplements the pinned HRW weight (FNV-1a
@@ -147,135 +146,63 @@ func bootReplica(t *testing.T, workers int) (url string, batch *experiments.Batc
 	return ts.URL, batch, kill
 }
 
-func TestShardedRunRoutesToOwner(t *testing.T) {
-	urlA, batchA, _ := bootReplica(t, 1)
-	urlB, batchB, _ := bootReplica(t, 1)
-	c, err := New([]string{urlA, urlB})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-
-	execCount := func(rep string) int64 {
-		if rep == urlA {
-			return batchA.Stats().Executed
-		}
-		return batchB.Stats().Executed
-	}
-	for i := 0; i < 4; i++ {
-		req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: uint64(5_000 + i)}
-		spec, _ := req.Spec()
-		owner := c.ring.Owner(experiments.Key(spec))
-		before := execCount(owner)
-		if _, err := c.Run(ctx, req); err != nil {
-			t.Fatal(err)
-		}
-		if after := execCount(owner); after != before+1 {
-			t.Errorf("run %d did not execute on its owner %s", i, owner)
+// ownedBy returns a spec that rendezvous places on rep, searching the
+// instruction budget upward from insts.
+func ownedBy(t *testing.T, c *ShardedClient, rep string, insts uint64) experiments.RunSpec {
+	t.Helper()
+	for i := uint64(0); i < 64; i++ {
+		spec := experiments.RunSpec{Benchmark: "swim", Model: experiments.ModelConventional, Insts: insts + i}
+		if c.ring.Owner(experiments.Key(spec)) == rep {
+			return spec
 		}
 	}
-	// Identical re-requests hit the same warm replica's cache: total
-	// executions stay put.
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 5_000}
-	if _, err := c.Run(ctx, req); err != nil {
-		t.Fatal(err)
-	}
-	if tot := batchA.Stats().Executed + batchB.Stats().Executed; tot != 4 {
-		t.Errorf("cluster executed %d simulations for 4 distinct specs", tot)
-	}
+	t.Fatalf("no spec owned by %s in 64 tries", rep)
+	return experiments.RunSpec{}
 }
 
+// TestShardedFailoverOnUnhealthy: a sweep whose owner is down runs on
+// the survivor, and once the owner recovers its breaker's half-open
+// probe readmits it, so its keys execute there again.
 func TestShardedFailoverOnUnhealthy(t *testing.T) {
 	urlA, batchA, killA := bootReplica(t, 1)
 	urlB, batchB, _ := bootReplica(t, 1)
-	c, err := New([]string{urlA, urlB}, WithQuarantine(50*time.Millisecond))
+	c, err := New([]string{urlA, urlB}, WithQuarantine(50*time.Millisecond), WithMaxRetryWait(20*time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 
-	// Find a spec owned by A, then stop A: the run must fail over to B.
-	var req client.RunRequest
-	found := false
-	for i := 0; i < 64 && !found; i++ {
-		req = client.RunRequest{Benchmark: "swim", Model: client.ModelConventional, Insts: uint64(5_000 + i)}
-		spec, _ := req.Spec()
-		found = c.ring.Owner(experiments.Key(spec)) == urlA
-	}
-	if !found {
-		t.Fatal("no spec owned by replica A in 64 tries")
-	}
+	// Stop A: a spec it owns must fail over to B.
+	spec := ownedBy(t, c, urlA, 5_000)
 	killA.Store(true)
-	if _, err := c.Run(ctx, req); err != nil {
-		t.Fatalf("failover run failed: %v", err)
+	if _, err := c.RunSpecs(ctx, []experiments.RunSpec{spec}, nil); err != nil {
+		t.Fatalf("failover sweep failed: %v", err)
 	}
 	if batchB.Stats().Executed != 1 || batchA.Stats().Executed != 0 {
 		t.Errorf("failover executed on A=%d B=%d, want 0/1",
 			batchA.Stats().Executed, batchB.Stats().Executed)
 	}
-	// A is quarantined now: health still reports the fabric serving.
+	// A's breaker is open now: health still reports the fabric serving.
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("fabric unhealthy with one live replica: %v", err)
 	}
 
-	// After recovery and quarantine expiry, A serves its keys again.
+	// After recovery and the cooldown, A's breaker is half-open: the
+	// next sweep probes it, readmits it, and A serves its keys again.
 	killA.Store(false)
 	time.Sleep(60 * time.Millisecond)
-	req2 := req
-	req2.Insts += 1000
-	for i := 0; i < 64; i++ {
-		spec, _ := req2.Spec()
-		if c.ring.Owner(experiments.Key(spec)) == urlA {
-			break
-		}
-		req2.Insts++
+	if usable, probe := c.breakers.state(urlA); !usable || !probe {
+		t.Fatalf("recovered replica's breaker is usable=%v half-open=%v, want a half-open probe", usable, probe)
 	}
-	before := batchA.Stats().Executed
-	if _, err := c.Run(ctx, req2); err != nil {
+	spec2 := ownedBy(t, c, urlA, spec.Insts+1000)
+	if _, err := c.RunSpecs(ctx, []experiments.RunSpec{spec2}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if batchA.Stats().Executed != before+1 {
+	if batchA.Stats().Executed != 1 {
 		t.Error("recovered replica did not resume serving its keys")
 	}
-}
-
-func TestShardedRetryAfterHonored(t *testing.T) {
-	// A replica that sheds the first request with 429 + Retry-After
-	// must be retried, not quarantined or failed.
-	var calls atomic.Int64
-	urlB, _, _ := bootReplica(t, 1)
-	shedding := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if calls.Add(1) == 1 {
-			w.Header().Set("Retry-After", "1")
-			http.Error(w, `{"error":"saturated"}`, http.StatusTooManyRequests)
-			return
-		}
-		// Delegate everything else to a real replica's handler shape:
-		// simplest is to proxy the run to the healthy server.
-		resp, err := http.Post(urlB+r.URL.Path, "application/json", r.Body)
-		if err != nil {
-			http.Error(w, err.Error(), http.StatusBadGateway)
-			return
-		}
-		defer resp.Body.Close()
-		w.WriteHeader(resp.StatusCode)
-		io.Copy(w, resp.Body)
-	}))
-	t.Cleanup(shedding.Close)
-
-	c, err := New([]string{shedding.URL}, WithMaxRetryWait(20*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	start := time.Now()
-	if _, err := c.Run(context.Background(), client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 5_000}); err != nil {
-		t.Fatalf("throttled run never succeeded: %v", err)
-	}
-	if calls.Load() < 2 {
-		t.Errorf("replica saw %d calls, want the 429 retried", calls.Load())
-	}
-	if elapsed := time.Since(start); elapsed < 20*time.Millisecond {
-		t.Errorf("retry did not honor the (capped) Retry-After wait: %s", elapsed)
+	if usable, probe := c.breakers.state(urlA); !usable || probe {
+		t.Errorf("readmitted replica's breaker is usable=%v half-open=%v, want closed", usable, probe)
 	}
 }
 
@@ -361,6 +288,15 @@ func TestRunSpecsExactlyOnceAndAggregatedStats(t *testing.T) {
 			execA, execB, ownedA, int64(len(specs))-ownedA)
 	}
 
+	// Re-running the same specs lands every key on the owner that
+	// already holds it: nothing executes again.
+	if again, err := c.RunSpecs(ctx, specs, nil); err != nil || len(again) != len(specs) {
+		t.Fatalf("re-run collected %d of %d results: %v", len(again), len(specs), err)
+	}
+	if tot := batchA.Stats().Executed + batchB.Stats().Executed; tot != int64(len(specs)) {
+		t.Errorf("re-run executed again: %d total executions for %d specs", tot, len(specs))
+	}
+
 	// The aggregated stats endpoint sees the same totals.
 	st, err := c.Stats(ctx)
 	if err != nil {
@@ -411,9 +347,6 @@ func TestNewValidation(t *testing.T) {
 	if got := c.Replicas(); len(got) != 2 {
 		t.Fatalf("duplicate replicas not collapsed: %v", got)
 	}
-	if _, err := c.Run(context.Background(), client.RunRequest{Benchmark: "gzip", Model: "bogus"}); err == nil {
-		t.Fatal("invalid model accepted before routing")
-	}
 }
 
 func ExampleNewRendezvous() {
@@ -462,7 +395,7 @@ func TestRunSpecsFailsFastOnRejectedShard(t *testing.T) {
 	}
 	// The replicas were never at fault: both must still be usable.
 	for _, rep := range c.Replicas() {
-		if usable, _ := c.replicaState(rep); !usable {
+		if usable, _ := c.breakers.state(rep); !usable {
 			t.Errorf("healthy replica %s quarantined over a client error", rep)
 		}
 	}

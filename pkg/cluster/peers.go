@@ -113,24 +113,6 @@ func (p *PeerFetcher) Peers() []string {
 	return p.ring.Replicas()
 }
 
-// usable reports whether a peer's breaker admits a probe (closed or
-// half-open; the probe itself is the half-open trial).
-func (p *PeerFetcher) usable(rep string) bool {
-	ok, _ := p.breakers.state(rep)
-	return ok
-}
-
-// markDown records a transport failure; enough consecutive ones trip
-// the peer's breaker.
-func (p *PeerFetcher) markDown(rep string) {
-	p.breakers.failure(rep)
-}
-
-// markUp closes a peer's breaker after any completed exchange.
-func (p *PeerFetcher) markUp(rep string) {
-	p.breakers.success(rep)
-}
-
 // Fetch probes the sibling replicas for key, best-ranked first,
 // returning the first valid result. False means no peer delivered one
 // — for any reason — and the caller should simulate.
@@ -139,7 +121,8 @@ func (p *PeerFetcher) Fetch(ctx context.Context, key string) (experiments.RunRes
 	ring, clients := p.ring, p.clients
 	p.mu.RUnlock()
 	for _, rep := range ring.Ranked(key) {
-		if !p.usable(rep) {
+		// A half-open breaker admits the probe itself as its trial.
+		if usable, _ := p.breakers.state(rep); !usable {
 			continue
 		}
 		pctx, cancel := ctx, context.CancelFunc(func() {})
@@ -155,11 +138,11 @@ func (p *PeerFetcher) Fetch(ctx context.Context, key string) (experiments.RunRes
 				return experiments.RunResult{}, false
 			}
 			if !permanent(err) && !client.IsThrottled(err) {
-				p.markDown(rep)
+				p.breakers.failure(rep)
 			}
 			continue
 		}
-		p.markUp(rep)
+		p.breakers.success(rep)
 		if !ok {
 			continue
 		}

@@ -3,12 +3,12 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,14 +21,15 @@ func peerTestSpec() experiments.RunSpec {
 	return experiments.RunSpec{Benchmark: "gzip", Insts: 5_000, Model: experiments.ModelSAMIE}
 }
 
-// TestProbeRunPermanentErrorNoQuarantine is the regression test for
-// the fabric quarantining every replica it walked when a probe failed
-// with a permanent 4xx: the request is the requester's fault, so it
-// must fail fast — mirroring do()/RunSpecs — with every replica left
-// usable.
+// TestProbeRunPermanentErrorNoQuarantine: a peer probe refused with a
+// permanent 4xx is the prober's fault, not the peer's, so Fetch misses
+// fast without counting it against either breaker — even at a
+// threshold of one failure, where any counted failure would trip.
 func TestProbeRunPermanentErrorNoQuarantine(t *testing.T) {
+	var probes atomic.Int64
 	badRequest := func() string {
 		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			probes.Add(1)
 			w.Header().Set("Content-Type", "application/json")
 			w.WriteHeader(http.StatusBadRequest)
 			io.WriteString(w, `{"error":"malformed key"}`)
@@ -36,25 +37,20 @@ func TestProbeRunPermanentErrorNoQuarantine(t *testing.T) {
 		t.Cleanup(ts.Close)
 		return ts.URL
 	}
-	c, err := New([]string{badRequest(), badRequest()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPeerFetcher([]string{badRequest(), badRequest()}, WithPeerBreakerThreshold(1))
 	start := time.Now()
-	_, ok, err := c.ProbeRun(context.Background(), "zzz-not-a-key")
-	if ok || err == nil {
-		t.Fatalf("probe = ok=%v err=%v, want a permanent error", ok, err)
-	}
-	var ae *client.APIError
-	if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
-		t.Fatalf("error %v does not surface the 400", err)
+	if _, ok := p.Fetch(context.Background(), "zzz-not-a-key"); ok {
+		t.Fatal("fetch answered by two 400s reported a hit")
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
-		t.Errorf("permanent probe failure took %s; should fail fast", elapsed)
+		t.Errorf("permanent probe failures took %s; should miss fast", elapsed)
 	}
-	for _, rep := range c.Replicas() {
-		if usable, _ := c.replicaState(rep); !usable {
-			t.Errorf("healthy replica %s quarantined over a client error", rep)
+	if n := probes.Load(); n != 2 {
+		t.Errorf("fetch probed %d peers, want both", n)
+	}
+	for _, rep := range p.Peers() {
+		if usable, probe := p.breakers.state(rep); !usable || probe {
+			t.Errorf("peer %s breaker usable=%v half-open=%v after a client error, want closed", rep, usable, probe)
 		}
 	}
 }

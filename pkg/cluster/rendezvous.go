@@ -9,11 +9,10 @@
 //   - Rendezvous ranks replicas per key with highest-random-weight
 //     hashing: adding or removing a replica moves only the keys it
 //     owns (~1/N of the space), everything else stays put.
-//   - ShardedClient routes each single-run request to its key's
-//     owner with health quarantine, 429/Retry-After-aware retry and
-//     failover to the next-highest-weight replica.
-//   - RunSpecs fans an explicit spec set out as per-replica shards
-//     through POST /v1/suite, re-sharding a failed replica's remaining
+//   - ShardedClient.RunSpecs fans an explicit spec set out as
+//     per-replica shards through POST /v1/suite, each spec to its
+//     key's owner behind a per-replica circuit breaker, honoring
+//     429/Retry-After and re-sharding a failed replica's remaining
 //     work onto the survivors mid-sweep.
 //   - Assemble offers the collected results into a local batch, so
 //     any harness (Suite, a figure-table row) renders from

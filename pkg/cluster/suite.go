@@ -250,7 +250,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							if len(reqs) == 0 {
 								return true
 							}
-							_, err := c.clients[rep].Suite(chunkCtx, client.SuiteRequest{Specs: reqs, Peers: peers}, onEvent)
+							err := c.clients[rep].Suite(chunkCtx, client.SuiteRequest{Specs: reqs, Peers: peers}, onEvent)
 							if err == nil {
 								return true
 							}
@@ -306,7 +306,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							// Out of resumes (or budget): the replica is lost.
 							// Its breaker takes the failure and the next round
 							// re-shards whatever it had not delivered.
-							c.markDown(rep)
+							c.breakers.failure(rep)
 							c.log.Warn("replica lost mid-sweep, re-sharding its work",
 								"replica", rep, "undelivered", len(reqs), "err", err)
 							errsMu.Lock()
@@ -347,9 +347,11 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 				return nil, fmt.Errorf("cluster: sweep throttled for %d rounds (%s) with %d of %d specs undone (%s): %w",
 					throttledRounds, waited.Round(time.Millisecond), remaining, total, sweepDebug(sweep), throttleErr)
 			}
-			// Wait out the server's own backoff hint (capped, jittered),
-			// exactly like the single-request path.
-			if err := c.backoff(ctx, "sweep", throttledRounds-1, throttleErr); err != nil {
+			// Wait out the server's own Retry-After hint (client.Backoff
+			// caps it at WithMaxRetryWait and layers deterministic
+			// jitter on top), so coordinators given the same hint wake
+			// staggered instead of re-stampeding the fleet in lockstep.
+			if err := c.bo.Sleep(ctx, "sweep", throttledRounds-1, throttleErr); err != nil {
 				return nil, err
 			}
 		default:

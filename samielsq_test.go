@@ -20,25 +20,6 @@ func TestBenchmarksList(t *testing.T) {
 	}
 }
 
-func TestCompareHeadlines(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation")
-	}
-	r := samielsq.Compare("swim", 50_000)
-	if r.IPCLossPct > 5 {
-		t.Errorf("swim IPC loss %.2f%% too high", r.IPCLossPct)
-	}
-	if r.LSQSavingPct < 40 {
-		t.Errorf("LSQ saving %.1f%% too low", r.LSQSavingPct)
-	}
-	if r.DcacheSavingPct < 15 {
-		t.Errorf("Dcache saving %.1f%% too low", r.DcacheSavingPct)
-	}
-	if r.DTLBSavingPct < 30 {
-		t.Errorf("DTLB saving %.1f%% too low", r.DTLBSavingPct)
-	}
-}
-
 func TestStaticArtefacts(t *testing.T) {
 	t1 := samielsq.Table1()
 	if len(t1.Rows) != 8 {
