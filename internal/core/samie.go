@@ -223,13 +223,15 @@ func (s *Stats) ABEmptyFraction() float64 {
 	return 1 - float64(s.CyclesABNonEmpty)/float64(s.Cycles)
 }
 
-// SAMIE implements lsq.Model.
+// SAMIE implements lsq.Model. It overrides the lsq.Base location
+// cache hooks and FreeCapacity with its own.
 type SAMIE struct {
+	lsq.Base
 	cfg     Config
 	banks   [][]entry // [bank][entry]
 	shared  []entry
 	addrBuf abRing
-	t       *lsq.Tracker
+	t       *lsq.Tracker // the Base's tracker
 	meter   *energy.Meter
 	stats   Stats
 
@@ -266,10 +268,12 @@ func New(cfg Config, meter *energy.Meter) *SAMIE {
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
+	t := lsq.NewTracker()
 	s := &SAMIE{
+		Base:     lsq.NewBase(t),
 		cfg:      cfg,
 		banks:    make([][]entry, cfg.Banks),
-		t:        lsq.NewTracker(),
+		t:        t,
 		meter:    meter,
 		lineMask: ^(uint64(cfg.LineBytes) - 1),
 		addrBuf:  abRing{buf: make([]abEntry, cfg.AddrBufferSlots)},
@@ -309,9 +313,6 @@ func (s *SAMIE) Stats() Stats { return s.stats }
 
 // Meter returns the energy meter used by this instance.
 func (s *SAMIE) Meter() *energy.Meter { return s.meter }
-
-// Name implements lsq.Model.
-func (s *SAMIE) Name() string { return "samie" }
 
 func (s *SAMIE) lineOf(addr uint64) uint64 { return addr & s.lineMask }
 
@@ -549,12 +550,6 @@ func (s *SAMIE) Tick() []uint64 {
 	return placed
 }
 
-// Placed implements lsq.Model.
-func (s *SAMIE) Placed(seq uint64) bool {
-	op := s.t.Get(seq)
-	return op != nil && op.Placed
-}
-
 // ForwardingSource implements lsq.Model. Store-to-load forwarding uses
 // the slot age links established at placement time; the tracker search
 // is the architectural equivalent.
@@ -742,7 +737,6 @@ func (s *SAMIE) Commit(seq uint64) {
 	// Buffered instructions that commit (cannot normally happen: the
 	// deadlock check fires first) are dropped from the FIFO lazily in
 	// Tick.
-	_ = op
 }
 
 // Flush implements lsq.Model.
@@ -817,9 +811,6 @@ func (s *SAMIE) AccountCycle() {
 		s.addrBuf.len(), s.cfg.AddrBufferSlots)
 }
 
-// InFlight implements lsq.Model.
-func (s *SAMIE) InFlight() int { return s.t.Len() }
-
 // ResetStats implements lsq.Model.
 func (s *SAMIE) ResetStats() { s.stats = Stats{} }
 
@@ -829,30 +820,5 @@ func (s *SAMIE) ResetStats() { s.stats = Stats{} }
 // alternative deadlock-avoidance rule).
 func (s *SAMIE) FreeCapacity() int { return s.cfg.AddrBufferSlots - s.addrBuf.len() }
 
-// SharedInUse returns the number of valid SharedLSQ entries (test and
-// experiment hook).
-func (s *SAMIE) SharedInUse() int {
-	n := 0
-	for e := range s.shared {
-		if s.shared[e].valid {
-			n++
-		}
-	}
-	return n
-}
-
 // AddrBufferLen returns the current AddrBuffer length.
 func (s *SAMIE) AddrBufferLen() int { return s.addrBuf.len() }
-
-// DistribInUse returns the number of valid DistribLSQ entries.
-func (s *SAMIE) DistribInUse() int {
-	n := 0
-	for b := range s.banks {
-		for e := range s.banks[b] {
-			if s.banks[b][e].valid {
-				n++
-			}
-		}
-	}
-	return n
-}

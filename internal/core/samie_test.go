@@ -22,6 +22,30 @@ func addrForBank(bank, k int) uint64 {
 	return uint64(bank)*32 + uint64(k)*4*32 + 0x10000
 }
 
+// distribInUse counts the valid DistribLSQ entries.
+func distribInUse(s *SAMIE) int {
+	n := 0
+	for b := range s.banks {
+		for e := range s.banks[b] {
+			if s.banks[b][e].valid {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// sharedInUse counts the valid SharedLSQ entries.
+func sharedInUse(s *SAMIE) int {
+	n := 0
+	for e := range s.shared {
+		if s.shared[e].valid {
+			n++
+		}
+	}
+	return n
+}
+
 func place(t *testing.T, s *SAMIE, seq uint64, isLoad bool, addr uint64) {
 	t.Helper()
 	s.Dispatch(seq, isLoad)
@@ -60,10 +84,10 @@ func TestSameLineSharesEntry(t *testing.T) {
 	s := New(tiny(), nil)
 	place(t, s, 1, true, addrForBank(0, 0))
 	place(t, s, 2, false, addrForBank(0, 0)+8) // same line, other offset
-	if s.DistribInUse() != 1 {
-		t.Fatalf("distrib entries = %d, want 1 (shared line)", s.DistribInUse())
+	if distribInUse(s) != 1 {
+		t.Fatalf("distrib entries = %d, want 1 (shared line)", distribInUse(s))
 	}
-	if s.SharedInUse() != 0 {
+	if sharedInUse(s) != 0 {
 		t.Fatal("SharedLSQ used unnecessarily")
 	}
 }
@@ -75,13 +99,13 @@ func TestPlacementPriorityOrder(t *testing.T) {
 	place(t, s, 2, true, addrForBank(0, 0)+4)
 	// Third access to the same line: entry full -> SharedLSQ.
 	place(t, s, 3, true, addrForBank(0, 0)+8)
-	if s.SharedInUse() != 1 {
-		t.Fatalf("shared entries = %d, want 1", s.SharedInUse())
+	if sharedInUse(s) != 1 {
+		t.Fatalf("shared entries = %d, want 1", sharedInUse(s))
 	}
 	// A different line of bank 0 joins the SharedLSQ too.
 	place(t, s, 4, true, addrForBank(0, 1))
-	if s.SharedInUse() != 2 {
-		t.Fatalf("shared entries = %d, want 2", s.SharedInUse())
+	if sharedInUse(s) != 2 {
+		t.Fatalf("shared entries = %d, want 2", sharedInUse(s))
 	}
 	// SharedLSQ full; next conflicting line goes to the AddrBuffer.
 	s.Dispatch(5, true)
@@ -139,11 +163,11 @@ func TestCommitFreesEntry(t *testing.T) {
 	place(t, s, 1, true, addrForBank(0, 0))
 	place(t, s, 2, true, addrForBank(0, 0)+4)
 	s.Commit(1)
-	if s.DistribInUse() != 1 {
+	if distribInUse(s) != 1 {
 		t.Fatal("entry freed while a slot is still live")
 	}
 	s.Commit(2)
-	if s.DistribInUse() != 0 {
+	if distribInUse(s) != 0 {
 		t.Fatal("entry not freed after last slot committed")
 	}
 	// The bank is reusable.
@@ -252,7 +276,7 @@ func TestFlush(t *testing.T) {
 	s.Dispatch(4, true)
 	s.AddressReady(4, true, addrForBank(0, 3), 4)
 	s.Flush()
-	if s.InFlight() != 0 || s.DistribInUse() != 0 || s.SharedInUse() != 0 || s.AddrBufferLen() != 0 {
+	if s.InFlight() != 0 || distribInUse(s) != 0 || sharedInUse(s) != 0 || s.AddrBufferLen() != 0 {
 		t.Fatal("flush left state")
 	}
 	// Everything is usable again.
@@ -310,8 +334,8 @@ func TestSharedUnboundedGrows(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		place(t, s, uint64(i+1), true, addrForBank(0, i))
 	}
-	if s.SharedInUse() < 10 {
-		t.Fatalf("unbounded shared only holds %d entries", s.SharedInUse())
+	if sharedInUse(s) < 10 {
+		t.Fatalf("unbounded shared only holds %d entries", sharedInUse(s))
 	}
 	if s.AddrBufferLen() != 0 {
 		t.Fatal("unbounded shared still buffered")
@@ -371,8 +395,12 @@ func TestRandomizedInvariants(t *testing.T) {
 		if placed > capacity {
 			t.Fatalf("step %d: %d placed ops exceed capacity %d", step, placed, capacity)
 		}
-		if s.DistribInUse() > 4 || s.SharedInUse() > 2 || s.AddrBufferLen() > 4 {
+		if distribInUse(s) > 4 || sharedInUse(s) > 2 || s.AddrBufferLen() > 4 {
 			t.Fatalf("step %d: structure overflow", step)
+		}
+		if distribInUse(s) != s.distribActive || sharedInUse(s) != s.sharedActive {
+			t.Fatalf("step %d: occupancy summaries %d/%d, entries in use %d/%d", step,
+				s.distribActive, s.sharedActive, distribInUse(s), sharedInUse(s))
 		}
 	}
 }

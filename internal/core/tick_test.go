@@ -87,9 +87,7 @@ func modelState(model lsq.Model, m *energy.Meter) string {
 	case *SAMIE:
 		stats = []any{x.Stats(), x.AddrBufferLen()}
 	case *lsq.Conventional:
-		stats = []any{x.Occupancy(), x.DispatchFails()}
-	case *lsq.ARB:
-		stats = []any{x.PlaceFails(), x.DispatchStalls()}
+		stats = x.Occupancy()
 	}
 	return fmt.Sprintf("%+v %v %d %d", *m, stats, model.InFlight(), model.FreeCapacity())
 }

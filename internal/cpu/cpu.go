@@ -322,7 +322,7 @@ type CPU struct {
 	ev *eventSched
 
 	// sampler is the optional interval telemetry collector
-	// (telemetry.go); nil unless attached, and free when disabled.
+	// (telemetry.go); nil unless attached, costing one nil check per cycle.
 	sampler  *obs.IntervalSampler
 	sampBase sampleBase
 

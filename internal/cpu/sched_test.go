@@ -186,7 +186,6 @@ func (dc diffCase) build(oracle bool) engine {
 	} else {
 		e.cpu = New(dc.cfg, strm, e.model, nil, nil, nil, m)
 	}
-	e.sampler.SetEnabled(true)
 	e.cpu.SetSampler(e.sampler)
 	return e
 }
@@ -243,12 +242,7 @@ func modelStats(m lsq.Model) any {
 	case *core.SAMIE:
 		return m.Stats()
 	case *lsq.Conventional:
-		return struct {
-			Occupancy     lsq.OccupancyStats
-			DispatchFails uint64
-		}{m.Occupancy(), m.DispatchFails()}
-	case *lsq.ARB:
-		return [2]uint64{m.PlaceFails(), m.DispatchStalls()}
+		return m.Occupancy()
 	}
 	return nil
 }

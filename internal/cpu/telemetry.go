@@ -2,9 +2,9 @@ package cpu
 
 // Interval telemetry: the per-cycle hook that feeds an attached
 // obs.IntervalSampler. The sampler is optional (nil by default) and
-// the disabled path is a nil-receiver check plus one atomic load, so
-// the hook lives in step() permanently without disturbing the
-// zero-allocation hot path (hotpath_test.go pins this).
+// the nil path is one nil-receiver check, so the hook lives in step()
+// permanently without disturbing the zero-allocation hot path
+// (hotpath_test.go pins this).
 
 import (
 	"math/bits"

@@ -11,15 +11,14 @@ import (
 	"samielsq/internal/trace"
 )
 
-// TestSamplerCollectsFromPipeline: an enabled sampler attached to a
-// running CPU collects monotone interval samples with live occupancy
-// and energy deltas.
+// TestSamplerCollectsFromPipeline: a sampler attached to a running CPU
+// collects monotone interval samples with live occupancy and energy
+// deltas.
 func TestSamplerCollectsFromPipeline(t *testing.T) {
 	p := trace.MustPersonality("gzip")
 	m := energy.NewMeter()
 	c := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(m), nil, nil, nil, m)
 	s := obs.NewIntervalSampler(256, 64)
-	s.SetEnabled(true)
 	c.SetSampler(s)
 	c.Run(50_000)
 
@@ -62,7 +61,6 @@ func TestRunWarmTimedResetsSampler(t *testing.T) {
 	p := trace.MustPersonality("gzip")
 	c := New(PaperConfig(), trace.NewGenerator(p), lsq.NewUnbounded(), nil, nil, nil, nil)
 	s := obs.NewIntervalSampler(128, 32)
-	s.SetEnabled(true)
 	c.SetSampler(s)
 	res, _, _ := c.RunWarmTimed(5_000, 10_000)
 
@@ -81,21 +79,22 @@ func TestRunWarmTimedResetsSampler(t *testing.T) {
 }
 
 // TestStepZeroAllocWithTelemetryDisabled extends the hot-path guard to
-// the telemetry hook: with a sampler attached but disabled, the
-// per-cycle path must still not allocate.
+// the telemetry hook: with telemetry off — a nil sampler, here after a
+// sampler was attached and then detached — the per-cycle path must
+// still not allocate.
 func TestStepZeroAllocWithTelemetryDisabled(t *testing.T) {
 	p := trace.MustPersonality("gzip")
 	c := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
-	s := obs.NewIntervalSampler(0, 0) // attached, never enabled
-	c.SetSampler(s)
+	c.SetSampler(obs.NewIntervalSampler(0, 0))
 	c.Run(20000)
+	c.SetSampler(nil)
 	n := testing.AllocsPerRun(5, func() {
 		for i := 0; i < 2000; i++ {
 			c.step()
 		}
 	})
 	if n > 0 {
-		t.Errorf("%.1f allocs per 2000 cycles with a disabled sampler attached, want 0", n)
+		t.Errorf("%.1f allocs per 2000 cycles with telemetry off, want 0", n)
 	}
 }
 

@@ -304,7 +304,6 @@ func runNormalized(spec RunSpec, key string) RunResult {
 	// is unmeasurable against the simulation itself, and the samples
 	// never feed back into architectural or metered state.
 	sampler := obs.NewIntervalSampler(0, 0)
-	sampler.SetEnabled(true)
 	c.SetSampler(sampler)
 	res := RunResult{Key: key, Spec: spec, Meter: meter}
 	var warmDur, measDur time.Duration

@@ -16,17 +16,14 @@ package lsq
 // as retrying every cycle. As with the SAMIE-LSQ, a blocked oldest
 // instruction is resolved by the CPU's deadlock-avoidance flush.
 type ARB struct {
+	Base
 	banks     int
-	addrs     int // addresses per bank
-	inflight  int // P: maximum in-flight memory instructions
-	t         *Tracker
+	addrs     int       // addresses per bank
+	inflight  int       // P: maximum in-flight memory instructions
 	bankAddrs []arbBank // per bank: address -> #instructions using it
 	pending   []uint64  // seqs waiting for a bank slot, oldest first
 	placedBuf []uint64  // reused by Tick (see Model.Tick contract)
 	released  bool      // an address entry was freed since the last retry pass
-
-	placeFails uint64
-	stalls     uint64
 }
 
 // arbBank tracks the in-use addresses of one bank. Banks hold few
@@ -123,10 +120,10 @@ func NewARB(banks, addrs, inflight int) *ARB {
 		panic("lsq: ARB parameters must be positive")
 	}
 	a := &ARB{
+		Base:      NewBase(NewTracker()),
 		banks:     banks,
 		addrs:     addrs,
 		inflight:  inflight,
-		t:         NewTracker(),
 		bankAddrs: make([]arbBank, banks),
 	}
 	if addrs > arbBankLinearMax {
@@ -136,9 +133,6 @@ func NewARB(banks, addrs, inflight int) *ARB {
 	}
 	return a
 }
-
-// Name implements Model.
-func (a *ARB) Name() string { return "arb" }
 
 // word returns the 8-byte-aligned address the ARB disambiguates on.
 func word(addr uint64) uint64 { return addr &^ 7 }
@@ -152,7 +146,6 @@ func (a *ARB) bankOf(addr uint64) int {
 //samie:hotpath
 func (a *ARB) Dispatch(seq uint64, isLoad bool) bool {
 	if a.t.Len() >= a.inflight {
-		a.stalls++
 		return false
 	}
 	a.t.Add(seq, isLoad)
@@ -189,7 +182,6 @@ func (a *ARB) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) Pla
 	if a.tryPlace(op) {
 		return Placement{Placed: true}
 	}
-	a.placeFails++
 	a.t.SetBuffered(op)
 	//lint:ignore hotalloc pending is bounded by in-flight memory ops; capacity amortizes to that bound
 	a.pending = append(a.pending, seq)
@@ -227,12 +219,6 @@ func (a *ARB) Tick() []uint64 {
 	return placed
 }
 
-// Placed implements Model.
-func (a *ARB) Placed(seq uint64) bool {
-	op := a.t.Get(seq)
-	return op != nil && op.Placed
-}
-
 // ForwardingSource implements Model.
 //
 //samie:hotpath
@@ -240,21 +226,12 @@ func (a *ARB) ForwardingSource(seq uint64) (uint64, bool) {
 	return a.t.ForwardingSource(seq)
 }
 
-// Plan implements Model (the ARB caches nothing).
-func (a *ARB) Plan(seq uint64) AccessPlan { return AccessPlan{} }
-
-// RecordAccess implements Model (no-op).
-func (a *ARB) RecordAccess(seq uint64, set, way int, vpn uint64) {}
-
 // NotePerformed implements Model.
 func (a *ARB) NotePerformed(seq uint64) {
 	if op := a.t.Get(seq); op != nil {
 		op.Performed = true
 	}
 }
-
-// ClearCachedLocations implements Model (no-op).
-func (a *ARB) ClearCachedLocations() {}
 
 // release frees the bank slot held by op.
 func (a *ARB) release(op *Op) {
@@ -285,19 +262,5 @@ func (a *ARB) Flush() {
 // only).
 func (a *ARB) AccountCycle() {}
 
-// InFlight implements Model.
-func (a *ARB) InFlight() int { return a.t.Len() }
-
-// ResetStats implements Model.
-func (a *ARB) ResetStats() { a.placeFails, a.stalls = 0, 0 }
-
-// FreeCapacity implements Model: conflicting instructions wait in
-// reservation stations, so AddressReady never fails outright.
-func (a *ARB) FreeCapacity() int { return int(^uint(0) >> 1) }
-
-// PlaceFails returns how many placements had to wait for a bank slot.
-func (a *ARB) PlaceFails() uint64 { return a.placeFails }
-
-// DispatchStalls returns how many dispatches were rejected by the
-// in-flight cap.
-func (a *ARB) DispatchStalls() uint64 { return a.stalls }
+// ResetStats implements Model (the ARB keeps no statistics).
+func (a *ARB) ResetStats() {}

@@ -11,13 +11,15 @@ import (
 // is known, and a store address only against younger loads with known
 // addresses. Matching loads are forwarded from the store and skip the
 // Dcache.
+//
+// Without a meter (NewUnbounded) it keeps no energy account: no CAM
+// search, datum access, area or occupancy is counted.
 type Conventional struct {
+	Base
 	entries int
-	t       *Tracker
 	meter   *energy.Meter
 
-	occupancy     OccupancyStats
-	dispatchFails uint64
+	occupancy OccupancyStats
 }
 
 // OccupancyStats accumulates per-cycle occupancy for reporting.
@@ -53,21 +55,21 @@ func NewConventional(entries int, meter *energy.Meter) *Conventional {
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
-	return &Conventional{entries: entries, t: NewTracker(), meter: meter}
+	return &Conventional{Base: NewBase(NewTracker()), entries: entries, meter: meter}
 }
 
-// Name implements Model.
-func (c *Conventional) Name() string { return "conventional" }
-
-// Entries returns the configured capacity.
-func (c *Conventional) Entries() int { return c.entries }
+// NewUnbounded builds the idealized LSQ used as the reference for
+// Figure 1: the conventional model's forwarding with no capacity limit
+// and no energy account, so dispatch never stalls.
+func NewUnbounded() *Conventional {
+	return &Conventional{Base: NewBase(NewTracker()), entries: int(^uint(0) >> 1)}
+}
 
 // Dispatch implements Model; it fails when the queue is full.
 //
 //samie:hotpath
 func (c *Conventional) Dispatch(seq uint64, isLoad bool) bool {
 	if c.t.Len() >= c.entries {
-		c.dispatchFails++
 		return false
 	}
 	op := c.t.Add(seq, isLoad)
@@ -85,6 +87,9 @@ func (c *Conventional) AddressReady(seq uint64, isLoad bool, addr uint64, size u
 		return Placement{Failed: true}
 	}
 	c.t.SetAddress(op, addr, size)
+	if c.meter == nil {
+		return Placement{Placed: true}
+	}
 	c.meter.ConvRWAddr()
 	if isLoad {
 		c.meter.ConvCompare(c.t.CountOlderKnownStores(seq))
@@ -100,18 +105,12 @@ func (c *Conventional) AddressReady(seq uint64, isLoad bool, addr uint64, size u
 // Tick implements Model (no buffering in the conventional LSQ).
 func (c *Conventional) Tick() []uint64 { return nil }
 
-// Placed implements Model.
-func (c *Conventional) Placed(seq uint64) bool {
-	op := c.t.Get(seq)
-	return op != nil && op.Placed
-}
-
 // ForwardingSource implements Model.
 //
 //samie:hotpath
 func (c *Conventional) ForwardingSource(seq uint64) (uint64, bool) {
 	s, ok := c.t.ForwardingSource(seq)
-	if ok {
+	if ok && c.meter != nil {
 		// Forwarded loads read the store datum and write their own.
 		c.meter.ConvRWDatum()
 		c.meter.ConvRWDatum()
@@ -119,30 +118,21 @@ func (c *Conventional) ForwardingSource(seq uint64) (uint64, bool) {
 	return s, ok
 }
 
-// Plan implements Model; the conventional LSQ never caches locations.
-func (c *Conventional) Plan(seq uint64) AccessPlan { return AccessPlan{} }
-
-// RecordAccess implements Model (no-op).
-func (c *Conventional) RecordAccess(seq uint64, set, way int, vpn uint64) {}
-
 // NotePerformed implements Model.
 func (c *Conventional) NotePerformed(seq uint64) {
 	if op := c.t.Get(seq); op != nil {
 		op.Performed = true
-		if op.IsLoad {
+		if op.IsLoad && c.meter != nil {
 			// The loaded datum is written into the entry.
 			c.meter.ConvRWDatum()
 		}
 	}
 }
 
-// ClearCachedLocations implements Model (no-op).
-func (c *Conventional) ClearCachedLocations() {}
-
 // Commit implements Model.
 func (c *Conventional) Commit(seq uint64) {
 	op := c.t.Remove(seq)
-	if op != nil && !op.IsLoad {
+	if op != nil && !op.IsLoad && c.meter != nil {
 		// The store datum is read out to be written to memory.
 		c.meter.ConvRWDatum()
 	}
@@ -156,101 +146,16 @@ func (c *Conventional) Flush() { c.t.Clear() }
 //
 //samie:hotpath
 func (c *Conventional) AccountCycle() {
+	if c.meter == nil {
+		return
+	}
 	n := c.t.Len()
 	c.occupancy.Observe(n)
 	c.meter.AccumulateConvArea(n, c.entries)
 }
 
-// InFlight implements Model.
-func (c *Conventional) InFlight() int { return c.t.Len() }
-
-// FreeCapacity implements Model: entries are pre-allocated at
-// dispatch, so a computed address always has a home.
-func (c *Conventional) FreeCapacity() int { return int(^uint(0) >> 1) }
-
 // ResetStats implements Model.
-func (c *Conventional) ResetStats() {
-	c.occupancy = OccupancyStats{}
-	c.dispatchFails = 0
-}
+func (c *Conventional) ResetStats() { c.occupancy = OccupancyStats{} }
 
 // Occupancy returns the accumulated occupancy statistics.
 func (c *Conventional) Occupancy() OccupancyStats { return c.occupancy }
-
-// DispatchFails returns how many dispatch attempts were rejected.
-func (c *Conventional) DispatchFails() uint64 { return c.dispatchFails }
-
-// Unbounded is an idealized LSQ with no capacity limit, used as the
-// reference for Figure 1. It performs the same forwarding as the
-// conventional model but never stalls dispatch and charges no energy.
-type Unbounded struct {
-	t *Tracker
-}
-
-// NewUnbounded builds the ideal LSQ.
-func NewUnbounded() *Unbounded { return &Unbounded{t: NewTracker()} }
-
-// Name implements Model.
-func (u *Unbounded) Name() string { return "unbounded" }
-
-// Dispatch implements Model.
-func (u *Unbounded) Dispatch(seq uint64, isLoad bool) bool {
-	op := u.t.Add(seq, isLoad)
-	u.t.SetPlaced(op)
-	return true
-}
-
-// AddressReady implements Model.
-func (u *Unbounded) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) Placement {
-	op := u.t.Get(seq)
-	if op == nil {
-		return Placement{Failed: true}
-	}
-	u.t.SetAddress(op, addr, size)
-	return Placement{Placed: true}
-}
-
-// Tick implements Model.
-func (u *Unbounded) Tick() []uint64 { return nil }
-
-// Placed implements Model.
-func (u *Unbounded) Placed(seq uint64) bool { return u.t.Get(seq) != nil }
-
-// ForwardingSource implements Model.
-func (u *Unbounded) ForwardingSource(seq uint64) (uint64, bool) {
-	return u.t.ForwardingSource(seq)
-}
-
-// Plan implements Model.
-func (u *Unbounded) Plan(seq uint64) AccessPlan { return AccessPlan{} }
-
-// RecordAccess implements Model (no-op).
-func (u *Unbounded) RecordAccess(seq uint64, set, way int, vpn uint64) {}
-
-// NotePerformed implements Model.
-func (u *Unbounded) NotePerformed(seq uint64) {
-	if op := u.t.Get(seq); op != nil {
-		op.Performed = true
-	}
-}
-
-// ClearCachedLocations implements Model (no-op).
-func (u *Unbounded) ClearCachedLocations() {}
-
-// Commit implements Model.
-func (u *Unbounded) Commit(seq uint64) { u.t.Remove(seq) }
-
-// Flush implements Model.
-func (u *Unbounded) Flush() { u.t.Clear() }
-
-// AccountCycle implements Model (no-op).
-func (u *Unbounded) AccountCycle() {}
-
-// InFlight implements Model.
-func (u *Unbounded) InFlight() int { return u.t.Len() }
-
-// ResetStats implements Model (no statistics kept).
-func (u *Unbounded) ResetStats() {}
-
-// FreeCapacity implements Model.
-func (u *Unbounded) FreeCapacity() int { return int(^uint(0) >> 1) }

@@ -101,7 +101,7 @@ func BenchmarkHotPathARBTick(b *testing.B) {
 		a.AddressReady(seq, i%2 == 0, uint64(i)*8, 8) // 8 distinct words per bank
 		seq++
 	}
-	if a.PlaceFails() == 0 {
+	if len(a.pending) == 0 {
 		b.Fatal("no instruction is waiting for a bank")
 	}
 	a.Tick()

@@ -24,7 +24,13 @@
 //
 // The conservative readyBit disambiguation scheme (§3.1) is enforced
 // by the CPU model: a load only performs once every older store's
-// address is known, which is what makes ForwardingSource exact.
+// address is known. ForwardingSource searches only placed stores, so
+// the rule makes it exact over those alone: a store still waiting in
+// the SAMIE AddrBuffer or the ARB pending list is invisible to it.
+//
+// The ideal LSQ of Figure 1 is a Conventional without a capacity bound
+// or an energy account (NewUnbounded). Every model embeds Base, which
+// writes once the methods the organizations share.
 package lsq
 
 import "math/bits"
@@ -51,8 +57,6 @@ type Placement struct {
 
 // Model is a load/store queue organization.
 type Model interface {
-	// Name identifies the model in reports.
-	Name() string
 	// Dispatch reserves space at rename time; false stalls dispatch.
 	Dispatch(seq uint64, isLoad bool) bool
 	// AddressReady delivers a computed effective address.
@@ -72,8 +76,9 @@ type Model interface {
 	// that did not fit cannot fit before one. The CPU relies on this to
 	// skip Tick across quiescent cycles (cpu/sched.go).
 	Tick() []uint64
-	// Placed reports whether the instruction is searchable (used by
-	// the deadlock check at the ROB head).
+	// Placed reports whether the instruction is searchable. The CPU's
+	// deadlock check at the ROB head keeps its own copy of this, set
+	// from the AddressReady and Tick results.
 	Placed(seq uint64) bool
 	// ForwardingSource returns the youngest older store whose access
 	// overlaps the load's bytes, if any.
@@ -106,6 +111,42 @@ type Model interface {
 	// InFlight returns the number of tracked memory instructions.
 	InFlight() int
 }
+
+// Base is embedded by every model. It owns the Tracker of in-flight
+// instructions and implements the Model methods the organizations
+// share: the tracker queries Placed and InFlight, and the defaults of
+// a model that caches no Dcache locations and always finds a computed
+// address a home. A model overrides what it really implements.
+type Base struct {
+	t *Tracker
+}
+
+// NewBase returns a Base over t.
+func NewBase(t *Tracker) Base { return Base{t: t} }
+
+// Placed implements Model.
+func (b *Base) Placed(seq uint64) bool {
+	op := b.t.Get(seq)
+	return op != nil && op.Placed
+}
+
+// InFlight implements Model.
+func (b *Base) InFlight() int { return b.t.Len() }
+
+// Plan implements Model: no location is cached, so every access is a
+// conventional one.
+func (b *Base) Plan(seq uint64) AccessPlan { return AccessPlan{} }
+
+// RecordAccess implements Model (no-op).
+func (b *Base) RecordAccess(seq uint64, set, way int, vpn uint64) {}
+
+// ClearCachedLocations implements Model (no-op).
+func (b *Base) ClearCachedLocations() {}
+
+// FreeCapacity implements Model: AddressReady never fails outright
+// (the conventional LSQ allocates entries at dispatch, and the ARB's
+// conflicting instructions wait in reservation stations).
+func (b *Base) FreeCapacity() int { return int(^uint(0) >> 1) }
 
 // Op is the per-instruction record shared by the LSQ models.
 //

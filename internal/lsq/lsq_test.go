@@ -111,8 +111,8 @@ func TestConventionalCapacity(t *testing.T) {
 	if c.Dispatch(3, true) {
 		t.Fatal("dispatch above capacity succeeded")
 	}
-	if c.DispatchFails() != 1 {
-		t.Fatalf("dispatch fails = %d", c.DispatchFails())
+	if c.Placed(3) || c.InFlight() != 2 {
+		t.Fatal("a refused dispatch was tracked")
 	}
 	c.Commit(1)
 	if !c.Dispatch(3, true) {
@@ -179,6 +179,11 @@ func TestUnboundedNeverStalls(t *testing.T) {
 	if u.InFlight() != 1000 {
 		t.Fatalf("in flight = %d", u.InFlight())
 	}
+	// The ideal LSQ keeps no energy account and no occupancy.
+	u.AccountCycle()
+	if u.meter != nil || u.Occupancy() != (OccupancyStats{}) {
+		t.Fatalf("unbounded LSQ accounted: meter %v, occupancy %+v", u.meter, u.Occupancy())
+	}
 	for i := uint64(0); i < 1000; i++ {
 		u.Commit(i)
 	}
@@ -204,8 +209,8 @@ func TestARBSameAddressSharing(t *testing.T) {
 	if !pl.Buffered {
 		t.Fatalf("conflicting placement should buffer: %+v", pl)
 	}
-	if a.PlaceFails() != 1 {
-		t.Fatalf("place fails = %d", a.PlaceFails())
+	if len(a.pending) != 1 || a.Placed(3) {
+		t.Fatalf("pending = %v, want [3] unplaced", a.pending)
 	}
 	// Draining the bank lets the pending op in via Tick.
 	a.Commit(1)
@@ -227,8 +232,8 @@ func TestARBInflightCap(t *testing.T) {
 	if a.Dispatch(3, true) {
 		t.Fatal("dispatch over cap succeeded")
 	}
-	if a.DispatchStalls() != 1 {
-		t.Fatalf("stalls = %d", a.DispatchStalls())
+	if a.Placed(3) || a.InFlight() != 2 {
+		t.Fatal("a refused dispatch was tracked")
 	}
 }
 

@@ -3,12 +3,9 @@ package obs
 // Interval telemetry: the cycle core snapshots its microarchitectural
 // state (IPC, queue occupancies, issue-scheduler load, per-structure
 // energy deltas) every stride cycles into a bounded, self-compacting
-// ring. The sampler follows the same discipline as spans: an atomic
-// enabled gate, a nil receiver that is a total no-op, and zero
-// allocations on the disabled path, so the hook can live in the
+// ring. A non-nil sampler samples; a nil one is the off state, a total
+// no-op that allocates nothing, so the hook can live in the
 // simulator's per-cycle hot loop permanently.
-
-import "sync/atomic"
 
 // DefaultSampleStride is the default sampling interval in cycles.
 const DefaultSampleStride = 4096
@@ -57,12 +54,8 @@ type Timeline struct {
 
 // IntervalSampler collects TimelineSamples at a fixed cycle stride
 // into a bounded buffer. It is single-goroutine like the CPU core that
-// feeds it; only the enabled gate is atomic so Due stays one load on
-// the disabled path. The zero of everything useful: a nil sampler is
-// never due and records nothing.
+// feeds it. A nil sampler is never due and records nothing.
 type IntervalSampler struct {
-	enabled atomic.Bool
-
 	baseStride uint64
 	stride     uint64
 	next       uint64 // first cycle at or after which Due fires
@@ -80,8 +73,7 @@ const minSampleBuf = 16
 // NewIntervalSampler builds a sampler with the given stride in cycles
 // (<=0 means DefaultSampleStride) and sample capacity (<=0 means
 // DefaultTimelineCap; odd capacities round up so pairwise compaction
-// stays exact). It starts disabled and allocates no sample buffer
-// until the first Record.
+// stays exact). It allocates no sample buffer until the first Record.
 func NewIntervalSampler(stride uint64, capacity int) *IntervalSampler {
 	if stride == 0 {
 		stride = DefaultSampleStride
@@ -100,16 +92,6 @@ func NewIntervalSampler(stride uint64, capacity int) *IntervalSampler {
 	}
 }
 
-// SetEnabled flips sampling. No-op on nil.
-func (s *IntervalSampler) SetEnabled(on bool) {
-	if s != nil {
-		s.enabled.Store(on)
-	}
-}
-
-// Enabled reports whether the sampler collects.
-func (s *IntervalSampler) Enabled() bool { return s != nil && s.enabled.Load() }
-
 // Stride returns the current sampling interval in cycles.
 func (s *IntervalSampler) Stride() uint64 {
 	if s == nil {
@@ -119,16 +101,10 @@ func (s *IntervalSampler) Stride() uint64 {
 }
 
 // Due reports whether the caller should snapshot at this cycle. This
-// is the per-cycle gate: nil or disabled costs (at most) one atomic
-// load and allocates nothing.
+// is the per-cycle gate: a nil check and a compare, allocating nothing.
 //
 //samie:hotpath
-func (s *IntervalSampler) Due(cycle uint64) bool {
-	if s == nil || !s.enabled.Load() {
-		return false
-	}
-	return cycle >= s.next
-}
+func (s *IntervalSampler) Due(cycle uint64) bool { return s != nil && cycle >= s.next }
 
 // Record appends one sample. When the buffer holds capacity samples,
 // adjacent samples merge pairwise (energy deltas sum, IPC averages,
@@ -140,7 +116,7 @@ func (s *IntervalSampler) Due(cycle uint64) bool {
 //
 //samie:hotpath
 func (s *IntervalSampler) Record(ts TimelineSample) {
-	if s == nil || !s.enabled.Load() {
+	if s == nil {
 		return
 	}
 	if len(s.samples) == s.capacity {

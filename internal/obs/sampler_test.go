@@ -6,13 +6,6 @@ import (
 
 func TestSamplerDueAndStride(t *testing.T) {
 	s := NewIntervalSampler(100, 8)
-	if s.Enabled() {
-		t.Fatal("sampler starts enabled")
-	}
-	if s.Due(1_000_000) {
-		t.Fatal("disabled sampler reported due")
-	}
-	s.SetEnabled(true)
 	if s.Due(99) {
 		t.Fatal("due before the first stride boundary")
 	}
@@ -43,7 +36,6 @@ func TestSamplerDueAndStride(t *testing.T) {
 	// The buffer holds exactly that many samples: the eighth record
 	// fits without compaction, the ninth compacts to four and appends,
 	// and the buffer never grows past the capacity.
-	odd.SetEnabled(true)
 	for i := uint64(1); i <= 9; i++ {
 		odd.Record(TimelineSample{Cycle: i})
 		if cap(odd.samples) > 8 {
@@ -66,7 +58,6 @@ func TestSamplerDueAndStride(t *testing.T) {
 func TestSamplerAllocatesOnDemand(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		s := NewIntervalSampler(0, 0)
-		s.SetEnabled(true)
 		for cycle := uint64(0); cycle < DefaultSampleStride; cycle++ {
 			if s.Due(cycle) {
 				t.Fatal("due before the first stride")
@@ -81,7 +72,6 @@ func TestSamplerAllocatesOnDemand(t *testing.T) {
 		t.Fatalf("a run with no sample made %v allocations, want 0", allocs)
 	}
 	s := NewIntervalSampler(0, 0)
-	s.SetEnabled(true)
 	if s.samples != nil {
 		t.Fatal("sample buffer allocated before the first Record")
 	}
@@ -93,8 +83,7 @@ func TestSamplerAllocatesOnDemand(t *testing.T) {
 
 func TestSamplerNilIsNoop(t *testing.T) {
 	var s *IntervalSampler
-	s.SetEnabled(true)
-	if s.Due(123) || s.Enabled() || s.Stride() != 0 {
+	if s.Due(123) || s.Stride() != 0 {
 		t.Fatal("nil sampler not inert")
 	}
 	s.Record(TimelineSample{Cycle: 1})
@@ -109,7 +98,6 @@ func TestSamplerNilIsNoop(t *testing.T) {
 // buffer while deltas stay conserved and rates stay unbiased.
 func TestSamplerCompaction(t *testing.T) {
 	s := NewIntervalSampler(10, 4)
-	s.SetEnabled(true)
 	for i := uint64(1); i <= 4; i++ {
 		s.Record(TimelineSample{Cycle: i * 10, IPC: float64(i), BusPJ: 1})
 	}
@@ -151,7 +139,6 @@ func TestSamplerCompaction(t *testing.T) {
 // the base stride so a timeline covers only the measured portion.
 func TestSamplerReset(t *testing.T) {
 	s := NewIntervalSampler(10, 4)
-	s.SetEnabled(true)
 	for i := uint64(1); i <= 5; i++ { // force one compaction
 		s.Record(TimelineSample{Cycle: i * 10})
 	}
@@ -171,25 +158,25 @@ func TestSamplerReset(t *testing.T) {
 }
 
 // TestSamplerDisabledPathZeroAllocs is the hot-loop guard: the
-// per-cycle Due check (and a stray Record) on a disabled or nil
-// sampler must not allocate — the hook lives in the simulator's step()
+// per-cycle Due check (and a stray Record) on a nil sampler, the off
+// state, must not allocate, and neither may an attached sampler's Due
+// between samples — the hook lives in the simulator's step()
 // permanently.
 func TestSamplerDisabledPathZeroAllocs(t *testing.T) {
 	s := NewIntervalSampler(0, 0)
 	var nilS *IntervalSampler
 	ts := TimelineSample{Cycle: 42}
 	allocs := testing.AllocsPerRun(1000, func() {
-		if s.Due(1 << 20) {
-			t.Fatal("disabled sampler due")
+		if s.Due(DefaultSampleStride - 1) {
+			t.Fatal("sampler due before its first stride")
 		}
-		s.Record(ts)
 		if nilS.Due(1 << 20) {
 			t.Fatal("nil sampler due")
 		}
 		nilS.Record(ts)
 	})
 	if allocs != 0 {
-		t.Fatalf("disabled sampler path allocates: %v allocs/op", allocs)
+		t.Fatalf("nil sampler path allocates: %v allocs/op", allocs)
 	}
 }
 

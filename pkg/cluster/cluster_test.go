@@ -401,6 +401,41 @@ func TestRunSpecsFailsFastOnRejectedShard(t *testing.T) {
 	}
 }
 
+// TestRunSpecsReshardsRefusedChunk: a replica that answers a chunk's
+// first request with a 503, as a draining one does, began no stream
+// and holds none of the chunk, so the chunk re-shards without being
+// resumed in place: the owner sees no more suite requests than it
+// takes to trip its breaker, and the sweep completes on the survivor.
+func TestRunSpecsReshardsRefusedChunk(t *testing.T) {
+	var refused atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/suite" {
+			refused.Add(1)
+		}
+		http.Error(w, "draining", http.StatusServiceUnavailable)
+	}))
+	t.Cleanup(ts.Close)
+	urlB, batchB, _ := bootReplica(t, 1)
+	c, err := New([]string{ts.URL, urlB}, WithMaxRetryWait(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ownedBy(t, c, ts.URL, 5_000)
+	results, err := c.RunSpecs(context.Background(), []experiments.RunSpec{spec}, nil)
+	if err != nil {
+		t.Fatalf("sweep with a draining owner failed: %v (stats %+v)", err, c.SweepStats())
+	}
+	if len(results) != 1 || batchB.Stats().Executed != 1 {
+		t.Fatalf("got %d results, survivor executed %d; want 1 and 1", len(results), batchB.Stats().Executed)
+	}
+	if n := refused.Load(); n > int64(c.breakers.threshold) {
+		t.Errorf("draining owner got %d suite requests, want at most the breaker threshold %d", n, c.breakers.threshold)
+	}
+	if st := c.SweepStats(); st.Resumes != 0 {
+		t.Errorf("a refused chunk was resumed in place: %+v", st)
+	}
+}
+
 func TestRunSpecsChunksLargeShards(t *testing.T) {
 	// Shards larger than shardChunk split into sequential bounded
 	// requests; every run still arrives exactly once.

@@ -87,7 +87,10 @@ func (c *ShardedClient) SweepStats() SweepStats {
 // streams is the replica declared lost: its breaker takes the failure
 // and the remaining specs re-shard onto the survivors — completed runs
 // are never re-requested — so a sweep survives losing replicas as long
-// as one stays up. A merely saturated replica (429) is not penalized:
+// as one stays up. A replica that answers a chunk's first request with
+// an error status (a 503 while draining, a 500) began no stream, so it
+// is declared lost at once, without resuming. A merely saturated
+// replica (429) is not penalized:
 // its Retry-After hint is honored (jittered) before the work is
 // re-planned. Every resume and every re-shard round draws from the
 // per-sweep retry budget (WithRetryBudget), so a pathological fleet
@@ -245,7 +248,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 					chunkSpan.SetAttr("specs", fmt.Sprintf("%d", len(chunk)))
 					chunkDone := func() bool {
 						defer chunkSpan.End()
-						for {
+						for attempt := 0; ; attempt++ {
 							reqs := undelivered(chunk)
 							if len(reqs) == 0 {
 								return true
@@ -281,8 +284,16 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							// replica first: it has kept simulating the chunk and
 							// memoized the results, so the re-request drains from
 							// its cache without re-executing anything — moving
-							// the work elsewhere would double-execute it.
-							if resumes < maxStreamResumes && sweep.spend(1) {
+							// the work elsewhere would double-execute it. That
+							// holds whatever a resume request itself answers.
+							// A status answered to the chunk's first request
+							// (a 503 from a draining replica, a 500) is
+							// different: no stream began, the replica holds
+							// none of the chunk, and asking again in place
+							// would only repeat the refusal.
+							var ae *client.APIError
+							refused := attempt == 0 && errors.As(err, &ae)
+							if !refused && resumes < maxStreamResumes && sweep.spend(1) {
 								resumes++
 								sweep.mu.Lock()
 								sweep.stats.Resumes++
@@ -303,9 +314,10 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 								}
 								continue
 							}
-							// Out of resumes (or budget): the replica is lost.
-							// Its breaker takes the failure and the next round
-							// re-shards whatever it had not delivered.
+							// Refused, or out of resumes (or budget): the
+							// replica is lost. Its breaker takes the failure
+							// and the next round re-shards whatever it had not
+							// delivered.
 							c.breakers.failure(rep)
 							c.log.Warn("replica lost mid-sweep, re-sharding its work",
 								"replica", rep, "undelivered", len(reqs), "err", err)
