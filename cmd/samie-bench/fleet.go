@@ -36,7 +36,9 @@ func progress(label string) func(cluster.Progress) {
 
 // printFleetStats writes the fleet's accounting to w: one block per
 // replica (engine, store tiers, run phases), the cluster totals, the
-// last sweep's retry accounting and the occupancy rollup.
+// last sweep's retry accounting and the occupancy rollup. Every line
+// comes from one /v1/stats answer per replica, so the totals are the
+// sum of the replica lines above them.
 func printFleetStats(ctx context.Context, w io.Writer, c *cluster.ShardedClient) error {
 	per, err := c.PerReplicaStats(ctx)
 	if err != nil {
@@ -47,10 +49,7 @@ func printFleetStats(ctx context.Context, w io.Writer, c *cluster.ShardedClient)
 		reps = append(reps, rep)
 	}
 	sort.Strings(reps)
-	agg, err := c.Stats(ctx)
-	if err != nil {
-		return err
-	}
+	agg := cluster.FoldStats(per)
 	for _, rep := range reps {
 		st := per[rep]
 		fmt.Fprintf(w, "replica %s: %d executed, %d of %d served from cache, %d workers, up %s\n",

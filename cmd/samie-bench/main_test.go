@@ -4,10 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"samielsq/internal/experiments"
@@ -182,5 +184,50 @@ func TestRemoteMatchesLocal(t *testing.T) {
 	}
 	if total != int64(len(distinct)) {
 		t.Errorf("replicas executed %d simulations, want exactly the %d distinct specs", total, len(distinct))
+	}
+}
+
+// TestFleetStatsOneFetch pins -server -stats to one /v1/stats request
+// per replica: the per-replica lines and the cluster totals come from
+// the same answers, so the totals are the sum of the lines.
+func TestFleetStatsOneFetch(t *testing.T) {
+	var urls []string
+	var fetches []*atomic.Int64
+	for range 2 {
+		batch := experiments.NewBatch(1)
+		s, err := server.New(server.Config{Batch: batch, Logger: slog.New(slog.DiscardHandler)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := &atomic.Int64{}
+		h := s.Handler()
+		ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/stats" {
+				n.Add(1)
+			}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(ts.Close)
+		urls = append(urls, ts.URL)
+		fetches = append(fetches, n)
+	}
+	_, stderr := benchMain(t, "-scenario", "distrib-banking", "-bench", "gzip", "-insts", "3000",
+		"-server", strings.Join(urls, ","), "-stats")
+	for i, n := range fetches {
+		if got := n.Load(); got != 1 {
+			t.Errorf("replica %d answered %d /v1/stats requests, want 1", i, got)
+		}
+	}
+	sum, total := 0, -1
+	for _, line := range strings.Split(stderr, "\n") {
+		var rep string
+		var n int
+		if _, err := fmt.Sscanf(line, "replica %s %d executed", &rep, &n); err == nil {
+			sum += n
+		}
+		fmt.Sscanf(line, "cluster: 2 replicas, %d simulations executed", &total)
+	}
+	if total != sum || total != 3 {
+		t.Errorf("cluster total %d, replica lines sum to %d, want both 3:\n%s", total, sum, stderr)
 	}
 }

@@ -84,12 +84,12 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// location identifies where an instruction sits. It is packed into the
-// tracker Op's Loc field (kind, bank, entry, slot) so the hot path
-// needs no side map from sequence numbers to placements.
+// location identifies the slot a placed instruction sits in. It is
+// packed into the tracker Op's Loc field (kind, bank, entry, slot) so
+// the hot path needs no side map from sequence numbers to placements.
 type location struct {
 	kind  locKind
-	bank  int // DistribLSQ bank (kindDistrib only)
+	bank  int // DistribLSQ bank (locDistrib only)
 	entry int // entry index within the bank / SharedLSQ
 	slot  int
 }
@@ -97,13 +97,12 @@ type location struct {
 type locKind uint8
 
 const (
-	locNone locKind = iota
-	locDistrib
+	locDistrib locKind = iota
 	locShared
-	locBuffer
 )
 
-// locOf unpacks op's placement; ok is false when op has none.
+// locOf unpacks op's placement; ok is false when op has none (it has
+// no address yet or waits in the AddrBuffer).
 func locOf(op *lsq.Op) (location, bool) {
 	if op == nil || op.Loc[0] < 0 {
 		return location{}, false
@@ -116,14 +115,12 @@ func locOf(op *lsq.Op) (location, bool) {
 	}, true
 }
 
-// slot is one instruction within an entry.
+// slot is one instruction within an entry: its age id. The access
+// itself (type, offset, size) is read from the tracker op, which the
+// forwarding search walks.
 type slot struct {
-	valid     bool
-	seq       uint64
-	isLoad    bool
-	offset    uint16
-	size      uint8
-	performed bool
+	valid bool
+	seq   uint64
 }
 
 // entry keys one cache line and holds SlotsPerEntry instructions.
@@ -151,10 +148,8 @@ func (e *entry) freeSlot() int {
 
 // abEntry is one AddrBuffer FIFO element.
 type abEntry struct {
-	seq    uint64
-	isLoad bool
-	addr   uint64
-	size   uint8
+	seq  uint64
+	addr uint64
 }
 
 // abRing is the AddrBuffer FIFO: a fixed-capacity ring so the
@@ -384,13 +379,7 @@ func (s *SAMIE) fillSlot(op *lsq.Op, kind locKind, bank, ei, si int) {
 			e.slots[i] = slot{}
 		}
 	}
-	e.slots[si] = slot{
-		valid:  true,
-		seq:    op.Seq,
-		isLoad: op.IsLoad,
-		offset: uint16(op.Addr - e.lineAddr),
-		size:   op.Size,
-	}
+	e.slots[si] = slot{valid: true, seq: op.Seq}
 	e.used++
 	if kind == locDistrib {
 		if newEntry {
@@ -502,8 +491,7 @@ func (s *SAMIE) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) l
 		return lsq.Placement{Placed: true}
 	}
 	if s.addrBuf.len() < s.cfg.AddrBufferSlots {
-		s.addrBuf.push(abEntry{seq: seq, isLoad: isLoad, addr: addr, size: size})
-		s.t.SetBuffered(op)
+		s.addrBuf.push(abEntry{seq: seq, addr: addr})
 		s.stats.Buffered++
 		s.meter.AddrBufferInsert()
 		return lsq.Placement{Buffered: true}
@@ -577,7 +565,7 @@ func (s *SAMIE) ForwardingSource(seq uint64) (uint64, bool) {
 // and the DTLB.
 func (s *SAMIE) Plan(seq uint64) lsq.AccessPlan {
 	loc, ok := locOf(s.t.Get(seq))
-	if !ok || loc.kind == locBuffer || loc.kind == locNone {
+	if !ok {
 		return lsq.AccessPlan{}
 	}
 	e := s.entryAt(loc)
@@ -616,7 +604,7 @@ func (s *SAMIE) Plan(seq uint64) lsq.AccessPlan {
 // entry caches the physical location and the translation (§3.4).
 func (s *SAMIE) RecordAccess(seq uint64, set, way int, vpn uint64) {
 	loc, ok := locOf(s.t.Get(seq))
-	if !ok || loc.kind == locBuffer || loc.kind == locNone {
+	if !ok {
 		return
 	}
 	e := s.entryAt(loc)
@@ -644,23 +632,19 @@ func (s *SAMIE) RecordAccess(seq uint64, set, way int, vpn uint64) {
 // NotePerformed implements lsq.Model.
 func (s *SAMIE) NotePerformed(seq uint64) {
 	op := s.t.Get(seq)
-	if op == nil {
+	if op == nil || !op.IsLoad {
 		return
 	}
-	op.Performed = true
 	loc, ok := locOf(op)
 	if !ok {
 		return
 	}
-	if e := s.entryAt(loc); e != nil && e.valid && loc.slot < len(e.slots) {
-		e.slots[loc.slot].performed = true
-		if op.IsLoad {
-			// The loaded datum is written into the slot.
-			if loc.kind == locShared {
-				s.meter.SharedRWDatum()
-			} else {
-				s.meter.DistribRWDatum()
-			}
+	if e := s.entryAt(loc); e != nil && e.valid {
+		// The loaded datum is written into the slot.
+		if loc.kind == locShared {
+			s.meter.SharedRWDatum()
+		} else {
+			s.meter.DistribRWDatum()
 		}
 	}
 }
@@ -702,7 +686,7 @@ func (s *SAMIE) Commit(seq uint64) {
 	loc, ok := locOf(op)
 	if ok {
 		if e := s.entryAt(loc); e != nil && e.valid && loc.slot < len(e.slots) && e.slots[loc.slot].valid && e.slots[loc.slot].seq == seq {
-			if op != nil && !op.IsLoad {
+			if !op.IsLoad {
 				// Store datum read out on its way to the Dcache.
 				if loc.kind == locShared {
 					s.meter.SharedRWDatum()

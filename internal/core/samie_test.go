@@ -387,7 +387,11 @@ func TestRandomizedInvariants(t *testing.T) {
 		}
 		placed := 0
 		for _, o := range ops {
-			if o.placed || s.Placed(o.seq) {
+			if o.placed != s.t.Get(o.seq).Placed {
+				t.Fatalf("step %d: seq %d placed %v, AddressReady/Tick reported %v",
+					step, o.seq, s.t.Get(o.seq).Placed, o.placed)
+			}
+			if o.placed {
 				placed++
 			}
 		}

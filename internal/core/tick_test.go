@@ -106,6 +106,16 @@ func TestTickContract(t *testing.T) {
 				model := mc.mk(m)
 				var live []uint64 // dispatched and not retired, oldest first
 				addressed := map[uint64]bool{}
+				// placed holds what the AddressReady and Tick results
+				// reported, as the CPU sees it.
+				placed := map[uint64]bool{}
+				tick := func() []uint64 {
+					got := model.Tick()
+					for _, seq := range got {
+						placed[seq] = true
+					}
+					return got
+				}
 				next := uint64(1)
 				pick := func() uint64 { return live[rng.Intn(len(live))] }
 				// traffic issues one random call that is neither a
@@ -122,7 +132,9 @@ func TestTickContract(t *testing.T) {
 						if seq := pick(); !addressed[seq] {
 							addressed[seq] = true
 							addr := 0x10000 + uint64(rng.Intn(24))*32 + uint64(rng.Intn(8))*4
-							model.AddressReady(seq, rng.Intn(2) == 0, addr, 4)
+							if model.AddressReady(seq, rng.Intn(2) == 0, addr, 4).Placed {
+								placed[seq] = true
+							}
 						}
 					case r < 7:
 						model.ForwardingSource(pick())
@@ -143,21 +155,23 @@ func TestTickContract(t *testing.T) {
 						model.Flush()
 						live = live[:0]
 						clear(addressed)
-					case r < 20 && len(live) > 0 && model.Placed(live[0]):
+						clear(placed)
+					case r < 20 && len(live) > 0 && placed[live[0]]:
 						model.Commit(live[0])
+						delete(placed, live[0])
 						live = live[1:]
 					default:
 						traffic()
 					}
 					model.AccountCycle()
-					if len(model.Tick()) != 0 {
+					if len(tick()) != 0 {
 						continue
 					}
 					for k := rng.Intn(8); k > 0; k-- {
 						traffic()
 					}
 					before := modelState(model, m)
-					if got := model.Tick(); len(got) != 0 {
+					if got := tick(); len(got) != 0 {
 						t.Fatalf("step %d: Tick placed %v after an idle Tick with no Commit or Flush", step, got)
 					}
 					if after := modelState(model, m); after != before {
@@ -165,7 +179,7 @@ func TestTickContract(t *testing.T) {
 					}
 					checked++
 					for _, seq := range live {
-						if !model.Placed(seq) {
+						if !placed[seq] {
 							blocked++
 							break
 						}

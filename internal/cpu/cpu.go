@@ -388,18 +388,12 @@ func (c *CPU) clearWriters() {
 	}
 }
 
-// RunWarm simulates warmInsts instructions to warm the caches, TLBs
-// and predictor (as the paper does before measuring), resets every
-// statistic, then simulates and reports measureInsts more.
-func (c *CPU) RunWarm(warmInsts, measureInsts uint64) Result {
-	res, _, _ := c.RunWarmTimed(warmInsts, measureInsts)
-	return res
-}
-
-// RunWarmTimed is RunWarm plus wall-clock attribution: it reports how
-// long the warmup and measured portions each took on the host, so the
-// profiling layer can split a run's simulation time into its phases.
-// The simulated result is identical to RunWarm's.
+// RunWarmTimed simulates warmInsts instructions to warm the caches,
+// TLBs and predictor (as the paper does before measuring), resets every
+// statistic, then simulates and reports measureInsts more. It also
+// reports how long the warmup and measured portions each took on the
+// host, so the profiling layer can split a run's simulation time into
+// its phases.
 func (c *CPU) RunWarmTimed(warmInsts, measureInsts uint64) (Result, time.Duration, time.Duration) {
 	var warmDur time.Duration
 	if warmInsts > 0 {

@@ -230,7 +230,7 @@ func TestDeterminism(t *testing.T) {
 func TestRunWarmResetsStats(t *testing.T) {
 	p := trace.MustPersonality("gzip")
 	c := New(PaperConfig(), trace.NewGenerator(p), lsq.NewConventional(128, nil), nil, nil, nil, nil)
-	r := c.RunWarm(10000, 10000)
+	r, _, _ := c.RunWarmTimed(10000, 10000)
 	// The last commit group may overshoot by up to the commit width.
 	if r.Committed < 10000 || r.Committed > 10000+8 {
 		t.Fatalf("measured %d, want ~10000", r.Committed)

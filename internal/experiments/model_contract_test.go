@@ -123,9 +123,9 @@ func TestModelContract(t *testing.T) {
 				t.Fatalf("an instruction waited for placement: %v, want %v", waiting, want)
 			}
 			model.Flush()
-			if model.InFlight() != 0 || model.Placed(0) || model.FreeCapacity() != fresh {
-				t.Fatalf("after Flush: %d in flight, seq 0 placed=%v, free capacity %d (fresh %d)",
-					model.InFlight(), model.Placed(0), model.FreeCapacity(), fresh)
+			if model.InFlight() != 0 || model.FreeCapacity() != fresh {
+				t.Fatalf("after Flush: %d in flight, free capacity %d (fresh %d)",
+					model.InFlight(), model.FreeCapacity(), fresh)
 			}
 			state := func() string {
 				return fmt.Sprintf("%+v %d %d", *m, model.InFlight(), model.FreeCapacity())

@@ -182,7 +182,6 @@ func (a *ARB) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) Pla
 	if a.tryPlace(op) {
 		return Placement{Placed: true}
 	}
-	a.t.SetBuffered(op)
 	//lint:ignore hotalloc pending is bounded by in-flight memory ops; capacity amortizes to that bound
 	a.pending = append(a.pending, seq)
 	return Placement{Buffered: true}
@@ -226,27 +225,16 @@ func (a *ARB) ForwardingSource(seq uint64) (uint64, bool) {
 	return a.t.ForwardingSource(seq)
 }
 
-// NotePerformed implements Model.
-func (a *ARB) NotePerformed(seq uint64) {
-	if op := a.t.Get(seq); op != nil {
-		op.Performed = true
-	}
-}
+// NotePerformed implements Model (the ARB charges no energy).
+func (a *ARB) NotePerformed(seq uint64) {}
 
-// release frees the bank slot held by op.
-func (a *ARB) release(op *Op) {
-	if op == nil || !op.Placed || op.Loc[0] < 0 {
-		return
-	}
-	if a.bankAddrs[op.Loc[0]].release(word(op.Addr)) {
+// Commit implements Model: a placed instruction frees its share of
+// its bank's address entry.
+func (a *ARB) Commit(seq uint64) {
+	op := a.t.Remove(seq)
+	if op.Placed && a.bankAddrs[op.Loc[0]].release(word(op.Addr)) {
 		a.released = true
 	}
-}
-
-// Commit implements Model.
-func (a *ARB) Commit(seq uint64) {
-	a.release(a.t.Get(seq))
-	a.t.Remove(seq)
 }
 
 // Flush implements Model.

@@ -120,19 +120,15 @@ func (c *Conventional) ForwardingSource(seq uint64) (uint64, bool) {
 
 // NotePerformed implements Model.
 func (c *Conventional) NotePerformed(seq uint64) {
-	if op := c.t.Get(seq); op != nil {
-		op.Performed = true
-		if op.IsLoad && c.meter != nil {
-			// The loaded datum is written into the entry.
-			c.meter.ConvRWDatum()
-		}
+	if op := c.t.Get(seq); op != nil && op.IsLoad && c.meter != nil {
+		// The loaded datum is written into the entry.
+		c.meter.ConvRWDatum()
 	}
 }
 
 // Commit implements Model.
 func (c *Conventional) Commit(seq uint64) {
-	op := c.t.Remove(seq)
-	if op != nil && !op.IsLoad && c.meter != nil {
+	if op := c.t.Remove(seq); !op.IsLoad && c.meter != nil {
 		// The store datum is read out to be written to memory.
 		c.meter.ConvRWDatum()
 	}

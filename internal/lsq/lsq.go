@@ -18,9 +18,12 @@
 //	Flush()                      on a pipeline flush
 //	AccountCycle()               once per cycle (occupancy/area stats)
 //
-// Commit is only called for sequence numbers that were given to
-// Dispatch: the CPU retires non-memory instructions without consulting
-// the model.
+// Placement is reported only through the AddressReady and Tick
+// results: the model answers no query for it, and the CPU keeps its
+// own copy for the deadlock check at the ROB head. Commit is only
+// called for the oldest sequence number given to Dispatch and not yet
+// committed or flushed: the CPU retires non-memory instructions
+// without consulting the model, and memory ones in program order.
 //
 // The conservative readyBit disambiguation scheme (§3.1) is enforced
 // by the CPU model: a load only performs once every older store's
@@ -76,10 +79,6 @@ type Model interface {
 	// that did not fit cannot fit before one. The CPU relies on this to
 	// skip Tick across quiescent cycles (cpu/sched.go).
 	Tick() []uint64
-	// Placed reports whether the instruction is searchable. The CPU's
-	// deadlock check at the ROB head keeps its own copy of this, set
-	// from the AddressReady and Tick results.
-	Placed(seq uint64) bool
 	// ForwardingSource returns the youngest older store whose access
 	// overlaps the load's bytes, if any.
 	ForwardingSource(seq uint64) (storeSeq uint64, ok bool)
@@ -93,8 +92,8 @@ type Model interface {
 	// ClearCachedLocations invalidates all cached line locations
 	// (presentBit flush, §3.4).
 	ClearCachedLocations()
-	// Commit retires the instruction, in order. It is only called for
-	// seqs that were given to Dispatch.
+	// Commit retires the oldest in-flight instruction, seq. Any other
+	// seq is a contract violation: the tracker panics.
 	Commit(seq uint64)
 	// Flush drops every non-committed instruction.
 	Flush()
@@ -114,21 +113,15 @@ type Model interface {
 
 // Base is embedded by every model. It owns the Tracker of in-flight
 // instructions and implements the Model methods the organizations
-// share: the tracker queries Placed and InFlight, and the defaults of
-// a model that caches no Dcache locations and always finds a computed
-// address a home. A model overrides what it really implements.
+// share: the tracker query InFlight, and the defaults of a model that
+// caches no Dcache locations and always finds a computed address a
+// home. A model overrides what it really implements.
 type Base struct {
 	t *Tracker
 }
 
 // NewBase returns a Base over t.
 func NewBase(t *Tracker) Base { return Base{t: t} }
-
-// Placed implements Model.
-func (b *Base) Placed(seq uint64) bool {
-	op := b.t.Get(seq)
-	return op != nil && op.Placed
-}
 
 // InFlight implements Model.
 func (b *Base) InFlight() int { return b.t.Len() }
@@ -148,13 +141,15 @@ func (b *Base) ClearCachedLocations() {}
 // conflicting instructions wait in reservation stations).
 func (b *Base) FreeCapacity() int { return int(^uint(0) >> 1) }
 
-// Op is the per-instruction record shared by the LSQ models.
+// Op is the per-instruction record shared by the LSQ models: the one
+// home of an in-flight memory instruction's age, address and
+// placement. An op with a known address that is not placed is waiting
+// in a placement buffer (the SAMIE AddrBuffer or the ARB pending list).
 //
-// Addr/Size/AddrKnown and Placed/Buffered must be changed through the
-// owning Tracker's SetAddress / SetPlaced / SetBuffered so the
-// tracker's incremental summary counters (which replace per-op rescans
-// on the simulator hot path) stay coherent. The remaining fields are
-// free for models to use directly.
+// Addr/Size/AddrKnown and Placed must be changed through the owning
+// Tracker's SetAddress / SetPlaced so the tracker's incremental
+// summary counters (which replace per-op rescans on the simulator hot
+// path) stay coherent. Loc is free for models to use directly.
 type Op struct {
 	Seq       uint64
 	IsLoad    bool
@@ -162,8 +157,6 @@ type Op struct {
 	Size      uint8
 	AddrKnown bool
 	Placed    bool
-	Buffered  bool
-	Performed bool
 	// Loc holds model-defined placement indices.
 	Loc [4]int
 
@@ -184,17 +177,6 @@ type storeRec struct {
 	seq    uint64
 	lo, hi uint64 // accessed bytes [lo, hi)
 	live   bool   // placed with a known address: a forwarding candidate
-}
-
-// Overlaps reports whether the two accesses touch a common byte (both
-// addresses must be known).
-func (op *Op) Overlaps(other *Op) bool {
-	if !op.AddrKnown || !other.AddrKnown {
-		return false
-	}
-	aEnd := op.Addr + uint64(op.Size)
-	bEnd := other.Addr + uint64(other.Size)
-	return op.Addr < bEnd && other.Addr < aEnd
 }
 
 // fenwick is a binary indexed tree over the tracker's physical ring
@@ -458,8 +440,8 @@ func (t *Tracker) search(seq uint64) int {
 	return lo
 }
 
-// IndexOf returns the position of seq in the ordered list, or -1.
-func (t *Tracker) IndexOf(seq uint64) int {
+// indexOf returns the position of seq in the ordered list, or -1.
+func (t *Tracker) indexOf(seq uint64) int {
 	op := t.Get(seq)
 	if op == nil {
 		return -1
@@ -519,12 +501,9 @@ func (t *Tracker) SetAddress(op *Op, addr uint64, size uint8) {
 
 // SetPlaced marks op resident in a searchable LSQ structure.
 func (t *Tracker) SetPlaced(op *Op) {
-	op.Placed, op.Buffered = true, false
+	op.Placed = true
 	t.recount(op)
 }
-
-// SetBuffered marks op waiting in a placement buffer.
-func (t *Tracker) SetBuffered(op *Op) { op.Buffered = true }
 
 // uncount removes op from the summaries (at removal time).
 //
@@ -544,79 +523,33 @@ func (t *Tracker) uncount(op *Op) {
 	}
 }
 
-// Remove drops seq and returns its op; commits arrive in order so this
-// is almost always the front element. The returned op is recycled on
-// the next Add — read what you need from it immediately.
+// Remove drops seq, which must be the oldest tracked op, and returns
+// it: the CPU commits in order, so any other seq is a contract
+// violation and panics. The returned op is recycled on the next Add —
+// read what you need from it immediately.
 //
 //samie:hotpath
 func (t *Tracker) Remove(seq uint64) *Op {
-	if t.n == 0 {
-		return nil
+	if t.n == 0 || t.ops[t.head].Seq != seq {
+		panic("lsq: Remove of a seq that is not the oldest in flight")
 	}
-	if front := t.ops[t.head]; front.Seq == seq {
-		t.uncount(front)
-		if t.seqHint[seq&seqHintMask] == front {
-			t.seqHint[seq&seqHintMask] = nil
-		}
-		t.ops[t.head] = nil
-		t.head++
-		if t.head == len(t.ops) {
-			t.head = 0
-		}
-		t.n--
-		if !front.IsLoad {
-			t.storeHead++ // the oldest op is the oldest store
-		}
-		//lint:ignore hotalloc free list is bounded by tracker capacity, preallocated at construction
-		t.free = append(t.free, front)
-		return front
+	front := t.ops[t.head]
+	t.uncount(front)
+	if t.seqHint[seq&seqHintMask] == front {
+		t.seqHint[seq&seqHintMask] = nil
 	}
-	// Out-of-order removal (not exercised by the CPU, which commits in
-	// order): compact the ring, repositioning every younger op, and
-	// close the gap a removed store leaves in the store ring.
-	i := t.IndexOf(seq)
-	if i < 0 {
-		return nil
+	t.ops[t.head] = nil
+	t.head++
+	if t.head == len(t.ops) {
+		t.head = 0
 	}
-	op := t.opAt(i)
-	t.uncount(op)
-	if !op.IsLoad {
-		for o := op.ord + 1; o < t.storeNext; o++ {
-			t.storeRecs[(o-1)&t.storeMask] = t.storeRecs[o&t.storeMask]
-		}
-		t.storeNext--
-		t.reindex() // the younger records moved slots
-	}
-	if t.seqHint[op.Seq&seqHintMask] == op {
-		t.seqHint[op.Seq&seqHintMask] = nil
-	}
-	for j := i; j < t.n-1; j++ {
-		moved := t.opAt(j + 1)
-		if moved.counted {
-			if moved.IsLoad {
-				t.loads.add(moved.slot, -1)
-			} else {
-				t.stores.add(moved.slot, -1)
-			}
-		}
-		moved.slot = t.physical(j)
-		t.ops[moved.slot] = moved
-		if !op.IsLoad {
-			moved.ord--
-		}
-		if moved.counted {
-			if moved.IsLoad {
-				t.loads.add(moved.slot, 1)
-			} else {
-				t.stores.add(moved.slot, 1)
-			}
-		}
-	}
-	t.ops[t.physical(t.n-1)] = nil
 	t.n--
+	if !front.IsLoad {
+		t.storeHead++ // the oldest op is the oldest store
+	}
 	//lint:ignore hotalloc free list is bounded by tracker capacity, preallocated at construction
-	t.free = append(t.free, op)
-	return op
+	t.free = append(t.free, front)
+	return front
 }
 
 // Clear drops every op.
@@ -702,7 +635,7 @@ func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 // CountOlderKnownStores counts placed older stores with known
 // addresses (conventional-LSQ comparison set for a load).
 func (t *Tracker) CountOlderKnownStores(seq uint64) int {
-	i := t.IndexOf(seq)
+	i := t.indexOf(seq)
 	if i < 0 {
 		return 0
 	}
@@ -712,7 +645,7 @@ func (t *Tracker) CountOlderKnownStores(seq uint64) int {
 // CountYoungerKnownLoads counts placed younger loads with known
 // addresses (conventional-LSQ comparison set for a store).
 func (t *Tracker) CountYoungerKnownLoads(seq uint64) int {
-	i := t.IndexOf(seq)
+	i := t.indexOf(seq)
 	if i < 0 {
 		return 0
 	}

@@ -14,44 +14,19 @@ func TestTrackerOrderAndLookup(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	if tr.IndexOf(20) != 1 || tr.IndexOf(99) != -1 {
-		t.Fatal("IndexOf wrong")
+	if tr.indexOf(20) != 1 || tr.indexOf(99) != -1 {
+		t.Fatal("indexOf wrong")
 	}
 	if tr.Get(20) == nil || tr.Get(99) != nil {
 		t.Fatal("Get wrong")
 	}
 	tr.Remove(10)
-	if tr.Len() != 2 || tr.IndexOf(20) != 0 {
+	if tr.Len() != 2 || tr.indexOf(20) != 0 {
 		t.Fatal("Remove broke ordering")
 	}
 	tr.Clear()
 	if tr.Len() != 0 || tr.Get(20) != nil {
 		t.Fatal("Clear failed")
-	}
-}
-
-func TestOverlaps(t *testing.T) {
-	mk := func(addr uint64, size uint8) *Op {
-		return &Op{Addr: addr, Size: size, AddrKnown: true}
-	}
-	cases := []struct {
-		a, b *Op
-		want bool
-	}{
-		{mk(100, 4), mk(100, 4), true},
-		{mk(100, 4), mk(103, 4), true},  // partial
-		{mk(100, 4), mk(104, 4), false}, // adjacent
-		{mk(104, 4), mk(100, 4), false},
-		{mk(100, 8), mk(104, 2), true}, // contained
-	}
-	for i, c := range cases {
-		if got := c.a.Overlaps(c.b); got != c.want {
-			t.Errorf("case %d: overlaps = %v, want %v", i, got, c.want)
-		}
-	}
-	unknown := &Op{Addr: 100, Size: 4}
-	if unknown.Overlaps(mk(100, 4)) {
-		t.Error("unknown address overlapped")
 	}
 }
 
@@ -111,7 +86,7 @@ func TestConventionalCapacity(t *testing.T) {
 	if c.Dispatch(3, true) {
 		t.Fatal("dispatch above capacity succeeded")
 	}
-	if c.Placed(3) || c.InFlight() != 2 {
+	if c.t.Get(3) != nil || c.InFlight() != 2 {
 		t.Fatal("a refused dispatch was tracked")
 	}
 	c.Commit(1)
@@ -209,7 +184,7 @@ func TestARBSameAddressSharing(t *testing.T) {
 	if !pl.Buffered {
 		t.Fatalf("conflicting placement should buffer: %+v", pl)
 	}
-	if len(a.pending) != 1 || a.Placed(3) {
+	if len(a.pending) != 1 || a.t.Get(3).Placed {
 		t.Fatalf("pending = %v, want [3] unplaced", a.pending)
 	}
 	// Draining the bank lets the pending op in via Tick.
@@ -219,7 +194,7 @@ func TestARBSameAddressSharing(t *testing.T) {
 	if len(placed) != 1 || placed[0] != 3 {
 		t.Fatalf("Tick placed %v", placed)
 	}
-	if !a.Placed(3) {
+	if !a.t.Get(3).Placed {
 		t.Fatal("op not marked placed")
 	}
 }
@@ -232,7 +207,7 @@ func TestARBInflightCap(t *testing.T) {
 	if a.Dispatch(3, true) {
 		t.Fatal("dispatch over cap succeeded")
 	}
-	if a.Placed(3) || a.InFlight() != 2 {
+	if a.t.Get(3) != nil || a.InFlight() != 2 {
 		t.Fatal("a refused dispatch was tracked")
 	}
 }

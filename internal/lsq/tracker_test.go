@@ -15,7 +15,6 @@ type refOp struct {
 	addr          uint64
 	size          uint8
 	known, placed bool
-	buffered      bool
 }
 
 // live reports whether op takes part in forwarding and the compare
@@ -106,30 +105,34 @@ func (d *trackerDiff) setPlaced(seq uint64) {
 	d.step = fmt.Sprintf("SetPlaced(%d)", seq)
 	d.tr.SetPlaced(d.tr.Get(seq))
 	i := d.ref.index(seq)
-	d.ref.ops[i].placed, d.ref.ops[i].buffered = true, false
+	d.ref.ops[i].placed = true
 	d.check()
 }
 
-func (d *trackerDiff) setBuffered(seq uint64) {
-	d.step = fmt.Sprintf("SetBuffered(%d)", seq)
-	d.tr.SetBuffered(d.tr.Get(seq))
-	d.ref.ops[d.ref.index(seq)].buffered = true
-	d.check()
-}
-
-func (d *trackerDiff) remove(seq uint64) {
+// removeOldest retires the oldest op, as the CPU's in-order commit
+// does.
+func (d *trackerDiff) removeOldest() {
+	seq := d.ref.ops[0].seq
 	d.step = fmt.Sprintf("Remove(%d)", seq)
-	got := d.tr.Remove(seq)
-	i := d.ref.index(seq)
-	if (got != nil) != (i >= 0) {
-		d.t.Fatalf("%s returned %v, reference tracks it: %v", d.step, got, i >= 0)
+	if got := d.tr.Remove(seq); got.Seq != seq {
+		d.t.Fatalf("%s returned op %d", d.step, got.Seq)
 	}
-	if i >= 0 {
-		if got.Seq != seq {
-			d.t.Fatalf("%s returned op %d", d.step, got.Seq)
-		}
-		d.ref.ops = append(d.ref.ops[:i], d.ref.ops[i+1:]...)
-	}
+	d.ref.ops = d.ref.ops[1:]
+	d.check()
+}
+
+// removePanics requires Remove(seq) of an op that is not the oldest to
+// panic and to leave the tracker as it was.
+func (d *trackerDiff) removePanics(seq uint64) {
+	d.step = fmt.Sprintf("Remove(%d) (not the oldest)", seq)
+	func() {
+		defer func() {
+			if recover() == nil {
+				d.t.Fatalf("%s did not panic", d.step)
+			}
+		}()
+		d.tr.Remove(seq)
+	}()
 	d.check()
 }
 
@@ -160,13 +163,13 @@ func (d *trackerDiff) checkSeq(seq uint64) {
 	if op != nil {
 		w := d.ref.ops[i]
 		if op.Seq != seq || op.IsLoad != w.isLoad || op.AddrKnown != w.known ||
-			op.Placed != w.placed || op.Buffered != w.buffered ||
+			op.Placed != w.placed ||
 			(w.known && (op.Addr != w.addr || op.Size != w.size)) {
 			d.t.Fatalf("after %s: Get(%d) = %+v, reference %+v", d.step, seq, *op, w)
 		}
 	}
-	if got := d.tr.IndexOf(seq); got != i {
-		d.t.Fatalf("after %s: IndexOf(%d) = %d, reference %d", d.step, seq, got, i)
+	if got := d.tr.indexOf(seq); got != i {
+		d.t.Fatalf("after %s: indexOf(%d) = %d, reference %d", d.step, seq, got, i)
 	}
 	d.fwd(seq)
 	if got, want := d.tr.CountOlderKnownStores(seq), d.ref.countOlderKnownStores(seq); got != want {
@@ -232,7 +235,7 @@ func TestForwardingMemoInvalidation(t *testing.T) {
 	if src, ok := d.fwd(2); !ok || src != 1 {
 		t.Fatalf("missed late candidate: %d %v", src, ok)
 	}
-	d.remove(1)
+	d.removeOldest()
 	if _, ok := d.fwd(2); ok {
 		t.Fatal("retired store still forwarded")
 	}
@@ -263,21 +266,23 @@ func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
 // cases, then seeded random streams — and compares every query after
 // every operation.
 func TestTrackerDifferential(t *testing.T) {
-	t.Run("out-of-order store removal", func(t *testing.T) {
+	t.Run("non-front remove panics", func(t *testing.T) {
 		d := newTrackerDiff(t)
+		d.removePanics(1) // empty tracker
 		for i := uint64(1); i <= 5; i++ {
 			d.add(i, i == 5)
 			d.setAddress(i, 0x40, 4)
 			d.setPlaced(i)
 		}
-		d.remove(4) // the youngest older store: the next one takes over
-		if src, ok := d.fwd(5); !ok || src != 3 {
-			t.Fatalf("after removing store 4: %d %v, want 3", src, ok)
+		d.removePanics(4) // the youngest older store
+		d.removePanics(9) // never added
+		if src, ok := d.fwd(5); !ok || src != 4 {
+			t.Fatalf("after the refused removals: %d %v, want 4", src, ok)
 		}
-		d.remove(2)
-		d.remove(3)
-		if src, ok := d.fwd(5); !ok || src != 1 {
-			t.Fatalf("after removing stores 2,3: %d %v, want 1", src, ok)
+		d.removeOldest()
+		d.removePanics(3)
+		if src, ok := d.fwd(5); !ok || src != 4 {
+			t.Fatalf("after removing store 1: %d %v, want 4", src, ok)
 		}
 	})
 	for seed := int64(1); seed <= 8; seed++ {
@@ -310,16 +315,10 @@ func randomTrackerStream(d *trackerDiff, rng *rand.Rand, steps int) int {
 			d.add(seq, rng.Intn(2) == 0)
 		case r < 550:
 			d.setAddress(pick(), 0x1000+uint64(rng.Intn(12))*4, []uint8{1, 2, 4, 8}[rng.Intn(4)])
-		case r < 700:
-			d.setPlaced(pick())
 		case r < 740:
-			d.setBuffered(pick())
-		case r < 880:
-			d.remove(d.ref.ops[0].seq) // in order, as the CPU commits
-		case r < 960:
-			d.remove(pick())
+			d.setPlaced(pick())
 		case r < 998:
-			d.remove(seq + 1) // never added
+			d.removeOldest()
 		default:
 			d.clear()
 		}

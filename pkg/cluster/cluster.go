@@ -160,14 +160,20 @@ func permanent(err error) bool {
 	return errors.As(err, &ae) && ae.Status/100 == 4 && ae.Status != http.StatusTooManyRequests
 }
 
-// Stats aggregates /v1/stats across every reachable replica: counters
-// and capacity gauges sum, uptime reports the longest-lived replica.
-// An error is returned only when no replica answers.
+// Stats aggregates /v1/stats across every reachable replica (see
+// FoldStats). An error is returned only when no replica answers.
 func (c *ShardedClient) Stats(ctx context.Context) (client.StatsResponse, error) {
 	per, err := c.PerReplicaStats(ctx)
 	if err != nil {
 		return client.StatsResponse{}, err
 	}
+	return FoldStats(per), nil
+}
+
+// FoldStats folds per-replica /v1/stats answers (as PerReplicaStats
+// returns them) into fleet totals: counters and capacity gauges sum,
+// uptime reports the longest-lived replica.
+func FoldStats(per map[string]client.StatsResponse) client.StatsResponse {
 	agg := client.StatsResponse{RunPhases: obs.PhaseStats{}}
 	// Fold replicas in sorted-URL order: the aggregate includes
 	// float64 sums (energy, histogram totals, occupancy aggregates)
@@ -231,7 +237,7 @@ func (c *ShardedClient) Stats(ctx context.Context) (client.StatsResponse, error)
 			agg.CacheDir = st.CacheDir
 		}
 	}
-	return agg, nil
+	return agg
 }
 
 // PerReplicaStats fetches /v1/stats from every replica, keyed by

@@ -6,6 +6,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync/atomic"
@@ -433,6 +434,35 @@ func TestRunSpecsReshardsRefusedChunk(t *testing.T) {
 	}
 	if st := c.SweepStats(); st.Resumes != 0 {
 		t.Errorf("a refused chunk was resumed in place: %+v", st)
+	}
+}
+
+// TestRunSpecsReshardsConnectionRefused: a replica whose port refuses
+// the connection made no TCP connection, so it started none of the
+// chunk; like a status answer, the refusal goes to its breaker instead
+// of being resumed in place, and the sweep completes on the survivor.
+func TestRunSpecsReshardsConnectionRefused(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := "http://" + ln.Addr().String()
+	ln.Close()
+	urlB, batchB, _ := bootReplica(t, 1)
+	c, err := New([]string{closed, urlB}, WithMaxRetryWait(20*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := ownedBy(t, c, closed, 5_000)
+	results, err := c.RunSpecs(context.Background(), []experiments.RunSpec{spec}, nil)
+	if err != nil {
+		t.Fatalf("sweep with a refusing owner failed: %v (stats %+v)", err, c.SweepStats())
+	}
+	if len(results) != 1 || batchB.Stats().Executed != 1 {
+		t.Fatalf("got %d results, survivor executed %d; want 1 and 1", len(results), batchB.Stats().Executed)
+	}
+	if st := c.SweepStats(); st.Resumes != 0 {
+		t.Errorf("a refused connection was resumed in place: %+v", st)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"syscall"
 	"time"
 
 	"samielsq/internal/experiments"
@@ -290,9 +291,14 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							// (a 503 from a draining replica, a 500) is
 							// different: no stream began, the replica holds
 							// none of the chunk, and asking again in place
-							// would only repeat the refusal.
+							// would only repeat the refusal. So is a refused
+							// connection (a stopped replica): no TCP
+							// connection was made, so no work started. A
+							// reset or a truncated body may follow work the
+							// replica began, and is resumed.
 							var ae *client.APIError
-							refused := attempt == 0 && errors.As(err, &ae)
+							refused := attempt == 0 &&
+								(errors.As(err, &ae) || errors.Is(err, syscall.ECONNREFUSED))
 							if !refused && resumes < maxStreamResumes && sweep.spend(1) {
 								resumes++
 								sweep.mu.Lock()

@@ -51,8 +51,9 @@ type (
 	// EnergyMeter accumulates per-structure dynamic energy and active
 	// area.
 	EnergyMeter = energy.Meter
-	// LSQModel is the load/store-queue abstraction; Conventional, ARB,
-	// Unbounded and SAMIE implement it.
+	// LSQModel is the load/store-queue abstraction; the conventional
+	// LSQ (bounded, or unbounded as Figure 1's ideal), the ARB and the
+	// SAMIE-LSQ implement it.
 	LSQModel = lsq.Model
 
 	// Batch is the shared simulation engine: a memoizing scheduler that
