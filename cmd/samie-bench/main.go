@@ -20,7 +20,8 @@
 //	samie-bench -server http://a:8344,http://b:8344     # remote mode over a replica set
 //	samie-bench -server ... -stats -trace-out sweep.json # + fleet accounting and trace
 //	samie-bench -profile             # measure hot-path throughput
-//	samie-bench -profile -baseline BENCH_hotpath.json   # CI regression gate
+//	samie-bench -profile -baseline BENCH_hotpath.json   # gate one session on the last recorded one
+//	samie-bench -baseline sessions.json                 # gate interleaved baseline, change sessions (CI)
 //
 // Results are spilled to an on-disk cache (content-addressed by the
 // canonical RunSpec key, default <user cache dir>/samielsq, override
@@ -84,8 +85,8 @@ func main() {
 	profileReps := flag.Int("profile-reps", 3, "repetitions per profile case (best wins)")
 	profileLabel := flag.String("profile-label", "local", "label for the recorded profile session")
 	benchOut := flag.String("bench-out", "", "append the profile session to this BENCH_*.json file")
-	baseline := flag.String("baseline", "", "compare the profile session against this BENCH_*.json (exit 1 on regression)")
-	tolerance := flag.Float64("tolerance", 0.20, "allowed fractional throughput regression vs -baseline")
+	baseline := flag.String("baseline", "", "throughput gate (exit 1 on regression): with -profile, the new session against this BENCH_*.json file's last one; alone, this file's sessions as interleaved baseline, change pairs")
+	tolerance := flag.Float64("tolerance", 0.10, "smallest fractional throughput regression the -baseline gate fails; the baseline sessions' A/A spread widens it")
 	traceOut := flag.String("trace-out", "", "write this invocation's span trace as Chrome trace-event JSON here (open in Perfetto); with -server it includes every replica's spans and counter tracks for the sweeps")
 	timelineOut := flag.String("timeline-out", "", "write every locally simulated run's interval timeline as NDJSON here (one meta line + one sample line per interval, per run)")
 	flag.Parse()
@@ -97,29 +98,34 @@ func main() {
 	if *traceOut != "" {
 		obs.Default().SetEnabled(true)
 	}
-	if *profile {
-		entry := runProfile(*profileInsts, *profileReps, *profileLabel)
-		if *benchOut != "" {
-			if err := writeBenchOut(*benchOut, entry); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("profile session appended to %s\n", *benchOut)
-		}
-		if *baseline != "" {
-			failures, err := compareBaseline(entry, *baseline, *tolerance)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			if len(failures) > 0 {
-				for _, f := range failures {
-					fmt.Fprintln(os.Stderr, "REGRESSION:", f)
+	if *profile || *baseline != "" {
+		var cur *benchEntry
+		if *profile {
+			entry := runProfile(*profileInsts, *profileReps, *profileLabel)
+			cur = &entry
+			if *benchOut != "" {
+				if err := writeBenchOut(*benchOut, entry); err != nil {
+					fmt.Fprintln(os.Stderr, err)
+					os.Exit(1)
 				}
-				os.Exit(1)
+				fmt.Printf("profile session appended to %s\n", *benchOut)
 			}
-			fmt.Printf("all cases within %.0f%% of baseline\n", *tolerance*100)
 		}
+		if *baseline == "" {
+			return
+		}
+		pairs, err := gatePairs(*baseline, cur)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		if failures := compareBaseline(pairs, *tolerance); len(failures) > 0 {
+			for _, f := range failures {
+				fmt.Fprintln(os.Stderr, "REGRESSION:", f)
+			}
+			os.Exit(1)
+		}
+		fmt.Println("no regression beyond the bounds")
 		return
 	}
 	// Resolve the disk cache directory once; -prune and the local

@@ -3,6 +3,7 @@ package main
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"sort"
@@ -13,11 +14,12 @@ import (
 
 // The -profile mode measures raw simulator throughput (instructions
 // simulated per second) on a fixed case matrix — one case per LSQ
-// model on representative workloads — and records the repo's
-// performance trajectory in BENCH_hotpath.json. CI re-profiles the
-// baseline commit on its own runner and gates the working tree with
-// -baseline against that same-machine session (absolute insts/sec are
-// not comparable across machines).
+// model on representative workloads, a Figure 1 sweep and the short
+// golden suite — and records the repo's performance trajectory in
+// BENCH_hotpath.json. CI profiles the parent commit and the working
+// tree alternately on one runner and gates the change with -baseline
+// over those interleaved sessions (absolute insts/sec are not
+// comparable across machines, nor single cases across sessions).
 
 // benchEntry is one measurement session.
 type benchEntry struct {
@@ -116,6 +118,38 @@ func runFigure1Sweep(reps int) float64 {
 	return best
 }
 
+// The short-suite case runs the golden programs' figure suite at the
+// short budget the serve-zipf benchmark workload simulates. At 2000
+// instructions a run spends most of its cycles in quiescent spans and
+// pays its per-run set-up often, which the 50k cases above do not
+// show.
+var shortSuiteBenchmarks = []string{"ammp", "gzip", "mcf", "swim"}
+
+const shortSuiteInsts = 2000
+
+// runShortSuite measures the aggregate throughput of every
+// SuiteSpecs spec of the short suite, run one after another on one
+// goroutine, best of reps passes.
+func runShortSuite(reps int) float64 {
+	specs := experiments.SuiteSpecs(shortSuiteBenchmarks, shortSuiteInsts)
+	simulated := 0.0
+	for i, s := range specs {
+		specs[i] = experiments.Normalize(s)
+		simulated += float64(specs[i].Warmup + specs[i].Insts)
+	}
+	best := 0.0
+	for r := 0; r < reps; r++ {
+		start := time.Now()
+		for _, s := range specs {
+			experiments.Run(s)
+		}
+		if ips := simulated / time.Since(start).Seconds(); ips > best {
+			best = ips
+		}
+	}
+	return best
+}
+
 // runProfile executes the matrix and returns the session entry.
 func runProfile(insts uint64, reps int, label string) benchEntry {
 	e := benchEntry{
@@ -124,11 +158,11 @@ func runProfile(insts uint64, reps int, label string) benchEntry {
 		Go:    runtime.Version(),
 		Insts: insts,
 	}
-	measure := func(name string, spec experiments.RunSpec) {
-		ips := runProfileCase(spec, reps)
+	record := func(name string, ips float64) {
 		e.Cases = append(e.Cases, benchCase{Name: name, InstsPerSec: ips})
 		fmt.Printf("%-26s %12.0f insts/sec\n", name, ips)
 	}
+	measure := func(name string, spec experiments.RunSpec) { record(name, runProfileCase(spec, reps)) }
 	for _, ps := range profileSpecs {
 		for _, b := range profileBenchmarks {
 			measure(ps.name+"/"+b, ps.spec(b, insts))
@@ -144,9 +178,8 @@ func runProfile(insts uint64, reps int, label string) benchEntry {
 			}
 		}
 	}
-	ips := runFigure1Sweep(min(reps, 2))
-	e.Cases = append(e.Cases, benchCase{Name: "figure1-sweep/fastsuite", InstsPerSec: ips})
-	fmt.Printf("%-26s %12.0f insts/sec\n", "figure1-sweep/fastsuite", ips)
+	record("figure1-sweep/fastsuite", runFigure1Sweep(min(reps, 2)))
+	record("suite-2k/golden", runShortSuite(reps))
 	sort.Slice(e.Cases, func(i, j int) bool { return e.Cases[i].Name < e.Cases[j].Name })
 	return e
 }
@@ -174,30 +207,127 @@ func (e benchEntry) caseMap() map[string]float64 {
 	return m
 }
 
-// compareBaseline reports the cases of `cur` that regressed more than
-// tolerance (fraction) against the last history entry of the baseline
-// file. Cases absent from the baseline are informational only.
-func compareBaseline(cur benchEntry, basePath string, tolerance float64) (failures []string, err error) {
-	f, err := readBenchFile(basePath)
+// sessionPair is one baseline profile session and the change's session
+// measured after it on the same runner.
+type sessionPair struct{ base, change benchEntry }
+
+// interleavedPairs splits a session file written by alternating
+// baseline and change runs (baseline, change, baseline, change, …)
+// into its pairs.
+func interleavedPairs(f benchFile) ([]sessionPair, error) {
+	if len(f.History)%2 != 0 {
+		return nil, fmt.Errorf("%d sessions: want baseline, change pairs", len(f.History))
+	}
+	pairs := make([]sessionPair, 0, len(f.History)/2)
+	for i := 0; i < len(f.History); i += 2 {
+		pairs = append(pairs, sessionPair{f.History[i], f.History[i+1]})
+	}
+	return pairs, nil
+}
+
+// gatePairs returns the session pairs -baseline gates: the file's last
+// session with cur, or without cur, the file's interleaved sessions.
+func gatePairs(path string, cur *benchEntry) ([]sessionPair, error) {
+	f, err := readBenchFile(path)
 	if err != nil {
 		return nil, err
 	}
-	base := f.History[len(f.History)-1]
-	baseCases := base.caseMap()
-	for _, c := range cur.Cases {
-		want, ok := baseCases[c.Name]
-		if !ok || want <= 0 {
-			continue
-		}
-		ratio := c.InstsPerSec / want
-		fmt.Printf("%-22s %12.0f vs baseline %12.0f  (%.2fx)\n", c.Name, c.InstsPerSec, want, ratio)
-		if ratio < 1-tolerance {
-			failures = append(failures,
-				fmt.Sprintf("%s: %.0f insts/sec is %.0f%% below baseline %.0f",
-					c.Name, c.InstsPerSec, (1-ratio)*100, want))
+	if cur != nil {
+		return []sessionPair{{f.History[len(f.History)-1], *cur}}, nil
+	}
+	return interleavedPairs(f)
+}
+
+// logRatios returns ln(b/a) for every case of b that a measured.
+func logRatios(a, b benchEntry) map[string]float64 {
+	am := a.caseMap()
+	r := make(map[string]float64, len(b.Cases))
+	for _, c := range b.Cases {
+		if want := am[c.Name]; want > 0 && c.InstsPerSec > 0 {
+			r[c.Name] = math.Log(c.InstsPerSec / want)
 		}
 	}
-	return failures, nil
+	return r
+}
+
+// meanLog is the mean of the values of m: the log of a geometric-mean
+// ratio.
+func meanLog(m map[string]float64) float64 {
+	if len(m) == 0 {
+		return 0
+	}
+	sum := 0.0
+	for _, v := range m {
+		sum += v
+	}
+	return sum / float64(len(m))
+}
+
+// compareBaseline is the throughput gate over profile sessions measured
+// in interleaved pairs on one runner, and reports what fails it:
+//
+//   - the change, when the geometric mean over the pairs of each pair's
+//     geometric-mean change/baseline ratio reads more than bound below
+//     1. The bound is tolerance, widened to the A/A spread of the
+//     baseline sessions: the largest geometric-mean ratio between two
+//     of them;
+//   - a single case, when it reads more than its bound below its
+//     baseline in every pair, where its bound is tolerance widened to
+//     the case's own A/A spread. One pair cannot tell a case's
+//     regression from its session-to-session swing (±35% on a shared
+//     2-vCPU runner), so this needs two pairs or more.
+//
+// Cases missing from a baseline session are informational only.
+func compareBaseline(pairs []sessionPair, tolerance float64) (failures []string) {
+	// Bounds are kept as logs of the ratio: a ratio r fails below
+	// exp(-bound).
+	floor := -math.Log(1 - tolerance)
+	bound, caseBound := floor, map[string]float64{}
+	for i := range pairs {
+		for j := i + 1; j < len(pairs); j++ {
+			aa := logRatios(pairs[i].base, pairs[j].base)
+			bound = max(bound, math.Abs(meanLog(aa)))
+			for name, v := range aa {
+				caseBound[name] = max(caseBound[name], math.Abs(v))
+			}
+		}
+	}
+	geo := 0.0
+	regressed := map[string]int{}
+	for i, p := range pairs {
+		r, base := logRatios(p.base, p.change), p.base.caseMap()
+		geo += meanLog(r) / float64(len(pairs))
+		for _, c := range p.change.Cases {
+			v, ok := r[c.Name]
+			if !ok {
+				fmt.Printf("pair %d  %-26s %12.0f  (not in the baseline)\n", i+1, c.Name, c.InstsPerSec)
+				continue
+			}
+			fmt.Printf("pair %d  %-26s %12.0f vs baseline %12.0f  (%.2fx)\n", i+1, c.Name, c.InstsPerSec, base[c.Name], math.Exp(v))
+			if v < -max(floor, caseBound[c.Name]) {
+				regressed[c.Name]++
+			}
+		}
+	}
+	fmt.Printf("geometric-mean ratio %.3fx over %d pair(s), bound %.1f%%\n", math.Exp(geo), len(pairs), (1-math.Exp(-bound))*100)
+	if geo < -bound {
+		failures = append(failures, fmt.Sprintf("geometric-mean throughput %.1f%% below the baseline, beyond the %.1f%% bound",
+			(1-math.Exp(geo))*100, (1-math.Exp(-bound))*100))
+	}
+	if len(pairs) < 2 {
+		return failures
+	}
+	names := make([]string, 0, len(regressed))
+	for name, n := range regressed {
+		if n == len(pairs) {
+			names = append(names, name)
+		}
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		failures = append(failures, fmt.Sprintf("%s: below its bound in all %d pairs", name, len(pairs)))
+	}
+	return failures
 }
 
 // writeBenchOut writes (or appends to) a bench file at path. Only a

@@ -759,25 +759,33 @@ func (s *SAMIE) Flush() {
 	s.sharedActive, s.sumSharedSlots = 0, 0
 }
 
-// AccountCycle implements lsq.Model: occupancy statistics and §4.5
-// active-area accumulation. The entry/slot totals are maintained
-// incrementally at fill/free time, so this per-cycle hook is O(1) —
-// it does not walk the banks.
+// AccountCycles implements lsq.Model: occupancy statistics and §4.5
+// active-area accumulation for n cycles. The entry/slot totals are
+// maintained incrementally at fill/free time, so the one-cycle terms
+// cost O(1) — no walk over the banks — and are computed once per call;
+// each float sum then adds its term once per cycle.
 //
 //samie:hotpath
-func (s *SAMIE) AccountCycle() {
-	s.stats.Cycles++
-	s.stats.SumInFlight += float64(s.t.Len())
-
-	sharedOcc := s.sharedActive
-	s.stats.SumSharedOcc += float64(sharedOcc)
-	if sharedOcc > s.stats.MaxSharedOcc {
-		s.stats.MaxSharedOcc = sharedOcc
+func (s *SAMIE) AccountCycles(n uint64) {
+	if n == 0 {
+		return
 	}
-	if s.addrBuf.len() > 0 {
-		s.stats.CyclesABNonEmpty++
+	st := &s.stats
+	st.Cycles += n
+	sharedOcc, abLen := s.sharedActive, s.addrBuf.len()
+	st.MaxSharedOcc = max(st.MaxSharedOcc, sharedOcc)
+	if abLen > 0 {
+		st.CyclesABNonEmpty += n
 	}
-	s.stats.SumABOcc += float64(s.addrBuf.len())
+	inFlight, shared, ab, distrib := float64(s.t.Len()), float64(sharedOcc), float64(abLen), float64(s.distribActive)
+	sumIn, sumShared, sumAB, sumDistrib := st.SumInFlight, st.SumSharedOcc, st.SumABOcc, st.SumDistribEntries
+	for k := n; k > 0; k-- {
+		sumIn += inFlight
+		sumShared += shared
+		sumAB += ab
+		sumDistrib += distrib
+	}
+	st.SumInFlight, st.SumSharedOcc, st.SumABOcc, st.SumDistribEntries = sumIn, sumShared, sumAB, sumDistrib
 
 	// One extra pre-allocated entry (with one active slot) in the
 	// SharedLSQ when it has room, and one per DistribLSQ bank with a
@@ -787,12 +795,14 @@ func (s *SAMIE) AccountCycle() {
 		sharedEntries++
 		sharedSlots++
 	}
-	s.stats.SumDistribEntries += float64(s.distribActive)
-
-	s.meter.AccumulateSAMIEAreaCounts(
-		s.distribActive+s.banksWithFree, s.sumDistribSlots+s.banksWithFree,
-		sharedEntries, sharedSlots,
-		s.addrBuf.len(), s.cfg.AddrBufferSlots)
+	s.meter.AccumulateArea(energy.Activity{
+		DistribEntries:  s.distribActive + s.banksWithFree,
+		DistribSlots:    s.sumDistribSlots + s.banksWithFree,
+		SharedEntries:   sharedEntries,
+		SharedSlots:     sharedSlots,
+		AddrBufferInUse: abLen,
+		AddrBufferCap:   s.cfg.AddrBufferSlots,
+	}, n)
 }
 
 // ResetStats implements lsq.Model.

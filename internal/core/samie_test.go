@@ -308,8 +308,7 @@ func TestOccupancyStats(t *testing.T) {
 	s := New(tiny(), nil)
 	place(t, s, 1, true, addrForBank(0, 0))
 	place(t, s, 2, true, addrForBank(0, 1)) // shared
-	s.AccountCycle()
-	s.AccountCycle()
+	s.AccountCycles(2)
 	st := s.Stats()
 	if st.Cycles != 2 {
 		t.Fatalf("cycles = %d", st.Cycles)
@@ -379,7 +378,7 @@ func TestRandomizedInvariants(t *testing.T) {
 				}
 			}
 		}
-		s.AccountCycle()
+		s.AccountCycles(1)
 
 		// Invariants.
 		if s.InFlight() != len(ops) {

@@ -163,7 +163,7 @@ func TestTickContract(t *testing.T) {
 					default:
 						traffic()
 					}
-					model.AccountCycle()
+					model.AccountCycles(1)
 					if len(tick()) != 0 {
 						continue
 					}

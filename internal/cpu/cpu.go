@@ -461,7 +461,7 @@ func (c *CPU) step() {
 
 	c.commit(&dports)
 	if c.checkDeadlock() {
-		c.model.AccountCycle()
+		c.model.AccountCycles(1)
 		c.endOfCycleTelemetry()
 		return
 	}
@@ -473,7 +473,7 @@ func (c *CPU) step() {
 	}
 	c.dispatch()
 	c.fetch()
-	c.model.AccountCycle()
+	c.model.AccountCycles(1)
 	c.endOfCycleTelemetry()
 }
 
@@ -487,7 +487,7 @@ func (c *CPU) commit(dports *int) {
 		d := w.at(w.head)
 		if d.state < stDone || d.readyAt > c.cycle {
 			if n == 0 {
-				c.classifyHeadStall(d)
+				c.classifyHeadStall(d, 1)
 			}
 			break
 		}
@@ -509,29 +509,30 @@ func (c *CPU) commit(dports *int) {
 	}
 }
 
-// classifyHeadStall records why the ROB head could not commit this
-// cycle (profiling aid; no architectural effect).
-func (c *CPU) classifyHeadStall(d *dynInst) {
+// classifyHeadStall records why the ROB head could not commit for the
+// last n cycles, over which its state did not change (profiling aid;
+// no architectural effect).
+func (c *CPU) classifyHeadStall(d *dynInst, n uint64) {
 	switch {
 	case d.state == stDispatched || d.state == stFetched:
-		c.res.HeadWaitIssue++
+		c.res.HeadWaitIssue += n
 	case d.state == stIssued:
-		c.res.HeadWaitExec++
+		c.res.HeadWaitExec += n
 	case d.state == stAGENDone && !d.placed:
-		c.res.HeadUnplaced++
+		c.res.HeadUnplaced += n
 	case d.state == stAGENDone && d.in.Cls == isa.ClassLoad && !d.performed:
 		if c.minUnknownStore() < d.in.Seq {
-			c.res.HeadLoadReadyBit++
+			c.res.HeadLoadReadyBit += n
 		} else {
-			c.res.HeadLoadNoPort++
+			c.res.HeadLoadNoPort += n
 		}
 	case d.state == stAGENDone && d.in.Cls == isa.ClassStore:
-		c.res.HeadStoreWait++
+		c.res.HeadStoreWait += n
 	case d.state == stDone && d.readyAt > c.cycle:
 		if d.in.Cls == isa.ClassLoad {
-			c.res.HeadLoadData++
+			c.res.HeadLoadData += n
 		} else {
-			c.res.HeadWaitExec++
+			c.res.HeadWaitExec += n
 		}
 	}
 }
@@ -980,24 +981,25 @@ func (c *CPU) dispatchFull(d *dynInst) bool {
 
 // ---- Fetch --------------------------------------------------------------------
 
-// fetchStalled counts and reports a cycle in which fetch is blocked by
-// an unresolved mispredict or a redirect/miss delay.
-func (c *CPU) fetchStalled() bool {
+// fetchStalled reports whether fetch is blocked this cycle by an
+// unresolved mispredict or a redirect/miss delay, and if so counts the
+// last n cycles, over which the block held, as stalled.
+func (c *CPU) fetchStalled(n uint64) bool {
 	if c.cycle >= c.fetchBlockedUntil && c.blockingBranch == nil {
 		return false
 	}
-	c.res.FetchStallCycles++
+	c.res.FetchStallCycles += n
 	if c.blockingBranch != nil {
-		c.res.FetchStallBranch++
+		c.res.FetchStallBranch += n
 	} else {
-		c.res.FetchStallOther++
+		c.res.FetchStallOther += n
 	}
 	return true
 }
 
 //samie:hotpath
 func (c *CPU) fetch() {
-	if c.fetchStalled() {
+	if c.fetchStalled(1) {
 		return
 	}
 	for n := 0; n < c.cfg.FetchWidth && c.win.fetched-c.win.disp < uint64(c.cfg.FetchQueue); n++ {

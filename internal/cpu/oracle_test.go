@@ -110,15 +110,20 @@ func (d *divergence) String() string {
 // step), then the oracle steps until it reaches the same cycle. After
 // every advance it checks both instruction windows' invariants and
 // compares the two Results, energy meters and ROB windows, and returns
-// the first span where they differ, or nil.
-func lockstep(wake, oracle *CPU, insts uint64) *divergence {
+// the first span where they differ, or nil. crossed counts the
+// quiescent skips that went on past a sample of the wakeup CPU's
+// interval sampler, the skips that account a span in several chunks.
+func lockstep(wake, oracle *CPU, insts uint64) (d *divergence, crossed int) {
 	limit := wake.cycle + insts*40 + 1_000_000
 	for wake.res.Committed < insts && wake.cycle < limit {
 		if wake.streamDone && wake.win.head == wake.win.tail {
 			break
 		}
-		prev := wake.cycle
+		prev, due := wake.cycle, wake.sampler.Next()
 		wake.advance(limit)
+		if prev < due && due+1 < wake.cycle {
+			crossed++
+		}
 		for oracle.cycle < wake.cycle {
 			oracle.step()
 		}
@@ -130,10 +135,10 @@ func lockstep(wake, oracle *CPU, insts uint64) *divergence {
 			what = stateDiff(wake, oracle)
 		}
 		if what != "" {
-			return &divergence{from: prev, to: wake.cycle, what: what, dump: dumpWindows(wake, oracle)}
+			return &divergence{from: prev, to: wake.cycle, what: what, dump: dumpWindows(wake, oracle)}, crossed
 		}
 	}
-	return nil
+	return nil, crossed
 }
 
 // windowFault names the first broken invariant of c's instruction

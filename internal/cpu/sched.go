@@ -89,12 +89,18 @@ import (
 // The span ends at the earliest of the head's readyAt, the next
 // non-empty timing-wheel bucket (found through a 16-word occupancy
 // bitmap over the 1024 buckets), fetchBlockedUntil and Run's
-// safety-valve cycle limit; that cycle is stepped normally. Each
-// skipped cycle replays exactly what step would have done to state
-// and statistics: classifyHeadStall, the dispatch and fetch stall
-// counters, one Model.AccountCycle (never k*area in one step: the
-// area sums are non-integer floats and must accumulate bit-identically)
-// and endOfCycleTelemetry. The ROB-walk oracle never skips, so
+// safety-valve cycle limit; that cycle is stepped normally. The span
+// replays exactly what its cycles' steps would have done to state and
+// statistics, at one call per chunk rather than per cycle: chunks end
+// at the interval sampler's due cycles (endOfCycleTelemetry runs at
+// each chunk end), and each adds its length once to the head-stall
+// class (classifyHeadStall), the dispatch and fetch stall counters and
+// Model.AccountCycles. That is exact because no state a step reads
+// changes in a span: its end is at most the head's readyAt and
+// fetchBlockedUntil, and no Tick, Commit or Flush happens in it. The
+// models' float sums (occupancy, §4.5 area) still add their one-cycle
+// term once per cycle, never k*term in one step, so they accumulate
+// bit-identically. The ROB-walk oracle never skips, so
 // TestSchedulerDifferential holds the skip to it too.
 
 // wheelSize bounds the timing wheel. Deltas are execution latencies
@@ -528,8 +534,9 @@ func (c *CPU) quiescentEnd(limit uint64) uint64 {
 	return end
 }
 
-// skipQuiescent fast-forwards over the quiescent span ahead, replaying
-// per cycle exactly the statistics a step would have changed.
+// skipQuiescent fast-forwards over the quiescent span ahead, accounting
+// it in chunks that end at the interval sampler's due cycles, so a
+// sample inside the span sees exactly the cycles before it.
 //
 //samie:hotpath
 func (c *CPU) skipQuiescent(limit uint64) {
@@ -543,16 +550,18 @@ func (c *CPU) skipQuiescent(limit uint64) {
 	}
 	dispatchStall := c.win.disp < c.win.fetched
 	c.headBlocked = 0
-	for c.cycle+1 < end {
-		c.cycle++
+	for last := end - 1; c.cycle < last; {
+		to := min(last, max(c.sampler.Next(), c.cycle+1))
+		n := to - c.cycle
+		c.cycle = to
 		if head != nil {
-			c.classifyHeadStall(head)
+			c.classifyHeadStall(head, n)
 		}
 		if dispatchStall {
-			c.res.DispatchStalls++
+			c.res.DispatchStalls += n
 		}
-		c.fetchStalled()
-		c.model.AccountCycle()
+		c.fetchStalled(n)
+		c.model.AccountCycles(n)
 		c.endOfCycleTelemetry()
 	}
 }

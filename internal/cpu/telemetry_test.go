@@ -109,7 +109,7 @@ func TestForcedDivergenceNamesFirstCycle(t *testing.T) {
 	p := trace.MustPersonality("mcf")
 	wake := New(PaperConfig(), trace.NewGenerator(p), core.NewPaper(nil), nil, nil, nil, nil)
 	oracle := newOracle(PaperConfig(), trace.NewGenerator(p), lsq.NewConventional(8, nil), nil)
-	d := lockstep(wake, oracle, 5_000)
+	d, _ := lockstep(wake, oracle, 5_000)
 	if d == nil {
 		t.Fatal("different LSQ models never diverged in lockstep")
 	}

@@ -244,33 +244,48 @@ func (m *Meter) AddrBufferSlotArea() float64 {
 
 // ---- Per-cycle active-area accumulation (§4.5) ---------------------------
 
-// AccumulateConvArea adds one cycle of conventional-LSQ active area:
-// in-use entries plus four pre-allocated entries.
-func (m *Meter) AccumulateConvArea(inUse, capacity int) {
-	active := inUse + 4
-	if active > capacity {
-		active = capacity
-	}
-	m.ConvArea += float64(active) * m.ConvEntryArea()
+// Activity is what §4.5 counts as active in an LSQ over one cycle.
+// Conventional and AddrBuffer entries are active in use plus four
+// pre-allocated, capped at their capacity. DistribEntries and
+// SharedEntries count active entries, in use plus the pre-allocated
+// reserves (one per DistribLSQ bank with room and one in the
+// SharedLSQ); DistribSlots and SharedSlots sum those entries' active
+// slots (in use + 1 per entry, capped at the slots per entry). The
+// models keep these totals incrementally, so accounting is O(1) in the
+// LSQ size. A structure a model lacks is left zero and adds no area.
+type Activity struct {
+	ConvInUse, ConvEntries         int
+	DistribEntries, DistribSlots   int
+	SharedEntries, SharedSlots     int
+	AddrBufferInUse, AddrBufferCap int
 }
 
-// AccumulateSAMIEAreaCounts adds one cycle of SAMIE-LSQ active area
-// from entry/slot totals the caller maintains incrementally (the SAMIE
-// hot path): the per-cycle accumulation is O(1) instead of a walk over
-// every active entry. distribEntries/sharedEntries count the active
-// entries — in-use plus the pre-allocated reserves (one per DistribLSQ
-// bank with room and one in the SharedLSQ) — and distribSlots/
-// sharedSlots their summed active slot counts (in-use slots + 1 per
-// entry, capped at slotsPerEntry). The AddrBuffer reserve is §4.5's
-// in-use + 4, capped at its capacity.
-func (m *Meter) AccumulateSAMIEAreaCounts(distribEntries, distribSlots, sharedEntries, sharedSlots, addrBufInUse, addrBufCap int) {
-	m.DistribArea += float64(distribEntries)*m.DistribEntryArea() + float64(distribSlots)*m.DistribSlotArea()
-	m.SharedArea += float64(sharedEntries)*m.SharedEntryArea() + float64(sharedSlots)*m.SharedSlotArea()
-	active := addrBufInUse + 4
-	if active > addrBufCap {
-		active = addrBufCap
+// AccumulateArea adds n cycles of active area at a. Each structure's
+// one-cycle area is computed once and then added once per cycle, never
+// as n times the area in one step: the sums are non-integer floats,
+// and n single-cycle adds keep them bit-identical to accounting the
+// cycles one at a time.
+//
+//samie:hotpath
+func (m *Meter) AccumulateArea(a Activity, n uint64) {
+	conv := float64(reserved(a.ConvInUse, a.ConvEntries)) * m.ConvEntryArea()
+	distrib := float64(a.DistribEntries)*m.DistribEntryArea() + float64(a.DistribSlots)*m.DistribSlotArea()
+	shared := float64(a.SharedEntries)*m.SharedEntryArea() + float64(a.SharedSlots)*m.SharedSlotArea()
+	addrBuf := float64(reserved(a.AddrBufferInUse, a.AddrBufferCap)) * m.AddrBufferSlotArea()
+	c, d, s, b := m.ConvArea, m.DistribArea, m.SharedArea, m.AddrBufferArea
+	for ; n > 0; n-- {
+		c += conv
+		d += distrib
+		s += shared
+		b += addrBuf
 	}
-	m.AddrBufferArea += float64(active) * m.AddrBufferSlotArea()
+	m.ConvArea, m.DistribArea, m.SharedArea, m.AddrBufferArea = c, d, s, b
+}
+
+// reserved is §4.5's active count of a structure that keeps four
+// entries pre-allocated beyond those in use, capped at its capacity.
+func reserved(inUse, capacity int) int {
+	return min(inUse+4, capacity)
 }
 
 // ---- Totals ---------------------------------------------------------------

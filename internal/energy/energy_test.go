@@ -119,14 +119,17 @@ func TestEntryAreas(t *testing.T) {
 
 func TestAccumulateConvArea(t *testing.T) {
 	m := NewMeter()
-	m.AccumulateConvArea(10, 128)
+	m.AccumulateArea(Activity{ConvInUse: 10, ConvEntries: 128}, 1)
 	want := 14 * m.ConvEntryArea() // 10 in use + 4 reserve
 	if !almost(m.ConvArea, want) {
 		t.Fatalf("conv area %v, want %v", m.ConvArea, want)
 	}
+	if m.SAMIEArea() != 0 {
+		t.Fatalf("a conventional cycle charged SAMIE area %v", m.SAMIEArea())
+	}
 	// Capped at capacity.
 	m2 := NewMeter()
-	m2.AccumulateConvArea(127, 128)
+	m2.AccumulateArea(Activity{ConvInUse: 127, ConvEntries: 128}, 1)
 	if !almost(m2.ConvArea, 128*m2.ConvEntryArea()) {
 		t.Fatal("conv area not capped at capacity")
 	}
@@ -136,7 +139,8 @@ func TestAccumulateSAMIEArea(t *testing.T) {
 	m := NewMeter()
 	// Two distrib entries with 2+3 active slots, one shared entry with
 	// one slot, 5 AddrBuffer slots in use.
-	m.AccumulateSAMIEAreaCounts(2, 5, 1, 1, 5, 64)
+	a := Activity{DistribEntries: 2, DistribSlots: 5, SharedEntries: 1, SharedSlots: 1, AddrBufferInUse: 5, AddrBufferCap: 64}
+	m.AccumulateArea(a, 1)
 	wantD := 2*m.DistribEntryArea() + 5*m.DistribSlotArea()
 	wantS := m.SharedEntryArea() + 1*m.SharedSlotArea()
 	wantAB := 9 * m.AddrBufferSlotArea()
@@ -144,8 +148,19 @@ func TestAccumulateSAMIEArea(t *testing.T) {
 		t.Fatalf("areas %v/%v %v/%v %v/%v",
 			m.DistribArea, wantD, m.SharedArea, wantS, m.AddrBufferArea, wantAB)
 	}
-	if !almost(m.SAMIEArea(), wantD+wantS+wantAB) {
+	if !almost(m.SAMIEArea(), wantD+wantS+wantAB) || m.ConvArea != 0 {
 		t.Fatal("SAMIEArea sum wrong")
+	}
+	// n cycles at once are n one-cycle adds, bit for bit; zero cycles
+	// add nothing.
+	once := *m
+	for i := 0; i < 36; i++ {
+		once.AccumulateArea(a, 1)
+	}
+	m.AccumulateArea(a, 36)
+	m.AccumulateArea(a, 0)
+	if *m != once {
+		t.Fatalf("36 cycles at once %+v, one at a time %+v", *m, once)
 	}
 }
 
@@ -153,7 +168,7 @@ func TestReset(t *testing.T) {
 	m := NewMeter()
 	m.ConvCompare(5)
 	m.DcacheFull()
-	m.AccumulateConvArea(3, 128)
+	m.AccumulateArea(Activity{ConvInUse: 3, ConvEntries: 128}, 1)
 	m.Reset()
 	if m.ConvLSQ != 0 || m.Dcache != 0 || m.ConvArea != 0 || m.NConvCompares != 0 {
 		t.Fatal("Reset left residue")

@@ -94,7 +94,7 @@ func TestModelContract(t *testing.T) {
 				t.Fatalf("forwarding source = %d, %v; want the store", src, ok)
 			}
 			model.NotePerformed(2)
-			model.AccountCycle()
+			model.AccountCycles(1)
 			model.Commit(1)
 			charged := m.NConvCompares > 0 && m.ConvLSQ > 0 && m.ConvArea > 0
 			untouched := m.NConvCompares == 0 && m.ConvLSQ == 0 && m.ConvArea == 0

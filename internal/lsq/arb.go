@@ -246,9 +246,9 @@ func (a *ARB) Flush() {
 	a.pending = a.pending[:0]
 }
 
-// AccountCycle implements Model (the ARB experiments measure IPC
+// AccountCycles implements Model (the ARB experiments measure IPC
 // only).
-func (a *ARB) AccountCycle() {}
+func (a *ARB) AccountCycles(n uint64) {}
 
 // ResetStats implements Model (the ARB keeps no statistics).
 func (a *ARB) ResetStats() {}

@@ -29,15 +29,6 @@ type OccupancyStats struct {
 	MaxOcc int
 }
 
-// Observe records one cycle at occupancy n.
-func (o *OccupancyStats) Observe(n int) {
-	o.Cycles++
-	o.SumOcc += float64(n)
-	if n > o.MaxOcc {
-		o.MaxOcc = n
-	}
-}
-
 // Mean returns the average occupancy.
 func (o *OccupancyStats) Mean() float64 {
 	if o.Cycles == 0 {
@@ -137,17 +128,25 @@ func (c *Conventional) Commit(seq uint64) {
 // Flush implements Model.
 func (c *Conventional) Flush() { c.t.Clear() }
 
-// AccountCycle implements Model: occupancy and §4.5 active area
-// (in-use entries plus four pre-allocated).
+// AccountCycles implements Model: occupancy and §4.5 active area
+// (in-use entries plus four pre-allocated), one add per cycle to each
+// sum.
 //
 //samie:hotpath
-func (c *Conventional) AccountCycle() {
-	if c.meter == nil {
+func (c *Conventional) AccountCycles(n uint64) {
+	if c.meter == nil || n == 0 {
 		return
 	}
-	n := c.t.Len()
-	c.occupancy.Observe(n)
-	c.meter.AccumulateConvArea(n, c.entries)
+	inUse := c.t.Len()
+	o := &c.occupancy
+	o.Cycles += n
+	o.MaxOcc = max(o.MaxOcc, inUse)
+	occ, sum := float64(inUse), o.SumOcc
+	for k := n; k > 0; k-- {
+		sum += occ
+	}
+	o.SumOcc = sum
+	c.meter.AccumulateArea(energy.Activity{ConvInUse: inUse, ConvEntries: c.entries}, n)
 }
 
 // ResetStats implements Model.

@@ -16,7 +16,9 @@
 //	NotePerformed(seq)           when the access/forward completes
 //	Commit(seq)                  in order at retirement
 //	Flush()                      on a pipeline flush
-//	AccountCycle()               once per cycle (occupancy/area stats)
+//	AccountCycles(n)             for n cycles that change no model state
+//	                             (occupancy/area stats); every simulated
+//	                             cycle is accounted exactly once
 //
 // Placement is reported only through the AddressReady and Tick
 // results: the model answers no query for it, and the CPU keeps its
@@ -97,8 +99,14 @@ type Model interface {
 	Commit(seq uint64)
 	// Flush drops every non-committed instruction.
 	Flush()
-	// AccountCycle runs per-cycle statistics (occupancy, active area).
-	AccountCycle()
+	// AccountCycles runs the per-cycle statistics (occupancy, active
+	// area) for n consecutive cycles over which no other method is
+	// called, so the model's state is the same in each; n may be 0.
+	// Integer counters add n; each float sum adds its one-cycle term n
+	// times, one add per cycle, so n cycles at once are bit-identical
+	// to n calls with 1. The CPU calls it with 1 for a stepped cycle
+	// and once per quiescent span it skips (cpu/sched.go).
+	AccountCycles(n uint64)
 	// ResetStats zeroes occupancy/event statistics (state is kept);
 	// called at the end of simulation warm-up.
 	ResetStats()

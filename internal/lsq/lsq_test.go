@@ -124,8 +124,8 @@ func TestConventionalEnergyAccounting(t *testing.T) {
 func TestConventionalOccupancyAndReset(t *testing.T) {
 	c := NewConventional(128, nil)
 	c.Dispatch(1, true)
-	c.AccountCycle()
-	c.AccountCycle()
+	c.AccountCycles(1)
+	c.AccountCycles(1)
 	occ := c.Occupancy()
 	if occ.Cycles != 2 || occ.Mean() != 1 {
 		t.Fatalf("occupancy = %+v", occ)
@@ -155,7 +155,7 @@ func TestUnboundedNeverStalls(t *testing.T) {
 		t.Fatalf("in flight = %d", u.InFlight())
 	}
 	// The ideal LSQ keeps no energy account and no occupancy.
-	u.AccountCycle()
+	u.AccountCycles(1)
 	if u.meter != nil || u.Occupancy() != (OccupancyStats{}) {
 		t.Fatalf("unbounded LSQ accounted: meter %v, occupancy %+v", u.meter, u.Occupancy())
 	}

@@ -106,6 +106,17 @@ func (s *IntervalSampler) Stride() uint64 {
 //samie:hotpath
 func (s *IntervalSampler) Due(cycle uint64) bool { return s != nil && cycle >= s.next }
 
+// Next returns the first cycle at or after which Due fires (^0 for a
+// nil sampler), so a caller that skips cycles can stop at a sample.
+//
+//samie:hotpath
+func (s *IntervalSampler) Next() uint64 {
+	if s == nil {
+		return ^uint64(0)
+	}
+	return s.next
+}
+
 // Record appends one sample. When the buffer holds capacity samples,
 // adjacent samples merge pairwise (energy deltas sum, IPC averages,
 // occupancies keep the later point) and the stride doubles —
