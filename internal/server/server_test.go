@@ -129,6 +129,11 @@ func TestRunEndpointValidation(t *testing.T) {
 			SAMIE: &core.Config{Banks: 1 << 30, EntriesPerBank: 1, SlotsPerEntry: 1, AddrBufferSlots: 1, LineBytes: 32}},
 		"neg_conv": client.RunRequest{Benchmark: "gzip", Model: client.ModelConventional, ConvEntries: -1},
 		"not_json": "}{",
+		// A body without a model names no simulation: it must not
+		// default to the kind numbered 0.
+		"no_model":        json.RawMessage(`{"benchmark":"gzip"}`),
+		"model_kind_7":    json.RawMessage(`{"benchmark":"gzip","model":7}`),
+		"model_name_of_7": json.RawMessage(`{"benchmark":"gzip","model":"model-7"}`),
 	} {
 		resp := postJSON(t, ts.URL+"/v1/runs", body)
 		er := decodeBody[client.ErrorResponse](t, resp)
@@ -734,6 +739,9 @@ func TestSuiteEndpointValidation(t *testing.T) {
 		"no_specs":        `{"specs":[]}`,
 		"benchmarks_only": `{"benchmarks":["gzip"],"insts":1000}`,
 		"bad_model":       `{"specs":[{"benchmark":"gzip","model":"bogus"}]}`,
+		"no_model":        `{"specs":[{"benchmark":"gzip"}]}`,
+		"model_kind_7":    `{"specs":[{"benchmark":"gzip","model":7}]}`,
+		"model_name_of_7": `{"specs":[{"benchmark":"gzip","model":"model-7"}]}`,
 		"bad_benchmark":   `{"specs":[{"benchmark":"nope","model":"samie"}]}`,
 		"insts_over_cap":  `{"specs":[{"benchmark":"gzip","model":"samie","insts":1099511627776}]}`,
 		"shard_over_cap":  string(overCap),
