@@ -21,7 +21,8 @@ import (
 
 func main() {
 	bench := flag.String("bench", "swim", "benchmark name (see -list)")
-	model := flag.String("model", "samie", "LSQ model: conventional, unbounded, arb or samie")
+	kind := experiments.ModelSAMIE
+	flag.TextVar(&kind, "model", kind, "LSQ model `name`: conventional, unbounded, arb or samie")
 	insts := flag.Uint64("insts", experiments.DefaultInsts, "measured instructions")
 	warmup := flag.Uint64("warmup", 0, "warm-up instructions (default insts/2)")
 	list := flag.Bool("list", false, "list benchmarks and exit")
@@ -44,11 +45,6 @@ func main() {
 		return
 	}
 
-	kind, err := experiments.ParseModel(*model)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
 	spec := experiments.RunSpec{Benchmark: *bench, Insts: *insts, Warmup: *warmup, Model: kind}
 	switch kind {
 	case experiments.ModelSAMIE:
@@ -81,7 +77,7 @@ func main() {
 	})
 	r := batch.Run(spec)
 	c := r.CPU
-	fmt.Printf("benchmark          %s (%s model)\n", *bench, *model)
+	fmt.Printf("benchmark          %s (%s model)\n", *bench, experiments.ModelName(kind))
 	fmt.Printf("instructions       %d (cycles %d)\n", c.Committed, c.Cycles)
 	fmt.Printf("IPC                %.4f\n", c.IPC)
 	fmt.Printf("loads/stores       %d / %d (forwarded %d)\n", c.Loads, c.Stores, c.ForwardedLoads)

@@ -359,7 +359,7 @@ func bootServer(t *testing.T) (*client.Client, *samielsq.Batch) {
 
 func caseServerRunsCoalesce(t *testing.T) {
 	c, batch := bootServer(t)
-	req := client.RunRequest{Benchmark: "swim", Model: client.ModelSAMIE, Insts: e2eInsts()}
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "swim", Model: client.ModelSAMIE, Insts: e2eInsts()}}
 
 	// Two concurrent identical requests must produce exactly one
 	// underlying simulation: either the second coalesces onto the
@@ -427,7 +427,7 @@ func caseServerFiguresGolden(t *testing.T) {
 func caseServerMetrics(t *testing.T) {
 	c, _ := bootServer(t)
 	if _, err := c.Run(context.Background(),
-		client.RunRequest{Benchmark: "gzip", Model: client.ModelConventional, Insts: e2eInsts()}); err != nil {
+		client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelConventional, Insts: e2eInsts()}}); err != nil {
 		t.Fatal(err)
 	}
 	text, err := c.Metrics(context.Background())
@@ -641,7 +641,7 @@ func caseRunCacheProbe(t *testing.T) {
 		t.Fatal("cache probe reached the engine")
 	}
 
-	ran, err := c.Run(ctx, client.RunRequest{Benchmark: "swim", Model: client.ModelSAMIE, Insts: e2eInsts()})
+	ran, err := c.Run(ctx, client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "swim", Model: client.ModelSAMIE, Insts: e2eInsts()}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -1033,10 +1033,10 @@ func caseServerDrainStream(t *testing.T) {
 	// drain begins underneath it.
 	var req client.SuiteRequest
 	for i := 0; i < 16; i++ {
-		req.Specs = append(req.Specs, client.RunRequest{
+		req.Specs = append(req.Specs, client.RequestFor(experiments.RunSpec{
 			Benchmark: "gzip", Insts: 1_000_000, Model: client.ModelConventional,
 			ConvEntries: 8 + i,
-		})
+		}))
 	}
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/suite?stream=1", "application/json", bytes.NewReader(body))

@@ -2,6 +2,7 @@ package cacti
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -181,5 +182,23 @@ func TestPublishedConstantsSanity(t *testing.T) {
 	last := PaperTable1[7]
 	if last.Conventional != last.WayKnown {
 		t.Fatal("32KB/4w/4p row should show no improvement")
+	}
+}
+
+// TestCellAreasAreIntegers: every Table 6 cell area is a whole number
+// of µm². energy.Meter.AccumulateArea multiplies a one-cycle area by a
+// cycle count instead of adding it once per cycle, which is exact, and
+// equal to the per-cycle sum, only while every term is an integer.
+func TestCellAreasAreIntegers(t *testing.T) {
+	for name, cells := range map[string]CellAreas{
+		"ConvAreas": ConvAreas, "DistribAreas": DistribAreas,
+		"SharedAreas": SharedAreas, "AddrBufferAreas": AddrBufferAreas,
+	} {
+		v := reflect.ValueOf(cells)
+		for i := range v.NumField() {
+			if a := v.Field(i).Float(); a != math.Trunc(a) {
+				t.Errorf("%s.%s = %v µm², not an integer", name, v.Type().Field(i).Name, a)
+			}
+		}
 	}
 }

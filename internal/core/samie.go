@@ -763,7 +763,7 @@ func (s *SAMIE) Flush() {
 // active-area accumulation for n cycles. The entry/slot totals are
 // maintained incrementally at fill/free time, so the one-cycle terms
 // cost O(1) — no walk over the banks — and are computed once per call;
-// each float sum then adds its term once per cycle.
+// each occupancy sum then adds its term once per cycle.
 //
 //samie:hotpath
 func (s *SAMIE) AccountCycles(n uint64) {

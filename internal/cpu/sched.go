@@ -81,8 +81,9 @@ import (
 //   - the ROB head can neither commit nor deadlock-block (headBlocked
 //     counts toward DeadlockPatience, so a blocked head is stepped);
 //   - dispatch is a provable no-op: the fetch queue is empty, or its
-//     front waits on a full ROB or issue queue (a full LSQ model is not
-//     provable: Dispatch itself counts the failure);
+//     front waits on a full ROB or issue queue (a refused
+//     Model.Dispatch touches no state, but skipping a full-LSQ stall
+//     has not been shown exact, so such a cycle is stepped);
 //   - fetch is a provable no-op: blocked, its queue full, or the
 //     stream drained.
 //
@@ -98,10 +99,10 @@ import (
 // Model.AccountCycles. That is exact because no state a step reads
 // changes in a span: its end is at most the head's readyAt and
 // fetchBlockedUntil, and no Tick, Commit or Flush happens in it. The
-// models' float sums (occupancy, §4.5 area) still add their one-cycle
-// term once per cycle, never k*term in one step, so they accumulate
-// bit-identically. The ROB-walk oracle never skips, so
-// TestSchedulerDifferential holds the skip to it too.
+// models' occupancy sums add their one-cycle term once per cycle; the
+// §4.5 area sums add k*term, exact because every area term is an
+// integer (TestCellAreasAreIntegers). The ROB-walk oracle never skips,
+// so TestSchedulerDifferential holds the skip to it too.
 
 // wheelSize bounds the timing wheel. Deltas are execution latencies
 // (bounded by a memory-hierarchy miss, well under wheelSize); an entry

@@ -260,26 +260,19 @@ type Activity struct {
 	AddrBufferInUse, AddrBufferCap int
 }
 
-// AccumulateArea adds n cycles of active area at a. Each structure's
-// one-cycle area is computed once and then added once per cycle, never
-// as n times the area in one step: the sums are non-integer floats,
-// and n single-cycle adds keep them bit-identical to accounting the
+// AccumulateArea adds n cycles of active area at a, as n times each
+// structure's one-cycle area. Table 6's cell areas are integers and so
+// are the widths and counts, so every term, product and sum is an
+// integer: exact below 2^53, and bit-identical to accounting the
 // cycles one at a time.
 //
 //samie:hotpath
 func (m *Meter) AccumulateArea(a Activity, n uint64) {
-	conv := float64(reserved(a.ConvInUse, a.ConvEntries)) * m.ConvEntryArea()
-	distrib := float64(a.DistribEntries)*m.DistribEntryArea() + float64(a.DistribSlots)*m.DistribSlotArea()
-	shared := float64(a.SharedEntries)*m.SharedEntryArea() + float64(a.SharedSlots)*m.SharedSlotArea()
-	addrBuf := float64(reserved(a.AddrBufferInUse, a.AddrBufferCap)) * m.AddrBufferSlotArea()
-	c, d, s, b := m.ConvArea, m.DistribArea, m.SharedArea, m.AddrBufferArea
-	for ; n > 0; n-- {
-		c += conv
-		d += distrib
-		s += shared
-		b += addrBuf
-	}
-	m.ConvArea, m.DistribArea, m.SharedArea, m.AddrBufferArea = c, d, s, b
+	k := float64(n)
+	m.ConvArea += float64(reserved(a.ConvInUse, a.ConvEntries)) * m.ConvEntryArea() * k
+	m.DistribArea += (float64(a.DistribEntries)*m.DistribEntryArea() + float64(a.DistribSlots)*m.DistribSlotArea()) * k
+	m.SharedArea += (float64(a.SharedEntries)*m.SharedEntryArea() + float64(a.SharedSlots)*m.SharedSlotArea()) * k
+	m.AddrBufferArea += float64(reserved(a.AddrBufferInUse, a.AddrBufferCap)) * m.AddrBufferSlotArea() * k
 }
 
 // reserved is §4.5's active count of a structure that keeps four

@@ -57,7 +57,8 @@ const (
 
 // modelNames is the one table of LSQ model names, indexed by kind: the
 // wire "model" field, samie-sim -model and the telemetry labels all
-// read it. Cache keys render the kind as a number, never a name.
+// read it, through ModelName and the kind's text encoding. Cache keys
+// render the kind as a number, never a name.
 var modelNames = [...]string{
 	ModelConventional: "conventional",
 	ModelUnbounded:    "unbounded",
@@ -73,33 +74,45 @@ func ModelName(m ModelKind) string {
 	return modelNames[m]
 }
 
-// ParseModel maps a model name to its kind.
-func ParseModel(s string) (ModelKind, error) {
-	if i := slices.Index(modelNames[:], s); i >= 0 {
-		return ModelKind(i), nil
+// MarshalText renders the kind by name. It never fails: a kind out of
+// range renders as "model-N", which UnmarshalText refuses, so the
+// receiver of such a spec is the one that rejects it.
+func (m ModelKind) MarshalText() ([]byte, error) { return []byte(ModelName(m)), nil }
+
+// UnmarshalText maps a model name to its kind.
+func (m *ModelKind) UnmarshalText(text []byte) error {
+	i := slices.Index(modelNames[:], string(text))
+	if i < 0 {
+		return fmt.Errorf("unknown model %q (want %s)", text, modelList)
 	}
-	return 0, fmt.Errorf("unknown model %q (want %s or %s)",
-		s, strings.Join(modelNames[:ModelSAMIE], ", "), modelNames[ModelSAMIE])
+	*m = ModelKind(i)
+	return nil
 }
 
-// RunSpec describes one simulation.
+// modelList names every kind, for error messages.
+var modelList = strings.Join(modelNames[:ModelSAMIE], ", ") + " or " + modelNames[ModelSAMIE]
+
+// RunSpec describes one simulation; its JSON is the POST /v1/runs
+// body. The record layout fingerprints hash the field order.
 type RunSpec struct {
-	Benchmark string
-	Insts     uint64
-	Warmup    uint64 // warm-up instructions before measurement; default Insts/2
-	Model     ModelKind
+	Benchmark string    `json:"benchmark"`
+	Insts     uint64    `json:"insts,omitempty"`
+	Warmup    uint64    `json:"warmup,omitempty"` // warm-up instructions before measurement; default Insts/2
+	Model     ModelKind `json:"model"`
 
 	// Conventional.
-	ConvEntries int // default 128
+	ConvEntries int `json:"conv_entries,omitempty"` // default 128
 
 	// ARB geometry.
-	ARBBanks, ARBAddrs, ARBInflight int
+	ARBBanks    int `json:"arb_banks,omitempty"`
+	ARBAddrs    int `json:"arb_addrs,omitempty"`
+	ARBInflight int `json:"arb_inflight,omitempty"`
 
 	// SAMIE configuration; zero value means core.PaperConfig().
-	SAMIE *core.Config
+	SAMIE *core.Config `json:"samie,omitempty"`
 
 	// CPU overrides; zero value means cpu.PaperConfig().
-	CPU *cpu.Config
+	CPU *cpu.Config `json:"cpu,omitempty"`
 }
 
 // RunResult bundles everything a harness needs from one simulation.

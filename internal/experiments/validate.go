@@ -21,7 +21,7 @@ var l1dLineBytes = cache.PaperL1D().LineBytes
 // rest is checked over the spec Normalize completes.
 func ValidateSpec(spec RunSpec) (RunSpec, error) {
 	if spec.Model < ModelConventional || spec.Model > ModelSAMIE {
-		return RunSpec{}, fmt.Errorf("unknown model kind %d", int(spec.Model))
+		return RunSpec{}, fmt.Errorf("unknown model kind %d (want %s)", int(spec.Model), modelList)
 	}
 	if _, err := trace.Personality(spec.Benchmark); err != nil {
 		return RunSpec{}, fmt.Errorf("unknown benchmark %q", spec.Benchmark)

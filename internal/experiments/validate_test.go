@@ -53,17 +53,27 @@ func TestValidateSpec(t *testing.T) {
 		}
 	}
 
-	// The model-name table round-trips every kind, and an unknown name
-	// is refused with all four names listed.
-	for m := ModelConventional; m <= ModelSAMIE; m++ {
-		if got, err := ParseModel(ModelName(m)); err != nil || got != m {
-			t.Errorf("ParseModel(ModelName(%d)) = %d, %v", int(m), int(got), err)
+	// The model-name table round-trips every kind through the text
+	// encoding, an out-of-range kind renders without failing, and an
+	// unknown name is refused with all four names listed.
+	for m := ModelConventional - 1; m <= ModelSAMIE+1; m++ {
+		text, err := m.MarshalText()
+		if err != nil || string(text) != ModelName(m) {
+			t.Errorf("ModelKind(%d).MarshalText() = %q, %v; want %q", int(m), text, err, ModelName(m))
+		}
+		var got ModelKind
+		err = got.UnmarshalText(text)
+		if inRange := m >= ModelConventional && m <= ModelSAMIE; inRange && (err != nil || got != m) {
+			t.Errorf("UnmarshalText(%q) = %d, %v", text, int(got), err)
+		} else if !inRange && err == nil {
+			t.Errorf("UnmarshalText(%q) accepted an out-of-range kind", text)
 		}
 	}
-	_, err := ParseModel("conv")
+	var m ModelKind
+	err := m.UnmarshalText([]byte("conv"))
 	for _, name := range []string{"conventional", "unbounded", "arb", "samie"} {
 		if err == nil || !strings.Contains(err.Error(), name) {
-			t.Errorf(`ParseModel("conv") error %v does not list %q`, err, name)
+			t.Errorf(`UnmarshalText("conv") error %v does not list %q`, err, name)
 		}
 	}
 }

@@ -128,9 +128,8 @@ func (c *Conventional) Commit(seq uint64) {
 // Flush implements Model.
 func (c *Conventional) Flush() { c.t.Clear() }
 
-// AccountCycles implements Model: occupancy and §4.5 active area
-// (in-use entries plus four pre-allocated), one add per cycle to each
-// sum.
+// AccountCycles implements Model: occupancy, one add per cycle, and
+// §4.5 active area (in-use entries plus four pre-allocated).
 //
 //samie:hotpath
 func (c *Conventional) AccountCycles(n uint64) {

@@ -102,9 +102,10 @@ type Model interface {
 	// AccountCycles runs the per-cycle statistics (occupancy, active
 	// area) for n consecutive cycles over which no other method is
 	// called, so the model's state is the same in each; n may be 0.
-	// Integer counters add n; each float sum adds its one-cycle term n
-	// times, one add per cycle, so n cycles at once are bit-identical
-	// to n calls with 1. The CPU calls it with 1 for a stepped cycle
+	// Integer counters add n; each occupancy sum adds its one-cycle
+	// term n times, one add per cycle, and the area sums add n times
+	// their integer term (energy.Meter.AccumulateArea), so n cycles at
+	// once are bit-identical to n calls with 1. The CPU calls it with 1 for a stepped cycle
 	// and once per quiescent span it skips (cpu/sched.go).
 	AccountCycles(n uint64)
 	// ResetStats zeroes occupancy/event statistics (state is kept);

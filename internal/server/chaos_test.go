@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"samielsq/internal/experiments"
 	"samielsq/internal/faultinject"
 	"samielsq/pkg/client"
 )
@@ -100,10 +101,10 @@ func TestChaosTruncatesStreams(t *testing.T) {
 	// client must see the stream die without a result event.
 	specs := make([]client.RunRequest, 0, 12)
 	for i := 0; i < 12; i++ {
-		specs = append(specs, client.RunRequest{
+		specs = append(specs, client.RequestFor(experiments.RunSpec{
 			Benchmark: "gzip", Model: client.ModelConventional,
 			Insts: testInsts, ConvEntries: 8 + i,
-		})
+		}))
 	}
 	var events int
 	err := chaosClient(ts.URL).Suite(context.Background(),

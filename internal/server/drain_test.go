@@ -31,10 +31,10 @@ func TestDrainAbortsLiveStreamWithTerminalEvent(t *testing.T) {
 	// client has read the first event and begun the drain.
 	var req client.SuiteRequest
 	for i := 0; i < 16; i++ {
-		req.Specs = append(req.Specs, client.RunRequest{
-			Benchmark: "gzip", Insts: 1_000_000, Model: "conventional",
+		req.Specs = append(req.Specs, client.RequestFor(experiments.RunSpec{
+			Benchmark: "gzip", Insts: 1_000_000, Model: client.ModelConventional,
 			ConvEntries: 8 + i,
-		})
+		}))
 	}
 	body, _ := json.Marshal(req)
 	resp, err := http.Post(ts.URL+"/v1/suite?stream=1", "application/json", bytes.NewReader(body))
@@ -105,7 +105,7 @@ func TestDrainRejectsNewWork(t *testing.T) {
 	s.BeginDrain()
 
 	sweep := postJSON(t, ts.URL+"/v1/suite?stream=1", client.SuiteRequest{
-		Specs: []client.RunRequest{{Benchmark: "gzip", Insts: testInsts, Model: "samie"}},
+		Specs: []client.RunRequest{{RunSpec: experiments.RunSpec{Benchmark: "gzip", Insts: testInsts, Model: client.ModelSAMIE}}},
 	})
 	defer sweep.Body.Close()
 	if sweep.StatusCode != http.StatusServiceUnavailable {

@@ -37,7 +37,7 @@ func FuzzValidSpec(f *testing.F) {
 		if json.Unmarshal(body, &req) != nil {
 			return
 		}
-		n, err := s.vetRun(req)
+		n, err := s.vet(req.RunSpec)
 		if err != nil || n.Insts+n.Warmup > fuzzInsts || withinCaps(n, fuzzDim) != nil {
 			return
 		}

@@ -25,15 +25,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-// vetRun converts one JSON wire run request into a spec and vets it.
-func (s *Server) vetRun(req client.RunRequest) (experiments.RunSpec, error) {
-	spec, err := req.Spec()
-	if err != nil {
-		return experiments.RunSpec{}, err
-	}
-	return s.vet(spec)
-}
-
 // vet validates one run spec end to end, in whichever encoding it
 // arrived — this server's instruction cap, the simulator's
 // ValidateSpec, then this server's warm-up and geometry caps — and
@@ -149,15 +140,11 @@ func decodeRunRequest(w http.ResponseWriter, r *http.Request) (experiments.RunSp
 		}
 		return spec, timeline, 0, nil
 	}
-	var req client.RunRequest
-	if err := json.NewDecoder(body).Decode(&req); err != nil {
+	req, err := client.DecodeRunRequest(body)
+	if err != nil {
 		return experiments.RunSpec{}, false, http.StatusBadRequest, fmt.Errorf("bad request body: %v", err)
 	}
-	spec, err := req.Spec()
-	if err != nil {
-		return experiments.RunSpec{}, false, http.StatusBadRequest, err
-	}
-	return spec, req.Timeline, 0, nil
+	return req.RunSpec, req.Timeline, 0, nil
 }
 
 // handleRunProbe answers whether the batch already holds the result
@@ -236,7 +223,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	}
 	specs := make([]experiments.RunSpec, 0, len(req.Specs))
 	for i, rr := range req.Specs {
-		n, err := s.vetRun(rr)
+		n, err := s.vet(rr.RunSpec)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, fmt.Sprintf("spec %d: %v", i, err))
 			return

@@ -143,7 +143,7 @@ func TestMetricsExpositionWellFormed(t *testing.T) {
 	// Populate: one simulated run (engine + disk store + phases + a
 	// 200), one unknown route (404), then a chaos-injected error on a
 	// real route (chaos counter + 500). /metrics itself is exempt.
-	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}})
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("first run returned %d, want 200", resp.StatusCode)

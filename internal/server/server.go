@@ -29,7 +29,9 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -281,54 +283,66 @@ const maxConfigDim = 1 << 20
 // products that size one structure, by limit (maxConfigDim for
 // requests). ValidateSpec has already rejected what the simulator
 // cannot run; these caps keep an oversized but valid geometry from
-// allocating its structures inside the shared process.
+// allocating its structures inside the shared process. Every int
+// field is a size or a width, so all are capped; Normalize has zeroed
+// those the spec's model ignores.
 func withinCaps(n experiments.RunSpec, limit int) error {
-	var err error
-	dim := func(name string, v int) {
-		if err == nil && v > limit {
-			err = fmt.Errorf("%s %d exceeds the server cap %d", name, v, limit)
+	spec := reflect.ValueOf(&n).Elem()
+	for _, f := range capFields {
+		v := spec
+		if f.ptr >= 0 {
+			if v = spec.Field(f.ptr); v.IsNil() {
+				continue
+			}
+			v = v.Elem()
+		}
+		if x := v.Field(f.field).Int(); x > int64(limit) {
+			return fmt.Errorf("%s %d exceeds the server cap %d", f.path, x, limit)
 		}
 	}
-	dim("cpu.FetchWidth", n.CPU.FetchWidth)
-	dim("cpu.DecodeWidth", n.CPU.DecodeWidth)
-	dim("cpu.IssueInt", n.CPU.IssueInt)
-	dim("cpu.IssueFP", n.CPU.IssueFP)
-	dim("cpu.CommitWidth", n.CPU.CommitWidth)
-	dim("cpu.FetchQueue", n.CPU.FetchQueue)
-	dim("cpu.ROBSize", n.CPU.ROBSize)
-	dim("cpu.IQInt", n.CPU.IQInt)
-	dim("cpu.IQFP", n.CPU.IQFP)
-	dim("cpu.IntALU", n.CPU.IntALU)
-	dim("cpu.IntMulDiv", n.CPU.IntMulDiv)
-	dim("cpu.FPALU", n.CPU.FPALU)
-	dim("cpu.FPMulDiv", n.CPU.FPMulDiv)
-	dim("cpu.DcachePorts", n.CPU.DcachePorts)
-	dim("cpu.MispredictPenalty", n.CPU.MispredictPenalty)
-	dim("cpu.DeadlockPatience", n.CPU.DeadlockPatience)
-	switch n.Model {
-	case experiments.ModelConventional:
-		dim("conv_entries", n.ConvEntries)
-	case experiments.ModelARB:
-		dim("arb_banks", n.ARBBanks)
-		dim("arb_addrs", n.ARBAddrs)
-		dim("arb_inflight", n.ARBInflight)
-		if tot := int64(n.ARBBanks) * int64(n.ARBAddrs); err == nil && tot > int64(limit) {
-			err = fmt.Errorf("arb_banks*arb_addrs %d exceeds the server cap %d", tot, limit)
-		}
-	case experiments.ModelSAMIE:
-		dim("samie.Banks", n.SAMIE.Banks)
-		dim("samie.EntriesPerBank", n.SAMIE.EntriesPerBank)
-		dim("samie.SlotsPerEntry", n.SAMIE.SlotsPerEntry)
-		dim("samie.SharedEntries", n.SAMIE.SharedEntries)
-		dim("samie.AddrBufferSlots", n.SAMIE.AddrBufferSlots)
-		// int64 keeps the product exact even on 32-bit int: the
-		// per-dimension caps bound it below 2^60.
-		if tot := int64(n.SAMIE.Banks) * int64(n.SAMIE.EntriesPerBank) * int64(n.SAMIE.SlotsPerEntry); err == nil && tot > int64(limit) {
-			err = fmt.Errorf("samie DistribLSQ slots %d (Banks*EntriesPerBank*SlotsPerEntry) exceeds the server cap %d",
+	if tot := int64(n.ARBBanks) * int64(n.ARBAddrs); tot > int64(limit) {
+		return fmt.Errorf("arb_banks*arb_addrs %d exceeds the server cap %d", tot, limit)
+	}
+	// int64 keeps the product exact even on 32-bit int: the
+	// per-dimension caps bound it below 2^60.
+	if c := n.SAMIE; c != nil {
+		if tot := int64(c.Banks) * int64(c.EntriesPerBank) * int64(c.SlotsPerEntry); tot > int64(limit) {
+			return fmt.Errorf("samie DistribLSQ slots %d (Banks*EntriesPerBank*SlotsPerEntry) exceeds the server cap %d",
 				tot, limit)
 		}
 	}
-	return err
+	return nil
+}
+
+// capField is RunSpec's int field number field (ptr < 0), or that
+// field of the config RunSpec's field ptr points to, named by its JSON
+// path.
+type capField struct {
+	path       string
+	ptr, field int
+}
+
+// capFields lists every int field of RunSpec and of its configs.
+var capFields = intFields(reflect.TypeFor[experiments.RunSpec](), -1, "")
+
+// intFields lists t's int fields below prefix, descending one level
+// into pointers to structs.
+func intFields(t reflect.Type, ptr int, prefix string) []capField {
+	var out []capField
+	for i := range t.NumField() {
+		f := t.Field(i)
+		name, _, _ := strings.Cut(f.Tag.Get("json"), ",")
+		if name == "" {
+			name = f.Name
+		}
+		switch {
+		case f.Type == reflect.TypeFor[int]():
+			out = append(out, capField{path: prefix + name, ptr: ptr, field: i})
+		case ptr < 0 && f.Type.Kind() == reflect.Pointer && f.Type.Elem().Kind() == reflect.Struct:
+			out = append(out, intFields(f.Type.Elem(), i, name+".")...)
+		}
+	}
+	return out
 }
 
 // validBenchmarks checks every requested benchmark resolves to a

@@ -69,7 +69,7 @@ func decodeBody[T any](t *testing.T, resp *http.Response) T {
 
 func TestRunEndpointExecutesAndDedups(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE}
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}}
 
 	resp := postJSON(t, ts.URL+"/v1/runs", req)
 	if resp.StatusCode != http.StatusOK {
@@ -120,14 +120,14 @@ func TestRunEndpointExecutesAndDedups(t *testing.T) {
 func TestRunEndpointValidation(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{MaxInsts: 100_000})
 	for name, body := range map[string]any{
-		"bad_model":     client.RunRequest{Benchmark: "gzip", Model: "quantum"},
-		"bad_benchmark": client.RunRequest{Benchmark: "nope", Model: client.ModelSAMIE},
-		"insts_cap":     client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1_000_000},
-		"warmup_cap":    client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1, Warmup: 1 << 60},
-		"bad_samie_cfg": client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, SAMIE: &core.Config{}},
-		"huge_samie": client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1,
+		"bad_model":     json.RawMessage(`{"benchmark":"gzip","model":"quantum"}`),
+		"bad_benchmark": experiments.RunSpec{Benchmark: "nope", Model: client.ModelSAMIE},
+		"insts_cap":     experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1_000_000},
+		"warmup_cap":    experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1, Warmup: 1 << 60},
+		"bad_samie_cfg": experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, SAMIE: &core.Config{}},
+		"huge_samie": experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 1,
 			SAMIE: &core.Config{Banks: 1 << 30, EntriesPerBank: 1, SlotsPerEntry: 1, AddrBufferSlots: 1, LineBytes: 32}},
-		"neg_conv": client.RunRequest{Benchmark: "gzip", Model: client.ModelConventional, ConvEntries: -1},
+		"neg_conv": experiments.RunSpec{Benchmark: "gzip", Model: client.ModelConventional, ConvEntries: -1},
 		"not_json": "}{",
 		// A body without a model names no simulation: it must not
 		// default to the kind numbered 0.
@@ -143,7 +143,7 @@ func TestRunEndpointValidation(t *testing.T) {
 	}
 	// The instruction cap applies before the spec is validated, so a
 	// request both over the cap and invalid reports the cap.
-	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "nope", Model: client.ModelSAMIE, Insts: 1_000_000})
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "nope", Model: client.ModelSAMIE, Insts: 1_000_000}})
 	if er := decodeBody[client.ErrorResponse](t, resp); !strings.Contains(er.Error, "exceeds the server cap") {
 		t.Errorf("over-cap invalid spec reported %q, want the instruction cap", er.Error)
 	}
@@ -317,7 +317,7 @@ func TestSaturationSheds429(t *testing.T) {
 	s.sem <- struct{}{}
 	defer func() { <-s.sem }()
 
-	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}})
 	if resp.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("status %d, want 429", resp.StatusCode)
 	}
@@ -360,7 +360,7 @@ func TestRequestTimeoutCancelsQueuedRun(t *testing.T) {
 
 	// This request queues behind the hog and must be withdrawn by its
 	// deadline with 504, not leak a worker slot.
-	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}})
 	if resp.StatusCode != http.StatusGatewayTimeout {
 		t.Fatalf("status %d, want 504", resp.StatusCode)
 	}
@@ -450,7 +450,7 @@ func TestRecoveryInsideLogging(t *testing.T) {
 
 func TestMetricsExposition(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
-	postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE}).Body.Close()
+	postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}}).Body.Close()
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -514,7 +514,7 @@ func TestStatsEndpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ts, _ := newTestServer(t, Config{Batch: batch, CacheDir: dir})
-	postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE}).Body.Close()
+	postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}}).Body.Close()
 
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -543,7 +543,7 @@ func TestClientAgainstServer(t *testing.T) {
 	if err := c.Health(ctx); err != nil {
 		t.Fatalf("health: %v", err)
 	}
-	run, err := c.Run(ctx, client.RunRequest{Benchmark: "gzip", Model: client.ModelConventional})
+	run, err := c.Run(ctx, client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelConventional}})
 	if err != nil || run.CPU.IPC <= 0 {
 		t.Fatalf("run: %+v, %v", run, err)
 	}
@@ -571,7 +571,7 @@ func TestClientAgainstServer(t *testing.T) {
 	}
 
 	// Errors surface as typed APIErrors.
-	if _, err := c.Run(ctx, client.RunRequest{Benchmark: "gzip", Model: "bogus"}); err == nil {
+	if _, err := c.Run(ctx, client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: 7}}); err == nil {
 		t.Fatal("bad model accepted")
 	} else if ae, ok := err.(*client.APIError); !ok || ae.Status != http.StatusBadRequest {
 		t.Fatalf("want *APIError 400, got %v", err)
@@ -579,7 +579,7 @@ func TestClientAgainstServer(t *testing.T) {
 	for i := 0; i < cap(s.sem); i++ {
 		s.sem <- struct{}{}
 	}
-	_, err = c.Run(ctx, client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
+	_, err = c.Run(ctx, client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}})
 	for i := 0; i < cap(s.sem); i++ {
 		<-s.sem
 	}
@@ -604,7 +604,7 @@ func TestRunProbeEndpoint(t *testing.T) {
 		t.Fatalf("probe before run = ok=%v err=%v, want miss", ok, err)
 	}
 
-	ran, err := c.Run(ctx, client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts})
+	ran, err := c.Run(ctx, client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -672,8 +672,8 @@ func TestSuiteEndpointShard(t *testing.T) {
 	ctx := context.Background()
 
 	shard := client.SuiteRequest{Specs: []client.RunRequest{
-		{Benchmark: "gzip", Model: client.ModelConventional, Insts: testInsts},
-		{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts},
+		{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelConventional, Insts: testInsts}},
+		{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}},
 	}}
 
 	// One run event per spec, then the final result.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"samielsq/internal/experiments"
 	"samielsq/internal/obs"
 	"samielsq/pkg/client"
 )
@@ -18,14 +19,14 @@ func TestRunTimelineOptInAndEndpoint(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 
 	// Without the opt-in the payload stays lean.
-	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE})
+	resp := postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}})
 	lean := decodeBody[client.RunResponse](t, resp)
 	if lean.Timeline != nil {
 		t.Fatal("timeline attached without opt-in")
 	}
 
 	// Opted in: same simulation (memoized), now with the timeline.
-	resp = postJSON(t, ts.URL+"/v1/runs", client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Timeline: true})
+	resp = postJSON(t, ts.URL+"/v1/runs", client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}, Timeline: true})
 	full := decodeBody[client.RunResponse](t, resp)
 	if full.Key != lean.Key || full.CPU != lean.CPU {
 		t.Fatal("timeline opt-in changed the run identity or result")
@@ -94,7 +95,7 @@ func TestClientTimelineRoundTrip(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
 	cl := client.New(ts.URL)
 
-	res, err := cl.Run(t.Context(), client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Timeline: true})
+	res, err := cl.Run(t.Context(), client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}, Timeline: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,10 @@ import (
 
 // wireModels is one run request per LSQ model.
 var wireModels = []client.RunRequest{
-	{Benchmark: "gzip", Model: client.ModelConventional, Insts: testInsts},
-	{Benchmark: "gzip", Model: client.ModelUnbounded, Insts: testInsts},
-	{Benchmark: "gzip", Model: client.ModelARB, Insts: testInsts, ARBBanks: 64, ARBAddrs: 2, ARBInflight: 128},
-	{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts},
+	{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelConventional, Insts: testInsts}},
+	{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelUnbounded, Insts: testInsts}},
+	{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelARB, Insts: testInsts, ARBBanks: 64, ARBAddrs: 2, ARBInflight: 128}},
+	{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}},
 }
 
 // specBody is a POST /v1/runs body sent as a binary spec record with
@@ -31,13 +31,8 @@ var wireModels = []client.RunRequest{
 type specBody []byte
 
 // specBodyFor encodes a run request as the typed client's spec record.
-func specBodyFor(t *testing.T, req client.RunRequest) specBody {
-	t.Helper()
-	spec, err := req.Spec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return specBody(experiments.EncodeSpecRecord(spec, req.Timeline))
+func specBodyFor(req client.RunRequest) specBody {
+	return specBody(experiments.EncodeSpecRecord(req.RunSpec, req.Timeline))
 }
 
 // doRun issues one run (body non-nil: a specBody as a spec record,
@@ -122,7 +117,7 @@ func decodeWire(t *testing.T, contentType string, raw []byte) client.RunResponse
 func TestRunRecordMatchesJSON(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
 	for _, req := range wireModels {
-		t.Run(req.Model, func(t *testing.T) {
+		t.Run(experiments.ModelName(req.Model), func(t *testing.T) {
 			jsonType, jsonBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", req, "")
 			if jsonType != "application/json" {
 				t.Fatalf("no Accept header: content type %q, want JSON", jsonType)
@@ -171,7 +166,7 @@ func TestRunRecordMatchesJSON(t *testing.T) {
 // record carries no telemetry.
 func TestRunNegotiationFallsBackToJSON(t *testing.T) {
 	_, ts, _ := newTestServer(t, Config{})
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}}
 	for _, accept := range []string{
 		"application/json",
 		client.RunRecordType,
@@ -206,7 +201,7 @@ func TestChaosTruncatedRunRecordIsAnError(t *testing.T) {
 	spec, _ := faultinject.ParseSpec("trunc=1,seed=3")
 	s, ts, _ := newTestServer(t, Config{Chaos: spec})
 	c := chaosClient(ts.URL)
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: testInsts}}
 	for range 200 {
 		before := s.ChaosCounts().Truncations
 		out, err := c.Run(context.Background(), req)
@@ -234,9 +229,9 @@ func TestChaosTruncatedRunRecordIsAnError(t *testing.T) {
 // record alike.
 func TestSpecRecordMatchesJSON(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
-	timeline := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2 * testInsts, Timeline: true}
+	timeline := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2 * testInsts}, Timeline: true}
 	for _, req := range append(wireModels, timeline) {
-		name := req.Model
+		name := experiments.ModelName(req.Model)
 		if req.Timeline {
 			name += "-timeline"
 		}
@@ -244,15 +239,14 @@ func TestSpecRecordMatchesJSON(t *testing.T) {
 			executed := batch.Stats().Executed
 			for _, accept := range []string{"", client.RunRecordContentType} {
 				jsonType, jsonBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", req, accept)
-				specType, specBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", specBodyFor(t, req), accept)
+				specType, specBody := fetchRun(t, http.MethodPost, ts.URL+"/v1/runs", specBodyFor(req), accept)
 				if specType != jsonType || !bytes.Equal(specBody, jsonBody) {
 					t.Fatalf("Accept %q: spec record answered %q %q, JSON body answered %q %q",
 						accept, specType, specBody, jsonType, jsonBody)
 				}
 				out := decodeWire(t, jsonType, jsonBody)
-				spec, _ := req.Spec()
-				if out.Key != experiments.Key(spec) {
-					t.Errorf("answer key %q, want %q", out.Key, experiments.Key(spec))
+				if want := experiments.Key(req.RunSpec); out.Key != want {
+					t.Errorf("answer key %q, want %q", out.Key, want)
 				}
 				if req.Timeline && (out.Timeline == nil || len(out.Timeline.Samples) == 0) {
 					t.Error("timeline request answered without its timeline")
@@ -312,8 +306,8 @@ func TestLongSAMIELineIs400(t *testing.T) {
 	_, ts, batch := newTestServer(t, Config{})
 	cfg := core.PaperConfig()
 	cfg.LineBytes = 64
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2000, SAMIE: &cfg}
-	for _, body := range []any{req, req, specBodyFor(t, req), specBodyFor(t, req)} {
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, Insts: 2000, SAMIE: &cfg}}
+	for _, body := range []any{req, req, specBodyFor(req), specBodyFor(req)} {
 		status, _, raw := doRun(t, http.MethodPost, ts.URL+"/v1/runs", body, "")
 		var er client.ErrorResponse
 		if err := json.Unmarshal(raw, &er); err != nil || status != http.StatusBadRequest ||
@@ -321,8 +315,7 @@ func TestLongSAMIELineIs400(t *testing.T) {
 			t.Errorf("%T body: status %d, body %s; want 400 naming the L1D line", body, status, raw)
 		}
 	}
-	spec, _ := req.Spec()
-	if _, ok := batch.Cached(experiments.Key(spec)); ok {
+	if _, ok := batch.Cached(experiments.Key(req.RunSpec)); ok {
 		t.Error("the rejected spec is memoized under its key")
 	}
 	if st := batch.Stats(); st.Executed != 0 || st.Requests != 0 || batch.DistinctRuns() != 0 {

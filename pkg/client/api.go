@@ -11,6 +11,7 @@ package client
 
 import (
 	"encoding/json"
+	"io"
 
 	"samielsq/internal/core"
 	"samielsq/internal/cpu"
@@ -21,32 +22,20 @@ import (
 	"samielsq/internal/obs"
 )
 
-// Model names accepted by RunRequest.Model, read from the library's
-// model table.
-var (
-	ModelConventional = experiments.ModelName(experiments.ModelConventional)
-	ModelUnbounded    = experiments.ModelName(experiments.ModelUnbounded)
-	ModelARB          = experiments.ModelName(experiments.ModelARB)
-	ModelSAMIE        = experiments.ModelName(experiments.ModelSAMIE)
+// The LSQ models a RunRequest names; on the wire each travels by name.
+const (
+	ModelConventional = experiments.ModelConventional
+	ModelUnbounded    = experiments.ModelUnbounded
+	ModelARB          = experiments.ModelARB
+	ModelSAMIE        = experiments.ModelSAMIE
 )
 
-// RunRequest is the POST /v1/runs body: one simulation spec. Zero
-// fields take the library defaults (Normalize), so the minimal request
-// is {"benchmark": "swim", "model": "samie"}.
+// RunRequest is the POST /v1/runs body: one simulation spec, whose
+// JSON is RunSpec's, plus the timeline option. Zero fields take the
+// library defaults (Normalize), so the minimal request is
+// {"benchmark": "swim", "model": "samie"}.
 type RunRequest struct {
-	Benchmark string `json:"benchmark"`
-	Model     string `json:"model"`
-	Insts     uint64 `json:"insts,omitempty"`
-	Warmup    uint64 `json:"warmup,omitempty"`
-
-	ConvEntries int `json:"conv_entries,omitempty"`
-
-	ARBBanks    int `json:"arb_banks,omitempty"`
-	ARBAddrs    int `json:"arb_addrs,omitempty"`
-	ARBInflight int `json:"arb_inflight,omitempty"`
-
-	SAMIE *core.Config `json:"samie,omitempty"`
-	CPU   *cpu.Config  `json:"cpu,omitempty"`
+	experiments.RunSpec
 
 	// Timeline opts the response into carrying the run's interval
 	// telemetry (RunResponse.Timeline). It is a wire-level request
@@ -57,51 +46,44 @@ type RunRequest struct {
 	Timeline bool `json:"timeline,omitempty"`
 }
 
-// Spec converts the wire request into a library RunSpec.
-func (r RunRequest) Spec() (experiments.RunSpec, error) {
-	m, err := experiments.ParseModel(r.Model)
-	if err != nil {
-		return experiments.RunSpec{}, err
-	}
-	return experiments.RunSpec{
-		Benchmark:   r.Benchmark,
-		Insts:       r.Insts,
-		Warmup:      r.Warmup,
-		Model:       m,
-		ConvEntries: r.ConvEntries,
-		ARBBanks:    r.ARBBanks,
-		ARBAddrs:    r.ARBAddrs,
-		ARBInflight: r.ARBInflight,
-		SAMIE:       r.SAMIE,
-		CPU:         r.CPU,
-	}, nil
+// UnmarshalJSON decodes a request body. A body without "model" leaves
+// the kind out of range, so ValidateSpec refuses it rather than running
+// the kind numbered 0.
+func (r *RunRequest) UnmarshalJSON(data []byte) error {
+	return json.Unmarshal(data, r.preset())
+}
+
+// DecodeRunRequest reads one JSON request body from rd as UnmarshalJSON
+// decodes it, in a single pass over the bytes.
+func DecodeRunRequest(rd io.Reader) (RunRequest, error) {
+	var req RunRequest
+	err := json.NewDecoder(rd).Decode(req.preset())
+	return req, err
+}
+
+// presetRequest is RunRequest without UnmarshalJSON, the target the
+// decoders fill.
+type presetRequest RunRequest
+
+// preset resets r to a request naming no model kind and returns it as
+// the decoders' target.
+func (r *RunRequest) preset() *presetRequest {
+	*r = RunRequest{RunSpec: experiments.RunSpec{Model: -1}}
+	return (*presetRequest)(r)
 }
 
 // RequestFor renders a library spec as a wire request.
-func RequestFor(spec experiments.RunSpec) RunRequest {
-	return RunRequest{
-		Benchmark:   spec.Benchmark,
-		Model:       experiments.ModelName(spec.Model),
-		Insts:       spec.Insts,
-		Warmup:      spec.Warmup,
-		ConvEntries: spec.ConvEntries,
-		ARBBanks:    spec.ARBBanks,
-		ARBAddrs:    spec.ARBAddrs,
-		ARBInflight: spec.ARBInflight,
-		SAMIE:       spec.SAMIE,
-		CPU:         spec.CPU,
-	}
-}
+func RequestFor(spec experiments.RunSpec) RunRequest { return RunRequest{RunSpec: spec} }
 
 // RunResponse is the POST /v1/runs result: the normalized identity of
 // the run plus everything the library's RunResult carries (minus the
 // memory-hierarchy internals, which do not serialize).
 type RunResponse struct {
-	Key       string `json:"key"` // canonical engine cache key
-	Benchmark string `json:"benchmark"`
-	Model     string `json:"model"`
-	Insts     uint64 `json:"insts"`
-	Warmup    uint64 `json:"warmup"`
+	Key       string                `json:"key"` // canonical engine cache key
+	Benchmark string                `json:"benchmark"`
+	Model     experiments.ModelKind `json:"model"`
+	Insts     uint64                `json:"insts"`
+	Warmup    uint64                `json:"warmup"`
 
 	// Sim is the serving replica's simulator build stamp
 	// (experiments.SimStamp). The peer-fetch tier refuses results from
@@ -140,7 +122,7 @@ func ResponseFor(res experiments.RunResult, sim string) RunResponse {
 	return RunResponse{
 		Key:         res.Key,
 		Benchmark:   n.Benchmark,
-		Model:       experiments.ModelName(n.Model),
+		Model:       n.Model,
 		Insts:       n.Insts,
 		Warmup:      n.Warmup,
 		Sim:         sim,

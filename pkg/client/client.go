@@ -220,22 +220,20 @@ func (c *Client) send(ctx context.Context, method, path string, in any, accept s
 // otherwise; either way it decodes to the same RunResponse.
 //
 // The request travels as JSON until the server has answered in this
-// build's layout, and as a binary spec record from then on. A request
-// Spec cannot convert, such as one naming an unknown model, still goes
-// as JSON, so the server's 400 stays the authority on it. A 415 means
-// the server behind the URL no longer speaks this layout: the client
-// goes back to JSON and resends the request.
+// build's layout, and as a binary spec record from then on, whatever
+// it names: the server's 400 is the authority on a spec it cannot run
+// in either encoding. A 415 means the server behind the URL no longer
+// speaks this layout: the client goes back to JSON and resends the
+// request.
 func (c *Client) Run(ctx context.Context, req RunRequest) (RunResponse, error) {
 	if c.speaksLayout.Load() {
-		if spec, err := req.Spec(); err == nil {
-			body := specRecordBody(experiments.EncodeSpecRecord(spec, req.Timeline))
-			out, err := c.roundTripRun(ctx, http.MethodPost, "/v1/runs", body)
-			var ae *APIError
-			if !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
-				return out, err
-			}
-			c.speaksLayout.Store(false)
+		body := specRecordBody(experiments.EncodeSpecRecord(req.RunSpec, req.Timeline))
+		out, err := c.roundTripRun(ctx, http.MethodPost, "/v1/runs", body)
+		var ae *APIError
+		if !errors.As(err, &ae) || ae.Status != http.StatusUnsupportedMediaType {
+			return out, err
 		}
+		c.speaksLayout.Store(false)
 	}
 	return c.roundTripRun(ctx, http.MethodPost, "/v1/runs", req)
 }

@@ -18,10 +18,9 @@ import (
 )
 
 // TestRunNegotiatesWithServer runs the typed client against a real
-// server: the first run goes as JSON, the next as a spec record, and
-// requests the server must refuse — an unknown model, which Spec
-// cannot convert and so still goes as JSON, and a SAMIE line longer
-// than the L1D line, which goes as a record — get its 400 as an
+// server: the first run goes as JSON, every later one as a spec
+// record, and requests the server must refuse — an unknown model kind
+// and a SAMIE line longer than the L1D line — get its 400 as an
 // *APIError.
 func TestRunNegotiatesWithServer(t *testing.T) {
 	srv, err := server.New(server.Config{
@@ -46,7 +45,7 @@ func TestRunNegotiatesWithServer(t *testing.T) {
 	c := client.New(ts.URL)
 	ctx := context.Background()
 
-	req := client.RunRequest{Benchmark: "gzip", Model: client.ModelSAMIE}
+	req := client.RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE}}
 	first, err := c.Run(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -62,16 +61,16 @@ func TestRunNegotiatesWithServer(t *testing.T) {
 	long := core.PaperConfig()
 	long.LineBytes = 64
 	for _, bad := range []client.RunRequest{
-		{Benchmark: "gzip", Model: "quantum"},
-		{Benchmark: "gzip", Model: client.ModelSAMIE, SAMIE: &long},
+		{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: 7}},
+		{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: client.ModelSAMIE, SAMIE: &long}},
 	} {
 		_, err := c.Run(ctx, bad)
 		var ae *client.APIError
 		if !errors.As(err, &ae) || ae.Status != http.StatusBadRequest {
-			t.Errorf("model %q: error %v, want the server's 400", bad.Model, err)
+			t.Errorf("model %d: error %v, want the server's 400", bad.Model, err)
 		}
 	}
-	want := []string{"application/json", client.SpecRecordType, "application/json", client.SpecRecordType}
+	want := []string{"application/json", client.SpecRecordType, client.SpecRecordType, client.SpecRecordType}
 	mu.Lock()
 	defer mu.Unlock()
 	if !slices.Equal(sent, want) {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"net/http"
 	"net/http/httptest"
+	"samielsq/internal/experiments"
 	"strconv"
 	"testing"
 	"time"
@@ -53,7 +54,7 @@ func TestRetryAfterHTTPDateOnWire(t *testing.T) {
 	c := New(srv.URL)
 
 	headers <- time.Now().Add(30 * time.Second).UTC().Format(http.TimeFormat)
-	_, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip"})
+	_, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip"}})
 	if !IsThrottled(err) {
 		t.Fatalf("want throttled APIError, got %v", err)
 	}
@@ -63,7 +64,7 @@ func TestRetryAfterHTTPDateOnWire(t *testing.T) {
 	}
 
 	headers <- "-10"
-	_, err = c.Run(context.Background(), RunRequest{Benchmark: "gzip"})
+	_, err = c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip"}})
 	if !IsThrottled(err) {
 		t.Fatalf("want throttled APIError, got %v", err)
 	}

@@ -76,7 +76,7 @@ func TestRunDecodesRecord(t *testing.T) {
 	res := recordResult()
 	c := fakeServer(t, func(w http.ResponseWriter) { writeRecord(w, experiments.EncodeRunRecord(res)) })
 	want := ResponseFor(res, experiments.SimStamp())
-	got, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE})
+	got, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +101,7 @@ func TestRunDecodesJSONWhenAskedForRecord(t *testing.T) {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(want)
 	})
-	got, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE})
+	got, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestTruncatedRecordIsAnError(t *testing.T) {
 	rec := experiments.EncodeRunRecord(recordResult())
 	for _, n := range []int{0, 8, len(rec) / 2, len(rec) - 1} {
 		c := fakeServer(t, func(w http.ResponseWriter) { writeRecord(w, rec[:n]) })
-		out, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE})
+		out, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}})
 		if err == nil || !reflect.DeepEqual(out, RunResponse{}) {
 			t.Errorf("record truncated to %d of %d bytes: err %v, result %+v", n, len(rec), err, out)
 		}
@@ -230,7 +230,7 @@ func newLayoutServer(t *testing.T, ours bool) (*layoutServer, *Client) {
 // layout, runs go as spec records, and concurrent runs agree.
 func TestRunSendsSpecRecordsOnceNegotiated(t *testing.T) {
 	f, c := newLayoutServer(t, true)
-	req := RunRequest{Benchmark: "gzip", Model: ModelSAMIE}
+	req := RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}}
 	for range 2 {
 		if _, err := c.Run(context.Background(), req); err != nil {
 			t.Fatal(err)
@@ -264,7 +264,7 @@ func TestProbeRecordNegotiatesSpecRecords(t *testing.T) {
 	if _, ok, err := c.ProbeRun(context.Background(), "k"); err != nil || !ok {
 		t.Fatalf("probe: ok=%v err=%v", ok, err)
 	}
-	if _, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE}); err != nil {
+	if _, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := f.sent(); len(got) != 2 || got[1] != SpecRecordType {
@@ -277,7 +277,7 @@ func TestProbeRecordNegotiatesSpecRecords(t *testing.T) {
 // for that request and every later one.
 func TestRunFallsBackToJSONOn415(t *testing.T) {
 	f, c := newLayoutServer(t, true)
-	req := RunRequest{Benchmark: "gzip", Model: ModelSAMIE}
+	req := RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}}
 	if _, err := c.Run(context.Background(), req); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +302,7 @@ func TestRunFallsBackToJSONOn415(t *testing.T) {
 func TestJSONOnlyServerNeverGetsSpecRecords(t *testing.T) {
 	f, c := newLayoutServer(t, false)
 	for range 3 {
-		if _, err := c.Run(context.Background(), RunRequest{Benchmark: "gzip", Model: ModelSAMIE}); err != nil {
+		if _, err := c.Run(context.Background(), RunRequest{RunSpec: experiments.RunSpec{Benchmark: "gzip", Model: ModelSAMIE}}); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := c.ProbeRun(context.Background(), "k"); err != nil {

@@ -52,12 +52,18 @@ func (s *breakerSet) entry(rep string) *breakerEntry {
 // failure records a failed exchange. Reaching the threshold trips the
 // breaker; any failure while open or half-open re-arms the cooldown
 // (a failed half-open probe must not readmit the replica).
-func (s *breakerSet) failure(rep string) {
+func (s *breakerSet) failure(rep string) { s.fail(rep, false) }
+
+// down records a failure that proves the replica down, such as a
+// refused connection: the breaker trips at once, whatever the streak.
+func (s *breakerSet) down(rep string) { s.fail(rep, true) }
+
+func (s *breakerSet) fail(rep string, down bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	e := s.entry(rep)
 	e.fails++
-	if e.fails >= s.threshold {
+	if down || e.fails >= s.threshold {
 		if e.openedAt.IsZero() {
 			s.trips++
 		}

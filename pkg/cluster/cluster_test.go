@@ -441,6 +441,8 @@ func TestRunSpecsReshardsRefusedChunk(t *testing.T) {
 // the connection made no TCP connection, so it started none of the
 // chunk; like a status answer, the refusal goes to its breaker instead
 // of being resumed in place, and the sweep completes on the survivor.
+// Nothing listens on the port, so the breaker trips on the first
+// refusal.
 func TestRunSpecsReshardsConnectionRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -461,8 +463,10 @@ func TestRunSpecsReshardsConnectionRefused(t *testing.T) {
 	if len(results) != 1 || batchB.Stats().Executed != 1 {
 		t.Fatalf("got %d results, survivor executed %d; want 1 and 1", len(results), batchB.Stats().Executed)
 	}
-	if st := c.SweepStats(); st.Resumes != 0 {
-		t.Errorf("a refused connection was resumed in place: %+v", st)
+	// The refusal opens the breaker at once: one round on the closed
+	// port, one on the survivor.
+	if st := c.SweepStats(); st.Resumes != 0 || st.Rounds != 2 || st.BreakerTrips != 1 {
+		t.Errorf("stats %+v; want no resume, 2 rounds and 1 breaker trip", st)
 	}
 }
 

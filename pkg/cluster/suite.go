@@ -90,7 +90,8 @@ func (c *ShardedClient) SweepStats() SweepStats {
 // are never re-requested — so a sweep survives losing replicas as long
 // as one stays up. A replica that answers a chunk's first request with
 // an error status (a 503 while draining, a 500) began no stream, so it
-// is declared lost at once, without resuming. A merely saturated
+// is declared lost at once, without resuming; a refused connection
+// also trips its breaker at once. A merely saturated
 // replica (429) is not penalized:
 // its Retry-After hint is honored (jittered) before the work is
 // re-planned. Every resume and every re-shard round draws from the
@@ -167,12 +168,8 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 		// Plan this round's shards: every pending spec goes to its
 		// highest-ranked usable replica. Shards are disjoint, so in the
 		// failure-free case each distinct spec executes exactly once
-		// cluster-wide.
-		type shardItem struct {
-			key string
-			req client.RunRequest
-		}
-		shards := map[string][]shardItem{}
+		// cluster-wide. A shard lists its specs' keys.
+		shards := map[string][]string{}
 		mu.Lock()
 		keys := make([]string, 0, len(pending))
 		for key := range pending {
@@ -181,7 +178,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 		sort.Strings(keys) // deterministic shard bodies
 		for _, key := range keys {
 			rep := c.healthyCandidate(ctx, key)
-			shards[rep] = append(shards[rep], shardItem{key: key, req: client.RequestFor(pending[key])})
+			shards[rep] = append(shards[rep], key)
 		}
 		before := len(pending)
 		mu.Unlock()
@@ -192,7 +189,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 		//lint:ordered shards run concurrently per replica; launch order is immaterial and shard bodies are already key-sorted
 		for rep, shard := range shards {
 			wg.Add(1)
-			go func(rep string, shard []shardItem) {
+			go func(rep string, shard []string) {
 				defer wg.Done()
 				// lastTrace remembers the server-side traceparent of the
 				// most recent run event this shard's streams delivered —
@@ -224,13 +221,13 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 				}
 				// undelivered filters a chunk down to the specs whose
 				// results have not yet arrived on any stream.
-				undelivered := func(chunk []shardItem) []client.RunRequest {
+				undelivered := func(chunk []string) []client.RunRequest {
 					mu.Lock()
 					defer mu.Unlock()
 					reqs := make([]client.RunRequest, 0, len(chunk))
-					for _, it := range chunk {
-						if _, want := pending[it.key]; want {
-							reqs = append(reqs, it.req)
+					for _, key := range chunk {
+						if spec, want := pending[key]; want {
+							reqs = append(reqs, client.RequestFor(spec))
 						}
 					}
 					return reqs
@@ -297,8 +294,8 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							// reset or a truncated body may follow work the
 							// replica began, and is resumed.
 							var ae *client.APIError
-							refused := attempt == 0 &&
-								(errors.As(err, &ae) || errors.Is(err, syscall.ECONNREFUSED))
+							connRefused := attempt == 0 && errors.Is(err, syscall.ECONNREFUSED)
+							refused := connRefused || attempt == 0 && errors.As(err, &ae)
 							if !refused && resumes < maxStreamResumes && sweep.spend(1) {
 								resumes++
 								sweep.mu.Lock()
@@ -323,8 +320,14 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 							// Refused, or out of resumes (or budget): the
 							// replica is lost. Its breaker takes the failure
 							// and the next round re-shards whatever it had not
-							// delivered.
-							c.breakers.failure(rep)
+							// delivered. Nothing listens behind a refused
+							// connection, so that breaker opens at once rather
+							// than after another round of the same refusal.
+							if connRefused {
+								c.breakers.down(rep)
+							} else {
+								c.breakers.failure(rep)
+							}
 							c.log.Warn("replica lost mid-sweep, re-sharding its work",
 								"replica", rep, "undelivered", len(reqs), "err", err)
 							errsMu.Lock()
