@@ -228,6 +228,7 @@ type SAMIE struct {
 	addrBuf abRing
 	t       *lsq.Tracker // the Base's tracker
 	meter   *energy.Meter
+	areas   energy.EntryAreas // meter's per-entry areas
 	stats   Stats
 
 	lineMask uint64
@@ -270,6 +271,7 @@ func New(cfg Config, meter *energy.Meter) *SAMIE {
 		banks:    make([][]entry, cfg.Banks),
 		t:        t,
 		meter:    meter,
+		areas:    meter.EntryAreas(),
 		lineMask: ^(uint64(cfg.LineBytes) - 1),
 		addrBuf:  abRing{buf: make([]abEntry, cfg.AddrBufferSlots)},
 		bankUsed: make([]int, cfg.Banks),
@@ -762,8 +764,9 @@ func (s *SAMIE) Flush() {
 // AccountCycles implements lsq.Model: occupancy statistics and §4.5
 // active-area accumulation for n cycles. The entry/slot totals are
 // maintained incrementally at fill/free time, so the one-cycle terms
-// cost O(1) — no walk over the banks — and are computed once per call;
-// each occupancy sum then adds its term once per cycle.
+// cost O(1) — no walk over the banks — and each sum adds its term
+// times n. Every term is an entry count, an integer, so the product is
+// exact below 2^53.
 //
 //samie:hotpath
 func (s *SAMIE) AccountCycles(n uint64) {
@@ -777,15 +780,11 @@ func (s *SAMIE) AccountCycles(n uint64) {
 	if abLen > 0 {
 		st.CyclesABNonEmpty += n
 	}
-	inFlight, shared, ab, distrib := float64(s.t.Len()), float64(sharedOcc), float64(abLen), float64(s.distribActive)
-	sumIn, sumShared, sumAB, sumDistrib := st.SumInFlight, st.SumSharedOcc, st.SumABOcc, st.SumDistribEntries
-	for k := n; k > 0; k-- {
-		sumIn += inFlight
-		sumShared += shared
-		sumAB += ab
-		sumDistrib += distrib
-	}
-	st.SumInFlight, st.SumSharedOcc, st.SumABOcc, st.SumDistribEntries = sumIn, sumShared, sumAB, sumDistrib
+	k := float64(n)
+	st.SumInFlight += float64(s.t.Len()) * k
+	st.SumSharedOcc += float64(sharedOcc) * k
+	st.SumABOcc += float64(abLen) * k
+	st.SumDistribEntries += float64(s.distribActive) * k
 
 	// One extra pre-allocated entry (with one active slot) in the
 	// SharedLSQ when it has room, and one per DistribLSQ bank with a
@@ -802,7 +801,7 @@ func (s *SAMIE) AccountCycles(n uint64) {
 		SharedSlots:     sharedSlots,
 		AddrBufferInUse: abLen,
 		AddrBufferCap:   s.cfg.AddrBufferSlots,
-	}, n)
+	}, &s.areas, n)
 }
 
 // ResetStats implements lsq.Model.

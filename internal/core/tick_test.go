@@ -209,3 +209,35 @@ func BenchmarkHotPathSAMIETick(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHotPathAccountCycles times one AccountCycles call of a
+// SAMIE-LSQ and of the conventional LSQ, each holding 48 placed
+// instructions, for a stepped cycle (n=1) and a long quiescent span
+// (n=4096). Every statistic adds its one-cycle term times n, so both
+// cost the same.
+func BenchmarkHotPathAccountCycles(b *testing.B) {
+	models := []struct {
+		name string
+		m    lsq.Model
+	}{
+		{"samie", NewPaper(nil)},
+		{"conventional", lsq.NewConventional(128, nil)},
+	}
+	for _, mc := range models {
+		for seq := uint64(0); seq < 48; seq++ {
+			isLoad := seq%3 != 0
+			mc.m.Dispatch(seq, isLoad)
+			if pl := mc.m.AddressReady(seq, isLoad, 0x10000+seq*40, 8); !pl.Placed {
+				b.Fatalf("%s: seq %d not placed: %+v", mc.name, seq, pl)
+			}
+		}
+		for _, n := range []uint64{1, 4096} {
+			b.Run(fmt.Sprintf("%s/n=%d", mc.name, n), func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					mc.m.AccountCycles(n)
+				}
+			})
+		}
+	}
+}

@@ -312,6 +312,10 @@ type CPU struct {
 	// the Tick contract none will until the next Commit or Flush.
 	tickIdle bool
 
+	// warming is set during RunWarmTimed's warm-up, whose model
+	// statistics are reset unread: accountCycles skips them.
+	warming bool
+
 	streamDone bool
 
 	flushEpoch uint64 // bumped per flush; guards in-progress ROB walks
@@ -398,7 +402,9 @@ func (c *CPU) RunWarmTimed(warmInsts, measureInsts uint64) (Result, time.Duratio
 	var warmDur time.Duration
 	if warmInsts > 0 {
 		start := time.Now()
+		c.warming = true
 		c.Run(warmInsts)
+		c.warming = false
 		warmDur = time.Since(start)
 		c.res = Result{}
 		c.meter.Reset()
@@ -461,7 +467,7 @@ func (c *CPU) step() {
 
 	c.commit(&dports)
 	if c.checkDeadlock() {
-		c.model.AccountCycles(1)
+		c.accountCycles(1)
 		c.endOfCycleTelemetry()
 		return
 	}
@@ -473,8 +479,19 @@ func (c *CPU) step() {
 	}
 	c.dispatch()
 	c.fetch()
-	c.model.AccountCycles(1)
+	c.accountCycles(1)
 	c.endOfCycleTelemetry()
+}
+
+// accountCycles charges n cycles to the LSQ model's statistics
+// (Model.AccountCycles), except during warm-up: RunWarmTimed resets
+// them unread, so warm-up cycles are not accounted at all.
+//
+//samie:hotpath
+func (c *CPU) accountCycles(n uint64) {
+	if !c.warming {
+		c.model.AccountCycles(n)
+	}
 }
 
 // ---- Commit ---------------------------------------------------------------

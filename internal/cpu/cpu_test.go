@@ -244,6 +244,33 @@ func TestRunWarmResetsStats(t *testing.T) {
 	}
 }
 
+// cycleCounter is an LSQ model that counts the cycles it is asked to
+// account.
+type cycleCounter struct {
+	lsq.Model
+	cycles uint64
+}
+
+func (m *cycleCounter) AccountCycles(n uint64) {
+	m.cycles += n
+	m.Model.AccountCycles(n)
+}
+
+// TestWarmUpIsNotAccounted: RunWarmTimed resets the model statistics
+// after warm-up, so the CPU accounts no warm-up cycle to the model,
+// and every measured cycle exactly once, stepped or skipped. mcf spends
+// most of its cycles in quiescent spans.
+func TestWarmUpIsNotAccounted(t *testing.T) {
+	for _, bench := range []string{"gzip", "mcf"} {
+		m := &cycleCounter{Model: core.NewPaper(nil)}
+		c := New(PaperConfig(), trace.NewGenerator(trace.MustPersonality(bench)), m, nil, nil, nil, nil)
+		r, _, _ := c.RunWarmTimed(5000, 5000)
+		if m.cycles != r.Cycles {
+			t.Errorf("%s: model accounted %d cycles, measured run took %d", bench, m.cycles, r.Cycles)
+		}
+	}
+}
+
 func TestROBCapacityStalls(t *testing.T) {
 	// A long-latency head op with hundreds of followers fills the ROB:
 	// dispatch stalls must be recorded.

@@ -64,7 +64,10 @@ import (
 // the per-cycle model call sequence — and therefore the metered energy
 // — bit-identical. These waits are short (the store's data is already
 // the next thing to arrive) and rare on the low-IPC chains the
-// scheduler targets.
+// scheduler targets. Letting them join quiescent spans (replaying the
+// probe's energy per skipped cycle) was tried and rejected: it cut the
+// stepped cycles of the core matrix by 12.9% but slowed it, because
+// such a cycle costs little to step (docs/performance.md §4).
 //
 // A pipeline flush discards every wait structure wholesale; flushed
 // instructions re-enter through dispatch, which re-parks them as the
@@ -99,9 +102,12 @@ import (
 // Model.AccountCycles. That is exact because no state a step reads
 // changes in a span: its end is at most the head's readyAt and
 // fetchBlockedUntil, and no Tick, Commit or Flush happens in it. The
-// models' occupancy sums add their one-cycle term once per cycle; the
-// §4.5 area sums add k*term, exact because every area term is an
-// integer (TestCellAreasAreIntegers). The ROB-walk oracle never skips,
+// models' occupancy and §4.5 area sums add k*term in one step, exact
+// because every term is an integer (an entry count, or an area built
+// from integer Table 6 cells, TestCellAreasAreIntegers), so a chunk
+// costs the same whatever k. During RunWarmTimed's warm-up neither a
+// step nor a span calls Model.AccountCycles at all (accountCycles): the
+// warm-up statistics are reset unread. The ROB-walk oracle never skips,
 // so TestSchedulerDifferential holds the skip to it too.
 
 // wheelSize bounds the timing wheel. Deltas are execution latencies
@@ -562,7 +568,7 @@ func (c *CPU) skipQuiescent(limit uint64) {
 			c.res.DispatchStalls += n
 		}
 		c.fetchStalled(n)
-		c.model.AccountCycles(n)
+		c.accountCycles(n)
 		c.endOfCycleTelemetry()
 	}
 }

@@ -202,44 +202,38 @@ func (m *Meter) DTLBReuse() { m.NTLBReuse++ }
 
 // ---- Per-entry areas (Table 6 cells × Widths bits) ----------------------
 
-// ConvEntryArea returns the area of one conventional LSQ entry.
-func (m *Meter) ConvEntryArea() float64 {
-	return cacti.ConvAreas.AddrCAM*float64(m.W.AddrBits) +
-		cacti.ConvAreas.Datum*float64(m.W.DatumBits)
+// EntryAreas holds the per-entry and per-slot areas of every LSQ
+// structure under one set of widths. They are constant for a meter, so
+// a model computes them once, at construction (Meter.EntryAreas), and
+// hands them to every AccumulateArea call.
+type EntryAreas struct {
+	Conv           float64 // one conventional LSQ entry
+	DistribEntry   float64 // DistribLSQ entry overhead: line address, cached translation and line id
+	DistribSlot    float64 // DistribLSQ slot: age id, offset, datum
+	SharedEntry    float64 // SharedLSQ entry overhead
+	SharedSlot     float64 // SharedLSQ slot
+	AddrBufferSlot float64 // one AddrBuffer slot
 }
 
-// DistribEntryArea returns the per-entry overhead area of a DistribLSQ
-// entry (line address, cached translation, cached line id).
-func (m *Meter) DistribEntryArea() float64 {
-	return cacti.DistribAreas.AddrCAM*float64(m.W.AddrBits-m.W.OffsetBits) +
-		cacti.DistribAreas.TLB*float64(m.W.TLBBits) +
-		cacti.DistribAreas.LineID*float64(m.W.LineIDBits)
-}
-
-// DistribSlotArea returns the per-slot area (age id, offset, datum).
-func (m *Meter) DistribSlotArea() float64 {
-	return cacti.DistribAreas.AgeCAM*float64(m.W.AgeBits+m.W.OffsetBits) +
-		cacti.DistribAreas.Datum*float64(m.W.DatumBits)
-}
-
-// SharedEntryArea returns the per-entry overhead area of a SharedLSQ
-// entry.
-func (m *Meter) SharedEntryArea() float64 {
-	return cacti.SharedAreas.AddrCAM*float64(m.W.AddrBits-m.W.OffsetBits) +
-		cacti.SharedAreas.TLB*float64(m.W.TLBBits) +
-		cacti.SharedAreas.LineID*float64(m.W.LineIDBits)
-}
-
-// SharedSlotArea returns the per-slot area of a SharedLSQ entry.
-func (m *Meter) SharedSlotArea() float64 {
-	return cacti.SharedAreas.AgeCAM*float64(m.W.AgeBits+m.W.OffsetBits) +
-		cacti.SharedAreas.Datum*float64(m.W.DatumBits)
-}
-
-// AddrBufferSlotArea returns the area of one AddrBuffer slot.
-func (m *Meter) AddrBufferSlotArea() float64 {
-	return cacti.AddrBufferAreas.Datum*float64(m.W.AddrBits) +
-		cacti.AddrBufferAreas.AgeCAM*float64(m.W.AgeBits)
+// EntryAreas returns the per-entry and per-slot areas under m's widths.
+func (m *Meter) EntryAreas() EntryAreas {
+	w := m.W
+	return EntryAreas{
+		Conv: cacti.ConvAreas.AddrCAM*float64(w.AddrBits) +
+			cacti.ConvAreas.Datum*float64(w.DatumBits),
+		DistribEntry: cacti.DistribAreas.AddrCAM*float64(w.AddrBits-w.OffsetBits) +
+			cacti.DistribAreas.TLB*float64(w.TLBBits) +
+			cacti.DistribAreas.LineID*float64(w.LineIDBits),
+		DistribSlot: cacti.DistribAreas.AgeCAM*float64(w.AgeBits+w.OffsetBits) +
+			cacti.DistribAreas.Datum*float64(w.DatumBits),
+		SharedEntry: cacti.SharedAreas.AddrCAM*float64(w.AddrBits-w.OffsetBits) +
+			cacti.SharedAreas.TLB*float64(w.TLBBits) +
+			cacti.SharedAreas.LineID*float64(w.LineIDBits),
+		SharedSlot: cacti.SharedAreas.AgeCAM*float64(w.AgeBits+w.OffsetBits) +
+			cacti.SharedAreas.Datum*float64(w.DatumBits),
+		AddrBufferSlot: cacti.AddrBufferAreas.Datum*float64(w.AddrBits) +
+			cacti.AddrBufferAreas.AgeCAM*float64(w.AgeBits),
+	}
 }
 
 // ---- Per-cycle active-area accumulation (§4.5) ---------------------------
@@ -261,18 +255,19 @@ type Activity struct {
 }
 
 // AccumulateArea adds n cycles of active area at a, as n times each
-// structure's one-cycle area. Table 6's cell areas are integers and so
-// are the widths and counts, so every term, product and sum is an
-// integer: exact below 2^53, and bit-identical to accounting the
-// cycles one at a time.
+// structure's one-cycle area, with e the per-entry areas from
+// m.EntryAreas. Table 6's cell areas are integers and so are the
+// widths and counts, so every term, product and sum is an integer:
+// exact below 2^53, and bit-identical to accounting the cycles one at
+// a time.
 //
 //samie:hotpath
-func (m *Meter) AccumulateArea(a Activity, n uint64) {
+func (m *Meter) AccumulateArea(a Activity, e *EntryAreas, n uint64) {
 	k := float64(n)
-	m.ConvArea += float64(reserved(a.ConvInUse, a.ConvEntries)) * m.ConvEntryArea() * k
-	m.DistribArea += (float64(a.DistribEntries)*m.DistribEntryArea() + float64(a.DistribSlots)*m.DistribSlotArea()) * k
-	m.SharedArea += (float64(a.SharedEntries)*m.SharedEntryArea() + float64(a.SharedSlots)*m.SharedSlotArea()) * k
-	m.AddrBufferArea += float64(reserved(a.AddrBufferInUse, a.AddrBufferCap)) * m.AddrBufferSlotArea() * k
+	m.ConvArea += float64(reserved(a.ConvInUse, a.ConvEntries)) * e.Conv * k
+	m.DistribArea += (float64(a.DistribEntries)*e.DistribEntry + float64(a.DistribSlots)*e.DistribSlot) * k
+	m.SharedArea += (float64(a.SharedEntries)*e.SharedEntry + float64(a.SharedSlots)*e.SharedSlot) * k
+	m.AddrBufferArea += float64(reserved(a.AddrBufferInUse, a.AddrBufferCap)) * e.AddrBufferSlot * k
 }
 
 // reserved is §4.5's active count of a structure that keeps four

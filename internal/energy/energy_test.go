@@ -101,26 +101,27 @@ func TestSAMIETotal(t *testing.T) {
 
 func TestEntryAreas(t *testing.T) {
 	m := NewMeter()
-	w := m.W
+	w, e := m.W, m.EntryAreas()
 	wantConv := cacti.ConvAreas.AddrCAM*float64(w.AddrBits) + cacti.ConvAreas.Datum*float64(w.DatumBits)
-	if !almost(m.ConvEntryArea(), wantConv) {
-		t.Fatalf("conv entry area %v, want %v", m.ConvEntryArea(), wantConv)
+	if !almost(e.Conv, wantConv) {
+		t.Fatalf("conv entry area %v, want %v", e.Conv, wantConv)
 	}
-	if m.DistribEntryArea() <= 0 || m.DistribSlotArea() <= 0 ||
-		m.SharedEntryArea() <= 0 || m.SharedSlotArea() <= 0 || m.AddrBufferSlotArea() <= 0 {
+	if e.DistribEntry <= 0 || e.DistribSlot <= 0 ||
+		e.SharedEntry <= 0 || e.SharedSlot <= 0 || e.AddrBufferSlot <= 0 {
 		t.Fatal("non-positive area")
 	}
 	// SAMIE cells are smaller than conventional cells: per-slot area
 	// must be below a conventional entry.
-	if m.DistribSlotArea() >= m.ConvEntryArea() {
+	if e.DistribSlot >= e.Conv {
 		t.Fatal("distrib slot area not smaller than conventional entry")
 	}
 }
 
 func TestAccumulateConvArea(t *testing.T) {
 	m := NewMeter()
-	m.AccumulateArea(Activity{ConvInUse: 10, ConvEntries: 128}, 1)
-	want := 14 * m.ConvEntryArea() // 10 in use + 4 reserve
+	e := m.EntryAreas()
+	m.AccumulateArea(Activity{ConvInUse: 10, ConvEntries: 128}, &e, 1)
+	want := 14 * e.Conv // 10 in use + 4 reserve
 	if !almost(m.ConvArea, want) {
 		t.Fatalf("conv area %v, want %v", m.ConvArea, want)
 	}
@@ -129,21 +130,22 @@ func TestAccumulateConvArea(t *testing.T) {
 	}
 	// Capped at capacity.
 	m2 := NewMeter()
-	m2.AccumulateArea(Activity{ConvInUse: 127, ConvEntries: 128}, 1)
-	if !almost(m2.ConvArea, 128*m2.ConvEntryArea()) {
+	m2.AccumulateArea(Activity{ConvInUse: 127, ConvEntries: 128}, &e, 1)
+	if !almost(m2.ConvArea, 128*e.Conv) {
 		t.Fatal("conv area not capped at capacity")
 	}
 }
 
 func TestAccumulateSAMIEArea(t *testing.T) {
 	m := NewMeter()
+	e := m.EntryAreas()
 	// Two distrib entries with 2+3 active slots, one shared entry with
 	// one slot, 5 AddrBuffer slots in use.
 	a := Activity{DistribEntries: 2, DistribSlots: 5, SharedEntries: 1, SharedSlots: 1, AddrBufferInUse: 5, AddrBufferCap: 64}
-	m.AccumulateArea(a, 1)
-	wantD := 2*m.DistribEntryArea() + 5*m.DistribSlotArea()
-	wantS := m.SharedEntryArea() + 1*m.SharedSlotArea()
-	wantAB := 9 * m.AddrBufferSlotArea()
+	m.AccumulateArea(a, &e, 1)
+	wantD := 2*e.DistribEntry + 5*e.DistribSlot
+	wantS := e.SharedEntry + 1*e.SharedSlot
+	wantAB := 9 * e.AddrBufferSlot
 	if !almost(m.DistribArea, wantD) || !almost(m.SharedArea, wantS) || !almost(m.AddrBufferArea, wantAB) {
 		t.Fatalf("areas %v/%v %v/%v %v/%v",
 			m.DistribArea, wantD, m.SharedArea, wantS, m.AddrBufferArea, wantAB)
@@ -155,10 +157,10 @@ func TestAccumulateSAMIEArea(t *testing.T) {
 	// add nothing.
 	once := *m
 	for i := 0; i < 36; i++ {
-		once.AccumulateArea(a, 1)
+		once.AccumulateArea(a, &e, 1)
 	}
-	m.AccumulateArea(a, 36)
-	m.AccumulateArea(a, 0)
+	m.AccumulateArea(a, &e, 36)
+	m.AccumulateArea(a, &e, 0)
 	if *m != once {
 		t.Fatalf("36 cycles at once %+v, one at a time %+v", *m, once)
 	}
@@ -168,7 +170,8 @@ func TestReset(t *testing.T) {
 	m := NewMeter()
 	m.ConvCompare(5)
 	m.DcacheFull()
-	m.AccumulateArea(Activity{ConvInUse: 3, ConvEntries: 128}, 1)
+	e := m.EntryAreas()
+	m.AccumulateArea(Activity{ConvInUse: 3, ConvEntries: 128}, &e, 1)
 	m.Reset()
 	if m.ConvLSQ != 0 || m.Dcache != 0 || m.ConvArea != 0 || m.NConvCompares != 0 {
 		t.Fatal("Reset left residue")

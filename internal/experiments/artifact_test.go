@@ -522,12 +522,14 @@ func BenchmarkDiskHit(b *testing.B) {
 	}
 }
 
-// Budget of one disk-tier hit (BenchmarkDiskHit): the artifact path,
-// the decoded strings and energy meter. The file is read into a
-// pooled buffer, so its bytes are not part of it.
+// Budget of one disk-tier hit (BenchmarkDiskHit) on Linux: the
+// decoded strings and energy meter. The file is read into a pooled
+// buffer and its path is rendered on the stack, so neither is part of
+// it. Other unixes open through syscall.Open, which copies the path
+// once more (maxDiskHitAllocs+1, about 110 B).
 const (
-	maxDiskHitAllocs = 9
-	maxDiskHitBytes  = 1600
+	maxDiskHitAllocs = 7
+	maxDiskHitBytes  = 1450
 )
 
 // TestDiskHitAllocs holds a disk-tier hit to its allocation budget.
@@ -542,8 +544,12 @@ func TestDiskHitAllocs(t *testing.T) {
 		}
 	}
 	const runs = 1000
-	if n := testing.AllocsPerRun(runs, load); n > maxDiskHitAllocs {
-		t.Errorf("a disk hit allocates %v times, want at most %d", n, maxDiskHitAllocs)
+	budget := float64(maxDiskHitAllocs)
+	if runtime.GOOS != "linux" {
+		budget++
+	}
+	if n := testing.AllocsPerRun(runs, load); n > budget {
+		t.Errorf("a disk hit allocates %v times, want at most %v", n, budget)
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)

@@ -165,14 +165,21 @@ func (d *DiskCache) Stats() DiskCacheStats {
 	}
 }
 
-// path maps a canonical spec key to its content-addressed file,
-// <dir>/run-<hex sha256 of key>.bin, rendered in one allocation.
-func (d *DiskCache) path(key string) string {
+// artifactName is the content-addressed file name of a canonical spec
+// key, run-<hex sha256 of key>.bin.
+func artifactName(key string) [len("run-") + 2*sha256.Size + len(".bin")]byte {
 	sum := sha256.Sum256([]byte(key))
 	var name [len("run-") + 2*sha256.Size + len(".bin")]byte
 	copy(name[:], "run-")
 	hex.Encode(name[len("run-"):], sum[:])
 	copy(name[len(name)-len(".bin"):], ".bin")
+	return name
+}
+
+// path maps a canonical spec key to its file, <dir>/<artifactName>,
+// rendered in one allocation.
+func (d *DiskCache) path(key string) string {
+	name := artifactName(key)
 	var sb strings.Builder
 	sb.Grow(len(d.prefix) + len(name))
 	sb.WriteString(d.prefix)
@@ -210,7 +217,8 @@ var readBufs = sync.Pool{New: func() any {
 func (d *DiskCache) read(key string) (RunResult, bool) {
 	buf := readBufs.Get().(*[]byte)
 	defer readBufs.Put(buf)
-	data, err := readArtifact(d.path(key), *buf)
+	name := artifactName(key)
+	data, err := readArtifact(d.prefix, name[:], *buf)
 	if err != nil {
 		return RunResult{}, false
 	}

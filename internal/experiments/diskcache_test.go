@@ -133,8 +133,9 @@ func TestDiskCacheCorruptAndPartialFiles(t *testing.T) {
 
 // TestReadArtifact: the pooled read returns a file's bytes whatever
 // its size against the buffer — empty, shorter, exactly as long (which
-// may hide more, so the file is read whole) or longer — and fails on
-// a directory or a missing file.
+// may hide more, so the file is read whole) or longer — also behind a
+// path too long for its stack buffer, and fails on a directory or a
+// missing file.
 func TestReadArtifact(t *testing.T) {
 	dir := t.TempDir()
 	buf := make([]byte, 64)
@@ -143,17 +144,28 @@ func TestReadArtifact(t *testing.T) {
 		for i := range want {
 			want[i] = byte(i*7 + size)
 		}
-		path := filepath.Join(dir, fmt.Sprint("f", size))
-		if err := os.WriteFile(path, want, 0o644); err != nil {
+		name := fmt.Sprint("f", size)
+		if err := os.WriteFile(filepath.Join(dir, name), want, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		got, err := readArtifact(path, buf)
+		got, err := readArtifact(dir+string(filepath.Separator), []byte(name), buf)
 		if err != nil || !bytes.Equal(got, want) {
 			t.Errorf("%d-byte file: read %d bytes (err %v), want the file's %d", size, len(got), err, size)
 		}
 	}
+	// A path too long for the stack buffer is read through os.ReadFile.
+	deep := filepath.Join(dir, strings.Repeat("d", 200), strings.Repeat("e", 200), strings.Repeat("f", 200))
+	if err := os.MkdirAll(deep, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(deep, "g"), []byte("deep"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := readArtifact(deep+string(filepath.Separator), []byte("g"), buf); err != nil || string(got) != "deep" {
+		t.Errorf("%d-byte path: read %q (err %v), want the file's bytes", len(deep)+2, got, err)
+	}
 	for _, path := range []string{dir, filepath.Join(dir, "missing")} {
-		if got, err := readArtifact(path, buf); err == nil {
+		if got, err := readArtifact(path, nil, buf); err == nil {
 			t.Errorf("%s: read %d bytes, want an error", path, len(got))
 		}
 	}

@@ -4,8 +4,8 @@ package experiments
 
 import "os"
 
-// readArtifact reads the file at path. Outside unix it is
+// readArtifact reads the file at prefix+name. Outside unix it is
 // os.ReadFile and leaves buf unused.
-func readArtifact(path string, buf []byte) ([]byte, error) {
-	return os.ReadFile(path)
+func readArtifact(prefix string, name, buf []byte) ([]byte, error) {
+	return os.ReadFile(prefix + string(name))
 }

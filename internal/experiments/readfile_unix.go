@@ -7,17 +7,26 @@ import (
 	"syscall"
 )
 
-// readArtifact reads the file at path into buf with one open, reads
-// until end of file and one close, and returns the bytes read. It
-// skips what os.ReadFile adds on every call: registering the file with
-// the runtime poller, an fstat to size the buffer and a fresh
-// allocation of that size. A file that fills buf may be longer than
-// buf, so it is read again, whole, with os.ReadFile.
-func readArtifact(path string, buf []byte) ([]byte, error) {
+// readArtifact reads the file at prefix+name into buf with one open,
+// reads until end of file and one close, and returns the bytes read.
+// It skips what os.ReadFile adds on every call: registering the file
+// with the runtime poller, an fstat to size the buffer and a fresh
+// allocation of that size. The path is rendered NUL-terminated into a
+// stack buffer, which openat reads as it is on Linux, so no path
+// string is allocated. A path too long for that buffer, and a file
+// that fills buf and so may be longer, are read whole with os.ReadFile.
+func readArtifact(prefix string, name, buf []byte) ([]byte, error) {
+	var path [512]byte
+	if len(prefix)+len(name) >= len(path) {
+		return os.ReadFile(prefix + string(name))
+	}
+	end := copy(path[:], prefix)
+	end += copy(path[end:], name)
+	path[end] = 0
 	var fd int
 	var err error
 	for {
-		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+		fd, err = openRead(path[:end+1])
 		if err != syscall.EINTR {
 			break
 		}
@@ -44,7 +53,7 @@ func readArtifact(path string, buf []byte) ([]byte, error) {
 	// loses no data; close must not be retried on EINTR either.
 	syscall.Close(fd)
 	if n == len(buf) {
-		return os.ReadFile(path)
+		return os.ReadFile(prefix + string(name))
 	}
 	return buf[:n], nil
 }

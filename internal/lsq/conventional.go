@@ -18,6 +18,7 @@ type Conventional struct {
 	Base
 	entries int
 	meter   *energy.Meter
+	areas   energy.EntryAreas
 
 	occupancy OccupancyStats
 }
@@ -46,7 +47,7 @@ func NewConventional(entries int, meter *energy.Meter) *Conventional {
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
-	return &Conventional{Base: NewBase(NewTracker()), entries: entries, meter: meter}
+	return &Conventional{Base: NewBase(NewCAMTracker()), entries: entries, meter: meter, areas: meter.EntryAreas()}
 }
 
 // NewUnbounded builds the idealized LSQ used as the reference for
@@ -128,8 +129,9 @@ func (c *Conventional) Commit(seq uint64) {
 // Flush implements Model.
 func (c *Conventional) Flush() { c.t.Clear() }
 
-// AccountCycles implements Model: occupancy, one add per cycle, and
-// §4.5 active area (in-use entries plus four pre-allocated).
+// AccountCycles implements Model: occupancy and §4.5 active area
+// (in-use entries plus four pre-allocated), each sum adding its
+// one-cycle term times n.
 //
 //samie:hotpath
 func (c *Conventional) AccountCycles(n uint64) {
@@ -140,12 +142,8 @@ func (c *Conventional) AccountCycles(n uint64) {
 	o := &c.occupancy
 	o.Cycles += n
 	o.MaxOcc = max(o.MaxOcc, inUse)
-	occ, sum := float64(inUse), o.SumOcc
-	for k := n; k > 0; k-- {
-		sum += occ
-	}
-	o.SumOcc = sum
-	c.meter.AccumulateArea(energy.Activity{ConvInUse: inUse, ConvEntries: c.entries}, n)
+	o.SumOcc += float64(inUse) * float64(n)
+	c.meter.AccumulateArea(energy.Activity{ConvInUse: inUse, ConvEntries: c.entries}, &c.areas, n)
 }
 
 // ResetStats implements Model.

@@ -31,7 +31,7 @@ func trackerChurn(t *Tracker, startSeq uint64, n int) {
 // the ring and free list have grown to the working-set size, the
 // add/lookup/count/forward/remove cycle must not allocate.
 func TestTrackerZeroAllocSteadyState(t *testing.T) {
-	tr := NewTracker()
+	tr := NewCAMTracker()
 	seq := uint64(0)
 	trackerChurn(tr, seq, 128) // grow ring, free list, fenwicks
 	seq += 128
@@ -44,7 +44,7 @@ func TestTrackerZeroAllocSteadyState(t *testing.T) {
 }
 
 func BenchmarkHotPathTrackerChurn(b *testing.B) {
-	tr := NewTracker()
+	tr := NewCAMTracker()
 	seq := uint64(0)
 	trackerChurn(tr, seq, 128)
 	seq += 128

@@ -17,8 +17,9 @@
 //	Commit(seq)                  in order at retirement
 //	Flush()                      on a pipeline flush
 //	AccountCycles(n)             for n cycles that change no model state
-//	                             (occupancy/area stats); every simulated
-//	                             cycle is accounted exactly once
+//	                             (occupancy/area stats); every measured
+//	                             cycle is accounted exactly once, and no
+//	                             warm-up cycle
 //
 // Placement is reported only through the AddressReady and Tick
 // results: the model answers no query for it, and the CPU keeps its
@@ -102,11 +103,15 @@ type Model interface {
 	// AccountCycles runs the per-cycle statistics (occupancy, active
 	// area) for n consecutive cycles over which no other method is
 	// called, so the model's state is the same in each; n may be 0.
-	// Integer counters add n; each occupancy sum adds its one-cycle
-	// term n times, one add per cycle, and the area sums add n times
-	// their integer term (energy.Meter.AccumulateArea), so n cycles at
-	// once are bit-identical to n calls with 1. The CPU calls it with 1 for a stepped cycle
-	// and once per quiescent span it skips (cpu/sched.go).
+	// It costs O(1) whatever n: integer counters add n, the maxima take
+	// one compare, and every occupancy and area sum adds its one-cycle
+	// term times n (energy.Meter.AccumulateArea, with per-entry areas
+	// the model computed once at construction). Each term is an
+	// integer, so the product is exact below 2^53 and n cycles at once
+	// are bit-identical to n calls with 1. The CPU calls it with 1 for
+	// a stepped cycle and once per chunk of a quiescent span it skips
+	// (cpu/sched.go), and not at all during warm-up, whose statistics
+	// ResetStats discards.
 	AccountCycles(n uint64)
 	// ResetStats zeroes occupancy/event statistics (state is kept);
 	// called at the end of simulation warm-up.
@@ -191,6 +196,8 @@ type storeRec struct {
 // fenwick is a binary indexed tree over the tracker's physical ring
 // slots; it answers "how many counted ops in this slot range" in
 // O(log n) so the conventional-LSQ CAM-energy counts need no rescan.
+// A tree that was never initialized (a tracker that keeps no CAM
+// counts) is empty, and add on it does nothing.
 type fenwick struct {
 	tree []int32
 }
@@ -235,7 +242,9 @@ type Tracker struct {
 	n    int
 	free []*Op
 
-	// Incremental summaries of placed ops with known addresses.
+	// Incremental summaries of placed ops with known addresses. The
+	// per-slot trees exist only when cam is set (NewCAMTracker).
+	cam     bool
 	stores  fenwick // counted stores per slot
 	loads   fenwick // counted loads per slot
 	nStores int
@@ -271,12 +280,24 @@ const (
 	fwdBuckets    = 1 << fwdBucketBits
 )
 
-// NewTracker returns an empty tracker.
+// NewTracker returns an empty tracker that keeps no CAM counts: the
+// models that charge no conventional-LSQ compare energy never pay for
+// them.
 func NewTracker() *Tracker {
 	t := &Tracker{ops: make([]*Op, 16), storeRecs: make([]storeRec, 16), storeMask: 15}
+	t.reindex()
+	return t
+}
+
+// NewCAMTracker returns an empty tracker that also keeps the counts
+// CountOlderKnownStores and CountYoungerKnownLoads answer: the
+// conventional LSQ's comparison sets, which only its energy account
+// reads.
+func NewCAMTracker() *Tracker {
+	t := NewTracker()
+	t.cam = true
 	t.stores.init(len(t.ops))
 	t.loads.init(len(t.ops))
-	t.reindex()
 	return t
 }
 
@@ -362,6 +383,9 @@ func (t *Tracker) grow() {
 		nb[i] = op
 	}
 	t.ops, t.head = nb, 0
+	if !t.cam {
+		return
+	}
 	t.stores.init(len(nb))
 	t.loads.init(len(nb))
 	for i := 0; i < t.n; i++ {
@@ -573,8 +597,10 @@ func (t *Tracker) Clear() {
 		t.ops[p] = nil
 	}
 	t.head, t.n = 0, 0
-	t.stores.init(len(t.ops))
-	t.loads.init(len(t.ops))
+	if t.cam {
+		t.stores.init(len(t.ops))
+		t.loads.init(len(t.ops))
+	}
 	t.nStores, t.nLoads = 0, 0
 	t.storeHead = t.storeNext
 	clear(t.fwdIdx)
@@ -642,7 +668,8 @@ func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 }
 
 // CountOlderKnownStores counts placed older stores with known
-// addresses (conventional-LSQ comparison set for a load).
+// addresses (conventional-LSQ comparison set for a load). Only a
+// tracker from NewCAMTracker keeps the counts.
 func (t *Tracker) CountOlderKnownStores(seq uint64) int {
 	i := t.indexOf(seq)
 	if i < 0 {
@@ -652,7 +679,8 @@ func (t *Tracker) CountOlderKnownStores(seq uint64) int {
 }
 
 // CountYoungerKnownLoads counts placed younger loads with known
-// addresses (conventional-LSQ comparison set for a store).
+// addresses (conventional-LSQ comparison set for a store). Only a
+// tracker from NewCAMTracker keeps the counts.
 func (t *Tracker) CountYoungerKnownLoads(seq uint64) int {
 	i := t.indexOf(seq)
 	if i < 0 {

@@ -58,7 +58,7 @@ func TestForwardingSourcePicksYoungest(t *testing.T) {
 }
 
 func TestCompareCounts(t *testing.T) {
-	tr := NewTracker()
+	tr := NewCAMTracker()
 	s1 := tr.Add(1, false)
 	tr.SetAddress(s1, 0x100, 4)
 	tr.SetPlaced(s1)

@@ -82,8 +82,10 @@ type trackerDiff struct {
 	step string
 }
 
-func newTrackerDiff(t *testing.T) *trackerDiff {
-	return &trackerDiff{t: t, tr: NewTracker()}
+// newTrackerDiff compares tr, which must be empty, with the
+// reference. The CAM counts are compared only when tr keeps them.
+func newTrackerDiff(t *testing.T, tr *Tracker) *trackerDiff {
+	return &trackerDiff{t: t, tr: tr}
 }
 
 func (d *trackerDiff) add(seq uint64, isLoad bool) {
@@ -172,6 +174,12 @@ func (d *trackerDiff) checkSeq(seq uint64) {
 		d.t.Fatalf("after %s: indexOf(%d) = %d, reference %d", d.step, seq, got, i)
 	}
 	d.fwd(seq)
+	if !d.tr.cam {
+		if len(d.tr.stores.tree)+len(d.tr.loads.tree) != 0 {
+			d.t.Fatalf("after %s: a tracker without CAM counts grew summary trees", d.step)
+		}
+		return
+	}
 	if got, want := d.tr.CountOlderKnownStores(seq), d.ref.countOlderKnownStores(seq); got != want {
 		d.t.Fatalf("after %s: CountOlderKnownStores(%d) = %d, reference %d", d.step, seq, got, want)
 	}
@@ -218,7 +226,7 @@ func (d *trackerDiff) checkIndex() {
 // placement arrive later, and stops forwarding from it once it retires.
 // Every step is also compared against the naive reference.
 func TestForwardingMemoInvalidation(t *testing.T) {
-	d := newTrackerDiff(t)
+	d := newTrackerDiff(t, NewCAMTracker())
 	d.add(1, false)
 	d.add(2, true)
 	d.setAddress(2, 0x100, 8)
@@ -246,7 +254,7 @@ func TestForwardingMemoInvalidation(t *testing.T) {
 // the ring grows while the load waits. All of them are younger than the
 // load, so none may forward to it.
 func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
-	d := newTrackerDiff(t)
+	d := newTrackerDiff(t, NewCAMTracker())
 	d.add(0, true)
 	d.setAddress(0, 0x10, 8)
 	d.setPlaced(0)
@@ -267,7 +275,7 @@ func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
 // every operation.
 func TestTrackerDifferential(t *testing.T) {
 	t.Run("non-front remove panics", func(t *testing.T) {
-		d := newTrackerDiff(t)
+		d := newTrackerDiff(t, NewCAMTracker())
 		d.removePanics(1) // empty tracker
 		for i := uint64(1); i <= 5; i++ {
 			d.add(i, i == 5)
@@ -287,9 +295,14 @@ func TestTrackerDifferential(t *testing.T) {
 	})
 	for seed := int64(1); seed <= 8; seed++ {
 		t.Run(fmt.Sprintf("random seed %d", seed), func(t *testing.T) {
-			if n := randomTrackerStream(newTrackerDiff(t), rand.New(rand.NewSource(seed)), 3000); n < 64 {
+			if n := randomTrackerStream(newTrackerDiff(t, NewCAMTracker()), rand.New(rand.NewSource(seed)), 3000); n < 64 {
 				t.Fatalf("window peaked at %d ops; the stream must outgrow the initial rings", n)
 			}
+		})
+		// The same stream through a tracker that keeps no CAM counts:
+		// forwarding and lookups must not depend on them.
+		t.Run(fmt.Sprintf("random seed %d without CAM counts", seed), func(t *testing.T) {
+			randomTrackerStream(newTrackerDiff(t, NewTracker()), rand.New(rand.NewSource(seed)), 3000)
 		})
 	}
 }

@@ -209,10 +209,10 @@ const maxSuiteSpecs = 4096
 // payload, then a final "result" event — or an "error" event that
 // ends the stream.
 func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
-	var req client.SuiteRequest
 	// Shards embed whole config objects per spec, so the body cap is
 	// generous relative to /v1/runs.
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<24)).Decode(&req); err != nil {
+	req, err := client.DecodeSuiteRequest(http.MaxBytesReader(w, r.Body, 1<<24))
+	if err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
 		return
 	}
@@ -249,7 +249,7 @@ func (s *Server) handleSuite(w http.ResponseWriter, r *http.Request) {
 	if tp == "" {
 		tp = r.Header.Get("traceparent")
 	}
-	_, err := s.batch.RunEachCtx(ctx, specs, func(res experiments.RunResult, done, total int) {
+	_, err = s.batch.RunEachCtx(ctx, specs, func(res experiments.RunResult, done, total int) {
 		rr := runResponseFor(res)
 		emit(client.SuiteEvent{Type: "run", Run: &rr, Done: done, Total: total, Trace: tp})
 	})

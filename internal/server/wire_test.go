@@ -353,3 +353,43 @@ func BenchmarkDecodeRunRequest(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkDecodeSuiteRequest decodes a POST /v1/suite shard of 64
+// normalized specs (a SAMIE, a conventional, an ARB and an unbounded
+// spec of each of 16 programs) two ways: the handler's one-pass
+// client.DecodeSuiteRequest, and encoding/json into a SuiteRequest,
+// which scans each spec again in RunRequest.UnmarshalJSON.
+func BenchmarkDecodeSuiteRequest(b *testing.B) {
+	var req client.SuiteRequest
+	for _, bench := range experiments.Benchmarks()[:16] {
+		for _, kind := range []experiments.ModelKind{experiments.ModelSAMIE, experiments.ModelConventional, experiments.ModelARB, experiments.ModelUnbounded} {
+			req.Specs = append(req.Specs, client.RequestFor(experiments.Normalize(experiments.RunSpec{Benchmark: bench, Insts: 2000, Model: kind})))
+		}
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, dec := range []struct {
+		name   string
+		decode func([]byte) (client.SuiteRequest, error)
+	}{
+		{"one-pass", func(body []byte) (client.SuiteRequest, error) {
+			return client.DecodeSuiteRequest(bytes.NewReader(body))
+		}},
+		{"encoding-json", func(body []byte) (r client.SuiteRequest, err error) {
+			err = json.NewDecoder(bytes.NewReader(body)).Decode(&r)
+			return r, err
+		}},
+	} {
+		b.Run(dec.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.SetBytes(int64(len(body)))
+			for b.Loop() {
+				if got, err := dec.decode(body); err != nil || len(got.Specs) != 64 {
+					b.Fatalf("decoded %d specs, %v", len(got.Specs), err)
+				}
+			}
+		})
+	}
+}

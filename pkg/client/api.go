@@ -11,7 +11,9 @@ package client
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
+	"strings"
 
 	"samielsq/internal/core"
 	"samielsq/internal/cpu"
@@ -59,6 +61,67 @@ func DecodeRunRequest(rd io.Reader) (RunRequest, error) {
 	var req RunRequest
 	err := json.NewDecoder(rd).Decode(req.preset())
 	return req, err
+}
+
+// DecodeSuiteRequest reads one JSON POST /v1/suite body from rd,
+// decoding each spec as DecodeRunRequest does, in a single pass: a
+// []RunRequest decoded through UnmarshalJSON scans every spec's bytes
+// again. Keys match case-insensitively and unknown keys are skipped, as
+// encoding/json does for the struct.
+func DecodeSuiteRequest(rd io.Reader) (SuiteRequest, error) {
+	var req SuiteRequest
+	dec := json.NewDecoder(rd)
+	tok, err := dec.Token()
+	if err != nil || tok == nil { // a null body names nothing
+		return req, err
+	}
+	if tok != json.Delim('{') {
+		return req, fmt.Errorf("suite request is %v, not an object", tok)
+	}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			return req, err
+		}
+		switch key, _ := tok.(string); {
+		case strings.EqualFold(key, "specs"):
+			if req.Specs, err = decodeSpecs(dec, req.Specs[:0]); err != nil {
+				return req, err
+			}
+		case strings.EqualFold(key, "peers"):
+			err = dec.Decode(&req.Peers)
+		default:
+			err = dec.Decode(&json.RawMessage{})
+		}
+		if err != nil {
+			return req, err
+		}
+	}
+	_, err = dec.Token() // the closing brace
+	return req, err
+}
+
+// decodeSpecs decodes a JSON array of run requests, or null, onto
+// specs.
+func decodeSpecs(dec *json.Decoder, specs []RunRequest) ([]RunRequest, error) {
+	tok, err := dec.Token()
+	if err != nil || tok == nil {
+		return nil, err
+	}
+	if tok != json.Delim('[') {
+		return nil, fmt.Errorf("specs is %v, not an array", tok)
+	}
+	if specs == nil {
+		specs = []RunRequest{} // an empty array decodes to an empty slice, as in encoding/json
+	}
+	for dec.More() {
+		specs = append(specs, RunRequest{})
+		if err := dec.Decode(specs[len(specs)-1].preset()); err != nil {
+			return nil, err
+		}
+	}
+	_, err = dec.Token() // the closing bracket
+	return specs, err
 }
 
 // presetRequest is RunRequest without UnmarshalJSON, the target the

@@ -63,3 +63,31 @@ func TestRunRequestJSON(t *testing.T) {
 		}
 	}
 }
+
+// FuzzDecodeSuiteRequest holds the one-pass shard decoder to
+// encoding/json decoding the same body into a SuiteRequest (each spec
+// through RunRequest.UnmarshalJSON): both fail, or both succeed with
+// equal requests.
+func FuzzDecodeSuiteRequest(f *testing.F) {
+	for _, body := range []string{
+		`{"specs":[{"benchmark":"gzip","model":"samie","insts":2000},{"benchmark":"swim"}],"peers":["http://a:1"]}`,
+		`{"Specs":[{"benchmark":"gzip","model":"arb"}],"extra":{"x":[1,2]},"PEERS":null}`,
+		`{"specs":[{"model":"samie"}],"specs":[null,{"benchmark":"mcf","model":"conventional","conv_entries":16}]}`,
+		`{"specs":null}`, `{}`, `null`, `[]`, `{"specs":{}}`, `{"specs":[1]}`, `{"peers":5}`,
+		`{"specs":[{"insts":"many"}]}`, `{"specs":[{"benchmark":"gzip","model":"quantum"}]}`,
+		`{"specs":[]`, `{"specs"`, ``, `{"specs":[]} trailing`,
+	} {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, body []byte) {
+		got, err := DecodeSuiteRequest(bytes.NewReader(body))
+		var want SuiteRequest
+		werr := json.NewDecoder(bytes.NewReader(body)).Decode(&want)
+		if (err == nil) != (werr == nil) {
+			t.Fatalf("%q: DecodeSuiteRequest error %v, encoding/json error %v", body, err, werr)
+		}
+		if err == nil && !reflect.DeepEqual(got, want) {
+			t.Fatalf("%q: DecodeSuiteRequest = %+v, encoding/json %+v", body, got, want)
+		}
+	})
+}

@@ -442,7 +442,8 @@ func TestRunSpecsReshardsRefusedChunk(t *testing.T) {
 // chunk; like a status answer, the refusal goes to its breaker instead
 // of being resumed in place, and the sweep completes on the survivor.
 // Nothing listens on the port, so the breaker trips on the first
-// refusal.
+// refusal, and the next round re-shards onto the survivor at once,
+// without the pause a round with every breaker open waits.
 func TestRunSpecsReshardsConnectionRefused(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -456,9 +457,13 @@ func TestRunSpecsReshardsConnectionRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := ownedBy(t, c, closed, 5_000)
+	start := time.Now()
 	results, err := c.RunSpecs(context.Background(), []experiments.RunSpec{spec}, nil)
 	if err != nil {
 		t.Fatalf("sweep with a refusing owner failed: %v (stats %+v)", err, c.SweepStats())
+	}
+	if took := time.Since(start); took >= 500*time.Millisecond {
+		t.Errorf("sweep took %v: the re-shard waited out the all-open pause (500 ms)", took)
 	}
 	if len(results) != 1 || batchB.Stats().Executed != 1 {
 		t.Fatalf("got %d results, survivor executed %d; want 1 and 1", len(results), batchB.Stats().Executed)

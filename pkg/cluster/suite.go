@@ -158,6 +158,7 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 		sweep.mu.Unlock()
 		// Re-shard rounds (everything after the first plan) spend
 		// retry budget: a sweep that keeps re-planning is retrying.
+		roundTrips, _ := c.breakers.snapshot()
 		if !firstRound && !sweep.spend(1) {
 			mu.Lock()
 			remaining := len(pending)
@@ -389,8 +390,14 @@ func (c *ShardedClient) RunSpecs(ctx context.Context, specs []experiments.RunSpe
 				}
 				return nil, fmt.Errorf("cluster: sweep stalled with %d of %d specs undone (%s): %w", remaining, total, sweepDebug(sweep), lastErr)
 			}
-			// Give open breakers a moment toward half-open before
-			// re-sharding the same work.
+			// A round that opened a breaker while some replica's
+			// breaker is still closed re-shards onto that replica at
+			// once. Otherwise every replica is open: give the breakers
+			// a moment toward half-open before re-sharding the same
+			// work.
+			if trips, open := c.breakers.snapshot(); trips > roundTrips && open < len(c.clients) {
+				continue
+			}
 			select {
 			case <-time.After(500 * time.Millisecond):
 			case <-ctx.Done():
