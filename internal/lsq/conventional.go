@@ -47,7 +47,7 @@ func NewConventional(entries int, meter *energy.Meter) *Conventional {
 	if meter == nil {
 		meter = energy.NewMeter()
 	}
-	return &Conventional{Base: NewBase(NewCAMTracker()), entries: entries, meter: meter, areas: meter.EntryAreas()}
+	return &Conventional{Base: NewBase(NewTracker()), entries: entries, meter: meter, areas: meter.EntryAreas()}
 }
 
 // NewUnbounded builds the idealized LSQ used as the reference for

@@ -2,6 +2,7 @@ package lsq
 
 import (
 	"testing"
+	"unsafe"
 )
 
 // trackerChurn drives one add/address/place/forward/commit wave of n
@@ -28,12 +29,12 @@ func trackerChurn(t *Tracker, startSeq uint64, n int) {
 }
 
 // TestTrackerZeroAllocSteadyState guards the tracker's hot paths: once
-// the ring and free list have grown to the working-set size, the
+// the op and store rings have grown to the working-set size, the
 // add/lookup/count/forward/remove cycle must not allocate.
 func TestTrackerZeroAllocSteadyState(t *testing.T) {
-	tr := NewCAMTracker()
+	tr := NewTracker()
 	seq := uint64(0)
-	trackerChurn(tr, seq, 128) // grow ring, free list, fenwicks
+	trackerChurn(tr, seq, 128) // grow the op and store rings
 	seq += 128
 	if n := testing.AllocsPerRun(10, func() {
 		trackerChurn(tr, seq, 128)
@@ -43,8 +44,16 @@ func TestTrackerZeroAllocSteadyState(t *testing.T) {
 	}
 }
 
+// TestOpSlotSize pins a tracker ring slot at one cache line: a field
+// added in the wrong place would pad every op into a second.
+func TestOpSlotSize(t *testing.T) {
+	if n := unsafe.Sizeof(Op{}); n > 64 {
+		t.Fatalf("Op is %d bytes, want at most 64", n)
+	}
+}
+
 func BenchmarkHotPathTrackerChurn(b *testing.B) {
-	tr := NewCAMTracker()
+	tr := NewTracker()
 	seq := uint64(0)
 	trackerChurn(tr, seq, 128)
 	seq += 128

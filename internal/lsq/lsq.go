@@ -36,7 +36,10 @@
 //
 // The ideal LSQ of Figure 1 is a Conventional without a capacity bound
 // or an energy account (NewUnbounded). Every model embeds Base, which
-// writes once the methods the organizations share.
+// writes once the methods the organizations share, and keeps its
+// in-flight memory instructions in a Tracker: one seq-indexed window
+// of Op values that answers lookups, store-to-load forwarding and the
+// conventional LSQ's compare counts for every organization.
 package lsq
 
 import "math/bits"
@@ -160,95 +163,64 @@ func (b *Base) FreeCapacity() int { return int(^uint(0) >> 1) }
 // placement. An op with a known address that is not placed is waiting
 // in a placement buffer (the SAMIE AddrBuffer or the ARB pending list).
 //
-// Addr/Size/AddrKnown and Placed must be changed through the owning
-// Tracker's SetAddress / SetPlaced so the tracker's incremental
-// summary counters (which replace per-op rescans on the simulator hot
-// path) stay coherent. Loc is free for models to use directly.
+// Ops live by value in the Tracker's ring, so a *Op the tracker
+// returns is valid only until the next Add (which may grow the ring)
+// or Clear; no model keeps one across calls. Addr/Size/AddrKnown and
+// Placed must be changed through the Tracker's SetAddress / SetPlaced
+// so its summaries stay coherent. Loc is free for models to use
+// directly. The byte fields come last so that an Op fills one 64-byte
+// ring slot (TestOpSlotSize).
 type Op struct {
-	Seq       uint64
-	IsLoad    bool
-	Addr      uint64
-	Size      uint8
-	AddrKnown bool
-	Placed    bool
-	// Loc holds model-defined placement indices.
-	Loc [4]int
-
-	slot    int  // physical ring slot (tracker internal)
-	counted bool // contributes to the known+placed summary trees
+	Seq  uint64
+	Addr uint64
 
 	// ord is the op's store ordinal (tracker internal): a store's own
 	// position in the store ring, and for a load the ordinal the next
 	// store will get, so the load's older stores are [storeHead, ord).
 	ord uint64
+
+	// Loc holds model-defined placement indices.
+	Loc [4]int
+
+	IsLoad    bool
+	Size      uint8
+	AddrKnown bool
+	Placed    bool
+	counted   bool // placed with a known address: its count bit is set
 }
 
 // storeRec is the compact forwarding record of one in-flight store.
 // The tracker keeps them in an age-ordered ring so a forwarding search
-// walks contiguous memory instead of chasing *Op pointers across the
-// whole window.
+// walks contiguous memory instead of every op's slot across the whole
+// window.
 type storeRec struct {
 	seq    uint64
 	lo, hi uint64 // accessed bytes [lo, hi)
 	live   bool   // placed with a known address: a forwarding candidate
 }
 
-// fenwick is a binary indexed tree over the tracker's physical ring
-// slots; it answers "how many counted ops in this slot range" in
-// O(log n) so the conventional-LSQ CAM-energy counts need no rescan.
-// A tree that was never initialized (a tracker that keeps no CAM
-// counts) is empty, and add on it does nothing.
-type fenwick struct {
-	tree []int32
-}
-
-func (f *fenwick) init(n int) {
-	if cap(f.tree) >= n+1 {
-		f.tree = f.tree[:n+1]
-		for i := range f.tree {
-			f.tree[i] = 0
-		}
-	} else {
-		f.tree = make([]int32, n+1)
-	}
-}
-
-func (f *fenwick) add(i int, delta int32) {
-	for i++; i < len(f.tree); i += i & (-i) {
-		f.tree[i] += delta
-	}
-}
-
-// prefix returns the count in physical slots [0, i).
-func (f *fenwick) prefix(i int) int {
-	s := int32(0)
-	for ; i > 0; i -= i & (-i) {
-		s += f.tree[i]
-	}
-	return int(s)
-}
-
 // Tracker keeps the in-flight memory instructions in program order.
 // It is shared by all LSQ models (including the SAMIE-LSQ in package
-// core). Storage is an age-ordered ring with a free list of Op
-// records, so steady-state tracking allocates nothing; lookups are one
-// probe of a seq-indexed hint table, falling back to an O(log n)
-// binary search over the seq-sorted ring. Stores additionally get a
-// record in a store ring, and the live records are indexed by the
-// 8-byte words they touch, which is all a forwarding search reads.
+// core). Ops live by value in a ring indexed by seq&mask: in-flight
+// sequence numbers span at most the ROB window, so every seq in
+// [lo, hi) has a slot of its own, and a lookup is a range test plus a
+// compare of the slot's Seq (the slot of a seq that is not tracked
+// holds an older seq or a Clear mark). The ring doubles only when a
+// new seq outgrows it, so steady-state tracking allocates nothing.
+// Two bitsets over the same slots mark the placed loads and stores
+// with known addresses, so the conventional LSQ's compare counts are
+// popcounts. Stores additionally get a record in a store ring, and the
+// live records are indexed by the 8-byte words they touch, which is
+// all a forwarding search reads.
 type Tracker struct {
-	ops  []*Op // ring storage; an op's physical slot is stable for its lifetime
-	head int
-	n    int
-	free []*Op
+	ops    []Op // seq s lives at ops[s&mask] while it is tracked
+	mask   uint64
+	lo, hi uint64 // oldest tracked seq, one past the youngest added; lo == hi when empty
+	n      int    // tracked ops: seqs in [lo, hi) may have gaps
 
-	// Incremental summaries of placed ops with known addresses. The
-	// per-slot trees exist only when cam is set (NewCAMTracker).
-	cam     bool
-	stores  fenwick // counted stores per slot
-	loads   fenwick // counted loads per slot
-	nStores int
-	nLoads  int
+	// Placed ops with known addresses, one bit per ring slot.
+	loadBits, storeBits []uint64
+	nStores             int
 
 	// Store ring: ordinals [storeHead, storeNext) are the in-flight
 	// stores, oldest first; ordinal o lives at storeRecs[o&storeMask].
@@ -264,40 +236,22 @@ type Tracker struct {
 	// 8-byte word that hashes to b.
 	fwdIdx   []uint64
 	fwdWords int
-
-	// seqHint is a direct-mapped pointer table indexed by seq&seqHintMask.
-	// In-flight sequence numbers span at most the ROB window, so for the
-	// simulator this turns Get into one array probe; arbitrary seq
-	// patterns (tests) fall back to the binary search on a miss.
-	seqHint [seqHintSize]*Op
 }
 
 const (
-	seqHintSize = 1024
-	seqHintMask = seqHintSize - 1
+	// noSeq marks a slot Clear dropped. No tracked seq equals it: hi,
+	// one past the youngest, would wrap.
+	noSeq = ^uint64(0)
 
 	fwdBucketBits = 6
 	fwdBuckets    = 1 << fwdBucketBits
 )
 
-// NewTracker returns an empty tracker that keeps no CAM counts: the
-// models that charge no conventional-LSQ compare energy never pay for
-// them.
+// NewTracker returns an empty tracker.
 func NewTracker() *Tracker {
-	t := &Tracker{ops: make([]*Op, 16), storeRecs: make([]storeRec, 16), storeMask: 15}
+	t := &Tracker{storeRecs: make([]storeRec, 16), storeMask: 15}
+	t.resize(64)
 	t.reindex()
-	return t
-}
-
-// NewCAMTracker returns an empty tracker that also keeps the counts
-// CountOlderKnownStores and CountYoungerKnownLoads answer: the
-// conventional LSQ's comparison sets, which only its energy account
-// reads.
-func NewCAMTracker() *Tracker {
-	t := NewTracker()
-	t.cam = true
-	t.stores.init(len(t.ops))
-	t.loads.init(len(t.ops))
 	return t
 }
 
@@ -363,37 +317,18 @@ func (t *Tracker) reindex() {
 	}
 }
 
-func (t *Tracker) physical(logical int) int {
-	i := t.head + logical
-	if i >= len(t.ops) {
-		i -= len(t.ops)
-	}
-	return i
-}
-
-// opAt returns the op at a logical (age-ordered) position.
-func (t *Tracker) opAt(logical int) *Op { return t.ops[t.physical(logical)] }
-
-func (t *Tracker) grow() {
-	old := t.ops
-	nb := make([]*Op, 2*len(old))
-	for i := 0; i < t.n; i++ {
-		op := t.opAt(i)
-		op.slot = i
-		nb[i] = op
-	}
-	t.ops, t.head = nb, 0
-	if !t.cam {
-		return
-	}
-	t.stores.init(len(nb))
-	t.loads.init(len(nb))
-	for i := 0; i < t.n; i++ {
-		if op := nb[i]; op.counted {
-			if op.IsLoad {
-				t.loads.add(op.slot, 1)
-			} else {
-				t.stores.add(op.slot, 1)
+// resize moves the tracked ops, and their count bits, into a ring of
+// n slots: a power of two, at least 64, that holds [lo, hi).
+func (t *Tracker) resize(n int) {
+	old, oldMask := t.ops, t.mask
+	t.ops, t.mask = make([]Op, n), uint64(n-1)
+	t.loadBits, t.storeBits = make([]uint64, n/64), make([]uint64, n/64)
+	for s := t.lo; s < t.hi; s++ {
+		if op := &old[s&oldMask]; op.Seq == s {
+			slot := s & t.mask
+			t.ops[slot] = *op
+			if op.counted {
+				t.countBits(op)[slot>>6] |= 1 << (slot & 63)
 			}
 		}
 	}
@@ -411,21 +346,28 @@ func (t *Tracker) growStores() {
 	t.reindex()
 }
 
-// Add registers a new in-flight memory instruction. Sequence numbers
-// must be strictly increasing across Adds.
+// Add registers a new in-flight memory instruction and returns its op.
+// A seq must be above every seq added since the last Clear, removed
+// ones included, or Add panics: only a Clear rewinds, and only down to
+// the oldest seq it dropped, as a flush re-dispatches them. The ring
+// doubles when seq lies a ring's length or more past the oldest op.
 //
 //samie:hotpath
 func (t *Tracker) Add(seq uint64, isLoad bool) *Op {
-	if t.n == len(t.ops) {
-		t.grow()
+	if seq < t.hi {
+		panic("lsq: Add of a seq not above every seq added since the last Clear")
 	}
-	var op *Op
-	if k := len(t.free); k > 0 {
-		op = t.free[k-1]
-		t.free = t.free[:k-1]
-	} else {
-		op = &Op{}
+	if t.n == 0 {
+		t.lo = seq
+	} else if n := uint64(len(t.ops)); seq-t.lo >= n {
+		for n <= seq-t.lo {
+			n *= 2
+		}
+		t.resize(int(n))
 	}
+	t.hi = seq + 1
+	t.n++
+	op := &t.ops[seq&t.mask]
 	*op = Op{Seq: seq, IsLoad: isLoad, Loc: [4]int{-1, -1, -1, -1}, ord: t.storeNext}
 	if !isLoad {
 		if t.storeNext-t.storeHead == uint64(len(t.storeRecs)) {
@@ -434,11 +376,6 @@ func (t *Tracker) Add(seq uint64, isLoad bool) *Op {
 		t.storeRecs[t.storeNext&t.storeMask] = storeRec{seq: seq}
 		t.storeNext++
 	}
-	slot := t.physical(t.n)
-	op.slot = slot
-	t.ops[slot] = op
-	t.n++
-	t.seqHint[seq&seqHintMask] = op
 	return op
 }
 
@@ -446,70 +383,50 @@ func (t *Tracker) Add(seq uint64, isLoad bool) *Op {
 //
 //samie:hotpath
 func (t *Tracker) Get(seq uint64) *Op {
-	if op := t.seqHint[seq&seqHintMask]; op != nil && op.Seq == seq {
-		return op
-	}
-	i := t.search(seq)
-	if i < t.n {
-		if op := t.opAt(i); op.Seq == seq {
-			t.seqHint[seq&seqHintMask] = op
+	if seq-t.lo < t.hi-t.lo {
+		if op := &t.ops[seq&t.mask]; op.Seq == seq {
 			return op
 		}
 	}
 	return nil
 }
 
-// search returns the first logical position whose Seq >= seq.
-func (t *Tracker) search(seq uint64) int {
-	lo, hi := 0, t.n
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if t.opAt(mid).Seq < seq {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// indexOf returns the position of seq in the ordered list, or -1.
-func (t *Tracker) indexOf(seq uint64) int {
-	op := t.Get(seq)
-	if op == nil {
-		return -1
-	}
-	i := op.slot - t.head
-	if i < 0 {
-		i += len(t.ops)
-	}
-	return i
-}
-
 // storeRec returns the store ring record of a tracked store.
 func (t *Tracker) storeRec(op *Op) *storeRec { return &t.storeRecs[op.ord&t.storeMask] }
 
-// recount moves op in or out of the known+placed summaries after a
-// state transition.
+// countBits returns the bitset op's count bit lives in.
+func (t *Tracker) countBits(op *Op) []uint64 {
+	if op.IsLoad {
+		return t.loadBits
+	}
+	return t.storeBits
+}
+
+// flip moves op in or out of the counted ops: its count bit, and for
+// a store the forwarding candidates.
+//
+//samie:hotpath
+func (t *Tracker) flip(op *Op) {
+	op.counted = !op.counted
+	slot := op.Seq & t.mask
+	t.countBits(op)[slot>>6] ^= 1 << (slot & 63)
+	if !op.IsLoad {
+		t.setLive(op.ord, op.counted)
+		if op.counted {
+			t.nStores++
+		} else {
+			t.nStores--
+		}
+	}
+}
+
+// recount flips op if a state transition changed whether it is placed
+// with a known address.
 //
 //samie:hotpath
 func (t *Tracker) recount(op *Op) {
-	want := op.Placed && op.AddrKnown
-	if want == op.counted {
-		return
-	}
-	op.counted = want
-	delta := int32(1)
-	if !want {
-		delta = -1
-	}
-	if op.IsLoad {
-		t.loads.add(op.slot, delta)
-		t.nLoads += int(delta)
-	} else {
-		t.stores.add(op.slot, delta)
-		t.nStores += int(delta)
-		t.setLive(op.ord, want)
+	if (op.Placed && op.AddrKnown) != op.counted {
+		t.flip(op)
 	}
 }
 
@@ -538,88 +455,51 @@ func (t *Tracker) SetPlaced(op *Op) {
 	t.recount(op)
 }
 
-// uncount removes op from the summaries (at removal time).
-//
-//samie:hotpath
-func (t *Tracker) uncount(op *Op) {
-	if !op.counted {
-		return
-	}
-	op.counted = false
-	if op.IsLoad {
-		t.loads.add(op.slot, -1)
-		t.nLoads--
-	} else {
-		t.stores.add(op.slot, -1)
-		t.nStores--
-		t.setLive(op.ord, false)
-	}
-}
-
 // Remove drops seq, which must be the oldest tracked op, and returns
 // it: the CPU commits in order, so any other seq is a contract
-// violation and panics. The returned op is recycled on the next Add —
-// read what you need from it immediately.
+// violation and panics. The returned op keeps its fields until the
+// next Add reuses its slot; read what you need from it immediately.
 //
 //samie:hotpath
 func (t *Tracker) Remove(seq uint64) *Op {
-	if t.n == 0 || t.ops[t.head].Seq != seq {
+	if t.n == 0 || seq != t.lo {
 		panic("lsq: Remove of a seq that is not the oldest in flight")
 	}
-	front := t.ops[t.head]
-	t.uncount(front)
-	if t.seqHint[seq&seqHintMask] == front {
-		t.seqHint[seq&seqHintMask] = nil
+	op := &t.ops[seq&t.mask]
+	if op.counted {
+		t.flip(op)
 	}
-	t.ops[t.head] = nil
-	t.head++
-	if t.head == len(t.ops) {
-		t.head = 0
-	}
-	t.n--
-	if !front.IsLoad {
+	if !op.IsLoad {
 		t.storeHead++ // the oldest op is the oldest store
 	}
-	//lint:ignore hotalloc free list is bounded by tracker capacity, preallocated at construction
-	t.free = append(t.free, front)
-	return front
+	t.n--
+	if t.n == 0 {
+		t.lo = t.hi
+		return op
+	}
+	// Step lo over the gaps to the next tracked op.
+	for t.lo++; t.ops[t.lo&t.mask].Seq != t.lo; t.lo++ {
+	}
+	return op
 }
 
-// Clear drops every op.
+// Clear drops every op. A flush re-dispatches the same seqs, so every
+// slot of [lo, hi) is marked, a seq the new stream skips must not find
+// the dropped op there, and the next Add may rewind to lo.
 func (t *Tracker) Clear() {
-	for i := 0; i < t.n; i++ {
-		p := t.physical(i)
-		op := t.ops[p]
-		if t.seqHint[op.Seq&seqHintMask] == op {
-			t.seqHint[op.Seq&seqHintMask] = nil
-		}
-		t.free = append(t.free, op)
-		t.ops[p] = nil
+	for s := t.lo; s < t.hi; s++ {
+		t.ops[s&t.mask].Seq = noSeq
 	}
-	t.head, t.n = 0, 0
-	if t.cam {
-		t.stores.init(len(t.ops))
-		t.loads.init(len(t.ops))
-	}
-	t.nStores, t.nLoads = 0, 0
+	t.hi, t.n = t.lo, 0
+	clear(t.loadBits)
+	clear(t.storeBits)
+	t.nStores = 0
 	t.storeHead = t.storeNext
 	clear(t.fwdIdx)
 }
 
 // Len returns the number of tracked ops.
 func (t *Tracker) Len() int { return t.n }
-
-// olderCounted returns how many counted ops of the given tree sit at
-// logical positions [0, i).
-//
-//samie:hotpath
-func (t *Tracker) olderCounted(f *fenwick, i int) int {
-	end := t.head + i
-	if end <= len(t.ops) {
-		return f.prefix(end) - f.prefix(t.head)
-	}
-	return f.prefix(len(t.ops)) - f.prefix(t.head) + f.prefix(end-len(t.ops))
-}
 
 // ForwardingSource returns the youngest older store that is placed
 // with a known address and overlaps the bytes of the load identified
@@ -667,24 +547,36 @@ func (t *Tracker) ForwardingSource(seq uint64) (uint64, bool) {
 	return 0, false
 }
 
+// countSeqs counts the set bits of set over the slots of seqs
+// [from, to), a subrange of [lo, hi). The ring is a whole number of
+// 64-slot words, so each pass reads one word, up to its end or to.
+//
+//samie:hotpath
+func (t *Tracker) countSeqs(set []uint64, from, to uint64) int {
+	c := 0
+	for from < to {
+		slot := from & t.mask
+		n := min(64-slot&63, to-from)
+		c += bits.OnesCount64(set[slot>>6] & (^uint64(0) >> (64 - n) << (slot & 63)))
+		from += n
+	}
+	return c
+}
+
 // CountOlderKnownStores counts placed older stores with known
-// addresses (conventional-LSQ comparison set for a load). Only a
-// tracker from NewCAMTracker keeps the counts.
+// addresses (conventional-LSQ comparison set for a load).
 func (t *Tracker) CountOlderKnownStores(seq uint64) int {
-	i := t.indexOf(seq)
-	if i < 0 {
+	if t.Get(seq) == nil {
 		return 0
 	}
-	return t.olderCounted(&t.stores, i)
+	return t.countSeqs(t.storeBits, t.lo, seq)
 }
 
 // CountYoungerKnownLoads counts placed younger loads with known
-// addresses (conventional-LSQ comparison set for a store). Only a
-// tracker from NewCAMTracker keeps the counts.
+// addresses (conventional-LSQ comparison set for a store).
 func (t *Tracker) CountYoungerKnownLoads(seq uint64) int {
-	i := t.indexOf(seq)
-	if i < 0 {
+	if t.Get(seq) == nil {
 		return 0
 	}
-	return t.nLoads - t.olderCounted(&t.loads, i+1)
+	return t.countSeqs(t.loadBits, seq+1, t.hi)
 }

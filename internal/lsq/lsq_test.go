@@ -14,14 +14,11 @@ func TestTrackerOrderAndLookup(t *testing.T) {
 	if tr.Len() != 3 {
 		t.Fatalf("len = %d", tr.Len())
 	}
-	if tr.indexOf(20) != 1 || tr.indexOf(99) != -1 {
-		t.Fatal("indexOf wrong")
-	}
-	if tr.Get(20) == nil || tr.Get(99) != nil {
+	if tr.Get(20) == nil || tr.Get(15) != nil || tr.Get(99) != nil {
 		t.Fatal("Get wrong")
 	}
 	tr.Remove(10)
-	if tr.Len() != 2 || tr.indexOf(20) != 0 {
+	if tr.Len() != 2 || tr.Get(10) != nil || tr.Get(20).Seq != 20 {
 		t.Fatal("Remove broke ordering")
 	}
 	tr.Clear()
@@ -32,10 +29,8 @@ func TestTrackerOrderAndLookup(t *testing.T) {
 
 func TestForwardingSourcePicksYoungest(t *testing.T) {
 	tr := NewTracker()
-	s1 := tr.Add(1, false)
-	s2 := tr.Add(2, false)
-	l := tr.Add(3, true)
-	for _, op := range []*Op{s1, s2, l} {
+	for seq := uint64(1); seq <= 3; seq++ {
+		op := tr.Add(seq, seq == 3)
 		tr.SetAddress(op, 0x1000, 4)
 		tr.SetPlaced(op)
 	}
@@ -58,7 +53,7 @@ func TestForwardingSourcePicksYoungest(t *testing.T) {
 }
 
 func TestCompareCounts(t *testing.T) {
-	tr := NewCAMTracker()
+	tr := NewTracker()
 	s1 := tr.Add(1, false)
 	tr.SetAddress(s1, 0x100, 4)
 	tr.SetPlaced(s1)

@@ -21,7 +21,12 @@ type refOp struct {
 // counts: placed with a known address.
 func (op refOp) live() bool { return op.placed && op.known }
 
-type refTracker struct{ ops []refOp }
+// floor is the lowest seq the next Add may take: one past the last
+// seq added, or after a Clear the oldest seq it dropped.
+type refTracker struct {
+	ops   []refOp
+	floor uint64
+}
 
 func (r *refTracker) index(seq uint64) int {
 	for i := range r.ops {
@@ -83,7 +88,7 @@ type trackerDiff struct {
 }
 
 // newTrackerDiff compares tr, which must be empty, with the
-// reference. The CAM counts are compared only when tr keeps them.
+// reference.
 func newTrackerDiff(t *testing.T, tr *Tracker) *trackerDiff {
 	return &trackerDiff{t: t, tr: tr}
 }
@@ -92,6 +97,25 @@ func (d *trackerDiff) add(seq uint64, isLoad bool) {
 	d.step = fmt.Sprintf("Add(%d, load=%v)", seq, isLoad)
 	d.tr.Add(seq, isLoad)
 	d.ref.ops = append(d.ref.ops, refOp{seq: seq, isLoad: isLoad})
+	d.ref.floor = seq + 1
+	d.check()
+}
+
+// addPanics requires Add(seq) of a seq below the reference's floor to
+// panic and to leave the tracker as it was.
+func (d *trackerDiff) addPanics(seq uint64) {
+	d.step = fmt.Sprintf("Add(%d) (below %d)", seq, d.ref.floor)
+	if seq >= d.ref.floor {
+		d.t.Fatalf("%s: the seq is not below the floor", d.step)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				d.t.Fatalf("%s did not panic", d.step)
+			}
+		}()
+		d.tr.Add(seq, true)
+	}()
 	d.check()
 }
 
@@ -141,6 +165,9 @@ func (d *trackerDiff) removePanics(seq uint64) {
 func (d *trackerDiff) clear() {
 	d.step = "Clear()"
 	d.tr.Clear()
+	if len(d.ref.ops) > 0 {
+		d.ref.floor = d.ref.ops[0].seq
+	}
 	d.ref.ops = d.ref.ops[:0]
 	d.check()
 }
@@ -170,16 +197,7 @@ func (d *trackerDiff) checkSeq(seq uint64) {
 			d.t.Fatalf("after %s: Get(%d) = %+v, reference %+v", d.step, seq, *op, w)
 		}
 	}
-	if got := d.tr.indexOf(seq); got != i {
-		d.t.Fatalf("after %s: indexOf(%d) = %d, reference %d", d.step, seq, got, i)
-	}
 	d.fwd(seq)
-	if !d.tr.cam {
-		if len(d.tr.stores.tree)+len(d.tr.loads.tree) != 0 {
-			d.t.Fatalf("after %s: a tracker without CAM counts grew summary trees", d.step)
-		}
-		return
-	}
 	if got, want := d.tr.CountOlderKnownStores(seq), d.ref.countOlderKnownStores(seq); got != want {
 		d.t.Fatalf("after %s: CountOlderKnownStores(%d) = %d, reference %d", d.step, seq, got, want)
 	}
@@ -226,7 +244,7 @@ func (d *trackerDiff) checkIndex() {
 // placement arrive later, and stops forwarding from it once it retires.
 // Every step is also compared against the naive reference.
 func TestForwardingMemoInvalidation(t *testing.T) {
-	d := newTrackerDiff(t, NewCAMTracker())
+	d := newTrackerDiff(t, NewTracker())
 	d.add(1, false)
 	d.add(2, true)
 	d.setAddress(2, 0x100, 8)
@@ -254,7 +272,7 @@ func TestForwardingMemoInvalidation(t *testing.T) {
 // the ring grows while the load waits. All of them are younger than the
 // load, so none may forward to it.
 func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
-	d := newTrackerDiff(t, NewCAMTracker())
+	d := newTrackerDiff(t, NewTracker())
 	d.add(0, true)
 	d.setAddress(0, 0x10, 8)
 	d.setPlaced(0)
@@ -275,7 +293,7 @@ func TestForwardingMemoAfterWindowOverflow(t *testing.T) {
 // every operation.
 func TestTrackerDifferential(t *testing.T) {
 	t.Run("non-front remove panics", func(t *testing.T) {
-		d := newTrackerDiff(t, NewCAMTracker())
+		d := newTrackerDiff(t, NewTracker())
 		d.removePanics(1) // empty tracker
 		for i := uint64(1); i <= 5; i++ {
 			d.add(i, i == 5)
@@ -293,27 +311,43 @@ func TestTrackerDifferential(t *testing.T) {
 			t.Fatalf("after removing store 1: %d %v, want 4", src, ok)
 		}
 	})
+	t.Run("rewinding add panics", func(t *testing.T) {
+		d := newTrackerDiff(t, NewTracker())
+		d.add(1, true)
+		d.add(2, false)
+		d.removeOldest()
+		d.removeOldest()
+		d.addPanics(1) // emptied by Remove: op 2's slot still holds it
+		d.add(3, true)
+		d.add(6, false)
+		d.clear()
+		d.addPanics(2) // below the oldest op the Clear dropped
+		d.add(3, false)
+		d.add(5, true) // 6's slot was marked by the Clear
+		d.addPanics(4)
+	})
 	for seed := int64(1); seed <= 8; seed++ {
-		t.Run(fmt.Sprintf("random seed %d", seed), func(t *testing.T) {
-			if n := randomTrackerStream(newTrackerDiff(t, NewCAMTracker()), rand.New(rand.NewSource(seed)), 3000); n < 64 {
+		stream := func(t *testing.T) {
+			if n := randomTrackerStream(newTrackerDiff(t, NewTracker()), rand.New(rand.NewSource(seed)), 3000); n < 64 {
 				t.Fatalf("window peaked at %d ops; the stream must outgrow the initial rings", n)
 			}
-		})
-		// The same stream through a tracker that keeps no CAM counts:
-		// forwarding and lookups must not depend on them.
-		t.Run(fmt.Sprintf("random seed %d without CAM counts", seed), func(t *testing.T) {
-			randomTrackerStream(newTrackerDiff(t, NewTracker()), rand.New(rand.NewSource(seed)), 3000)
-		})
+		}
+		t.Run(fmt.Sprintf("random seed %d", seed), stream)
+		// Every tracker keeps the compare counts, so the former
+		// count-free variant's name runs the same stream.
+		t.Run(fmt.Sprintf("random seed %d without CAM counts", seed), stream)
 	}
 }
 
 // randomTrackerStream applies steps random operations. Sequence
-// numbers increase with gaps (sometimes past the seq hint table size),
-// addresses come from a small pool so accesses overlap, and the window
-// drifts up to 100 ops so both rings grow and wrap. It returns the
+// numbers increase with gaps, some of them a whole op-ring length so
+// the ring grows while placed ops are live; addresses come from a
+// small pool so accesses overlap, and the window drifts up to 100 ops
+// so both rings grow and wrap. A Clear rewinds to the oldest dropped
+// seq, as a pipeline flush re-dispatches the same seqs. It returns the
 // largest window reached.
 func randomTrackerStream(d *trackerDiff, rng *rand.Rand, steps int) int {
-	seq := uint64(rng.Intn(4))
+	next := uint64(rng.Intn(4))
 	pick := func() uint64 { return d.ref.ops[rng.Intn(len(d.ref.ops))].seq }
 	maxLen := 0
 	for i := 0; i < steps; i++ {
@@ -321,11 +355,11 @@ func randomTrackerStream(d *trackerDiff, rng *rand.Rand, steps int) int {
 		maxLen = max(maxLen, n)
 		switch r := rng.Intn(1000); {
 		case n == 0 || (r < 350 && n < 100):
-			seq += 1 + uint64(rng.Intn(3))
-			if rng.Intn(50) == 0 {
-				seq += seqHintSize
+			d.add(next, rng.Intn(2) == 0)
+			next += 1 + uint64(rng.Intn(3))
+			if rng.Intn(50) == 0 && len(d.tr.ops) < 1024 {
+				next += uint64(len(d.tr.ops))
 			}
-			d.add(seq, rng.Intn(2) == 0)
 		case r < 550:
 			d.setAddress(pick(), 0x1000+uint64(rng.Intn(12))*4, []uint8{1, 2, 4, 8}[rng.Intn(4)])
 		case r < 740:
@@ -333,8 +367,63 @@ func randomTrackerStream(d *trackerDiff, rng *rand.Rand, steps int) int {
 		case r < 998:
 			d.removeOldest()
 		default:
+			next = d.ref.ops[0].seq
 			d.clear()
 		}
 	}
 	return maxLen
+}
+
+// FuzzTrackerDifferential decodes its input into tracker operations
+// and checks every query against the reference after each one, as
+// TestTrackerDifferential does. Each operation takes a selector byte
+// and an argument byte: Adds with seq gaps (some a whole op-ring
+// length), SetAddress and SetPlaced of any tracked op, Remove of the
+// oldest op, a refused Remove of a younger or an untracked seq, a
+// refused Add below an earlier seq, and a Clear followed by a rewind
+// to the oldest dropped seq.
+func FuzzTrackerDifferential(f *testing.F) {
+	f.Add([]byte{0, 0, 0x18, 0, 3, 0, 4, 0, 0x43, 1, 4, 1, 0xf0, 0, 0x88, 2, 0x83, 2, 4, 2, 6, 2, 5, 0, 7, 0, 0, 0, 6, 1})
+	f.Add([]byte{0, 0, 0, 0, 5, 0, 5, 0, 6, 3, 0, 0, 0x10, 0, 7, 0, 6, 7, 0, 0})
+	rng := rand.New(rand.NewSource(1))
+	for range 4 {
+		b := make([]byte, 512)
+		rng.Read(b)
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		data = data[:min(len(data), 512)]
+		d := newTrackerDiff(t, NewTracker())
+		next := uint64(0) // the seq the next Add gets
+		for i := 0; i+1 < len(data); i += 2 {
+			sel, arg := data[i], uint64(data[i+1])
+			n := len(d.ref.ops)
+			pick := func() uint64 { return d.ref.ops[arg%uint64(n)].seq }
+			switch op := sel % 8; {
+			case op == 6 && arg%4 == 3 && d.ref.floor > 0:
+				d.addPanics(d.ref.floor - 1 - (arg>>2)%d.ref.floor)
+			case op == 6:
+				seq := next + arg // untracked: next is past every tracked seq
+				if n >= 2 && arg%2 == 0 {
+					seq = d.ref.ops[1+int(arg/2)%(n-1)].seq
+				}
+				d.removePanics(seq)
+			case n == 0 || op <= 2 && n < 64:
+				d.add(next, sel&8 != 0)
+				next += 1 + uint64(sel>>4)
+				if sel>>4 == 15 && len(d.tr.ops) < 1024 {
+					next += uint64(len(d.tr.ops))
+				}
+			case op == 3:
+				d.setAddress(pick(), 0x1000+arg%16*4, []uint8{1, 2, 4, 8}[sel>>6])
+			case op == 4:
+				d.setPlaced(pick())
+			case op == 7:
+				next = d.ref.ops[0].seq
+				d.clear()
+			default: // op 5, or an Add past a full window
+				d.removeOldest()
+			}
+		}
+	})
 }
