@@ -47,11 +47,32 @@ const (
 	recTarget             // word is Inst.Target, not Inst.Addr
 )
 
-// pack encodes in, the instruction at index seq. It panics on an
-// instruction the record cannot reproduce exactly, so a generator
+// pack encodes in, the instruction at index seq, into r. It panics on
+// an instruction the record cannot reproduce exactly, so a generator
 // change that outgrows the layout fails loudly instead of replaying a
-// different trace.
-func pack(in *isa.Inst, seq uint64) slabRec {
+// different trace. One combined test guards the common case; word
+// takes Addr|Target since at most one of them is set.
+//
+//samie:hotpath
+func (r *slabRec) pack(in *isa.Inst, seq uint64) {
+	if in.Seq != seq || in.Addr != 0 && in.Target != 0 ||
+		uint16(in.Dest-math.MinInt8)|uint16(in.SrcA-math.MinInt8)|uint16(in.SrcB-math.MinInt8) > math.MaxUint8 {
+		unpackable(in, seq)
+	}
+	var flags uint8
+	if in.Taken {
+		flags = recTaken
+	}
+	if in.Target != 0 {
+		flags |= recTarget
+	}
+	r.pc, r.word = in.PC, in.Addr|in.Target
+	r.dest, r.srcA, r.srcB = int8(in.Dest), int8(in.SrcA), int8(in.SrcB)
+	r.cls, r.size, r.flags = in.Cls, in.Size, flags
+}
+
+// unpackable panics with the first reason pack cannot encode in.
+func unpackable(in *isa.Inst, seq uint64) {
 	if in.Seq != seq {
 		panic(fmt.Sprintf("trace: slab record %d holds instruction Seq %d", seq, in.Seq))
 	}
@@ -63,18 +84,6 @@ func pack(in *isa.Inst, seq uint64) slabRec {
 			panic(fmt.Sprintf("trace: slab record %d has register %d outside int8", seq, r))
 		}
 	}
-	r := slabRec{
-		pc: in.PC, word: in.Addr,
-		dest: int8(in.Dest), srcA: int8(in.SrcA), srcB: int8(in.SrcB),
-		cls: in.Cls, size: in.Size,
-	}
-	if in.Taken {
-		r.flags |= recTaken
-	}
-	if in.Target != 0 {
-		r.word, r.flags = in.Target, r.flags|recTarget
-	}
-	return r
 }
 
 // unpack decodes r, the record at index seq, into out. It is
@@ -105,7 +114,7 @@ func (s *Slab) chunk(i int) *[slabChunk]slabRec {
 		base := uint64(len(s.chunks)) * slabChunk
 		for j := range c {
 			s.gen.Next(&in)
-			c[j] = pack(&in, base+uint64(j))
+			c[j].pack(&in, base+uint64(j))
 		}
 		s.chunks = append(s.chunks, c)
 		s.bytes.Store(int64(len(s.chunks)) * int64(unsafe.Sizeof(*c)))

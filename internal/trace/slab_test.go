@@ -85,7 +85,8 @@ func TestSlabRecordRejectsUnpackable(t *testing.T) {
 			Addr: ^uint64(0), Size: 255},
 		{Seq: 7, Cls: isa.ClassNop, Dest: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone},
 	} {
-		r := pack(&in, 7)
+		var r slabRec
+		r.pack(&in, 7)
 		var out isa.Inst
 		r.unpack(7, &out)
 		if out != in {
@@ -110,7 +111,7 @@ func TestSlabRecordRejectsUnpackable(t *testing.T) {
 					t.Errorf("%s: pack accepted %+v", c.name, in)
 				}
 			}()
-			pack(&in, 7)
+			new(slabRec).pack(&in, 7)
 		}()
 	}
 }

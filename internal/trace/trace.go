@@ -17,7 +17,6 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"sort"
 
 	"samielsq/internal/isa"
@@ -159,7 +158,7 @@ type branchSite struct {
 // It implements isa.Stream.
 type Generator struct {
 	p        Params
-	rng      *rand.Rand
+	t        thresholds
 	seq      uint64
 	pc       uint64
 	streams  []stream
@@ -170,6 +169,46 @@ type Generator struct {
 	lastWLen int
 	nextDest int16
 	lineMask uint64
+	rng      lagRand
+}
+
+// thresholds holds each probability of a Params as the threshold(p)
+// its draws are compared against. Those of the instruction mix and of
+// the compute classes are cumulative, so one draw picks the case.
+type thresholds struct {
+	load, store, branch uint64 // below: load; below LoadFrac+StoreFrac: store; …
+	div, mul            uint64 // of a compute op: below div, a divide; …
+	farSrc, dep         uint64
+	coldLoad, coldStore uint64 // memAddrReg's cold-base probabilities
+	revisit, random     uint64
+	taken               uint64
+}
+
+// Thresholds of the generator's fixed probabilities.
+var (
+	tColdDest   = threshold(0.02) // destReg refreshes a cold register
+	tColdBranch = threshold(0.75) // a branch condition reads a cold register
+	tFPALU      = threshold(0.7)  // an FP program's ALU op is an FP one
+)
+
+func newThresholds(p *Params) thresholds {
+	return thresholds{
+		load:   threshold(p.LoadFrac),
+		store:  threshold(p.LoadFrac + p.StoreFrac),
+		branch: threshold(p.LoadFrac + p.StoreFrac + p.BranchFrac),
+		div:    threshold(p.DivFrac),
+		mul:    threshold(p.DivFrac + p.MulFrac),
+		farSrc: threshold(p.FarSrcFrac),
+		dep:    threshold(p.DepGeom),
+		// The explicit conversions round each product before the
+		// subtraction, so no target fuses them into one
+		// multiply-subtract and every architecture draws the same trace.
+		coldLoad:  threshold(0.8 - float64(0.4*p.DepGeom)),
+		coldStore: threshold(0.95 - float64(0.2*p.DepGeom)),
+		revisit:   threshold(p.Revisit),
+		random:    threshold(p.RandFrac),
+		taken:     threshold(p.TakenBias),
+	}
 }
 
 // LineBytes is the cache line size assumed by the generators; it
@@ -192,11 +231,12 @@ func NewGenerator(p Params) *Generator {
 	}
 	g := &Generator{
 		p:        p,
-		rng:      rand.New(rand.NewSource(seed)),
+		t:        newThresholds(&p),
 		pc:       0x120000000, // Alpha-style text base
 		recent:   make([]uint64, 16),
 		lineMask: ^(uint64(LineBytes) - 1),
 	}
+	g.rng.seed(seed)
 	// Give streams distinct bases spread over a large virtual region so
 	// different streams touch different pages and lines. Base spacing is
 	// offset by one line per stream so that, with bank-aliasing strides,
@@ -215,6 +255,7 @@ func NewGenerator(p Params) *Generator {
 		}
 	}
 	g.branches = make([]branchSite, p.StaticBranches)
+	tRandomBranch := threshold(p.RandomBranchFrac)
 	for i := range g.branches {
 		// Branch sites live inside the code footprint, with fixed
 		// backward targets, like loop back-edges.
@@ -224,7 +265,7 @@ func NewGenerator(p Params) *Generator {
 			back = g.branches[i].pc - 0x120000000
 		}
 		g.branches[i].target = g.branches[i].pc - back
-		if g.rng.Float64() < p.RandomBranchFrac {
+		if g.rng.unit63() < tRandomBranch {
 			g.branches[i].period = 0 // random outcome
 		} else {
 			g.branches[i].period = 6 + g.rng.Intn(42) // loop-like pattern
@@ -250,11 +291,11 @@ const hotRegs = 24
 // from the cold registers or one at a geometric dependence distance
 // from the most recent writes.
 func (g *Generator) srcReg() int16 {
-	if g.rng.Float64() < g.p.FarSrcFrac {
+	if g.rng.unit63() < g.t.farSrc {
 		return g.coldReg()
 	}
 	dist := 1
-	for g.rng.Float64() < g.p.DepGeom && dist < g.lastWLen {
+	for g.rng.unit63() < g.t.dep && dist < g.lastWLen {
 		dist++
 	}
 	idx := (int(g.nextDest) - dist + hotRegs) % hotRegs
@@ -269,17 +310,19 @@ func (g *Generator) coldReg() int16 {
 // memAddrReg picks the address-base register of a memory operation:
 // predominantly a long-lived base pointer (array base, stack pointer),
 // occasionally a freshly computed value (indexed/pointer-chasing
-// accesses). mcf-style personalities raise DepGeom, which lowers the
-// cold fraction here. Store addresses are even more often
+// accesses). The cold fraction is 0.8 - 0.4*DepGeom for loads and
+// 0.95 - 0.2*DepGeom for stores (thresholds.coldLoad, coldStore), so
+// mcf-style personalities, which raise DepGeom, lower it. Store
+// addresses are even more often
 // base-relative than load addresses; this matters because under the
 // conservative readyBit scheme one slow store address blocks every
 // younger load.
 func (g *Generator) memAddrReg(isStore bool) int16 {
-	coldP := 0.8 - 0.4*g.p.DepGeom
+	cold := g.t.coldLoad
 	if isStore {
-		coldP = 0.95 - 0.2*g.p.DepGeom
+		cold = g.t.coldStore
 	}
-	if g.rng.Float64() < coldP {
+	if g.rng.unit63() < cold {
 		return g.coldReg()
 	}
 	return g.srcReg()
@@ -289,7 +332,7 @@ func (g *Generator) memAddrReg(isStore bool) int16 {
 // hot set, keeping WAW pressure low so dependences are dominated by
 // RAW via srcReg. Occasionally a cold register is refreshed.
 func (g *Generator) destReg() int16 {
-	if g.rng.Float64() < 0.02 {
+	if g.rng.unit63() < tColdDest {
 		return g.coldReg()
 	}
 	d := g.nextDest
@@ -303,12 +346,12 @@ func (g *Generator) destReg() int16 {
 // nextAddr produces the next memory effective address.
 func (g *Generator) nextAddr() uint64 {
 	// Temporal revisit of a recently touched line.
-	if g.recentN > 0 && g.rng.Float64() < g.p.Revisit {
+	if g.recentN > 0 && g.rng.unit63() < g.t.revisit {
 		line := g.recent[g.rng.Intn(min(g.recentN, len(g.recent)))]
 		return line + uint64(g.rng.Intn(LineBytes/int(g.p.AccessSize)))*uint64(g.p.AccessSize)
 	}
 	// Random working-set access.
-	if g.rng.Float64() < g.p.RandFrac {
+	if g.rng.unit63() < g.t.random {
 		off := (g.rng.Uint64() % g.p.WorkingSet) &^ (uint64(g.p.AccessSize) - 1)
 		addr := 0x200000000 + off
 		g.remember(addr & g.lineMask)
@@ -342,64 +385,70 @@ func (g *Generator) remember(line uint64) {
 	g.recentN++
 }
 
-// Next implements isa.Stream.
+// Next implements isa.Stream. Fields are stored one by one, as in
+// slabRec.unpack, rather than through a composite literal built on the
+// stack and copied.
+//
+//samie:hotpath
 func (g *Generator) Next(out *isa.Inst) bool {
-	*out = isa.Inst{Seq: g.seq, PC: g.pc, Dest: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone}
+	out.Seq, out.PC = g.seq, g.pc
+	out.Dest, out.SrcA, out.SrcB = isa.RegNone, isa.RegNone, isa.RegNone
+	out.Addr, out.Size, out.Taken, out.Target = 0, 0, false, 0
 	g.seq++
 	g.pc += 4
 	if g.pc >= 0x120000000+g.p.CodeBytes {
 		g.pc = 0x120000000 // wrap within the code footprint
 	}
 
-	r := g.rng.Float64()
+	r := g.rng.unit63()
 	switch {
-	case r < g.p.LoadFrac:
+	case r < g.t.load:
 		out.Cls = isa.ClassLoad
 		out.Addr = g.nextAddr()
 		out.Size = g.p.AccessSize
 		out.SrcA = g.memAddrReg(false)
 		out.Dest = g.destReg()
-	case r < g.p.LoadFrac+g.p.StoreFrac:
+	case r < g.t.store:
 		out.Cls = isa.ClassStore
 		out.Addr = g.nextAddr()
 		out.Size = g.p.AccessSize
 		out.SrcA = g.memAddrReg(true)
 		out.SrcB = g.srcReg()
-	case r < g.p.LoadFrac+g.p.StoreFrac+g.p.BranchFrac:
+	case r < g.t.branch:
 		b := &g.branches[g.rng.Intn(len(g.branches))]
 		out.Cls = isa.ClassBranch
 		out.PC = b.pc
 		// Branch conditions mostly compare induction variables or
 		// other quickly available values, so they resolve fast.
-		if g.rng.Float64() < 0.75 {
+		if g.rng.unit63() < tColdBranch {
 			out.SrcA = g.coldReg()
 		} else {
 			out.SrcA = g.srcReg()
 		}
 		if b.period == 0 {
-			out.Taken = g.rng.Float64() < g.p.TakenBias
+			out.Taken = g.rng.unit63() < g.t.taken
 		} else {
 			b.count++
 			out.Taken = b.count%b.period != 0
 		}
 		out.Target = b.target
 	default:
-		c := g.rng.Float64()
+		c := g.rng.unit63()
 		switch {
-		case c < g.p.DivFrac:
+		case c < g.t.div:
 			if g.p.FP {
 				out.Cls = isa.ClassFPDiv
 			} else {
 				out.Cls = isa.ClassIntDiv
 			}
-		case c < g.p.DivFrac+g.p.MulFrac:
+		case c < g.t.mul:
 			if g.p.FP {
 				out.Cls = isa.ClassFPMul
 			} else {
 				out.Cls = isa.ClassIntMul
 			}
 		default:
-			if g.p.FP && g.rng.Float64() < 0.7 {
+			if g.p.FP && g.rng.unit63() < tFPALU {
 				out.Cls = isa.ClassFPALU
 			} else {
 				out.Cls = isa.ClassIntALU
