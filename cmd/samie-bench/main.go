@@ -22,6 +22,7 @@
 //	samie-bench -profile             # measure hot-path throughput
 //	samie-bench -profile -baseline BENCH_hotpath.json   # gate one session on the last recorded one
 //	samie-bench -baseline sessions.json                 # gate interleaved baseline, change sessions (CI)
+//	samie-bench -trajectory BENCH_e2e.json              # chain-linked end-to-end perf index per PR
 //
 // Results are spilled to an on-disk cache (content-addressed by the
 // canonical RunSpec key, default <user cache dir>/samielsq, override
@@ -88,12 +89,22 @@ func main() {
 	baseline := flag.String("baseline", "", "throughput gate (exit 1 on regression): with -profile, the new session against this BENCH_*.json file's last one; alone, this file's sessions as interleaved baseline, change pairs")
 	tolerance := flag.Float64("tolerance", 0.10, "smallest fractional throughput regression the -baseline gate fails; the baseline sessions' A/A spread widens it")
 	traceOut := flag.String("trace-out", "", "write this invocation's span trace as Chrome trace-event JSON here (open in Perfetto); with -server it includes every replica's spans and counter tracks for the sweeps")
+	trajectory := flag.String("trajectory", "", "render the chain-linked end-to-end perf index recorded in this BENCH_e2e.json file and exit")
 	timelineOut := flag.String("timeline-out", "", "write every locally simulated run's interval timeline as NDJSON here (one meta line + one sample line per interval, per run)")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
 		fmt.Fprintf(os.Stderr, "unexpected arguments: %v\n", flag.Args())
 		os.Exit(2)
+	}
+	if *trajectory != "" {
+		f, err := readE2EFile(*trajectory)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		renderTrajectory(os.Stdout, f)
+		return
 	}
 	if *traceOut != "" {
 		obs.Default().SetEnabled(true)

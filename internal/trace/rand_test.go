@@ -21,9 +21,10 @@ func lagRandSeeds() []int64 {
 
 // TestLagRandMatchesMathRand replays, for every seed, more than five
 // register refills of interleaved Float64, Intn and Uint64 draws
-// against rand.New(rand.NewSource(seed)) as the oracle.
+// against rand.New(rand.NewSource(seed)) as the oracle. Intn(1<<30+1)
+// rejects almost half its Int31 draws, so the rejection loop runs.
 func TestLagRandMatchesMathRand(t *testing.T) {
-	ns := []int{1, 2, 64, 1 << 30, math.MaxInt32, 3, 40, 42, 1000003, math.MaxInt32 - 2}
+	ns := []int{1, 2, 64, 1 << 30, math.MaxInt32, 3, 40, 42, 1000003, math.MaxInt32 - 2, 1<<30 + 1}
 	const draws = 6 * rngLen // each consumes at least one register word
 	for _, seed := range lagRandSeeds() {
 		want := rand.New(rand.NewSource(seed))
