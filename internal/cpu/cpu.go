@@ -131,34 +131,36 @@ const (
 	stDone     // result ready / access performed
 )
 
-// noProducer marks a source operand with no in-flight producer.
-const noProducer = ^uint64(0)
+// noSeq is "no instruction" wherever a seq names one: a ready operand,
+// an empty waiter list or wheel bucket, no blocking branch.
+const noSeq = ^uint64(0)
 
 // dynInst is one in-flight dynamic instruction: a window slot, reset
 // when fetch decodes the next instruction with the same seq & mask.
-// The byte-sized fields come last, so a slot is 128 bytes: two cache
-// lines, with no slot straddling a third.
+// It names other instructions by seq, never by pointer. The byte-sized
+// fields come last, so a slot is 128 bytes: two cache lines.
 type dynInst struct {
 	in isa.Inst
 
-	// Producer seqs bound at rename (noProducer = ready). A producer
-	// below the window head has committed, so its value is ready; one
-	// observed done is severed to noProducer.
+	// Producer seqs bound at rename (noSeq = ready). A producer below
+	// the window head has committed, so its value is ready; one
+	// observed done is severed to noSeq.
 	srcA, srcB uint64
 
 	readyAt uint64 // cycle the result becomes available (once issued)
 
 	pred bpred.Prediction
 
-	// Wakeup-scheduler links (sched.go). waiterHead anchors the
-	// intrusive list of consumers parked on this instruction as a
-	// producer (chained through their waitNext); wheelNext/wakeCycle
-	// place this instruction in a timing-wheel bucket. A committed
+	// Wakeup-scheduler links (sched.go), seqs ending in noSeq:
+	// waiterHead heads the list of consumers parked on this producer
+	// (chained through their waitNext); wheelNext and wakeCycle place
+	// it in a timing-wheel bucket. Dispatch empties the waiter list;
+	// parking writes the other links before they are read. A committed
 	// instruction never carries live links: its waiter list drains at
 	// the stDone transition, which precedes any commit.
-	waiterHead *dynInst
-	waitNext   *dynInst
-	wheelNext  *dynInst
+	waiterHead uint64
+	waitNext   uint64
+	wheelNext  uint64
 	wakeCycle  uint64
 
 	state instState
@@ -174,11 +176,9 @@ type dynInst struct {
 	addrUnknown bool // store dispatched, address not yet computed
 }
 
-func (d *dynInst) isMem() bool { return d.mem }
-
 // producerDone reports whether producer seq p's value is available.
 // Only a producer in the ROB can still be outstanding: one below head
-// has committed, and noProducer is no instruction.
+// has committed, and noSeq is no instruction.
 func (c *CPU) producerDone(p uint64) bool {
 	if !c.win.inROB(p) {
 		return true
@@ -189,11 +189,11 @@ func (c *CPU) producerDone(p uint64) bool {
 
 // dataReady reports whether a store's data operand is available.
 func (c *CPU) dataReady(d *dynInst) bool {
-	if d.srcB != noProducer {
+	if d.srcB != noSeq {
 		if !c.producerDone(d.srcB) {
 			return false
 		}
-		d.srcB = noProducer
+		d.srcB = noSeq
 	}
 	return true
 }
@@ -287,7 +287,7 @@ type CPU struct {
 	iqFP  int
 
 	// lastWriter holds the seq of each register's last renamed writer,
-	// or noProducer.
+	// or noSeq.
 	lastWriter [isa.NumLogicalRegs]uint64
 
 	intMulDiv *fuPool
@@ -303,7 +303,7 @@ type CPU struct {
 
 	pendingAgens      int // memory AGENs issued, address not yet delivered
 	fetchBlockedUntil uint64
-	blockingBranch    *dynInst // mispredicted branch gating fetch
+	blockingBranch    uint64 // seq of the mispredicted branch gating fetch, or noSeq
 	lastFetchLine     uint64
 
 	headBlocked int // consecutive cycles the ROB head sat unplaced
@@ -318,11 +318,9 @@ type CPU struct {
 
 	streamDone bool
 
-	flushEpoch uint64 // bumped per flush; guards in-progress ROB walks
-
 	// ev is the event-driven wakeup scheduler (sched.go), the issue
-	// stage. Only the test-only ROB-walk oracle clears it; step then
-	// runs testHookIssue instead.
+	// stage, whose links are seqs into win. Only the test-only ROB-walk
+	// oracle clears it; step then runs testHookIssue instead.
 	ev *eventSched
 
 	// sampler is the optional interval telemetry collector
@@ -379,6 +377,7 @@ func New(cfg Config, strm isa.Stream, model lsq.Model, hier *mem.Hierarchy, dtlb
 		win:       newWindow(cfg.ROBSize + cfg.FetchQueue),
 		ev:        newEventSched(cfg.ROBSize),
 	}
+	c.blockingBranch = noSeq
 	c.clearWriters()
 	return c
 }
@@ -388,7 +387,7 @@ func (c *CPU) Meter() *energy.Meter { return c.meter }
 
 func (c *CPU) clearWriters() {
 	for i := range c.lastWriter {
-		c.lastWriter[i] = noProducer
+		c.lastWriter[i] = noSeq
 	}
 }
 
@@ -508,7 +507,7 @@ func (c *CPU) commit(dports *int) {
 			}
 			break
 		}
-		if d.isMem() {
+		if d.mem {
 			if d.in.Cls == isa.ClassStore {
 				// Stores write the Dcache at commit and need a port.
 				if *dports <= 0 {
@@ -616,7 +615,7 @@ func (c *CPU) checkDeadlock() bool {
 // address-computation gate itself is closed (AddrBuffer full) so its
 // address can never be computed.
 func (c *CPU) headStuck(head *dynInst) bool {
-	return head.isMem() && !head.placed &&
+	return head.mem && !head.placed &&
 		(head.state == stAGENDone ||
 			(head.state == stDispatched && c.model.FreeCapacity() <= 0))
 }
@@ -633,10 +632,6 @@ func (c *CPU) flushPipeline() {
 		d.performed = false
 		d.addrUnknown = false
 		d.readyAt = 0
-		d.waiterHead = nil
-		d.waitNext = nil
-		d.wheelNext = nil
-		d.wakeCycle = 0
 	}
 	w.disp, w.fetched = w.head, w.head
 	if c.ev != nil {
@@ -651,10 +646,9 @@ func (c *CPU) flushPipeline() {
 	c.minUnknownOK = false
 	c.pendingAgens = 0
 	c.model.Flush()
-	c.blockingBranch = nil
+	c.blockingBranch = noSeq
 	c.fetchBlockedUntil = c.cycle + uint64(c.cfg.MispredictPenalty)
 	c.headBlocked = 0
-	c.flushEpoch++
 }
 
 // ---- LSQ buffer drain -------------------------------------------------------
@@ -721,15 +715,15 @@ func (c *CPU) completeExec(d *dynInst) {
 		if miss {
 			c.res.BranchMispredicts++
 		}
-		if c.blockingBranch == d {
-			c.blockingBranch = nil
+		if c.blockingBranch == d.in.Seq {
+			c.blockingBranch = noSeq
 			c.fetchBlockedUntil = c.cycle + uint64(c.cfg.MispredictPenalty)
 		}
 		d.state = stDone
 		c.wakeWaiters(d)
 		return
 	}
-	if d.isMem() {
+	if d.mem {
 		// AGEN finished: hand the address to the LSQ.
 		d.state = stAGENDone
 		if c.pendingAgens > 0 {
@@ -938,12 +932,12 @@ func (c *CPU) dispatch() {
 			stalled = true
 			break
 		}
-		if d.isMem() && !c.model.Dispatch(d.in.Seq, d.in.Cls == isa.ClassLoad) {
+		if d.mem && !c.model.Dispatch(d.in.Seq, d.in.Cls == isa.ClassLoad) {
 			stalled = true
 			break
 		}
 		// Rename: bind producers.
-		d.srcA, d.srcB = noProducer, noProducer
+		d.srcA, d.srcB = noSeq, noSeq
 		if d.in.SrcA != isa.RegNone {
 			d.srcA = c.lastWriter[d.in.SrcA]
 		}
@@ -968,6 +962,7 @@ func (c *CPU) dispatch() {
 			c.res.Stores++
 		}
 		d.state = stDispatched
+		d.waiterHead = noSeq
 		if d.fp {
 			c.iqFP++
 		} else {
@@ -1002,11 +997,11 @@ func (c *CPU) dispatchFull(d *dynInst) bool {
 // unresolved mispredict or a redirect/miss delay, and if so counts the
 // last n cycles, over which the block held, as stalled.
 func (c *CPU) fetchStalled(n uint64) bool {
-	if c.cycle >= c.fetchBlockedUntil && c.blockingBranch == nil {
+	if c.cycle >= c.fetchBlockedUntil && c.blockingBranch == noSeq {
 		return false
 	}
 	c.res.FetchStallCycles += n
-	if c.blockingBranch != nil {
+	if c.blockingBranch != noSeq {
 		c.res.FetchStallBranch += n
 	} else {
 		c.res.FetchStallOther += n
@@ -1045,7 +1040,7 @@ func (c *CPU) fetch() {
 		wrongTgt := d.in.Taken && (d.pred.Target == 0 || d.pred.Target != d.in.Target)
 		if wrongDir || wrongTgt {
 			// Fetch chases the wrong path until the branch resolves.
-			c.blockingBranch = d
+			c.blockingBranch = d.in.Seq
 			return
 		}
 		if d.pred.Taken {

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -59,6 +60,40 @@ func TestWindowSlotSize(t *testing.T) {
 	if n := unsafe.Sizeof(dynInst{}); n > 128 {
 		t.Fatalf("dynInst is %d bytes, want at most 128", n)
 	}
+}
+
+// TestWindowSlotHoldsNoPointer pins the cycle core as one index space:
+// an instruction-window slot and a timing-wheel bucket name other
+// instructions by seq, never by reference. Without pointers the GC
+// never scans the window or the wheel, parking and waking take no
+// write barrier, and a CPU's state copies by value.
+func TestWindowSlotHoldsNoPointer(t *testing.T) {
+	var ev eventSched
+	for _, typ := range []reflect.Type{reflect.TypeFor[dynInst](), reflect.TypeOf(ev.wheel).Elem()} {
+		if path := referencePath(typ, typ.Name()); path != "" {
+			t.Errorf("%s holds a reference at %s", typ, path)
+		}
+	}
+}
+
+// referencePath returns the path to the first pointer, slice, map,
+// interface, channel, function or string within typ, or "".
+func referencePath(typ reflect.Type, path string) string {
+	switch typ.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.Slice, reflect.Map,
+		reflect.Interface, reflect.Chan, reflect.Func, reflect.String:
+		return path + " (" + typ.Kind().String() + ")"
+	case reflect.Array:
+		return referencePath(typ.Elem(), path+"[]")
+	case reflect.Struct:
+		for i := range typ.NumField() {
+			f := typ.Field(i)
+			if p := referencePath(f.Type, path+"."+f.Name); p != "" {
+				return p
+			}
+		}
+	}
+	return ""
 }
 
 func benchSteps(b *testing.B, bench string) {

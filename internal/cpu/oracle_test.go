@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"samielsq/internal/energy"
@@ -83,11 +84,11 @@ func robWalkIssue(c *CPU, dports int) {
 // completed, or for a store only SrcA, the address register (see
 // parkIssueOperands). Each producer observed done is severed.
 func (c *CPU) operandsReady(d *dynInst) bool {
-	if d.srcA != noProducer {
+	if d.srcA != noSeq {
 		if !c.producerDone(d.srcA) {
 			return false
 		}
-		d.srcA = noProducer
+		d.srcA = noSeq
 	}
 	return d.in.Cls == isa.ClassStore || c.dataReady(d)
 }
@@ -164,6 +165,60 @@ func windowFault(c *CPU) string {
 	if uint64(ts.ROB) != w.disp-w.head || uint64(ts.FetchQ) != w.fetched-w.disp || uint64(ts.ReplayQ) != w.tail-w.fetched {
 		return fmt.Sprintf("timeline sample ROB/FetchQ/ReplayQ %d/%d/%d, cursors %d/%d/%d",
 			ts.ROB, ts.FetchQ, ts.ReplayQ, w.disp-w.head, w.fetched-w.disp, w.tail-w.fetched)
+	}
+	return linkFault(c)
+}
+
+// linkFault names the first broken invariant of the wakeup scheduler's
+// seq links, or returns "" (always for the oracle, which has no
+// scheduler): a bucket's occupancy bit is set exactly when the bucket
+// is non-empty, every seq on a wheel chain or an ROB entry's waiter
+// list is in the ROB, each waiter is younger than its producer, and
+// every chain ends within ROBSize links. A stale seq would otherwise
+// resolve silently to whatever instruction reused its slot.
+func linkFault(c *CPU) string {
+	ev, w := c.ev, &c.win
+	if ev == nil {
+		return ""
+	}
+	chain := func(seq, older uint64, next func(*dynInst) uint64) string {
+		for n := 0; seq != noSeq; n++ {
+			if n == c.cfg.ROBSize {
+				return fmt.Sprintf("runs past %d links", n)
+			}
+			if !w.inROB(seq) || (older != noSeq && seq <= older) {
+				return fmt.Sprintf("holds seq %d, outside the ROB [%d, %d) or not younger", seq, w.head, w.disp)
+			}
+			seq = next(w.at(seq))
+		}
+		return ""
+	}
+	wheelNext := func(d *dynInst) uint64 { return d.wheelNext }
+	waitNext := func(d *dynInst) uint64 { return d.waitNext }
+	for k, occ := range ev.occ {
+		var full uint64
+		for j, seq := range ev.wheel[k*64 : k*64+64] {
+			if seq != noSeq {
+				full |= 1 << j
+			}
+		}
+		if diff := full ^ occ; diff != 0 {
+			i := k*64 + bits.TrailingZeros64(diff)
+			return fmt.Sprintf("wheel bucket %d holds seq %d but its occupancy bit is %d", i, ev.wheel[i], occ>>(i&63)&1)
+		}
+		for ; full != 0; full &= full - 1 {
+			i := k*64 + bits.TrailingZeros64(full)
+			if f := chain(ev.wheel[i], noSeq, wheelNext); f != "" {
+				return fmt.Sprintf("wheel bucket %d %s", i, f)
+			}
+		}
+	}
+	for p := w.head; p < w.disp; p++ {
+		if seq := w.at(p).waiterHead; seq != noSeq {
+			if f := chain(seq, p, waitNext); f != "" {
+				return fmt.Sprintf("waiter list of seq %d %s", p, f)
+			}
+		}
 	}
 	return ""
 }

@@ -69,9 +69,12 @@ import (
 // stepped cycles of the core matrix by 12.9% but slowed it, because
 // such a cycle costs little to step (docs/performance.md §4).
 //
-// A pipeline flush discards every wait structure wholesale; flushed
-// instructions re-enter through dispatch, which re-parks them as the
-// ROB range refills.
+// Every wait structure names instructions by seq, resolved through
+// the instruction window. A pipeline flush discards them wholesale;
+// flushed instructions re-enter through dispatch, which empties their
+// waiter lists and re-parks them as the ROB range refills. A flush
+// inside the walk (a §3.3 placement failure) ends the walk: the reset
+// attention set has no bit left for it to find.
 //
 // Quiescent spans. Most cycles of a low-IPC run change no pipeline
 // state: the ROB head waits out a load's readyAt while everything
@@ -172,8 +175,8 @@ func (b *seqBitmap) reset() {
 }
 
 // eventSched is the scheduler state. All storage is fixed at
-// construction; parking and waking are pointer/bit operations on
-// intrusive dynInst links, so the steady-state path allocates nothing.
+// construction; parking and waking are seq/bit operations on links
+// in the window slots, so the steady-state path allocates nothing.
 type eventSched struct {
 	// attn holds the instructions the walk must visit this cycle (and,
 	// for per-cycle structural losers, again next cycle).
@@ -181,28 +184,30 @@ type eventSched struct {
 	// rbWait holds loads blocked on the readyBit frontier (an older
 	// store's address is unknown).
 	rbWait seqBitmap
-	// wheel buckets future wakeups by cycle & wheelMask (intrusive
-	// lists through dynInst.wheelNext); bit i of occ is set exactly when
-	// bucket i is non-empty.
-	wheel [wheelSize]*dynInst
+	// wheel buckets future wakeups by cycle & wheelMask: each holds the
+	// seq heading a list chained through dynInst.wheelNext, or noSeq.
+	// Bit i of occ is set exactly when bucket i is non-empty.
+	wheel [wheelSize]uint64
 	occ   [wheelSize / 64]uint64
 }
 
 func newEventSched(robSize int) *eventSched {
-	return &eventSched{
+	ev := &eventSched{
 		attn:   newSeqBitmap(robSize),
 		rbWait: newSeqBitmap(robSize),
 	}
+	ev.reset()
+	return ev
 }
 
-// reset discards every wait structure (pipeline flush). The per-inst
-// intrusive links are cleared by the flush loop that resets the
-// instructions themselves.
+// reset discards every wait structure (pipeline flush). The links in
+// the slots need no reset: dispatch empties a waiter list, and parking
+// writes the others before they are read.
 func (ev *eventSched) reset() {
 	ev.attn.reset()
 	ev.rbWait.reset()
 	for i := range ev.wheel {
-		ev.wheel[i] = nil
+		ev.wheel[i] = noSeq
 	}
 	ev.occ = [wheelSize / 64]uint64{}
 }
@@ -214,7 +219,7 @@ func (ev *eventSched) park(d *dynInst, at uint64) {
 	d.wakeCycle = at
 	i := at & wheelMask
 	d.wheelNext = ev.wheel[i]
-	ev.wheel[i] = d
+	ev.wheel[i] = d.in.Seq
 	ev.occ[i>>6] |= 1 << (i & 63)
 }
 
@@ -253,27 +258,27 @@ func (ev *eventSched) parkOnProducer(d, p *dynInst) {
 		return
 	}
 	d.waitNext = p.waiterHead
-	p.waiterHead = d
+	p.waiterHead = d.in.Seq
 }
 
 // drainWheel moves this cycle's bucket into the attention set. Entries
 // whose wake cycle lapped the wheel re-queue for their real cycle.
 //
 //samie:hotpath
-func (ev *eventSched) drainWheel(cycle uint64) {
+func (ev *eventSched) drainWheel(cycle uint64, win *window) {
 	i := cycle & wheelMask
-	d := ev.wheel[i]
-	ev.wheel[i] = nil
+	seq := ev.wheel[i]
+	ev.wheel[i] = noSeq
 	ev.occ[i>>6] &^= 1 << (i & 63)
-	for d != nil {
+	for seq != noSeq {
+		d := win.at(seq)
 		next := d.wheelNext
-		d.wheelNext = nil
 		if d.wakeCycle > cycle {
 			ev.park(d, d.wakeCycle)
 		} else {
-			ev.attn.set(d.in.Seq)
+			ev.attn.set(seq)
 		}
-		d = next
+		seq = next
 	}
 }
 
@@ -292,17 +297,17 @@ func (c *CPU) wakeWaiters(d *dynInst) {
 	if c.ev == nil {
 		return
 	}
-	w := d.waiterHead
-	d.waiterHead = nil
-	for w != nil {
+	seq := d.waiterHead
+	d.waiterHead = noSeq
+	for seq != noSeq {
+		w := c.win.at(seq)
 		next := w.waitNext
-		w.waitNext = nil
 		if d.readyAt > c.cycle {
 			c.ev.park(w, d.readyAt)
 		} else {
-			c.ev.attn.set(w.in.Seq)
+			c.ev.attn.set(seq)
 		}
-		w = next
+		seq = next
 	}
 }
 
@@ -313,29 +318,29 @@ func (c *CPU) wakeWaiters(d *dynInst) {
 // address is computed independently of the data. This is what lets
 // the readyBit scheme make progress. A producer observed done is
 // severed (the verdict is permanent until a flush, which rebinds
-// producers at re-dispatch), so the per-visit recheck degrades to nil
-// tests.
+// producers at re-dispatch), so the per-visit recheck degrades to
+// noSeq tests.
 //
 //samie:hotpath
 func (c *CPU) parkIssueOperands(d *dynInst) bool {
-	if d.srcA != noProducer {
+	if d.srcA != noSeq {
 		if !c.producerDone(d.srcA) {
 			c.ev.parkOnProducer(d, c.win.at(d.srcA))
 			return true
 		}
-		d.srcA = noProducer
+		d.srcA = noSeq
 	}
 	if d.in.Cls == isa.ClassStore {
 		// Only the address register gates a store's AGEN; the data
 		// operand is waited on after placement (stepStore).
 		return false
 	}
-	if d.srcB != noProducer {
+	if d.srcB != noSeq {
 		if !c.producerDone(d.srcB) {
 			c.ev.parkOnProducer(d, c.win.at(d.srcB))
 			return true
 		}
-		d.srcB = noProducer
+		d.srcB = noSeq
 	}
 	return false
 }
@@ -388,10 +393,9 @@ func (c *CPU) wakeReadyBitWaiters(newFrontier uint64) {
 //samie:hotpath
 func (c *CPU) wakeupIssue(dports *int) {
 	ev := c.ev
-	ev.drainWheel(c.cycle)
+	ev.drainWheel(c.cycle, &c.win)
 	intIssued, fpIssued := 0, 0
 	aluUsed := 0
-	epoch := c.flushEpoch
 	for seq, end := c.win.head, c.win.disp; ; {
 		s, ok := ev.attn.nextSet(seq, end)
 		if !ok {
@@ -404,12 +408,9 @@ func (c *CPU) wakeupIssue(dports *int) {
 			if d.readyAt > c.cycle {
 				break // early wake; the wheel fires again at readyAt
 			}
+			// A completeExec that flushes the pipeline (§3.3
+			// scenario 2) resets the attention set, which ends the walk.
 			c.completeExec(d)
-			if c.flushEpoch != epoch {
-				// completeExec flushed the pipeline (§3.3 scenario 2):
-				// every wait structure was rebuilt; stop the walk.
-				return
-			}
 			if d.state >= stDone {
 				ev.attn.clear(s)
 			}
@@ -528,7 +529,7 @@ func (c *CPU) quiescentEnd(limit uint64) uint64 {
 	if w.disp < w.fetched && !c.dispatchFull(w.at(w.disp)) {
 		return next
 	}
-	if c.blockingBranch == nil {
+	if c.blockingBranch == noSeq {
 		if next < c.fetchBlockedUntil {
 			end = min(end, c.fetchBlockedUntil)
 		} else if w.fetched-w.disp < uint64(c.cfg.FetchQueue) && (w.fetched < w.tail || !c.streamDone) {

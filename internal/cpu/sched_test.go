@@ -309,7 +309,7 @@ func TestWakeupObservesRecycledProducer(t *testing.T) {
 	if head.state < stIssued {
 		t.Fatalf("consumer state %d after its producer's commit-cycle wakeup, want issued", head.state)
 	}
-	if head.srcA != noProducer {
+	if head.srcA != noSeq {
 		t.Fatalf("consumer still bound to producer seq %d", head.srcA)
 	}
 	// A committed producer is done whatever its slot now holds.
@@ -332,16 +332,16 @@ func TestWakeupObservesRecycledProducer(t *testing.T) {
 func TestWheelLapRequeue(t *testing.T) {
 	c := mk([]isa.Inst{alu(1, isa.RegNone)}, nil)
 	c.Run(1)
-	d := &dynInst{}
+	d := c.win.at(0) // the committed instruction's slot
 	far := c.cycle + wheelSize + 5
 	c.ev.park(d, far)
 	for cyc := c.cycle + 1; cyc < far; cyc++ {
-		c.ev.drainWheel(cyc)
+		c.ev.drainWheel(cyc, &c.win)
 		if got, ok := c.ev.attn.nextSet(0, c.ev.attn.mask+1); ok {
 			t.Fatalf("lapped wheel entry woke early at cycle %d (bit %d)", cyc, got)
 		}
 	}
-	c.ev.drainWheel(far)
+	c.ev.drainWheel(far, &c.win)
 	if _, ok := c.ev.attn.nextSet(0, c.ev.attn.mask+1); !ok {
 		t.Fatal("wheel entry never fired at its wake cycle")
 	}
@@ -353,6 +353,10 @@ func TestWheelLapRequeue(t *testing.T) {
 // shares the starting bucket's word.
 func TestWheelNextEvent(t *testing.T) {
 	ev := newEventSched(256)
+	win := newWindow(256)
+	for i := range win.slots {
+		win.slots[i].in.Seq = uint64(i)
+	}
 	const base = 10 * wheelSize
 	if at, ok := ev.nextEvent(base); ok {
 		t.Fatalf("empty wheel reports an event at %d", at)
@@ -370,16 +374,16 @@ func TestWheelNextEvent(t *testing.T) {
 		{[]uint64{200, 64 + 1000}, 1000, 1064}, // nearest of two
 	} {
 		ev.reset()
-		for _, at := range tc.park {
-			ev.park(&dynInst{}, base+at)
+		for i, at := range tc.park {
+			ev.park(win.at(uint64(i)), base+at)
 		}
 		if at, ok := ev.nextEvent(base + tc.from); !ok || at != base+tc.want {
 			t.Errorf("parked %v, from %d: nextEvent = %d,%v want %d", tc.park, tc.from, at-base, ok, tc.want)
 		}
 	}
 	ev.reset()
-	ev.park(&dynInst{}, base+7)
-	ev.drainWheel(base + 7)
+	ev.park(win.at(0), base+7)
+	ev.drainWheel(base+7, &win)
 	if at, ok := ev.nextEvent(base); ok {
 		t.Fatalf("drained bucket still reports an event at %d", at-base)
 	}
@@ -403,5 +407,64 @@ func TestSeqBitmapWindow(t *testing.T) {
 	}
 	if _, ok := b.nextSet(base+2, base+100); ok {
 		t.Fatal("nextSet ignored its end bound")
+	}
+}
+
+// failOnceModel is the unbounded LSQ, except that it answers the first
+// AddressReady of seq fail with a placement failure (§3.3 scenario 2),
+// which no shipped model produces on the traces. onFail, if set, runs
+// at that answer.
+type failOnceModel struct {
+	*lsq.Conventional
+	fail   uint64
+	onFail func()
+}
+
+func (m *failOnceModel) AddressReady(seq uint64, isLoad bool, addr uint64, size uint8) lsq.Placement {
+	if seq != m.fail {
+		return m.Conventional.AddressReady(seq, isLoad, addr, size)
+	}
+	m.fail = noSeq // re-executed after the flush, it places
+	if m.onFail != nil {
+		m.onFail()
+	}
+	return lsq.Placement{Failed: true}
+}
+
+// TestPlacementFailureFlushMidWalk covers the flush completeExec raises
+// inside the wakeup scheduler's issue walk. The walk has no flush
+// guard of its own: the flush resets the attention set, so the walk
+// finds no younger instruction left to visit, as the oracle's ROB walk
+// ends on the emptied ROB. The stream keeps the walk busy: each load
+// has a consumer parked on it and is followed by more independent
+// ALU operations than the ALUs issue, so younger instructions still
+// await the walk when the chosen load fails placement. The run must
+// match the oracle cycle by cycle, and re-execute to the end.
+func TestPlacementFailureFlushMidWalk(t *testing.T) {
+	var insts []isa.Inst
+	for b := range 128 {
+		insts = append(insts, load(1, uint64(b)*64), alu(2, 1))
+		for j := range 14 {
+			insts = append(insts, alu(int16(3+j%8), isa.RegNone))
+		}
+	}
+	const fail = 40 * 16 // the load of block 40
+	wakeModel := &failOnceModel{Conventional: lsq.NewUnbounded(), fail: fail}
+	wake := mk(insts, wakeModel)
+	oracle := newOracle(PaperConfig(), isa.NewSliceStream(insts), &failOnceModel{Conventional: lsq.NewUnbounded(), fail: fail}, nil)
+	younger := false
+	wakeModel.onFail = func() {
+		_, younger = wake.ev.attn.nextSet(fail+1, wake.win.disp)
+	}
+	if d, _ := lockstep(wake, oracle, uint64(len(insts))); d != nil {
+		t.Fatalf("wakeup scheduler diverged from the ROB-walk oracle around a placement failure\n%v", d)
+	}
+	if !younger {
+		t.Fatal("no younger instruction awaited the walk when the load failed placement")
+	}
+	for _, c := range []*CPU{wake, oracle} {
+		if c.res.PlacementFailures != 1 || c.res.Committed != uint64(len(insts)) {
+			t.Fatalf("%d placement failures, %d of %d committed; want 1 and all", c.res.PlacementFailures, c.res.Committed, len(insts))
+		}
 	}
 }

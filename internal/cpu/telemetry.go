@@ -108,13 +108,13 @@ func (c *CPU) schedStats() (waiters, wheel, attn int) {
 	for _, w := range c.ev.attn.words {
 		attn += bits.OnesCount64(w)
 	}
-	for i := range c.ev.wheel {
-		for d := c.ev.wheel[i]; d != nil; d = d.wheelNext {
+	for _, s := range c.ev.wheel {
+		for ; s != noSeq; s = c.win.at(s).wheelNext {
 			wheel++
 		}
 	}
 	for seq := c.win.head; seq < c.win.disp; seq++ {
-		for w := c.win.at(seq).waiterHead; w != nil; w = w.waitNext {
+		for s := c.win.at(seq).waiterHead; s != noSeq; s = c.win.at(s).waitNext {
 			waiters++
 		}
 	}

@@ -38,5 +38,5 @@ func (w *window) at(seq uint64) *dynInst { return &w.slots[seq&w.mask] }
 
 // inROB reports whether seq is in the ROB, [head, disp). One unsigned
 // comparison covers both sides: a seq below head wraps to a huge
-// offset, as does noProducer.
+// offset, as does noSeq.
 func (w *window) inROB(seq uint64) bool { return seq-w.head < w.disp-w.head }
