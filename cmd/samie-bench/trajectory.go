@@ -46,13 +46,15 @@ type e2eEntry struct {
 
 // e2eWorkload holds one workload's pairs and, per metric, the medians
 // of the parent and the change runs. Factors holds change/parent for a
-// metric whose source quotes only the ratio.
+// metric whose source quotes only the ratio. ParentQuartiles holds the
+// lower and upper quartile of the parent's runs, where they were kept.
 type e2eWorkload struct {
-	Name    string                `json:"name"`
-	Seconds float64               `json:"seconds,omitempty"` // measurement window of each run
-	Pairs   []e2ePair             `json:"pairs,omitempty"`
-	Medians map[string][2]float64 `json:"medians,omitempty"`
-	Factors map[string]float64    `json:"factors,omitempty"`
+	Name            string                `json:"name"`
+	Seconds         float64               `json:"seconds,omitempty"` // measurement window of each run
+	Pairs           []e2ePair             `json:"pairs,omitempty"`
+	Medians         map[string][2]float64 `json:"medians,omitempty"`
+	ParentQuartiles map[string][2]float64 `json:"parent_quartiles,omitempty"`
+	Factors         map[string]float64    `json:"factors,omitempty"`
 }
 
 type e2ePair struct {
@@ -94,6 +96,11 @@ func readE2EFile(path string) (e2eFile, error) {
 					return f, fmt.Errorf("%s: PR %d %s: bad factor %s %v", path, e.PR, w.Name, name, v)
 				}
 			}
+			for name, q := range w.ParentQuartiles {
+				if _, ok := w.Medians[name]; !ok || q[0] <= 0 || q[0] > q[1] {
+					return f, fmt.Errorf("%s: PR %d %s: bad parent quartiles %s %v", path, e.PR, w.Name, name, q)
+				}
+			}
 		}
 	}
 	return f, nil
@@ -104,15 +111,22 @@ type trajectoryRow struct {
 	e              *e2eEntry
 	parent, change float64 // 0 when only the factor is recorded
 	factor         float64
+	inNoise        bool // the change median lies inside the parent's quartiles
 }
+
+// noiseMark follows a factor whose change median lies inside the
+// parent runs' quartiles: a move the pairs do not resolve.
+const noiseMark = "~"
 
 // renderTrajectory writes, per workload and metric, every entry's
 // parent and change medians and their ratio, and the chain-linked
 // index: the product of one ratio per merged PR, taken from its
-// highest-ranked source.
+// highest-ranked source. A factor inside the parent's quartiles
+// carries noiseMark, explained in a closing legend.
 func renderTrajectory(w io.Writer, f e2eFile) {
 	var workloads []string
 	seen := map[string]bool{}
+	marked := false
 	for _, e := range f.Entries {
 		for _, wl := range e.Workloads {
 			if !seen[wl.Name] {
@@ -131,9 +145,10 @@ func renderTrajectory(w io.Writer, f e2eFile) {
 						continue
 					}
 					if v, ok := x.Medians[m.Name]; ok {
-						rows = append(rows, trajectoryRow{e, v[0], v[1], v[1] / v[0]})
+						q, ok := x.ParentQuartiles[m.Name]
+						rows = append(rows, trajectoryRow{e, v[0], v[1], v[1] / v[0], ok && q[0] <= v[1] && v[1] <= q[1]})
 					} else if k, ok := x.Factors[m.Name]; ok {
-						rows = append(rows, trajectoryRow{e, 0, 0, k})
+						rows = append(rows, trajectoryRow{e, 0, 0, k, false})
 					}
 				}
 			}
@@ -166,8 +181,15 @@ func renderTrajectory(w io.Writer, f e2eFile) {
 					index *= r.factor
 					note = fmt.Sprintf("%.3f", index)
 				}
-				fmt.Fprintf(w, "  %4d  %-11s  %11s  %11s  %7.3f  %s\n", r.e.PR, r.e.Source, parent, change, r.factor, note)
+				mark := " "
+				if r.inNoise {
+					mark, marked = noiseMark, true
+				}
+				fmt.Fprintf(w, "  %4d  %-11s  %11s  %11s  %7.3f%s %s\n", r.e.PR, r.e.Source, parent, change, r.factor, mark, note)
 			}
 		}
+	}
+	if marked {
+		fmt.Fprintf(w, "%s after a factor: the change median lies inside the parent runs' quartiles\n", noiseMark)
 	}
 }

@@ -120,3 +120,39 @@ func TestTrajectoryChainLinks(t *testing.T) {
 		}
 	}
 }
+
+// TestTrajectoryMarksNoise checks the noise mark: a change median
+// inside the parent's quartiles marks its factor, one outside them or
+// without recorded quartiles does not, and a legend closes the render.
+func TestTrajectoryMarksNoise(t *testing.T) {
+	wl := func(change float64, q [2]float64) []e2eWorkload {
+		w := e2eWorkload{Name: "w", Medians: map[string][2]float64{"m": {10, change}}}
+		if q[1] > 0 {
+			w.ParentQuartiles = map[string][2]float64{"m": q}
+		}
+		return []e2eWorkload{w}
+	}
+	f := e2eFile{
+		Schema:  1,
+		Metrics: []e2eMetric{{Name: "m", Unit: "s", Better: "lower"}},
+		Entries: []e2eEntry{
+			{PR: 1, Source: "measured", Workloads: wl(10.5, [2]float64{9, 11})},
+			{PR: 2, Source: "measured", Workloads: wl(8, [2]float64{9, 11})},
+			{PR: 3, Source: "measured", Workloads: wl(10.5, [2]float64{})},
+		},
+	}
+	var b strings.Builder
+	renderTrajectory(&b, f)
+	lines := strings.Split(strings.TrimSpace(b.String()), "\n")
+	if len(lines) != 6 {
+		t.Fatalf("render has %d lines, want 6:\n%s", len(lines), b.String())
+	}
+	for i, want := range []string{"1.050" + noiseMark, "0.800 ", "1.050 "} {
+		if !strings.Contains(lines[2+i], want) {
+			t.Errorf("row %q does not contain %q", lines[2+i], want)
+		}
+	}
+	if !strings.HasPrefix(lines[5], noiseMark+" ") {
+		t.Errorf("render does not close with the legend: %q", lines[5])
+	}
+}

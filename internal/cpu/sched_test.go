@@ -54,14 +54,9 @@ func TestSchedulerDifferential(t *testing.T) {
 		benchmarks = shortDifferentialSet
 		insts = 8_000
 	}
-	models := map[string]func(m *energy.Meter) lsq.Model{
-		"samie":        func(m *energy.Meter) lsq.Model { return core.NewPaper(m) },
-		"conventional": func(m *energy.Meter) lsq.Model { return lsq.NewConventional(128, m) },
-		"arb64x2":      func(m *energy.Meter) lsq.Model { return lsq.NewARB(64, 2, 128) },
-		"unbounded":    func(m *energy.Meter) lsq.Model { return lsq.NewUnbounded() },
-	}
 	for _, bench := range benchmarks {
-		for mname, mk := range models {
+		for _, m := range matrixModels {
+			mname, mk := m.name, m.mk
 			if mname != "samie" && testing.Short() && bench != "mcf" && bench != "store-burst" {
 				continue // one model is enough for most of the short matrix
 			}

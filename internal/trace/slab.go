@@ -29,76 +29,114 @@ type Slab struct {
 // materialization.
 const slabChunk = 16 * 1024
 
-// slabRec is one instruction packed into 24 bytes (isa.Inst is 48).
-// Seq is the record's index in the slab; word holds Addr, or Target
-// when recTarget is set, since no generated instruction carries both;
-// register numbers fit int8 (NumLogicalRegs is 64, RegNone is -1).
+// slabRec is one instruction packed into 12 bytes (isa.Inst is 48).
+// Seq is the record's index in the slab. Addresses are offsets from
+// the generator's bases: word holds Addr−dataBase when recAddr is set,
+// or Target−codeBase when recTarget is, since no generated instruction
+// carries both, and neither flag is set for an instruction with
+// neither. pcSize holds PC−codeBase in its low 24 bits and Size in its
+// top 8. Register numbers fit int8 (NumLogicalRegs is 64, RegNone is
+// -1), and meta holds the class in its low 4 bits beside the flags.
+// Params.Validate keeps every generated address inside these windows.
 type slabRec struct {
-	pc               uint64
-	word             uint64
+	word             uint32
+	pcSize           uint32
 	dest, srcA, srcB int8
-	cls              isa.Class
-	size             uint8
-	flags            uint8 // recTaken | recTarget
+	meta             uint8 // class | recTaken | recTarget | recAddr
 }
 
+// The record's windows above each base: a PC offset has codePCBits
+// bits, an Addr or Target offset the 32 bits of word.
 const (
-	recTaken  = 1 << iota // Inst.Taken
-	recTarget             // word is Inst.Target, not Inst.Addr
+	codePCBits = 24
+	codeWindow = 1 << codePCBits
+	dataWindow = 1 << 32
+)
+
+// meta's bits: the class in the low four, then the flags (bit 4 is
+// unused).
+const (
+	recClass  = 1<<4 - 1
+	recTaken  = 1 << 5 // Inst.Taken
+	recTarget = 1 << 6 // word is Inst.Target − codeBase
+	recAddr   = 1 << 7 // word is Inst.Addr − dataBase
 )
 
 // pack encodes in, the instruction at index seq, into r. It panics on
 // an instruction the record cannot reproduce exactly, so a generator
 // change that outgrows the layout fails loudly instead of replaying a
-// different trace. One combined test guards the common case; word
-// takes Addr|Target since at most one of them is set.
+// different trace. One combined test guards the common case: an
+// address outside its window leaves a bit set above the field's width
+// (an address below its base wraps to a huge offset), and word takes
+// the two offsets or'ed since at most one of them is set. The flags
+// come from (x | −x) >> 63, which is 1 just when x is not 0, so the
+// instruction mix costs no mispredicted branch.
 //
 //samie:hotpath
 func (r *slabRec) pack(in *isa.Inst, seq uint64) {
-	if in.Seq != seq || in.Addr != 0 && in.Target != 0 ||
+	hasAddr := (in.Addr | -in.Addr) >> 63
+	hasTarget := (in.Target | -in.Target) >> 63
+	addr := (in.Addr - dataBase) & -hasAddr
+	target := (in.Target - codeBase) & -hasTarget
+	pc := in.PC - codeBase
+	if in.Seq != seq || hasAddr&hasTarget != 0 ||
+		pc>>codePCBits|(addr|target)>>32|uint64(in.Cls)&^recClass != 0 ||
 		uint16(in.Dest-math.MinInt8)|uint16(in.SrcA-math.MinInt8)|uint16(in.SrcB-math.MinInt8) > math.MaxUint8 {
-		unpackable(in, seq)
+		panic(unpackable(in, seq))
 	}
-	var flags uint8
+	var taken uint8
 	if in.Taken {
-		flags = recTaken
+		taken = recTaken
 	}
-	if in.Target != 0 {
-		flags |= recTarget
-	}
-	r.pc, r.word = in.PC, in.Addr|in.Target
+	r.word, r.pcSize = uint32(addr|target), uint32(pc)|uint32(in.Size)<<codePCBits
 	r.dest, r.srcA, r.srcB = int8(in.Dest), int8(in.SrcA), int8(in.SrcB)
-	r.cls, r.size, r.flags = in.Cls, in.Size, flags
+	r.meta = uint8(in.Cls) | taken | uint8(hasTarget)*recTarget | uint8(hasAddr)*recAddr
 }
 
-// unpackable panics with the first reason pack cannot encode in.
-func unpackable(in *isa.Inst, seq uint64) {
-	if in.Seq != seq {
-		panic(fmt.Sprintf("trace: slab record %d holds instruction Seq %d", seq, in.Seq))
-	}
-	if in.Addr != 0 && in.Target != 0 {
-		panic(fmt.Sprintf("trace: slab record %d sets both Addr and Target", seq))
+// unpackable returns the first reason pack cannot encode in. pack
+// panics with it; the panic in pack, not here, tells the compiler that
+// nothing pack computed is needed after the call.
+func unpackable(in *isa.Inst, seq uint64) string {
+	switch {
+	case in.Seq != seq:
+		return fmt.Sprintf("trace: slab record %d holds instruction Seq %d", seq, in.Seq)
+	case in.Addr != 0 && in.Target != 0:
+		return fmt.Sprintf("trace: slab record %d sets both Addr and Target", seq)
+	case in.PC-codeBase >= codeWindow:
+		return fmt.Sprintf("trace: slab record %d has PC %#x outside the code window", seq, in.PC)
+	case in.Addr != 0 && in.Addr-dataBase >= dataWindow:
+		return fmt.Sprintf("trace: slab record %d has Addr %#x outside the data window", seq, in.Addr)
+	case in.Target != 0 && in.Target-codeBase >= dataWindow:
+		return fmt.Sprintf("trace: slab record %d has Target %#x outside the target window", seq, in.Target)
+	case in.Cls > recClass:
+		return fmt.Sprintf("trace: slab record %d has class %d beyond 4 bits", seq, in.Cls)
 	}
 	for _, r := range [...]int16{in.Dest, in.SrcA, in.SrcB} {
 		if r < math.MinInt8 || r > math.MaxInt8 {
-			panic(fmt.Sprintf("trace: slab record %d has register %d outside int8", seq, r))
+			return fmt.Sprintf("trace: slab record %d has register %d outside int8", seq, r)
 		}
 	}
+	return fmt.Sprintf("trace: slab record %d: pack refused %+v for no named reason", seq, *in)
 }
 
 // unpack decodes r, the record at index seq, into out. It is
-// branch-free: the target flag becomes a mask selecting which of Addr
-// and Target receives the word. Fields are stored one by one, since a
-// composite literal is built on the stack and copied, and that copy's
-// wide loads stall on the narrow stores just made.
+// branch-free: each address flag, shifted down from its bit (recAddr
+// is the top one), becomes a mask selecting whether its field receives
+// the rebased word. Fields are stored one by one, since a composite
+// literal is built on the stack and copied, and that copy's wide loads
+// stall on the narrow stores just made. The two multiple assignments
+// keep unpack within the compiler's inlining budget (cost 80 of 80),
+// so Next runs it without a call; one more operation or statement here
+// would lose that.
 //
 //samie:hotpath
 func (r *slabRec) unpack(seq uint64, out *isa.Inst) {
-	target := -uint64(r.flags >> 1 & 1) // all ones when recTarget
-	out.Seq, out.PC, out.Cls = seq, r.pc, r.cls
-	out.Dest, out.SrcA, out.SrcB = int16(r.dest), int16(r.srcA), int16(r.srcB)
-	out.Addr, out.Size = r.word&^target, r.size
-	out.Taken, out.Target = r.flags&recTaken != 0, r.word&target
+	out.Seq, out.PC, out.Cls, out.Dest, out.SrcA, out.SrcB =
+		seq, codeBase+uint64(r.pcSize&(codeWindow-1)), isa.Class(r.meta&recClass),
+		int16(r.dest), int16(r.srcA), int16(r.srcB)
+	out.Addr, out.Size, out.Taken, out.Target =
+		(dataBase+uint64(r.word))&-uint64(r.meta>>7), uint8(r.pcSize>>codePCBits),
+		r.meta&recTaken != 0, (codeBase+uint64(r.word))&-uint64(r.meta>>6&1)
 }
 
 // NewSlab builds an empty slab for p.

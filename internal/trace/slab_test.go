@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"samielsq/internal/isa"
 )
@@ -73,17 +74,21 @@ func TestSlabConcurrentStreams(t *testing.T) {
 	wg.Wait()
 }
 
-// TestSlabRecordRejectsUnpackable covers every instruction pack must
-// refuse because the 24-byte record cannot reproduce it, and checks
-// the edge values it must keep.
+// TestSlabRecordRejectsUnpackable round-trips the edges of every
+// window the 12-byte record keeps, and covers every instruction pack
+// must refuse because the record cannot reproduce it.
 func TestSlabRecordRejectsUnpackable(t *testing.T) {
-	ok := isa.Inst{Seq: 7, PC: 0x400100, Cls: isa.ClassBranch, Dest: isa.RegNone,
-		SrcA: 63, SrcB: -128, Taken: true, Target: 0x400000}
+	ok := isa.Inst{Seq: 7, PC: codeBase + 0x100, Cls: isa.ClassBranch, Dest: isa.RegNone,
+		SrcA: 63, SrcB: -128, Taken: true, Target: codeBase}
 	for _, in := range []isa.Inst{
 		ok,
-		{Seq: 7, PC: 0x400104, Cls: isa.ClassStore, Dest: 127, SrcA: 0, SrcB: isa.RegNone,
-			Addr: ^uint64(0), Size: 255},
-		{Seq: 7, Cls: isa.ClassNop, Dest: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone},
+		{Seq: 7, PC: codeBase + codeWindow - 1, Cls: isa.ClassStore, Dest: 127, SrcA: 0, SrcB: isa.RegNone,
+			Addr: dataBase + dataWindow - 1, Size: 255},
+		{Seq: 7, PC: codeBase, Cls: isa.ClassLoad, Dest: 1, SrcA: 2, SrcB: isa.RegNone,
+			Addr: dataBase, Size: 8},
+		{Seq: 7, PC: codeBase + 4, Cls: isa.ClassBranch, Dest: isa.RegNone, SrcA: 1, SrcB: isa.RegNone,
+			Target: codeBase + dataWindow - 1},
+		{Seq: 7, PC: codeBase, Cls: recClass, Dest: isa.RegNone, SrcA: isa.RegNone, SrcB: isa.RegNone},
 	} {
 		var r slabRec
 		r.pack(&in, 7)
@@ -98,10 +103,17 @@ func TestSlabRecordRejectsUnpackable(t *testing.T) {
 		mutate func(*isa.Inst)
 	}{
 		{"Seq is not the index", func(in *isa.Inst) { in.Seq = 8 }},
-		{"Addr and Target both set", func(in *isa.Inst) { in.Addr = 0x1000 }},
+		{"Addr and Target both set", func(in *isa.Inst) { in.Addr = dataBase }},
 		{"Dest above int8", func(in *isa.Inst) { in.Dest = 128 }},
 		{"SrcA below int8", func(in *isa.Inst) { in.SrcA = -129 }},
 		{"SrcB above int8", func(in *isa.Inst) { in.SrcB = 1 << 14 }},
+		{"PC below the code window", func(in *isa.Inst) { in.PC = codeBase - 4 }},
+		{"PC above the code window", func(in *isa.Inst) { in.PC = codeBase + codeWindow }},
+		{"Addr below the data window", func(in *isa.Inst) { in.Target, in.Addr = 0, dataBase-1 }},
+		{"Addr above the data window", func(in *isa.Inst) { in.Target, in.Addr = 0, dataBase+dataWindow }},
+		{"Target below the code base", func(in *isa.Inst) { in.Target = codeBase - 4 }},
+		{"Target above its window", func(in *isa.Inst) { in.Target = codeBase + dataWindow }},
+		{"class beyond 4 bits", func(in *isa.Inst) { in.Cls = recClass + 1 }},
 	} {
 		in := ok
 		c.mutate(&in)
@@ -116,8 +128,16 @@ func TestSlabRecordRejectsUnpackable(t *testing.T) {
 	}
 }
 
+// TestSlabRecordSize pins the record at 12 bytes: the shared trace's
+// footprint, and so how much of the slab cache's bound a run uses.
+func TestSlabRecordSize(t *testing.T) {
+	if got := unsafe.Sizeof(slabRec{}); got != 12 {
+		t.Fatalf("slabRec is %d bytes, want 12", got)
+	}
+}
+
 // TestSlabMaterializeAllocs bounds what materializing costs in heap:
-// one 24-byte record per instruction and no regrowth copies (a slab of
+// one 12-byte record per instruction and no regrowth copies (a slab of
 // 48-byte isa.Inst grown by append allocated 264 B per instruction).
 func TestSlabMaterializeAllocs(t *testing.T) {
 	const n = 8 * slabChunk
@@ -129,11 +149,11 @@ func TestSlabMaterializeAllocs(t *testing.T) {
 		ss.Next(&in)
 	}
 	runtime.ReadMemStats(&after)
-	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 26 {
-		t.Errorf("materializing allocates %.1f B per instruction, want <= 26", per)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / n; per > 14 {
+		t.Errorf("materializing allocates %.1f B per instruction, want <= 14", per)
 	}
-	if got := ss.slab.Bytes(); got != n*24 {
-		t.Errorf("Bytes() = %d for %d instructions, want 24 B each", got, n)
+	if got := ss.slab.Bytes(); got != n*12 {
+		t.Errorf("Bytes() = %d for %d instructions, want 12 B each", got, n)
 	}
 }
 

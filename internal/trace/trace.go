@@ -17,6 +17,7 @@ package trace
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"sort"
 
 	"samielsq/internal/isa"
@@ -43,7 +44,7 @@ type Params struct {
 	RunLen      int     // accesses issued to a line before advancing
 	RandFrac    float64 // fraction of accesses to random working-set addresses
 	Revisit     float64 // probability of re-touching one of the last lines
-	WorkingSet  uint64  // bytes, bounds random accesses
+	WorkingSet  uint64  // bytes, bounds random accesses; with the streams, at most 4 GiB of data
 	AccessSize  uint8   // bytes per access (4 or 8)
 
 	// BankSpread > 0 pins the streams into exactly BankSpread distinct
@@ -63,7 +64,8 @@ type Params struct {
 
 	// CodeBytes bounds the instruction-address footprint (the "loop
 	// body"): fetch PCs wrap within it, so it controls L1 I-cache and
-	// ITLB pressure. Zero means 16 KiB.
+	// ITLB pressure. Zero means 16 KiB; at most 16 MiB, the slab
+	// record's code window.
 	CodeBytes uint64
 
 	// Register dependences: each source register is drawn from the
@@ -128,7 +130,36 @@ func (p *Params) Validate() error {
 	if p.DepGeom <= 0 || p.DepGeom >= 1 {
 		return fmt.Errorf("trace: %s: DepGeom=%v out of (0,1)", p.Name, p.DepGeom)
 	}
+	if p.CodeBytes > codeWindow {
+		return fmt.Errorf("trace: %s: CodeBytes %d exceeds the %d-byte code window", p.Name, p.CodeBytes, codeWindow)
+	}
+	if ext := p.dataExtent(); ext > dataWindow {
+		return fmt.Errorf("trace: %s: data addresses may reach %d bytes past the data base, beyond the %d-byte data window", p.Name, ext, uint64(dataWindow))
+	}
 	return nil
+}
+
+// dataExtent bounds the data footprint of valid-so-far p: every
+// address the generator draws lies below dataBase+dataExtent. A
+// working set, stride or stream count too large to sum without
+// overflow reports an extent past the data window.
+func (p *Params) dataExtent() uint64 {
+	streams := uint64(p.Streams)
+	if p.WorkingSet > dataWindow || p.StrideBytes > dataWindow || streams > dataWindow {
+		return math.MaxUint64
+	}
+	last := streams - 1 // the stream with the highest base
+	var base uint64
+	if p.BankSpread > 0 {
+		bs := uint64(p.BankSpread)
+		base = min(last, bs-1)*LineBytes + last/bs*bankRegion
+	} else {
+		base = last * (p.WorkingSet/streams + LineBytes)
+	}
+	// A stream's lines stay below base+span, and an access lies within
+	// a line; random accesses stay below the working set.
+	span := max(p.WorkingSet/streams, p.StrideBytes)
+	return max(p.WorkingSet, base+span+LineBytes)
 }
 
 // seedFor derives a stable 63-bit seed from a benchmark name.
@@ -215,6 +246,18 @@ func newThresholds(p *Params) thresholds {
 // matches the paper's 32-byte L1 lines.
 const LineBytes = 32
 
+// The generator's address space, Alpha-style: instruction addresses
+// start at codeBase, data addresses at dataBase. A slab record keeps
+// each address as an offset from its base, so Params.Validate holds
+// the code and data footprints to the record's windows (slabRec).
+const (
+	codeBase = 0x120000000
+	dataBase = 0x200000000
+	// bankRegion separates the stream regions of a BankSpread
+	// workload: a multiple of 64 lines, so bank-preserving.
+	bankRegion = 0x100000
+)
+
 // NewGenerator builds a generator for the given parameters. It panics
 // on invalid parameters (programming error); use Params.Validate to
 // check data-driven configurations first.
@@ -232,7 +275,7 @@ func NewGenerator(p Params) *Generator {
 	g := &Generator{
 		p:        p,
 		t:        newThresholds(&p),
-		pc:       0x120000000, // Alpha-style text base
+		pc:       codeBase,
 		recent:   make([]uint64, 16),
 		lineMask: ^(uint64(LineBytes) - 1),
 	}
@@ -244,14 +287,14 @@ func NewGenerator(p Params) *Generator {
 	g.streams = make([]stream, p.Streams)
 	for i := range g.streams {
 		if p.BankSpread > 0 {
-			// Pin stream i to bank i%BankSpread: regions are 1 MiB apart
-			// (a multiple of 64 lines, so bank-preserving) and the
-			// in-region offset selects the bank.
-			g.streams[i].base = 0x200000000 +
+			// Pin stream i to bank i%BankSpread: regions are
+			// bankRegion (1 MiB) apart and the in-region offset selects
+			// the bank.
+			g.streams[i].base = dataBase +
 				uint64(i%p.BankSpread)*LineBytes +
-				uint64(i/p.BankSpread)*0x100000
+				uint64(i/p.BankSpread)*bankRegion
 		} else {
-			g.streams[i].base = 0x200000000 + uint64(i)*(p.WorkingSet/uint64(p.Streams)+LineBytes)
+			g.streams[i].base = dataBase + uint64(i)*(p.WorkingSet/uint64(p.Streams)+LineBytes)
 		}
 	}
 	g.branches = make([]branchSite, p.StaticBranches)
@@ -259,10 +302,10 @@ func NewGenerator(p Params) *Generator {
 	for i := range g.branches {
 		// Branch sites live inside the code footprint, with fixed
 		// backward targets, like loop back-edges.
-		g.branches[i].pc = 0x120000000 + (uint64(i)*257*4)%p.CodeBytes
+		g.branches[i].pc = codeBase + (uint64(i)*257*4)%p.CodeBytes
 		back := uint64(4 + g.rng.Intn(64)*4)
-		if back > g.branches[i].pc-0x120000000 {
-			back = g.branches[i].pc - 0x120000000
+		if back > g.branches[i].pc-codeBase {
+			back = g.branches[i].pc - codeBase
 		}
 		g.branches[i].target = g.branches[i].pc - back
 		if g.rng.unit63() < tRandomBranch {
@@ -353,7 +396,7 @@ func (g *Generator) nextAddr() uint64 {
 	// Random working-set access.
 	if g.rng.unit63() < g.t.random {
 		off := (g.rng.Uint64() % g.p.WorkingSet) &^ (uint64(g.p.AccessSize) - 1)
-		addr := 0x200000000 + off
+		addr := dataBase + off
 		g.remember(addr & g.lineMask)
 		return addr
 	}
@@ -396,8 +439,8 @@ func (g *Generator) Next(out *isa.Inst) bool {
 	out.Addr, out.Size, out.Taken, out.Target = 0, 0, false, 0
 	g.seq++
 	g.pc += 4
-	if g.pc >= 0x120000000+g.p.CodeBytes {
-		g.pc = 0x120000000 // wrap within the code footprint
+	if g.pc >= codeBase+g.p.CodeBytes {
+		g.pc = codeBase // wrap within the code footprint
 	}
 
 	r := g.rng.unit63()

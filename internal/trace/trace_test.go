@@ -137,7 +137,7 @@ func TestEvenSpreadTouchesManyBanks(t *testing.T) {
 func TestCodeFootprintWrap(t *testing.T) {
 	p := MustPersonality("gzip")
 	insts := Generate(p, 100000)
-	lo := uint64(0x120000000)
+	lo := uint64(codeBase)
 	hi := lo + p.CodeBytes
 	if p.CodeBytes == 0 {
 		hi = lo + 16<<10
@@ -216,12 +216,55 @@ func TestParamsValidate(t *testing.T) {
 		func(p *Params) { p.DepGeom = 0 },
 		func(p *Params) { p.BankSpread = -1 },
 		func(p *Params) { p.BankSpread = 2; p.StrideBytes = 64 }, // not bank-preserving
+		func(p *Params) { p.CodeBytes = codeWindow + 4 },         // PCs past the record's window
+		func(p *Params) { p.WorkingSet = dataWindow },            // data past the record's window
+		func(p *Params) { p.WorkingSet = 1 << 63 },               // no overflowing extent
+		func(p *Params) { p.StrideBytes = 1 << 40 },
+		func(p *Params) { p.BankSpread = 1; p.StrideBytes = 64 * LineBytes; p.Streams = 1 << 13 },
 	}
 	for i, mutate := range cases {
 		p := base
 		mutate(&p)
 		if err := p.Validate(); err == nil {
 			t.Errorf("case %d: invalid params accepted", i)
+		}
+	}
+}
+
+// TestParamsWindowEdges grows a plain and a bank-pinned personality's
+// working set, and its code footprint, to the largest Validate accepts:
+// every generated address stays below the extent Validate bounds, and
+// the slab replays the stream exactly, so no valid Params reaches
+// pack's panic.
+func TestParamsWindowEdges(t *testing.T) {
+	for _, name := range []string{"gzip", "ammp"} {
+		p := MustPersonality(name)
+		p.CodeBytes = codeWindow
+		p.RandFrac = 0.5                             // spread accesses over the whole working set
+		lo, hi := p.WorkingSet, uint64(dataWindow)+1 // Validate accepts lo, refuses hi
+		for hi-lo > 1 {
+			p.WorkingSet = lo + (hi-lo)/2
+			if p.Validate() == nil {
+				lo = p.WorkingSet
+			} else {
+				hi = p.WorkingSet
+			}
+		}
+		p.WorkingSet = lo
+		if p.Validate() != nil || lo < dataWindow-1<<20 {
+			t.Fatalf("%s: largest valid WorkingSet %#x, want within 1 MiB of the window", name, lo)
+		}
+		want := Generate(p, 2*slabChunk)
+		ss := NewSlab(p).Stream()
+		var in isa.Inst
+		for i := range want {
+			ss.Next(&in)
+			if in != want[i] {
+				t.Fatalf("%s: slab inst %d is %+v, generator %+v", name, i, in, want[i])
+			}
+			if in.Addr != 0 && in.Addr-dataBase >= p.dataExtent() {
+				t.Fatalf("%s: address %#x beyond the validated extent %#x", name, in.Addr, p.dataExtent())
+			}
 		}
 	}
 }
@@ -263,10 +306,10 @@ func TestWorkingSetBounded(t *testing.T) {
 		if !insts[i].Cls.IsMem() {
 			continue
 		}
-		if insts[i].Addr < 0x200000000 {
+		if insts[i].Addr < dataBase {
 			t.Fatalf("data address %#x below data base", insts[i].Addr)
 		}
-		if insts[i].Addr > 0x200000000+4*p.WorkingSet+1<<22 {
+		if insts[i].Addr > dataBase+4*p.WorkingSet+1<<22 {
 			t.Fatalf("data address %#x far outside working set", insts[i].Addr)
 		}
 	}
